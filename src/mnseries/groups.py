@@ -8,7 +8,6 @@ series supports rely on.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
 
 from .errors import MalformedSpec
 
@@ -38,10 +37,8 @@ class OrderedGroup:
         return self.compare(x, y) < 0
 
     def minimum(self, xs):
-        return min(xs, key=cmp_to_key(self.compare))
-
-    def sort_key(self):
-        return cmp_to_key(self.compare)
+        # ints and lex tuples already compare in group order
+        return min(xs)
 
     def window(self, lo: int, hi: int) -> list:
         """All elements with every coordinate in [lo, hi], sorted ascending."""

@@ -17,7 +17,7 @@ from .ideals import (IdealSet, annihilator, close_under_inverses,
                      enumerate_ideals, is_sigma_compatible_ideal,
                      nil_radical, quotient_ideal, set_sum, weak_annihilator)
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism
-from .series import TwistSystem, exhaustive_series, series_mul, series_to_json
+from .series import TwistSystem, WindowAlgebra, series_to_json
 
 DEFAULT_PAIR_CAP = 1 << 20
 DEFAULT_SUBSET_CAP = 1 << 16
@@ -207,39 +207,39 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     """fg = 0 forces all coefficient products to vanish, on a bounded fragment.
 
     This is an enumerative check of the fragment only, never a proof of the
-    unbounded property; the report carries its bounds.
+    unbounded property; the report carries its bounds. Pairs come from the
+    leading-term join (WindowAlgebra.join with U = {0}), so a pair whose
+    leading term is nonzero is decided without its product being built;
+    pairs_checked counts those pruned pairs too.
     """
     with _Timer() as t:
-        exps = [twist.group.canon(x) for x in exponents]
+        grp = twist.group
+        exps = [grp.canon(x) for x in exponents]
         count = ring.size ** len(exps)
         if count * count > pair_cap:
             raise BoundsTooLarge(
                 f"{count}^2 series pairs exceed the cap of {pair_cap}")
-        all_series = list(exhaustive_series(twist, exps, max_support))
+        alg = WindowAlgebra(twist, exps)
+        universe = alg.universe(max_support)
         witness = None
-        pairs_checked = 0
+        pairs_checked = len(universe) ** 2
         zero_products = 0
-        for f in all_series:
-            for g in all_series:
-                pairs_checked += 1
-                if not series_mul(f, g).is_zero:
-                    continue
-                zero_products += 1
-                for x, a in f.terms.items():
-                    for y, b in g.terms.items():
-                        if ring.mul_table[a][b] != 0:
-                            witness = {"f": series_to_json(f), "g": series_to_json(g),
-                                       "x": twist.group.to_json(x), "y": twist.group.to_json(y),
-                                       "product": ring.mul_table[a][b]}
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
+        mul = ring.mul_table
+        for p, q, _ in alg.join(universe, {0}):
+            zero_products += 1
+            f, g = universe[p], universe[q]
+            hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
+                       None)
+            if hit is not None:
+                i, j, product = hit
+                witness = {"f": series_to_json(alg.series(f)),
+                           "g": series_to_json(alg.series(g)),
+                           "x": grp.to_json(alg.window[i]), "y": grp.to_json(alg.window[j]),
+                           "product": product}
+                pairs_checked = p * len(universe) + q + 1
                 break
     bounds = {"max_support": max_support,
-              "exponents": [twist.group.to_json(x) for x in exps],
+              "exponents": [grp.to_json(x) for x in exps],
               "pairs_checked": pairs_checked, "zero_products_seen": zero_products}
     return PropertyReport(
         "G-armendariz", witness is None, witness=witness, bounds=bounds,

@@ -257,7 +257,7 @@ class Series:
         return self.terms.get(x, 0)
 
     def support(self) -> list:
-        return sorted(self.terms, key=self.twist.group.sort_key())
+        return sorted(self.terms)
 
     def sorted_terms(self) -> list[tuple]:
         return [(x, self.terms[x]) for x in self.support()]
@@ -363,6 +363,100 @@ def series_mul(f: Series, g: Series) -> Series:
             prev = acc.get(z)
             acc[z] = t if prev is None else ring.add(prev, t)
     return Series(tw, {z: c for z, c in acc.items() if c != 0})
+
+
+# --- compiled window algebra -------------------------------------------------
+
+
+class WindowAlgebra:
+    """The twisted product on series supported inside one window, as tables.
+
+    Compiling evaluates every group product, sigma map and tau value of the
+    window once. A series is then its list of nonzero (position, coefficient)
+    pairs in window order, and a product is its coefficient list over
+    `products`, the sorted exponents xy of the window, computed by table
+    lookups alone.
+    """
+
+    def __init__(self, twist: TwistSystem, window: Sequence):
+        grp, ring = twist.group, twist.ring
+        win = [grp.canon(x) for x in window]
+        if len(set(win)) != len(win):
+            raise MalformedSpec(f"window exponents must be distinct: {window!r}")
+        exps = [[grp.op(x, y) for y in win] for x in win]
+        self.twist = twist
+        self.window = win
+        self.products = sorted({z for row in exps for z in row})
+        index = {z: k for k, z in enumerate(self.products)}
+        # slot[i][j]: the index of x_i x_j in `products`
+        self.slot = [[index[z] for z in row] for row in exps]
+        # term[i][a][j][b] = a * sigma_{x_i}(b) * tau(x_i, x_j)
+        mul = ring.mul_table
+        self.term = []
+        for x in win:
+            sig = twist.sigma_at(x).map
+            taus = [twist.tau_at(x, y) for y in win]
+            self.term.append([[[mul[mul[a][sig[b]]][t] for b in ring.elements()]
+                               for t in taus] for a in ring.elements()])
+        self.add = ring.add_table
+
+    def universe(self, max_support: int | None = None) -> list[list[tuple]]:
+        """Every series inside the window, in the order of exhaustive_series."""
+        return list(_window_terms(self.twist.ring.size, len(self.window), max_support))
+
+    def multiply(self, f: list[tuple], g: list[tuple]) -> list[int]:
+        acc = [0] * len(self.products)
+        add = self.add
+        for i, a in f:
+            rows = self.term[i][a]
+            slots = self.slot[i]
+            for j, b in g:
+                k = slots[j]
+                acc[k] = add[acc[k]][rows[j][b]]
+        return acc
+
+    def join(self, universe: list[list[tuple]], members) -> Iterable[tuple]:
+        """(p, q, fg) for every pair of universe series whose product fg has
+        all its coefficients in `members` (a set holding 0), in f-major,
+        g-minor order.
+
+        Over an ordered group the least exponent of fg is x0 y0, for x0 and
+        y0 the least exponents of f and g, and its coefficient is the single
+        term f(x0) sigma_x0(g(y0)) tau(x0, y0). A pair whose leading term
+        lies outside `members` cannot qualify, so the universe is bucketed by
+        leading (position, coefficient) and only pairs from admissible
+        buckets are multiplied.
+        """
+        members = frozenset(members)
+        win = self.window
+        leads = [min(g, key=lambda t: win[t[0]]) if g else None for g in universe]
+        zeros = [q for q, lead in enumerate(leads) if lead is None]
+        buckets: dict[tuple, list[int]] = {}
+        for q, lead in enumerate(leads):
+            if lead is not None:
+                buckets.setdefault(lead, []).append(q)
+        everyone = range(len(universe))
+        partners: dict[tuple, list[int]] = {}
+        for p, f in enumerate(universe):
+            lead = leads[p]
+            if lead is None:
+                candidates = everyone
+            elif lead in partners:
+                candidates = partners[lead]
+            else:
+                rows = self.term[lead[0]][lead[1]]
+                candidates = partners[lead] = sorted(itertools.chain(
+                    zeros, *(qs for (j, b), qs in buckets.items() if rows[j][b] in members)))
+            for q in candidates:
+                fg = self.multiply(f, universe[q])
+                if members.issuperset(fg):
+                    yield p, q, fg
+
+    def series(self, terms: list[tuple]) -> Series:
+        return Series(self.twist, {self.window[i]: c for i, c in terms})
+
+    def product_series(self, fg: list[int]) -> Series:
+        return Series(self.twist, {z: c for z, c in zip(self.products, fg) if c})
 
 
 @dataclass
@@ -557,15 +651,21 @@ def random_triples(twist: TwistSystem, rng, exponents: Sequence, count: int,
             for _ in range(count)]
 
 
+def _window_terms(size: int, width: int, max_support: int | None = None) -> Iterable[list]:
+    """The nonzero (position, coefficient) pairs of every series over `width`
+    window positions, in coefficient-tuple order."""
+    for coeffs in itertools.product(range(size), repeat=width):
+        terms = [(i, c) for i, c in enumerate(coeffs) if c]
+        if max_support is None or len(terms) <= max_support:
+            yield terms
+
+
 def exhaustive_series(twist: TwistSystem, exponents: Sequence,
                       max_support: int | None = None) -> Iterable[Series]:
     """Every series with support inside the window, in deterministic order."""
     exps = [twist.group.canon(x) for x in exponents]
-    for coeffs in itertools.product(range(twist.ring.size), repeat=len(exps)):
-        terms = {x: c for x, c in zip(exps, coeffs) if c != 0}
-        if max_support is not None and len(terms) > max_support:
-            continue
-        yield Series(twist, terms)
+    for terms in _window_terms(twist.ring.size, len(exps), max_support):
+        yield Series(twist, {exps[i]: c for i, c in terms})
 
 
 def single_term_triples(twist: TwistSystem, exponents: Sequence) -> Iterable[tuple]:

@@ -37,7 +37,7 @@ class TruncatedUniverse:
     def __init__(self, twist: TwistSystem, window: Iterable,
                  cap: int = DEFAULT_UNIVERSE_CAP):
         grp = twist.group
-        win = sorted({grp.canon(x) for x in window}, key=grp.sort_key())
+        win = sorted({grp.canon(x) for x in window})
         if not win:
             raise PreconditionFail("universe window must be nonempty")
         count = twist.ring.size ** len(win)
@@ -374,9 +374,8 @@ def coefficient_extraction(f: Series, g: Series, U: IdealSet) -> DerivationTrace
     if f.twist is not g.twist:
         raise TwistMismatch("series belong to different twist systems")
     twist = f.twist
-    ring = twist.ring
     grp = twist.group
-    if U.ring is not ring:
+    if U.ring is not twist.ring:
         raise RingMismatch("ideal must live in the series' coefficient ring")
     if U.kind != "twosided":
         raise PreconditionFail(f"U must be a two-sided ideal, got kind {U.kind!r}")
@@ -391,14 +390,25 @@ def coefficient_extraction(f: Series, g: Series, U: IdealSet) -> DerivationTrace
     if bad:
         raise PreconditionFail(
             f"fg has coefficients outside U at {[(grp.to_json(w), c) for w, c in bad]}")
+    return _extract(f, g, U, fg)
 
-    products = sorted({grp.op(u, v) for u in f.terms for v in g.terms},
-                      key=grp.sort_key())
+
+def _extract(f: Series, g: Series, U: IdealSet, fg: Series) -> DerivationTrace:
+    """The derivation of coefficient_extraction, for a caller that has already
+    checked its preconditions and computed fg (by any product), which every
+    step is checked against."""
+    twist = f.twist
+    ring = twist.ring
+    grp = twist.group
+    products = sorted({grp.op(u, v) for u in f.terms for v in g.terms})
     steps: list[TraceStep] = []
     established: dict = {}
 
     def fail(msg, step=None):
         raise TraceMismatch(msg, step=step)
+
+    if not fg.terms.keys() <= set(products):
+        fail("the product has a term at an exponent that no pair of supports reaches")
 
     for w in products:
         pairs = x_w_pairs(f, g, w)

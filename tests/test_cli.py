@@ -192,3 +192,46 @@ def test_main_verify_seed_changes_samples(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["seed"] == 3
     assert data["status"] == "pass"
+
+
+def test_main_verify_max_support_zero_reaches_params(capsys):
+    assert main(["verify", "z4_example_5_5", "--suite", "ring-axioms",
+                 "--max-support", "0", "--window", "0..0", "--format", "json"]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["max_support"] == 0
+    assert params["window"] == [0, 0]
+
+
+def test_main_validate_checks_the_twist_once(monkeypatch, capsys):
+    import mnseries.cli as cli
+    calls = []
+    real = cli._validate_twist
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_validate_twist", counting)
+    assert main(["validate", "z4_tau_power", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert calls == ["z4_tau_power"]
+    assert payload["twist"]["gate_ok"] is True
+    assert payload["associativity"] == {"ok": True, "checked": 1000}
+
+
+@pytest.mark.parametrize("doc", [
+    {"fixture": "x", "seed": 0, "status": "pass", "checks": []},
+    [1, 2],
+    {"fixture": "x", "suite": "ideals", "seed": 0, "status": "pass", "checks": [{"verdict": True}]},
+    {"fixture": "x", "suite": "ideals", "seed": 0, "status": "pass",
+     "checks": [{"property": "p", "verdict": "yes"}]},
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_main_report_rejects_a_malformed_report(tmp_path, capsys, doc, fmt):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,0 +1,284 @@
+"""Differential tests for the compiled window algebra and its leading-term join.
+
+The oracle is the Series product: `series_mul` over every pair of a small
+window, and the plain double loops the exhaustive scans ran before they
+moved onto the kernel, kept here rather than as a second path in the
+library.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mnseries.cli import load_fixture, resolve_fixture, run_suite
+from mnseries.errors import MalformedSpec, TraceMismatch
+from mnseries.groups import IntegersGroup, LexProductGroup
+from mnseries.ideals import enumerate_ideals
+from mnseries.properties import is_G_armendariz
+from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
+                            ring_zn, units)
+from mnseries.series import (WindowAlgebra, exhaustive_series, series_make,
+                             series_mul, series_to_json, trivial_twist,
+                             twist_from_spec)
+from mnseries.transfer import _extract, coefficient_extraction
+
+
+def _ut2_z2():
+    """Upper-triangular 2x2 matrices over Z2; [[a, b], [0, c]] has id 4a + 2b + c."""
+    elems = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[((a + x) % 2, (b + y) % 2, (c + z) % 2)] for (x, y, z) in elems]
+           for (a, b, c) in elems]
+    mul = [[index[(a * x % 2, (a * y + b * z) % 2, c * z % 2)] for (x, y, z) in elems]
+           for (a, b, c) in elems]
+    return ring_from_table({"label": "UT2(Z2)", "size": 8, "add": add, "mul": mul,
+                            "one": index[(1, 0, 1)]}), index
+
+
+def _ut2_conjugation():
+    """UT2(Z2) with sigma_n = conjugation by [[1, 1], [0, 1]] to the n-th power."""
+    ring, index = _ut2_z2()
+    u = index[(1, 1, 1)]  # its own inverse
+    perm = [ring.mul(ring.mul(u, m), u) for m in ring.elements()]
+    return twist_from_spec(ring, IntegersGroup(), {"sigma": {"generator": perm},
+                                                   "tau": {"kind": "one"}})
+
+
+def _cases():
+    z4 = ring_zn(4)
+    gf4 = load_fixture(resolve_fixture("gf4_frobenius")).twist
+    z4_tau = twist_from_spec(z4, IntegersGroup(), {
+        "sigma": "identity",
+        "tau": {"kind": "unit_power", "unit": 3, "exponent_rule": "product"}})
+    z4_lex_tau = twist_from_spec(z4, LexProductGroup(2), {
+        "sigma": "identity",
+        "tau": {"kind": "unit_power", "unit": 3, "exponent_rule": [[0, 1], [0, 0]]}})
+    klein = ring_product(ring_zn(2), ring_zn(2))
+    klein_swap = twist_from_spec(klein, IntegersGroup(), {
+        "sigma": {"generator": [0, 2, 1, 3]}, "tau": {"kind": "one"}})
+    ut2, _ = _ut2_z2()
+    return {
+        "z4-tau": (z4_tau, [0, 1, 2]),
+        "z4-tau-unsorted": (z4_tau, [1, -1, 0]),
+        "gf4-frobenius": (gf4, [-1, 0, 1]),
+        "z4-z2lex-tau": (z4_lex_tau, [(1, 0), (0, 1), (0, 0)]),
+        "klein-swap-unsorted": (klein_swap, [2, 0, 1]),
+        "ut2-z2": (trivial_twist(ut2), [0, 1]),
+        "ut2-z2-unsorted": (trivial_twist(ut2), [1, 0]),
+        "ut2-z2-conjugation": (_ut2_conjugation(), [0, 1]),
+    }
+
+
+CASES = _cases()
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(name):
+    """The universe as Series, and every pairwise series_mul product."""
+    twist, window = CASES[name]
+    series = list(exhaustive_series(twist, window))
+    return series, [[series_mul(f, g) for g in series] for f in series]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dense_product_matches_series_mul(name):
+    twist, window = CASES[name]
+    alg = WindowAlgebra(twist, window)
+    universe = alg.universe()
+    series, products = _oracle(name)
+    assert [alg.series(t) for t in universe] == series
+    for p, f in enumerate(universe):
+        for q, g in enumerate(universe):
+            assert alg.product_series(alg.multiply(f, g)) == products[p][q]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_join_prunes_no_qualifying_pair(name):
+    twist, window = CASES[name]
+    alg = WindowAlgebra(twist, window)
+    universe = alg.universe()
+    series, products = _oracle(name)
+    n = len(series)
+    for U in enumerate_ideals(twist.ring, "twosided"):
+        joined = [(p, q) for p, q, _ in alg.join(universe, U.members)]
+        expected = [(p, q) for p in range(n) for q in range(n)
+                    if products[p][q].content() <= U.members]
+        assert joined == expected, U.sorted_members()
+
+
+def test_join_multiplies_only_pairs_with_an_admissible_leading_term(monkeypatch):
+    twist, window = CASES["z4-tau"]
+    real = WindowAlgebra.multiply
+    calls = []
+
+    def counting(alg, f, g):
+        calls.append((f, g))
+        return real(alg, f, g)
+
+    monkeypatch.setattr(WindowAlgebra, "multiply", counting)
+    rep = is_G_armendariz(twist.ring, twist, 3, window)
+    assert rep.bounds["pairs_checked"] == 4096
+    assert rep.bounds["zero_products_seen"] <= len(calls) < 4096 // 4
+
+
+def test_window_exponents_must_be_distinct(tw_z4_tau):
+    with pytest.raises(MalformedSpec):
+        WindowAlgebra(tw_z4_tau, [0, 1, 0])
+
+
+# --- the scans against the plain double loops they replaced -------------------
+
+
+def _g_armendariz_loop(ring, twist, max_support, exponents):
+    all_series = list(exhaustive_series(twist, exponents, max_support))
+    pairs_checked = zero_products = 0
+    for f in all_series:
+        for g in all_series:
+            pairs_checked += 1
+            if not series_mul(f, g).is_zero:
+                continue
+            zero_products += 1
+            for x, a in f.terms.items():
+                for y, b in g.terms.items():
+                    if ring.mul_table[a][b] != 0:
+                        grp = twist.group
+                        witness = {"f": series_to_json(f), "g": series_to_json(g),
+                                   "x": grp.to_json(x), "y": grp.to_json(y),
+                                   "product": ring.mul_table[a][b]}
+                        return witness, pairs_checked, zero_products
+    return None, pairs_checked, zero_products
+
+
+def test_g_armendariz_klein_swap_stops_where_the_loop_does(klein, tw_klein_swap):
+    rep = is_G_armendariz(klein, tw_klein_swap, 2, [0, 1, 2])
+    witness, checked, zero = _g_armendariz_loop(klein, tw_klein_swap, 2, [0, 1, 2])
+    assert rep.verdict is False
+    assert rep.witness == witness
+    assert (rep.bounds["pairs_checked"], rep.bounds["zero_products_seen"]) == (150, 54)
+    assert (checked, zero) == (150, 54)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("max_support", [None, 1, 2])
+def test_g_armendariz_matches_loop(name, max_support):
+    twist, window = CASES[name]
+    ring = twist.ring
+    support = len(window) if max_support is None else max_support
+    rep = is_G_armendariz(ring, twist, support, window)
+    witness, checked, zero = _g_armendariz_loop(ring, twist, support, window)
+    assert rep.verdict is (witness is None)
+    assert rep.witness == witness
+    assert rep.bounds["pairs_checked"] == checked
+    assert rep.bounds["zero_products_seen"] == zero
+
+
+@pytest.mark.parametrize("fixture", ["z4_tau_power", "gf4_frobenius", "klein_fusible"])
+def test_thm54_counts_match_loop(fixture):
+    fx = load_fixture(resolve_fixture(fixture))
+    U = fx.ideals["U"]
+    window = fx.group.window(*fx.cap("window"))
+    all_series = list(exhaustive_series(fx.twist, window))
+    pairs = qualifying = 0
+    for f in all_series:
+        for g in all_series:
+            pairs += 1
+            if series_mul(f, g).content() <= U.members:
+                qualifying += 1
+                coefficient_extraction(f, g, U)
+    report = run_suite(fx, "thm5.4")
+    check = next(c for c in report.checks if c.prop == "extraction-vs-oracle")
+    assert check.verdict is True
+    assert check.certificate == {"pairs": pairs, "qualifying": qualifying}
+
+
+def test_thm54_mismatch_counts_the_pair_that_stops_the_scan(monkeypatch):
+    """A kernel product that disagrees with the trace stops the scan there."""
+    fx = load_fixture(resolve_fixture("z4_tau_power"))
+    U = fx.ideals["U"]
+    real = WindowAlgebra.product_series
+    calls = []
+
+    def corrupt_200th(alg, fg):
+        calls.append(fg)
+        if len(calls) == 200:
+            fg = [alg.twist.ring.add(c, 2) for c in fg]  # still inside U = {0, 2}
+        return real(alg, fg)
+
+    monkeypatch.setattr(WindowAlgebra, "product_series", corrupt_200th)
+    report = run_suite(fx, "thm5.4")
+    check = next(c for c in report.checks if c.prop == "extraction-vs-oracle")
+    assert check.verdict is False
+    assert "disagrees with the product coefficient" in check.witness \
+        or "no pair of supports reaches" in check.witness
+    assert check.certificate["qualifying"] == 200
+    alg = WindowAlgebra(fx.twist, fx.group.window(*fx.cap("window")))
+    universe = alg.universe()
+    p, q = [(p, q) for p, q, _ in alg.join(universe, U.members)][199]
+    assert p > 0
+    assert check.certificate["pairs"] == p * len(universe) + q + 1
+
+
+def test_extraction_core_rejects_a_wrong_product(tw_z4_tau, u_z4):
+    f = series_make(tw_z4_tau, [(0, 2), (1, 2)])
+    g = series_make(tw_z4_tau, [(0, 1)])
+    _extract(f, g, u_z4, series_mul(f, g))
+    with pytest.raises(TraceMismatch):
+        _extract(f, g, u_z4, series_make(tw_z4_tau, [(0, 2)]))
+    with pytest.raises(TraceMismatch):
+        _extract(f, g, u_z4, series_make(tw_z4_tau, [(0, 2), (1, 2), (5, 2)]))
+
+
+# --- generated rings -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(kind, *params):
+    if kind == "Zn":
+        return ring_zn(params[0])
+    if kind == "product":
+        return ring_product(ring_zn(params[0]), ring_zn(params[1]))
+    return ring_trivial_extension(ring_zn(params[0]))
+
+
+@st.composite
+def _twisted_pairs(draw):
+    """A commutative ring of at most 16 elements, a twist over Z or Z^2_lex,
+    a window of distinct exponents in any order, and two series inside it."""
+    kind = draw(st.sampled_from(["Zn", "product", "trivial_extension"]))
+    if kind == "Zn":
+        ring = _ring(kind, draw(st.integers(2, 16)))
+    elif kind == "product":
+        n = draw(st.integers(2, 8))
+        ring = _ring(kind, n, draw(st.integers(2, 16 // n)))
+    else:
+        ring = _ring(kind, draw(st.integers(2, 4)))
+    if draw(st.booleans()):
+        group = IntegersGroup()
+        window = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+        rule = "product"
+    else:
+        group = LexProductGroup(2)
+        window = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                               min_size=1, max_size=3, unique=True))
+        rule = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
+    unit = draw(st.sampled_from(sorted(units(ring))))
+    twist = twist_from_spec(ring, group, {
+        "sigma": "identity",
+        "tau": {"kind": "unit_power", "unit": unit, "exponent_rule": rule}})
+    coeffs = st.lists(st.integers(0, ring.size - 1), min_size=len(window),
+                      max_size=len(window))
+    f, g = draw(coeffs), draw(coeffs)
+    return twist, window, f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_twisted_pairs())
+def test_dense_product_matches_series_mul_on_generated_rings(case):
+    twist, window, f, g = case
+    alg = WindowAlgebra(twist, window)
+    f = [(i, c) for i, c in enumerate(f) if c]
+    g = [(i, c) for i, c in enumerate(g) if c]
+    expected = series_mul(alg.series(f), alg.series(g))
+    assert alg.product_series(alg.multiply(f, g)) == expected

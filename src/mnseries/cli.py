@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import (HypothesisFails, MNSeriesError, NotNormalized, ParseError,
-                     PreconditionFail, SuiteUnknown, TraceMismatch, ValidationError)
+from .errors import (HypothesisFails, MNSeriesError, ParseError, PreconditionFail,
+                     SuiteUnknown, TraceMismatch, ValidationError)
 from .groups import OrderedGroup, group_make
 from .ideals import (IdealSet, annihilator, enumerate_ideals, ideal_closure,
                      is_semiprime_ideal, is_sigma_compatible_ideal, make_ideal,
@@ -40,8 +40,8 @@ from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
 from .transfer import (TruncatedUniverse, _extract, lift_fusible_decomposition,
-                       lifted_annihilator_check, sa_transfer_witness,
-                       series_zip_witness)
+                       lifted_annihilator_check, require_fusible, require_zip,
+                       sa_transfer_witness, series_zip_witness)
 
 DEFAULT_CAPS = {
     "ring_max": DEFAULT_SIZE_CAP,
@@ -151,7 +151,22 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
         raise ParseError(f"{path} must be an object with at least a 'ring' spec")
 
     label = data.get("label", path.stem)
-    caps = dict(data.get("caps", {}))
+
+    def section(key, kind):
+        value = data.get(key, kind())
+        if not isinstance(value, kind):
+            raise ValidationError(f"fixture {label!r}: {key!r} must be "
+                                  + ("an object" if kind is dict else "a list"))
+        return value
+
+    caps = dict(section("caps", dict))
+    for key, default in DEFAULT_CAPS.items():
+        value = caps.get(key, default)
+        if type(default) is int and type(value) is not int:
+            raise ValidationError(f"fixture {label!r}: cap {key!r} must be an integer")
+        if type(default) is list and not (isinstance(value, list) and len(value) == 2
+                                          and all(type(v) is int for v in value)):
+            raise ValidationError(f"fixture {label!r}: cap {key!r} must be a pair of integers")
     try:
         ring = ring_make(data["ring"], base_dir=path.parent,
                          size_cap=caps.get("ring_max", DEFAULT_CAPS["ring_max"]))
@@ -173,8 +188,16 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
             validation = _validate_twist(label, twist, caps, seed)
 
     ideals = {}
-    for name, spec in data.get("ideals", {}).items():
+    for name, spec in section("ideals", dict).items():
+        elems = spec.get("gens", spec.get("members")) if isinstance(spec, dict) else None
+        if not isinstance(elems, list) or not all(type(a) is int and 0 <= a < ring.size
+                                                  for a in elems):
+            raise ValidationError(f"fixture {label!r}: bad ideal {name!r}: 'gens' or 'members' "
+                                  f"must be a list of elements 0..{ring.size - 1}")
         kind = spec.get("kind", "twosided")
+        if kind not in ("left", "right", "twosided"):
+            raise ValidationError(f"fixture {label!r}: bad ideal {name!r}: 'kind' must be "
+                                  "left, right or twosided")
         try:
             if "gens" in spec:
                 ideals[name] = ideal_closure(ring, spec["gens"], kind)
@@ -184,16 +207,15 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
             raise ValidationError(f"fixture {label!r}: bad ideal {name!r}: {exc}") from exc
 
     series = {}
-    if data.get("series"):
+    for name, terms in section("series", dict).items():
         if twist is None:
             raise ValidationError(f"fixture {label!r}: series need a twist")
-        for name, terms in data["series"].items():
-            try:
-                series[name] = series_from_json(twist, terms)
-            except MNSeriesError as exc:
-                raise ValidationError(f"fixture {label!r}: bad series {name!r}: {exc}") from exc
+        try:
+            series[name] = series_from_json(twist, terms)
+        except MNSeriesError as exc:
+            raise ValidationError(f"fixture {label!r}: bad series {name!r}: {exc}") from exc
 
-    suites = list(data.get("suites", []))
+    suites = list(section("suites", list))
     for s in suites:
         if s not in SUITE_NAMES:
             raise ValidationError(f"fixture {label!r}: unknown suite {s!r}")
@@ -201,10 +223,6 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
 
 
 # --- suite runners -----------------------------------------------------------
-
-
-def _window_elems(group: OrderedGroup, bounds) -> list:
-    return group.window(bounds[0], bounds[1])
 
 
 def _suite_ring_axioms(fx: Fixture, seed: int) -> list[PropertyReport]:
@@ -349,7 +367,7 @@ def _suite_properties(fx: Fixture, seed: int, only: str | None = None) -> list[P
         checks.append(PropertyReport(f"sigma-compatible-{name}", sc.ok,
                                      witness=sc.witness))
     if fx.twist is not None:
-        exps = _window_elems(fx.group, fx.cap("window"))
+        exps = fx.group.window(*fx.cap("window"))
         try:
             checks.append(is_G_armendariz(ring, fx.twist, fx.cap("max_support"), exps))
         except MNSeriesError as exc:
@@ -374,18 +392,11 @@ def _property_suite_status(checks: list[PropertyReport]) -> str:
 
 
 def _suite_prop32(fx: Fixture, seed: int) -> list[PropertyReport]:
-    ring, twist = fx.ring, fx.twist
+    twist = fx.twist
     if twist is None:
         raise PreconditionFail("fixture has no twist")
-    fus = is_left_fusible(ring)
-    if not fus.verdict:
-        raise PreconditionFail(f"{ring.label} is not left fusible (witness {fus.witness})")
-    compat = is_sigma_compatible_ring(ring, twist.sigma_generators())
-    if not compat.verdict:
-        raise PreconditionFail(f"sigma-compatibility fails: {compat.witness}")
-    if not twist.normalized:
-        raise PreconditionFail("twist is not normalized")
-    exps = _window_elems(fx.group, fx.cap("window"))
+    require_fusible(twist)
+    exps = fx.group.window(*fx.cap("window"))
     universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
     rng = random.Random(seed)
     samples = fx.cap("samples")
@@ -405,7 +416,7 @@ def _suite_prop32(fx: Fixture, seed: int) -> list[PropertyReport]:
 def _suite_lemma43(fx: Fixture, seed: int) -> list[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
-    universe = TruncatedUniverse(fx.twist, _window_elems(fx.group, fx.cap("universe_window")),
+    universe = TruncatedUniverse(fx.twist, fx.group.window(*fx.cap("universe_window")),
                                  cap=fx.cap("universe_cap"))
     right = enumerate_ideals(fx.ring, "right")
     limit = fx.cap("ideal_pair_limit")
@@ -424,7 +435,7 @@ def _suite_thm45(fx: Fixture, seed: int) -> list[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
     twist = fx.twist
-    universe = TruncatedUniverse(twist, _window_elems(fx.group, fx.cap("universe_window")),
+    universe = TruncatedUniverse(twist, fx.group.window(*fx.cap("universe_window")),
                                  cap=fx.cap("universe_cap"))
     win = universe.window
     two = enumerate_ideals(fx.ring, "twosided")
@@ -455,23 +466,14 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
     U = fx.ideals.get("U")
     if U is None:
         raise PreconditionFail("fixture names no ideal 'U'")
-    if U.kind != "twosided":
-        raise PreconditionFail("U must be two-sided")
-    semi = is_semiprime_ideal(U)
-    if not semi.ok:
-        raise PreconditionFail(f"U is not semiprime (witness {semi.witness})")
-    compat = is_sigma_compatible_ideal(U, twist.sigma_generators())
-    if not compat.ok:
-        raise PreconditionFail(f"U is not sigma-compatible (witness {compat.witness})")
-    if not twist.normalized:
-        raise PreconditionFail("twist is not normalized")
+    require_zip(U, twist)
 
     checks = [sigma_u_zip_scan(fx.ring, U, fx.cap("subset_cap"), fx.cap("witness_cap"))]
 
     # preconditions checked above, so each qualifying pair goes straight to
     # the extraction core with the kernel's product; its trace re-derives
     # every coefficient of that product from term_product
-    exps = _window_elems(fx.group, fx.cap("window"))
+    exps = fx.group.window(*fx.cap("window"))
     alg = WindowAlgebra(twist, exps)
     universe = alg.universe()
     series = [alg.series(terms) for terms in universe]
@@ -604,7 +606,7 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
     start = time.perf_counter()
     try:
         checks = _SUITES[suite](fixture, seed)
-    except (PreconditionFail, NotNormalized) as exc:
+    except PreconditionFail as exc:
         claimed = suite in fixture.suites
         status = "fail" if claimed else "not_applicable"
         note = ("claimed applicable but precondition failed: "
@@ -813,10 +815,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 0
             return 0 if report.status == "pass" else 1
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SuiteUnknown as exc:
+    except (ParseError, ValidationError, SuiteUnknown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MNSeriesError as exc:

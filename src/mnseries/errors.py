@@ -45,7 +45,11 @@ class ZeroSeries(MNSeriesError):
     """Minimal support element requested of the zero series."""
 
 
-class NotNormalized(MNSeriesError):
+class PreconditionFail(MNSeriesError):
+    """A harness precondition does not hold for the given inputs."""
+
+
+class NotNormalized(PreconditionFail):
     """Operation requires a normalized twist (sigma_1 = id, tau(1,x) = tau(x,1) = 1)."""
 
 
@@ -57,16 +61,12 @@ class BoundsTooLarge(MNSeriesError):
     """Requested enumeration bounds exceed the feasibility cap."""
 
 
-class NotFusibleRing(MNSeriesError):
+class NotFusibleRing(PreconditionFail):
     """Base ring is not left fusible."""
 
 
-class NotSigmaCompatible(MNSeriesError):
+class NotSigmaCompatible(PreconditionFail):
     """Base ring (or ideal) fails sigma-compatibility."""
-
-
-class PreconditionFail(MNSeriesError):
-    """A harness precondition does not hold for the given inputs."""
 
 
 class HypothesisFails(MNSeriesError):

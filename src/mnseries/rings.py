@@ -388,6 +388,8 @@ def ring_make(spec: dict, base_dir: Path | None = None,
         raise MalformedSpec(f"ring spec must be an object with a 'kind': {spec!r}")
 
     def check_cap(size, what):
+        if type(size) is not int:
+            raise MalformedSpec(f"{what} size must be an integer, got {size!r}")
         if size > size_cap:
             raise MalformedSpec(f"{what} would have {size} elements, cap is {size_cap}")
 

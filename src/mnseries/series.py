@@ -200,6 +200,8 @@ def twist_from_spec(ring: FiniteRing, group: OrderedGroup, spec: dict | None) ->
          | {"kind": "patched", "base": <tau spec>, "overrides": [[x, y, id], ...]}
     """
     spec = spec or {}
+    if not isinstance(spec, dict):
+        raise MalformedSpec(f"twist spec must be an object: {spec!r}")
     k = 1 if group.kind == "Z" else group.k
     sigma_spec = spec.get("sigma", "identity")
     if sigma_spec == "identity":
@@ -479,7 +481,11 @@ def series_to_json(f: Series) -> list:
     return [[f.twist.group.to_json(x), c] for x, c in f.sorted_terms()]
 
 
-def series_from_json(twist: TwistSystem, data: Iterable) -> Series:
+def series_from_json(twist: TwistSystem, data: list) -> Series:
+    if not isinstance(data, list) or not all(
+            isinstance(t, list) and len(t) == 2 and type(t[1]) is int for t in data):
+        raise MalformedSpec("a series must be a list of [exponent, coefficient] pairs "
+                            f"with integer coefficients, got {data!r}")
     return series_make(twist, [(twist.group.from_json(x), c) for x, c in data])
 
 

@@ -48,6 +48,7 @@ class TruncatedUniverse:
         self.window = win
         self.count = count
         self._all = None
+        self._sa_armendariz = False  # set once thm4.5's hypotheses hold
 
     def __len__(self) -> int:
         return self.count
@@ -71,6 +72,40 @@ class TruncatedUniverse:
     def describe(self) -> dict:
         return {"window": [self.twist.group.to_json(x) for x in self.window],
                 "series": self.count}
+
+
+# --- hypotheses: one definition per result, each raising a PreconditionFail ---
+
+
+def require_sigma_compatible(twist: TwistSystem):
+    """ab = 0 <-> a*sigma(b) = 0 in the base ring, for every sigma of the twist."""
+    compat = is_sigma_compatible_ring(twist.ring, twist.sigma_generators())
+    if not compat.verdict:
+        raise NotSigmaCompatible(f"{twist.ring.label} is not sigma-compatible (witness {compat.witness})")
+
+
+def require_fusible(twist: TwistSystem):
+    """Prop 3.2: a left fusible, sigma-compatible base ring and a normalized twist."""
+    fus = is_left_fusible(twist.ring)
+    if not fus.verdict:
+        raise NotFusibleRing(f"{twist.ring.label} is not left fusible (witness {fus.witness})")
+    require_sigma_compatible(twist)
+    if not twist.normalized:
+        raise NotNormalized("twist is not normalized")
+
+
+def require_zip(U: IdealSet, twist: TwistSystem):
+    """Thm 5.4: U a semiprime, sigma-compatible two-sided ideal and a normalized twist."""
+    if U.kind != "twosided":
+        raise PreconditionFail("U must be two-sided")
+    semi = is_semiprime_ideal(U)
+    if not semi.ok:
+        raise PreconditionFail(f"U is not semiprime (witness {semi.witness})")
+    compat = is_sigma_compatible_ideal(U, twist.sigma_generators())
+    if not compat.ok:
+        raise NotSigmaCompatible(f"U is not sigma-compatible (witness {compat.witness})")
+    if not twist.normalized:
+        raise NotNormalized("twist is not normalized")
 
 
 # --- fusible decomposition lift ----------------------------------------------
@@ -122,14 +157,7 @@ def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> Fusibl
     ring = twist.ring
     if f.is_zero:
         raise ZeroSeries("cannot decompose the zero series")
-    fus = is_left_fusible(ring)
-    if not fus.verdict:
-        raise NotFusibleRing(f"{ring.label} is not left fusible (witness {fus.witness})")
-    compat = is_sigma_compatible_ring(ring, twist.sigma_generators())
-    if not compat.verdict:
-        raise NotSigmaCompatible(f"{ring.label} with this sigma fails compatibility: {compat.witness}")
-    if not twist.normalized:
-        raise NotNormalized("fusible lift requires a normalized twist")
+    require_fusible(twist)
 
     stats = support_stats(f)
     s0 = stats.minimal
@@ -185,9 +213,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     ring = twist.ring
     if I.ring is not ring or J.ring is not ring:
         raise RingMismatch("ideals must live in the universe's coefficient ring")
-    compat = is_sigma_compatible_ring(ring, twist.sigma_generators())
-    if not compat.verdict:
-        raise PreconditionFail(f"twist is not sigma-compatible: {compat.witness}")
+    require_sigma_compatible(twist)
     with _Timer() as t:
         meet = I.members & J.members
         witnesses = {}
@@ -258,18 +284,21 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     """
     twist = universe.twist
     ring = twist.ring
-    if not twist.normalized:
-        raise NotNormalized("SA transfer requires a normalized twist")
     for s in itertools.chain(I_gens, J_gens):
         if s.twist is not twist:
             raise TwistMismatch("generator series must share the universe's twist")
-    sa = is_SA(ring)
-    if not sa.verdict:
-        raise PreconditionFail(f"base ring is not SA: {sa.witness}")
-    garm = is_G_armendariz(ring, twist, max_support=len(universe.window),
-                           exponents=universe.window)
-    if not garm.verdict:
-        raise PreconditionFail(f"base ring fails the bounded G-Armendariz check: {garm.witness}")
+    # thm4.5's hypotheses, checked until they have held once on this universe
+    if not universe._sa_armendariz:
+        if not twist.normalized:
+            raise NotNormalized("twist is not normalized")
+        sa = is_SA(ring)
+        if not sa.verdict:
+            raise PreconditionFail(f"base ring is not SA: {sa.witness}")
+        garm = is_G_armendariz(ring, twist, max_support=len(universe.window),
+                               exponents=universe.window)
+        if not garm.verdict:
+            raise PreconditionFail(f"base ring fails the bounded G-Armendariz check: {garm.witness}")
+        universe._sa_armendariz = True
 
     with _Timer() as t:
         I0 = ideal_closure(ring, _contents(I_gens), "right")
@@ -377,14 +406,7 @@ def coefficient_extraction(f: Series, g: Series, U: IdealSet) -> DerivationTrace
     grp = twist.group
     if U.ring is not twist.ring:
         raise RingMismatch("ideal must live in the series' coefficient ring")
-    if U.kind != "twosided":
-        raise PreconditionFail(f"U must be a two-sided ideal, got kind {U.kind!r}")
-    semi = is_semiprime_ideal(U)
-    if not semi.ok:
-        raise PreconditionFail(f"U is not semiprime: witness {semi.witness}")
-    compat = is_sigma_compatible_ideal(U, twist.sigma_generators())
-    if not compat.ok:
-        raise PreconditionFail(f"U is not sigma-compatible: witness {compat.witness}")
+    require_zip(U, twist)
     fg = series_mul(f, g)
     bad = [(w, c) for w, c in fg.sorted_terms() if c not in U.members]
     if bad:
@@ -457,7 +479,7 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     Verifies (inside the universe) that the quotient by X is exactly the
     U-coefficient series, reduces to the base hypothesis (U:C_X) = U, finds
     the minimal content witness, forms the corresponding finite X0 and
-    verifies the quotient by X0, with coefficient_extraction supplying the
+    verifies the quotient by X0, with the extraction trace supplying the
     step-by-step justification and the direct scan acting as oracle.
     """
     twist = universe.twist
@@ -471,18 +493,11 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     for s in X:
         if s.twist is not twist:
             raise TwistMismatch("members of X must share the universe's twist")
-    semi = is_semiprime_ideal(U)
-    if U.kind != "twosided" or not semi.ok:
-        raise PreconditionFail(f"U must be a semiprime two-sided ideal (witness {semi.witness})")
-    compat = is_sigma_compatible_ideal(U, twist.sigma_generators())
-    if not compat.ok:
-        raise PreconditionFail(f"U is not sigma-compatible: witness {compat.witness}")
+    require_zip(U, twist)
     if all(s.content() <= U.members for s in X):
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:
         raise PreconditionFail("universe window must contain the group identity")
-    if not twist.normalized:
-        raise NotNormalized("series zip witness requires a normalized twist")
 
     with _Timer() as t:
         u_series = set(universe.with_coeffs_in(U.members))
@@ -511,14 +526,14 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         extractions = 0
         for h in sorted(quotient0, key=lambda s: series_to_json(s)):
             for s in x0:
-                trace = coefficient_extraction(s, h, U)
+                # require_zip and h in quotient0 are coefficient_extraction's checks
+                _extract(s, h, U, series_mul(s, h))
                 extractions += 1
                 # the content conclusion the induction is for: h has U-coefficients
                 for v in h.terms:
                     if h.terms[v] not in U.members:
                         raise TraceMismatch(
                             f"extraction finished but h({grp.to_json(v)}) is outside U")
-                del trace
 
         verdict = reduced_ok
     return PropertyReport(

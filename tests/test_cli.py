@@ -235,3 +235,37 @@ def test_main_report_rejects_a_malformed_report(tmp_path, capsys, doc, fmt):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+_PLAIN_TWIST = {"group": {"group": "Z"}, "twist": {"sigma": "identity", "tau": {"kind": "one"}}}
+
+
+@pytest.mark.parametrize("patch, fragment", [
+    ({"ideals": [[0, 2]]}, "'ideals' must be an object"),
+    ({"ideals": {"U": {"kind": "twosided", "gens": [9]}}}, "bad ideal 'U'"),
+    ({**_PLAIN_TWIST, "series": {"f": 5}}, "bad series 'f'"),
+    ({"ring": {"kind": "Zn", "n": "4"}}, "bad ring"),
+    ({"suites": "thm5.4"}, "'suites' must be a list"),
+    ({"ideals": {"U": {"kind": ["twosided"], "gens": [2]}}}, "'kind' must be"),
+    ({"group": {"group": "Z"}, "twist": [1]}, "bad twist"),
+    ({"caps": {"ring_max": "9"}}, "cap 'ring_max' must be an integer"),
+], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
+        "ideal-kind-list", "twist-list", "cap-string"])
+def test_main_rejects_a_malformed_fixture(tmp_path, capsys, patch, fragment):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"label": "bad", "ring": {"kind": "Zn", "n": 4}, **patch}))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture 'bad': ")
+    assert fragment in err
+
+
+def test_prop32_checks_its_hypotheses_before_building_a_universe(tmp_path, capsys):
+    # the window 0..2 over Z32 holds 32^3 series, beyond the universe cap of 4096
+    path = tmp_path / "z32.json"
+    path.write_text(json.dumps({"label": "z32", "ring": {"kind": "Zn", "n": 32},
+                                **_PLAIN_TWIST}))
+    assert main(["verify", str(path), "--suite", "prop3.2", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "not_applicable"
+    assert data["checks"][0]["note"] == "not_applicable: Z32 is not left fusible (witness 2)"

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from mnseries.errors import (HypothesisFails, NotFusibleRing, PreconditionFail,
-                             SizeCapExceeded, ZeroSeries)
+from mnseries.errors import (HypothesisFails, NotFusibleRing, NotNormalized,
+                             NotSigmaCompatible, PreconditionFail, SizeCapExceeded,
+                             ZeroSeries)
 from mnseries.ideals import make_ideal
 from mnseries.properties import zero_divisor_sets
 from mnseries.series import (embed_scalar, exhaustive_series, random_series,
@@ -281,3 +282,34 @@ def test_series_zip_rejects_non_semiprime(tw_z4, uni_z4, z4):
     zero = make_ideal(z4, {0}, "twosided")
     with pytest.raises(PreconditionFail):
         series_zip_witness([series_make(tw_z4, [(0, 1)])], zero, uni_z4)
+
+
+# --- hypotheses: one definition each, thm4.5's checked once per universe ---
+
+
+def test_precondition_errors_are_precondition_failures():
+    for cls in (NotFusibleRing, NotSigmaCompatible, NotNormalized):
+        assert issubclass(cls, PreconditionFail)
+
+
+def test_thm45_run_checks_SA_and_G_armendariz_once(monkeypatch):
+    import mnseries.transfer as transfer
+    from mnseries.cli import load_fixture, resolve_fixture, run_suite
+    calls = {"is_SA": 0, "is_G_armendariz": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(transfer, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(transfer, name, counting)
+    rep = run_suite(load_fixture(resolve_fixture("klein_fusible")), "thm4.5")
+    assert rep.status == "pass"
+    assert sum(c.prop == "sa-transfer" for c in rep.checks) == 17
+    assert calls == {"is_SA": 1, "is_G_armendariz": 1}
+
+
+def test_sa_transfer_failed_hypothesis_raises_on_every_call(tw_klein_swap):
+    # the swap twist fails the G-Armendariz check bounded by the window 0..1
+    uni = TruncatedUniverse(tw_klein_swap, [0, 1])
+    for _ in range(2):
+        with pytest.raises(PreconditionFail, match="G-Armendariz"):
+            sa_transfer_witness([], [], uni)

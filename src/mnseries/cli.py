@@ -35,7 +35,7 @@ from .rings import (DEFAULT_SIZE_CAP, FiniteRing, check_automorphism,
                     check_ring_axioms, identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
-from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
+from .series import (Series, TwistSystem, check_associativity,
                      check_twist_conditions, random_series, random_triples,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
@@ -474,14 +474,14 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
     # the extraction core with the kernel's product; its trace re-derives
     # every coefficient of that product from term_product
     exps = fx.group.window(*fx.cap("window"))
-    alg = WindowAlgebra(twist, exps)
-    universe = alg.universe()
-    series = [alg.series(terms) for terms in universe]
+    universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
+    alg = universe.algebra
+    series = universe.all_series()
     pairs = len(universe) ** 2
     qualifying = 0
     mismatch = None
     try:
-        for p, q, fg in alg.join(universe, U.members):
+        for p, q, fg in alg.join(universe.terms, U.members):
             qualifying += 1
             _extract(series[p], series[q], U, alg.product_series(fg))
     except TraceMismatch as exc:
@@ -492,7 +492,6 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
         certificate={"pairs": pairs, "qualifying": qualifying},
         bounds={"window": fx.cap("window")}))
 
-    universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
     candidates = [a for a in fx.ring.elements() if a not in U.members
                   and quotient_ideal(U, {a}).members == U.members]
     if not candidates:

@@ -33,9 +33,6 @@ class OrderedGroup:
         """-1, 0 or 1 as x precedes, equals or follows y."""
         raise NotImplementedError
 
-    def lt(self, x, y) -> bool:
-        return self.compare(x, y) < 0
-
     def minimum(self, xs):
         # ints and lex tuples already compare in group order
         return min(xs)
@@ -49,9 +46,6 @@ class OrderedGroup:
 
     def from_json(self, data):
         return self.canon(data)
-
-    def spec(self) -> dict:
-        raise NotImplementedError
 
 
 def _check_coord(v: int):
@@ -85,9 +79,6 @@ class IntegersGroup(OrderedGroup):
 
     def to_json(self, x):
         return x
-
-    def spec(self):
-        return {"group": "Z"}
 
     def __repr__(self):
         return "IntegersGroup()"
@@ -127,9 +118,6 @@ class LexProductGroup(OrderedGroup):
 
     def to_json(self, x):
         return list(x)
-
-    def spec(self):
-        return {"group": "Z^k_lex", "k": self.k}
 
     def __repr__(self):
         return f"LexProductGroup(k={self.k})"

@@ -54,18 +54,11 @@ class SigmaRule:
         self._memo[x] = acc
         return acc
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(g.is_identity for g in self.generators)
-
 
 class TauRule:
     """Evaluable twist factor tau: G x G -> element id."""
 
     def at(self, x, y) -> int:
-        raise NotImplementedError
-
-    def spec(self) -> dict:
         raise NotImplementedError
 
 
@@ -76,24 +69,25 @@ class TauOne(TauRule):
     def at(self, x, y):
         return self.ring.one
 
-    def spec(self):
-        return {"kind": "one"}
-
 
 class TauUnitPower(TauRule):
     """tau(x, y) = u^(x . M . y) for a central unit u and integer matrix M."""
 
     def __init__(self, ring: FiniteRing, group: OrderedGroup, unit: int,
                  matrix: Sequence[Sequence[int]]):
+        if type(unit) is not int or not 0 <= unit < ring.size:
+            raise MalformedSpec(f"tau unit must be an element id 0..{ring.size - 1}, got {unit!r}")
         if unit not in units(ring):
             raise MalformedSpec(f"tau unit {unit} is not invertible in {ring.label}")
         for r in ring.elements():
             if ring.mul_table[unit][r] != ring.mul_table[r][unit]:
                 raise MalformedSpec(f"tau unit {ring.describe(unit)} is not central")
         k = 1 if group.kind == "Z" else group.k
+        if not (isinstance(matrix, (list, tuple)) and len(matrix) == k and all(
+                isinstance(row, (list, tuple)) and len(row) == k
+                and all(type(v) is int for v in row) for row in matrix)):
+            raise MalformedSpec(f"tau exponent matrix must be {k}x{k} integers, got {matrix!r}")
         matrix = [list(row) for row in matrix]
-        if len(matrix) != k or any(len(row) != k for row in matrix):
-            raise MalformedSpec(f"tau exponent matrix must be {k}x{k}")
         self.ring = ring
         self.group = group
         self.unit = unit
@@ -114,9 +108,6 @@ class TauUnitPower(TauRule):
     def at(self, x, y):
         return self._powers[self.exponent(x, y) % len(self._powers)]
 
-    def spec(self):
-        return {"kind": "unit_power", "unit": self.unit, "exponent_rule": self.matrix}
-
 
 class TauPatched(TauRule):
     """A base rule with finitely many overridden values (for corrupted fixtures)."""
@@ -130,10 +121,6 @@ class TauPatched(TauRule):
         if key in self.overrides:
             return self.overrides[key]
         return self.base.at(x, y)
-
-    def spec(self):
-        return {"kind": "patched", "base": self.base.spec(),
-                "overrides": [[x, y, v] for (x, y), v in self.overrides.items()]}
 
 
 class TwistSystem:
@@ -212,11 +199,18 @@ def twist_from_spec(ring: FiniteRing, group: OrderedGroup, spec: dict | None) ->
         gen_specs = sigma_spec["generators"]
     else:
         raise MalformedSpec(f"bad sigma spec: {sigma_spec!r}")
+    if not isinstance(gen_specs, list) or not all(
+            gs == "identity" or isinstance(gs, list) and all(type(v) is int for v in gs)
+            for gs in gen_specs):
+        raise MalformedSpec(f"each sigma generator must be 'identity' or a list of element ids: "
+                            f"{sigma_spec!r}")
     generators = [identity_automorphism(ring) if gs == "identity" else check_automorphism(ring, gs)
                   for gs in gen_specs]
     sigma = SigmaRule(ring, group, generators)
 
     def build_tau(tspec) -> TauRule:
+        if not isinstance(tspec, dict):
+            raise MalformedSpec(f"tau spec must be an object: {tspec!r}")
         kind = tspec.get("kind", "one")
         if kind == "one":
             return TauOne(ring)
@@ -226,11 +220,19 @@ def twist_from_spec(ring: FiniteRing, group: OrderedGroup, spec: dict | None) ->
                 matrix = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
             else:
                 matrix = rule
+            if "unit" not in tspec:
+                raise MalformedSpec("unit_power tau needs a 'unit'")
             return TauUnitPower(ring, group, tspec["unit"], matrix)
         if kind == "patched":
+            triples = tspec.get("overrides", [])
+            if "base" not in tspec or not isinstance(triples, list) or not all(
+                    isinstance(t, list) and len(t) == 3 and type(t[2]) is int
+                    and 0 <= t[2] < ring.size for t in triples):
+                raise MalformedSpec("patched tau needs a 'base' and 'overrides' of "
+                                    f"[x, y, element id] triples: {tspec!r}")
             base = build_tau(tspec["base"])
             overrides = {}
-            for x, y, v in tspec.get("overrides", []):
+            for x, y, v in triples:
                 overrides[(group.canon(x), group.canon(y))] = v
             return TauPatched(base, overrides)
         raise MalformedSpec(f"unknown tau kind {kind!r}")
@@ -270,9 +272,6 @@ class Series:
     def __eq__(self, other):
         return (isinstance(other, Series) and self.twist is other.twist
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.twist), frozenset(self.terms.items())))
 
     def __repr__(self):
         if self.is_zero:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                      NotSigmaCompatible, PreconditionFail, RingMismatch,
@@ -23,7 +23,7 @@ from .properties import (PropertyReport, _Timer, fusible_decompositions,
                          is_G_armendariz, is_left_fusible, is_SA,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
                          zero_divisor_sets)
-from .series import (Series, TwistSystem, embed_scalar, exhaustive_series,
+from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
                      series_add, series_make, series_mul, series_sub,
                      series_to_json, support_stats, term_product, x_w_pairs)
 
@@ -31,7 +31,8 @@ DEFAULT_UNIVERSE_CAP = 4096
 
 
 class TruncatedUniverse:
-    """All series with support inside a finite window: the decidable stand-in
+    """All series with support inside a finite window, as coefficient tuples
+    over the sorted window in exhaustive_series order: the decidable stand-in
     for the full series ring, over which its quantifiers become scans."""
 
     def __init__(self, twist: TwistSystem, window: Iterable,
@@ -47,7 +48,9 @@ class TruncatedUniverse:
         self.twist = twist
         self.window = win
         self.count = count
-        self._all = None
+        self.algebra = WindowAlgebra(twist, win)
+        self.terms = self.algebra.universe()
+        self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
         self._sa_armendariz = False  # set once thm4.5's hypotheses hold
 
     def __len__(self) -> int:
@@ -57,17 +60,39 @@ class TruncatedUniverse:
     def has_identity(self) -> bool:
         return self.twist.group.identity in self.window
 
+    def series(self, member: tuple) -> Series:
+        return Series(self.twist, {x: c for x, c in zip(self.window, member) if c})
+
+    def member(self, s: Series) -> list[tuple]:
+        if s.twist is not self.twist:
+            raise TwistMismatch("series must share the universe's twist")
+        position = {x: i for i, x in enumerate(self.window)}
+        if not s.terms.keys() <= position.keys():
+            raise PreconditionFail(f"{s!r} has support outside the universe window")
+        return sorted((position[x], c) for x, c in s.terms.items())
+
     def all_series(self) -> list[Series]:
-        if self._all is None:
-            self._all = list(exhaustive_series(self.twist, self.window))
-        return self._all
+        return [self.series(m) for m in self.members]
 
     def nonzero_series(self) -> list[Series]:
         return [s for s in self.all_series() if not s.is_zero]
 
-    def with_coeffs_in(self, members: Iterable[int]) -> list[Series]:
-        allowed = frozenset(members)
-        return [s for s in self.all_series() if s.content() <= allowed]
+    def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
+        return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
+
+    def annihilator(self, coeffs: Iterable[int], side: str) -> set[tuple]:
+        """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
+        for every member s with coefficients in `coeffs`."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        mul = self.algebra.multiply
+        targets = [[(i, c) for i, c in enumerate(m) if c] for m in self.with_coeffs_in(coeffs)]
+        return {m for u, m in zip(self.terms, self.members) if not any(
+            any(mul(u, s) if side == "left" else mul(s, u)) for s in targets)}
+
+    def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
+        add = self.twist.ring.add_table
+        return {tuple(add[a][b] for a, b in zip(x, y)) for x in A for y in B}
 
     def describe(self) -> dict:
         return {"window": [self.twist.group.to_json(x) for x in self.window],
@@ -171,31 +196,17 @@ def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> Fusibl
     leading_regular_ok = b in zero_divisor_sets(ring).left_regular
     h_regular_ok = True
     h_regular_witness = None
-    for k in universe.nonzero_series():
-        if series_mul(h, k).is_zero:
+    alg, h_terms = universe.algebra, universe.member(h)
+    for k in universe.terms:
+        if k and not any(alg.multiply(h_terms, k)):
             h_regular_ok = False
-            h_regular_witness = k
+            h_regular_witness = alg.series(k)
             break
     return FusibleLift(g, h, s0, a, b, d, sum_ok, g_annihilated_ok,
                        leading_regular_ok, h_regular_ok, h_regular_witness)
 
 
 # --- annihilator lifting (IN side) -------------------------------------------
-
-
-def _series_annihilator(universe: TruncatedUniverse, targets: Sequence[Series],
-                        side: str) -> set[Series]:
-    if side == "left":
-        return {u for u in universe.all_series()
-                if all(series_mul(u, w).is_zero for w in targets)}
-    if side == "right":
-        return {u for u in universe.all_series()
-                if all(series_mul(w, u).is_zero for w in targets)}
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-
-
-def _series_set_sum(A: Iterable[Series], B: Iterable[Series]) -> set[Series]:
-    return {series_add(x, y) for x in A for y in B}
 
 
 def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
@@ -218,31 +229,29 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
         meet = I.members & J.members
         witnesses = {}
 
-        both = {u for u in universe.all_series()
-                if u.content() <= I.members and u.content() <= J.members}
+        both = {u for u in universe.members if set(u) <= I.members and set(u) <= J.members}
         meet_series = set(universe.with_coeffs_in(meet))
         id1 = both == meet_series
         if not id1:
-            sample = next(iter(both ^ meet_series))
-            witnesses["membership-intersection"] = series_to_json(sample)
+            sample = min(both ^ meet_series)
+            witnesses["membership-intersection"] = series_to_json(universe.series(sample))
 
         id2 = True
         for name, ideal in (("I", I), ("J", J)):
             base_side = annihilator(ring, ideal.members, side).members
             expected = set(universe.with_coeffs_in(base_side))
-            actual = _series_annihilator(universe, universe.with_coeffs_in(ideal.members), side)
+            actual = universe.annihilator(ideal.members, side)
             if actual != expected:
                 id2 = False
-                sample = next(iter(actual ^ expected))
-                witnesses[f"annihilator-lift-{name}"] = series_to_json(sample)
+                sample = min(actual ^ expected)
+                witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
 
         base_holds = (annihilator(ring, meet, "left").members
                       == set_sum(ring, annihilator(ring, I.members, "left").members,
                                  annihilator(ring, J.members, "left").members))
-        l_meet = _series_annihilator(universe, universe.with_coeffs_in(meet), "left")
-        l_sum = _series_set_sum(
-            _series_annihilator(universe, universe.with_coeffs_in(I.members), "left"),
-            _series_annihilator(universe, universe.with_coeffs_in(J.members), "left"))
+        l_meet = universe.annihilator(meet, "left")
+        l_sum = universe.set_sum(universe.annihilator(I.members, "left"),
+                                 universe.annihilator(J.members, "left"))
         univ_holds = l_meet == l_sum
         id3 = base_holds == univ_holds
         if not id3:
@@ -319,15 +328,12 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
                 note="no-K: annihilator sum matches no ideal, contradicting the SA precondition",
                 bounds=universe.describe(), elapsed=t.elapsed)
 
-        I_series = universe.with_coeffs_in(I0.members)
-        J_series = universe.with_coeffs_in(J0.members)
-        K_series = universe.with_coeffs_in(K.members)
-        r_I = _series_annihilator(universe, I_series, "right")
-        r_J = _series_annihilator(universe, J_series, "right")
-        r_K = _series_annihilator(universe, K_series, "right")
-        universe_ok = _series_set_sum(r_I, r_J) == r_K
+        r_I = universe.annihilator(I0.members, "right")
+        r_J = universe.annihilator(J0.members, "right")
+        r_K = universe.annihilator(K.members, "right")
+        universe_ok = universe.set_sum(r_I, r_J) == r_K
 
-        K0 = ideal_closure(ring, _contents(K_series), "right")
+        K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
         reverse_ok = annihilator(ring, K0.members).members == target
 
         verdict = universe_ok and reverse_ok
@@ -498,16 +504,20 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:
         raise PreconditionFail("universe window must contain the group identity")
+    mul = universe.algebra.multiply
+
+    def quotient(series: list[Series]) -> set[tuple]:
+        factors = [universe.member(s) for s in series]
+        return {m for h, m in zip(universe.terms, universe.members)
+                if all(U.members.issuperset(mul(s, h)) for s in factors)}
 
     with _Timer() as t:
         u_series = set(universe.with_coeffs_in(U.members))
-        quotient = {h for h in universe.all_series()
-                    if all(series_mul(s, h).content() <= U.members for s in X)}
-        if quotient != u_series:
-            sample = next(iter(quotient ^ u_series))
+        q = quotient(X)
+        if q != u_series:
             raise HypothesisFails(
                 "(U((G)):X) differs from the U-coefficient series in the universe",
-                witness=series_to_json(sample))
+                witness=series_to_json(universe.series(min(q ^ u_series))))
 
         c_x = sorted(_contents(X))
         base_ok = sigma_u_zip_witness(ring, U, c_x, twist.sigma_generators())
@@ -519,12 +529,11 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         c_x0 = base_ok.certificate["minimal_witness"]
         x0 = [s for s in X if any(c in c_x0 for c in s.content())]
 
-        quotient0 = {h for h in universe.all_series()
-                     if all(series_mul(s, h).content() <= U.members for s in x0)}
+        quotient0 = quotient(x0)
         reduced_ok = quotient0 == u_series
 
         extractions = 0
-        for h in sorted(quotient0, key=lambda s: series_to_json(s)):
+        for h in sorted(map(universe.series, quotient0), key=series_to_json):
             for s in x0:
                 # require_zip and h in quotient0 are coefficient_extraction's checks
                 _extract(s, h, U, series_mul(s, h))

@@ -238,6 +238,12 @@ def test_main_report_rejects_a_malformed_report(tmp_path, capsys, doc, fmt):
 
 
 _PLAIN_TWIST = {"group": {"group": "Z"}, "twist": {"sigma": "identity", "tau": {"kind": "one"}}}
+_UNIT_POWER = {"kind": "unit_power", "unit": 3, "exponent_rule": "product"}
+_PATCHED = {"kind": "patched", "base": _UNIT_POWER, "overrides": []}
+
+
+def _twist(**spec):
+    return {"group": {"group": "Z"}, "twist": spec}
 
 
 @pytest.mark.parametrize("patch, fragment", [
@@ -249,8 +255,23 @@ _PLAIN_TWIST = {"group": {"group": "Z"}, "twist": {"sigma": "identity", "tau": {
     ({"ideals": {"U": {"kind": ["twosided"], "gens": [2]}}}, "'kind' must be"),
     ({"group": {"group": "Z"}, "twist": [1]}, "bad twist"),
     ({"caps": {"ring_max": "9"}}, "cap 'ring_max' must be an integer"),
+    (_twist(tau="one"), "bad twist: tau spec must be an object"),
+    (_twist(tau=[1]), "bad twist: tau spec must be an object"),
+    (_twist(sigma={"generators": 5}), "bad twist: each sigma generator"),
+    (_twist(tau={**_PATCHED, "overrides": 5}), "bad twist: patched tau needs"),
+    (_twist(tau={**_PATCHED, "overrides": [[1]]}), "bad twist: patched tau needs"),
+    (_twist(tau={**_PATCHED, "overrides": [[0, 1, 9]]}), "bad twist: patched tau needs"),
+    (_twist(tau={**_PATCHED, "overrides": [[0, 1, "3"]]}), "bad twist: patched tau needs"),
+    (_twist(tau={"kind": "patched", "overrides": []}), "bad twist: patched tau needs"),
+    (_twist(tau={"kind": "unit_power"}), "bad twist: unit_power tau needs a 'unit'"),
+    (_twist(tau={**_UNIT_POWER, "exponent_rule": [["a"]]}), "bad twist: tau exponent matrix"),
+    (_twist(tau={**_UNIT_POWER, "exponent_rule": [[1.5]]}), "bad twist: tau exponent matrix"),
+    (_twist(tau={**_UNIT_POWER, "unit": "3"}), "bad twist: tau unit must be an element id"),
 ], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
-        "ideal-kind-list", "twist-list", "cap-string"])
+        "ideal-kind-list", "twist-list", "cap-string", "tau-string", "tau-list",
+        "sigma-generators-int", "overrides-int", "override-short", "override-out-of-range",
+        "override-string", "patched-no-base", "unit-power-no-unit", "exponent-rule-string",
+        "exponent-rule-float", "unit-string"])
 def test_main_rejects_a_malformed_fixture(tmp_path, capsys, patch, fragment):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"label": "bad", "ring": {"kind": "Zn", "n": 4}, **patch}))

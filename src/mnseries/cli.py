@@ -39,7 +39,7 @@ from .series import (Series, TwistSystem, check_associativity,
                      check_twist_conditions, random_series, random_triples,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
-from .transfer import (TruncatedUniverse, _extract, lift_fusible_decomposition,
+from .transfer import (TruncatedUniverse, _trace, lift_fusible_decomposition,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness)
 
@@ -471,19 +471,19 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
     checks = [sigma_u_zip_scan(fx.ring, U, fx.cap("subset_cap"), fx.cap("witness_cap"))]
 
     # preconditions checked above, so each qualifying pair goes straight to
-    # the extraction core with the kernel's product; its trace re-derives
-    # every coefficient of that product from term_product
+    # the extraction core with the kernel's product; its trace sums the
+    # algebra's terms to every coefficient of that product and checks each
+    # term against a direct term_product
     exps = fx.group.window(*fx.cap("window"))
     universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
-    alg = universe.algebra
-    series = universe.all_series()
+    alg, terms = universe.algebra, universe.terms
     pairs = len(universe) ** 2
     qualifying = 0
     mismatch = None
     try:
-        for p, q, fg in alg.join(universe.terms, U.members):
+        for p, q, fg in alg.join(terms, U.members):
             qualifying += 1
-            _extract(series[p], series[q], U, alg.product_series(fg))
+            _trace(alg, terms[p], terms[q], U, fg)
     except TraceMismatch as exc:
         pairs = p * len(universe) + q + 1
         mismatch = str(exc)
@@ -737,6 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_window)
     p.add_argument("--max-support", type=int, dest="max_support")
     p.add_argument("--out", type=Path)
+    p.add_argument("--timings", action="store_true",
+                   help="add suite and check elapsed seconds to the report (and --out)")
     _add_common(p)
 
     p = sub.add_parser("report", help="re-render a saved suite report")
@@ -805,10 +807,9 @@ def main(argv=None) -> int:
             if args.max_support is not None:
                 overrides["max_support"] = args.max_support
             report = run_suite(fx, args.suite, seed=args.seed, overrides=overrides)
-            rendered = emit_report(report, args.format)
-            print(rendered)
+            print(emit_report(report, args.format, args.timings))
             if args.out:
-                args.out.write_text(emit_report(report, "json") + "\n")
+                args.out.write_text(emit_report(report, "json", args.timings) + "\n")
             if report.status == "not_applicable":
                 print(f"warning: suite {args.suite} not applicable to {fx.label}",
                       file=sys.stderr)

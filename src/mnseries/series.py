@@ -369,6 +369,15 @@ def series_mul(f: Series, g: Series) -> Series:
 # --- compiled window algebra -------------------------------------------------
 
 
+def _product_slots(grp: OrderedGroup, win: list) -> tuple[list, list[list[int]]]:
+    """The sorted products xy over a window, and slot[i][j], the index of
+    x_i x_j among them."""
+    exps = [[grp.op(x, y) for y in win] for x in win]
+    products = sorted({z for row in exps for z in row})
+    index = {z: k for k, z in enumerate(products)}
+    return products, [[index[z] for z in row] for row in exps]
+
+
 class WindowAlgebra:
     """The twisted product on series supported inside one window, as tables.
 
@@ -384,13 +393,16 @@ class WindowAlgebra:
         win = [grp.canon(x) for x in window]
         if len(set(win)) != len(win):
             raise MalformedSpec(f"window exponents must be distinct: {window!r}")
-        exps = [[grp.op(x, y) for y in win] for x in win]
         self.twist = twist
         self.window = win
-        self.products = sorted({z for row in exps for z in row})
-        index = {z: k for k, z in enumerate(self.products)}
         # slot[i][j]: the index of x_i x_j in `products`
-        self.slot = [[index[z] for z in row] for row in exps]
+        self.products, self.slot = _product_slots(grp, win)
+        # xw[k]: the position pairs (i, j) with x_i x_j = products[k],
+        # ascending in x_i whatever the window order
+        self.xw = [[] for _ in self.products]
+        for i in sorted(range(len(win)), key=win.__getitem__):
+            for j, k in enumerate(self.slot[i]):
+                self.xw[k].append((i, j))
         # term[i][a][j][b] = a * sigma_{x_i}(b) * tau(x_i, x_j)
         mul = ring.mul_table
         self.term = []
@@ -400,6 +412,7 @@ class WindowAlgebra:
             self.term.append([[[mul[mul[a][sig[b]]][t] for b in ring.elements()]
                                for t in taus] for a in ring.elements()])
         self.add = ring.add_table
+        self.neg = [ring.neg(a) for a in ring.elements()]
 
     def universe(self, max_support: int | None = None) -> list[list[tuple]]:
         """Every series inside the window, in the order of exhaustive_series."""
@@ -537,19 +550,32 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     win = [grp.canon(x) for x in window]
     report = TwistConditionReport(window=[grp.to_json(x) for x in win])
     unit_set = units(ring)
+    mul = ring.mul_table
+    # every group product and tau value the scans read, evaluated once:
+    # tau over window x window, tau(xy, z) over sums x window and tau(x, yz)
+    # over window x sums, for sums the sorted products of the window
+    sums, slot = _product_slots(grp, win)
+    tau = [[twist.tau_at(x, y) for y in win] for x in win]
+    tau_sum_z = [[twist.tau_at(s, z) for z in win] for s in sums]
+    tau_x_sum = [[twist.tau_at(x, s) for s in sums] for x in win]
+    n = len(win)
 
-    def pair_witness(x, y, extra=None):
-        w = {"x": grp.to_json(x), "y": grp.to_json(y)}
+    def pair_witness(i, j, extra=None):
+        w = {"x": grp.to_json(win[i]), "y": grp.to_json(win[j])}
         if extra:
             w.update(extra)
         return w
 
+    def triple_witness(a, b, c, lhs, rhs):
+        return {"x": grp.to_json(win[a]), "y": grp.to_json(win[b]),
+                "z": grp.to_json(win[c]), "lhs": lhs, "rhs": rhs}
+
     tau_fail = None
-    for x in win:
-        for y in win:
-            v = twist.tau_at(x, y)
+    for a in range(n):
+        for b in range(n):
+            v = tau[a][b]
             if v not in unit_set:
-                tau_fail = pair_witness(x, y, {"tau": v})
+                tau_fail = pair_witness(a, b, {"tau": v})
                 break
         if tau_fail:
             break
@@ -559,26 +585,27 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     report.outcomes["normalized"] = CheckOutcome("normalized", norm_ok, norm_witness)
 
     paper = standard = None
-    for x in win:
-        sx = twist.sigma_at(x).map
-        for y in win:
-            xy = grp.op(x, y)
-            txy = twist.tau_at(x, y)
-            for z in win:
-                yz = grp.op(y, z)
-                tyz = twist.tau_at(y, z)
+    for a in range(n):
+        sx = twist.sigma_at(win[a]).map
+        t_x_sum = tau_x_sum[a]
+        for b in range(n):
+            txy = tau[a][b]
+            sx_txy = sx[txy]
+            t_xy_z = tau_sum_z[slot[a][b]]
+            t_y, yz = tau[b], slot[b]
+            for c in range(n):
+                tyz = t_y[c]
+                t_x_yz = t_x_sum[yz[c]]
                 if paper is None:
-                    lhs = ring.mul(twist.tau_at(xy, z), sx[txy])
-                    rhs = ring.mul(twist.tau_at(x, yz), tyz)
+                    lhs = mul[t_xy_z[c]][sx_txy]
+                    rhs = mul[t_x_yz][tyz]
                     if lhs != rhs:
-                        paper = {"x": grp.to_json(x), "y": grp.to_json(y),
-                                 "z": grp.to_json(z), "lhs": lhs, "rhs": rhs}
+                        paper = triple_witness(a, b, c, lhs, rhs)
                 if standard is None:
-                    lhs = ring.mul(txy, twist.tau_at(xy, z))
-                    rhs = ring.mul(sx[tyz], twist.tau_at(x, yz))
+                    lhs = mul[txy][t_xy_z[c]]
+                    rhs = mul[sx[tyz]][t_x_yz]
                     if lhs != rhs:
-                        standard = {"x": grp.to_json(x), "y": grp.to_json(y),
-                                    "z": grp.to_json(z), "lhs": lhs, "rhs": rhs}
+                        standard = triple_witness(a, b, c, lhs, rhs)
             if paper is not None and standard is not None:
                 break
         if paper is not None and standard is not None:
@@ -586,22 +613,23 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     report.outcomes["cocycle-paper"] = CheckOutcome("cocycle-paper", paper is None, paper)
     report.outcomes["cocycle-standard"] = CheckOutcome("cocycle-standard", standard is None, standard)
 
+    inverse = {u: unit_inverse(ring, u) for row in tau for u in row if u in unit_set}
     conj_l = conj_r = None
-    for y in win:
-        sy = twist.sigma_at(y).map
-        for z in win:
-            sz = twist.sigma_at(z).map
-            syz = twist.sigma_at(grp.op(y, z)).map
-            u = twist.tau_at(y, z)
+    for b in range(n):
+        sy = twist.sigma_at(win[b]).map
+        for c in range(n):
+            sz = twist.sigma_at(win[c]).map
+            syz = twist.sigma_at(sums[slot[b][c]]).map
+            u = tau[b][c]
             if u not in unit_set:
                 continue  # already reported under tau-units
-            uinv = unit_inverse(ring, u)
+            uinv = inverse[u]
             for r in ring.elements():
                 both = sy[sz[r]]
-                if conj_l is None and both != syz[ring.mul(ring.mul(u, r), uinv)]:
-                    conj_l = pair_witness(y, z, {"r": r})
-                if conj_r is None and both != syz[ring.mul(ring.mul(uinv, r), u)]:
-                    conj_r = pair_witness(y, z, {"r": r})
+                if conj_l is None and both != syz[mul[mul[u][r]][uinv]]:
+                    conj_l = pair_witness(b, c, {"r": r})
+                if conj_r is None and both != syz[mul[mul[uinv][r]][u]]:
+                    conj_r = pair_witness(b, c, {"r": r})
             if conj_l is not None and conj_r is not None:
                 break
         if conj_l is not None and conj_r is not None:

@@ -25,7 +25,7 @@ from .properties import (PropertyReport, _Timer, fusible_decompositions,
                          zero_divisor_sets)
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
                      series_add, series_make, series_mul, series_sub,
-                     series_to_json, support_stats, term_product, x_w_pairs)
+                     series_to_json, support_stats, term_product)
 
 DEFAULT_UNIVERSE_CAP = 4096
 
@@ -424,55 +424,100 @@ def coefficient_extraction(f: Series, g: Series, U: IdealSet) -> DerivationTrace
 def _extract(f: Series, g: Series, U: IdealSet, fg: Series) -> DerivationTrace:
     """The derivation of coefficient_extraction, for a caller that has already
     checked its preconditions and computed fg (by any product), which every
-    step is checked against."""
-    twist = f.twist
-    ring = twist.ring
-    grp = twist.group
-    products = sorted({grp.op(u, v) for u in f.terms for v in g.terms})
-    steps: list[TraceStep] = []
+    step is checked against: `_trace` over a window algebra compiled on the
+    supports of f and g, in the order their terms are listed."""
+    window = list(dict.fromkeys(itertools.chain(f.terms, g.terms)))
+    alg = WindowAlgebra(f.twist, window)
+    if not fg.terms.keys() <= set(alg.products):
+        raise TraceMismatch("the product has a term at an exponent that no pair of supports reaches")
+    position = {x: i for i, x in enumerate(window)}
+    steps, established = _trace(alg, [(position[x], a) for x, a in f.terms.items()],
+                                [(position[y], b) for y, b in g.terms.items()],
+                                U, [fg.coeff(z) for z in alg.products])
+
+    def exps(key):
+        return window[key[0]], window[key[1]]
+
+    return DerivationTrace(
+        f, g, U,
+        [TraceStep(alg.products[k], [exps(p) for p in pairs], exps(est), multiplier,
+                   [exps(p) for p in ih]) for k, pairs, est, multiplier, ih in steps],
+        {exps(key): t for key, t in established.items()})
+
+
+def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
+           fg: list[int]) -> tuple[list[tuple], dict]:
+    """The extraction derivation over window positions.
+
+    f and g are window terms of `alg` and fg is their product's coefficient
+    list over `alg.products`, as any product computed it. Walks the products
+    in ascending order, reading each term f(x_i) sigma_x_i(g(x_j)) tau(x_i,
+    x_j) from `alg.term` and checking every claim of every step; a failed
+    claim raises TraceMismatch. Returns the steps, as (slot, pairs, (i, j),
+    multiplier, induction-hypothesis pairs), and the conclusions {(i, j):
+    term}, each of which is finally compared with a direct term_product
+    evaluation that does not read the algebra's tables.
+    """
+    twist = alg.twist
+    grp, win, products = twist.group, alg.window, alg.products
+    members = U.members
+    mul, add, neg, term = twist.ring.mul_table, alg.add, alg.neg, alg.term
+    fa, gb = dict(f), dict(g)
+    steps: list[tuple] = []
     established: dict = {}
 
     def fail(msg, step=None):
         raise TraceMismatch(msg, step=step)
 
-    if not fg.terms.keys() <= set(products):
+    def exps(key):
+        return win[key[0]], win[key[1]]
+
+    reached = {alg.slot[i][j] for i in fa for j in gb}
+    if not reached.issuperset(k for k, c in enumerate(fg) if c):
         fail("the product has a term at an exponent that no pair of supports reaches")
 
-    for w in products:
-        pairs = x_w_pairs(f, g, w)
-        terms = [term_product(twist, f.terms[u], u, g.terms[v], v) for u, v in pairs]
-        remainder = ring.sum(terms)
-        if remainder != fg.coeff(w):
+    for k in sorted(reached):
+        w = products[k]
+        pairs = [(i, j) for i, j in alg.xw[k] if i in fa and j in gb]
+        terms = [term[i][fa[i]][j][gb[j]] for i, j in pairs]
+        remainder = 0
+        for t in terms:
+            remainder = add[remainder][t]
+        if remainder != fg[k]:
             fail(f"sum over X_w disagrees with the product coefficient at w={grp.to_json(w)}")
-        for i, (u_i, v_i) in enumerate(pairs):
-            multiplier = f.terms[u_i]
+        for n, (i, j) in enumerate(pairs):
+            multiplier = fa[i]
             ih = []
-            for j in range(i + 1, len(pairs)):
-                key = (u_i, pairs[j][1])
+            for m in range(n + 1, len(pairs)):
+                key = (i, pairs[m][1])
                 if key not in established:
-                    fail(f"induction hypothesis pair {key} not yet established", step=(w, i, j))
-                if ring.mul(terms[j], multiplier) not in U.members:
-                    fail(f"hypothesis term times multiplier left U at {key}", step=(w, i, j))
+                    fail(f"induction hypothesis pair {exps(key)} not yet established",
+                         step=(w, n, m))
+                if mul[terms[m]][multiplier] not in members:
+                    fail(f"hypothesis term times multiplier left U at {exps(key)}", step=(w, n, m))
                 ih.append(key)
-            if remainder not in U.members:
-                fail(f"running remainder left U at w={grp.to_json(w)}, i={i}", step=(w, i))
-            if ring.mul(remainder, multiplier) not in U.members:
-                fail(f"remainder times multiplier left U at w={grp.to_json(w)}, i={i}", step=(w, i))
-            if terms[i] not in U.members:
-                fail(f"semiprime extraction failed: term at {(u_i, v_i)} is outside U", step=(w, i))
-            established[(u_i, v_i)] = terms[i]
-            steps.append(TraceStep(w, pairs, (u_i, v_i), multiplier, ih))
-            remainder = ring.sub(remainder, terms[i])
+            if remainder not in members:
+                fail(f"running remainder left U at w={grp.to_json(w)}, i={n}", step=(w, n))
+            if mul[remainder][multiplier] not in members:
+                fail(f"remainder times multiplier left U at w={grp.to_json(w)}, i={n}", step=(w, n))
+            if terms[n] not in members:
+                fail(f"semiprime extraction failed: term at {exps((i, j))} is outside U",
+                     step=(w, n))
+            established[(i, j)] = terms[n]
+            steps.append((k, pairs, (i, j), multiplier, ih))
+            remainder = add[remainder][neg[terms[n]]]
         if remainder != 0:
             fail(f"peeling X_w left a nonzero remainder at w={grp.to_json(w)}")
 
-    oracle = extraction_oracle(f, g, U)
-    if set(oracle) != set(established):
+    # the oracle: every pair of supports evaluated directly
+    if len(established) != len(fa) * len(gb):
         fail("trace conclusions cover a different pair set than the oracle")
-    for key, value in oracle.items():
-        if established[key] != value or value not in U.members:
-            fail(f"oracle disagrees with the trace at {key}")
-    return DerivationTrace(f, g, U, steps, established)
+    for i, a in fa.items():
+        for j, b in gb.items():
+            value = term_product(twist, a, win[i], b, win[j])
+            if established[(i, j)] != value or value not in members:
+                fail(f"oracle disagrees with the trace at {exps((i, j))}")
+    return steps, established
 
 
 # --- series-level zip witness --------------------------------------------------
@@ -532,17 +577,23 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         quotient0 = quotient(x0)
         reduced_ok = quotient0 == u_series
 
+        # the induction runs for an X0 that reduces the quotient; one that
+        # does not is the False verdict below, not a failed derivation
         extractions = 0
-        for h in sorted(map(universe.series, quotient0), key=series_to_json):
-            for s in x0:
-                # require_zip and h in quotient0 are coefficient_extraction's checks
-                _extract(s, h, U, series_mul(s, h))
-                extractions += 1
-                # the content conclusion the induction is for: h has U-coefficients
-                for v in h.terms:
-                    if h.terms[v] not in U.members:
-                        raise TraceMismatch(
-                            f"extraction finished but h({grp.to_json(v)}) is outside U")
+        if reduced_ok:
+            factors = [universe.member(s) for s in x0]
+            for m in sorted(quotient0):
+                h = [(i, c) for i, c in enumerate(m) if c]
+                for s in factors:
+                    # require_zip and h in quotient0 are coefficient_extraction's checks
+                    _trace(universe.algebra, s, h, U, mul(s, h))
+                    extractions += 1
+                    # the content conclusion the induction is for: h has U-coefficients
+                    for i, c in h:
+                        if c not in U.members:
+                            raise TraceMismatch(
+                                f"extraction finished but h({grp.to_json(universe.window[i])}) "
+                                "is outside U")
 
         verdict = reduced_ok
     return PropertyReport(

@@ -186,6 +186,37 @@ def test_main_verify_out_and_report_rerender(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
 
 
+def _keys(value):
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+def test_main_verify_is_timing_free_by_default(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "z4_tau_power", "--suite", "thm5.4",
+                 "--out", str(out), "--format", "json"]) == 0
+    assert "elapsed" not in _keys(json.loads(capsys.readouterr().out))
+    assert "elapsed" not in _keys(json.loads(out.read_text()))
+
+
+def test_main_verify_timings_reach_stdout_out_and_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "z4_tau_power", "--suite", "thm5.4", "--timings",
+                 "--out", str(out), "--format", "json"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    saved = json.loads(out.read_text())
+    for data in (shown, saved):
+        assert isinstance(data["elapsed"], float) and data["elapsed"] > 0
+        assert all(isinstance(c["elapsed"], float) for c in data["checks"])
+    assert main(["report", str(out)]) == 0
+    assert f"elapsed: {saved['elapsed']:.3f}s" in capsys.readouterr().out
+    assert main(["verify", "z4_tau_power", "--suite", "thm5.4", "--timings"]) == 0
+    assert "  elapsed: " in capsys.readouterr().out
+
+
 def test_main_verify_seed_changes_samples(capsys):
     assert main(["verify", "klein_fusible", "--suite", "prop3.2",
                  "--seed", "3", "--format", "json"]) == 0

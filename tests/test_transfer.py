@@ -273,6 +273,31 @@ def test_series_zip_hypothesis_fails(tw_klein, uni_klein, klein):
     assert exc.value.witness is not None
 
 
+def test_series_zip_reports_a_reduced_quotient_failure_as_a_verdict(monkeypatch):
+    # a content witness {2} that does not reduce the quotient: (U:{2X^0})
+    # is every series, not the 4 U-coefficient ones, so the verdict is False
+    # and no extraction runs, rather than a TraceMismatch on h(0) = 1
+    import mnseries.transfer as transfer
+    from mnseries.cli import load_fixture, resolve_fixture
+    fx = load_fixture(resolve_fixture("z4_tau_power"))
+    tw, U = fx.twist, fx.ideals["U"]
+    real = transfer.sigma_u_zip_witness
+
+    def wrong_witness(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.certificate = dict(rep.certificate, minimal_witness=[2])
+        return rep
+
+    monkeypatch.setattr(transfer, "sigma_u_zip_witness", wrong_witness)
+    X = [series_make(tw, [(0, 2)]), series_make(tw, [(1, 1)])]
+    rep = series_zip_witness(X, U, TruncatedUniverse(tw, [0, 1]))
+    assert rep.verdict is False
+    assert rep.witness == {"quotient0_size": 16, "expected_size": 4}
+    assert rep.certificate["C_X0"] == [2]
+    assert rep.certificate["X0"] == [[[0, 2]]]
+    assert rep.certificate["extractions"] == 0
+
+
 def test_series_zip_rejects_X_inside_U(tw_z4, u_z4, uni_z4):
     with pytest.raises(PreconditionFail):
         series_zip_witness([series_make(tw_z4, [(0, 2)])], u_z4, uni_z4)

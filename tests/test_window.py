@@ -3,7 +3,8 @@
 The oracle is the Series product: `series_mul` over every pair of a small
 window, and the plain double loops the exhaustive scans ran before they
 moved onto the kernel, kept here rather than as a second path in the
-library.
+library. The extraction trace has its own oracle here too: the Series-based
+derivation it ran before it moved onto window positions.
 """
 
 import functools
@@ -20,9 +21,10 @@ from mnseries.properties import is_G_armendariz
 from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
                             ring_zn, units)
 from mnseries.series import (WindowAlgebra, exhaustive_series, series_make,
-                             series_mul, series_to_json, trivial_twist,
-                             twist_from_spec)
-from mnseries.transfer import _extract, coefficient_extraction
+                             series_mul, series_to_json, term_product,
+                             trivial_twist, twist_from_spec, x_w_pairs)
+from mnseries.transfer import (_extract, _trace, coefficient_extraction,
+                               extraction_oracle)
 
 
 def _ut2_z2():
@@ -197,16 +199,15 @@ def test_thm54_mismatch_counts_the_pair_that_stops_the_scan(monkeypatch):
     """A kernel product that disagrees with the trace stops the scan there."""
     fx = load_fixture(resolve_fixture("z4_tau_power"))
     U = fx.ideals["U"]
-    real = WindowAlgebra.product_series
-    calls = []
+    real = WindowAlgebra.join
 
-    def corrupt_200th(alg, fg):
-        calls.append(fg)
-        if len(calls) == 200:
-            fg = [alg.twist.ring.add(c, 2) for c in fg]  # still inside U = {0, 2}
-        return real(alg, fg)
+    def corrupt_200th(alg, universe, members):
+        for n, (p, q, fg) in enumerate(real(alg, universe, members), 1):
+            if n == 200:
+                fg = [alg.twist.ring.add(c, 2) for c in fg]  # still inside U = {0, 2}
+            yield p, q, fg
 
-    monkeypatch.setattr(WindowAlgebra, "product_series", corrupt_200th)
+    monkeypatch.setattr(WindowAlgebra, "join", corrupt_200th)
     report = run_suite(fx, "thm5.4")
     check = next(c for c in report.checks if c.prop == "extraction-vs-oracle")
     assert check.verdict is False
@@ -218,6 +219,152 @@ def test_thm54_mismatch_counts_the_pair_that_stops_the_scan(monkeypatch):
     p, q = [(p, q) for p, q, _ in alg.join(universe, U.members)][199]
     assert p > 0
     assert check.certificate["pairs"] == p * len(universe) + q + 1
+
+
+def test_thm54_oracle_does_not_read_the_term_table(monkeypatch):
+    """A wrong table term that stays inside U passes every step of the trace,
+    because the kernel's product and the trace read the same table; the
+    direct term_product oracle still catches it."""
+    fx = load_fixture(resolve_fixture("z4_tau_power"))
+    real = WindowAlgebra.__init__
+
+    def corrupted(alg, twist, window):
+        real(alg, twist, window)
+        i = alg.window.index(0)
+        assert alg.term[i][2][i][1] == 2  # 2 * sigma_0(1) * tau(0, 0)
+        alg.term[i][2][i][1] = 0          # still inside U = {0, 2}
+
+    monkeypatch.setattr(WindowAlgebra, "__init__", corrupted)
+    report = run_suite(fx, "thm5.4")
+    check = next(c for c in report.checks if c.prop == "extraction-vs-oracle")
+    assert check.verdict is False
+    assert check.witness == "oracle disagrees with the trace at (0, 0)"
+
+
+# --- the extraction trace against the Series derivation it replaced ------------
+
+
+def _extract_series(f, g, U, fg):
+    """The Series-based derivation: X_w pairs by group arithmetic, every term
+    by term_product, the conclusions against extraction_oracle. Returns the
+    steps as (w, pairs, established, multiplier, ih) and the conclusions."""
+    twist = f.twist
+    ring = twist.ring
+    grp = twist.group
+    products = sorted({grp.op(u, v) for u in f.terms for v in g.terms})
+    steps = []
+    established = {}
+
+    def fail(msg, step=None):
+        raise TraceMismatch(msg, step=step)
+
+    if not fg.terms.keys() <= set(products):
+        fail("the product has a term at an exponent that no pair of supports reaches")
+
+    for w in products:
+        pairs = x_w_pairs(f, g, w)
+        terms = [term_product(twist, f.terms[u], u, g.terms[v], v) for u, v in pairs]
+        remainder = ring.sum(terms)
+        if remainder != fg.coeff(w):
+            fail(f"sum over X_w disagrees with the product coefficient at w={grp.to_json(w)}")
+        for i, (u_i, v_i) in enumerate(pairs):
+            multiplier = f.terms[u_i]
+            ih = []
+            for j in range(i + 1, len(pairs)):
+                key = (u_i, pairs[j][1])
+                if key not in established:
+                    fail(f"induction hypothesis pair {key} not yet established", step=(w, i, j))
+                if ring.mul(terms[j], multiplier) not in U.members:
+                    fail(f"hypothesis term times multiplier left U at {key}", step=(w, i, j))
+                ih.append(key)
+            if remainder not in U.members:
+                fail(f"running remainder left U at w={grp.to_json(w)}, i={i}", step=(w, i))
+            if ring.mul(remainder, multiplier) not in U.members:
+                fail(f"remainder times multiplier left U at w={grp.to_json(w)}, i={i}", step=(w, i))
+            if terms[i] not in U.members:
+                fail(f"semiprime extraction failed: term at {(u_i, v_i)} is outside U", step=(w, i))
+            established[(u_i, v_i)] = terms[i]
+            steps.append((w, pairs, (u_i, v_i), multiplier, ih))
+            remainder = ring.sub(remainder, terms[i])
+        if remainder != 0:
+            fail(f"peeling X_w left a nonzero remainder at w={grp.to_json(w)}")
+
+    oracle = extraction_oracle(f, g, U)
+    if set(oracle) != set(established):
+        fail("trace conclusions cover a different pair set than the oracle")
+    for key, value in oracle.items():
+        if established[key] != value or value not in U.members:
+            fail(f"oracle disagrees with the trace at {key}")
+    return steps, established
+
+
+def _outcome(run):
+    """(steps, conclusions) of a trace, or the (message, step) it fails with."""
+    try:
+        return run()
+    except TraceMismatch as exc:
+        return str(exc), exc.step
+
+
+def _in_exponents(alg, outcome):
+    """A `_trace` result over window positions, restated in exponents."""
+    if isinstance(outcome[0], str):
+        return outcome
+    steps, established = outcome
+
+    def exps(key):
+        return alg.window[key[0]], alg.window[key[1]]
+
+    return ([(alg.products[k], [exps(p) for p in pairs], exps(est), multiplier,
+              [exps(p) for p in ih]) for k, pairs, est, multiplier, ih in steps],
+            {exps(key): t for key, t in established.items()})
+
+
+def _entry_outcome(trace):
+    steps = [(s.w, s.pairs, s.established, s.multiplier, s.ih_pairs) for s in trace.steps]
+    return steps, trace.conclusions
+
+
+TRACE_CASES = ["z4-tau", "z4-tau-unsorted", "gf4-frobenius", "z4-z2lex-tau",
+               "ut2-z2-conjugation"]
+
+
+@pytest.mark.parametrize("name", TRACE_CASES)
+def test_trace_matches_the_series_derivation(name):
+    """For every two-sided U and every pair the join yields, the scan's
+    `_trace` on the window algebra and the `_extract` entry both take the
+    steps and reach the conclusions, or fail with the message, of the Series
+    derivation (U need not be semiprime, so failing steps are compared too)."""
+    twist, window = CASES[name]
+    alg = WindowAlgebra(twist, window)
+    universe = alg.universe()
+    series, products = _oracle(name)
+    traced = 0
+    for U in enumerate_ideals(twist.ring, "twosided"):
+        for p, q, fg in alg.join(universe, U.members):
+            f, g, fg_series = series[p], series[q], products[p][q]
+            expected = _outcome(lambda: _extract_series(f, g, U, fg_series))
+            scan = _outcome(lambda: _trace(alg, universe[p], universe[q], U, fg))
+            entry = _outcome(lambda: _entry_outcome(_extract(f, g, U, fg_series)))
+            assert _in_exponents(alg, scan) == expected, (U.sorted_members(), p, q)
+            assert entry == expected, (U.sorted_members(), p, q)
+            traced += 1
+    assert traced > len(universe)
+
+
+def test_coefficient_extraction_over_an_unsorted_window(tw_z4_tau, u_z4):
+    """Series listed in an unsorted window order compile an unsorted
+    algebra inside coefficient_extraction; its trace is the Series one."""
+    unsorted = 0
+    for f in exhaustive_series(tw_z4_tau, [1, -1, 0]):
+        for g in exhaustive_series(tw_z4_tau, [1, -1, 0]):
+            fg = series_mul(f, g)
+            if fg.content() <= u_z4.members:
+                expected = _extract_series(f, g, u_z4, fg)
+                assert _entry_outcome(coefficient_extraction(f, g, u_z4)) == expected
+                order = list(dict.fromkeys([*f.terms, *g.terms]))
+                unsorted += order != sorted(order)
+    assert unsorted > 100
 
 
 def test_extraction_core_rejects_a_wrong_product(tw_z4_tau, u_z4):

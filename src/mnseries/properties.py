@@ -141,7 +141,7 @@ def is_right_nonsingular(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> 
             if all(ideal.members & m != {0} for m in nonzero_ideals):
                 essential.add(ideal.members)
         sing = sorted(a for a in ring.elements()
-                      if annihilator(ring, {a}).members in essential)
+                      if annihilator(ring, {a}) in essential)
         verdict = sing == [0]
     return PropertyReport(
         "right-nonsingular", verdict,
@@ -155,11 +155,11 @@ def is_IN(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> PropertyReport:
     """l(I n J) = l(I) + l(J) over all pairs of right ideals."""
     with _Timer() as t:
         right_ideals = enumerate_ideals(ring, "right", size_cap)
-        lann = {i.members: annihilator(ring, i.members, "left").members for i in right_ideals}
+        lann = {i.members: annihilator(ring, i.members, "left") for i in right_ideals}
         witness = None
         for I in right_ideals:
             for J in right_ideals:
-                meet = annihilator(ring, I.members & J.members, "left").members
+                meet = annihilator(ring, I.members & J.members, "left")
                 if meet != set_sum(ring, lann[I.members], lann[J.members]):
                     witness = {"I": I.sorted_members(), "J": J.sorted_members(),
                                "l_meet": sorted(meet),
@@ -177,7 +177,7 @@ def is_SA(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> PropertyReport:
     """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals."""
     with _Timer() as t:
         ideals = enumerate_ideals(ring, "twosided", size_cap)
-        rann = {i.members: annihilator(ring, i.members, "right").members for i in ideals}
+        rann = {i.members: annihilator(ring, i.members, "right") for i in ideals}
         by_annihilator = {}
         for i in ideals:
             by_annihilator.setdefault(rann[i.members], i)
@@ -279,16 +279,16 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
             return PropertyReport("sigma-U-zip", None, bounds=bounds, certificate=context,
                                   note="not_applicable: X is contained in U", elapsed=t.elapsed)
         quotient = quotient_ideal(U, xs)
-        if quotient.members != U.members:
+        if quotient != U.members:
             return PropertyReport(
                 "sigma-U-zip", None,
-                witness={"quotient": quotient.sorted_members()},
+                witness={"quotient": sorted(quotient)},
                 bounds=bounds, certificate=context,
                 note="hypothesis_fails: (U:X) != U", elapsed=t.elapsed)
-        minimal = _minimal_subset(xs, lambda ys: quotient_ideal(U, ys).members == U.members)
+        minimal = _minimal_subset(xs, lambda ys: quotient_ideal(U, ys) == U.members)
         assert minimal is not None  # Y = X qualifies, so the search cannot miss
-        assert quotient_ideal(U, minimal).members == U.members
-        cert = {"minimal_witness": list(minimal), "quotient": quotient.sorted_members()}
+        assert quotient_ideal(U, minimal) == U.members
+        cert = {"minimal_witness": list(minimal), "quotient": sorted(quotient)}
         if context:
             cert.update(context)
     return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds,
@@ -330,12 +330,12 @@ def weak_zip_witness(ring: FiniteRing, X) -> PropertyReport:
             return PropertyReport("weak-zip", None, bounds=bounds,
                                   note="not_applicable: X is contained in nil(R)",
                                   elapsed=t.elapsed)
-        if not weak_annihilator(ring, xs) <= nil:
-            return PropertyReport("weak-zip", None,
-                                  witness={"weak_annihilator": sorted(weak_annihilator(ring, xs))},
+        weak = weak_annihilator(ring, xs, nil)
+        if not weak <= nil:
+            return PropertyReport("weak-zip", None, witness={"weak_annihilator": sorted(weak)},
                                   bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)",
                                   elapsed=t.elapsed)
-        minimal = _minimal_subset(xs, lambda ys: weak_annihilator(ring, ys) <= nil)
+        minimal = _minimal_subset(xs, lambda ys: weak_annihilator(ring, ys, nil) <= nil)
         assert minimal is not None
     return PropertyReport("weak-zip", True,
                           certificate={"minimal_witness": list(minimal)},
@@ -365,10 +365,10 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
         single = []
         for v in range(n):
             mask = 0
-            for q in quotient_ideal(U, {v}).members:
+            for q in quotient_ideal(U, {v}):
                 mask |= 1 << q
             single.append(mask)
-        anomalies = [{"element": v, "quotient": sorted(quotient_ideal(U, {v}).sorted_members())}
+        anomalies = [{"element": v, "quotient": sorted(quotient_ideal(U, {v}))}
                      for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
         dp = [full] * total
         qualifying = 0
@@ -387,7 +387,7 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
             if do_witness:
                 members = [i for i in range(n) if x_mask >> i & 1]
                 minimal = _minimal_subset(
-                    members, lambda ys: quotient_ideal(U, ys).members == U.members)
+                    members, lambda ys: quotient_ideal(U, ys) == U.members)
                 if minimal is None:
                     failures.append(members)
                 else:

@@ -238,7 +238,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
 
         id2 = True
         for name, ideal in (("I", I), ("J", J)):
-            base_side = annihilator(ring, ideal.members, side).members
+            base_side = annihilator(ring, ideal.members, side)
             expected = set(universe.with_coeffs_in(base_side))
             actual = universe.annihilator(ideal.members, side)
             if actual != expected:
@@ -246,9 +246,9 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
                 sample = min(actual ^ expected)
                 witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
 
-        base_holds = (annihilator(ring, meet, "left").members
-                      == set_sum(ring, annihilator(ring, I.members, "left").members,
-                                 annihilator(ring, J.members, "left").members))
+        base_holds = (annihilator(ring, meet, "left")
+                      == set_sum(ring, annihilator(ring, I.members, "left"),
+                                 annihilator(ring, J.members, "left")))
         l_meet = universe.annihilator(meet, "left")
         l_sum = universe.set_sum(universe.annihilator(I.members, "left"),
                                  universe.annihilator(J.members, "left"))
@@ -312,12 +312,12 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     with _Timer() as t:
         I0 = ideal_closure(ring, _contents(I_gens), "right")
         J0 = ideal_closure(ring, _contents(J_gens), "right")
-        rI0 = annihilator(ring, I0.members).members
-        rJ0 = annihilator(ring, J0.members).members
+        rI0 = annihilator(ring, I0.members)
+        rJ0 = annihilator(ring, J0.members)
         target = set_sum(ring, rI0, rJ0)
         K = None
         for cand in enumerate_ideals(ring, "twosided"):
-            if annihilator(ring, cand.members).members == target:
+            if annihilator(ring, cand.members) == target:
                 K = cand
                 break
         if K is None:
@@ -334,7 +334,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
         universe_ok = universe.set_sum(r_I, r_J) == r_K
 
         K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
-        reverse_ok = annihilator(ring, K0.members).members == target
+        reverse_ok = annihilator(ring, K0.members) == target
 
         verdict = universe_ok and reverse_ok
     return PropertyReport(

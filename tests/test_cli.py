@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import mnseries.cli as cli
 from mnseries.cli import (SUITE_NAMES, emit_report, load_fixture, main,
                           resolve_fixture, run_suite, shipped_fixtures)
 from mnseries.errors import ParseError, SuiteUnknown, ValidationError
+from mnseries.ideals import classify_kind, ideal_closure
 
 GOOD_FIXTURES = ("z4_example_5_5", "t_z4_example_5_6", "klein_fusible",
                  "gf4_frobenius", "z4_tau_power")
@@ -321,3 +323,58 @@ def test_prop32_checks_its_hypotheses_before_building_a_universe(tmp_path, capsy
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "not_applicable"
     assert data["checks"][0]["note"] == "not_applicable: Z32 is not left fusible (witness 2)"
+
+
+def _ut2_z2_table():
+    """Upper-triangular 2x2 matrices over Z2; [[a, b], [0, c]] has id 4a + 2b + c."""
+    elems = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[((a + x) % 2, (b + y) % 2, (c + z) % 2)] for (x, y, z) in elems]
+           for (a, b, c) in elems]
+    mul = [[index[(a * x % 2, (a * y + b * z) % 2, c * z % 2)] for (x, y, z) in elems]
+           for (a, b, c) in elems]
+    return {"kind": "table", "label": "UT2(Z2)", "size": 8, "add": add, "mul": mul,
+            "one": index[(1, 0, 1)]}
+
+
+def test_one_sided_pair_quotient_is_a_false_verdict(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ut2.json"
+    path.write_text(json.dumps({"label": "ut2", "ring": _ut2_z2_table()}))
+    assert main(["verify", str(path), "--suite", "ideals"]) == 0
+    capsys.readouterr()
+    ring = load_fixture(path).ring
+    # e22 R = {0, e22} is a right ideal that is not a left one
+    one_sided = ideal_closure(ring, [1], "right").members
+    assert classify_kind(ring, one_sided) == "right"
+    monkeypatch.setattr(cli, "quotient_ideal", lambda U, V: one_sided)
+    assert main(["verify", str(path), "--suite", "ideals", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    checks = {c["property"]: c for c in json.loads(captured.out)["checks"]}
+    pair = checks["right-pair-quotient-twosided"]
+    assert pair["verdict"] is False
+    assert pair["witness"] == {"U": [0], "V": [0]}
+
+
+@pytest.mark.parametrize("suite, skipped", [
+    ("examples", ["sigma-U-zip-scan"]),
+    ("thm5.4", ["sigma-U-zip-scan", "extraction-vs-oracle", "series-zip"]),
+])
+def test_capped_checks_are_skipped_not_fatal(tmp_path, capsys, suite, skipped):
+    # 2^32 subsets exceed the subset cap, and 32^3 window series the universe cap
+    path = tmp_path / "z32.json"
+    path.write_text(json.dumps({"label": "z32", "ring": {"kind": "Zn", "n": 32},
+                                "ideals": {"U": {"gens": [2]}}, **_PLAIN_TWIST}))
+    assert main(["verify", str(path), "--suite", suite, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "pass"
+    nulls = [c for c in data["checks"] if c["verdict"] is None]
+    assert [c["property"] for c in nulls] == skipped
+    for check in nulls:
+        assert check["note"].startswith("skipped: ")
+        assert "exceed the cap of" in check["note"]
+    caps = [c["bounds"] for c in nulls]
+    assert caps[0]["subset_cap"] == 65536
+    assert all(b["universe_cap"] == 4096 for b in caps[1:])
+    if suite == "examples":
+        assert [c["verdict"] for c in data["checks"][1:]] == [True, True]

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mnseries import ideals
 from mnseries.ideals import (annihilator, classify_kind, element_powers,
                              enumerate_ideals, ideal_closure,
                              is_semiprime_ideal, is_sigma_compatible_ideal,
@@ -59,20 +60,20 @@ def test_enumeration_complete_against_subset_scan(z4, klein, gf4):
 
 
 def test_quotient_examples(z4, u_z4, tz4, u_tz4):
-    assert quotient_ideal(u_z4, {3}).members == {0, 2}
+    assert quotient_ideal(u_z4, {3}) == {0, 2}
     # the Example 5.6 anomaly: (U:{(2,0)}) = {(a,b) | a in {0,2}}, 8 elements
     got = quotient_ideal(u_tz4, {8})
-    assert got.members == {0, 1, 2, 3, 8, 9, 10, 11}
-    assert len(got.members) == 8 and not got.members <= u_tz4.members
+    assert type(got) is frozenset and got == {0, 1, 2, 3, 8, 9, 10, 11}
+    assert len(got) == 8 and not got <= u_tz4.members
     full = make_ideal(z4, set(z4.elements()), "twosided")
     for v in all_subsets(z4):
-        assert quotient_ideal(full, v).members == set(z4.elements())
+        assert quotient_ideal(full, v) == set(z4.elements())
 
 
 def test_quotient_equals_right_annihilator_of_zero(z4, klein, zero_ideal_z4):
     for ring, zero in ((z4, zero_ideal_z4), (klein, make_ideal(klein, {0}, "twosided"))):
         for xs in all_subsets(ring):
-            assert quotient_ideal(zero, xs).members == annihilator(ring, xs).members
+            assert quotient_ideal(zero, xs) == annihilator(ring, xs)
 
 
 def test_right_ideal_pair_quotient_is_twosided(z4, klein, tz4):
@@ -80,7 +81,7 @@ def test_right_ideal_pair_quotient_is_twosided(z4, klein, tz4):
         right = enumerate_ideals(ring, "right")
         for U in right:
             for V in right:
-                assert quotient_ideal(U, V).kind == "twosided"
+                assert classify_kind(ring, quotient_ideal(U, V)) == "twosided"
 
 
 def test_twosided_U_contained_in_quotient(z4, klein, u_z4):
@@ -88,15 +89,33 @@ def test_twosided_U_contained_in_quotient(z4, klein, u_z4):
         for U in enumerate_ideals(ring, "twosided"):
             for V in all_subsets(ring):
                 if V:
-                    assert U.members <= quotient_ideal(U, V).members
+                    assert U.members <= quotient_ideal(U, V)
 
 
 def test_annihilator_examples(z4, klein):
-    assert annihilator(z4, {2}).members == {0, 2}
-    assert annihilator(z4, {0}).members == set(z4.elements())
+    assert type(annihilator(z4, {2})) is frozenset
+    assert annihilator(z4, {2}) == {0, 2}
+    assert annihilator(z4, {0}) == set(z4.elements())
     # right annihilator of (1,0) in Z2 x Z2 is 0 x Z2 = ids {0, 1}
-    assert annihilator(klein, {2}).members == {0, 1}
-    assert annihilator(klein, {2}, "left").members == {0, 1}
+    assert annihilator(klein, {2}) == {0, 1}
+    assert annihilator(klein, {2}, "left") == {0, 1}
+
+
+def test_annihilator_and_quotient_never_classify(monkeypatch, z4, klein):
+    # both are plain element sets: no caller reads a kind, so none is computed
+    cases = [(ring, enumerate_ideals(ring, "twosided") + enumerate_ideals(ring, "right"),
+              list(all_subsets(ring))) for ring in (z4, klein)]
+    calls = []
+    real = ideals.classify_kind
+    monkeypatch.setattr(ideals, "classify_kind",
+                        lambda ring, ms: calls.append(ms) or real(ring, ms))
+    for ring, lattice, subsets in cases:
+        for xs in subsets + lattice:
+            for side in ("right", "left"):
+                assert type(annihilator(ring, xs, side)) is frozenset
+            for U in lattice:
+                assert type(quotient_ideal(U, xs)) is frozenset
+    assert calls == []
 
 
 def test_semiprime_examples(z4, u_z4, zero_ideal_z4, u_tz4):
@@ -127,9 +146,26 @@ def test_element_powers_cycle(z4):
 
 
 def test_weak_annihilator_examples(z4):
-    assert weak_annihilator(z4, {2}) == set(z4.elements())
-    assert weak_annihilator(z4, {1}) == {0, 2}
-    assert weak_annihilator(z4, {0}) == set(z4.elements())
+    nil, _ = nil_radical(z4)
+    assert weak_annihilator(z4, {2}, nil) == set(z4.elements())
+    assert weak_annihilator(z4, {1}, nil) == {0, 2}
+    assert weak_annihilator(z4, {0}, nil) == set(z4.elements())
+
+
+def test_weak_annihilator_takes_nil_from_its_caller(monkeypatch, z4, tz4):
+    nils = {ring.label: nil_radical(ring)[0] for ring in (z4, tz4)}
+
+    def refuse(ring):
+        raise AssertionError("weak_annihilator recomputed the nil radical")
+
+    monkeypatch.setattr(ideals, "nil_radical", refuse)
+    for ring in (z4, tz4):
+        nil = nils[ring.label]
+        # singletons, and every subset of the elements 0..3
+        for xs in [frozenset({a}) for a in ring.elements()] + list(all_subsets(z4)):
+            expected = {a for a in ring.elements()
+                        if all(0 in element_powers(ring, ring.mul(x, a)) for x in xs)}
+            assert weak_annihilator(ring, xs, nil) == expected
 
 
 def test_weak_annihilator_is_nil_quotient_on_NI_rings(z4, klein, tz4):
@@ -143,7 +179,7 @@ def test_weak_annihilator_is_nil_quotient_on_NI_rings(z4, klein, tz4):
             [frozenset({a, b}) for a in range(4) for b in range(8, 12)]
         for xs in pool:
             if xs:
-                assert weak_annihilator(ring, xs) == quotient_ideal(nil_ideal, xs).members
+                assert weak_annihilator(ring, xs, nil) == quotient_ideal(nil_ideal, xs)
 
 
 def test_semiprime_ideals_contain_nil(z4, klein, tz4):

@@ -35,7 +35,7 @@ from .rings import (DEFAULT_SIZE_CAP, FiniteRing, check_automorphism,
                     check_ring_axioms, identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
-from .series import (Series, TwistSystem, check_associativity,
+from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
                      check_twist_conditions, random_series, random_triples,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
@@ -470,10 +470,6 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
 
     checks = [_zip_scan(fx, U)]
 
-    # preconditions checked above, so each qualifying pair goes straight to
-    # the extraction core with the kernel's product; its trace sums the
-    # algebra's terms to every coefficient of that product and checks each
-    # term against a direct term_product
     exps = fx.group.window(*fx.cap("window"))
     try:
         universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
@@ -481,17 +477,7 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
         bounds = {"window": fx.cap("window"), "universe_cap": fx.cap("universe_cap")}
         return checks + [PropertyReport(prop, None, bounds=bounds, note=f"skipped: {exc}")
                          for prop in ("extraction-vs-oracle", "series-zip")]
-    alg, terms = universe.algebra, universe.terms
-    pairs = len(universe) ** 2
-    qualifying = 0
-    mismatch = None
-    try:
-        for p, q, fg in alg.join(terms, U.members):
-            qualifying += 1
-            _trace(alg, terms[p], terms[q], U, fg)
-    except TraceMismatch as exc:
-        pairs = p * len(universe) + q + 1
-        mismatch = str(exc)
+    pairs, qualifying, mismatch = _extraction_scan(universe, U)
     checks.append(PropertyReport(
         "extraction-vs-oracle", mismatch is None, witness=mismatch,
         certificate={"pairs": pairs, "qualifying": qualifying},
@@ -512,6 +498,48 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
     for X in configs:
         checks.append(series_zip_witness(X, U, universe))
     return checks
+
+
+def _extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int, str | None]:
+    """thm5.4's extraction over every pair of universe series: (pairs
+    decided, qualifying pairs, the failing trace's message or None).
+
+    Runs over the class series mod U instead of the series themselves. With
+    require_zip's U (two-sided, sigma_x(U) = U) every membership the join and
+    the trace test, fg in U((G)), each term, remainder and multiple, has the
+    same outcome for every lift of a class pair with the same supports, and
+    the trace's skeleton depends only on the supports. So one trace per
+    class pair decides all its lifts, and the counts are weighted. The table
+    check stands in for the direct term_product a trace makes on each lift
+    it does not run. A failure anywhere reruns the exact scan over every
+    lift pair, which reports the first failing pair and its message.
+    """
+    alg = universe.algebra
+    try:
+        alg.check_tables()
+        classes, weights = alg.classes(U.members)
+        qualifying = 0
+        for p, q, fg in alg.join(classes, U.members):
+            _trace(alg, classes[p], classes[q], U, fg)
+            qualifying += weights[p] * weights[q]
+        return len(universe) ** 2, qualifying, None
+    except TraceMismatch as exc:
+        pairs, qualifying, mismatch = _lift_scan(alg, universe.terms, U)
+        return pairs, qualifying, mismatch or str(exc)
+
+
+def _lift_scan(alg: WindowAlgebra, terms: list[list[tuple]],
+               U: IdealSet) -> tuple[int, int, str | None]:
+    """The extraction trace over every qualifying pair of `terms`, up to the
+    first failing one: (pairs decided, qualifying pairs, its message or None)."""
+    qualifying = 0
+    try:
+        for p, q, fg in alg.join(terms, U.members):
+            qualifying += 1
+            _trace(alg, terms[p], terms[q], U, fg)
+    except TraceMismatch as exc:
+        return p * len(terms) + q + 1, qualifying, str(exc)
+    return len(terms) ** 2, qualifying, None
 
 
 def _zip_scan(fx: Fixture, U: IdealSet) -> PropertyReport:
@@ -548,12 +576,15 @@ def _suite_examples(fx: Fixture, seed: int) -> list[PropertyReport]:
     pool = _subset_pool(ring, seed, fx.cap("agreement_samples"))
     fam = fx.sigma_family()
     zero_ideal = make_ideal(ring, {0})
+    zero_compatible = is_sigma_compatible_ideal(zero_ideal, fam).ok
     nil, is_ni = nil_radical(ring)
-    nil_ideal = make_ideal(ring, nil) if is_ni else None
+    if is_ni:
+        nil_ideal = make_ideal(ring, nil)
+        nil_compatible = is_sigma_compatible_ideal(nil_ideal, fam).ok
     disagreement = None
     compared = 0
     for xs in pool:
-        a = sigma_u_zip_witness(ring, zero_ideal, xs, fam)
+        a = sigma_u_zip_witness(ring, zero_ideal, xs, zero_compatible)
         b = right_zip_witness(ring, xs)
         compared += 1
         if _zip_status(a) != _zip_status(b) or \
@@ -562,8 +593,8 @@ def _suite_examples(fx: Fixture, seed: int) -> list[PropertyReport]:
                             "right_zip": b.to_json()}
             break
         if is_ni:
-            c = sigma_u_zip_witness(ring, nil_ideal, xs, fam)
-            d = weak_zip_witness(ring, xs)
+            c = sigma_u_zip_witness(ring, nil_ideal, xs, nil_compatible)
+            d = weak_zip_witness(ring, xs, nil)
             compared += 1
             if _zip_status(c) != _zip_status(d) or \
                     (c.verdict and c.certificate["minimal_witness"] != d.certificate["minimal_witness"]):

@@ -14,8 +14,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import BoundsTooLarge, SizeCapExceeded, ZeroElement
 from .ideals import (IdealSet, annihilator, close_under_inverses,
-                     enumerate_ideals, is_sigma_compatible_ideal,
-                     nil_radical, quotient_ideal, set_sum, weak_annihilator)
+                     enumerate_ideals, quotient_ideal, set_sum, weak_annihilator)
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_to_json
 
@@ -259,22 +258,22 @@ def _minimal_subset(sorted_pool: list[int], accepts) -> tuple[int, ...] | None:
 
 
 def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
-                        sigma_family: Iterable[RingAutomorphism] = ()) -> PropertyReport:
+                        sigma_compatible: bool | None = None) -> PropertyReport:
     """Minimal finite Y inside X with (U:Y) = U, given (U:X) = U.
 
     A witness always exists over a finite ring (Y = X works), so the content
     is the minimal witness and the quotient computations. X inside U is
     reported not-applicable; (U:X) != U is reported as a failed hypothesis
-    with the quotient attached.
+    with the quotient attached. `sigma_compatible`, when given, is the
+    caller's is_sigma_compatible_ideal verdict for U, recorded in the
+    certificate as U_sigma_compatible.
     """
     with _Timer() as t:
         xs = sorted(x for x in X)
         bounds = {"X": xs, "U": U.sorted_members()}
-        fam = list(sigma_family)
         context = None
-        if fam:
-            compat = is_sigma_compatible_ideal(U, fam)
-            context = {"U_sigma_compatible": compat.ok}
+        if sigma_compatible is not None:
+            context = {"U_sigma_compatible": sigma_compatible}
         if all(x in U.members for x in xs):
             return PropertyReport("sigma-U-zip", None, bounds=bounds, certificate=context,
                                   note="not_applicable: X is contained in U", elapsed=t.elapsed)
@@ -320,10 +319,10 @@ def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
                           bounds=bounds, elapsed=t.elapsed)
 
 
-def weak_zip_witness(ring: FiniteRing, X) -> PropertyReport:
-    """Weak-zip search built on the weak annihilator N_R."""
+def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport:
+    """Weak-zip search built on the weak annihilator N_R, given the
+    nilpotent elements `nil` of the ring (the first part of nil_radical)."""
     with _Timer() as t:
-        nil, _ = nil_radical(ring)
         xs = sorted(x for x in X)
         bounds = {"X": xs, "nil": sorted(nil)}
         if all(x in nil for x in xs):

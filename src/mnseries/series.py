@@ -10,11 +10,12 @@ associativity oracle that serves as ground truth for them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .errors import (DuplicateKey, MalformedSpec, NotNormalized, TwistMismatch,
-                     ZeroSeries)
+from .errors import (DuplicateKey, MalformedSpec, NotNormalized, TraceMismatch,
+                     TwistMismatch, ZeroSeries)
 from .groups import IntegersGroup, OrderedGroup
 from .rings import (FiniteRing, RingAutomorphism, automorphism_power,
                     check_automorphism, compose_automorphisms,
@@ -417,6 +418,51 @@ class WindowAlgebra:
     def universe(self, max_support: int | None = None) -> list[list[tuple]]:
         """Every series inside the window, in the order of exhaustive_series."""
         return list(_window_terms(self.twist.ring.size, len(self.window), max_support))
+
+    def classes(self, members) -> tuple[list[list[tuple]], list[int]]:
+        """The class series modulo `members`, an additive subgroup holding 0,
+        and their weights, in the order of `universe`.
+
+        At each position a class series holds 0 or the least nonzero member
+        of one coset of `members`. Its weight is the number of universe
+        series it stands for: the product over its positions of the number
+        of nonzero members of that coset (1 for a 0). So the weights sum to
+        the universe size, and for members = {0} the class series are the
+        universe itself.
+        """
+        weight = {0: 1}
+        for r in self.twist.ring.elements():
+            nonzero = {self.add[r][u] for u in members} - {0}
+            if nonzero:
+                weight[min(nonzero)] = len(nonzero)
+        series, weights = [], []
+        for coeffs in itertools.product(sorted(weight), repeat=len(self.window)):
+            series.append([(i, c) for i, c in enumerate(coeffs) if c])
+            weights.append(math.prod(weight[c] for c in coeffs))
+        return series, weights
+
+    def check_tables(self):
+        """Raise TraceMismatch unless every `term` entry equals a direct
+        term_product and each `xw[k]` holds exactly the position pairs (i, j)
+        with slot[i][j] = k: what a trace reads, checked once for every
+        series the window holds."""
+        twist, win = self.twist, self.window
+        grp, elems = twist.group, twist.ring.elements()
+        for i, x in enumerate(win):
+            for j, y in enumerate(win):
+                for a in elems:
+                    row = self.term[i][a][j]
+                    for b in elems:
+                        if row[b] != term_product(twist, a, x, b, y):
+                            raise TraceMismatch(
+                                f"term table disagrees with term_product at "
+                                f"({grp.to_json(x)}, {grp.to_json(y)}), a={a}, b={b}")
+        positions = range(len(win))
+        for k, pairs in enumerate(self.xw):
+            if sorted(pairs) != [(i, j) for i in positions for j in positions
+                                 if self.slot[i][j] == k]:
+                raise TraceMismatch(f"X_w pairs disagree with the product slots at "
+                                    f"w={grp.to_json(self.products[k])}")
 
     def multiply(self, f: list[tuple], g: list[tuple]) -> list[int]:
         acc = [0] * len(self.products)

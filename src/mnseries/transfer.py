@@ -52,6 +52,7 @@ class TruncatedUniverse:
         self.terms = self.algebra.universe()
         self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
         self._sa_armendariz = False  # set once thm4.5's hypotheses hold
+        self._annihilators: dict[tuple, frozenset[tuple]] = {}
 
     def __len__(self) -> int:
         return self.count
@@ -80,15 +81,21 @@ class TruncatedUniverse:
     def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
         return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
 
-    def annihilator(self, coeffs: Iterable[int], side: str) -> set[tuple]:
+    def annihilator(self, coeffs: Iterable[int], side: str) -> frozenset[tuple]:
         """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
-        for every member s with coefficients in `coeffs`."""
+        for every member s with coefficients in `coeffs`; scanned once per
+        (coefficient set, side)."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        mul = self.algebra.multiply
-        targets = [[(i, c) for i, c in enumerate(m) if c] for m in self.with_coeffs_in(coeffs)]
-        return {m for u, m in zip(self.terms, self.members) if not any(
-            any(mul(u, s) if side == "left" else mul(s, u)) for s in targets)}
+        key = (frozenset(coeffs), side)
+        if key not in self._annihilators:
+            mul = self.algebra.multiply
+            targets = [[(i, c) for i, c in enumerate(m) if c]
+                       for m in self.with_coeffs_in(key[0])]
+            self._annihilators[key] = frozenset(
+                m for u, m in zip(self.terms, self.members) if not any(
+                    any(mul(u, s) if side == "left" else mul(s, u)) for s in targets))
+        return self._annihilators[key]
 
     def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
         add = self.twist.ring.add_table
@@ -565,7 +572,8 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
                 witness=series_to_json(universe.series(min(q ^ u_series))))
 
         c_x = sorted(_contents(X))
-        base_ok = sigma_u_zip_witness(ring, U, c_x, twist.sigma_generators())
+        # require_zip has found U sigma-compatible
+        base_ok = sigma_u_zip_witness(ring, U, c_x, True)
         if base_ok.verdict is not True:
             # cannot happen when the universe-level hypothesis held; still reported
             return PropertyReport("series-zip", False,

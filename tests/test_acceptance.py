@@ -12,7 +12,8 @@ from contextlib import contextmanager
 import pytest
 
 from mnseries.cli import Fixture, load_fixture, resolve_fixture, run_suite
-from mnseries.ideals import (make_ideal, nil_radical, quotient_ideal)
+from mnseries.ideals import (is_sigma_compatible_ideal, make_ideal, nil_radical,
+                             quotient_ideal)
 from mnseries.properties import (is_IN, is_SA, is_left_fusible,
                                  is_right_nonsingular, right_zip_witness,
                                  sigma_u_zip_scan, sigma_u_zip_witness,
@@ -194,15 +195,17 @@ def test_criterion_9_specialization_equivalences():
             nil, is_ni = nil_radical(ring)
             assert is_ni
             nil_ideal = make_ideal(ring, nil)
+            zero_compatible = is_sigma_compatible_ideal(zero, fx.sigma_family()).ok
+            nil_compatible = is_sigma_compatible_ideal(nil_ideal, fx.sigma_family()).ok
             for xs in pool:
-                a = sigma_u_zip_witness(ring, zero, xs, fx.sigma_family())
+                a = sigma_u_zip_witness(ring, zero, xs, zero_compatible)
                 b = right_zip_witness(ring, xs)
                 assert (a.note or "").split(":")[0] == (b.note or "").split(":")[0]
                 assert a.verdict == b.verdict
                 if a.verdict:
                     assert a.certificate["minimal_witness"] == b.certificate["minimal_witness"]
-                c = sigma_u_zip_witness(ring, nil_ideal, xs, fx.sigma_family())
-                d = weak_zip_witness(ring, xs)
+                c = sigma_u_zip_witness(ring, nil_ideal, xs, nil_compatible)
+                d = weak_zip_witness(ring, xs, nil)
                 assert (c.note or "").split(":")[0] == (d.note or "").split(":")[0]
                 assert c.verdict == d.verdict
                 if c.verdict:

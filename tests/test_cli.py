@@ -3,6 +3,9 @@ import json
 import pytest
 
 import mnseries.cli as cli
+import mnseries.ideals as ideals
+import mnseries.properties as properties
+import mnseries.transfer as transfer
 from mnseries.cli import (SUITE_NAMES, emit_report, load_fixture, main,
                           resolve_fixture, run_suite, shipped_fixtures)
 from mnseries.errors import ParseError, SuiteUnknown, ValidationError
@@ -378,3 +381,27 @@ def test_capped_checks_are_skipped_not_fatal(tmp_path, capsys, suite, skipped):
     assert all(b["universe_cap"] == 4096 for b in caps[1:])
     if suite == "examples":
         assert [c["verdict"] for c in data["checks"][1:]] == [True, True]
+
+
+def test_examples_derives_the_zip_context_once(monkeypatch):
+    """The examples suite checks the sigma-compatibility of its zero and nil
+    ideals and computes the nil radical once, not once per pool subset."""
+    import mnseries.ideals as ideals
+    import mnseries.properties as properties
+    import mnseries.transfer as transfer
+    calls = {"is_sigma_compatible_ideal": 0, "nil_radical": 0}
+    for name in calls:
+        real = getattr(ideals, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (cli, ideals, properties, transfer):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    report = run_suite(load_fixture(resolve_fixture("t_z4_example_5_6")), "examples")
+    assert report.status == "pass"
+    check = next(c for c in report.checks if c.prop == "zip-specialization-agreement")
+    assert check.bounds["NI"] is True and check.certificate["comparisons"] > 2
+    assert calls == {"is_sigma_compatible_ideal": 2, "nil_radical": 1}

@@ -196,7 +196,7 @@ def test_weak_zip_matches_sigma_zip_at_nil(z4, klein, tz4):
             [frozenset({a, b}) for a in (1, 4, 8) for b in (5, 12, 15)]
         for xs in pool:
             a = sigma_u_zip_witness(ring, nil_ideal, xs)
-            b = weak_zip_witness(ring, xs)
+            b = weak_zip_witness(ring, xs, nil)
             assert (a.note or "").split(":")[0] == (b.note or "").split(":")[0]
             assert a.verdict == b.verdict
             if a.verdict:

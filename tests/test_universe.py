@@ -198,3 +198,38 @@ def test_thm54_enumerates_its_window_once(monkeypatch):
     assert report.status == "pass"
     assert sum(c.prop == "series-zip" for c in report.checks) == 2
     assert len(calls) == 1
+
+
+def test_annihilator_scans_once_per_coefficient_set_and_side(monkeypatch):
+    """lemma4.3 on t_z4_example_5_6 asks for 160 annihilators of 14 distinct
+    (coefficient set, side) keys; each key is scanned once, and the shared
+    result is a frozenset, which no caller can change."""
+    fx = cli.load_fixture(cli.resolve_fixture("t_z4_example_5_6"))
+    multiplies = []
+    real_multiply = series_module.WindowAlgebra.multiply
+
+    def counting_multiply(alg, f, g):
+        multiplies.append(None)
+        return real_multiply(alg, f, g)
+
+    real = TruncatedUniverse.annihilator
+    calls, scans = [], []
+
+    def counting(universe, coeffs, side):
+        before = len(multiplies)
+        result = real(universe, coeffs, side)
+        assert isinstance(result, frozenset)
+        calls.append(None)
+        if len(multiplies) > before:
+            scans.append((frozenset(coeffs), side))
+        return result
+
+    monkeypatch.setattr(series_module.WindowAlgebra, "multiply", counting_multiply)
+    monkeypatch.setattr(TruncatedUniverse, "annihilator", counting)
+    assert cli.run_suite(fx, "lemma4.3").status == "pass"
+    assert len(calls) == 160
+    assert len(scans) == len(set(scans)) == 14
+
+    universe = CASES["z4-tau"]
+    assert universe.annihilator([2, 0], "left") is universe.annihilator({0, 2}, "left")
+    assert universe.annihilator({0, 2}, "left") is not universe.annihilator({0, 2}, "right")

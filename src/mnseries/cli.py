@@ -2,8 +2,9 @@
 
 Fixtures are single JSON documents naming a ring, an optional ordered group
 and twist, named ideals and series, the suites the fixture claims to
-satisfy, and search caps. A fixture's twist is validated on load (cocycle
-conditions plus sampled associativity) before any suite touches it.
+satisfy, and caps on three search limits. A fixture's twist is validated on
+load (cocycle conditions plus sampled associativity) before any suite
+touches it.
 
 Exit codes: 0 all applicable checks pass (not-applicable suites warn),
 1 a check failed, 2 the fixture is invalid.
@@ -26,37 +27,36 @@ from .groups import OrderedGroup, group_make
 from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                      ideal_closure, is_semiprime_ideal, is_sigma_compatible_ideal,
                      make_ideal, nil_radical, quotient_ideal, weak_annihilator)
-from .properties import (PropertyReport, is_G_armendariz, is_IN, is_SA,
-                         is_left_fusible, is_right_nonsingular,
+from .properties import (DEFAULT_SUBSET_CAP, PropertyReport, _Timer, is_G_armendariz,
+                         is_IN, is_SA, is_left_fusible, is_right_nonsingular,
                          is_sigma_compatible_ring, right_zip_witness,
                          sigma_u_zip_scan, sigma_u_zip_witness,
                          weak_zip_witness, zero_divisor_sets)
-from .rings import (DEFAULT_SIZE_CAP, FiniteRing, check_automorphism,
-                    check_ring_axioms, identity_automorphism, ring_make, units)
+from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
+                    identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
 from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
                      check_twist_conditions, random_series, random_triples,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
-from .transfer import (TruncatedUniverse, _trace, lift_fusible_decomposition,
+from .transfer import (DEFAULT_UNIVERSE_CAP, TruncatedUniverse, _trace,
+                       lift_fusible_decomposition,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness)
 
+# the limits a fixture's "caps" may set (window and max_support also by flag)
 DEFAULT_CAPS = {
-    "ring_max": DEFAULT_SIZE_CAP,
-    "twist_window": [-3, 3],
-    "assoc_samples": 200,
     "window": [0, 2],
     "max_support": 3,
-    "samples": 100,
-    "universe_window": [0, 1],
-    "universe_cap": 4096,
-    "subset_cap": 65536,
-    "witness_cap": 4096,
-    "ideal_pair_limit": 16,
-    "agreement_samples": 50,
+    "assoc_samples": 200,
 }
+# fixed limits; the ring, universe, subset and witness caps live where they are enforced
+TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
+SAMPLES = 100               # prop3.2's random series
+UNIVERSE_WINDOW = (0, 1)    # lemma4.3's and thm4.5's universe
+IDEAL_PAIR_LIMIT = 16       # lemma4.3's ideal pairs, thm4.5's configurations (plus one)
+AGREEMENT_SAMPLES = 50      # seeded subsets when 2^|R| is too many to scan
 
 SUITE_NAMES = ("ring-axioms", "ideals", "properties", "prop3.2",
                "lemma4.3", "thm4.5", "thm5.4", "examples")
@@ -105,14 +105,13 @@ def resolve_fixture(name_or_path: str) -> Path:
                      f"(shipped: {', '.join(shipped_fixtures())})")
 
 
-def _validate_twist(label: str, twist: TwistSystem, caps: dict, seed: int = 0):
-    """Cocycle conditions on the configured window plus sampled associativity.
+def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0):
+    """Cocycle conditions on TWIST_WINDOW plus `samples` sampled associativity triples.
 
     A failed standard cocycle triple is turned into an explicit failing
     associativity triple so the error names a concrete witness.
     """
-    lo, hi = caps.get("twist_window", DEFAULT_CAPS["twist_window"])
-    window = twist.group.window(lo, hi)
+    window = twist.group.window(*TWIST_WINDOW)
     cond = check_twist_conditions(twist, window)
     assoc_witness = None
     if not cond["cocycle-standard"].ok:
@@ -124,7 +123,6 @@ def _validate_twist(label: str, twist: TwistSystem, caps: dict, seed: int = 0):
         if not probe.ok:
             assoc_witness = probe.witness
     rng = random.Random(seed)
-    samples = caps.get("assoc_samples", DEFAULT_CAPS["assoc_samples"])
     sampled = check_associativity(
         twist, random_triples(twist, rng, window, samples, max_support=3))
     if not sampled.ok and assoc_witness is None:
@@ -159,17 +157,20 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
                                   + ("an object" if kind is dict else "a list"))
         return value
 
-    caps = dict(section("caps", dict))
+    caps = section("caps", dict)
+    for key in caps:
+        if key not in DEFAULT_CAPS:
+            raise ValidationError(f"fixture {label!r}: unknown cap {key!r}")
+    caps = {**DEFAULT_CAPS, **caps}
     for key, default in DEFAULT_CAPS.items():
-        value = caps.get(key, default)
+        value = caps[key]
         if type(default) is int and type(value) is not int:
             raise ValidationError(f"fixture {label!r}: cap {key!r} must be an integer")
         if type(default) is list and not (isinstance(value, list) and len(value) == 2
                                           and all(type(v) is int for v in value)):
             raise ValidationError(f"fixture {label!r}: cap {key!r} must be a pair of integers")
     try:
-        ring = ring_make(data["ring"], base_dir=path.parent,
-                         size_cap=caps.get("ring_max", DEFAULT_CAPS["ring_max"]))
+        ring = ring_make(data["ring"], base_dir=path.parent)
     except MNSeriesError as exc:
         raise ValidationError(f"fixture {label!r}: bad ring: {exc}") from exc
 
@@ -185,7 +186,7 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
         except MNSeriesError as exc:
             raise ValidationError(f"fixture {label!r}: bad twist: {exc}") from exc
         if validate:
-            validation = _validate_twist(label, twist, caps, seed)
+            validation = _validate_twist(label, twist, caps["assoc_samples"], seed)
 
     ideals = {}
     for name, spec in section("ideals", dict).items():
@@ -253,9 +254,9 @@ def _suite_ring_axioms(fx: Fixture, seed: int) -> list[PropertyReport]:
     return checks
 
 
-def _subset_pool(ring: FiniteRing, seed: int, limit: int):
+def _subset_pool(ring: FiniteRing, seed: int):
     """Deterministic nonempty subsets: exhaustive when 2^|R| is small,
-    otherwise all singletons plus seeded draws of size <= 4."""
+    otherwise all singletons plus AGREEMENT_SAMPLES seeded draws of size <= 4."""
     n = ring.size
     if (1 << n) <= 4096:
         out = []
@@ -264,7 +265,7 @@ def _subset_pool(ring: FiniteRing, seed: int, limit: int):
         return out
     rng = random.Random(seed)
     pool = [frozenset({a}) for a in range(n)]
-    while len(pool) < n + limit:
+    while len(pool) < n + AGREEMENT_SAMPLES:
         size = rng.randint(2, 4)
         pool.append(frozenset(rng.sample(range(n), size)))
     return pool
@@ -288,7 +289,7 @@ def _suite_ideals(fx: Fixture, seed: int) -> list[PropertyReport]:
     checks.append(PropertyReport("closure-idempotent", idem_witness is None,
                                  witness=idem_witness))
 
-    pool = _subset_pool(ring, seed, fx.cap("agreement_samples"))
+    pool = _subset_pool(ring, seed)
     zero_ideal = make_ideal(ring, {0})
     agree_witness = None
     for xs in pool:
@@ -397,18 +398,17 @@ def _suite_prop32(fx: Fixture, seed: int) -> list[PropertyReport]:
         raise PreconditionFail("fixture has no twist")
     require_fusible(twist)
     exps = fx.group.window(*fx.cap("window"))
-    universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
+    universe = TruncatedUniverse(twist, exps)
     rng = random.Random(seed)
-    samples = fx.cap("samples")
     failures = []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         f = random_series(twist, rng, exps, fx.cap("max_support"))
         lift = lift_fusible_decomposition(f, universe)
         if not lift.ok:
             failures.append({"f": series_to_json(f), "lift": lift.to_json()})
     return [PropertyReport(
         "fusible-lift", not failures, witness=failures or None,
-        certificate={"samples": samples},
+        certificate={"samples": SAMPLES},
         bounds={"window": fx.cap("window"), "max_support": fx.cap("max_support"),
                 "universe": universe.describe()})]
 
@@ -416,18 +416,16 @@ def _suite_prop32(fx: Fixture, seed: int) -> list[PropertyReport]:
 def _suite_lemma43(fx: Fixture, seed: int) -> list[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
-    universe = TruncatedUniverse(fx.twist, fx.group.window(*fx.cap("universe_window")),
-                                 cap=fx.cap("universe_cap"))
+    universe = TruncatedUniverse(fx.twist, fx.group.window(*UNIVERSE_WINDOW))
     right = enumerate_ideals(fx.ring, "right")
-    limit = fx.cap("ideal_pair_limit")
-    pairs = [(I, J) for I in right for J in right][:limit]
+    pairs = [(I, J) for I in right for J in right][:IDEAL_PAIR_LIMIT]
     checks = []
     for I, J in pairs:
         for side in ("left", "right"):
             checks.append(lifted_annihilator_check(I, J, side, universe))
-    if len(right) ** 2 > limit:
-        checks.append(PropertyReport("pair-coverage", None,
-                                     note=f"skipped: only first {limit} of {len(right) ** 2} pairs run"))
+    if len(right) ** 2 > IDEAL_PAIR_LIMIT:
+        checks.append(PropertyReport("pair-coverage", None, note=(
+            f"skipped: only first {IDEAL_PAIR_LIMIT} of {len(right) ** 2} pairs run")))
     return checks
 
 
@@ -435,8 +433,7 @@ def _suite_thm45(fx: Fixture, seed: int) -> list[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
     twist = fx.twist
-    universe = TruncatedUniverse(twist, fx.group.window(*fx.cap("universe_window")),
-                                 cap=fx.cap("universe_cap"))
+    universe = TruncatedUniverse(twist, fx.group.window(*UNIVERSE_WINDOW))
     win = universe.window
     two = enumerate_ideals(fx.ring, "twosided")
     configs = [("empty", [], [])]
@@ -447,7 +444,7 @@ def _suite_thm45(fx: Fixture, seed: int) -> list[PropertyReport]:
             gens_j = [series_make(twist, [(win[(k + 1) % len(win)], c)])
                       for k, c in enumerate(sorted(J.members - {0}))]
             configs.append((f"{I.sorted_members()}x{J.sorted_members()}", gens_i, gens_j))
-    limit = fx.cap("ideal_pair_limit") + 1
+    limit = IDEAL_PAIR_LIMIT + 1
     checks = []
     for name, gi, gj in configs[:limit]:
         rep = sa_transfer_witness(gi, gj, universe)
@@ -472,16 +469,17 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
 
     exps = fx.group.window(*fx.cap("window"))
     try:
-        universe = TruncatedUniverse(twist, exps, cap=fx.cap("universe_cap"))
+        universe = TruncatedUniverse(twist, exps)
     except SizeCapExceeded as exc:
-        bounds = {"window": fx.cap("window"), "universe_cap": fx.cap("universe_cap")}
+        bounds = {"window": fx.cap("window"), "universe_cap": DEFAULT_UNIVERSE_CAP}
         return checks + [PropertyReport(prop, None, bounds=bounds, note=f"skipped: {exc}")
                          for prop in ("extraction-vs-oracle", "series-zip")]
-    pairs, qualifying, mismatch = _extraction_scan(universe, U)
+    with _Timer() as t:
+        pairs, qualifying, mismatch = _extraction_scan(universe, U)
     checks.append(PropertyReport(
         "extraction-vs-oracle", mismatch is None, witness=mismatch,
         certificate={"pairs": pairs, "qualifying": qualifying},
-        bounds={"window": fx.cap("window")}))
+        bounds={"window": fx.cap("window")}, elapsed=t.elapsed))
 
     candidates = [a for a in fx.ring.elements() if a not in U.members
                   and quotient_ideal(U, {a}) == U.members]
@@ -543,13 +541,12 @@ def _lift_scan(alg: WindowAlgebra, terms: list[list[tuple]],
 
 
 def _zip_scan(fx: Fixture, U: IdealSet) -> PropertyReport:
-    """sigma_u_zip_scan under the fixture's caps, reported skipped over its subset cap."""
-    cap = fx.cap("subset_cap")
+    """sigma_u_zip_scan, reported skipped over its subset cap."""
     try:
-        return sigma_u_zip_scan(fx.ring, U, cap, fx.cap("witness_cap"))
+        return sigma_u_zip_scan(fx.ring, U)
     except SizeCapExceeded as exc:
         return PropertyReport("sigma-U-zip-scan", None, note=f"skipped: {exc}",
-                              bounds={"U": U.sorted_members(), "subset_cap": cap})
+                              bounds={"U": U.sorted_members(), "subset_cap": DEFAULT_SUBSET_CAP})
 
 
 def _zip_status(report: PropertyReport) -> str:
@@ -573,7 +570,7 @@ def _suite_examples(fx: Fixture, seed: int) -> list[PropertyReport]:
             f"singleton-quotients-{name}", True,
             certificate={"U": U.sorted_members(), "quotients": quotients}))
 
-    pool = _subset_pool(ring, seed, fx.cap("agreement_samples"))
+    pool = _subset_pool(ring, seed)
     fam = fx.sigma_family()
     zero_ideal = make_ideal(ring, {0})
     zero_compatible = is_sigma_compatible_ideal(zero_ideal, fam).ok
@@ -642,13 +639,14 @@ class SuiteReport:
 def run_suite(fixture: Fixture, suite: str, seed: int = 0,
               overrides: dict | None = None) -> SuiteReport:
     """Run one named suite; preconditions that fail make the suite
-    not-applicable unless the fixture claims it, in which case they fail it."""
+    not-applicable unless the fixture claims it, in which case they fail it.
+    A universe over its cap skips the suite with a null verdict."""
     if suite not in _SUITES:
         raise SuiteUnknown(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if overrides:
         fixture = replace(fixture, caps={**fixture.caps, **overrides})
-    params = {k: fixture.cap(k) for k in ("window", "max_support", "samples",
-                                          "universe_window")}
+    params = {"window": fixture.cap("window"), "max_support": fixture.cap("max_support"),
+              "samples": SAMPLES, "universe_window": list(UNIVERSE_WINDOW)}
     start = time.perf_counter()
     try:
         checks = _SUITES[suite](fixture, seed)
@@ -658,22 +656,23 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
         note = ("claimed applicable but precondition failed: "
                 if claimed else "not_applicable: ") + str(exc)
         checks = [PropertyReport(suite, False if claimed else None, note=note)]
-        return SuiteReport(fixture.label, suite, seed, params, checks, status,
-                           time.perf_counter() - start)
+    except SizeCapExceeded as exc:
+        status = "pass"
+        checks = [PropertyReport(suite, None, note=f"skipped: {exc}",
+                                 bounds={"universe_cap": DEFAULT_UNIVERSE_CAP})]
     except TraceMismatch as exc:
+        status = "fail"
         checks = [PropertyReport(suite, False, witness=str(exc),
                                  note="derivation trace mismatch")]
-        return SuiteReport(fixture.label, suite, seed, params, checks, "fail",
-                           time.perf_counter() - start)
     except HypothesisFails as exc:
+        status = "fail"
         checks = [PropertyReport(suite, False, witness=exc.witness,
                                  note=f"hypothesis_fails: {exc}")]
-        return SuiteReport(fixture.label, suite, seed, params, checks, "fail",
-                           time.perf_counter() - start)
-    if suite == "properties":
-        status = _property_suite_status(checks)
     else:
-        status = "pass" if all(c.verdict is not False for c in checks) else "fail"
+        if suite == "properties":
+            status = _property_suite_status(checks)
+        else:
+            status = "pass" if all(c.verdict is not False for c in checks) else "fail"
     return SuiteReport(fixture.label, suite, seed, params, checks, status,
                        time.perf_counter() - start)
 

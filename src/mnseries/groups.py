@@ -1,8 +1,9 @@
 """Ordered abelian exponent groups: Z and Z^k under lexicographic order.
 
-Elements are plain ints (Z) or k-tuples of ints (Z^k). Both orders are
-bi-invariant total orders, which is what the leading-term arguments on
-series supports rely on.
+Elements are plain ints (Z) or k-tuples of ints (Z^k), so Python's own
+`<`, `min` and `sorted` give the group order. Both orders are bi-invariant
+total orders, which is what the leading-term arguments on series supports
+rely on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ COORD_BOUND = 1 << 30
 
 
 class OrderedGroup:
-    """Common interface: op / inverse / compare over canonical elements."""
+    """Common interface: op / inverse / window over canonical elements."""
 
     kind: str
     identity = None
@@ -28,14 +29,6 @@ class OrderedGroup:
 
     def inverse(self, x):
         raise NotImplementedError
-
-    def compare(self, x, y) -> int:
-        """-1, 0 or 1 as x precedes, equals or follows y."""
-        raise NotImplementedError
-
-    def minimum(self, xs):
-        # ints and lex tuples already compare in group order
-        return min(xs)
 
     def window(self, lo: int, hi: int) -> list:
         """All elements with every coordinate in [lo, hi], sorted ascending."""
@@ -70,9 +63,6 @@ class IntegersGroup(OrderedGroup):
 
     def inverse(self, x):
         return -x
-
-    def compare(self, x, y):
-        return (x > y) - (x < y)
 
     def window(self, lo, hi):
         return list(range(lo, hi + 1))
@@ -109,9 +99,6 @@ class LexProductGroup(OrderedGroup):
 
     def inverse(self, x):
         return tuple(-a for a in x)
-
-    def compare(self, x, y):
-        return (x > y) - (x < y)
 
     def window(self, lo, hi):
         return [tuple(t) for t in itertools.product(range(lo, hi + 1), repeat=self.k)]

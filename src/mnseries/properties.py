@@ -15,7 +15,7 @@ from typing import Any, Iterable, Sequence
 from .errors import BoundsTooLarge, SizeCapExceeded, ZeroElement
 from .ideals import (IdealSet, annihilator, close_under_inverses,
                      enumerate_ideals, quotient_ideal, set_sum, weak_annihilator)
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism
+from .rings import FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_to_json
 
 DEFAULT_PAIR_CAP = 1 << 20
@@ -130,10 +130,10 @@ def is_sigma_compatible_ring(ring: FiniteRing,
     return PropertyReport("sigma-compatible", witness is None, witness=witness, elapsed=t.elapsed)
 
 
-def is_right_nonsingular(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> PropertyReport:
+def is_right_nonsingular(ring: FiniteRing) -> PropertyReport:
     """Sing(R) = {x | r(x) essential} must be {0}."""
     with _Timer() as t:
-        right_ideals = enumerate_ideals(ring, "right", size_cap)
+        right_ideals = enumerate_ideals(ring, "right")
         nonzero_ideals = [i.members for i in right_ideals if i.members != {0}]
         essential = set()
         for ideal in right_ideals:
@@ -150,10 +150,10 @@ def is_right_nonsingular(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> 
         elapsed=t.elapsed)
 
 
-def is_IN(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> PropertyReport:
+def is_IN(ring: FiniteRing) -> PropertyReport:
     """l(I n J) = l(I) + l(J) over all pairs of right ideals."""
     with _Timer() as t:
-        right_ideals = enumerate_ideals(ring, "right", size_cap)
+        right_ideals = enumerate_ideals(ring, "right")
         lann = {i.members: annihilator(ring, i.members, "left") for i in right_ideals}
         witness = None
         for I in right_ideals:
@@ -172,10 +172,10 @@ def is_IN(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> PropertyReport:
         elapsed=t.elapsed)
 
 
-def is_SA(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> PropertyReport:
+def is_SA(ring: FiniteRing) -> PropertyReport:
     """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals."""
     with _Timer() as t:
-        ideals = enumerate_ideals(ring, "twosided", size_cap)
+        ideals = enumerate_ideals(ring, "twosided")
         rann = {i.members: annihilator(ring, i.members, "right") for i in ideals}
         by_annihilator = {}
         for i in ideals:
@@ -342,8 +342,7 @@ def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport
 
 
 def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
-                     subset_cap: int = DEFAULT_SUBSET_CAP,
-                     witness_cap: int = DEFAULT_WITNESS_CAP) -> PropertyReport:
+                     subset_cap: int = DEFAULT_SUBSET_CAP) -> PropertyReport:
     """Exhaust all subsets X of R: whenever X is not inside U and (U:X) = U,
     a finite witness Y with (U:Y) = U must exist.
 
@@ -373,7 +372,7 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
         qualifying = 0
         witnessed = 0
         failures = []
-        do_witness = total <= witness_cap
+        do_witness = total <= DEFAULT_WITNESS_CAP
         examples = []
         for x_mask in range(1, total):
             low = x_mask & -x_mask

@@ -376,8 +376,7 @@ def ring_gf4() -> FiniteRing:
     return ring_from_table(data)
 
 
-def ring_make(spec: dict, base_dir: Path | None = None,
-              size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+def ring_make(spec: dict, base_dir: Path | None = None) -> FiniteRing:
     """Dispatch a RingSpec object to the matching constructor.
 
     Kinds: {"kind": "Zn", "n": int}, {"kind": "table", ...table or "path"},
@@ -390,8 +389,8 @@ def ring_make(spec: dict, base_dir: Path | None = None,
     def check_cap(size, what):
         if type(size) is not int:
             raise MalformedSpec(f"{what} size must be an integer, got {size!r}")
-        if size > size_cap:
-            raise MalformedSpec(f"{what} would have {size} elements, cap is {size_cap}")
+        if size > DEFAULT_SIZE_CAP:
+            raise MalformedSpec(f"{what} would have {size} elements, cap is {DEFAULT_SIZE_CAP}")
 
     kind = spec["kind"]
     if kind == "Zn":
@@ -406,12 +405,12 @@ def ring_make(spec: dict, base_dir: Path | None = None,
         factors = spec.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             raise MalformedSpec("product spec needs exactly 2 factors")
-        r1 = ring_make(factors[0], base_dir, size_cap)
-        r2 = ring_make(factors[1], base_dir, size_cap)
+        r1 = ring_make(factors[0], base_dir)
+        r2 = ring_make(factors[1], base_dir)
         check_cap(r1.size * r2.size, "product ring")
         return ring_product(r1, r2)
     if kind == "trivial_extension":
-        base = ring_make(spec["base"], base_dir, size_cap)
+        base = ring_make(spec["base"], base_dir)
         check_cap(base.size * base.size, "trivial extension")
         return ring_trivial_extension(base)
     raise MalformedSpec(f"unknown ring kind {kind!r}")

@@ -51,7 +51,8 @@ class TruncatedUniverse:
         self.algebra = WindowAlgebra(twist, win)
         self.terms = self.algebra.universe()
         self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
-        self._sa_armendariz = False  # set once thm4.5's hypotheses hold
+        # thm4.5's ideals K by right annihilator r(K), set once its hypotheses hold
+        self._k_by_annihilator: dict[frozenset[int], IdealSet] | None = None
         self._annihilators: dict[tuple, frozenset[tuple]] = {}
 
     def __len__(self) -> int:
@@ -293,7 +294,8 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     verify the annihilator sum identity on both levels.
 
     I0 and J0 are the right ideals generated by the generator contents; K is
-    searched among the enumerated base ideals; the universe-level identity
+    the first enumerated base ideal whose right annihilator is r(I0) + r(J0),
+    looked up in a table built once per universe; the universe-level identity
     compares the right annihilators of the coefficientwise series sets. The
     reverse direction recovers the base ideal from the universe-level series
     set by taking contents again.
@@ -304,7 +306,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
         if s.twist is not twist:
             raise TwistMismatch("generator series must share the universe's twist")
     # thm4.5's hypotheses, checked until they have held once on this universe
-    if not universe._sa_armendariz:
+    if universe._k_by_annihilator is None:
         if not twist.normalized:
             raise NotNormalized("twist is not normalized")
         sa = is_SA(ring)
@@ -314,7 +316,10 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
                                exponents=universe.window)
         if not garm.verdict:
             raise PreconditionFail(f"base ring fails the bounded G-Armendariz check: {garm.witness}")
-        universe._sa_armendariz = True
+        k_by_annihilator = {}
+        for cand in enumerate_ideals(ring, "twosided"):
+            k_by_annihilator.setdefault(annihilator(ring, cand.members), cand)
+        universe._k_by_annihilator = k_by_annihilator
 
     with _Timer() as t:
         I0 = ideal_closure(ring, _contents(I_gens), "right")
@@ -322,11 +327,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
         rI0 = annihilator(ring, I0.members)
         rJ0 = annihilator(ring, J0.members)
         target = set_sum(ring, rI0, rJ0)
-        K = None
-        for cand in enumerate_ideals(ring, "twosided"):
-            if annihilator(ring, cand.members) == target:
-                K = cand
-                break
+        K = universe._k_by_annihilator.get(target)
         if K is None:
             return PropertyReport(
                 "sa-transfer", False,

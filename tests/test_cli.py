@@ -215,7 +215,9 @@ def test_main_verify_timings_reach_stdout_out_and_report(tmp_path, capsys):
     saved = json.loads(out.read_text())
     for data in (shown, saved):
         assert isinstance(data["elapsed"], float) and data["elapsed"] > 0
-        assert all(isinstance(c["elapsed"], float) for c in data["checks"])
+        # every check times its own scan, extraction-vs-oracle included
+        assert all(isinstance(c["elapsed"], float) and c["elapsed"] > 0
+                   for c in data["checks"])
     assert main(["report", str(out)]) == 0
     assert f"elapsed: {saved['elapsed']:.3f}s" in capsys.readouterr().out
     assert main(["verify", "z4_tau_power", "--suite", "thm5.4", "--timings"]) == 0
@@ -290,7 +292,10 @@ def _twist(**spec):
     ({"suites": "thm5.4"}, "'suites' must be a list"),
     ({"ideals": {"U": {"kind": ["twosided"], "gens": [2]}}}, "'kind' must be"),
     ({"group": {"group": "Z"}, "twist": [1]}, "bad twist"),
-    ({"caps": {"ring_max": "9"}}, "cap 'ring_max' must be an integer"),
+    ({"caps": {"max_support": "9"}}, "cap 'max_support' must be an integer"),
+    ({"caps": {"window": [0]}}, "cap 'window' must be a pair of integers"),
+    ({"caps": {"univrse_cap": 8}}, "unknown cap 'univrse_cap'"),
+    ({"caps": {"ring_max": 9}}, "unknown cap 'ring_max'"),
     (_twist(tau="one"), "bad twist: tau spec must be an object"),
     (_twist(tau=[1]), "bad twist: tau spec must be an object"),
     (_twist(sigma={"generators": 5}), "bad twist: each sigma generator"),
@@ -304,7 +309,8 @@ def _twist(**spec):
     (_twist(tau={**_UNIT_POWER, "exponent_rule": [[1.5]]}), "bad twist: tau exponent matrix"),
     (_twist(tau={**_UNIT_POWER, "unit": "3"}), "bad twist: tau unit must be an element id"),
 ], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
-        "ideal-kind-list", "twist-list", "cap-string", "tau-string", "tau-list",
+        "ideal-kind-list", "twist-list", "cap-string", "cap-window-short", "cap-misspelt",
+        "cap-fixed", "tau-string", "tau-list",
         "sigma-generators-int", "overrides-int", "override-short", "override-out-of-range",
         "override-string", "patched-no-base", "unit-power-no-unit", "exponent-rule-string",
         "exponent-rule-float", "unit-string"])
@@ -381,6 +387,20 @@ def test_capped_checks_are_skipped_not_fatal(tmp_path, capsys, suite, skipped):
     assert all(b["universe_cap"] == 4096 for b in caps[1:])
     if suite == "examples":
         assert [c["verdict"] for c in data["checks"][1:]] == [True, True]
+
+
+@pytest.mark.parametrize("suite, count", [
+    ("lemma4.3", "65^2 = 4225"), ("thm4.5", "65^2 = 4225"), ("prop3.2", "65^3 = 274625")])
+def test_over_cap_universes_skip_the_suite(tmp_path, capsys, suite, count):
+    # Z65 is a valid ring, but 65 coefficients overflow the universe cap on any window
+    path = tmp_path / "z65.json"
+    path.write_text(json.dumps({"label": "z65", "ring": {"kind": "Zn", "n": 65}, **_PLAIN_TWIST}))
+    assert main(["verify", str(path), "--suite", suite, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "pass"
+    assert data["checks"] == [{
+        "property": suite, "verdict": None, "bounds": {"universe_cap": 4096},
+        "note": f"skipped: {count} universe series exceed the cap of 4096"}]
 
 
 def test_examples_derives_the_zip_context_once(monkeypatch):

@@ -5,10 +5,13 @@ import pytest
 from mnseries.errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                              NotSigmaCompatible, PreconditionFail, SizeCapExceeded,
                              ZeroSeries)
-from mnseries.ideals import make_ideal
+from mnseries.groups import IntegersGroup
+from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
+from mnseries.rings import ring_from_table
 from mnseries.series import (embed_scalar, exhaustive_series, random_series,
-                             series_add, series_make, series_mul, series_to_json)
+                             series_add, series_make, series_mul, series_to_json,
+                             trivial_twist)
 from mnseries.transfer import (TruncatedUniverse,
                                coefficient_extraction, extraction_oracle,
                                lift_fusible_decomposition,
@@ -338,3 +341,41 @@ def test_sa_transfer_failed_hypothesis_raises_on_every_call(tw_klein_swap):
     for _ in range(2):
         with pytest.raises(PreconditionFail, match="G-Armendariz"):
             sa_transfer_witness([], [], uni)
+
+
+def _z2xy():
+    """Z2[x,y]/(x,y)^2, a + bx + cy as a | b << 1 | c << 2: the ideals (x),
+    (y), (x+y) and (x,y) all have right annihilator (x,y)."""
+    def mul(i, j):
+        a, b, c = i & 1, i >> 1 & 1, i >> 2 & 1
+        d, e, f = j & 1, j >> 1 & 1, j >> 2 & 1
+        return a * d | (a * e ^ b * d) << 1 | (a * f ^ c * d) << 2
+    return ring_from_table({"label": "Z2[x,y]/(x,y)^2", "size": 8, "one": 1,
+                            "add": [[i ^ j for j in range(8)] for i in range(8)],
+                            "mul": [[mul(i, j) for j in range(8)] for i in range(8)]})
+
+
+def test_thm45_run_builds_the_K_table_once(monkeypatch):
+    import mnseries.transfer as transfer
+    from mnseries.cli import Fixture, run_suite
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_ideals(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "enumerate_ideals", counting)
+    ring, group = _z2xy(), IntegersGroup()
+    rep = run_suite(Fixture("z2xy", ring, group, trivial_twist(ring, group)), "thm4.5")
+    assert rep.status == "pass" and len(calls) == 1
+    # each K is the first enumerated ideal whose right annihilator is r(I0) + r(J0)
+    ideals = enumerate_ideals(ring, "twosided")
+    ks = set()
+    for check in rep.checks:
+        if check.prop == "sa-transfer":
+            cert = check.certificate
+            first = next(K for K in ideals
+                         if annihilator(ring, K.members) == set(cert["r_sum"]))
+            assert cert["K"] == first.sorted_members()
+            ks.add(tuple(cert["K"]))
+    assert (0, 2) in ks  # the first of the four ideals annihilated by (x, y)

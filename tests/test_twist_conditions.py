@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnseries.cli import load_fixture, resolve_fixture, shipped_fixtures
+from mnseries.cli import TWIST_WINDOW, load_fixture, resolve_fixture, shipped_fixtures
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.rings import ring_gf4, ring_product, ring_zn, unit_inverse, units
 from mnseries.series import (TauPatched, TwistSystem, check_twist_conditions,
@@ -109,7 +109,7 @@ def _assert_same(twist, window):
 @pytest.mark.parametrize("name", shipped_fixtures())
 def test_shipped_twists_match_the_loop(name):
     fx = load_fixture(resolve_fixture(name), validate=False)
-    got = _assert_same(fx.twist, fx.group.window(*fx.cap("twist_window")))
+    got = _assert_same(fx.twist, fx.group.window(*TWIST_WINDOW))
     if name == "z4_tau_corrupted":
         assert not got["cocycle-paper"][0] and not got["cocycle-standard"][0]
 

@@ -7,7 +7,7 @@ load (cocycle conditions plus sampled associativity) before any suite
 touches it.
 
 Exit codes: 0 all applicable checks pass (not-applicable suites warn),
-1 a check failed, 2 the fixture is invalid.
+1 a check failed, 2 the fixture or the command line is invalid.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import (HypothesisFails, MNSeriesError, ParseError, PreconditionFail,
                      SizeCapExceeded, SuiteUnknown, TraceMismatch, ValidationError)
-from .groups import OrderedGroup, group_make
+from .groups import COORD_BOUND, OrderedGroup, group_make
 from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                      ideal_closure, is_semiprime_ideal, is_sigma_compatible_ideal,
                      make_ideal, nil_radical, quotient_ideal, weak_annihilator)
-from .properties import (DEFAULT_SUBSET_CAP, PropertyReport, _Timer, is_G_armendariz,
-                         is_IN, is_SA, is_left_fusible, is_right_nonsingular,
-                         is_sigma_compatible_ring, right_zip_witness,
+from .properties import (PropertyReport, is_G_armendariz, is_IN, is_SA, is_left_fusible,
+                         is_right_nonsingular, is_sigma_compatible_ring, right_zip_witness,
                          sigma_u_zip_scan, sigma_u_zip_witness,
                          weak_zip_witness, zero_divisor_sets)
 from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
@@ -40,8 +40,7 @@ from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
                      check_twist_conditions, random_series, random_triples,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
-from .transfer import (DEFAULT_UNIVERSE_CAP, TruncatedUniverse, _trace,
-                       lift_fusible_decomposition,
+from .transfer import (TruncatedUniverse, _trace, lift_fusible_decomposition,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness)
 
@@ -72,7 +71,6 @@ class Fixture:
     series: dict[str, Series] = field(default_factory=dict)
     suites: list[str] = field(default_factory=list)
     caps: dict = field(default_factory=dict)
-    path: Path | None = None
     # (twist conditions, sampled associativity) from load-time validation
     validation: tuple | None = None
 
@@ -103,6 +101,17 @@ def resolve_fixture(name_or_path: str) -> Path:
         return Path(str(shipped))
     raise ParseError(f"no fixture file or shipped fixture named {name_or_path!r} "
                      f"(shipped: {', '.join(shipped_fixtures())})")
+
+
+def _window_problem(lo: int, hi: int) -> str | None:
+    """What makes lo..hi unusable as an exponent window, or None: it must be
+    nonempty, and the sum of two of its exponents (a product's support) must
+    stay inside the group's coordinate bound."""
+    if lo > hi:
+        return f"{lo}..{hi} is empty (lo > hi)"
+    if 2 * max(-lo, hi) > COORD_BOUND:
+        return f"{lo}..{hi} has exponent sums beyond the coordinate bound {COORD_BOUND}"
+    return None
 
 
 def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0):
@@ -169,6 +178,9 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
         if type(default) is list and not (isinstance(value, list) and len(value) == 2
                                           and all(type(v) is int for v in value)):
             raise ValidationError(f"fixture {label!r}: cap {key!r} must be a pair of integers")
+    problem = _window_problem(*caps["window"])
+    if problem:
+        raise ValidationError(f"fixture {label!r}: cap 'window' {problem}")
     try:
         ring = ring_make(data["ring"], base_dir=path.parent)
     except MNSeriesError as exc:
@@ -220,28 +232,26 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
     for s in suites:
         if s not in SUITE_NAMES:
             raise ValidationError(f"fixture {label!r}: unknown suite {s!r}")
-    return Fixture(label, ring, group, twist, ideals, series, suites, caps, path, validation)
+    return Fixture(label, ring, group, twist, ideals, series, suites, caps, validation)
 
 
 # --- suite runners -----------------------------------------------------------
 
 
-def _suite_ring_axioms(fx: Fixture, seed: int) -> list[PropertyReport]:
-    checks = []
+def _suite_ring_axioms(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     rep = check_ring_axioms(fx.ring)
-    checks.append(PropertyReport(
+    yield PropertyReport(
         "ring-axioms", rep.passed,
         witness=[{"axiom": r.axiom, "witness": list(r.witness)}
                  for r in rep.failures()] or None,
-        certificate={"axioms": len(rep.results)} if rep.passed else None))
+        certificate={"axioms": len(rep.results)} if rep.passed else None)
     us = units(fx.ring)
     mul = fx.ring.mul_table
     closed = all(mul[a][b] in us for a in us for b in us)
     inverses = all(any(mul[a][b] == fx.ring.one and mul[b][a] == fx.ring.one for b in us)
                    for a in us)
-    checks.append(PropertyReport(
-        "units-group", fx.ring.one in us and closed and inverses,
-        certificate={"units": sorted(us)}))
+    yield PropertyReport("units-group", fx.ring.one in us and closed and inverses,
+                         certificate={"units": sorted(us)})
     if fx.twist is not None:
         bad = None
         for i, gen in enumerate(fx.twist.sigma_generators()):
@@ -250,8 +260,7 @@ def _suite_ring_axioms(fx: Fixture, seed: int) -> list[PropertyReport]:
             except MNSeriesError as exc:
                 bad = {"generator": i, "error": str(exc)}
                 break
-        checks.append(PropertyReport("sigma-automorphisms", bad is None, witness=bad))
-    return checks
+        yield PropertyReport("sigma-automorphisms", bad is None, witness=bad)
 
 
 def _subset_pool(ring: FiniteRing, seed: int):
@@ -271,23 +280,21 @@ def _subset_pool(ring: FiniteRing, seed: int):
     return pool
 
 
-def _suite_ideals(fx: Fixture, seed: int) -> list[PropertyReport]:
+def _suite_ideals(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     ring = fx.ring
-    checks = []
     two = enumerate_ideals(ring, "twosided")
     right = enumerate_ideals(ring, "right")
-    checks.append(PropertyReport(
+    yield PropertyReport(
         "ideal-enumeration", True,
         certificate={"twosided": [i.sorted_members() for i in two],
-                     "right_count": len(right)}))
+                     "right_count": len(right)})
 
     idem_witness = None
     for ideal in two + right:
         if ideal_closure(ring, ideal.members, ideal.kind).members != ideal.members:
             idem_witness = ideal.sorted_members()
             break
-    checks.append(PropertyReport("closure-idempotent", idem_witness is None,
-                                 witness=idem_witness))
+    yield PropertyReport("closure-idempotent", idem_witness is None, witness=idem_witness)
 
     pool = _subset_pool(ring, seed)
     zero_ideal = make_ideal(ring, {0})
@@ -296,9 +303,9 @@ def _suite_ideals(fx: Fixture, seed: int) -> list[PropertyReport]:
         if quotient_ideal(zero_ideal, xs) != annihilator(ring, xs):
             agree_witness = sorted(xs)
             break
-    checks.append(PropertyReport("quotient-annihilator-agreement",
-                                 agree_witness is None, witness=agree_witness,
-                                 bounds={"subsets": len(pool)}))
+    yield PropertyReport("quotient-annihilator-agreement",
+                         agree_witness is None, witness=agree_witness,
+                         bounds={"subsets": len(pool)})
 
     pair_witness = None
     contain_witness = None
@@ -313,10 +320,10 @@ def _suite_ideals(fx: Fixture, seed: int) -> list[PropertyReport]:
             if vu_inside and not U.members <= q:
                 contain_witness = {"U": U.sorted_members(), "V": V.sorted_members(),
                                    "quotient": sorted(q)}
-    checks.append(PropertyReport("right-pair-quotient-twosided", pair_witness is None,
-                                 witness=pair_witness))
-    checks.append(PropertyReport("quotient-contains-U", contain_witness is None,
-                                 witness=contain_witness))
+    yield PropertyReport("right-pair-quotient-twosided", pair_witness is None,
+                         witness=pair_witness)
+    yield PropertyReport("quotient-contains-U", contain_witness is None,
+                         witness=contain_witness)
 
     nil, is_ni = nil_radical(ring)
     semi_witness = None
@@ -324,9 +331,9 @@ def _suite_ideals(fx: Fixture, seed: int) -> list[PropertyReport]:
         if is_semiprime_ideal(ideal).ok and not nil <= ideal.members:
             semi_witness = ideal.sorted_members()
             break
-    checks.append(PropertyReport("nil-inside-semiprime", semi_witness is None,
-                                 witness=semi_witness,
-                                 certificate={"nil": sorted(nil), "NI": is_ni}))
+    yield PropertyReport("nil-inside-semiprime", semi_witness is None,
+                         witness=semi_witness,
+                         certificate={"nil": sorted(nil), "NI": is_ni})
 
     if is_ni:
         nil_ideal = make_ideal(ring, nil)
@@ -335,52 +342,41 @@ def _suite_ideals(fx: Fixture, seed: int) -> list[PropertyReport]:
             if weak_annihilator(ring, xs, nil) != quotient_ideal(nil_ideal, xs):
                 wa_witness = sorted(xs)
                 break
-        checks.append(PropertyReport("weak-annihilator-is-nil-quotient",
-                                     wa_witness is None, witness=wa_witness,
-                                     bounds={"subsets": len(pool)}))
-    return checks
+        yield PropertyReport("weak-annihilator-is-nil-quotient",
+                             wa_witness is None, witness=wa_witness,
+                             bounds={"subsets": len(pool)})
 
 
-def _suite_properties(fx: Fixture, seed: int, only: str | None = None) -> list[PropertyReport]:
+def _suite_properties(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     ring = fx.ring
     fam = fx.sigma_family()
-    checks = []
     zd = zero_divisor_sets(ring)
-    checks.append(PropertyReport(
+    yield PropertyReport(
         "zero-divisors", True,
         certificate={"left": sorted(zd.left), "left_regular": sorted(zd.left_regular),
-                     "right": sorted(zd.right), "right_regular": sorted(zd.right_regular)}))
-    checks.append(is_left_fusible(ring))
-    checks.append(is_sigma_compatible_ring(ring, fam))
-    checks.append(is_right_nonsingular(ring))
-    checks.append(is_IN(ring))
-    checks.append(is_SA(ring))
+                     "right": sorted(zd.right), "right_regular": sorted(zd.right_regular)})
+    yield is_left_fusible(ring)
+    yield is_sigma_compatible_ring(ring, fam)
+    yield is_right_nonsingular(ring)
+    yield is_IN(ring)
+    yield is_SA(ring)
     nil, is_ni = nil_radical(ring)
-    checks.append(PropertyReport("nil-radical", True,
-                                 certificate={"nil": sorted(nil), "NI": is_ni}))
+    yield PropertyReport("nil-radical", True, certificate={"nil": sorted(nil), "NI": is_ni})
     for name, ideal in sorted(fx.ideals.items()):
         if ideal.kind != "twosided":
             continue
         sp = is_semiprime_ideal(ideal)
-        checks.append(PropertyReport(f"semiprime-{name}", sp.ok,
-                                     witness=list(sp.witness) if sp.witness else None))
+        yield PropertyReport(f"semiprime-{name}", sp.ok,
+                             witness=list(sp.witness) if sp.witness else None)
         sc = is_sigma_compatible_ideal(ideal, fam)
-        checks.append(PropertyReport(f"sigma-compatible-{name}", sc.ok,
-                                     witness=sc.witness))
+        yield PropertyReport(f"sigma-compatible-{name}", sc.ok, witness=sc.witness)
     if fx.twist is not None:
         exps = fx.group.window(*fx.cap("window"))
         try:
-            checks.append(is_G_armendariz(ring, fx.twist, fx.cap("max_support"), exps))
-        except MNSeriesError as exc:
-            checks.append(PropertyReport("G-armendariz", None,
-                                         note=f"skipped: {exc}"))
-    if only is not None:
-        matched = [c for c in checks if c.prop == only]
-        if not matched:
-            raise SuiteUnknown(f"no property named {only!r}; available: "
-                               + ", ".join(c.prop for c in checks))
-        return matched
-    return checks
+            garm = is_G_armendariz(ring, fx.twist, fx.cap("max_support"), exps)
+        except SizeCapExceeded as exc:
+            garm = PropertyReport("G-armendariz", None, note=f"skipped: {exc}")
+        yield garm
 
 
 def _property_suite_status(checks: list[PropertyReport]) -> str:
@@ -392,7 +388,7 @@ def _property_suite_status(checks: list[PropertyReport]) -> str:
     return "pass"
 
 
-def _suite_prop32(fx: Fixture, seed: int) -> list[PropertyReport]:
+def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     twist = fx.twist
     if twist is None:
         raise PreconditionFail("fixture has no twist")
@@ -406,30 +402,28 @@ def _suite_prop32(fx: Fixture, seed: int) -> list[PropertyReport]:
         lift = lift_fusible_decomposition(f, universe)
         if not lift.ok:
             failures.append({"f": series_to_json(f), "lift": lift.to_json()})
-    return [PropertyReport(
+    yield PropertyReport(
         "fusible-lift", not failures, witness=failures or None,
         certificate={"samples": SAMPLES},
         bounds={"window": fx.cap("window"), "max_support": fx.cap("max_support"),
-                "universe": universe.describe()})]
+                "universe": universe.describe()})
 
 
-def _suite_lemma43(fx: Fixture, seed: int) -> list[PropertyReport]:
+def _suite_lemma43(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
     universe = TruncatedUniverse(fx.twist, fx.group.window(*UNIVERSE_WINDOW))
     right = enumerate_ideals(fx.ring, "right")
     pairs = [(I, J) for I in right for J in right][:IDEAL_PAIR_LIMIT]
-    checks = []
     for I, J in pairs:
         for side in ("left", "right"):
-            checks.append(lifted_annihilator_check(I, J, side, universe))
+            yield lifted_annihilator_check(I, J, side, universe)
     if len(right) ** 2 > IDEAL_PAIR_LIMIT:
-        checks.append(PropertyReport("pair-coverage", None, note=(
-            f"skipped: only first {IDEAL_PAIR_LIMIT} of {len(right) ** 2} pairs run")))
-    return checks
+        yield PropertyReport("pair-coverage", None, note=(
+            f"skipped: only first {IDEAL_PAIR_LIMIT} of {len(right) ** 2} pairs run"))
 
 
-def _suite_thm45(fx: Fixture, seed: int) -> list[PropertyReport]:
+def _suite_thm45(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
     twist = fx.twist
@@ -445,18 +439,16 @@ def _suite_thm45(fx: Fixture, seed: int) -> list[PropertyReport]:
                       for k, c in enumerate(sorted(J.members - {0}))]
             configs.append((f"{I.sorted_members()}x{J.sorted_members()}", gens_i, gens_j))
     limit = IDEAL_PAIR_LIMIT + 1
-    checks = []
     for name, gi, gj in configs[:limit]:
         rep = sa_transfer_witness(gi, gj, universe)
         rep.certificate = dict(rep.certificate or {}, config=name)
-        checks.append(rep)
+        yield rep
     if len(configs) > limit:
-        checks.append(PropertyReport("config-coverage", None,
-                                     note=f"skipped: only first {limit} of {len(configs)} configurations run"))
-    return checks
+        yield PropertyReport("config-coverage", None,
+                             note=f"skipped: only first {limit} of {len(configs)} configurations run")
 
 
-def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
+def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
     twist = fx.twist
@@ -465,28 +457,28 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
         raise PreconditionFail("fixture names no ideal 'U'")
     require_zip(U, twist)
 
-    checks = [_zip_scan(fx, U)]
+    yield _zip_scan(fx, U)
 
     exps = fx.group.window(*fx.cap("window"))
     try:
         universe = TruncatedUniverse(twist, exps)
     except SizeCapExceeded as exc:
-        bounds = {"window": fx.cap("window"), "universe_cap": DEFAULT_UNIVERSE_CAP}
-        return checks + [PropertyReport(prop, None, bounds=bounds, note=f"skipped: {exc}")
-                         for prop in ("extraction-vs-oracle", "series-zip")]
-    with _Timer() as t:
-        pairs, qualifying, mismatch = _extraction_scan(universe, U)
-    checks.append(PropertyReport(
+        bounds = {"window": fx.cap("window"), **exc.bounds}
+        for prop in ("extraction-vs-oracle", "series-zip"):
+            yield PropertyReport(prop, None, bounds=bounds, note=f"skipped: {exc}")
+        return
+    pairs, qualifying, mismatch = _extraction_scan(universe, U)
+    yield PropertyReport(
         "extraction-vs-oracle", mismatch is None, witness=mismatch,
         certificate={"pairs": pairs, "qualifying": qualifying},
-        bounds={"window": fx.cap("window")}, elapsed=t.elapsed))
+        bounds={"window": fx.cap("window")})
 
     candidates = [a for a in fx.ring.elements() if a not in U.members
                   and quotient_ideal(U, {a}) == U.members]
     if not candidates:
-        checks.append(PropertyReport("series-zip", None,
-                                     note="skipped: no element outside U satisfies (U:{a}) = U"))
-        return checks
+        yield PropertyReport("series-zip", None,
+                             note="skipped: no element outside U satisfies (U:{a}) = U")
+        return
     outside = candidates[0]
     configs = [[series_make(twist, [(twist.group.identity, outside)])]]
     inside = sorted(a for a in U.members if a != 0)
@@ -494,8 +486,7 @@ def _suite_thm54(fx: Fixture, seed: int) -> list[PropertyReport]:
         configs.append([series_make(twist, [(exps[0], inside[0])]),
                         series_make(twist, [(exps[1], outside)])])
     for X in configs:
-        checks.append(series_zip_witness(X, U, universe))
-    return checks
+        yield series_zip_witness(X, U, universe)
 
 
 def _extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int, str | None]:
@@ -546,7 +537,7 @@ def _zip_scan(fx: Fixture, U: IdealSet) -> PropertyReport:
         return sigma_u_zip_scan(fx.ring, U)
     except SizeCapExceeded as exc:
         return PropertyReport("sigma-U-zip-scan", None, note=f"skipped: {exc}",
-                              bounds={"U": U.sorted_members(), "subset_cap": DEFAULT_SUBSET_CAP})
+                              bounds={"U": U.sorted_members(), **exc.bounds})
 
 
 def _zip_status(report: PropertyReport) -> str:
@@ -555,20 +546,18 @@ def _zip_status(report: PropertyReport) -> str:
     return "ok" if report.verdict else "fail"
 
 
-def _suite_examples(fx: Fixture, seed: int) -> list[PropertyReport]:
+def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     ring = fx.ring
-    checks = []
     proper_two = {name: ideal for name, ideal in sorted(fx.ideals.items())
                   if ideal.kind == "twosided" and len(ideal.members) < ring.size}
     for name, U in proper_two.items():
         scan = _zip_scan(fx, U)
         scan.certificate = dict(scan.certificate or {}, ideal=name)
-        checks.append(scan)
+        yield scan
         quotients = {str(v): sorted(quotient_ideal(U, {v}))
                      for v in ring.elements() if v not in U.members}
-        checks.append(PropertyReport(
-            f"singleton-quotients-{name}", True,
-            certificate={"U": U.sorted_members(), "quotients": quotients}))
+        yield PropertyReport(f"singleton-quotients-{name}", True,
+                             certificate={"U": U.sorted_members(), "quotients": quotients})
 
     pool = _subset_pool(ring, seed)
     fam = fx.sigma_family()
@@ -598,11 +587,10 @@ def _suite_examples(fx: Fixture, seed: int) -> list[PropertyReport]:
                 disagreement = {"X": sorted(xs), "sigma_u_zip": c.to_json(),
                                 "weak_zip": d.to_json()}
                 break
-    checks.append(PropertyReport(
+    yield PropertyReport(
         "zip-specialization-agreement", disagreement is None,
         witness=disagreement, certificate={"comparisons": compared},
-        bounds={"subsets": len(pool), "NI": is_ni}))
-    return checks
+        bounds={"subsets": len(pool), "NI": is_ni})
 
 
 _SUITES = {
@@ -636,11 +624,25 @@ class SuiteReport:
         return out
 
 
+def _timed(checks: Iterable[PropertyReport], start: float) -> list[PropertyReport]:
+    """Drain a suite's checks, stamping each with the seconds since the
+    previous one (the first: since `start`), so the checks add up to the
+    suite and setup is charged to the first check that needs it."""
+    out = []
+    for check in checks:
+        now = time.perf_counter()
+        check.elapsed, start = now - start, now
+        out.append(check)
+    return out
+
+
 def run_suite(fixture: Fixture, suite: str, seed: int = 0,
               overrides: dict | None = None) -> SuiteReport:
     """Run one named suite; preconditions that fail make the suite
     not-applicable unless the fixture claims it, in which case they fail it.
-    A universe over its cap skips the suite with a null verdict."""
+    A scan over its cap skips the suite with a null verdict. A suite that
+    ends in one of these exceptions drops the checks it yielded so far for
+    one check of its own, timed from the suite's start."""
     if suite not in _SUITES:
         raise SuiteUnknown(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if overrides:
@@ -649,25 +651,25 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
               "samples": SAMPLES, "universe_window": list(UNIVERSE_WINDOW)}
     start = time.perf_counter()
     try:
-        checks = _SUITES[suite](fixture, seed)
+        checks = _timed(_SUITES[suite](fixture, seed), start)
     except PreconditionFail as exc:
         claimed = suite in fixture.suites
         status = "fail" if claimed else "not_applicable"
         note = ("claimed applicable but precondition failed: "
                 if claimed else "not_applicable: ") + str(exc)
-        checks = [PropertyReport(suite, False if claimed else None, note=note)]
+        checks = _timed([PropertyReport(suite, False if claimed else None, note=note)], start)
     except SizeCapExceeded as exc:
         status = "pass"
-        checks = [PropertyReport(suite, None, note=f"skipped: {exc}",
-                                 bounds={"universe_cap": DEFAULT_UNIVERSE_CAP})]
+        checks = _timed([PropertyReport(suite, None, note=f"skipped: {exc}",
+                                        bounds=exc.bounds)], start)
     except TraceMismatch as exc:
         status = "fail"
-        checks = [PropertyReport(suite, False, witness=str(exc),
-                                 note="derivation trace mismatch")]
+        checks = _timed([PropertyReport(suite, False, witness=str(exc),
+                                        note="derivation trace mismatch")], start)
     except HypothesisFails as exc:
         status = "fail"
-        checks = [PropertyReport(suite, False, witness=exc.witness,
-                                 note=f"hypothesis_fails: {exc}")]
+        checks = _timed([PropertyReport(suite, False, witness=exc.witness,
+                                        note=f"hypothesis_fails: {exc}")], start)
     else:
         if suite == "properties":
             status = _property_suite_status(checks)
@@ -753,9 +755,13 @@ def _add_common(parser):
 def _parse_window(text: str) -> list[int]:
     lo, _, hi = text.partition("..")
     try:
-        return [int(lo), int(hi)]
+        window = [int(lo), int(hi)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"window must look like 'a..b', got {text!r}")
+    problem = _window_problem(*window)
+    if problem:
+        raise argparse.ArgumentTypeError(f"window {problem}")
+    return window
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -839,7 +845,13 @@ def main(argv=None) -> int:
 
         if args.command == "props":
             fx = load_fixture(path, seed=args.seed)
-            checks = _suite_properties(fx, args.seed, only=args.prop)
+            checks = list(_suite_properties(fx, args.seed))
+            if args.prop is not None:
+                matched = [c for c in checks if c.prop == args.prop]
+                if not matched:
+                    raise SuiteUnknown(f"no property named {args.prop!r}; available: "
+                                       + ", ".join(c.prop for c in checks))
+                checks = matched
             report = SuiteReport(fx.label, "properties", args.seed, {}, checks,
                                  _property_suite_status(checks))
             print(emit_report(report, args.format))

@@ -30,7 +30,12 @@ class RingMismatch(MNSeriesError):
 
 
 class SizeCapExceeded(MNSeriesError):
-    """An exhaustive scan was requested beyond the configured cap."""
+    """An exhaustive scan was requested beyond the configured cap; `bounds`
+    names the cap, e.g. {"pair_cap": 1048576}."""
+
+    def __init__(self, message, bounds):
+        super().__init__(message)
+        self.bounds = bounds
 
 
 class DuplicateKey(MNSeriesError):
@@ -55,10 +60,6 @@ class NotNormalized(PreconditionFail):
 
 class ZeroElement(MNSeriesError):
     """Fusible decomposition requested for the zero element."""
-
-
-class BoundsTooLarge(MNSeriesError):
-    """Requested enumeration bounds exceed the feasibility cap."""
 
 
 class NotFusibleRing(PreconditionFail):

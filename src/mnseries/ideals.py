@@ -115,7 +115,8 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]
     closures, and pairwise joins are iterated to a fixpoint.
     """
     if ring.size > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}")
+        raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
+                              {"size_cap": DEFAULT_SIZE_CAP})
     seen = {frozenset({0})}
     frontier = set()
     for a in ring.elements():

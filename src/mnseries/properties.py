@@ -8,13 +8,12 @@ condition; checkers re-run that evaluation themselves before returning.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .errors import BoundsTooLarge, SizeCapExceeded, ZeroElement
-from .ideals import (IdealSet, annihilator, close_under_inverses,
-                     enumerate_ideals, quotient_ideal, set_sum, weak_annihilator)
+from .errors import SizeCapExceeded, ZeroElement
+from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_ideals,
+                     is_sigma_compatible_ideal, quotient_ideal, set_sum, weak_annihilator)
 from .rings import FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_to_json
 
@@ -42,19 +41,6 @@ class PropertyReport:
         if include_timing:
             out["elapsed"] = self.elapsed
         return out
-
-
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
 
 
 @dataclass
@@ -91,114 +77,100 @@ def fusible_decompositions(ring: FiniteRing, a: int) -> list[tuple[int, int]]:
 
 def is_left_fusible(ring: FiniteRing) -> PropertyReport:
     """Every nonzero element splits as left zero-divisor + left regular."""
-    with _Timer() as t:
-        zd = zero_divisor_sets(ring)
-        reachable = set_sum(ring, zd.left, zd.left_regular)
-        witness = None
-        for a in range(1, ring.size):
-            if a not in reachable:
-                witness = a
-                break
-        if witness is not None:
-            # direct re-verification of the witness
-            assert fusible_decompositions(ring, witness) == []
+    zd = zero_divisor_sets(ring)
+    reachable = set_sum(ring, zd.left, zd.left_regular)
+    witness = None
+    for a in range(1, ring.size):
+        if a not in reachable:
+            witness = a
+            break
+    if witness is not None:
+        # direct re-verification of the witness
+        assert fusible_decompositions(ring, witness) == []
     return PropertyReport(
         "left-fusible", witness is None, witness=witness,
         certificate=None if witness is not None else
-        {"left_divisors": sorted(zd.left), "left_regular": sorted(zd.left_regular)},
-        elapsed=t.elapsed)
+        {"left_divisors": sorted(zd.left), "left_regular": sorted(zd.left_regular)})
 
 
 def is_sigma_compatible_ring(ring: FiniteRing,
                              sigma_family: Iterable[RingAutomorphism]) -> PropertyReport:
-    """ab = 0 <-> a*sigma(b) = 0 for every generator and inverse."""
-    with _Timer() as t:
-        fam = close_under_inverses(sigma_family)
-        witness = None
-        for idx, s in enumerate(fam):
-            for a in ring.elements():
-                for b in ring.elements():
-                    if (ring.mul_table[a][b] == 0) != (ring.mul_table[a][s.map[b]] == 0):
-                        witness = {"a": a, "b": b, "automorphism": list(s.map),
-                                   "ab": ring.mul_table[a][b],
-                                   "a_sigma_b": ring.mul_table[a][s.map[b]]}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    return PropertyReport("sigma-compatible", witness is None, witness=witness, elapsed=t.elapsed)
+    """ab = 0 <-> a*sigma(b) = 0 for every generator and inverse: the ideal
+    check for U = {0}."""
+    fam = close_under_inverses(sigma_family)
+    compat = is_sigma_compatible_ideal(IdealSet(ring, frozenset({0}), "twosided"), fam)
+    witness = None
+    if not compat.ok:
+        a, b, idx = compat.witness
+        s = fam[idx]  # closing a closed family keeps its order, so idx indexes fam
+        witness = {"a": a, "b": b, "automorphism": list(s.map),
+                   "ab": ring.mul_table[a][b], "a_sigma_b": ring.mul_table[a][s.map[b]]}
+    return PropertyReport("sigma-compatible", compat.ok, witness=witness)
 
 
 def is_right_nonsingular(ring: FiniteRing) -> PropertyReport:
     """Sing(R) = {x | r(x) essential} must be {0}."""
-    with _Timer() as t:
-        right_ideals = enumerate_ideals(ring, "right")
-        nonzero_ideals = [i.members for i in right_ideals if i.members != {0}]
-        essential = set()
-        for ideal in right_ideals:
-            if all(ideal.members & m != {0} for m in nonzero_ideals):
-                essential.add(ideal.members)
-        sing = sorted(a for a in ring.elements()
-                      if annihilator(ring, {a}) in essential)
-        verdict = sing == [0]
+    right_ideals = enumerate_ideals(ring, "right")
+    nonzero_ideals = [i.members for i in right_ideals if i.members != {0}]
+    essential = set()
+    for ideal in right_ideals:
+        if all(ideal.members & m != {0} for m in nonzero_ideals):
+            essential.add(ideal.members)
+    sing = sorted(a for a in ring.elements()
+                  if annihilator(ring, {a}) in essential)
+    verdict = sing == [0]
     return PropertyReport(
         "right-nonsingular", verdict,
         witness=None if verdict else [a for a in sing if a != 0],
         certificate={"singular": sing,
-                     "essential_right_ideals": sorted(sorted(m) for m in essential)},
-        elapsed=t.elapsed)
+                     "essential_right_ideals": sorted(sorted(m) for m in essential)})
 
 
 def is_IN(ring: FiniteRing) -> PropertyReport:
     """l(I n J) = l(I) + l(J) over all pairs of right ideals."""
-    with _Timer() as t:
-        right_ideals = enumerate_ideals(ring, "right")
-        lann = {i.members: annihilator(ring, i.members, "left") for i in right_ideals}
-        witness = None
-        for I in right_ideals:
-            for J in right_ideals:
-                meet = annihilator(ring, I.members & J.members, "left")
-                if meet != set_sum(ring, lann[I.members], lann[J.members]):
-                    witness = {"I": I.sorted_members(), "J": J.sorted_members(),
-                               "l_meet": sorted(meet),
-                               "l_sum": sorted(set_sum(ring, lann[I.members], lann[J.members]))}
-                    break
-            if witness:
+    right_ideals = enumerate_ideals(ring, "right")
+    lann = {i.members: annihilator(ring, i.members, "left") for i in right_ideals}
+    witness = None
+    for I in right_ideals:
+        for J in right_ideals:
+            meet = annihilator(ring, I.members & J.members, "left")
+            if meet != set_sum(ring, lann[I.members], lann[J.members]):
+                witness = {"I": I.sorted_members(), "J": J.sorted_members(),
+                           "l_meet": sorted(meet),
+                           "l_sum": sorted(set_sum(ring, lann[I.members], lann[J.members]))}
                 break
+        if witness:
+            break
     return PropertyReport(
         "IN", witness is None, witness=witness,
-        certificate=None if witness else {"right_ideals": len(right_ideals)},
-        elapsed=t.elapsed)
+        certificate=None if witness else {"right_ideals": len(right_ideals)})
 
 
 def is_SA(ring: FiniteRing) -> PropertyReport:
     """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals."""
-    with _Timer() as t:
-        ideals = enumerate_ideals(ring, "twosided")
-        rann = {i.members: annihilator(ring, i.members, "right") for i in ideals}
-        by_annihilator = {}
-        for i in ideals:
-            by_annihilator.setdefault(rann[i.members], i)
-        witness = None
-        table = []
-        for I in ideals:
-            for J in ideals:
-                target = set_sum(ring, rann[I.members], rann[J.members])
-                K = by_annihilator.get(target)
-                if K is None:
-                    witness = {"I": I.sorted_members(), "J": J.sorted_members(),
-                               "r_sum": sorted(target)}
-                    break
-                assert rann[K.members] == target  # certificate re-verifies
-                table.append({"I": I.sorted_members(), "J": J.sorted_members(),
-                              "K": K.sorted_members()})
-            if witness:
+    ideals = enumerate_ideals(ring, "twosided")
+    rann = {i.members: annihilator(ring, i.members, "right") for i in ideals}
+    by_annihilator = {}
+    for i in ideals:
+        by_annihilator.setdefault(rann[i.members], i)
+    witness = None
+    table = []
+    for I in ideals:
+        for J in ideals:
+            target = set_sum(ring, rann[I.members], rann[J.members])
+            K = by_annihilator.get(target)
+            if K is None:
+                witness = {"I": I.sorted_members(), "J": J.sorted_members(),
+                           "r_sum": sorted(target)}
                 break
+            assert rann[K.members] == target  # certificate re-verifies
+            table.append({"I": I.sorted_members(), "J": J.sorted_members(),
+                          "K": K.sorted_members()})
+        if witness:
+            break
     return PropertyReport(
         "SA", witness is None, witness=witness,
-        certificate=None if witness else {"pairs": table},
-        elapsed=t.elapsed)
+        certificate=None if witness else {"pairs": table})
 
 
 def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
@@ -211,38 +183,37 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     leading term is nonzero is decided without its product being built;
     pairs_checked counts those pruned pairs too.
     """
-    with _Timer() as t:
-        grp = twist.group
-        exps = [grp.canon(x) for x in exponents]
-        count = ring.size ** len(exps)
-        if count * count > pair_cap:
-            raise BoundsTooLarge(
-                f"{count}^2 series pairs exceed the cap of {pair_cap}")
-        alg = WindowAlgebra(twist, exps)
-        universe = alg.universe(max_support)
-        witness = None
-        pairs_checked = len(universe) ** 2
-        zero_products = 0
-        mul = ring.mul_table
-        for p, q, _ in alg.join(universe, {0}):
-            zero_products += 1
-            f, g = universe[p], universe[q]
-            hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
-                       None)
-            if hit is not None:
-                i, j, product = hit
-                witness = {"f": series_to_json(alg.series(f)),
-                           "g": series_to_json(alg.series(g)),
-                           "x": grp.to_json(alg.window[i]), "y": grp.to_json(alg.window[j]),
-                           "product": product}
-                pairs_checked = p * len(universe) + q + 1
-                break
+    grp = twist.group
+    exps = [grp.canon(x) for x in exponents]
+    count = ring.size ** len(exps)
+    if count * count > pair_cap:
+        raise SizeCapExceeded(f"{count}^2 series pairs exceed the cap of {pair_cap}",
+                              {"pair_cap": pair_cap})
+    alg = WindowAlgebra(twist, exps)
+    universe = alg.universe(max_support)
+    witness = None
+    pairs_checked = len(universe) ** 2
+    zero_products = 0
+    mul = ring.mul_table
+    for p, q, _ in alg.join(universe, {0}):
+        zero_products += 1
+        f, g = universe[p], universe[q]
+        hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
+                   None)
+        if hit is not None:
+            i, j, product = hit
+            witness = {"f": series_to_json(alg.series(f)),
+                       "g": series_to_json(alg.series(g)),
+                       "x": grp.to_json(alg.window[i]), "y": grp.to_json(alg.window[j]),
+                       "product": product}
+            pairs_checked = p * len(universe) + q + 1
+            break
     bounds = {"max_support": max_support,
               "exponents": [grp.to_json(x) for x in exps],
               "pairs_checked": pairs_checked, "zero_products_seen": zero_products}
     return PropertyReport(
         "G-armendariz", witness is None, witness=witness, bounds=bounds,
-        note="verdict certified for the bounded fragment only", elapsed=t.elapsed)
+        note="verdict certified for the bounded fragment only")
 
 
 # --- relative-zip witnesses --------------------------------------------------
@@ -268,77 +239,66 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
     caller's is_sigma_compatible_ideal verdict for U, recorded in the
     certificate as U_sigma_compatible.
     """
-    with _Timer() as t:
-        xs = sorted(x for x in X)
-        bounds = {"X": xs, "U": U.sorted_members()}
-        context = None
-        if sigma_compatible is not None:
-            context = {"U_sigma_compatible": sigma_compatible}
-        if all(x in U.members for x in xs):
-            return PropertyReport("sigma-U-zip", None, bounds=bounds, certificate=context,
-                                  note="not_applicable: X is contained in U", elapsed=t.elapsed)
-        quotient = quotient_ideal(U, xs)
-        if quotient != U.members:
-            return PropertyReport(
-                "sigma-U-zip", None,
-                witness={"quotient": sorted(quotient)},
-                bounds=bounds, certificate=context,
-                note="hypothesis_fails: (U:X) != U", elapsed=t.elapsed)
-        minimal = _minimal_subset(xs, lambda ys: quotient_ideal(U, ys) == U.members)
-        assert minimal is not None  # Y = X qualifies, so the search cannot miss
-        assert quotient_ideal(U, minimal) == U.members
-        cert = {"minimal_witness": list(minimal), "quotient": sorted(quotient)}
-        if context:
-            cert.update(context)
-    return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds,
-                          elapsed=t.elapsed)
+    xs = sorted(x for x in X)
+    bounds = {"X": xs, "U": U.sorted_members()}
+    context = None
+    if sigma_compatible is not None:
+        context = {"U_sigma_compatible": sigma_compatible}
+    if all(x in U.members for x in xs):
+        return PropertyReport("sigma-U-zip", None, bounds=bounds, certificate=context,
+                              note="not_applicable: X is contained in U")
+    quotient = quotient_ideal(U, xs)
+    if quotient != U.members:
+        return PropertyReport("sigma-U-zip", None, witness={"quotient": sorted(quotient)},
+                              bounds=bounds, certificate=context,
+                              note="hypothesis_fails: (U:X) != U")
+    minimal = _minimal_subset(xs, lambda ys: quotient_ideal(U, ys) == U.members)
+    assert minimal is not None  # Y = X qualifies, so the search cannot miss
+    assert quotient_ideal(U, minimal) == U.members
+    cert = {"minimal_witness": list(minimal), "quotient": sorted(quotient)}
+    if context:
+        cert.update(context)
+    return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds)
 
 
 def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
     """Directly coded right-zip search: minimal Y in X with r(Y) = 0."""
-    with _Timer() as t:
-        xs = sorted(x for x in X)
-        bounds = {"X": xs}
-        if all(x == 0 for x in xs):
-            return PropertyReport("right-zip", None, bounds=bounds,
-                                  note="not_applicable: X is contained in {0}", elapsed=t.elapsed)
+    xs = sorted(x for x in X)
+    bounds = {"X": xs}
+    if all(x == 0 for x in xs):
+        return PropertyReport("right-zip", None, bounds=bounds,
+                              note="not_applicable: X is contained in {0}")
 
-        def right_ann(ys):
-            return frozenset(a for a in ring.elements()
-                             if all(ring.mul_table[y][a] == 0 for y in ys))
+    def right_ann(ys):
+        return frozenset(a for a in ring.elements()
+                         if all(ring.mul_table[y][a] == 0 for y in ys))
 
-        if right_ann(xs) != frozenset({0}):
-            return PropertyReport("right-zip", None,
-                                  witness={"annihilator": sorted(right_ann(xs))},
-                                  bounds=bounds, note="hypothesis_fails: r(X) != 0",
-                                  elapsed=t.elapsed)
-        minimal = _minimal_subset(xs, lambda ys: right_ann(ys) == frozenset({0}))
-        assert minimal is not None
-    return PropertyReport("right-zip", True,
-                          certificate={"minimal_witness": list(minimal)},
-                          bounds=bounds, elapsed=t.elapsed)
+    if right_ann(xs) != frozenset({0}):
+        return PropertyReport("right-zip", None,
+                              witness={"annihilator": sorted(right_ann(xs))},
+                              bounds=bounds, note="hypothesis_fails: r(X) != 0")
+    minimal = _minimal_subset(xs, lambda ys: right_ann(ys) == frozenset({0}))
+    assert minimal is not None
+    return PropertyReport("right-zip", True, certificate={"minimal_witness": list(minimal)},
+                          bounds=bounds)
 
 
 def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport:
     """Weak-zip search built on the weak annihilator N_R, given the
     nilpotent elements `nil` of the ring (the first part of nil_radical)."""
-    with _Timer() as t:
-        xs = sorted(x for x in X)
-        bounds = {"X": xs, "nil": sorted(nil)}
-        if all(x in nil for x in xs):
-            return PropertyReport("weak-zip", None, bounds=bounds,
-                                  note="not_applicable: X is contained in nil(R)",
-                                  elapsed=t.elapsed)
-        weak = weak_annihilator(ring, xs, nil)
-        if not weak <= nil:
-            return PropertyReport("weak-zip", None, witness={"weak_annihilator": sorted(weak)},
-                                  bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)",
-                                  elapsed=t.elapsed)
-        minimal = _minimal_subset(xs, lambda ys: weak_annihilator(ring, ys, nil) <= nil)
-        assert minimal is not None
-    return PropertyReport("weak-zip", True,
-                          certificate={"minimal_witness": list(minimal)},
-                          bounds=bounds, elapsed=t.elapsed)
+    xs = sorted(x for x in X)
+    bounds = {"X": xs, "nil": sorted(nil)}
+    if all(x in nil for x in xs):
+        return PropertyReport("weak-zip", None, bounds=bounds,
+                              note="not_applicable: X is contained in nil(R)")
+    weak = weak_annihilator(ring, xs, nil)
+    if not weak <= nil:
+        return PropertyReport("weak-zip", None, witness={"weak_annihilator": sorted(weak)},
+                              bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)")
+    minimal = _minimal_subset(xs, lambda ys: weak_annihilator(ring, ys, nil) <= nil)
+    assert minimal is not None
+    return PropertyReport("weak-zip", True, certificate={"minimal_witness": list(minimal)},
+                          bounds=bounds)
 
 
 def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
@@ -351,57 +311,57 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
     witness cap. Singletons v outside U whose quotient (U:{v}) differs from
     U are reported as anomalies rather than silently ignored.
     """
-    with _Timer() as t:
-        n = ring.size
-        total = 1 << n
-        if total > subset_cap:
-            raise SizeCapExceeded(f"2^{n} subsets exceed the cap of {subset_cap}")
-        u_mask = 0
-        for v in U.members:
-            u_mask |= 1 << v
-        full = (1 << n) - 1
-        single = []
-        for v in range(n):
-            mask = 0
-            for q in quotient_ideal(U, {v}):
-                mask |= 1 << q
-            single.append(mask)
-        anomalies = [{"element": v, "quotient": sorted(quotient_ideal(U, {v}))}
-                     for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
-        dp = [full] * total
-        qualifying = 0
-        witnessed = 0
-        failures = []
-        do_witness = total <= DEFAULT_WITNESS_CAP
-        examples = []
-        for x_mask in range(1, total):
-            low = x_mask & -x_mask
-            dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
-            if not x_mask & ~u_mask:
-                continue  # X inside U: hypothesis not applicable
-            if dp[x_mask] != u_mask:
-                continue
-            qualifying += 1
-            if do_witness:
-                members = [i for i in range(n) if x_mask >> i & 1]
-                minimal = _minimal_subset(
-                    members, lambda ys: quotient_ideal(U, ys) == U.members)
-                if minimal is None:
-                    failures.append(members)
-                else:
-                    witnessed += 1
-                    if len(examples) < 8:
-                        examples.append({"X": members, "Y": list(minimal)})
+    n = ring.size
+    total = 1 << n
+    if total > subset_cap:
+        raise SizeCapExceeded(f"2^{n} subsets exceed the cap of {subset_cap}",
+                              {"subset_cap": subset_cap})
+    u_mask = 0
+    for v in U.members:
+        u_mask |= 1 << v
+    full = (1 << n) - 1
+    single = []
+    for v in range(n):
+        mask = 0
+        for q in quotient_ideal(U, {v}):
+            mask |= 1 << q
+        single.append(mask)
+    anomalies = [{"element": v, "quotient": sorted(quotient_ideal(U, {v}))}
+                 for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
+    dp = [full] * total
+    qualifying = 0
+    witnessed = 0
+    failures = []
+    do_witness = total <= DEFAULT_WITNESS_CAP
+    examples = []
+    for x_mask in range(1, total):
+        low = x_mask & -x_mask
+        dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
+        if not x_mask & ~u_mask:
+            continue  # X inside U: hypothesis not applicable
+        if dp[x_mask] != u_mask:
+            continue
+        qualifying += 1
+        if do_witness:
+            members = [i for i in range(n) if x_mask >> i & 1]
+            minimal = _minimal_subset(
+                members, lambda ys: quotient_ideal(U, ys) == U.members)
+            if minimal is None:
+                failures.append(members)
             else:
-                # a singleton witness, else X itself (dp already certifies it)
                 witnessed += 1
-        verdict = not failures
-        cert = {"subsets": total, "qualifying": qualifying, "witnessed": witnessed,
-                "anomalous_singletons": anomalies}
-        if examples:
-            cert["examples"] = examples
-        if not do_witness:
-            cert["note"] = "minimal witnesses searched only below the witness cap; Y = X certifies the rest"
+                if len(examples) < 8:
+                    examples.append({"X": members, "Y": list(minimal)})
+        else:
+            # a singleton witness, else X itself (dp already certifies it)
+            witnessed += 1
+    verdict = not failures
+    cert = {"subsets": total, "qualifying": qualifying, "witnessed": witnessed,
+            "anomalous_singletons": anomalies}
+    if examples:
+        cert["examples"] = examples
+    if not do_witness:
+        cert["note"] = "minimal witnesses searched only below the witness cap; Y = X certifies the rest"
     return PropertyReport("sigma-U-zip-scan", verdict,
                           witness=failures or None, certificate=cert,
-                          bounds={"U": U.sorted_members()}, elapsed=t.elapsed)
+                          bounds={"U": U.sorted_members()})

@@ -112,7 +112,6 @@ class AxiomResult:
 
 @dataclass
 class AxiomReport:
-    ring_label: str
     results: list[AxiomResult]
 
     @property
@@ -121,17 +120,6 @@ class AxiomReport:
 
     def failures(self) -> list[AxiomResult]:
         return [r for r in self.results if not r.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring_label,
-            "passed": self.passed,
-            "axioms": [
-                {"axiom": r.axiom, "ok": r.ok,
-                 **({"witness": list(r.witness)} if r.witness is not None else {})}
-                for r in self.results
-            ],
-        }
 
 
 def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
@@ -166,7 +154,7 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]))
     results.append(AxiomResult("one-not-zero", ring.one != ring.zero,
                                None if ring.one != ring.zero else (ring.one,)))
-    return AxiomReport(ring.label, results)
+    return AxiomReport(results)
 
 
 def units(ring: FiniteRing) -> frozenset[int]:

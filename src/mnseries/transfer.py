@@ -19,7 +19,7 @@ from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                      SizeCapExceeded, TraceMismatch, TwistMismatch, ZeroSeries)
 from .ideals import (IdealSet, annihilator, enumerate_ideals, ideal_closure,
                      is_semiprime_ideal, is_sigma_compatible_ideal, set_sum)
-from .properties import (PropertyReport, _Timer, fusible_decompositions,
+from .properties import (PropertyReport, fusible_decompositions,
                          is_G_armendariz, is_left_fusible, is_SA,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
                          zero_divisor_sets)
@@ -44,7 +44,8 @@ class TruncatedUniverse:
         count = twist.ring.size ** len(win)
         if count > cap:
             raise SizeCapExceeded(
-                f"{twist.ring.size}^{len(win)} = {count} universe series exceed the cap of {cap}")
+                f"{twist.ring.size}^{len(win)} = {count} universe series exceed the cap of {cap}",
+                {"universe_cap": cap})
         self.twist = twist
         self.window = win
         self.count = count
@@ -233,39 +234,38 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     if I.ring is not ring or J.ring is not ring:
         raise RingMismatch("ideals must live in the universe's coefficient ring")
     require_sigma_compatible(twist)
-    with _Timer() as t:
-        meet = I.members & J.members
-        witnesses = {}
+    meet = I.members & J.members
+    witnesses = {}
 
-        both = {u for u in universe.members if set(u) <= I.members and set(u) <= J.members}
-        meet_series = set(universe.with_coeffs_in(meet))
-        id1 = both == meet_series
-        if not id1:
-            sample = min(both ^ meet_series)
-            witnesses["membership-intersection"] = series_to_json(universe.series(sample))
+    both = {u for u in universe.members if set(u) <= I.members and set(u) <= J.members}
+    meet_series = set(universe.with_coeffs_in(meet))
+    id1 = both == meet_series
+    if not id1:
+        sample = min(both ^ meet_series)
+        witnesses["membership-intersection"] = series_to_json(universe.series(sample))
 
-        id2 = True
-        for name, ideal in (("I", I), ("J", J)):
-            base_side = annihilator(ring, ideal.members, side)
-            expected = set(universe.with_coeffs_in(base_side))
-            actual = universe.annihilator(ideal.members, side)
-            if actual != expected:
-                id2 = False
-                sample = min(actual ^ expected)
-                witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
+    id2 = True
+    for name, ideal in (("I", I), ("J", J)):
+        base_side = annihilator(ring, ideal.members, side)
+        expected = set(universe.with_coeffs_in(base_side))
+        actual = universe.annihilator(ideal.members, side)
+        if actual != expected:
+            id2 = False
+            sample = min(actual ^ expected)
+            witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
 
-        base_holds = (annihilator(ring, meet, "left")
-                      == set_sum(ring, annihilator(ring, I.members, "left"),
-                                 annihilator(ring, J.members, "left")))
-        l_meet = universe.annihilator(meet, "left")
-        l_sum = universe.set_sum(universe.annihilator(I.members, "left"),
-                                 universe.annihilator(J.members, "left"))
-        univ_holds = l_meet == l_sum
-        id3 = base_holds == univ_holds
-        if not id3:
-            witnesses["sum-identity-agreement"] = {"base": base_holds, "universe": univ_holds}
+    base_holds = (annihilator(ring, meet, "left")
+                  == set_sum(ring, annihilator(ring, I.members, "left"),
+                             annihilator(ring, J.members, "left")))
+    l_meet = universe.annihilator(meet, "left")
+    l_sum = universe.set_sum(universe.annihilator(I.members, "left"),
+                             universe.annihilator(J.members, "left"))
+    univ_holds = l_meet == l_sum
+    id3 = base_holds == univ_holds
+    if not id3:
+        witnesses["sum-identity-agreement"] = {"base": base_holds, "universe": univ_holds}
 
-        verdict = id1 and id2 and id3
+    verdict = id1 and id2 and id3
     return PropertyReport(
         "lifted-annihilator", verdict,
         witness=witnesses or None,
@@ -275,7 +275,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
                                     "sum-identity-agreement": id3},
                      "base_sum_identity": base_holds,
                      "universe_sum_identity": univ_holds},
-        bounds=universe.describe(), elapsed=t.elapsed)
+        bounds=universe.describe())
 
 
 # --- SA transfer (content-ideal construction) ---------------------------------
@@ -321,37 +321,36 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
             k_by_annihilator.setdefault(annihilator(ring, cand.members), cand)
         universe._k_by_annihilator = k_by_annihilator
 
-    with _Timer() as t:
-        I0 = ideal_closure(ring, _contents(I_gens), "right")
-        J0 = ideal_closure(ring, _contents(J_gens), "right")
-        rI0 = annihilator(ring, I0.members)
-        rJ0 = annihilator(ring, J0.members)
-        target = set_sum(ring, rI0, rJ0)
-        K = universe._k_by_annihilator.get(target)
-        if K is None:
-            return PropertyReport(
-                "sa-transfer", False,
-                witness={"I0": I0.sorted_members(), "J0": J0.sorted_members(),
-                         "r_sum": sorted(target)},
-                note="no-K: annihilator sum matches no ideal, contradicting the SA precondition",
-                bounds=universe.describe(), elapsed=t.elapsed)
+    I0 = ideal_closure(ring, _contents(I_gens), "right")
+    J0 = ideal_closure(ring, _contents(J_gens), "right")
+    rI0 = annihilator(ring, I0.members)
+    rJ0 = annihilator(ring, J0.members)
+    target = set_sum(ring, rI0, rJ0)
+    K = universe._k_by_annihilator.get(target)
+    if K is None:
+        return PropertyReport(
+            "sa-transfer", False,
+            witness={"I0": I0.sorted_members(), "J0": J0.sorted_members(),
+                     "r_sum": sorted(target)},
+            note="no-K: annihilator sum matches no ideal, contradicting the SA precondition",
+            bounds=universe.describe())
 
-        r_I = universe.annihilator(I0.members, "right")
-        r_J = universe.annihilator(J0.members, "right")
-        r_K = universe.annihilator(K.members, "right")
-        universe_ok = universe.set_sum(r_I, r_J) == r_K
+    r_I = universe.annihilator(I0.members, "right")
+    r_J = universe.annihilator(J0.members, "right")
+    r_K = universe.annihilator(K.members, "right")
+    universe_ok = universe.set_sum(r_I, r_J) == r_K
 
-        K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
-        reverse_ok = annihilator(ring, K0.members) == target
+    K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
+    reverse_ok = annihilator(ring, K0.members) == target
 
-        verdict = universe_ok and reverse_ok
+    verdict = universe_ok and reverse_ok
     return PropertyReport(
         "sa-transfer", verdict,
         witness=None if verdict else {"universe_ok": universe_ok, "reverse_ok": reverse_ok},
         certificate={"I0": I0.sorted_members(), "J0": J0.sorted_members(),
                      "K": K.sorted_members(), "K0": K0.sorted_members(),
                      "r_I0": sorted(rI0), "r_J0": sorted(rJ0), "r_sum": sorted(target)},
-        bounds=universe.describe(), elapsed=t.elapsed)
+        bounds=universe.describe())
 
 
 # --- coefficient extraction (the series-to-base zip induction) ----------------
@@ -564,47 +563,46 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         return {m for h, m in zip(universe.terms, universe.members)
                 if all(U.members.issuperset(mul(s, h)) for s in factors)}
 
-    with _Timer() as t:
-        u_series = set(universe.with_coeffs_in(U.members))
-        q = quotient(X)
-        if q != u_series:
-            raise HypothesisFails(
-                "(U((G)):X) differs from the U-coefficient series in the universe",
-                witness=series_to_json(universe.series(min(q ^ u_series))))
+    u_series = set(universe.with_coeffs_in(U.members))
+    q = quotient(X)
+    if q != u_series:
+        raise HypothesisFails(
+            "(U((G)):X) differs from the U-coefficient series in the universe",
+            witness=series_to_json(universe.series(min(q ^ u_series))))
 
-        c_x = sorted(_contents(X))
-        # require_zip has found U sigma-compatible
-        base_ok = sigma_u_zip_witness(ring, U, c_x, True)
-        if base_ok.verdict is not True:
-            # cannot happen when the universe-level hypothesis held; still reported
-            return PropertyReport("series-zip", False,
-                                  witness={"base": base_ok.to_json()},
-                                  bounds=universe.describe(), elapsed=t.elapsed)
-        c_x0 = base_ok.certificate["minimal_witness"]
-        x0 = [s for s in X if any(c in c_x0 for c in s.content())]
+    c_x = sorted(_contents(X))
+    # require_zip has found U sigma-compatible
+    base_ok = sigma_u_zip_witness(ring, U, c_x, True)
+    if base_ok.verdict is not True:
+        # cannot happen when the universe-level hypothesis held; still reported
+        return PropertyReport("series-zip", False,
+                              witness={"base": base_ok.to_json()},
+                              bounds=universe.describe())
+    c_x0 = base_ok.certificate["minimal_witness"]
+    x0 = [s for s in X if any(c in c_x0 for c in s.content())]
 
-        quotient0 = quotient(x0)
-        reduced_ok = quotient0 == u_series
+    quotient0 = quotient(x0)
+    reduced_ok = quotient0 == u_series
 
-        # the induction runs for an X0 that reduces the quotient; one that
-        # does not is the False verdict below, not a failed derivation
-        extractions = 0
-        if reduced_ok:
-            factors = [universe.member(s) for s in x0]
-            for m in sorted(quotient0):
-                h = [(i, c) for i, c in enumerate(m) if c]
-                for s in factors:
-                    # require_zip and h in quotient0 are coefficient_extraction's checks
-                    _trace(universe.algebra, s, h, U, mul(s, h))
-                    extractions += 1
-                    # the content conclusion the induction is for: h has U-coefficients
-                    for i, c in h:
-                        if c not in U.members:
-                            raise TraceMismatch(
-                                f"extraction finished but h({grp.to_json(universe.window[i])}) "
-                                "is outside U")
+    # the induction runs for an X0 that reduces the quotient; one that
+    # does not is the False verdict below, not a failed derivation
+    extractions = 0
+    if reduced_ok:
+        factors = [universe.member(s) for s in x0]
+        for m in sorted(quotient0):
+            h = [(i, c) for i, c in enumerate(m) if c]
+            for s in factors:
+                # require_zip and h in quotient0 are coefficient_extraction's checks
+                _trace(universe.algebra, s, h, U, mul(s, h))
+                extractions += 1
+                # the content conclusion the induction is for: h has U-coefficients
+                for i, c in h:
+                    if c not in U.members:
+                        raise TraceMismatch(
+                            f"extraction finished but h({grp.to_json(universe.window[i])}) "
+                            "is outside U")
 
-        verdict = reduced_ok
+    verdict = reduced_ok
     return PropertyReport(
         "series-zip", verdict,
         witness=None if verdict else {"quotient0_size": len(quotient0),
@@ -612,4 +610,4 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         certificate={"C_X": c_x, "C_X0": list(c_x0),
                      "X0": [series_to_json(s) for s in x0],
                      "extractions": extractions},
-        bounds=universe.describe(), elapsed=t.elapsed)
+        bounds=universe.describe())

@@ -160,6 +160,15 @@ def test_main_props_single_property(capsys):
     assert "[true] SA" in out
 
 
+def test_main_props_unknown_property_lists_the_available_ones(capsys):
+    assert main(["props", "z4_example_5_5", "--property", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no property named 'nope'; available: "
+                                   "zero-divisors, left-fusible, sigma-compatible, ")
+    assert "G-armendariz" in captured.err
+
+
 def test_main_verify_pass_and_warn(capsys):
     assert main(["verify", "z4_example_5_5", "--suite", "examples"]) == 0
     capsys.readouterr()
@@ -215,13 +224,44 @@ def test_main_verify_timings_reach_stdout_out_and_report(tmp_path, capsys):
     saved = json.loads(out.read_text())
     for data in (shown, saved):
         assert isinstance(data["elapsed"], float) and data["elapsed"] > 0
-        # every check times its own scan, extraction-vs-oracle included
+        # run_suite stamps every check, extraction-vs-oracle included
         assert all(isinstance(c["elapsed"], float) and c["elapsed"] > 0
                    for c in data["checks"])
     assert main(["report", str(out)]) == 0
     assert f"elapsed: {saved['elapsed']:.3f}s" in capsys.readouterr().out
     assert main(["verify", "z4_tau_power", "--suite", "thm5.4", "--timings"]) == 0
     assert "  elapsed: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_check_timings_add_up_to_the_suite(capsys, suite):
+    """Under --timings every check reads the seconds since the previous one,
+    so none reads 0 and together they stay within the suite's elapsed."""
+    reports = 0
+    for name in shipped_fixtures():
+        code = main(["verify", name, "--suite", suite, "--timings", "--format", "json"])
+        out = capsys.readouterr().out
+        if code == 2:  # a fixture that fails validation prints no report
+            continue
+        data = json.loads(out)
+        elapsed = [(c["property"], c["elapsed"]) for c in data["checks"]]
+        assert all(e > 0 for _, e in elapsed), (name, elapsed)
+        assert sum(e for _, e in elapsed) <= data["elapsed"]
+        reports += 1
+    assert reports == len(GOOD_FIXTURES)
+
+
+@pytest.mark.parametrize("window, fragment", [
+    ("2..0", "window 2..0 is empty (lo > hi)"),
+    ("600000000..600000001", "has exponent sums beyond the coordinate bound 1073741824"),
+    ("-600000001..-600000000", "has exponent sums beyond the coordinate bound"),
+    ("0..two", "window must look like 'a..b'"),
+])
+def test_main_verify_rejects_a_bad_window(capsys, window, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "z4_tau_power", "--suite", "thm5.4", f"--window={window}"])
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_main_verify_seed_changes_samples(capsys):
@@ -294,6 +334,9 @@ def _twist(**spec):
     ({"group": {"group": "Z"}, "twist": [1]}, "bad twist"),
     ({"caps": {"max_support": "9"}}, "cap 'max_support' must be an integer"),
     ({"caps": {"window": [0]}}, "cap 'window' must be a pair of integers"),
+    ({"caps": {"window": [2, 0]}}, "cap 'window' 2..0 is empty (lo > hi)"),
+    ({"caps": {"window": [600000000, 600000001]}},
+     "cap 'window' 600000000..600000001 has exponent sums beyond the coordinate bound"),
     ({"caps": {"univrse_cap": 8}}, "unknown cap 'univrse_cap'"),
     ({"caps": {"ring_max": 9}}, "unknown cap 'ring_max'"),
     (_twist(tau="one"), "bad twist: tau spec must be an object"),
@@ -309,7 +352,8 @@ def _twist(**spec):
     (_twist(tau={**_UNIT_POWER, "exponent_rule": [[1.5]]}), "bad twist: tau exponent matrix"),
     (_twist(tau={**_UNIT_POWER, "unit": "3"}), "bad twist: tau unit must be an element id"),
 ], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
-        "ideal-kind-list", "twist-list", "cap-string", "cap-window-short", "cap-misspelt",
+        "ideal-kind-list", "twist-list", "cap-string", "cap-window-short",
+        "cap-window-reversed", "cap-window-overflow", "cap-misspelt",
         "cap-fixed", "tau-string", "tau-list",
         "sigma-generators-int", "overrides-int", "override-short", "override-out-of-range",
         "override-string", "patched-no-base", "unit-power-no-unit", "exponent-rule-string",
@@ -401,6 +445,19 @@ def test_over_cap_universes_skip_the_suite(tmp_path, capsys, suite, count):
     assert data["checks"] == [{
         "property": suite, "verdict": None, "bounds": {"universe_cap": 4096},
         "note": f"skipped: {count} universe series exceed the cap of 4096"}]
+
+
+def test_over_cap_pair_scan_skips_thm45(tmp_path, capsys):
+    # Z64's 0..1 universe fits (4096 series), but thm4.5's bounded G-Armendariz
+    # hypothesis would scan 4096^2 series pairs, beyond the pair cap
+    path = tmp_path / "z64.json"
+    path.write_text(json.dumps({"label": "z64", "ring": {"kind": "Zn", "n": 64}, **_PLAIN_TWIST}))
+    assert main(["verify", str(path), "--suite", "thm4.5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "pass"
+    assert data["checks"] == [{
+        "property": "thm4.5", "verdict": None, "bounds": {"pair_cap": 1048576},
+        "note": "skipped: 4096^2 series pairs exceed the cap of 1048576"}]
 
 
 def test_examples_derives_the_zip_context_once(monkeypatch):

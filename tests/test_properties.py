@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from mnseries.errors import BoundsTooLarge, SizeCapExceeded, ZeroElement
+from mnseries.errors import SizeCapExceeded, ZeroElement
 from mnseries.ideals import make_ideal, nil_radical, quotient_ideal
 from mnseries.properties import (fusible_decompositions, is_G_armendariz,
                                  is_IN, is_SA, is_left_fusible,
@@ -70,6 +70,8 @@ def test_sigma_compatible_ring(z4, klein, gf4, swap, frobenius):
     assert rep.verdict is False
     w = rep.witness
     assert (klein.mul(w["a"], w["b"]) == 0) != (klein.mul(w["a"], swap(w["b"])) == 0)
+    # the first failing (automorphism, a, b) in scan order, as the ideal check for U = {0} finds it
+    assert w == {"a": 1, "b": 1, "automorphism": [0, 2, 1, 3], "ab": 1, "a_sigma_b": 0}
     assert is_sigma_compatible_ring(gf4, [frobenius]).verdict
 
 
@@ -125,8 +127,9 @@ def test_g_armendariz_swap_fails(klein, tw_klein_swap):
 
 def test_g_armendariz_bounds_cap(tz4):
     from mnseries.series import trivial_twist
-    with pytest.raises(BoundsTooLarge):
+    with pytest.raises(SizeCapExceeded) as exc:
         is_G_armendariz(tz4, trivial_twist(tz4), 3, [0, 1, 2], pair_cap=1000)
+    assert exc.value.bounds == {"pair_cap": 1000}
 
 
 def test_sigma_u_zip_witness_z4(z4, u_z4):
@@ -219,4 +222,5 @@ def test_report_json_shape(z4):
     assert data["property"] == "left-fusible"
     assert data["verdict"] is False
     assert "elapsed" not in data
-    assert "elapsed" in rep.to_json(include_timing=True)
+    # a checker called directly is untimed; run_suite stamps the checks it runs
+    assert rep.to_json(include_timing=True)["elapsed"] == 0.0

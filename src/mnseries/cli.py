@@ -28,9 +28,9 @@ from .groups import COORD_BOUND, OrderedGroup, group_make
 from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                      ideal_closure, is_semiprime_ideal, is_sigma_compatible_ideal,
                      make_ideal, nil_radical, quotient_ideal, weak_annihilator)
-from .properties import (PropertyReport, is_G_armendariz, is_IN, is_SA, is_left_fusible,
-                         is_right_nonsingular, is_sigma_compatible_ring, right_zip_witness,
-                         sigma_u_zip_scan, sigma_u_zip_witness,
+from .properties import (PropertyReport, check_pair_cap, is_G_armendariz, is_IN, is_SA,
+                         is_left_fusible, is_right_nonsingular, is_sigma_compatible_ring,
+                         right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
                          weak_zip_witness, zero_divisor_sets)
 from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
                     identity_automorphism, ring_make, units)
@@ -42,7 +42,7 @@ from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
                      twist_from_spec)
 from .transfer import (TruncatedUniverse, _trace, lift_fusible_decomposition,
                        lifted_annihilator_check, require_fusible, require_zip,
-                       sa_transfer_witness, series_zip_witness)
+                       sa_transfer_witness, series_zip_witness, universe_count)
 
 # the limits a fixture's "caps" may set (window and max_support also by flag)
 DEFAULT_CAPS = {
@@ -371,11 +371,14 @@ def _suite_properties(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         sc = is_sigma_compatible_ideal(ideal, fam)
         yield PropertyReport(f"sigma-compatible-{name}", sc.ok, witness=sc.witness)
     if fx.twist is not None:
-        exps = fx.group.window(*fx.cap("window"))
+        lo, hi = fx.cap("window")
         try:
-            garm = is_G_armendariz(ring, fx.twist, fx.cap("max_support"), exps)
+            check_pair_cap(ring.size, fx.group.window_size(lo, hi))
+            garm = is_G_armendariz(ring, fx.twist, fx.cap("max_support"),
+                                   fx.group.window(lo, hi))
         except SizeCapExceeded as exc:
-            garm = PropertyReport("G-armendariz", None, note=f"skipped: {exc}")
+            garm = PropertyReport("G-armendariz", None, note=f"skipped: {exc}",
+                                  bounds=exc.bounds)
         yield garm
 
 
@@ -393,7 +396,9 @@ def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     if twist is None:
         raise PreconditionFail("fixture has no twist")
     require_fusible(twist)
-    exps = fx.group.window(*fx.cap("window"))
+    lo, hi = fx.cap("window")
+    universe_count(fx.ring.size, fx.group.window_size(lo, hi))
+    exps = fx.group.window(lo, hi)
     universe = TruncatedUniverse(twist, exps)
     rng = random.Random(seed)
     failures = []
@@ -459,8 +464,10 @@ def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 
     yield _zip_scan(fx, U)
 
-    exps = fx.group.window(*fx.cap("window"))
+    lo, hi = fx.cap("window")
     try:
+        universe_count(fx.ring.size, fx.group.window_size(lo, hi))
+        exps = fx.group.window(lo, hi)
         universe = TruncatedUniverse(twist, exps)
     except SizeCapExceeded as exc:
         bounds = {"window": fx.cap("window"), **exc.bounds}

@@ -34,6 +34,10 @@ class OrderedGroup:
         """All elements with every coordinate in [lo, hi], sorted ascending."""
         raise NotImplementedError
 
+    def window_size(self, lo: int, hi: int) -> int:
+        """len(window(lo, hi)), without building the window (lo <= hi)."""
+        raise NotImplementedError
+
     def to_json(self, x):
         raise NotImplementedError
 
@@ -66,6 +70,9 @@ class IntegersGroup(OrderedGroup):
 
     def window(self, lo, hi):
         return list(range(lo, hi + 1))
+
+    def window_size(self, lo, hi):
+        return hi - lo + 1
 
     def to_json(self, x):
         return x
@@ -102,6 +109,9 @@ class LexProductGroup(OrderedGroup):
 
     def window(self, lo, hi):
         return [tuple(t) for t in itertools.product(range(lo, hi + 1), repeat=self.k)]
+
+    def window_size(self, lo, hi):
+        return (hi - lo + 1) ** self.k
 
     def to_json(self, x):
         return list(x)

@@ -9,6 +9,8 @@ is a plain frozenset; an IdealSet is an ideal that carries its kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, filterfalse
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import RingMismatch, SizeCapExceeded
@@ -38,25 +40,12 @@ class IdealSet:
                 "members": self.sorted_members()}
 
 
-def _is_additive_subgroup(ring: FiniteRing, members: frozenset[int]) -> bool:
-    if 0 not in members:
-        return False
-    for a in members:
-        if ring.neg(a) not in members:
-            return False
-        for b in members:
-            if ring.add_table[a][b] not in members:
-                return False
-    return True
-
-
 def classify_kind(ring: FiniteRing, members: Iterable[int]) -> str:
-    """Strongest closure kind the member set satisfies."""
+    """Strongest closure kind the member set satisfies: it is a left (right)
+    ideal iff its left (right) closure adds nothing to it."""
     ms = frozenset(members)
-    if not _is_additive_subgroup(ring, ms):
-        return "subset"
-    left = all(ring.mul_table[r][a] in ms for r in ring.elements() for a in ms)
-    right = all(ring.mul_table[a][r] in ms for r in ring.elements() for a in ms)
+    left = ideal_closure(ring, ms, "left").members == ms
+    right = ideal_closure(ring, ms, "right").members == ms
     if left and right:
         return "twosided"
     if left:
@@ -86,25 +75,38 @@ def make_ideal(ring: FiniteRing, members: Iterable[int], kind: str | None = None
 
 
 def ideal_closure(ring: FiniteRing, gens: Iterable[int], kind: str = "twosided") -> IdealSet:
-    """Least ideal of the given kind containing gens, by worklist closure."""
+    """Least ideal of the given kind containing gens.
+
+    Grown as an additive subgroup H, one generator at a time: a generator g
+    outside H extends H by the cosets H + kg until kg lands in H, and only
+    g's products with the ring are queued as further generators. Products
+    are additive in each argument, so once every generator's products lie
+    in H, so do the products of every sum of generators. Each generator at
+    least doubles H, so at most log2|I| of them cost O(|I| + |R|) each.
+    """
     if kind not in ("left", "right", "twosided"):
         raise ValueError(f"closure kind must be left/right/twosided, not {kind!r}")
+    add, mul = ring.add_table, ring.mul_table
+    left, right = kind != "right", kind != "left"
+    group = [0]  # H, zero first
     members = {0}
-    work = [g for g in gens]
-    for g in work:
-        members.add(g)
+    work = list(gens)
     while work:
-        a = work.pop()
-        new = {ring.neg(a)}
-        new.update(ring.add_table[a][b] for b in members)
-        if kind in ("left", "twosided"):
-            new.update(ring.mul_table[r][a] for r in ring.elements())
-        if kind in ("right", "twosided"):
-            new.update(ring.mul_table[a][r] for r in ring.elements())
-        for x in new:
-            if x not in members:
-                members.add(x)
-                work.append(x)
+        g = work.pop()
+        if g in members:
+            continue
+        step = add[g].__getitem__
+        coset = list(map(step, group))
+        new = []
+        while coset[0] not in members:  # coset[0] = kg, the image of zero
+            new += coset
+            coset = list(map(step, coset))
+        group += new
+        members.update(new)
+        if left:
+            work += filterfalse(members.__contains__, map(itemgetter(g), mul))
+        if right:
+            work += filterfalse(members.__contains__, mul[g])
     return IdealSet(ring, frozenset(members), kind)
 
 
@@ -149,12 +151,15 @@ def _member_set(ring: FiniteRing, xs) -> frozenset[int]:
 
 
 def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
-    """(U:V) = {x | v*x in U for every v in V}, by exact membership scan;
-    two-sided when U and V are right ideals (the `ideals` suite checks it)."""
+    """(U:V) = {x | v*x in U for every v in V}: for each v, the positions of
+    row v of the product table that land in U, intersected; two-sided when
+    U and V are right ideals (the `ideals` suite checks it)."""
     ring = U.ring
-    vs = _member_set(ring, V)
-    return frozenset(x for x in ring.elements()
-                     if all(ring.mul_table[v][x] in U.members for v in vs))
+    inside = U.members.__contains__
+    out = set(ring.elements())
+    for v in _member_set(ring, V):
+        out.intersection_update(compress(ring.elements(), map(inside, ring.mul_table[v])))
+    return frozenset(out)
 
 
 def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:

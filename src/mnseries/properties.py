@@ -173,6 +173,18 @@ def is_SA(ring: FiniteRing) -> PropertyReport:
         certificate=None if witness else {"pairs": table})
 
 
+def check_pair_cap(size: int, length: int, pair_cap: int = DEFAULT_PAIR_CAP):
+    """SizeCapExceeded naming the cap unless the size^length series over
+    `length` exponents make at most pair_cap pairs. Every ring has two or
+    more elements, so a window longer than half the cap's bits is over it
+    for any ring, and is refused before its count is formed."""
+    count = size ** length if 2 * length <= pair_cap.bit_length() else None
+    if count is None or count * count > pair_cap:
+        shown = f"({size}^{length})" if count is None else count
+        raise SizeCapExceeded(f"{shown}^2 series pairs exceed the cap of {pair_cap}",
+                              {"pair_cap": pair_cap})
+
+
 def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
                     exponents: Sequence, pair_cap: int = DEFAULT_PAIR_CAP) -> PropertyReport:
     """fg = 0 forces all coefficient products to vanish, on a bounded fragment.
@@ -185,10 +197,7 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     """
     grp = twist.group
     exps = [grp.canon(x) for x in exponents]
-    count = ring.size ** len(exps)
-    if count * count > pair_cap:
-        raise SizeCapExceeded(f"{count}^2 series pairs exceed the cap of {pair_cap}",
-                              {"pair_cap": pair_cap})
+    check_pair_cap(ring.size, len(exps), pair_cap)
     alg = WindowAlgebra(twist, exps)
     universe = alg.universe(max_support)
     witness = None

@@ -30,6 +30,19 @@ from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
 DEFAULT_UNIVERSE_CAP = 4096
 
 
+def universe_count(size: int, length: int, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
+    """size^length, the number of series over `length` exponents, or
+    SizeCapExceeded naming the cap when that exceeds it. Every ring has two
+    or more elements, so a window longer than the cap's bits is over it for
+    any ring, and is refused before its count is formed."""
+    count = size ** length if length <= cap.bit_length() else None
+    if count is None or count > cap:
+        shown = f"{size}^{length}" + ("" if count is None else f" = {count}")
+        raise SizeCapExceeded(f"{shown} universe series exceed the cap of {cap}",
+                              {"universe_cap": cap})
+    return count
+
+
 class TruncatedUniverse:
     """All series with support inside a finite window, as coefficient tuples
     over the sorted window in exhaustive_series order: the decidable stand-in
@@ -41,14 +54,9 @@ class TruncatedUniverse:
         win = sorted({grp.canon(x) for x in window})
         if not win:
             raise PreconditionFail("universe window must be nonempty")
-        count = twist.ring.size ** len(win)
-        if count > cap:
-            raise SizeCapExceeded(
-                f"{twist.ring.size}^{len(win)} = {count} universe series exceed the cap of {cap}",
-                {"universe_cap": cap})
         self.twist = twist
         self.window = win
-        self.count = count
+        self.count = universe_count(twist.ring.size, len(win), cap)
         self.algebra = WindowAlgebra(twist, win)
         self.terms = self.algebra.universe()
         self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))

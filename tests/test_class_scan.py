@@ -24,6 +24,7 @@ from mnseries.rings import (check_automorphism, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn, units)
 from mnseries.series import WindowAlgebra, trivial_twist, twist_from_spec
 from mnseries.transfer import TruncatedUniverse, _trace
+from oracles import ut2_table
 
 
 def _lift_scan(alg, terms, U):
@@ -43,17 +44,10 @@ def _lift_scan(alg, terms, U):
 
 
 def _ut2(n):
-    """Upper-triangular 2x2 matrices over Z_n ([[a, b], [0, c]] has id
-    a*n^2 + b*n + c) and conjugation by [[1, 1], [0, 1]] as a permutation."""
-    elems = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[((a + x) % n, (b + y) % n, (c + z) % n)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    mul = [[index[(a * x % n, (a * y + b * z) % n, c * z % n)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    ring = ring_from_table({"label": f"UT2(Z{n})", "size": len(elems), "add": add,
-                            "mul": mul, "one": index[(1, 0, 1)]})
-    u, u_inv = index[(1, 1, 1)], index[(1, n - 1, 1)]
+    """UT2(Z_n) ([[a, b], [0, c]] has id a*n^2 + b*n + c) and conjugation by
+    [[1, 1], [0, 1]] as a permutation."""
+    ring = ring_from_table(ut2_table(n))
+    u, u_inv = n * n + n + 1, n * n + (n - 1) * n + 1
     return ring, [ring.mul(ring.mul(u, m), u_inv) for m in ring.elements()]
 
 

@@ -460,6 +460,45 @@ def test_over_cap_pair_scan_skips_thm45(tmp_path, capsys):
         "note": "skipped: 4096^2 series pairs exceed the cap of 1048576"}]
 
 
+@pytest.mark.parametrize("hi", [100, 10000])
+@pytest.mark.parametrize("suite", ["properties", "thm5.4"])
+def test_a_wide_window_skips_the_checks_it_feeds(capsys, suite, hi):
+    # 4^(hi+1) series over Z4: the cap refuses the window before its
+    # exponent list is built or that count formed
+    assert main(["verify", "z4_tau_power", "--suite", suite, f"--window=0..{hi}",
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["status"] == "pass"
+    if suite == "properties":
+        expected = {"G-armendariz": ({"pair_cap": 1048576}, f"skipped: (4^{hi + 1})^2 "
+                                     "series pairs exceed the cap of 1048576")}
+    else:
+        skip = ({"universe_cap": 4096, "window": [0, hi]},
+                f"skipped: 4^{hi + 1} universe series exceed the cap of 4096")
+        expected = {"extraction-vs-oracle": skip, "series-zip": skip}
+    assert {c["property"]: (c["bounds"], c["note"])
+            for c in data["checks"] if c["verdict"] is None} == expected
+
+
+def test_a_wide_window_skips_prop32():
+    fx = load_fixture(resolve_fixture("klein_fusible"))
+    report = run_suite(fx, "prop3.2", overrides={"window": [-5000, 5000]})
+    assert [(c.prop, c.verdict, c.bounds) for c in report.checks] == [
+        ("prop3.2", None, {"universe_cap": 4096})]
+    assert report.checks[0].note == "skipped: 4^10001 universe series exceed the cap of 4096"
+
+
+def test_the_G_armendariz_skip_names_its_cap():
+    # T(Z4) has 16 elements: 16^3 series over the window 0..2, 4096^2 pairs
+    fx = load_fixture(resolve_fixture("t_z4_example_5_6"))
+    check = run_suite(fx, "properties").checks[-1]
+    assert (check.prop, check.verdict, check.bounds) == (
+        "G-armendariz", None, {"pair_cap": 1048576})
+    assert check.note == "skipped: 4096^2 series pairs exceed the cap of 1048576"
+
+
 def test_examples_derives_the_zip_context_once(monkeypatch):
     """The examples suite checks the sigma-compatibility of its zero and nil
     ideals and computes the nil radical once, not once per pool subset."""

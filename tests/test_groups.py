@@ -51,6 +51,13 @@ def test_window_sorted_ascending():
     assert all(a < b for a, b in zip(win, win[1:]))
 
 
+def test_window_size_counts_the_window_without_building_it():
+    for g in (IntegersGroup(), LexProductGroup(1), LexProductGroup(2), LexProductGroup(3)):
+        for lo, hi in ((0, 0), (-2, 2), (1, 3)):
+            assert g.window_size(lo, hi) == len(g.window(lo, hi))
+    assert LexProductGroup(2).window_size(0, 10000) == 10001 ** 2
+
+
 def test_order_is_total_and_transitive_on_window():
     for g in (IntegersGroup(), LexProductGroup(2)):
         win = g.window(-2, 2)

@@ -1,0 +1,67 @@
+"""Report bytes on the 64-element rings where the table kernels do their work.
+
+`report_digests.json` covers the shipped fixtures, whose rings have at most
+16 elements. Two 64-element fixtures are built here: the commutative Z4^3
+(27 ideals) and the noncommutative UT2(Z4) (14 two-sided and 26 right
+ideals), each with a two-sided and a right ideal given by generators. The
+ring-axiom scan, the ideal lattices and closures, the quotients and the
+property battery must keep the bytes recorded below, which the direct
+scans produced before the kernels moved onto table rows: the sha256 of exit
+code, stdout and stderr, as in `test_report_bytes.py`.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from oracles import ut2_table
+from test_report_bytes import run_digest
+
+FIXTURES = {
+    # (a, b, c) in Z4^3 has id 16a + 4b + c
+    "z4cubed": {
+        "ring": {"kind": "product", "factors": [
+            {"kind": "Zn", "n": 4},
+            {"kind": "product", "factors": [{"kind": "Zn", "n": 4}, {"kind": "Zn", "n": 4}]}]},
+        "ideals": {"U": {"kind": "twosided", "gens": [32, 2]},
+                   "P": {"kind": "right", "gens": [20]}},
+    },
+    # [[a, b], [0, c]] in UT2(Z4) has id 16a + 4b + c
+    "ut2_z4": {
+        "ring": {"kind": "table", **ut2_table(4)},
+        "ideals": {"U": {"kind": "twosided", "gens": [4]},
+                   "P": {"kind": "right", "gens": [16]}},
+    },
+}
+
+RUNS = {
+    "verify ring-axioms": ["verify", "{fx}", "--suite", "ring-axioms", "--format", "json"],
+    "verify ideals": ["verify", "{fx}", "--suite", "ideals", "--format", "json"],
+    "props": ["props", "{fx}", "--format", "json"],
+}
+
+DIGESTS = {
+    "z4cubed verify ring-axioms":
+        "8d6ebd19c5436ab19c35726d81ea692b05d5ad0a3403b317164308732b283c3b",
+    "z4cubed verify ideals":
+        "daed29743c1fb3cfd5261ff801efe98dec6ac0a16816bff3be19562171ec4e43",
+    "z4cubed props":
+        "12cdcd5ce8329eb1019e6412961a9737684741ba4fd06fc424e273d57423c81d",
+    "ut2_z4 verify ring-axioms":
+        "b09fa0bf754d998bbd30fe633dc74010cd90e3793cf69e64cc81d9d8c4add62b",
+    "ut2_z4 verify ideals":
+        "3b3cd21f73c0d64c972534e001bae094aeb7dca319af71838bba2025a2d4b775",
+    "ut2_z4 props":
+        "74665321e97232d62d2223d97ad89e407816f70eef68fd72a23725f24c452355",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_kernel_reports_keep_their_bytes(tmp_path, name):
+    label, run = name.split(" ", 1)
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps({"label": label, **FIXTURES[label]}))
+    argv = [str(path) if arg == "{fx}" else arg for arg in RUNS[run]]
+    assert run_digest(argv) == DIGESTS[name]

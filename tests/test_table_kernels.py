@@ -1,0 +1,131 @@
+"""The ring-table kernels against the direct scans they replaced.
+
+`ideal_closure` grows an additive subgroup one generator at a time,
+`check_ring_axioms` compares whole table rows and `classify_kind` and
+`quotient_ideal` work on rows as well. The oracles in `oracles.py` do the
+same jobs one element, pair or triple at a time. Over generated Zn,
+products, trivial extensions and the noncommutative UT2(Z2) and UT2(Z4),
+closures, lattices (in order), kinds and quotients must agree, and on
+tables with one entry changed, so must every (axiom, ok, witness).
+"""
+
+from __future__ import annotations
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mnseries.ideals import classify_kind, enumerate_ideals, ideal_closure, quotient_ideal
+from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
+                            ring_trivial_extension, ring_zn)
+from oracles import (elementwise_kind, membership_quotient, triple_scan_axioms, ut2_table,
+                     worklist_closure, worklist_lattice)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(kind, *params):
+    if kind == "Zn":
+        return ring_zn(*params)
+    if kind == "product":
+        return ring_product(ring_zn(params[0]), ring_zn(params[1]))
+    if kind == "trivial_extension":
+        return ring_trivial_extension(ring_zn(*params))
+    return ring_from_table(ut2_table(*params))
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(key, kind):
+    return worklist_lattice(_ring(*key), kind)
+
+
+@st.composite
+def _ring_keys(draw, ut2_sizes=(2, 4)):
+    """A ring of at most 16 elements, or UT2(Z_n) for n in ut2_sizes."""
+    kind = draw(st.sampled_from(["Zn", "product", "trivial_extension", "ut2"]))
+    if kind == "Zn":
+        return kind, draw(st.integers(2, 16))
+    if kind == "product":
+        m = draw(st.integers(2, 4))
+        return kind, m, draw(st.integers(2, 16 // m))
+    if kind == "trivial_extension":
+        return kind, draw(st.integers(2, 4))
+    return kind, draw(st.sampled_from(ut2_sizes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_keys(), st.data())
+def test_closures_match_the_worklist_closure(key, data):
+    ring = _ring(*key)
+    gens = data.draw(st.lists(st.integers(0, ring.size - 1), max_size=4))
+    for kind in ("left", "right", "twosided"):
+        closed = ideal_closure(ring, gens, kind)
+        assert closed.kind == kind
+        assert closed.members == worklist_closure(ring, gens, kind), (key, gens, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ring_keys())
+def test_lattices_match_the_worklist_lattice_in_order(key):
+    ring = _ring(*key)
+    for kind in ("twosided", "right"):
+        assert [i.members for i in enumerate_ideals(ring, kind)] == _lattice(key, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_keys(), st.data())
+def test_kinds_and_quotients_match_the_elementwise_scans(key, data):
+    """On drawn subsets and on the quotients of right-ideal pairs, which are
+    what the `ideals` suite classifies."""
+    ring = _ring(*key)
+    right = _lattice(key, "right")
+    U, V = data.draw(st.sampled_from(right)), data.draw(st.sampled_from(right))
+    xs = frozenset(data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6)))
+    U_ideal = ideal_closure(ring, U, "right")
+    for subset in (xs, xs | {0}, U, V, U | V):
+        assert classify_kind(ring, subset) == elementwise_kind(ring, subset)
+        q = quotient_ideal(U_ideal, subset)
+        assert q == membership_quotient(ring, U, subset)
+        assert classify_kind(ring, q) == elementwise_kind(ring, q)
+
+
+def _axioms(ring):
+    return [(r.axiom, r.ok, r.witness) for r in check_ring_axioms(ring).results]
+
+
+def test_axiom_scan_matches_the_triple_scan_on_the_rings():
+    for key in [("Zn", 12), ("product", 4, 4), ("trivial_extension", 4), ("ut2", 2),
+                ("ut2", 4)]:
+        ring = _ring(*key)
+        assert _axioms(ring) == triple_scan_axioms(ring)
+
+
+def test_rings_are_decided_by_the_row_tests_alone(monkeypatch):
+    """Only an axiom whose row test fails is scanned element by element; on
+    rings that satisfy every axiom, commutative or not, no scan starts."""
+    import mnseries.rings as rings
+
+    def no_scan(*args):
+        raise AssertionError("a witness scan ran on a ring that satisfies the axioms")
+
+    monkeypatch.setattr(rings, "next", no_scan, raising=False)
+    for key in [("Zn", 12), ("product", 4, 4), ("ut2", 2), ("ut2", 4)]:
+        assert check_ring_axioms(_ring(*key)).passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_keys(ut2_sizes=(2, 3)), st.data())
+def test_axiom_scan_matches_the_triple_scan_on_single_entry_mutations(key, data):
+    """One entry of the add or mul table set to any element: the row tests
+    must pass exactly the axioms the triple scan passes, and each failure
+    carries the triple scan's first witness."""
+    ring = _ring(*key)
+    n = ring.size
+    tables = {"add": [list(row) for row in ring.add_table],
+              "mul": [list(row) for row in ring.mul_table]}
+    name = data.draw(st.sampled_from(sorted(tables)))
+    i, j, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    tables[name][i][j] = v
+    mutated = FiniteRing(f"{ring.label}[{name} {i},{j}={v}]", tables["add"], tables["mul"],
+                         ring.one)
+    assert _axioms(mutated) == triple_scan_axioms(mutated)

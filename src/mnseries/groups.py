@@ -19,6 +19,7 @@ class OrderedGroup:
     """Common interface: op / inverse / window over canonical elements."""
 
     kind: str
+    k: int  # the number of Z factors
     identity = None
 
     def canon(self, x):
@@ -28,6 +29,10 @@ class OrderedGroup:
         raise NotImplementedError
 
     def inverse(self, x):
+        raise NotImplementedError
+
+    def coords(self, x) -> tuple:
+        """x as a k-tuple of integers."""
         raise NotImplementedError
 
     def window(self, lo: int, hi: int) -> list:
@@ -57,6 +62,7 @@ class IntegersGroup(OrderedGroup):
     """(Z, +) with the natural order."""
 
     kind = "Z"
+    k = 1
     identity = 0
 
     def canon(self, x):
@@ -67,6 +73,9 @@ class IntegersGroup(OrderedGroup):
 
     def inverse(self, x):
         return -x
+
+    def coords(self, x):
+        return (x,)
 
     def window(self, lo, hi):
         return list(range(lo, hi + 1))
@@ -106,6 +115,9 @@ class LexProductGroup(OrderedGroup):
 
     def inverse(self, x):
         return tuple(-a for a in x)
+
+    def coords(self, x):
+        return x
 
     def window(self, lo, hi):
         return [tuple(t) for t in itertools.product(range(lo, hi + 1), repeat=self.k)]

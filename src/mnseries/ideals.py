@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, filterfalse
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Iterable
 
 from .errors import RingMismatch, SizeCapExceeded
@@ -150,28 +150,35 @@ def _member_set(ring: FiniteRing, xs) -> frozenset[int]:
     return frozenset(xs)
 
 
+def _rows_meet(ring: FiniteRing, rows, keep) -> frozenset[int]:
+    """The positions a at which keep(row[a]) holds for every row: the
+    positions of each row that pass, intersected."""
+    out = set(ring.elements())
+    for row in rows:
+        out.intersection_update(compress(ring.elements(), map(keep, row)))
+    return frozenset(out)
+
+
 def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
     """(U:V) = {x | v*x in U for every v in V}: for each v, the positions of
     row v of the product table that land in U, intersected; two-sided when
     U and V are right ideals (the `ideals` suite checks it)."""
     ring = U.ring
-    inside = U.members.__contains__
-    out = set(ring.elements())
-    for v in _member_set(ring, V):
-        out.intersection_update(compress(ring.elements(), map(inside, ring.mul_table[v])))
-    return frozenset(out)
+    return _rows_meet(ring, (ring.mul_table[v] for v in _member_set(ring, V)),
+                      U.members.__contains__)
 
 
 def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:
-    """r_R(X) = {a | xa = 0 for all x in X}; side='left' uses ax = 0."""
+    """r_R(X) = {a | xa = 0 for all x in X}, the zeros of row x of the
+    product table; side='left' uses ax = 0, the zeros of column x."""
     xs = _member_set(ring, X)
     if side == "right":
-        return frozenset(a for a in ring.elements()
-                         if all(ring.mul_table[x][a] == 0 for x in xs))
-    if side == "left":
-        return frozenset(a for a in ring.elements()
-                         if all(ring.mul_table[a][x] == 0 for x in xs))
-    raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+        rows = (ring.mul_table[x] for x in xs)
+    elif side == "left":
+        rows = (map(itemgetter(x), ring.mul_table) for x in xs)
+    else:
+        raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+    return _rows_meet(ring, rows, not_)
 
 
 def set_sum(ring: FiniteRing, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
@@ -219,9 +226,8 @@ def nil_radical(ring: FiniteRing) -> tuple[frozenset[int], bool]:
 def weak_annihilator(ring: FiniteRing, X, nil: frozenset[int]) -> frozenset[int]:
     """N_R(X) = {a | xa is nilpotent for every x in X}, given the nilpotent
     elements `nil` of the ring (the first part of nil_radical)."""
-    xs = _member_set(ring, X)
-    return frozenset(a for a in ring.elements()
-                     if all(ring.mul_table[x][a] in nil for x in xs))
+    return _rows_meet(ring, (ring.mul_table[x] for x in _member_set(ring, X)),
+                      nil.__contains__)
 
 
 def close_under_inverses(sigma_family: Iterable[RingAutomorphism]) -> list[RingAutomorphism]:

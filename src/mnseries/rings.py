@@ -25,6 +25,10 @@ class FiniteRing:
     def __init__(self, label: str, add_table: Sequence[Sequence[int]],
                  mul_table: Sequence[Sequence[int]], one: int,
                  names: Sequence[str] | None = None):
+        for name, table in (("add", add_table), ("mul", mul_table)):
+            if not (isinstance(table, (list, tuple))
+                    and all(isinstance(row, (list, tuple)) for row in table)):
+                raise MalformedSpec(f"ring {label!r}: {name} table must be a list of rows")
         size = len(add_table)
         if size < 2:
             raise MalformedSpec(f"ring {label!r}: need at least 2 elements, got {size}")
@@ -37,7 +41,7 @@ class FiniteRing:
                 for j, v in enumerate(row):
                     if not isinstance(v, int) or not 0 <= v < size:
                         raise MalformedSpec(f"ring {label!r}: {name}[{i}][{j}] = {v!r} out of range")
-        if not 0 <= one < size:
+        if not isinstance(one, int) or not 0 <= one < size:
             raise MalformedSpec(f"ring {label!r}: one = {one} out of range")
         self.label = label
         self.size = size
@@ -47,8 +51,9 @@ class FiniteRing:
         self.one = one
         if names is None:
             names = [str(i) for i in range(size)]
-        if len(names) != size:
-            raise MalformedSpec(f"ring {label!r}: {len(names)} names for {size} elements")
+        if not (isinstance(names, (list, tuple)) and len(names) == size
+                and all(isinstance(name, str) for name in names)):
+            raise MalformedSpec(f"ring {label!r}: names must be a list of {size} strings")
         self.names = tuple(names)
         self._neg = None
         self._units = None
@@ -198,14 +203,12 @@ def unit_inverse(ring: FiniteRing, u: int) -> int:
 
 
 class RingAutomorphism:
-    """A validated ring automorphism, stored as a permutation of element ids."""
+    """A ring automorphism, stored as a permutation of element ids; build one
+    from an unchecked map with `check_automorphism`."""
 
-    def __init__(self, ring: FiniteRing, mapping: Sequence[int], _checked: bool = False):
+    def __init__(self, ring: FiniteRing, mapping: Sequence[int]):
         self.ring = ring
         self.map = tuple(mapping)
-        if not _checked:
-            validated = check_automorphism(ring, mapping)
-            self.map = validated.map
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -228,11 +231,11 @@ class RingAutomorphism:
         inv = [0] * self.ring.size
         for i, v in enumerate(self.map):
             inv[v] = i
-        return RingAutomorphism(self.ring, inv, _checked=True)
+        return RingAutomorphism(self.ring, inv)
 
 
 def identity_automorphism(ring: FiniteRing) -> RingAutomorphism:
-    return RingAutomorphism(ring, range(ring.size), _checked=True)
+    return RingAutomorphism(ring, range(ring.size))
 
 
 def check_automorphism(ring: FiniteRing, mapping: Sequence[int]) -> RingAutomorphism:
@@ -259,14 +262,14 @@ def check_automorphism(ring: FiniteRing, mapping: Sequence[int]) -> RingAutomorp
         raise NotAutomorphism("map does not fix zero", witness=("zero", m[0]))
     if m[ring.one] != ring.one:
         raise NotAutomorphism("map does not fix one", witness=("one", m[ring.one]))
-    return RingAutomorphism(ring, m, _checked=True)
+    return RingAutomorphism(ring, m)
 
 
 def compose_automorphisms(a: RingAutomorphism, b: RingAutomorphism) -> RingAutomorphism:
     """(a o b)(x) = a(b(x)). Composition of automorphisms needs no re-scan."""
     if a.ring is not b.ring:
         raise RingMismatch(f"automorphisms of {a.ring.label} and {b.ring.label}")
-    return RingAutomorphism(a.ring, [a.map[b.map[x]] for x in range(a.ring.size)], _checked=True)
+    return RingAutomorphism(a.ring, [a.map[b.map[x]] for x in range(a.ring.size)])
 
 
 def automorphism_power(a: RingAutomorphism, n: int) -> RingAutomorphism:
@@ -319,11 +322,11 @@ def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> Fi
     missing = {"label", "size", "add", "mul", "one"} - set(data)
     if missing:
         raise MalformedSpec(f"ring table missing keys: {sorted(missing)}")
-    if len(data["add"]) != data["size"]:
-        raise MalformedSpec(f"ring table {data['label']!r}: size {data['size']} "
-                            f"does not match add table ({len(data['add'])} rows)")
     ring = FiniteRing(data["label"], data["add"], data["mul"], data["one"],
                       names=data.get("names"))
+    if ring.size != data["size"]:
+        raise MalformedSpec(f"ring table {data['label']!r}: size {data['size']} "
+                            f"does not match add table ({ring.size} rows)")
     return _validated(ring)
 
 
@@ -418,7 +421,7 @@ def ring_make(spec: dict, base_dir: Path | None = None) -> FiniteRing:
         check_cap(r1.size * r2.size, "product ring")
         return ring_product(r1, r2)
     if kind == "trivial_extension":
-        base = ring_make(spec["base"], base_dir)
+        base = ring_make(spec.get("base"), base_dir)
         check_cap(base.size * base.size, "trivial extension")
         return ring_trivial_extension(base)
     raise MalformedSpec(f"unknown ring kind {kind!r}")

@@ -22,18 +22,13 @@ from .rings import (FiniteRing, RingAutomorphism, automorphism_power,
                     identity_automorphism, unit_inverse, units)
 
 
-def _coords(group: OrderedGroup, x) -> tuple:
-    return (x,) if group.kind == "Z" else x
-
-
 class SigmaRule:
     """sigma_x as a product of generator automorphism powers, one per Z factor."""
 
     def __init__(self, ring: FiniteRing, group: OrderedGroup,
                  generators: Sequence[RingAutomorphism]):
-        k = 1 if group.kind == "Z" else group.k
-        if len(generators) != k:
-            raise MalformedSpec(f"sigma needs {k} generator(s), got {len(generators)}")
+        if len(generators) != group.k:
+            raise MalformedSpec(f"sigma needs {group.k} generator(s), got {len(generators)}")
         for g in generators:
             if g.ring is not ring:
                 raise MalformedSpec("sigma generator belongs to a different ring")
@@ -50,7 +45,7 @@ class SigmaRule:
         if x in self._memo:
             return self._memo[x]
         acc = identity_automorphism(self.ring)
-        for gen, c in zip(self.generators, _coords(self.group, x)):
+        for gen, c in zip(self.generators, self.group.coords(x)):
             acc = compose_automorphisms(automorphism_power(gen, c), acc)
         self._memo[x] = acc
         return acc
@@ -83,7 +78,7 @@ class TauUnitPower(TauRule):
         for r in ring.elements():
             if ring.mul_table[unit][r] != ring.mul_table[r][unit]:
                 raise MalformedSpec(f"tau unit {ring.describe(unit)} is not central")
-        k = 1 if group.kind == "Z" else group.k
+        k = group.k
         if not (isinstance(matrix, (list, tuple)) and len(matrix) == k and all(
                 isinstance(row, (list, tuple)) and len(row) == k
                 and all(type(v) is int for v in row) for row in matrix)):
@@ -102,7 +97,7 @@ class TauUnitPower(TauRule):
         self._powers = powers
 
     def exponent(self, x, y) -> int:
-        xs, ys = _coords(self.group, x), _coords(self.group, y)
+        xs, ys = self.group.coords(x), self.group.coords(y)
         return sum(xs[i] * self.matrix[i][j] * ys[j]
                    for i in range(len(xs)) for j in range(len(ys)))
 
@@ -174,8 +169,7 @@ def trivial_twist(ring: FiniteRing, group: OrderedGroup | None = None) -> TwistS
     """Identity sigma, tau = 1: the plain (untwisted) group series ring."""
     if group is None:
         group = IntegersGroup()
-    k = 1 if group.kind == "Z" else group.k
-    sigma = SigmaRule(ring, group, [identity_automorphism(ring)] * k)
+    sigma = SigmaRule(ring, group, [identity_automorphism(ring)] * group.k)
     return TwistSystem(ring, group, sigma, TauOne(ring))
 
 
@@ -190,7 +184,7 @@ def twist_from_spec(ring: FiniteRing, group: OrderedGroup, spec: dict | None) ->
     spec = spec or {}
     if not isinstance(spec, dict):
         raise MalformedSpec(f"twist spec must be an object: {spec!r}")
-    k = 1 if group.kind == "Z" else group.k
+    k = group.k
     sigma_spec = spec.get("sigma", "identity")
     if sigma_spec == "identity":
         gen_specs = ["identity"] * k

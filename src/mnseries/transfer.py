@@ -60,9 +60,7 @@ class TruncatedUniverse:
         self.algebra = WindowAlgebra(twist, win)
         self.terms = self.algebra.universe()
         self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
-        # thm4.5's ideals K by right annihilator r(K), set once its hypotheses hold
-        self._k_by_annihilator: dict[frozenset[int], IdealSet] | None = None
-        self._annihilators: dict[tuple, frozenset[tuple]] = {}
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return self.count
@@ -91,21 +89,27 @@ class TruncatedUniverse:
     def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
         return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
 
+    def once(self, key, compute):
+        """compute() the first time `key` is asked for, its stored value after
+        that; a compute() that raises stores nothing, so a failing check raises on every call."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def annihilator(self, coeffs: Iterable[int], side: str) -> frozenset[tuple]:
         """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
         for every member s with coefficients in `coeffs`; scanned once per
         (coefficient set, side)."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        key = (frozenset(coeffs), side)
-        if key not in self._annihilators:
+        coeffs = frozenset(coeffs)
+
+        def scan():
             mul = self.algebra.multiply
-            targets = [[(i, c) for i, c in enumerate(m) if c]
-                       for m in self.with_coeffs_in(key[0])]
-            self._annihilators[key] = frozenset(
-                m for u, m in zip(self.terms, self.members) if not any(
-                    any(mul(u, s) if side == "left" else mul(s, u)) for s in targets))
-        return self._annihilators[key]
+            targets = [[(i, c) for i, c in enumerate(m) if c] for m in self.with_coeffs_in(coeffs)]
+            return frozenset(m for u, m in zip(self.terms, self.members) if not any(
+                any(mul(u, s) if side == "left" else mul(s, u)) for s in targets))
+        return self.once(("annihilator", coeffs, side), scan)
 
     def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
         add = self.twist.ring.add_table
@@ -148,6 +152,19 @@ def require_zip(U: IdealSet, twist: TwistSystem):
         raise NotSigmaCompatible(f"U is not sigma-compatible (witness {compat.witness})")
     if not twist.normalized:
         raise NotNormalized("twist is not normalized")
+
+
+def require_sa(twist: TwistSystem, window: Sequence):
+    """Thm 4.5: a normalized twist over an SA base ring that passes the
+    G-Armendariz check bounded by the window."""
+    if not twist.normalized:
+        raise NotNormalized("twist is not normalized")
+    sa = is_SA(twist.ring)
+    if not sa.verdict:
+        raise PreconditionFail(f"base ring is not SA: {sa.witness}")
+    garm = is_G_armendariz(twist.ring, twist, max_support=len(window), exponents=window)
+    if not garm.verdict:
+        raise PreconditionFail(f"base ring fails the bounded G-Armendariz check: {garm.witness}")
 
 
 # --- fusible decomposition lift ----------------------------------------------
@@ -199,7 +216,7 @@ def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> Fusibl
     ring = twist.ring
     if f.is_zero:
         raise ZeroSeries("cannot decompose the zero series")
-    require_fusible(twist)
+    universe.once(("prop3.2", twist), lambda: require_fusible(twist))
 
     stats = support_stats(f)
     s0 = stats.minimal
@@ -241,7 +258,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     ring = twist.ring
     if I.ring is not ring or J.ring is not ring:
         raise RingMismatch("ideals must live in the universe's coefficient ring")
-    require_sigma_compatible(twist)
+    universe.once(("lemma4.3", twist), lambda: require_sigma_compatible(twist))
     meet = I.members & J.members
     witnesses = {}
 
@@ -313,28 +330,16 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     for s in itertools.chain(I_gens, J_gens):
         if s.twist is not twist:
             raise TwistMismatch("generator series must share the universe's twist")
-    # thm4.5's hypotheses, checked until they have held once on this universe
-    if universe._k_by_annihilator is None:
-        if not twist.normalized:
-            raise NotNormalized("twist is not normalized")
-        sa = is_SA(ring)
-        if not sa.verdict:
-            raise PreconditionFail(f"base ring is not SA: {sa.witness}")
-        garm = is_G_armendariz(ring, twist, max_support=len(universe.window),
-                               exponents=universe.window)
-        if not garm.verdict:
-            raise PreconditionFail(f"base ring fails the bounded G-Armendariz check: {garm.witness}")
-        k_by_annihilator = {}
-        for cand in enumerate_ideals(ring, "twosided"):
-            k_by_annihilator.setdefault(annihilator(ring, cand.members), cand)
-        universe._k_by_annihilator = k_by_annihilator
+    universe.once(("thm4.5", twist), lambda: require_sa(twist, universe.window))
+    k_by_annihilator = universe.once("K by r(K)", lambda: {
+        annihilator(ring, K.members): K for K in reversed(enumerate_ideals(ring, "twosided"))})
 
     I0 = ideal_closure(ring, _contents(I_gens), "right")
     J0 = ideal_closure(ring, _contents(J_gens), "right")
     rI0 = annihilator(ring, I0.members)
     rJ0 = annihilator(ring, J0.members)
     target = set_sum(ring, rI0, rJ0)
-    K = universe._k_by_annihilator.get(target)
+    K = k_by_annihilator.get(target)
     if K is None:
         return PropertyReport(
             "sa-transfer", False,
@@ -559,7 +564,7 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     for s in X:
         if s.twist is not twist:
             raise TwistMismatch("members of X must share the universe's twist")
-    require_zip(U, twist)
+    universe.once(("thm5.4", U, twist), lambda: require_zip(U, twist))
     if all(s.content() <= U.members for s in X):
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:

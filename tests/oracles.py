@@ -2,8 +2,8 @@
 
 These are the direct scans the library ran before its kernels moved onto
 table rows: the worklist ideal closure (and the ideal lattice built from
-it), the membership-scan quotient, the (a, b, c) triple scan of the ring
-axioms and the element-by-element ideal-kind test. They stay here as
+it), the membership-scan quotient and annihilators, the (a, b, c) triple
+scan of the ring axioms and the element-by-element ideal-kind test. They stay here as
 oracles, not as second paths in `src/`.
 """
 
@@ -66,6 +66,19 @@ def membership_quotient(ring: FiniteRing, U: frozenset[int], V) -> frozenset[int
     """(U:V) = {x | v*x in U for every v in V}, one product at a time."""
     return frozenset(x for x in ring.elements()
                      if all(ring.mul_table[v][x] in U for v in V))
+
+
+def elementwise_annihilator(ring: FiniteRing, X, side: str) -> frozenset[int]:
+    """r(X) = {a | xa = 0 for every x in X}, or l(X) with ax = 0 for side
+    "left", one product at a time."""
+    if side == "right":
+        return frozenset(a for a in ring.elements() if all(ring.mul_table[x][a] == 0 for x in X))
+    return frozenset(a for a in ring.elements() if all(ring.mul_table[a][x] == 0 for x in X))
+
+
+def elementwise_weak_annihilator(ring: FiniteRing, X, nil) -> frozenset[int]:
+    """N(X) = {a | xa is in nil for every x in X}, one product at a time."""
+    return frozenset(a for a in ring.elements() if all(ring.mul_table[x][a] in nil for x in X))
 
 
 def triple_scan_axioms(ring: FiniteRing) -> list[tuple]:

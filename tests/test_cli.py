@@ -318,6 +318,8 @@ def test_main_report_rejects_a_malformed_report(tmp_path, capsys, doc, fmt):
 _PLAIN_TWIST = {"group": {"group": "Z"}, "twist": {"sigma": "identity", "tau": {"kind": "one"}}}
 _UNIT_POWER = {"kind": "unit_power", "unit": 3, "exponent_rule": "product"}
 _PATCHED = {"kind": "patched", "base": _UNIT_POWER, "overrides": []}
+_F2_TABLE = {"kind": "table", "label": "F2", "size": 2, "add": [[0, 1], [1, 0]],
+             "mul": [[0, 0], [0, 1]], "one": 1, "names": ["0", "1"]}
 
 
 def _twist(**spec):
@@ -351,13 +353,22 @@ def _twist(**spec):
     (_twist(tau={**_UNIT_POWER, "exponent_rule": [["a"]]}), "bad twist: tau exponent matrix"),
     (_twist(tau={**_UNIT_POWER, "exponent_rule": [[1.5]]}), "bad twist: tau exponent matrix"),
     (_twist(tau={**_UNIT_POWER, "unit": "3"}), "bad twist: tau unit must be an element id"),
+    ({"ring": {**_F2_TABLE, "add": 5}}, "bad ring: ring 'F2': add table must be a list of rows"),
+    ({"ring": {**_F2_TABLE, "mul": [None, [0, 1]]}},
+     "bad ring: ring 'F2': mul table must be a list of rows"),
+    ({"ring": {**_F2_TABLE, "one": 1.5}}, "bad ring: ring 'F2': one = 1.5 out of range"),
+    ({"ring": {**_F2_TABLE, "one": "x"}}, "bad ring: ring 'F2': one = x out of range"),
+    ({"ring": {**_F2_TABLE, "names": 5}}, "bad ring: ring 'F2': names must be a list of 2 strings"),
+    ({"ring": {**_F2_TABLE, "names": ["0", 1]}}, "bad ring: ring 'F2': names must be a list"),
+    ({"ring": {"kind": "trivial_extension"}}, "bad ring: ring spec must be an object"),
 ], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
         "ideal-kind-list", "twist-list", "cap-string", "cap-window-short",
         "cap-window-reversed", "cap-window-overflow", "cap-misspelt",
         "cap-fixed", "tau-string", "tau-list",
         "sigma-generators-int", "overrides-int", "override-short", "override-out-of-range",
         "override-string", "patched-no-base", "unit-power-no-unit", "exponent-rule-string",
-        "exponent-rule-float", "unit-string"])
+        "exponent-rule-float", "unit-string", "table-add-int", "table-row-null",
+        "one-float", "one-string", "names-int", "names-entry-int", "trivial-extension-no-base"])
 def test_main_rejects_a_malformed_fixture(tmp_path, capsys, patch, fragment):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"label": "bad", "ring": {"kind": "Zn", "n": 4}, **patch}))
@@ -365,6 +376,64 @@ def test_main_rejects_a_malformed_fixture(tmp_path, capsys, patch, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: fixture 'bad': ")
     assert fragment in err
+
+
+# what test_every_mutation_of_a_valid_fixture_exits_0_or_2 mutates: a table
+# ring with an ideal, and a product ring over Z^1_lex with a patched tau and
+# a series; k stays at most 1, since load time grows as 7^(3k) with the twist
+# window (an open item of the roadmap)
+_MUTATED_DOCS = [
+    {"label": "t2", "ring": _F2_TABLE, "ideals": {"U": {"kind": "twosided", "gens": [0]}}},
+    {"label": "pt",
+     "ring": {"kind": "product", "factors": [
+         {"kind": "Zn", "n": 2}, {"kind": "trivial_extension", "base": {"kind": "Zn", "n": 2}}]},
+     "group": {"group": "Z^k_lex", "k": 1},
+     "twist": {"sigma": {"generators": ["identity"]},
+               "tau": {"kind": "patched",
+                       "base": {"kind": "unit_power", "unit": 7, "exponent_rule": [[1]]},
+                       "overrides": [[[1], [1], 7]]}},
+     "series": {"f": [[[0], 1], [[1], 7]]},
+     "caps": {"assoc_samples": 5}},
+]
+_REPLACEMENTS = [None, "x", 5, -1, 1.5, True, [], {}, [1], [[1]]]
+
+
+def _mutations(doc):
+    """Every document that replaces one value of doc (at any depth) by one of
+    _REPLACEMENTS, or deletes one object key."""
+    def paths(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield path + (key,)
+            if isinstance(value, (dict, list)):
+                yield from paths(value, path + (key,))
+
+    def edited(path, edit):
+        out = json.loads(json.dumps(doc))
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        edit(parent, path[-1])
+        return out
+
+    for path in paths(doc, ()):
+        for value in _REPLACEMENTS:
+            if path[-1] == "k" and value == 5:
+                continue  # Z^5_lex: the 7^15 twist-window scan above
+            yield edited(path, lambda parent, key: parent.__setitem__(key, value))
+        if isinstance(path[-1], str):
+            yield edited(path, lambda parent, key: parent.__delitem__(key))
+
+
+def test_every_mutation_of_a_valid_fixture_exits_0_or_2(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    for doc in _MUTATED_DOCS:
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        for mutated in _mutations(doc):
+            path.write_text(json.dumps(mutated))
+            assert main(["validate", str(path)]) in (0, 2), mutated
+        capsys.readouterr()
 
 
 def test_prop32_checks_its_hypotheses_before_building_a_universe(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """The ring-table kernels against the direct scans they replaced.
 
 `ideal_closure` grows an additive subgroup one generator at a time,
-`check_ring_axioms` compares whole table rows and `classify_kind` and
-`quotient_ideal` work on rows as well. The oracles in `oracles.py` do the
-same jobs one element, pair or triple at a time. Over generated Zn,
-products, trivial extensions and the noncommutative UT2(Z2) and UT2(Z4),
-closures, lattices (in order), kinds and quotients must agree, and on
-tables with one entry changed, so must every (axiom, ok, witness).
+`check_ring_axioms` compares whole table rows and `classify_kind`,
+`quotient_ideal` and the annihilators work on rows (or columns) as well.
+The oracles in `oracles.py` do the same jobs one element, pair or triple
+at a time. Over generated Zn, products, trivial extensions and the
+noncommutative UT2(Z2) and UT2(Z4), closures, lattices (in order), kinds,
+quotients and annihilators must agree, and on tables with one entry
+changed, so must every (axiom, ok, witness).
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnseries.ideals import classify_kind, enumerate_ideals, ideal_closure, quotient_ideal
+from mnseries.ideals import (annihilator, classify_kind, enumerate_ideals, ideal_closure,
+                             nil_radical, quotient_ideal, weak_annihilator)
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn)
-from oracles import (elementwise_kind, membership_quotient, triple_scan_axioms, ut2_table,
-                     worklist_closure, worklist_lattice)
+from oracles import (elementwise_annihilator, elementwise_kind, elementwise_weak_annihilator,
+                     membership_quotient, triple_scan_axioms, ut2_table, worklist_closure,
+                     worklist_lattice)
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,6 +90,21 @@ def test_kinds_and_quotients_match_the_elementwise_scans(key, data):
         q = quotient_ideal(U_ideal, subset)
         assert q == membership_quotient(ring, U, subset)
         assert classify_kind(ring, q) == elementwise_kind(ring, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_keys(), st.data())
+def test_annihilators_match_the_elementwise_scans(key, data):
+    """On drawn subsets and on right ideals, which is what `is_IN` and
+    `lemma4.3` annihilate; the left side reads columns of the table."""
+    ring = _ring(*key)
+    nil, _ = nil_radical(ring)
+    xs = frozenset(data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6)))
+    for subset in (xs, frozenset(), data.draw(st.sampled_from(_lattice(key, "right")))):
+        for side in ("left", "right"):
+            assert annihilator(ring, subset, side) == elementwise_annihilator(ring, subset, side)
+        assert weak_annihilator(ring, subset, nil) == elementwise_weak_annihilator(ring, subset,
+                                                                                   nil)
 
 
 def _axioms(ring):

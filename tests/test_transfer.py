@@ -320,27 +320,63 @@ def test_precondition_errors_are_precondition_failures():
         assert issubclass(cls, PreconditionFail)
 
 
-def test_thm45_run_checks_SA_and_G_armendariz_once(monkeypatch):
+def _suite_calls(monkeypatch, fixture, suite, names):
+    """Run one suite on a shipped fixture, counting calls to the named
+    functions as `mnseries.transfer` sees them; returns (report, counts)."""
     import mnseries.transfer as transfer
     from mnseries.cli import load_fixture, resolve_fixture, run_suite
-    calls = {"is_SA": 0, "is_G_armendariz": 0}
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counting(*args, _name=name, _real=getattr(transfer, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(transfer, name, counting)
-    rep = run_suite(load_fixture(resolve_fixture("klein_fusible")), "thm4.5")
+    return run_suite(load_fixture(resolve_fixture(fixture)), suite), calls
+
+
+def test_thm45_run_checks_SA_and_G_armendariz_once(monkeypatch):
+    rep, calls = _suite_calls(monkeypatch, "klein_fusible", "thm4.5",
+                              ["is_SA", "is_G_armendariz"])
     assert rep.status == "pass"
     assert sum(c.prop == "sa-transfer" for c in rep.checks) == 17
     assert calls == {"is_SA": 1, "is_G_armendariz": 1}
 
 
-def test_sa_transfer_failed_hypothesis_raises_on_every_call(tw_klein_swap):
-    # the swap twist fails the G-Armendariz check bounded by the window 0..1
-    uni = TruncatedUniverse(tw_klein_swap, [0, 1])
-    for _ in range(2):
-        with pytest.raises(PreconditionFail, match="G-Armendariz"):
-            sa_transfer_witness([], [], uni)
+@pytest.mark.parametrize("fixture, suite, counted", [
+    # prop3.2 and thm5.4 check once before the universe is built and once
+    # through its memo; lemma4.3 only through the memo
+    ("klein_fusible", "prop3.2", {"is_left_fusible": 2}),
+    ("t_z4_example_5_6", "lemma4.3", {"is_sigma_compatible_ring": 1}),
+    ("z4_tau_power", "thm5.4", {"is_semiprime_ideal": 2}),
+])
+def test_a_suite_run_checks_its_hypotheses_once_per_universe(monkeypatch, fixture, suite,
+                                                             counted):
+    rep, calls = _suite_calls(monkeypatch, fixture, suite, counted)
+    assert rep.status == "pass"
+    assert calls == counted
+
+
+def test_sa_transfer_failed_hypothesis_raises_on_every_call(tw_klein_swap, tw_z4,
+                                                            zero_ideal_z4):
+    """A hypothesis that fails is not stored, so every harness raises again
+    on a second call on the same universe."""
+    swap_uni = TruncatedUniverse(tw_klein_swap, [0, 1])
+    z4_uni = TruncatedUniverse(tw_z4, [0, 1])
+    klein_right = enumerate_ideals(tw_klein_swap.ring, "right")
+    one = series_make(tw_z4, [(0, 1)])
+    harnesses = [
+        # the swap twist fails the G-Armendariz check bounded by the window 0..1
+        (PreconditionFail, "G-Armendariz", lambda: sa_transfer_witness([], [], swap_uni)),
+        (NotSigmaCompatible, "not sigma-compatible",
+         lambda: lifted_annihilator_check(klein_right[0], klein_right[-1], "left", swap_uni)),
+        (NotFusibleRing, "not left fusible", lambda: lift_fusible_decomposition(one, z4_uni)),
+        (PreconditionFail, "not semiprime",
+         lambda: series_zip_witness([one], zero_ideal_z4, z4_uni)),
+    ]
+    for error, message, call in harnesses:
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                call()
 
 
 def _z2xy():

@@ -96,7 +96,7 @@ class LexProductGroup(OrderedGroup):
     kind = "Z^k_lex"
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise MalformedSpec(f"Z^k_lex requires k >= 1, got {k!r}")
         self.k = k
         self.identity = (0,) * k

@@ -152,10 +152,13 @@ def _member_set(ring: FiniteRing, xs) -> frozenset[int]:
 
 def _rows_meet(ring: FiniteRing, rows, keep) -> frozenset[int]:
     """The positions a at which keep(row[a]) holds for every row: the
-    positions of each row that pass, intersected."""
+    positions of each row that pass, intersected. Every caller's rows keep
+    position 0 (x*0 = 0*x = 0, and 0 is kept), so the scan stops at {0}."""
     out = set(ring.elements())
     for row in rows:
         out.intersection_update(compress(ring.elements(), map(keep, row)))
+        if len(out) == 1:
+            break
     return frozenset(out)
 
 

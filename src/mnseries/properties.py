@@ -43,7 +43,7 @@ class PropertyReport:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroDivisorSets:
     left: frozenset[int]
     left_regular: frozenset[int]
@@ -52,14 +52,17 @@ class ZeroDivisorSets:
 
 
 def zero_divisor_sets(ring: FiniteRing) -> ZeroDivisorSets:
-    """Left/right zero-divisors and their complements; 0 always divides."""
-    elems = ring.elements()
-    left = frozenset(a for a in elems
-                     if any(r != 0 and ring.mul_table[a][r] == 0 for r in elems))
-    right = frozenset(a for a in elems
-                      if any(r != 0 and ring.mul_table[r][a] == 0 for r in elems))
-    all_set = frozenset(elems)
-    return ZeroDivisorSets(left, all_set - left, right, all_set - right)
+    """Left/right zero-divisors and their complements; 0 always divides.
+    Scanned once per ring, like its units."""
+    if ring._zero_divisors is None:
+        elems = ring.elements()
+        left = frozenset(a for a in elems
+                         if any(r != 0 and ring.mul_table[a][r] == 0 for r in elems))
+        right = frozenset(a for a in elems
+                          if any(r != 0 and ring.mul_table[r][a] == 0 for r in elems))
+        all_set = frozenset(elems)
+        ring._zero_divisors = ZeroDivisorSets(left, all_set - left, right, all_set - right)
+    return ring._zero_divisors
 
 
 def fusible_decompositions(ring: FiniteRing, a: int) -> list[tuple[int, int]]:

@@ -39,9 +39,9 @@ class FiniteRing:
                 if len(row) != size:
                     raise MalformedSpec(f"ring {label!r}: {name} row {i} has {len(row)} entries")
                 for j, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < size:
+                    if type(v) is not int or not 0 <= v < size:
                         raise MalformedSpec(f"ring {label!r}: {name}[{i}][{j}] = {v!r} out of range")
-        if not isinstance(one, int) or not 0 <= one < size:
+        if type(one) is not int or not 0 <= one < size:
             raise MalformedSpec(f"ring {label!r}: one = {one} out of range")
         self.label = label
         self.size = size
@@ -57,6 +57,7 @@ class FiniteRing:
         self.names = tuple(names)
         self._neg = None
         self._units = None
+        self._zero_divisors = None
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, size={self.size})"

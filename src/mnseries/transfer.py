@@ -112,8 +112,18 @@ class TruncatedUniverse:
         return self.once(("annihilator", coeffs, side), scan)
 
     def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
+        """{a + b | a in A, b in B}, coefficientwise, for any member sets: the
+        product form of |A|*|B| tuple sums, the oracle of is_subgroup_sum."""
         add = self.twist.ring.add_table
         return {tuple(add[a][b] for a, b in zip(x, y)) for x in A for y in B}
+
+    @staticmethod
+    def is_subgroup_sum(C: frozenset[tuple], A: frozenset[tuple], B: frozenset[tuple]) -> bool:
+        """Whether C = A + B, for A, B and C additive subgroups of the
+        universe, such as its annihilators (the window product is bilinear).
+        A subgroup holding A and B holds A + B, and |A + B| = |A|*|B| / |A n B|,
+        so C = A + B iff A and B lie in C and |C|*|A n B| = |A|*|B|: no sums."""
+        return A <= C and B <= C and len(C) * len(A & B) == len(A) * len(B)
 
     def describe(self) -> dict:
         return {"window": [self.twist.group.to_json(x) for x in self.window],
@@ -282,10 +292,9 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     base_holds = (annihilator(ring, meet, "left")
                   == set_sum(ring, annihilator(ring, I.members, "left"),
                              annihilator(ring, J.members, "left")))
-    l_meet = universe.annihilator(meet, "left")
-    l_sum = universe.set_sum(universe.annihilator(I.members, "left"),
-                             universe.annihilator(J.members, "left"))
-    univ_holds = l_meet == l_sum
+    univ_holds = universe.is_subgroup_sum(universe.annihilator(meet, "left"),
+                                          universe.annihilator(I.members, "left"),
+                                          universe.annihilator(J.members, "left"))
     id3 = base_holds == univ_holds
     if not id3:
         witnesses["sum-identity-agreement"] = {"base": base_holds, "universe": univ_holds}
@@ -351,7 +360,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     r_I = universe.annihilator(I0.members, "right")
     r_J = universe.annihilator(J0.members, "right")
     r_K = universe.annihilator(K.members, "right")
-    universe_ok = universe.set_sum(r_I, r_J) == r_K
+    universe_ok = universe.is_subgroup_sum(r_K, r_I, r_J)
 
     K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
     reverse_ok = annihilator(ring, K0.members) == target

@@ -10,6 +10,7 @@ from mnseries.cli import (SUITE_NAMES, emit_report, load_fixture, main,
                           resolve_fixture, run_suite, shipped_fixtures)
 from mnseries.errors import ParseError, SuiteUnknown, ValidationError
 from mnseries.ideals import classify_kind, ideal_closure
+from oracles import ut2_table
 
 GOOD_FIXTURES = ("z4_example_5_5", "t_z4_example_5_6", "klein_fusible",
                  "gf4_frobenius", "z4_tau_power")
@@ -361,6 +362,11 @@ def _twist(**spec):
     ({"ring": {**_F2_TABLE, "names": 5}}, "bad ring: ring 'F2': names must be a list of 2 strings"),
     ({"ring": {**_F2_TABLE, "names": ["0", 1]}}, "bad ring: ring 'F2': names must be a list"),
     ({"ring": {"kind": "trivial_extension"}}, "bad ring: ring spec must be an object"),
+    ({"ring": {**_F2_TABLE, "one": True}}, "bad ring: ring 'F2': one = True out of range"),
+    ({"ring": {**_F2_TABLE, "mul": [[0, 0], [0, True]]}},
+     "bad ring: ring 'F2': mul[1][1] = True out of range"),
+    ({"group": {"group": "Z^k_lex", "k": True}, "twist": {"sigma": "identity"}},
+     "bad group: Z^k_lex requires k >= 1, got True"),
 ], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
         "ideal-kind-list", "twist-list", "cap-string", "cap-window-short",
         "cap-window-reversed", "cap-window-overflow", "cap-misspelt",
@@ -368,7 +374,8 @@ def _twist(**spec):
         "sigma-generators-int", "overrides-int", "override-short", "override-out-of-range",
         "override-string", "patched-no-base", "unit-power-no-unit", "exponent-rule-string",
         "exponent-rule-float", "unit-string", "table-add-int", "table-row-null",
-        "one-float", "one-string", "names-int", "names-entry-int", "trivial-extension-no-base"])
+        "one-float", "one-string", "names-int", "names-entry-int", "trivial-extension-no-base",
+        "one-bool", "mul-entry-bool", "lex-k-bool"])
 def test_main_rejects_a_malformed_fixture(tmp_path, capsys, patch, fragment):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"label": "bad", "ring": {"kind": "Zn", "n": 4}, **patch}))
@@ -447,21 +454,10 @@ def test_prop32_checks_its_hypotheses_before_building_a_universe(tmp_path, capsy
     assert data["checks"][0]["note"] == "not_applicable: Z32 is not left fusible (witness 2)"
 
 
-def _ut2_z2_table():
-    """Upper-triangular 2x2 matrices over Z2; [[a, b], [0, c]] has id 4a + 2b + c."""
-    elems = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[((a + x) % 2, (b + y) % 2, (c + z) % 2)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    mul = [[index[(a * x % 2, (a * y + b * z) % 2, c * z % 2)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    return {"kind": "table", "label": "UT2(Z2)", "size": 8, "add": add, "mul": mul,
-            "one": index[(1, 0, 1)]}
-
-
 def test_one_sided_pair_quotient_is_a_false_verdict(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ut2.json"
-    path.write_text(json.dumps({"label": "ut2", "ring": _ut2_z2_table()}))
+    # [[a, b], [0, c]] in UT2(Z2) has id 4a + 2b + c
+    path.write_text(json.dumps({"label": "ut2", "ring": {"kind": "table", **ut2_table(2)}}))
     assert main(["verify", str(path), "--suite", "ideals"]) == 0
     capsys.readouterr()
     ring = load_fixture(path).ring

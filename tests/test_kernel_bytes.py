@@ -1,4 +1,5 @@
-"""Report bytes on the 64-element rings where the table kernels do their work.
+"""Report bytes on the larger rings where the table kernels and the universe
+sum identities do their work.
 
 `report_digests.json` covers the shipped fixtures, whose rings have at most
 16 elements. Two 64-element fixtures are built here: the commutative Z4^3
@@ -8,6 +9,11 @@ ring-axiom scan, the ideal lattices and closures, the quotients and the
 property battery must keep the bytes recorded below, which the direct
 scans produced before the kernels moved onto table rows: the sha256 of exit
 code, stdout and stderr, as in `test_report_bytes.py`.
+
+A third fixture, Z32 over Z, untwisted, with U = (2), is the benchmark
+ladder's Z32 rung. Its `lemma4.3` and `thm4.5` runs (seed 0) must keep the
+bytes that the product-form sums of `TruncatedUniverse.set_sum` produced,
+before the sum identities moved onto subgroup arithmetic.
 """
 
 from __future__ import annotations
@@ -34,12 +40,22 @@ FIXTURES = {
         "ideals": {"U": {"kind": "twosided", "gens": [4]},
                    "P": {"kind": "right", "gens": [16]}},
     },
+    "z32": {
+        "ring": {"kind": "Zn", "n": 32},
+        "group": {"group": "Z"},
+        "twist": {"sigma": "identity", "tau": {"kind": "one"}},
+        "ideals": {"U": {"kind": "twosided", "gens": [2]}},
+    },
 }
 
 RUNS = {
     "verify ring-axioms": ["verify", "{fx}", "--suite", "ring-axioms", "--format", "json"],
     "verify ideals": ["verify", "{fx}", "--suite", "ideals", "--format", "json"],
     "props": ["props", "{fx}", "--format", "json"],
+    "verify lemma4.3": ["verify", "{fx}", "--suite", "lemma4.3", "--format", "json",
+                        "--seed", "0"],
+    "verify thm4.5": ["verify", "{fx}", "--suite", "thm4.5", "--format", "json",
+                      "--seed", "0"],
 }
 
 DIGESTS = {
@@ -55,6 +71,10 @@ DIGESTS = {
         "3b3cd21f73c0d64c972534e001bae094aeb7dca319af71838bba2025a2d4b775",
     "ut2_z4 props":
         "74665321e97232d62d2223d97ad89e407816f70eef68fd72a23725f24c452355",
+    "z32 verify lemma4.3":
+        "01c5df75e9e5006ce8c9c93007f30c6b8e36eb9daec1799b99c1abb300c52448",
+    "z32 verify thm4.5":
+        "22134d888d9f939f801b2974e1bdd50e475d3521219f2dd2938354a52f47e3e8",
 }
 
 

@@ -10,7 +10,7 @@ from mnseries.properties import (fusible_decompositions, is_G_armendariz,
                                  right_zip_witness, sigma_u_zip_scan,
                                  sigma_u_zip_witness, weak_zip_witness,
                                  zero_divisor_sets)
-from mnseries.rings import identity_automorphism, units
+from mnseries.rings import identity_automorphism, ring_zn, units
 
 
 def all_subsets(ring, nonempty=False):
@@ -25,6 +25,13 @@ def test_zero_divisor_sets(z4, klein, gf4):
     zdk = zero_divisor_sets(klein)
     assert zdk.left == {0, 1, 2} and zdk.left_regular == {3}
     assert zero_divisor_sets(gf4).left == {0}
+
+
+def test_zero_divisor_sets_are_scanned_once_per_ring():
+    # prop3.2 asks for them twice per decomposition; the ring keeps the first scan
+    ring = ring_zn(6)
+    assert zero_divisor_sets(ring) is zero_divisor_sets(ring)
+    assert zero_divisor_sets(ring) is not zero_divisor_sets(ring_zn(6))
 
 
 def test_zero_divisors_partition_and_units(z4, klein, gf4, tz4):

@@ -3,6 +3,8 @@
 The oracle is the Series path the harnesses ran before their scans moved
 onto the window algebra: `series_mul` and `series_add` double loops over
 `exhaustive_series`, kept here rather than as a second path in the library.
+The subgroup test that decides the harnesses' sum identities has the
+product-form `TruncatedUniverse.set_sum` as its oracle.
 """
 
 import functools
@@ -22,24 +24,13 @@ from mnseries.series import (exhaustive_series, series_add, series_make, series_
                              trivial_twist, twist_from_spec)
 from mnseries.transfer import (TruncatedUniverse, lift_fusible_decomposition,
                                series_zip_witness)
-
-
-def _ut2_z2():
-    """Upper-triangular 2x2 matrices over Z2; [[a, b], [0, c]] has id 4a + 2b + c."""
-    elems = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[((a + x) % 2, (b + y) % 2, (c + z) % 2)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    mul = [[index[(a * x % 2, (a * y + b * z) % 2, c * z % 2)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    return ring_from_table({"label": "UT2(Z2)", "size": 8, "add": add, "mul": mul,
-                            "one": index[(1, 0, 1)]})
+from oracles import ut2_table
 
 
 def _cases():
     z4 = ring_zn(4)
     klein = ring_product(ring_zn(2), ring_zn(2))
-    ut2 = _ut2_z2()
+    ut2 = ring_from_table(ut2_table(2))  # [[a, b], [0, c]] has id 4a + 2b + c
     u = 7  # [[1, 1], [0, 1]], its own inverse
     conjugation = [ut2.mul(ut2.mul(u, m), u) for m in ut2.elements()]
     twists = {
@@ -120,6 +111,8 @@ def _ring(kind, *params):
         return ring_zn(params[0])
     if kind == "product":
         return ring_product(ring_zn(params[0]), ring_zn(params[1]))
+    if kind == "ut2":
+        return ring_from_table(ut2_table(params[0]))
     return ring_trivial_extension(ring_zn(params[0]))
 
 
@@ -156,6 +149,99 @@ def _twisted_universes(draw):
 def test_scans_match_the_series_loops_on_generated_rings(case):
     universe, members = case
     _check_scans(universe, members)
+
+
+# --- the sum identities: subgroup arithmetic against the product form ----------
+
+
+def _annihilator_pool(universe, member_sets):
+    """The left and right universe annihilators of the member sets and of
+    their pairwise meets, each once: additive subgroups of the universe."""
+    sets = {a & b for a in member_sets for b in member_sets}
+    return list({universe.annihilator(m, side) for m in sets for side in ("left", "right")})
+
+
+def _check_subgroup_sums(universe, pool):
+    """is_subgroup_sum(C, A, B) agrees with set_sum(A, B) == C, the product
+    form, on every triple of the pool; returns how many triples hold."""
+    held = 0
+    for A in pool:
+        for B in pool:
+            total = universe.set_sum(A, B)
+            for C in pool:
+                expected = total == C
+                assert universe.is_subgroup_sum(C, A, B) == expected, (len(C), len(A), len(B))
+                held += expected
+    return held
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subgroup_sum_matches_the_product_form_on_every_ideal(name):
+    universe = CASES[name]
+    pool = _annihilator_pool(universe, _ideal_member_sets(name))
+    assert 0 < _check_subgroup_sums(universe, pool) < len(pool) ** 3
+
+
+@functools.lru_cache(maxsize=None)
+def _member_sets(kind, *params):
+    ring = _ring(kind, *params)
+    return frozenset(I.members for side in ("left", "right", "twosided")
+                     for I in enumerate_ideals(ring, side))
+
+
+@st.composite
+def _annihilator_cases(draw):
+    """A ring of at most 64 elements, UT2(Z2) and UT2(Z4) among them, a twist
+    over Z or Z^2_lex whose tau is a power of a central unit, a window of at
+    most 64 series, and the ring's ideal member sets."""
+    kind = draw(st.sampled_from(["Zn", "product", "trivial_extension", "ut2"]))
+    if kind == "Zn":
+        params = (draw(st.integers(2, 8)),)
+    elif kind == "product":
+        params = (2, draw(st.integers(2, 4)))
+    elif kind == "trivial_extension":
+        params = (draw(st.integers(2, 4)),)
+    else:
+        params = (draw(st.sampled_from([2, 4])),)
+    ring = _ring(kind, *params)
+    width = draw(st.integers(1, max(w for w in (1, 2, 3) if ring.size ** w <= 64)))
+    if draw(st.booleans()):
+        group, rule = IntegersGroup(), "product"
+        window = draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width,
+                               unique=True))
+    else:
+        group = LexProductGroup(2)
+        rule = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
+        window = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                               min_size=width, max_size=width, unique=True))
+    central = [v for v in sorted(units(ring))
+               if all(ring.mul(v, r) == ring.mul(r, v) for r in ring.elements())]
+    twist = twist_from_spec(ring, group, {
+        "sigma": "identity",
+        "tau": {"kind": "unit_power", "unit": draw(st.sampled_from(central)),
+                "exponent_rule": rule}})
+    return TruncatedUniverse(twist, window), _member_sets(kind, *params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_annihilator_cases())
+def test_subgroup_sum_matches_the_product_form_on_generated_rings(case):
+    universe, member_sets = case
+    _check_subgroup_sums(universe, _annihilator_pool(universe, member_sets))
+
+
+@pytest.mark.parametrize("name, suite", [("t_z4_example_5_6", "lemma4.3"),
+                                         ("klein_fusible", "thm4.5")])
+def test_sum_identities_form_no_product_sums(monkeypatch, name, suite):
+    """lemma4.3 and thm4.5 decide their universe sum identities by subgroup
+    arithmetic: with the product form refused they still pass. (thm4.5 on
+    t_z4_example_5_6 stops at its G-Armendariz hypothesis, before any sum.)"""
+    def refuse(*args):
+        raise AssertionError("TruncatedUniverse.set_sum called")
+
+    monkeypatch.setattr(TruncatedUniverse, "set_sum", refuse)
+    fx = cli.load_fixture(cli.resolve_fixture(name))
+    assert cli.run_suite(fx, suite).status == "pass"
 
 
 # --- series the scans multiply must lie in the universe --------------------------

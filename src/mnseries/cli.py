@@ -52,6 +52,7 @@ DEFAULT_CAPS = {
 }
 # fixed limits; the ring, universe, subset and witness caps live where they are enforced
 TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
+TWIST_TRIPLE_CAP = 343 ** 3  # their exponent triples: Z^3_lex's window, not Z^4_lex's
 SAMPLES = 100               # prop3.2's random series
 UNIVERSE_WINDOW = (0, 1)    # lemma4.3's and thm4.5's universe
 IDEAL_PAIR_LIMIT = 16       # lemma4.3's ideal pairs, thm4.5's configurations (plus one)
@@ -115,11 +116,16 @@ def _window_problem(lo: int, hi: int) -> str | None:
 
 
 def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0):
-    """Cocycle conditions on TWIST_WINDOW plus `samples` sampled associativity triples.
+    """Cocycle conditions on TWIST_WINDOW plus `samples` sampled associativity triples;
+    a window with more than TWIST_TRIPLE_CAP exponent triples is refused before it is built.
 
     A failed standard cocycle triple is turned into an explicit failing
     associativity triple so the error names a concrete witness.
     """
+    triples = twist.group.window_size(*TWIST_WINDOW) ** 3
+    if triples > TWIST_TRIPLE_CAP:
+        raise ValidationError(f"fixture {label!r}: twist validation would scan {triples} "
+                              f"exponent triples, over the cap of {TWIST_TRIPLE_CAP}")
     window = twist.group.window(*TWIST_WINDOW)
     cond = check_twist_conditions(twist, window)
     assoc_witness = None

@@ -58,6 +58,7 @@ class FiniteRing:
         self._neg = None
         self._units = None
         self._zero_divisors = None
+        self._axioms = None
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, size={self.size})"
@@ -138,8 +139,12 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
     `itemgetter`. Right distributivity mixes two rows over c, so it fixes
     (a, c) and runs over b on the transposed product table. Only an axiom
     whose row test fails is scanned element by element, so its witness is
-    the lexicographically first failing element, pair or triple.
+    the lexicographically first failing element, pair or triple. Scanned
+    once per ring, like its units: the constructors' validation and the
+    ring-axioms suite share one report.
     """
+    if ring._axioms is not None:
+        return ring._axioms
     add, mul = ring.add_table, ring.mul_table
     ids = tuple(range(ring.size))
     pairs = [(a, b) for a in ids for b in ids]
@@ -180,7 +185,8 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]))
     results.append(AxiomResult("one-not-zero", ring.one != ring.zero,
                                None if ring.one != ring.zero else (ring.one,)))
-    return AxiomReport(results)
+    ring._axioms = AxiomReport(results)
+    return ring._axioms
 
 
 def units(ring: FiniteRing) -> frozenset[int]:

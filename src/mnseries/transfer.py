@@ -96,20 +96,31 @@ class TruncatedUniverse:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def quotient(self, factors: Iterable[list[tuple]], members, side: str) -> frozenset[tuple]:
+        """The members u such that every coefficient of s*u (side "right") or
+        u*s (side "left") lies in `members`, for every factor s, a list of
+        window terms: the one scan over the universe. Each factor tests only
+        the members that passed the factors before it."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        mul, allowed = self.algebra.multiply, frozenset(members).issuperset
+        kept = zip(self.terms, self.members)
+        for s in factors:
+            if side == "right":
+                kept = [(u, m) for u, m in kept if allowed(mul(s, u))]
+            else:
+                kept = [(u, m) for u, m in kept if allowed(mul(u, s))]
+        return frozenset(m for _, m in kept)
+
     def annihilator(self, coeffs: Iterable[int], side: str) -> frozenset[tuple]:
         """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
         for every member s with coefficients in `coeffs`; scanned once per
-        (coefficient set, side)."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        (coefficient set, side). The product is bilinear and every such s is
+        a sum of single terms c*X^x with c in `coeffs`, so those alone decide it."""
         coeffs = frozenset(coeffs)
-
-        def scan():
-            mul = self.algebra.multiply
-            targets = [[(i, c) for i, c in enumerate(m) if c] for m in self.with_coeffs_in(coeffs)]
-            return frozenset(m for u, m in zip(self.terms, self.members) if not any(
-                any(mul(u, s) if side == "left" else mul(s, u)) for s in targets))
-        return self.once(("annihilator", coeffs, side), scan)
+        return self.once(("annihilator", coeffs, side), lambda: self.quotient(
+            [[(i, c)] for i in range(len(self.window)) for c in sorted(coeffs - {0})],
+            {0}, side))
 
     def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
         """{a + b | a in A, b in B}, coefficientwise, for any member sets: the
@@ -238,16 +249,10 @@ def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> Fusibl
     sum_ok = series_add(g, h) == f
     g_annihilated_ok = series_mul(g, embed_scalar(twist, d)).is_zero
     leading_regular_ok = b in zero_divisor_sets(ring).left_regular
-    h_regular_ok = True
-    h_regular_witness = None
-    alg, h_terms = universe.algebra, universe.member(h)
-    for k in universe.terms:
-        if k and not any(alg.multiply(h_terms, k)):
-            h_regular_ok = False
-            h_regular_witness = alg.series(k)
-            break
-    return FusibleLift(g, h, s0, a, b, d, sum_ok, g_annihilated_ok,
-                       leading_regular_ok, h_regular_ok, h_regular_witness)
+    # the nonzero k with h*k = 0; members[0] is the zero series
+    killers = universe.quotient([universe.member(h)], {0}, "right") - {universe.members[0]}
+    return FusibleLift(g, h, s0, a, b, d, sum_ok, g_annihilated_ok, leading_regular_ok,
+                       not killers, universe.series(min(killers)) if killers else None)
 
 
 # --- annihilator lifting (IN side) -------------------------------------------
@@ -272,7 +277,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     meet = I.members & J.members
     witnesses = {}
 
-    both = {u for u in universe.members if set(u) <= I.members and set(u) <= J.members}
+    both = set(universe.with_coeffs_in(I.members)) & set(universe.with_coeffs_in(J.members))
     meet_series = set(universe.with_coeffs_in(meet))
     id1 = both == meet_series
     if not id1:
@@ -578,15 +583,8 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:
         raise PreconditionFail("universe window must contain the group identity")
-    mul = universe.algebra.multiply
-
-    def quotient(series: list[Series]) -> set[tuple]:
-        factors = [universe.member(s) for s in series]
-        return {m for h, m in zip(universe.terms, universe.members)
-                if all(U.members.issuperset(mul(s, h)) for s in factors)}
-
     u_series = set(universe.with_coeffs_in(U.members))
-    q = quotient(X)
+    q = universe.quotient([universe.member(s) for s in X], U.members, "right")
     if q != u_series:
         raise HypothesisFails(
             "(U((G)):X) differs from the U-coefficient series in the universe",
@@ -603,14 +601,15 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     c_x0 = base_ok.certificate["minimal_witness"]
     x0 = [s for s in X if any(c in c_x0 for c in s.content())]
 
-    quotient0 = quotient(x0)
+    factors = [universe.member(s) for s in x0]
+    quotient0 = universe.quotient(factors, U.members, "right")
     reduced_ok = quotient0 == u_series
 
     # the induction runs for an X0 that reduces the quotient; one that
     # does not is the False verdict below, not a failed derivation
     extractions = 0
     if reduced_ok:
-        factors = [universe.member(s) for s in x0]
+        mul = universe.algebra.multiply
         for m in sorted(quotient0):
             h = [(i, c) for i, c in enumerate(m) if c]
             for s in factors:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ import mnseries.transfer as transfer
 from mnseries.cli import (SUITE_NAMES, emit_report, load_fixture, main,
                           resolve_fixture, run_suite, shipped_fixtures)
 from mnseries.errors import ParseError, SuiteUnknown, ValidationError
+from mnseries.groups import LexProductGroup
 from mnseries.ideals import classify_kind, ideal_closure
 from oracles import ut2_table
 
@@ -385,10 +387,28 @@ def test_main_rejects_a_malformed_fixture(tmp_path, capsys, patch, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("k", [4, 6])
+def test_main_refuses_a_twist_window_over_the_triple_cap(tmp_path, capsys, k):
+    """Z^k_lex's twist window holds 7^k exponents; the cap admits Z^3_lex's
+    343^3 triples, and a wider window exits 2 naming the cap and the count
+    before the window is built."""
+    assert LexProductGroup(3).window_size(*cli.TWIST_WINDOW) ** 3 == cli.TWIST_TRIPLE_CAP
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"label": "wide", "ring": {"kind": "Zn", "n": 2},
+                                "group": {"group": "Z^k_lex", "k": k},
+                                "twist": {"sigma": "identity"}}))
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"would scan {7 ** (3 * k)} exponent triples" in err
+    assert f"over the cap of {343 ** 3}" in err
+
+
 # what test_every_mutation_of_a_valid_fixture_exits_0_or_2 mutates: a table
 # ring with an ideal, and a product ring over Z^1_lex with a patched tau and
 # a series; k stays at most 1, since load time grows as 7^(3k) with the twist
-# window (an open item of the roadmap)
+# window (Z^3_lex takes seconds; a wider window is refused by its triple cap)
 _MUTATED_DOCS = [
     {"label": "t2", "ring": _F2_TABLE, "ideals": {"U": {"kind": "twosided", "gens": [0]}}},
     {"label": "pt",

@@ -1,5 +1,7 @@
 import pytest
 
+import mnseries.cli as cli
+import mnseries.rings as rings
 from mnseries.errors import AxiomViolation, MalformedSpec, NotAutomorphism, RingMismatch
 from mnseries.rings import (FiniteRing, automorphism_power, check_automorphism,
                             check_ring_axioms, compose_automorphisms,
@@ -54,6 +56,24 @@ def test_check_ring_axioms_reports_corruption(z4):
         if axiom == "mul-associative":
             a, b, c = witness
             assert bad.mul(bad.mul(a, b), c) != bad.mul(a, bad.mul(b, c))
+
+
+def test_ring_axioms_are_scanned_once_per_ring(monkeypatch):
+    """Loading a fixture validates its ring, and the ring-axioms suite reads
+    that same report: one axiom scan per ring."""
+    reports = []
+    real = rings.AxiomReport
+
+    def counting(results):
+        reports.append(real(results))
+        return reports[-1]
+
+    monkeypatch.setattr(rings, "AxiomReport", counting)
+    fx = cli.load_fixture(cli.resolve_fixture("z4_example_5_5"))
+    assert len(reports) == 1
+    assert cli.run_suite(fx, "ring-axioms").status == "pass"
+    assert len(reports) == 1
+    assert check_ring_axioms(fx.ring) is reports[0]
 
 
 def test_ring_from_table_rejects_missing_rows():

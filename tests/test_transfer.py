@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mnseries.transfer as transfer
 from mnseries.errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                              NotSigmaCompatible, PreconditionFail, SizeCapExceeded,
                              ZeroSeries)
@@ -92,6 +93,25 @@ def test_lift_invariants_on_seeded_samples(tw_klein, tw_gf4_frob):
             assert lift.b in regular
             for k in uni.nonzero_series():
                 assert not series_mul(lift.h, k).is_zero
+
+
+def test_lift_reports_the_first_series_killing_h(monkeypatch, tw_klein):
+    """With a decomposition that puts the whole leading coefficient into b,
+    h = f = (1,0) + (1,0)X keeps its zero-divisor leading coefficient; the
+    lift names the first nonzero universe series k with h*k = 0, as a
+    series_mul loop finds it."""
+    monkeypatch.setattr(transfer, "fusible_decompositions", lambda ring, a: [(0, a)])
+    window = [0, 1, 2]
+    uni = TruncatedUniverse(tw_klein, window)
+    f = series_make(tw_klein, [(0, 2), (1, 2)])
+    lift = lift_fusible_decomposition(f, uni)
+    assert lift.h == f and lift.g.is_zero
+    assert not lift.leading_regular_ok
+    expected = next(k for k in exhaustive_series(tw_klein, window)
+                    if not k.is_zero and series_mul(lift.h, k).is_zero)
+    assert lift.h_regular_ok is False and not lift.ok
+    assert lift.h_regular_witness == expected
+    assert lift.to_json()["h_regular_witness"] == series_to_json(expected)
 
 
 # --- annihilator lifting ---

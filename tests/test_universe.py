@@ -151,6 +151,51 @@ def test_scans_match_the_series_loops_on_generated_rings(case):
     _check_scans(universe, members)
 
 
+@functools.lru_cache(maxsize=None)
+def _nonzero_twosided_ideals(ring):
+    return sorted((I for I in enumerate_ideals(ring, "twosided") if len(I.members) > 1),
+                  key=lambda I: sorted(I.members))
+
+
+def _check_quotient(universe, U, factors):
+    """(U : X) on both sides, for X the series of the member tuples
+    `factors`, is the set a series_mul loop over exhaustive_series finds:
+    the u with every coefficient of s*u (or u*s) in U. Returns whether the
+    two sides differ."""
+    X = [universe.series(m) for m in factors]
+    series = list(exhaustive_series(universe.twist, universe.window))
+    expected = {
+        "right": {_key(universe, u) for u in series
+                  if all(series_mul(s, u).content() <= U.members for s in X)},
+        "left": {_key(universe, u) for u in series
+                 if all(series_mul(u, s).content() <= U.members for s in X)}}
+    for side in ("left", "right"):
+        found = universe.quotient([universe.member(s) for s in X], U.members, side)
+        assert found == expected[side], side
+    return expected["left"] != expected["right"]
+
+
+def test_quotient_by_every_ideal_matches_the_series_loop():
+    differ = 0
+    for name in sorted(CASES):
+        universe = CASES[name]
+        picks = universe.members[1::9]
+        for U in _nonzero_twosided_ideals(universe.twist.ring):
+            for factors in [[m] for m in picks] + [picks[:3]]:
+                differ += _check_quotient(universe, U, factors)
+    # klein-swap: sigma moves (0,1) out of U = {0, (1,0)} on one side only
+    assert differ
+
+
+@settings(max_examples=40, deadline=None)
+@given(_twisted_universes(), st.data())
+def test_quotient_by_an_ideal_matches_the_series_loop_on_generated_rings(case, data):
+    universe, _ = case
+    U = data.draw(st.sampled_from(_nonzero_twosided_ideals(universe.twist.ring)))
+    _check_quotient(universe, U, data.draw(
+        st.lists(st.sampled_from(universe.members), min_size=1, max_size=3)))
+
+
 # --- the sum identities: subgroup arithmetic against the product form ----------
 
 
@@ -288,29 +333,41 @@ def test_thm54_enumerates_its_window_once(monkeypatch):
 
 def test_annihilator_scans_once_per_coefficient_set_and_side(monkeypatch):
     """lemma4.3 on t_z4_example_5_6 asks for 160 annihilators of 14 distinct
-    (coefficient set, side) keys; each key is scanned once, and the shared
-    result is a frozenset, which no caller can change."""
+    (coefficient set, side) keys; each key is one quotient scan over the
+    single-term series c*X^x, at most |universe| * w * |C - {0}| multiplies
+    (not one per series with coefficients in C), and the shared result is a
+    frozenset, which no caller can change."""
     fx = cli.load_fixture(cli.resolve_fixture("t_z4_example_5_6"))
-    multiplies = []
+    multiplies, quotients = [], []
     real_multiply = series_module.WindowAlgebra.multiply
+    real_quotient = TruncatedUniverse.quotient
 
     def counting_multiply(alg, f, g):
         multiplies.append(None)
         return real_multiply(alg, f, g)
 
+    def counting_quotient(universe, factors, members, side):
+        quotients.append(None)
+        return real_quotient(universe, factors, members, side)
+
     real = TruncatedUniverse.annihilator
     calls, scans = [], []
 
     def counting(universe, coeffs, side):
-        before = len(multiplies)
+        before, scanned = len(multiplies), len(quotients)
         result = real(universe, coeffs, side)
         assert isinstance(result, frozenset)
         calls.append(None)
-        if len(multiplies) > before:
-            scans.append((frozenset(coeffs), side))
+        if len(quotients) > scanned:
+            assert len(quotients) == scanned + 1
+            coeffs = frozenset(coeffs)
+            scans.append((coeffs, side))
+            bound = len(universe) * len(universe.window) * len(coeffs - {0})
+            assert len(multiplies) - before <= bound, (sorted(coeffs), side)
         return result
 
     monkeypatch.setattr(series_module.WindowAlgebra, "multiply", counting_multiply)
+    monkeypatch.setattr(TruncatedUniverse, "quotient", counting_quotient)
     monkeypatch.setattr(TruncatedUniverse, "annihilator", counting)
     assert cli.run_suite(fx, "lemma4.3").status == "pass"
     assert len(calls) == 160

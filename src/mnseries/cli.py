@@ -3,8 +3,8 @@
 Fixtures are single JSON documents naming a ring, an optional ordered group
 and twist, named ideals and series, the suites the fixture claims to
 satisfy, and caps on three search limits. A fixture's twist is validated on
-load (cocycle conditions plus sampled associativity) before any suite
-touches it.
+load (cocycle conditions plus associativity, proved from their tables or
+sampled) before any suite touches it.
 
 Exit codes: 0 all applicable checks pass (not-applicable suites warn),
 1 a check failed, 2 the fixture or the command line is invalid.
@@ -36,7 +36,7 @@ from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
                     identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
-from .series import (Series, TwistSystem, WindowAlgebra, check_associativity,
+from .series import (AssocReport, Series, TwistSystem, WindowAlgebra, check_associativity,
                      check_twist_conditions, random_series, random_triples,
                      series_from_json, series_make, series_mul, series_to_json,
                      twist_from_spec)
@@ -72,7 +72,7 @@ class Fixture:
     series: dict[str, Series] = field(default_factory=dict)
     suites: list[str] = field(default_factory=list)
     caps: dict = field(default_factory=dict)
-    # (twist conditions, sampled associativity) from load-time validation
+    # (twist conditions, associativity) from load-time validation
     validation: tuple | None = None
 
     def cap(self, key):
@@ -116,11 +116,14 @@ def _window_problem(lo: int, hi: int) -> str | None:
 
 
 def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0):
-    """Cocycle conditions on TWIST_WINDOW plus `samples` sampled associativity triples;
+    """Cocycle conditions on TWIST_WINDOW plus associativity of series inside it;
     a window with more than TWIST_TRIPLE_CAP exponent triples is refused before it is built.
 
-    A failed standard cocycle triple is turned into an explicit failing
-    associativity triple so the error names a concrete witness.
+    Associativity is reported as `samples` checked triples either way. When the
+    condition tables prove it (`assoc_proved`) no triple is multiplied out;
+    otherwise `samples` seeded random triples are. A failed standard cocycle
+    triple is turned into an explicit failing associativity triple so the
+    error names a concrete witness, and then nothing is sampled.
     """
     triples = twist.group.window_size(*TWIST_WINDOW) ** 3
     if triples > TWIST_TRIPLE_CAP:
@@ -137,11 +140,13 @@ def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0)
         probe = check_associativity(twist, [triple])
         if not probe.ok:
             assoc_witness = probe.witness
-    rng = random.Random(seed)
-    sampled = check_associativity(
-        twist, random_triples(twist, rng, window, samples, max_support=3))
-    if not sampled.ok and assoc_witness is None:
-        assoc_witness = sampled.witness
+    if cond.assoc_proved:
+        sampled = AssocReport(True, max(samples, 0))
+    elif assoc_witness is None:
+        sampled = check_associativity(
+            twist, random_triples(twist, random.Random(seed), window, samples, max_support=3))
+        if not sampled.ok:
+            assoc_witness = sampled.witness
     if not cond.gate_ok or assoc_witness is not None:
         failed = [name for name, o in cond.outcomes.items() if not o.ok]
         msg = f"fixture {label!r}: twist validation failed ({', '.join(failed) or 'associativity'})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import (DuplicateKey, MalformedSpec, NotNormalized, TraceMismatch,
                      TwistMismatch, ZeroSeries)
@@ -561,6 +561,10 @@ class CheckOutcome:
 class TwistConditionReport:
     window: list
     outcomes: dict[str, CheckOutcome] = field(default_factory=dict)
+    # True when the tables prove that every triple of series inside the
+    # window associates (see check_twist_conditions); False when that
+    # argument does not decide it. Not part of the JSON report.
+    assoc_proved: bool = False
 
     def __getitem__(self, name: str) -> CheckOutcome:
         return self.outcomes[name]
@@ -585,6 +589,21 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     plus sigma_y sigma_z = sigma_yz . eta(y,z) under both conjugation
     directions for eta. None of them is silently preferred; the
     associativity oracle decides which reading the fixture actually needs.
+
+    The same tables also decide associativity on the window (`assoc_proved`).
+    The product is additive in each argument, so every triple of series
+    inside the window associates iff every single-term triple aX^x, bX^y,
+    cX^z does, and both sides of that one carry the left factor a*sigma_x(b):
+        (fg)h: tau(x,y) * sigma_xy(c) * tau(xy,z)
+        f(gh): sigma_x(sigma_y(c)) * sigma_x(tau(y,z)) * tau(x,yz).
+    So it associates when
+      1. the standard cocycle holds on the whole window,
+      2. every tau(s, z), s a product of two window exponents, is a unit, and
+      3. sigma_x(sigma_y(c)) * tau(x,y) = tau(x,y) * sigma_xy(c) for x, y in
+         the window and c in R.
+    Given 1 and 2 it associates only then: cancel the unit tau(xy, z). This
+    needs the ring axioms and sigma_x to be a ring automorphism, which every
+    ring and twist constructor checks.
     """
     ring, grp = twist.ring, twist.group
     win = [grp.canon(x) for x in window]
@@ -598,6 +617,8 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     tau = [[twist.tau_at(x, y) for y in win] for x in win]
     tau_sum_z = [[twist.tau_at(s, z) for z in win] for s in sums]
     tau_x_sum = [[twist.tau_at(x, s) for s in sums] for x in win]
+    sigma = [twist.sigma_at(x).map for x in win]
+    sigma_sum = [twist.sigma_at(s).map for s in sums]
     n = len(win)
 
     def pair_witness(i, j, extra=None):
@@ -626,7 +647,7 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
 
     paper = standard = None
     for a in range(n):
-        sx = twist.sigma_at(win[a]).map
+        sx = sigma[a]
         t_x_sum = tau_x_sum[a]
         for b in range(n):
             txy = tau[a][b]
@@ -656,10 +677,10 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     inverse = {u: unit_inverse(ring, u) for row in tau for u in row if u in unit_set}
     conj_l = conj_r = None
     for b in range(n):
-        sy = twist.sigma_at(win[b]).map
+        sy = sigma[b]
         for c in range(n):
-            sz = twist.sigma_at(win[c]).map
-            syz = twist.sigma_at(sums[slot[b][c]]).map
+            sz = sigma[c]
+            syz = sigma_sum[slot[b][c]]
             u = tau[b][c]
             if u not in unit_set:
                 continue  # already reported under tau-units
@@ -676,6 +697,12 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
             break
     report.outcomes["sigma-eta-left"] = CheckOutcome("sigma-eta-left", conj_l is None, conj_l)
     report.outcomes["sigma-eta-right"] = CheckOutcome("sigma-eta-right", conj_r is None, conj_r)
+
+    report.assoc_proved = (
+        standard is None
+        and all(t in unit_set for row in tau_sum_z for t in row)
+        and all(mul[sigma[a][sigma[b][r]]][tau[a][b]] == mul[tau[a][b]][sigma_sum[slot[a][b]][r]]
+                for a in range(n) for b in range(n) for r in ring.elements()))
     return report
 
 
@@ -719,9 +746,11 @@ def random_series(twist: TwistSystem, rng, exponents: Sequence,
 
 
 def random_triples(twist: TwistSystem, rng, exponents: Sequence, count: int,
-                   max_support: int = 3) -> list[tuple]:
-    return [tuple(random_series(twist, rng, exponents, max_support) for _ in range(3))
-            for _ in range(count)]
+                   max_support: int = 3) -> Iterator[tuple]:
+    """`count` triples of random series, drawn one triple at a time as they are
+    consumed, so a check that stops at its first failure draws no more."""
+    for _ in range(count):
+        yield tuple(random_series(twist, rng, exponents, max_support) for _ in range(3))
 
 
 def _window_terms(size: int, width: int, max_support: int | None = None) -> Iterable[list]:

@@ -6,6 +6,7 @@ import pytest
 import mnseries.cli as cli
 import mnseries.ideals as ideals
 import mnseries.properties as properties
+import mnseries.series as series
 import mnseries.transfer as transfer
 from mnseries.cli import (SUITE_NAMES, emit_report, load_fixture, main,
                           resolve_fixture, run_suite, shipped_fixtures)
@@ -298,6 +299,59 @@ def test_main_validate_checks_the_twist_once(monkeypatch, capsys):
     assert calls == ["z4_tau_power"]
     assert payload["twist"]["gate_ok"] is True
     assert payload["associativity"] == {"ok": True, "checked": 1000}
+
+
+@pytest.mark.parametrize("samples, checked", [(-1, 0), (0, 0), (3, 3)])
+def test_main_validate_reports_the_assoc_samples_as_checked(tmp_path, capsys, samples, checked):
+    doc = json.loads(resolve_fixture("z4_tau_power").read_text())
+    doc["caps"]["assoc_samples"] = samples
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["associativity"] == {"ok": True, "checked": checked}
+
+
+# Z4 with tau = 3^(x1 y2) and GF4 with sigma Frobenius on both factors, over Z^2_lex
+_LEX_DOCS = [
+    {"label": "z4_z2lex_tau", "ring": {"kind": "Zn", "n": 4},
+     "group": {"group": "Z^k_lex", "k": 2},
+     "twist": {"sigma": "identity",
+               "tau": {"kind": "unit_power", "unit": 3, "exponent_rule": [[0, 1], [0, 0]]}}},
+    {"label": "gf4_z2lex", "ring": {"kind": "table", "path": "gf4_ring.json"},
+     "group": {"group": "Z^k_lex", "k": 2},
+     "twist": {"sigma": {"generators": [[0, 1, 3, 2], [0, 1, 3, 2]]}, "tau": {"kind": "one"}}},
+]
+
+
+def test_validation_multiplies_series_only_for_a_refused_twist(tmp_path, monkeypatch, capsys):
+    """Every valid twist here is proved associative from its condition tables,
+    so validating it multiplies no series; the corrupted twist multiplies only
+    its cocycle witness triple (4 products) and draws no random triples."""
+    calls = []
+    real = series.series_mul
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(series, "series_mul", counting)
+    (tmp_path / "gf4_ring.json").write_text(
+        cli.fixture_dir().joinpath("gf4_ring.json").read_text())
+    sources = list(GOOD_FIXTURES)
+    for doc in _LEX_DOCS:
+        path = tmp_path / f"{doc['label']}.json"
+        path.write_text(json.dumps(doc))
+        sources.append(str(path))
+    for source in sources:
+        assert main(["validate", source]) == 0
+        assert calls == [], source
+    capsys.readouterr()
+    assert main(["validate", "z4_tau_corrupted"]) == 2
+    assert len(calls) == 4
+    assert capsys.readouterr().err == (
+        "error: fixture 'z4_tau_corrupted': twist validation failed "
+        "(cocycle-paper, cocycle-standard); associativity witness: "
+        '{"f": [[-3, 1]], "g": [[1, 1]], "h": [[1, 1]], "left": [[-1, 3]], "right": [[-1, 1]]}\n')
 
 
 @pytest.mark.parametrize("doc", [

@@ -6,6 +6,7 @@ onto tables: tau and the group products evaluated at every step through
 """
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from mnseries.cli import TWIST_WINDOW, load_fixture, resolve_fixture, shipped_fixtures
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.rings import ring_gf4, ring_product, ring_zn, unit_inverse, units
-from mnseries.series import (TauPatched, TwistSystem, check_twist_conditions,
+from mnseries.series import (AssocReport, TauPatched, TwistSystem, check_associativity,
+                             check_twist_conditions, random_triples, single_term_triples,
                              twist_from_spec)
 from test_window import _ut2_conjugation
 
@@ -172,3 +174,95 @@ def _patched_twists(draw):
 def test_patched_twists_match_the_loop(case):
     twist, window = case
     _assert_same(twist, window)
+
+
+# --- the associativity decision against the brute-force oracle ----------------
+
+
+def _check_decision(twist, window):
+    """Compare `assoc_proved` with check_associativity over every single-term
+    triple of the window, and return (decision, exhaustive result).
+
+    A True decision must mean associative, and the report the validator
+    builds for it must equal what the sampler finds. Where the standard
+    cocycle holds and tau is a unit at every (sum, window) pair, the
+    argument decides exactly, so the decision must equal the oracle."""
+    report = check_twist_conditions(twist, window)
+    exhaustive = check_associativity(twist, single_term_triples(twist, window)).ok
+    if report.assoc_proved:
+        assert exhaustive
+        for seed in range(3):
+            sampled = check_associativity(
+                twist, random_triples(twist, random.Random(seed), window, 20))
+            assert sampled == AssocReport(True, 20)
+    grp, unit_set = twist.group, units(twist.ring)
+    sums = {grp.op(x, y) for x in window for y in window}
+    if report["cocycle-standard"].ok and all(
+            twist.tau_at(s, z) in unit_set for s in sums for z in window):
+        assert report.assoc_proved == exhaustive
+    return report.assoc_proved, exhaustive
+
+
+def _tau_over(twist, overrides):
+    return TwistSystem(twist.ring, twist.group, twist.sigma, TauPatched(twist.tau, overrides))
+
+
+@st.composite
+def _small_twists(draw):
+    """A twist from the families the decision must cover, over a window of
+    one to three exponents (two over the 8-element UT2(Z2)), with up to two
+    tau values overridden at window exponents or their sums. The families:
+    Z4 with tau a unit power, GF4 with sigma Frobenius, Z2 x Z2 with sigma
+    the swap, and UT2(Z2) with sigma conjugation or the identity, each over
+    Z or Z^2_lex. An override takes any ring element, so over UT2(Z2) it
+    may be a unit that is not central or a non-unit."""
+    conjugation = tuple(_ut2_conjugation().sigma.generators[0].map)
+    ring_name, sigma = draw(st.sampled_from([
+        ("Z4", None), ("GF4", (0, 1, 3, 2)), ("Z2xZ2", (0, 2, 1, 3)),
+        ("UT2(Z2)", conjugation), ("UT2(Z2)", None)]))
+    lex = draw(st.booleans())
+    k = 2 if lex else 1
+    unit = {"Z4": draw(st.sampled_from([1, 3])), "GF4": draw(st.sampled_from([1, 2, 3])),
+            "Z2xZ2": 3, "UT2(Z2)": 5}[ring_name]
+    rule = tuple(tuple(draw(st.integers(-1, 2)) for _ in range(k)) for _ in range(k))
+    base = _base_twist(ring_name, lex, sigma, unit, rule)
+    exponents = base.group.window(-1, 1) if lex else base.group.window(-2, 2)
+    width = 2 if ring_name == "UT2(Z2)" else 3
+    window = draw(st.lists(st.sampled_from(exponents), min_size=1, max_size=width, unique=True))
+    grp = base.group
+    places = sorted(set(window) | {grp.op(x, y) for x in window for y in window})
+    overrides = draw(st.dictionaries(
+        st.tuples(st.sampled_from(places), st.sampled_from(places)),
+        st.integers(0, base.ring.size - 1), max_size=2))
+    return _tau_over(base, overrides), window
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_twists())
+def test_the_associativity_decision_agrees_with_the_oracle(case):
+    _check_decision(*case)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("ut2-conjugation", (True, True)),
+    ("ut2-noncentral-tau", (False, False)),
+    ("ut2-zero-tau", (False, True)),
+    ("z4-corrupted", (False, False)),
+    ("gf4-frobenius-tau", (False, False)),
+])
+def test_the_associativity_decision_on_named_twists(name, expected):
+    """One twist per outcome: proved; not associative because sigma and tau do
+    not commute (tau(0, 0) = [[1, 1], [0, 1]], a unit outside UT2(Z2)'s centre);
+    not proved though associative (tau(0, 0) = 0 is no unit, and makes every
+    product 0); and two cocycle failures."""
+    ut2 = _ut2_conjugation()
+    plain_ut2 = _base_twist("UT2(Z2)", False, None, 5, ((1,),))
+    z4 = _base_twist("Z4", False, None, 3, ((1,),))
+    twist, window = {
+        "ut2-conjugation": (ut2, [-1, 0, 1]),
+        "ut2-noncentral-tau": (_tau_over(plain_ut2, {(0, 0): 7}), [0]),
+        "ut2-zero-tau": (_tau_over(plain_ut2, {(0, 0): 0}), [0]),
+        "z4-corrupted": (_tau_over(z4, {(1, 1): 1}), [-1, 0, 1]),
+        "gf4-frobenius-tau": (_base_twist("GF4", False, (0, 1, 3, 2), 2, ((1,),)), [0, 1]),
+    }[name]
+    assert _check_decision(twist, window) == expected

@@ -25,24 +25,13 @@ from mnseries.series import (WindowAlgebra, exhaustive_series, series_make,
                              trivial_twist, twist_from_spec, x_w_pairs)
 from mnseries.transfer import (_extract, _trace, coefficient_extraction,
                                extraction_oracle)
-
-
-def _ut2_z2():
-    """Upper-triangular 2x2 matrices over Z2; [[a, b], [0, c]] has id 4a + 2b + c."""
-    elems = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[((a + x) % 2, (b + y) % 2, (c + z) % 2)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    mul = [[index[(a * x % 2, (a * y + b * z) % 2, c * z % 2)] for (x, y, z) in elems]
-           for (a, b, c) in elems]
-    return ring_from_table({"label": "UT2(Z2)", "size": 8, "add": add, "mul": mul,
-                            "one": index[(1, 0, 1)]}), index
+from oracles import ut2_table
 
 
 def _ut2_conjugation():
     """UT2(Z2) with sigma_n = conjugation by [[1, 1], [0, 1]] to the n-th power."""
-    ring, index = _ut2_z2()
-    u = index[(1, 1, 1)]  # its own inverse
+    ring = ring_from_table(ut2_table(2))
+    u = 4 * 1 + 2 * 1 + 1  # [[a, b], [0, c]] has id 4a + 2b + c; u is its own inverse
     perm = [ring.mul(ring.mul(u, m), u) for m in ring.elements()]
     return twist_from_spec(ring, IntegersGroup(), {"sigma": {"generator": perm},
                                                    "tau": {"kind": "one"}})
@@ -60,7 +49,7 @@ def _cases():
     klein = ring_product(ring_zn(2), ring_zn(2))
     klein_swap = twist_from_spec(klein, IntegersGroup(), {
         "sigma": {"generator": [0, 2, 1, 3]}, "tau": {"kind": "one"}})
-    ut2, _ = _ut2_z2()
+    ut2 = ring_from_table(ut2_table(2))
     return {
         "z4-tau": (z4_tau, [0, 1, 2]),
         "z4-tau-unsorted": (z4_tau, [1, -1, 0]),

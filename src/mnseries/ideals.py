@@ -9,6 +9,7 @@ is a plain frozenset; an IdealSet is an ideal that carries its kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, filterfalse
 from operator import itemgetter, not_
 from typing import Iterable
@@ -31,6 +32,15 @@ class IdealSet:
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
+
+    @cached_property
+    def additive_generators(self) -> tuple[int, ...]:
+        """Members that generate the ideal as an additive group, at most
+        log2|members| of them (each at least doubles the group it joins);
+        the members themselves for a kind "subset", which need not be a group."""
+        if self.kind == "subset":
+            return tuple(self.members)
+        return tuple(_subgroup(self.ring.add_table, (), self.members)[1])
 
     def describe(self) -> str:
         return self.ring.describe_set(self.members)
@@ -74,6 +84,33 @@ def make_ideal(ring: FiniteRing, members: Iterable[int], kind: str | None = None
     return IdealSet(ring, ms, kind)
 
 
+def _grow(add, group: list[int], members: set[int], g: int) -> None:
+    """Extend the additive subgroup H (listed in `group`, zero first, and held
+    in `members`) to H + <g>: add the cosets H + g, H + 2g, ... until kg
+    lands in H. A g outside H at least doubles H."""
+    step = add[g].__getitem__
+    coset = list(map(step, group))
+    new = []
+    while coset[0] not in members:  # coset[0] = kg, the image of zero
+        new += coset
+        coset = list(map(step, coset))
+    group += new
+    members.update(new)
+
+
+def _subgroup(add, base: Iterable[int], gens: Iterable[int]) -> tuple[set[int], list[int]]:
+    """The additive subgroup generated by the subgroup `base` and `gens`, and
+    the gens that each grew it (at most log2 of the result's size)."""
+    members = set(base) | {0}
+    group = [0, *(members - {0})]
+    used = []
+    for g in gens:
+        if g not in members:
+            _grow(add, group, members, g)
+            used.append(g)
+    return members, used
+
+
 def ideal_closure(ring: FiniteRing, gens: Iterable[int], kind: str = "twosided") -> IdealSet:
     """Least ideal of the given kind containing gens.
 
@@ -95,14 +132,7 @@ def ideal_closure(ring: FiniteRing, gens: Iterable[int], kind: str = "twosided")
         g = work.pop()
         if g in members:
             continue
-        step = add[g].__getitem__
-        coset = list(map(step, group))
-        new = []
-        while coset[0] not in members:  # coset[0] = kg, the image of zero
-            new += coset
-            coset = list(map(step, coset))
-        group += new
-        members.update(new)
+        _grow(add, group, members, g)
         if left:
             work += filterfalse(members.__contains__, map(itemgetter(g), mul))
         if right:
@@ -110,15 +140,40 @@ def ideal_closure(ring: FiniteRing, gens: Iterable[int], kind: str = "twosided")
     return IdealSet(ring, frozenset(members), kind)
 
 
+def subgroup_sum(ring: FiniteRing, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
+    """A + B for additive subgroups A and B of the ring, such as ideals and
+    their annihilators: A grown by the elements of B, one coset chain at a
+    time, in O(|A + B|) additions per element of B that grows it, where
+    `set_sum` forms all |A|*|B| sums. Holds only for subgroups."""
+    return frozenset(_subgroup(ring.add_table, A, B)[0])
+
+
+def is_subgroup_sum(C: frozenset, A: frozenset, B: frozenset) -> bool:
+    """Whether C = A + B, for A, B and C additive subgroups of one group, such
+    as ring or universe annihilators. A subgroup holding A and B holds A + B,
+    and |A + B| = |A|*|B| / |A n B|, so C = A + B iff A and B lie in C and
+    |C|*|A n B| = |A|*|B|: no sums."""
+    return A <= C and B <= C and len(C) * len(A & B) == len(A) * len(B)
+
+
 def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]:
-    """All ideals of the kind, each once, ascending by size then member list.
+    """All ideals of the kind, each once, ascending by size then member list;
+    computed once per (ring, kind), and a fresh list on every call.
 
     Complete for finite rings: every ideal is a finite join of singleton
-    closures, and pairwise joins are iterated to a fixpoint.
+    closures, and pairwise joins are iterated to a fixpoint. The join of two
+    ideals of a kind is their sum I + J, already an ideal of that kind, so
+    it is a subgroup sum and needs no closure.
     """
     if ring.size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
                               {"size_cap": DEFAULT_SIZE_CAP})
+    if kind not in ring._lattices:
+        ring._lattices[kind] = _lattice(ring, kind)
+    return list(ring._lattices[kind])
+
+
+def _lattice(ring: FiniteRing, kind: str) -> tuple[IdealSet, ...]:
     seen = {frozenset({0})}
     frontier = set()
     for a in ring.elements():
@@ -130,7 +185,7 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]
         for i in current:
             for j in frontier:
                 if not (j <= i):
-                    joined = ideal_closure(ring, i | j, kind).members
+                    joined = subgroup_sum(ring, i, j)
                     if joined not in seen:
                         fresh.add(joined)
         if not fresh:
@@ -139,7 +194,7 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]
         current = fresh
     out = [IdealSet(ring, ms, kind) for ms in seen]
     out.sort(key=lambda ideal: (len(ideal.members), ideal.sorted_members()))
-    return out
+    return tuple(out)
 
 
 def _member_set(ring: FiniteRing, xs) -> frozenset[int]:
@@ -165,10 +220,15 @@ def _rows_meet(ring: FiniteRing, rows, keep) -> frozenset[int]:
 def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
     """(U:V) = {x | v*x in U for every v in V}: for each v, the positions of
     row v of the product table that land in U, intersected; two-sided when
-    U and V are right ideals (the `ideals` suite checks it)."""
+    U and V are right ideals (the `ideals` suite checks it). For ideals U
+    and V only V's additive generators are read: U is a subgroup and the
+    product is additive in v, so (U:V) = (U:gens(V)). Any other V is read
+    in full."""
     ring = U.ring
-    return _rows_meet(ring, (ring.mul_table[v] for v in _member_set(ring, V)),
-                      U.members.__contains__)
+    vs = _member_set(ring, V)
+    if isinstance(V, IdealSet) and U.kind != "subset":
+        vs = V.additive_generators
+    return _rows_meet(ring, (ring.mul_table[v] for v in vs), U.members.__contains__)
 
 
 def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:
@@ -185,7 +245,8 @@ def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:
 
 
 def set_sum(ring: FiniteRing, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
-    """Element-set sum {a + b | a in A, b in B}."""
+    """Element-set sum {a + b | a in A, b in B}, for any sets (a sum of
+    subgroups is `subgroup_sum`, which this checks in the tests)."""
     return frozenset(ring.add_table[a][b] for a in A for b in B)
 
 

@@ -59,6 +59,7 @@ class FiniteRing:
         self._units = None
         self._zero_divisors = None
         self._axioms = None
+        self._lattices = {}  # kind -> tuple of IdealSets, filled by ideals.enumerate_ideals
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, size={self.size})"

@@ -18,7 +18,8 @@ from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                      NotSigmaCompatible, PreconditionFail, RingMismatch,
                      SizeCapExceeded, TraceMismatch, TwistMismatch, ZeroSeries)
 from .ideals import (IdealSet, annihilator, enumerate_ideals, ideal_closure,
-                     is_semiprime_ideal, is_sigma_compatible_ideal, set_sum)
+                     is_semiprime_ideal, is_sigma_compatible_ideal, is_subgroup_sum,
+                     subgroup_sum)
 from .properties import (PropertyReport, fusible_decompositions,
                          is_G_armendariz, is_left_fusible, is_SA,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
@@ -124,17 +125,11 @@ class TruncatedUniverse:
 
     def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
         """{a + b | a in A, b in B}, coefficientwise, for any member sets: the
-        product form of |A|*|B| tuple sums, the oracle of is_subgroup_sum."""
+        product form of |A|*|B| tuple sums, the oracle of `is_subgroup_sum`
+        on the universe's annihilators (subgroups, as the window product is
+        bilinear)."""
         add = self.twist.ring.add_table
         return {tuple(add[a][b] for a, b in zip(x, y)) for x in A for y in B}
-
-    @staticmethod
-    def is_subgroup_sum(C: frozenset[tuple], A: frozenset[tuple], B: frozenset[tuple]) -> bool:
-        """Whether C = A + B, for A, B and C additive subgroups of the
-        universe, such as its annihilators (the window product is bilinear).
-        A subgroup holding A and B holds A + B, and |A + B| = |A|*|B| / |A n B|,
-        so C = A + B iff A and B lie in C and |C|*|A n B| = |A|*|B|: no sums."""
-        return A <= C and B <= C and len(C) * len(A & B) == len(A) * len(B)
 
     def describe(self) -> dict:
         return {"window": [self.twist.group.to_json(x) for x in self.window],
@@ -294,12 +289,12 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
             sample = min(actual ^ expected)
             witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
 
-    base_holds = (annihilator(ring, meet, "left")
-                  == set_sum(ring, annihilator(ring, I.members, "left"),
-                             annihilator(ring, J.members, "left")))
-    univ_holds = universe.is_subgroup_sum(universe.annihilator(meet, "left"),
-                                          universe.annihilator(I.members, "left"),
-                                          universe.annihilator(J.members, "left"))
+    base_holds = is_subgroup_sum(annihilator(ring, meet, "left"),
+                                 annihilator(ring, I.members, "left"),
+                                 annihilator(ring, J.members, "left"))
+    univ_holds = is_subgroup_sum(universe.annihilator(meet, "left"),
+                                 universe.annihilator(I.members, "left"),
+                                 universe.annihilator(J.members, "left"))
     id3 = base_holds == univ_holds
     if not id3:
         witnesses["sum-identity-agreement"] = {"base": base_holds, "universe": univ_holds}
@@ -352,7 +347,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     J0 = ideal_closure(ring, _contents(J_gens), "right")
     rI0 = annihilator(ring, I0.members)
     rJ0 = annihilator(ring, J0.members)
-    target = set_sum(ring, rI0, rJ0)
+    target = subgroup_sum(ring, rI0, rJ0)
     K = k_by_annihilator.get(target)
     if K is None:
         return PropertyReport(
@@ -365,7 +360,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     r_I = universe.annihilator(I0.members, "right")
     r_J = universe.annihilator(J0.members, "right")
     r_K = universe.annihilator(K.members, "right")
-    universe_ok = universe.is_subgroup_sum(r_K, r_I, r_J)
+    universe_ok = is_subgroup_sum(r_K, r_I, r_J)
 
     K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
     reverse_ok = annihilator(ring, K0.members) == target

@@ -3,7 +3,8 @@
 These are the direct scans the library ran before its kernels moved onto
 table rows: the worklist ideal closure (and the ideal lattice built from
 it), the membership-scan quotient and annihilators, the (a, b, c) triple
-scan of the ring axioms and the element-by-element ideal-kind test. They stay here as
+scan of the ring axioms, the element-by-element ideal-kind test and the
+additive span of a set, sum by sum. They stay here as
 oracles, not as second paths in `src/`.
 """
 
@@ -60,6 +61,21 @@ def worklist_lattice(ring: FiniteRing, kind: str = "twosided") -> list[frozenset
         seen |= fresh
         current = fresh
     return sorted(seen, key=lambda ms: (len(ms), sorted(ms)))
+
+
+def additive_span(ring: FiniteRing, gens) -> frozenset[int]:
+    """The additive subgroup generated by gens: every member is added to
+    every generator until nothing is new."""
+    members = {0}
+    work = [0]
+    while work:
+        a = work.pop()
+        for g in gens:
+            b = ring.add_table[a][g]
+            if b not in members:
+                members.add(b)
+                work.append(b)
+    return frozenset(members)
 
 
 def membership_quotient(ring: FiniteRing, U: frozenset[int], V) -> frozenset[int]:

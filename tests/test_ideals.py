@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -57,6 +58,48 @@ def test_enumeration_complete_against_subset_scan(z4, klein, gf4):
         expected = {s for s in all_subsets(ring)
                     if s and classify_kind(ring, s) == "twosided"}
         assert {i.members for i in enumerate_ideals(ring, "twosided")} == expected
+
+
+def test_enumerate_ideals_returns_a_fresh_list_of_a_stored_lattice(z4, tz4):
+    for ring in (z4, tz4):
+        for kind in ("twosided", "right", "left"):
+            first = enumerate_ideals(ring, kind)
+            expected = list(first)
+            first.reverse()
+            first.append(first[0])
+            first[0] = None
+            assert enumerate_ideals(ring, kind) == expected
+
+
+@pytest.mark.parametrize("argv, kinds", [
+    (["props", "{ut2_z4}", "--format", "json"], {"right", "twosided"}),
+    (["verify", "{z8_tau}", "--suite", "thm4.5", "--format", "json"], {"twosided"}),
+])
+def test_each_lattice_is_computed_once_per_ring_and_kind(monkeypatch, tmp_path, argv, kinds):
+    """`props` reads the right lattice twice (right nonsingularity, IN) and
+    thm4.5 the two-sided one twice (its SA hypothesis, the K table): each
+    (ring, kind) lattice is still computed once."""
+    from mnseries.cli import main
+    from oracles import ut2_table
+    docs = {
+        "ut2_z4": {"ring": {"kind": "table", **ut2_table(4)}},
+        # tau(x, y) = 3^(xy) over Z, U = (2)
+        "z8_tau": {"ring": {"kind": "Zn", "n": 8}, "group": {"group": "Z"},
+                   "twist": {"sigma": "identity", "tau": {
+                       "kind": "unit_power", "unit": 3, "exponent_rule": "product"}},
+                   "ideals": {"U": {"kind": "twosided", "gens": [2]}}},
+    }
+    paths = {}
+    for label, doc in docs.items():
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(json.dumps({"label": label, **doc}))
+    computed = []
+    real = ideals._lattice
+    monkeypatch.setattr(ideals, "_lattice",
+                        lambda ring, kind: computed.append((ring, kind)) or real(ring, kind))
+    assert main([str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv]) == 0
+    assert {kind for _, kind in computed} == kinds
+    assert len(computed) == len(set(computed))
 
 
 def test_quotient_examples(z4, u_z4, tz4, u_tz4):

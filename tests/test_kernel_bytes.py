@@ -2,13 +2,16 @@
 sum identities do their work.
 
 `report_digests.json` covers the shipped fixtures, whose rings have at most
-16 elements. Two 64-element fixtures are built here: the commutative Z4^3
-(27 ideals) and the noncommutative UT2(Z4) (14 two-sided and 26 right
-ideals), each with a two-sided and a right ideal given by generators. The
-ring-axiom scan, the ideal lattices and closures, the quotients and the
-property battery must keep the bytes recorded below, which the direct
-scans produced before the kernels moved onto table rows: the sha256 of exit
-code, stdout and stderr, as in `test_report_bytes.py`.
+16 elements. Three 64-element fixtures are built here: the commutative Z4^3
+(27 ideals) and T(Z8) (the trivial extension of Z8, 13 ideals) and the
+noncommutative UT2(Z4) (14 two-sided and 26 right ideals), each with a
+two-sided and a right ideal given by generators. The ring-axiom scan, the
+ideal lattices and closures, the quotients and the property battery must
+keep the bytes recorded below: the sha256 of exit code, stdout and stderr,
+as in `test_report_bytes.py`. The Z4^3 and UT2(Z4) bytes are those the
+direct scans produced before the kernels moved onto table rows; the T(Z8)
+bytes are those of the element-wise lattice joins and annihilator sums,
+before they moved onto subgroup arithmetic.
 
 A third fixture, Z32 over Z, untwisted, with U = (2), is the benchmark
 ladder's Z32 rung. Its `lemma4.3` and `thm4.5` runs (seed 0) must keep the
@@ -39,6 +42,12 @@ FIXTURES = {
         "ring": {"kind": "table", **ut2_table(4)},
         "ideals": {"U": {"kind": "twosided", "gens": [4]},
                    "P": {"kind": "right", "gens": [16]}},
+    },
+    # (a, b) in T(Z8), with (a, b)(c, d) = (ac, ad + bc), has id 8a + b
+    "t_z8": {
+        "ring": {"kind": "trivial_extension", "base": {"kind": "Zn", "n": 8}},
+        "ideals": {"U": {"kind": "twosided", "gens": [16, 1]},
+                   "P": {"kind": "right", "gens": [20]}},
     },
     "z32": {
         "ring": {"kind": "Zn", "n": 32},
@@ -71,6 +80,10 @@ DIGESTS = {
         "3b3cd21f73c0d64c972534e001bae094aeb7dca319af71838bba2025a2d4b775",
     "ut2_z4 props":
         "74665321e97232d62d2223d97ad89e407816f70eef68fd72a23725f24c452355",
+    "t_z8 verify ideals":
+        "157df95dc1b1032b7bb02811bf107539b6afcc0244960f3fbd365c52dd8b6e8b",
+    "t_z8 props":
+        "b5a4fa36614a32a9357b013e0548bfc8e7458547326b52bc1e48836a72c41fdc",
     "z32 verify lemma4.3":
         "01c5df75e9e5006ce8c9c93007f30c6b8e36eb9daec1799b99c1abb300c52448",
     "z32 verify thm4.5":

@@ -3,27 +3,35 @@
 `ideal_closure` grows an additive subgroup one generator at a time,
 `check_ring_axioms` compares whole table rows and `classify_kind`,
 `quotient_ideal` and the annihilators work on rows (or columns) as well.
-The oracles in `oracles.py` do the same jobs one element, pair or triple
-at a time. Over generated Zn, products, trivial extensions and the
-noncommutative UT2(Z2) and UT2(Z4), closures, lattices (in order), kinds,
-quotients and annihilators must agree, and on tables with one entry
-changed, so must every (axiom, ok, witness).
+`enumerate_ideals` joins ideals as subgroup sums, `subgroup_sum` and
+`is_subgroup_sum` decide the annihilator sums of `is_IN` and `is_SA`, and
+a quotient by an ideal reads only its additive generators. The oracles in
+`oracles.py` (and the product-form `set_sum`) do the same jobs one
+element, pair or triple at a time. Over generated Zn, products, trivial
+extensions and the noncommutative UT2(Z2) and UT2(Z4), closures, lattices
+(in order), kinds, sums, quotients, generators, annihilators and the IN
+and SA reports must agree, and on tables with one entry changed, so must
+every (axiom, ok, witness).
 """
 
 from __future__ import annotations
 
 import functools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mnseries.ideals import (annihilator, classify_kind, enumerate_ideals, ideal_closure,
-                             nil_radical, quotient_ideal, weak_annihilator)
+from mnseries import properties
+from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
+                             ideal_closure, nil_radical, quotient_ideal, set_sum, subgroup_sum,
+                             weak_annihilator)
+from mnseries.properties import is_IN, is_SA
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn)
-from oracles import (elementwise_annihilator, elementwise_kind, elementwise_weak_annihilator,
-                     membership_quotient, triple_scan_axioms, ut2_table, worklist_closure,
-                     worklist_lattice)
+from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
+                     elementwise_weak_annihilator, membership_quotient, triple_scan_axioms,
+                     ut2_table, worklist_closure, worklist_lattice)
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,8 +79,59 @@ def test_closures_match_the_worklist_closure(key, data):
 @given(_ring_keys())
 def test_lattices_match_the_worklist_lattice_in_order(key):
     ring = _ring(*key)
-    for kind in ("twosided", "right"):
+    for kind in ("twosided", "right", "left"):
         assert [i.members for i in enumerate_ideals(ring, kind)] == _lattice(key, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_keys(), st.sampled_from(["left", "right", "twosided"]), st.data())
+def test_subgroup_sums_match_the_product_form(key, kind, data):
+    """On drawn ideals I and J of the kind, their meet, and the left and
+    right annihilators of all three: the sets `is_IN`, `is_SA`, `thm4.5`
+    and `lemma4.3` add."""
+    ring = _ring(*key)
+    I, J = (data.draw(st.sampled_from(_lattice(key, kind))) for _ in range(2))
+    pool = [I, J] + [annihilator(ring, X, side) for X in (I, J, I & J)
+                     for side in ("left", "right")]
+    for A in pool:
+        for B in pool:
+            assert subgroup_sum(ring, A, B) == set_sum(ring, A, B), (key, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_keys(), st.data())
+def test_quotients_by_an_ideal_read_its_generators(key, data):
+    """The `additive_generators` of an ideal of each kind generate it as an
+    additive group and number at most log2 of its size, and the quotient of
+    an ideal U by it equals the membership scan over all its members; a set
+    of kind "subset" is read in full."""
+    ring = _ring(*key)
+    xs = frozenset(data.draw(st.lists(st.integers(0, ring.size - 1), max_size=6)))
+    for kind in ("left", "right", "twosided"):
+        U = IdealSet(ring, data.draw(st.sampled_from(_lattice(key, kind))), kind)
+        for V in (IdealSet(ring, data.draw(st.sampled_from(_lattice(key, kind))), kind),
+                  IdealSet(ring, xs | {0}, "subset")):
+            gens = V.additive_generators
+            if V.kind != "subset":
+                assert additive_span(ring, gens) == V.members
+                assert 1 << len(gens) <= len(V.members)
+            assert quotient_ideal(U, V) == membership_quotient(ring, U.members, V.members)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ring_keys())
+@example(("ut2", 2))
+@example(("ut2", 4))
+def test_IN_and_SA_reports_match_the_product_form(key):
+    """With `set_sum` patched back in for the subgroup sum and its test, the
+    IN and SA reports are the same; UT2(Z2) and UT2(Z4) fail IN, so the
+    witness path is compared as well."""
+    ring = _ring(*key)
+    fast = [is_IN(ring).to_json(), is_SA(ring).to_json()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(properties, "subgroup_sum", set_sum)
+        mp.setattr(properties, "is_subgroup_sum", lambda C, A, B: C == set_sum(ring, A, B))
+        assert [is_IN(ring).to_json(), is_SA(ring).to_json()] == fast, key
 
 
 @settings(max_examples=40, deadline=None)

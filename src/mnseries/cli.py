@@ -186,6 +186,8 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
         value = caps[key]
         if type(default) is int and type(value) is not int:
             raise ValidationError(f"fixture {label!r}: cap {key!r} must be an integer")
+        if key == "max_support" and value < 0:
+            raise ValidationError(f"fixture {label!r}: cap 'max_support' must be >= 0")
         if type(default) is list and not (isinstance(value, list) and len(value) == 2
                                           and all(type(v) is int for v in value)):
             raise ValidationError(f"fixture {label!r}: cap {key!r} must be a pair of integers")
@@ -886,6 +888,8 @@ def main(argv=None) -> int:
             if args.window is not None:
                 overrides["window"] = args.window
             if args.max_support is not None:
+                if args.max_support < 0:
+                    raise ValidationError(f"--max-support must be >= 0, got {args.max_support}")
                 overrides["max_support"] = args.max_support
             report = run_suite(fx, args.suite, seed=args.seed, overrides=overrides)
             print(emit_report(report, args.format, args.timings))

@@ -168,9 +168,7 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]
     if ring.size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
                               {"size_cap": DEFAULT_SIZE_CAP})
-    if kind not in ring._lattices:
-        ring._lattices[kind] = _lattice(ring, kind)
-    return list(ring._lattices[kind])
+    return list(ring.once(("lattice", kind), lambda: _lattice(ring, kind)))
 
 
 def _lattice(ring: FiniteRing, kind: str) -> tuple[IdealSet, ...]:
@@ -195,6 +193,13 @@ def _lattice(ring: FiniteRing, kind: str) -> tuple[IdealSet, ...]:
     out = [IdealSet(ring, ms, kind) for ms in seen]
     out.sort(key=lambda ideal: (len(ideal.members), ideal.sorted_members()))
     return tuple(out)
+
+
+def ideals_by_right_annihilator(ring: FiniteRing) -> dict[frozenset[int], IdealSet]:
+    """r(K) -> K over the two-sided ideals, the first K in lattice order
+    winning; built once per ring, for is_SA and the SA transfer."""
+    return ring.once("K by r(K)", lambda: {
+        annihilator(ring, K.members): K for K in reversed(enumerate_ideals(ring, "twosided"))})
 
 
 def _member_set(ring: FiniteRing, xs) -> frozenset[int]:

@@ -13,8 +13,8 @@ from typing import Any, Iterable, Sequence
 
 from .errors import SizeCapExceeded, ZeroElement
 from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_ideals,
-                     is_sigma_compatible_ideal, is_subgroup_sum, quotient_ideal, set_sum,
-                     subgroup_sum, weak_annihilator)
+                     ideals_by_right_annihilator, is_sigma_compatible_ideal, is_subgroup_sum,
+                     quotient_ideal, set_sum, subgroup_sum, weak_annihilator)
 from .rings import FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_to_json
 
@@ -55,15 +55,15 @@ class ZeroDivisorSets:
 def zero_divisor_sets(ring: FiniteRing) -> ZeroDivisorSets:
     """Left/right zero-divisors and their complements; 0 always divides.
     Scanned once per ring, like its units."""
-    if ring._zero_divisors is None:
+    def scan():
         elems = ring.elements()
         left = frozenset(a for a in elems
                          if any(r != 0 and ring.mul_table[a][r] == 0 for r in elems))
         right = frozenset(a for a in elems
                           if any(r != 0 and ring.mul_table[r][a] == 0 for r in elems))
         all_set = frozenset(elems)
-        ring._zero_divisors = ZeroDivisorSets(left, all_set - left, right, all_set - right)
-    return ring._zero_divisors
+        return ZeroDivisorSets(left, all_set - left, right, all_set - right)
+    return ring.once("zero divisors", scan)
 
 
 def fusible_decompositions(ring: FiniteRing, a: int) -> list[tuple[int, int]]:
@@ -157,9 +157,7 @@ def is_SA(ring: FiniteRing) -> PropertyReport:
     """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals."""
     ideals = enumerate_ideals(ring, "twosided")
     rann = {i.members: annihilator(ring, i.members, "right") for i in ideals}
-    by_annihilator = {}
-    for i in ideals:
-        by_annihilator.setdefault(rann[i.members], i)
+    by_annihilator = ideals_by_right_annihilator(ring)
     witness = None
     table = []
     for I in ideals:

@@ -1,8 +1,9 @@
 """Finite associative unital rings given by explicit operation tables.
 
 Elements are dense integer ids 0..size-1 with zero always id 0. Everything
-here is exhaustively checkable by table scan, so constructors validate the
-full ring axioms and reject bad tables.
+here is exhaustively checkable by table scan. A table ring is scanned for the
+full ring axioms and rejected if one fails; Zn, products and trivial
+extensions are rings by construction, so their constructors scan nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,18 @@ from .errors import AxiomViolation, MalformedSpec, NotAutomorphism, RingMismatch
 DEFAULT_SIZE_CAP = 256
 
 
-class FiniteRing:
+class Memo:
+    """Facts derived once per object, in its `_memo` dict."""
+
+    def once(self, key, compute):
+        """compute() the first time `key` is asked for, its stored value after
+        that; a compute() that raises stores nothing, so a failing check raises on every call."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+
+class FiniteRing(Memo):
     """A finite ring: element ids 0..size-1, operation tables, zero = 0."""
 
     def __init__(self, label: str, add_table: Sequence[Sequence[int]],
@@ -55,11 +67,7 @@ class FiniteRing:
                 and all(isinstance(name, str) for name in names)):
             raise MalformedSpec(f"ring {label!r}: names must be a list of {size} strings")
         self.names = tuple(names)
-        self._neg = None
-        self._units = None
-        self._zero_divisors = None
-        self._axioms = None
-        self._lattices = {}  # kind -> tuple of IdealSets, filled by ideals.enumerate_ideals
+        self._memo: dict = {}
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, size={self.size})"
@@ -74,15 +82,8 @@ class FiniteRing:
         return self.mul_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is None:
-            neg = [None] * self.size
-            for x in range(self.size):
-                for y in range(self.size):
-                    if self.add_table[x][y] == 0:
-                        neg[x] = y
-                        break
-            self._neg = neg
-        n = self._neg[a]
+        n = self.once("neg", lambda: [row.index(0) if 0 in row else None
+                                      for row in self.add_table])[a]
         if n is None:
             raise AxiomViolation(f"ring {self.label!r}: element {a} has no additive inverse")
         return n
@@ -141,11 +142,13 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
     (a, c) and runs over b on the transposed product table. Only an axiom
     whose row test fails is scanned element by element, so its witness is
     the lexicographically first failing element, pair or triple. Scanned
-    once per ring, like its units: the constructors' validation and the
-    ring-axioms suite share one report.
+    once per ring, like its units: a table ring's load and the ring-axioms
+    suite share one report.
     """
-    if ring._axioms is not None:
-        return ring._axioms
+    return ring.once("axioms", lambda: _axiom_report(ring))
+
+
+def _axiom_report(ring: FiniteRing) -> AxiomReport:
     add, mul = ring.add_table, ring.mul_table
     ids = tuple(range(ring.size))
     pairs = [(a, b) for a in ids for b in ids]
@@ -186,21 +189,15 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]))
     results.append(AxiomResult("one-not-zero", ring.one != ring.zero,
                                None if ring.one != ring.zero else (ring.one,)))
-    ring._axioms = AxiomReport(results)
-    return ring._axioms
+    return AxiomReport(results)
 
 
 def units(ring: FiniteRing) -> frozenset[int]:
     """Two-sided invertible elements: {u | exists v with uv = vu = 1}."""
-    if ring._units is None:
-        mul = ring.mul_table
-        one = ring.one
-        found = frozenset(
-            u for u in ring.elements()
-            if any(mul[u][v] == one and mul[v][u] == one for v in ring.elements())
-        )
-        ring._units = found
-    return ring._units
+    mul, one = ring.mul_table, ring.one
+    return ring.once("units", lambda: frozenset(
+        u for u in ring.elements()
+        if any(mul[u][v] == one and mul[v][u] == one for v in ring.elements())))
 
 
 def unit_inverse(ring: FiniteRing, u: int) -> int:
@@ -308,7 +305,7 @@ def ring_zn(n: int) -> FiniteRing:
         raise MalformedSpec(f"Zn requires n >= 2, got {n}")
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-    return _validated(FiniteRing(f"Z{n}", add, mul, one=1))
+    return FiniteRing(f"Z{n}", add, mul, one=1)
 
 
 def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> FiniteRing:
@@ -338,55 +335,33 @@ def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> Fi
     return _validated(ring)
 
 
+def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul, one: tuple) -> FiniteRing:
+    """The ring on the pairs (a, b), a in r1 and b in r2, pair (a, b) with id
+    a*|r2| + b: added componentwise, and (a, b)(c, d) = mul(a, b, c, d)."""
+    n2 = r2.size
+    pairs = [(a, b) for a in range(r1.size) for b in range(n2)]
+
+    def enc(pair):
+        return pair[0] * n2 + pair[1]
+
+    add1, add2 = r1.add_table, r2.add_table
+    return FiniteRing(label, [[add1[a][c] * n2 + add2[b][d] for c, d in pairs] for a, b in pairs],
+                      [[enc(mul(a, b, c, d)) for c, d in pairs] for a, b in pairs],
+                      one=enc(one), names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
+
+
 def ring_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Direct product; pair (a, b) gets id a*|r2| + b."""
-    n1, n2 = r1.size, r2.size
-    size = n1 * n2
-
-    def enc(a, b):
-        return a * n2 + b
-
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    names = [None] * size
-    for a1 in range(n1):
-        for b1 in range(n2):
-            i = enc(a1, b1)
-            names[i] = f"({r1.names[a1]},{r2.names[b1]})"
-            for a2 in range(n1):
-                for b2 in range(n2):
-                    j = enc(a2, b2)
-                    add[i][j] = enc(r1.add_table[a1][a2], r2.add_table[b1][b2])
-                    mul[i][j] = enc(r1.mul_table[a1][a2], r2.mul_table[b1][b2])
-    ring = FiniteRing(f"{r1.label}x{r2.label}", add, mul,
-                      one=enc(r1.one, r2.one), names=names)
-    return _validated(ring)
+    mul1, mul2 = r1.mul_table, r2.mul_table
+    return _pair_ring(f"{r1.label}x{r2.label}", r1, r2,
+                      lambda a, b, c, d: (mul1[a][c], mul2[b][d]), (r1.one, r2.one))
 
 
 def ring_trivial_extension(base: FiniteRing) -> FiniteRing:
     """Pairs (a, b) over the base with (a,b)(c,d) = (ac, ad + bc)."""
-    n = base.size
-    size = n * n
-
-    def enc(a, b):
-        return a * n + b
-
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    names = [None] * size
-    for a in range(n):
-        for b in range(n):
-            i = enc(a, b)
-            names[i] = f"({base.names[a]},{base.names[b]})"
-            for c in range(n):
-                for d in range(n):
-                    j = enc(c, d)
-                    add[i][j] = enc(base.add_table[a][c], base.add_table[b][d])
-                    mul[i][j] = enc(base.mul_table[a][c],
-                                    base.add_table[base.mul_table[a][d]][base.mul_table[b][c]])
-    ring = FiniteRing(f"T({base.label},{base.label})", add, mul,
-                      one=enc(base.one, 0), names=names)
-    return _validated(ring)
+    add, mul = base.add_table, base.mul_table
+    return _pair_ring(f"T({base.label},{base.label})", base, base,
+                      lambda a, b, c, d: (mul[a][c], add[mul[a][d]][mul[b][c]]), (base.one, 0))
 
 
 def ring_gf4() -> FiniteRing:

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import (DuplicateKey, MalformedSpec, NotNormalized, TraceMismatch,
-                     TwistMismatch, ZeroSeries)
+from .errors import (DuplicateKey, MalformedSpec, NotNormalized, PreconditionFail,
+                     TraceMismatch, TwistMismatch, ZeroSeries)
 from .groups import IntegersGroup, OrderedGroup
-from .rings import (FiniteRing, RingAutomorphism, automorphism_power,
+from .rings import (FiniteRing, Memo, RingAutomorphism, automorphism_power,
                     check_automorphism, compose_automorphisms,
                     identity_automorphism, unit_inverse, units)
 
@@ -119,7 +119,7 @@ class TauPatched(TauRule):
         return self.base.at(x, y)
 
 
-class TwistSystem:
+class TwistSystem(Memo):
     """The (sigma, tau) pair over a ring and ordered group."""
 
     def __init__(self, ring: FiniteRing, group: OrderedGroup,
@@ -128,7 +128,7 @@ class TwistSystem:
         self.group = group
         self.sigma = sigma
         self.tau = tau
-        self._normalized = None
+        self._memo: dict = {}
 
     def sigma_at(self, x) -> RingAutomorphism:
         return self.sigma.at(x)
@@ -157,9 +157,7 @@ class TwistSystem:
 
     @property
     def normalized(self) -> bool:
-        if self._normalized is None:
-            self._normalized, _ = self.check_normalized()
-        return self._normalized
+        return self.once("normalized", lambda: self.check_normalized()[0])
 
     def __repr__(self):
         return f"TwistSystem({self.ring.label!r}, {self.group.kind})"
@@ -737,6 +735,9 @@ def random_series(twist: TwistSystem, rng, exponents: Sequence,
                   max_support: int = 3, nonzero: bool = True) -> Series:
     """A seeded random series with support inside the exponent window."""
     exps = list(exponents)
+    if min(max_support, len(exps)) < (1 if nonzero else 0):
+        raise PreconditionFail(f"max_support {max_support} over {len(exps)} exponents "
+                               f"leaves no {'nonzero ' if nonzero else ''}series to draw")
     while True:
         size = rng.randint(0, min(max_support, len(exps)))
         chosen = rng.sample(exps, size)

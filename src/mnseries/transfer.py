@@ -10,6 +10,7 @@ gap in the argument, and neither may be papered over.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Sequence
@@ -17,13 +18,14 @@ from typing import Any, Collection, Iterable, Sequence
 from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                      NotSigmaCompatible, PreconditionFail, RingMismatch,
                      SizeCapExceeded, TraceMismatch, TwistMismatch, ZeroSeries)
-from .ideals import (IdealSet, annihilator, enumerate_ideals, ideal_closure,
+from .ideals import (IdealSet, annihilator, ideal_closure, ideals_by_right_annihilator,
                      is_semiprime_ideal, is_sigma_compatible_ideal, is_subgroup_sum,
                      subgroup_sum)
 from .properties import (PropertyReport, fusible_decompositions,
                          is_G_armendariz, is_left_fusible, is_SA,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
                          zero_divisor_sets)
+from .rings import Memo
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
                      series_add, series_make, series_mul, series_sub,
                      series_to_json, support_stats, term_product)
@@ -44,7 +46,7 @@ def universe_count(size: int, length: int, cap: int = DEFAULT_UNIVERSE_CAP) -> i
     return count
 
 
-class TruncatedUniverse:
+class TruncatedUniverse(Memo):
     """All series with support inside a finite window, as coefficient tuples
     over the sorted window in exhaustive_series order: the decidable stand-in
     for the full series ring, over which its quantifiers become scans."""
@@ -90,13 +92,6 @@ class TruncatedUniverse:
     def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
         return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
 
-    def once(self, key, compute):
-        """compute() the first time `key` is asked for, its stored value after
-        that; a compute() that raises stores nothing, so a failing check raises on every call."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
     def quotient(self, factors: Iterable[list[tuple]], members, side: str) -> frozenset[tuple]:
         """The members u such that every coefficient of s*u (side "right") or
         u*s (side "left") lies in `members`, for every factor s, a list of
@@ -139,6 +134,16 @@ class TruncatedUniverse:
 # --- hypotheses: one definition per result, each raising a PreconditionFail ---
 
 
+def _checked_once(check):
+    """Keep a hypothesis check that held in its ring's memo under (check, *args),
+    so a suite run makes it once; one that fails stores nothing and raises on every call."""
+    @functools.wraps(check)
+    def once(*args):
+        args[0].ring.once((check, *args), lambda: check(*args))
+    return once
+
+
+@_checked_once
 def require_sigma_compatible(twist: TwistSystem):
     """ab = 0 <-> a*sigma(b) = 0 in the base ring, for every sigma of the twist."""
     compat = is_sigma_compatible_ring(twist.ring, twist.sigma_generators())
@@ -146,6 +151,7 @@ def require_sigma_compatible(twist: TwistSystem):
         raise NotSigmaCompatible(f"{twist.ring.label} is not sigma-compatible (witness {compat.witness})")
 
 
+@_checked_once
 def require_fusible(twist: TwistSystem):
     """Prop 3.2: a left fusible, sigma-compatible base ring and a normalized twist."""
     fus = is_left_fusible(twist.ring)
@@ -156,6 +162,7 @@ def require_fusible(twist: TwistSystem):
         raise NotNormalized("twist is not normalized")
 
 
+@_checked_once
 def require_zip(U: IdealSet, twist: TwistSystem):
     """Thm 5.4: U a semiprime, sigma-compatible two-sided ideal and a normalized twist."""
     if U.kind != "twosided":
@@ -170,6 +177,7 @@ def require_zip(U: IdealSet, twist: TwistSystem):
         raise NotNormalized("twist is not normalized")
 
 
+@_checked_once
 def require_sa(twist: TwistSystem, window: Sequence):
     """Thm 4.5: a normalized twist over an SA base ring that passes the
     G-Armendariz check bounded by the window."""
@@ -232,7 +240,7 @@ def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> Fusibl
     ring = twist.ring
     if f.is_zero:
         raise ZeroSeries("cannot decompose the zero series")
-    universe.once(("prop3.2", twist), lambda: require_fusible(twist))
+    require_fusible(twist)
 
     stats = support_stats(f)
     s0 = stats.minimal
@@ -268,7 +276,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     ring = twist.ring
     if I.ring is not ring or J.ring is not ring:
         raise RingMismatch("ideals must live in the universe's coefficient ring")
-    universe.once(("lemma4.3", twist), lambda: require_sigma_compatible(twist))
+    require_sigma_compatible(twist)
     meet = I.members & J.members
     witnesses = {}
 
@@ -329,7 +337,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
 
     I0 and J0 are the right ideals generated by the generator contents; K is
     the first enumerated base ideal whose right annihilator is r(I0) + r(J0),
-    looked up in a table built once per universe; the universe-level identity
+    looked up in the ring's table that is_SA reads; the universe-level identity
     compares the right annihilators of the coefficientwise series sets. The
     reverse direction recovers the base ideal from the universe-level series
     set by taking contents again.
@@ -339,9 +347,8 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     for s in itertools.chain(I_gens, J_gens):
         if s.twist is not twist:
             raise TwistMismatch("generator series must share the universe's twist")
-    universe.once(("thm4.5", twist), lambda: require_sa(twist, universe.window))
-    k_by_annihilator = universe.once("K by r(K)", lambda: {
-        annihilator(ring, K.members): K for K in reversed(enumerate_ideals(ring, "twosided"))})
+    require_sa(twist, tuple(universe.window))
+    k_by_annihilator = ideals_by_right_annihilator(ring)
 
     I0 = ideal_closure(ring, _contents(I_gens), "right")
     J0 = ideal_closure(ring, _contents(J_gens), "right")
@@ -573,7 +580,7 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     for s in X:
         if s.twist is not twist:
             raise TwistMismatch("members of X must share the universe's twist")
-    universe.once(("thm5.4", U, twist), lambda: require_zip(U, twist))
+    require_zip(U, twist)
     if all(s.content() <= U.members for s in X):
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +288,27 @@ def test_main_verify_max_support_zero_reaches_params(capsys):
     assert params["window"] == [0, 0]
 
 
+def test_main_verify_rejects_a_negative_max_support(capsys):
+    assert main(["verify", "klein_fusible", "--suite", "prop3.2", "--max-support=-1"]) == 2
+    assert "error: --max-support must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_prop32_with_max_support_zero_ends_in_a_named_precondition():
+    """prop3.2 samples nonzero series, and max_support 0 leaves none: a
+    PreconditionFail that names it, which fails the suite klein_fusible
+    claims. A subprocess with a timeout turns a redraw loop into a failure."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mnseries.cli", "verify", "klein_fusible",
+                           "--suite", "prop3.2", "--max-support=0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert ("claimed applicable but precondition failed: max_support 0 over 3 exponents "
+            "leaves no nonzero series to draw") in proc.stdout
+
+
 def test_main_validate_checks_the_twist_once(monkeypatch, capsys):
     import mnseries.cli as cli
     calls = []
@@ -392,6 +417,7 @@ def _twist(**spec):
     ({"ideals": {"U": {"kind": ["twosided"], "gens": [2]}}}, "'kind' must be"),
     ({"group": {"group": "Z"}, "twist": [1]}, "bad twist"),
     ({"caps": {"max_support": "9"}}, "cap 'max_support' must be an integer"),
+    ({"caps": {"max_support": -1}}, "cap 'max_support' must be >= 0"),
     ({"caps": {"window": [0]}}, "cap 'window' must be a pair of integers"),
     ({"caps": {"window": [2, 0]}}, "cap 'window' 2..0 is empty (lo > hi)"),
     ({"caps": {"window": [600000000, 600000001]}},
@@ -424,7 +450,7 @@ def _twist(**spec):
     ({"group": {"group": "Z^k_lex", "k": True}, "twist": {"sigma": "identity"}},
      "bad group: Z^k_lex requires k >= 1, got True"),
 ], ids=["ideals-list", "gen-out-of-range", "series-not-a-list", "n-string", "suites-string",
-        "ideal-kind-list", "twist-list", "cap-string", "cap-window-short",
+        "ideal-kind-list", "twist-list", "cap-string", "cap-negative", "cap-window-short",
         "cap-window-reversed", "cap-window-overflow", "cap-misspelt",
         "cap-fixed", "tau-string", "tau-list",
         "sigma-generators-int", "overrides-int", "override-short", "override-out-of-range",

@@ -59,8 +59,10 @@ def test_check_ring_axioms_reports_corruption(z4):
 
 
 def test_ring_axioms_are_scanned_once_per_ring(monkeypatch):
-    """Loading a fixture validates its ring, and the ring-axioms suite reads
-    that same report: one axiom scan per ring."""
+    """Loading a table-ring fixture scans its axioms, and the ring-axioms
+    suite reads that same report: one axiom scan per ring. A Zn, product or
+    trivial-extension ring is a ring by construction, so its load scans
+    nothing and its ring-axioms suite scans once."""
     reports = []
     real = rings.AxiomReport
 
@@ -69,11 +71,19 @@ def test_ring_axioms_are_scanned_once_per_ring(monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(rings, "AxiomReport", counting)
-    fx = cli.load_fixture(cli.resolve_fixture("z4_example_5_5"))
+    fx = cli.load_fixture(cli.resolve_fixture("gf4_frobenius"))
     assert len(reports) == 1
     assert cli.run_suite(fx, "ring-axioms").status == "pass"
     assert len(reports) == 1
     assert check_ring_axioms(fx.ring) is reports[0]
+
+    for name in ("z4_example_5_5", "klein_fusible", "t_z4_example_5_6"):
+        reports.clear()
+        fx = cli.load_fixture(cli.resolve_fixture(name))
+        assert reports == [], name
+        assert cli.run_suite(fx, "ring-axioms").status == "pass"
+        assert len(reports) == 1, name
+        assert check_ring_axioms(fx.ring) is reports[0]
 
 
 def test_ring_from_table_rejects_missing_rows():

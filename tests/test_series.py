@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mnseries.errors import (DuplicateKey, MalformedSpec, NotNormalized,
-                             TwistMismatch, ZeroSeries)
+                             PreconditionFail, TwistMismatch, ZeroSeries)
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.series import (Series, check_associativity, check_twist_conditions,
                              embed_scalar, exhaustive_series, random_series,
@@ -141,6 +141,26 @@ def test_embed_scalar_is_ring_homomorphism(tw_z4, tw_z4_tau, tw_gf4_frob):
                     == embed_scalar(twist, ring.add(r, s))
                 assert series_mul(embed_scalar(twist, r), embed_scalar(twist, s)) \
                     == embed_scalar(twist, ring.mul(r, s))
+
+
+class _FewDraws(random.Random):
+    """A seeded source that fails a caller who keeps redrawing."""
+
+    def randint(self, a, b):
+        self.draws = getattr(self, "draws", 0) + 1
+        assert self.draws < 1000, "random_series keeps redrawing"
+        return super().randint(a, b)
+
+
+@pytest.mark.parametrize("max_support, exponents, nonzero", [
+    (0, [0, 1, 2], True), (3, [], True), (-1, [0, 1], False)])
+def test_random_series_refuses_a_support_bound_that_leaves_nothing_to_draw(
+        tw_z4, max_support, exponents, nonzero):
+    with pytest.raises(PreconditionFail, match=f"max_support {max_support} over "
+                                               f"{len(exponents)} exponents"):
+        random_series(tw_z4, _FewDraws(0), exponents, max_support, nonzero=nonzero)
+    # a zero series may be drawn from no support at all
+    assert random_series(tw_z4, random.Random(0), [0, 1], 0, nonzero=False).is_zero
 
 
 def test_series_ring_axioms_sampled(tw_z4, tw_z4_tau, tw_gf4_frob, tw_klein_swap):

@@ -42,6 +42,10 @@ def _ring(kind, *params):
         return ring_product(ring_zn(params[0]), ring_zn(params[1]))
     if kind == "trivial_extension":
         return ring_trivial_extension(ring_zn(*params))
+    if kind == "ut2xZn":
+        return ring_product(_ring("ut2", params[0]), ring_zn(params[1]))
+    if kind == "T(ut2)":
+        return ring_trivial_extension(_ring("ut2", *params))
     return ring_from_table(ut2_table(*params))
 
 
@@ -171,10 +175,14 @@ def _axioms(ring):
 
 
 def test_axiom_scan_matches_the_triple_scan_on_the_rings():
+    """Zn, products and trivial extensions are built without an axiom scan,
+    so this is where they are shown to be rings, over noncommutative factors
+    too: UT2(Z2) x Z2 and T(UT2(Z2)), 16 and 64 elements."""
     for key in [("Zn", 12), ("product", 4, 4), ("trivial_extension", 4), ("ut2", 2),
-                ("ut2", 4)]:
+                ("ut2", 4), ("ut2xZn", 2, 2), ("T(ut2)", 2)]:
         ring = _ring(*key)
         assert _axioms(ring) == triple_scan_axioms(ring)
+        assert check_ring_axioms(ring).passed, key
 
 
 def test_rings_are_decided_by_the_row_tests_alone(monkeypatch):

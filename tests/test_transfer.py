@@ -332,7 +332,7 @@ def test_series_zip_rejects_non_semiprime(tw_z4, uni_z4, z4):
         series_zip_witness([series_make(tw_z4, [(0, 1)])], zero, uni_z4)
 
 
-# --- hypotheses: one definition each, thm4.5's checked once per universe ---
+# --- hypotheses: one definition each, each checked once per ring and twist ---
 
 
 def test_precondition_errors_are_precondition_failures():
@@ -363,11 +363,11 @@ def test_thm45_run_checks_SA_and_G_armendariz_once(monkeypatch):
 
 
 @pytest.mark.parametrize("fixture, suite, counted", [
-    # prop3.2 and thm5.4 check once before the universe is built and once
-    # through its memo; lemma4.3 only through the memo
-    ("klein_fusible", "prop3.2", {"is_left_fusible": 2}),
+    # prop3.2 and thm5.4 ask before the universe is built and again in every
+    # harness call; the ring's memo answers all but the first
+    ("klein_fusible", "prop3.2", {"is_left_fusible": 1}),
     ("t_z4_example_5_6", "lemma4.3", {"is_sigma_compatible_ring": 1}),
-    ("z4_tau_power", "thm5.4", {"is_semiprime_ideal": 2}),
+    ("z4_tau_power", "thm5.4", {"is_semiprime_ideal": 1}),
 ])
 def test_a_suite_run_checks_its_hypotheses_once_per_universe(monkeypatch, fixture, suite,
                                                              counted):
@@ -412,7 +412,10 @@ def _z2xy():
 
 
 def test_thm45_run_builds_the_K_table_once(monkeypatch):
-    import mnseries.transfer as transfer
+    """is_SA (thm4.5's hypothesis) and every sa_transfer_witness read one
+    r(K) -> K table, whose build is the only enumerate_ideals call in
+    `mnseries.ideals`."""
+    import mnseries.ideals as ideals_module
     from mnseries.cli import Fixture, run_suite
     calls = []
 
@@ -420,10 +423,20 @@ def test_thm45_run_builds_the_K_table_once(monkeypatch):
         calls.append(args)
         return enumerate_ideals(*args, **kwargs)
 
-    monkeypatch.setattr(transfer, "enumerate_ideals", counting)
+    monkeypatch.setattr(ideals_module, "enumerate_ideals", counting)
+    import mnseries.properties as properties
+    import mnseries.transfer as transfer
+    tables = []
+    for module in (properties, transfer):
+        def reading(ring, _module=module, _real=module.ideals_by_right_annihilator):
+            tables.append((_module.__name__, _real(ring)))
+            return tables[-1][1]
+        monkeypatch.setattr(module, "ideals_by_right_annihilator", reading)
     ring, group = _z2xy(), IntegersGroup()
     rep = run_suite(Fixture("z2xy", ring, group, trivial_twist(ring, group)), "thm4.5")
     assert rep.status == "pass" and len(calls) == 1
+    assert {name for name, _ in tables} == {"mnseries.properties", "mnseries.transfer"}
+    assert all(table is tables[0][1] for _, table in tables)
     # each K is the first enumerated ideal whose right annihilator is r(I0) + r(J0)
     ideals = enumerate_ideals(ring, "twosided")
     ks = set()

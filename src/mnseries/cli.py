@@ -156,6 +156,29 @@ def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0)
     return cond, sampled
 
 
+def _checked_caps(label: str, caps: dict) -> dict:
+    """The caps over DEFAULT_CAPS, or a ValidationError naming the first that
+    is unknown or out of range; for a fixture's own caps and for a suite
+    run's overrides alike."""
+    for key in caps:
+        if key not in DEFAULT_CAPS:
+            raise ValidationError(f"fixture {label!r}: unknown cap {key!r}")
+    caps = {**DEFAULT_CAPS, **caps}
+    for key, default in DEFAULT_CAPS.items():
+        value = caps[key]
+        if type(default) is int and type(value) is not int:
+            raise ValidationError(f"fixture {label!r}: cap {key!r} must be an integer")
+        if key == "max_support" and value < 0:
+            raise ValidationError(f"fixture {label!r}: cap 'max_support' must be >= 0")
+        if type(default) is list and not (isinstance(value, list) and len(value) == 2
+                                          and all(type(v) is int for v in value)):
+            raise ValidationError(f"fixture {label!r}: cap {key!r} must be a pair of integers")
+    problem = _window_problem(*caps["window"])
+    if problem:
+        raise ValidationError(f"fixture {label!r}: cap 'window' {problem}")
+    return caps
+
+
 def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixture:
     """Parse and validate one fixture document."""
     path = Path(path)
@@ -177,23 +200,7 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
                                   + ("an object" if kind is dict else "a list"))
         return value
 
-    caps = section("caps", dict)
-    for key in caps:
-        if key not in DEFAULT_CAPS:
-            raise ValidationError(f"fixture {label!r}: unknown cap {key!r}")
-    caps = {**DEFAULT_CAPS, **caps}
-    for key, default in DEFAULT_CAPS.items():
-        value = caps[key]
-        if type(default) is int and type(value) is not int:
-            raise ValidationError(f"fixture {label!r}: cap {key!r} must be an integer")
-        if key == "max_support" and value < 0:
-            raise ValidationError(f"fixture {label!r}: cap 'max_support' must be >= 0")
-        if type(default) is list and not (isinstance(value, list) and len(value) == 2
-                                          and all(type(v) is int for v in value)):
-            raise ValidationError(f"fixture {label!r}: cap {key!r} must be a pair of integers")
-    problem = _window_problem(*caps["window"])
-    if problem:
-        raise ValidationError(f"fixture {label!r}: cap 'window' {problem}")
+    caps = _checked_caps(label, section("caps", dict))
     try:
         ring = ring_make(data["ring"], base_dir=path.parent)
     except MNSeriesError as exc:
@@ -665,13 +672,16 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
               overrides: dict | None = None) -> SuiteReport:
     """Run one named suite; preconditions that fail make the suite
     not-applicable unless the fixture claims it, in which case they fail it.
+    `overrides` replace caps and pass the checks of a fixture's own caps: an
+    unknown or out-of-range one raises a ValidationError (exit 2).
     A scan over its cap skips the suite with a null verdict. A suite that
     ends in one of these exceptions drops the checks it yielded so far for
     one check of its own, timed from the suite's start."""
     if suite not in _SUITES:
         raise SuiteUnknown(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if overrides:
-        fixture = replace(fixture, caps={**fixture.caps, **overrides})
+        fixture = replace(fixture, caps=_checked_caps(fixture.label,
+                                                      {**fixture.caps, **overrides}))
     params = {"window": fixture.cap("window"), "max_support": fixture.cap("max_support"),
               "samples": SAMPLES, "universe_window": list(UNIVERSE_WINDOW)}
     start = time.perf_counter()

@@ -15,7 +15,8 @@ from operator import itemgetter, not_
 from typing import Iterable
 
 from .errors import RingMismatch, SizeCapExceeded
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism
+from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism, greedy_generators,
+                    grow_subgroup)
 
 KINDS = ("subset", "left", "right", "twosided")
 
@@ -40,7 +41,7 @@ class IdealSet:
         the members themselves for a kind "subset", which need not be a group."""
         if self.kind == "subset":
             return tuple(self.members)
-        return tuple(_subgroup(self.ring.add_table, (), self.members)[1])
+        return tuple(greedy_generators(self.ring.add_table, {0}, self.members))
 
     def describe(self) -> str:
         return self.ring.describe_set(self.members)
@@ -84,33 +85,6 @@ def make_ideal(ring: FiniteRing, members: Iterable[int], kind: str | None = None
     return IdealSet(ring, ms, kind)
 
 
-def _grow(add, group: list[int], members: set[int], g: int) -> None:
-    """Extend the additive subgroup H (listed in `group`, zero first, and held
-    in `members`) to H + <g>: add the cosets H + g, H + 2g, ... until kg
-    lands in H. A g outside H at least doubles H."""
-    step = add[g].__getitem__
-    coset = list(map(step, group))
-    new = []
-    while coset[0] not in members:  # coset[0] = kg, the image of zero
-        new += coset
-        coset = list(map(step, coset))
-    group += new
-    members.update(new)
-
-
-def _subgroup(add, base: Iterable[int], gens: Iterable[int]) -> tuple[set[int], list[int]]:
-    """The additive subgroup generated by the subgroup `base` and `gens`, and
-    the gens that each grew it (at most log2 of the result's size)."""
-    members = set(base) | {0}
-    group = [0, *(members - {0})]
-    used = []
-    for g in gens:
-        if g not in members:
-            _grow(add, group, members, g)
-            used.append(g)
-    return members, used
-
-
 def ideal_closure(ring: FiniteRing, gens: Iterable[int], kind: str = "twosided") -> IdealSet:
     """Least ideal of the given kind containing gens.
 
@@ -132,7 +106,7 @@ def ideal_closure(ring: FiniteRing, gens: Iterable[int], kind: str = "twosided")
         g = work.pop()
         if g in members:
             continue
-        _grow(add, group, members, g)
+        grow_subgroup(add, group, members, g)
         if left:
             work += filterfalse(members.__contains__, map(itemgetter(g), mul))
         if right:
@@ -145,7 +119,10 @@ def subgroup_sum(ring: FiniteRing, A: Iterable[int], B: Iterable[int]) -> frozen
     their annihilators: A grown by the elements of B, one coset chain at a
     time, in O(|A + B|) additions per element of B that grows it, where
     `set_sum` forms all |A|*|B| sums. Holds only for subgroups."""
-    return frozenset(_subgroup(ring.add_table, A, B)[0])
+    members = {0, *A}
+    for _ in greedy_generators(ring.add_table, members, B):
+        pass
+    return frozenset(members)
 
 
 def is_subgroup_sum(C: frozenset, A: frozenset, B: frozenset) -> bool:
@@ -195,11 +172,19 @@ def _lattice(ring: FiniteRing, kind: str) -> tuple[IdealSet, ...]:
     return tuple(out)
 
 
+def right_annihilators(ring: FiniteRing) -> dict[IdealSet, frozenset[int]]:
+    """K -> r(K) over the two-sided ideals, in lattice order; computed once
+    per ring, for is_SA and the table below."""
+    return ring.once("r(K)", lambda: {
+        K: annihilator(ring, K.members) for K in enumerate_ideals(ring, "twosided")})
+
+
 def ideals_by_right_annihilator(ring: FiniteRing) -> dict[frozenset[int], IdealSet]:
     """r(K) -> K over the two-sided ideals, the first K in lattice order
-    winning; built once per ring, for is_SA and the SA transfer."""
+    winning; built once per ring from `right_annihilators`, for is_SA and
+    the SA transfer."""
     return ring.once("K by r(K)", lambda: {
-        annihilator(ring, K.members): K for K in reversed(enumerate_ideals(ring, "twosided"))})
+        r: K for K, r in reversed(right_annihilators(ring).items())})
 
 
 def _member_set(ring: FiniteRing, xs) -> frozenset[int]:

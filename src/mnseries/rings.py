@@ -1,9 +1,11 @@
 """Finite associative unital rings given by explicit operation tables.
 
 Elements are dense integer ids 0..size-1 with zero always id 0. Everything
-here is exhaustively checkable by table scan. A table ring is scanned for the
-full ring axioms and rejected if one fails; Zn, products and trivial
-extensions are rings by construction, so their constructors scan nothing.
+here is exhaustively checkable by table scan. A table ring is checked for the
+full ring axioms and rejected if one fails; the O(n^3) axioms are decided on
+the additive generators of R, which the coset loop of `greedy_generators`
+(shared with the ideal code) picks. Zn, products and trivial extensions are
+rings by construction, so their constructors check nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AxiomViolation, MalformedSpec, NotAutomorphism, RingMismatch
 
@@ -132,15 +134,58 @@ class AxiomReport:
         return [r for r in self.results if not r.ok]
 
 
-def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
-    """Exhaustive table scan of every ring axiom; failures carry a witness.
+def grow_subgroup(add, group: list[int], members: set[int], g: int) -> None:
+    """Extend the additive subgroup H (listed in `group`, zero first, and held
+    in `members`) to H + <g>: add the cosets H + g, H + 2g, ... until kg
+    lands in H. A g outside H at least doubles H. Translation by g, x -> g + x,
+    must be a permutation, as in any group, or kg need never come back to H
+    and the loop need not end."""
+    step = add[g].__getitem__
+    coset = list(map(step, group))
+    new = []
+    while coset[0] not in members:  # coset[0] = kg, the image of zero
+        new += coset
+        coset = list(map(step, coset))
+    group += new
+    members.update(new)
 
-    Each axiom is decided by comparing whole table rows. For an O(n^3)
-    axiom, fixing (a, b) makes the identity over every c one tuple
-    comparison: one side is a table row, the other a row gathered through
-    `itemgetter`. Right distributivity mixes two rows over c, so it fixes
-    (a, c) and runs over b on the transposed product table. Only an axiom
-    whose row test fails is scanned element by element, so its witness is
+
+def greedy_generators(add, members: set[int], candidates: Iterable[int]) -> Iterator[int]:
+    """Grow the additive subgroup `members` (holding 0) by each candidate
+    outside it, yielding that candidate just before growing by it: at most
+    log2 of the final size are yielded. A caller that stops iterating stops
+    the growth before the candidate it was last given. Translation by each
+    candidate must be a permutation (see `grow_subgroup`)."""
+    group = [0, *(members - {0})]
+    for g in candidates:
+        if g not in members:
+            yield g
+            grow_subgroup(add, group, members, g)
+
+
+def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
+    """Every ring axiom decided on whole table rows; failures carry a witness.
+
+    The O(n^2) axioms compare rows directly. The four O(n^3) ones are each
+    additive in one argument, so they are decided on the additive
+    generators g of R, at most log2 n of them, which `greedy_generators`
+    picks:
+
+    - add-associative: when + is commutative with identity 0 and every
+      row is a permutation, (x + g) + y = x + (g + y) for every x is one row
+      comparison per x. The g passing it are closed under +, and every
+      element is some g + m with m reached before, so they are all of R.
+    - left and right distributive: once (R, +) is an abelian group,
+      a(g + c) = ag + ac and (g + b)c = gc + bc over every c (b) is one row
+      comparison per a (c): n comparisons per generator, not n^2.
+    - mul-associative: once both distributive laws hold, (ab)c - a(bc) is
+      additive in each argument, so g^3 lookups decide it.
+
+    Where a precondition fails, the axiom falls back to fixing (a, b) and
+    comparing one row over every c: a table row against a row gathered
+    through `itemgetter` (right distributivity fixes (a, c) and runs over b
+    on the transposed product table). Each test is an exact "iff", and only
+    an axiom that fails is scanned element by element, so its witness is
     the lexicographically first failing element, pair or triple. Scanned
     once per ring, like its units: a table ring's load and the ring-axioms
     suite share one report.
@@ -148,43 +193,68 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
     return ring.once("axioms", lambda: _axiom_report(ring))
 
 
+def _group_generators(add, ga) -> list[int] | None:
+    """Additive generators of R if + is associative, else None, for a table
+    that is commutative, has 0 as identity and has permutation rows. Each
+    candidate is tested before the group grows by it, so the coset loop
+    only runs inside the abelian group of elements that pass."""
+    ids = range(len(add))
+    gens = []
+    for g in greedy_generators(add, {0}, ids):
+        if any(add[add[x][g]] != ga[g](add[x]) for x in ids):
+            return None
+        gens.append(g)
+    return gens
+
+
 def _axiom_report(ring: FiniteRing) -> AxiomReport:
     add, mul = ring.add_table, ring.mul_table
     ids = tuple(range(ring.size))
-    pairs = [(a, b) for a in ids for b in ids]
     add_t = tuple(zip(*add))
     mul_t = tuple(zip(*mul))  # mul_t[c][b] = mul[b][c]
     ga = [itemgetter(*row) for row in add]
     gm = [itemgetter(*row) for row in mul]
     gt = [itemgetter(*col) for col in mul_t]
+
+    commutative = add == add_t
+    identity = add[0] == ids == add_t[0]
+    # a commutative loop: + commutative, 0 its identity, every row a permutation
+    loop = commutative and identity and all(len(set(row)) == ring.size for row in add)
+    gens = _group_generators(add, ga) if loop else None  # None unless (R, +) is an abelian group
+    add_assoc = (gens is not None if loop
+                 else all(add[add[a][b]] == ga[b](add[a]) for a in ids for b in ids))
+    span = ids if gens is None else gens
+    left = all(ga[b](mul[a]) == gm[a](add[mul[a][b]]) for a in ids for b in span)
+    right = all(ga[a](mul_t[c]) == gt[c](add[mul[a][c]]) for a in span for c in ids)
+    if gens is not None and left and right:
+        mul_assoc = all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                        for a in gens for b in gens for c in gens)
+    else:
+        mul_assoc = all(mul[mul[a][b]] == gm[b](mul[a]) for a in ids for b in ids)
     results = []
 
     def first_fail(axiom, holds, scan):
         witness = None if holds else next(scan, None)
         results.append(AxiomResult(axiom, witness is None, witness))
 
-    first_fail("add-commutative", add == add_t,
+    first_fail("add-commutative", commutative,
                ((a, b) for a in ids for b in ids if add[a][b] != add[b][a]))
-    first_fail("add-associative",
-               all(add[add[a][b]] == ga[b](add[a]) for a, b in pairs),
+    first_fail("add-associative", add_assoc,
                ((a, b, c) for a in ids for b in ids for c in ids
                 if add[add[a][b]][c] != add[a][add[b][c]]))
-    first_fail("add-identity", add[0] == ids == add_t[0],
+    first_fail("add-identity", identity,
                ((a,) for a in ids if add[0][a] != a or add[a][0] != a))
     first_fail("add-inverse", all(0 in row for row in add),
                ((a,) for a in ids if 0 not in add[a]))
-    first_fail("mul-associative",
-               all(mul[mul[a][b]] == gm[b](mul[a]) for a, b in pairs),
+    first_fail("mul-associative", mul_assoc,
                ((a, b, c) for a in ids for b in ids for c in ids
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]]))
     first_fail("mul-identity", mul[ring.one] == ids == mul_t[ring.one],
                ((a,) for a in ids if mul[ring.one][a] != a or mul[a][ring.one] != a))
-    first_fail("left-distributive",
-               all(ga[b](mul[a]) == gm[a](add[mul[a][b]]) for a, b in pairs),
+    first_fail("left-distributive", left,
                ((a, b, c) for a in ids for b in ids for c in ids
                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]))
-    first_fail("right-distributive",
-               all(ga[a](mul_t[c]) == gt[c](add[mul[a][c]]) for a, c in pairs),
+    first_fail("right-distributive", right,
                ((a, b, c) for a in ids for b in ids for c in ids
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]))
     results.append(AxiomResult("one-not-zero", ring.one != ring.zero,

@@ -4,8 +4,9 @@ These are the direct scans the library ran before its kernels moved onto
 table rows: the worklist ideal closure (and the ideal lattice built from
 it), the membership-scan quotient and annihilators, the (a, b, c) triple
 scan of the ring axioms, the element-by-element ideal-kind test and the
-additive span of a set, sum by sum. They stay here as
-oracles, not as second paths in `src/`.
+additive span of a set, sum by sum. They stay here as oracles, not as
+second paths in `src/`. The table builders make test rings and tables that
+are not rings: UT2(Z_n), a ring with + relabelled, F2^k algebras and loops.
 """
 
 from __future__ import annotations
@@ -149,3 +150,47 @@ def elementwise_kind(ring: FiniteRing, members) -> str:
     if right:
         return "right"
     return "subset"
+
+
+def relabelled_add_table(ring: FiniteRing, perm) -> dict:
+    """The ring's tables with + carried across the bijection `perm` of the
+    element ids (perm[0] = 0) and * left as it is: (R, +) stays an abelian
+    group, isomorphic to the old one, but the distributive laws usually fail."""
+    inv = [0] * ring.size
+    for a, p in enumerate(perm):
+        inv[p] = a
+    add = [[perm[ring.add_table[inv[a]][inv[b]]] for b in ring.elements()]
+           for a in ring.elements()]
+    return {"label": f"{ring.label} with + relabelled", "size": ring.size, "add": add,
+            "mul": [list(row) for row in ring.mul_table], "one": ring.one}
+
+
+def f2_algebra_table(k: int, products: dict, unit: int = 0) -> dict:
+    """F2^k with a bilinear product given on the basis: element ids are bit
+    vectors added by xor, e_i = 1 << i, e_unit is the identity and
+    e_i * e_j = products[i, j] (any element) for i, j other than unit.
+    Distributive by construction, associative only by chance."""
+    n = 1 << k
+
+    def basis(i, j):
+        return 1 << j if i == unit else 1 << i if j == unit else products[i, j]
+
+    def mul(a, b):
+        acc = 0
+        for i in range(k):
+            for j in range(k):
+                if a >> i & 1 and b >> j & 1:
+                    acc ^= basis(i, j)
+        return acc
+
+    return {"label": f"F2^{k} algebra", "size": n,
+            "add": [[a ^ b for b in range(n)] for a in range(n)],
+            "mul": [[mul(a, b) for b in range(n)] for a in range(n)], "one": 1 << unit}
+
+
+def loop_table(add) -> dict:
+    """A table whose + is the given one (a loop, say, not associative) and
+    whose * is that of Z_n, with one = 1."""
+    n = len(add)
+    return {"label": f"loop of order {n}", "size": n, "add": [list(row) for row in add],
+            "mul": [[a * b % n for b in range(n)] for a in range(n)], "one": 1}

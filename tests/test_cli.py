@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -137,6 +138,24 @@ def test_window_override_changes_params():
     fx = load_fixture(resolve_fixture("z4_example_5_5"))
     rep = run_suite(fx, "thm5.4", overrides={"window": [0, 1]})
     assert rep.params["window"] == [0, 1]
+
+
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"max_support": -1}, "cap 'max_support' must be >= 0"),
+    ({"max_support": "3"}, "cap 'max_support' must be an integer"),
+    ({"window": [2, 0]}, "cap 'window' 2..0 is empty (lo > hi)"),
+    ({"window": [0]}, "cap 'window' must be a pair of integers"),
+    ({"windw": [0, 1]}, "unknown cap 'windw'"),
+])
+@pytest.mark.parametrize("fixture, suite", [("z4_tau_power", "properties"),
+                                            ("z4_example_5_5", "thm5.4")])
+def test_run_suite_overrides_pass_the_cap_checks(fixture, suite, overrides, fragment):
+    """Overrides are checked as a fixture's own caps are: a negative
+    max_support gave a "certified" G-Armendariz verdict, and an empty window
+    a claimed thm5.4 that failed, where the input is what is wrong."""
+    fx = load_fixture(resolve_fixture(fixture))
+    with pytest.raises(ValidationError, match=f"fixture '{fixture}': {re.escape(fragment)}"):
+        run_suite(fx, suite, overrides=overrides)
 
 
 # --- the mn entry point ---

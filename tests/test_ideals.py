@@ -9,7 +9,8 @@ from mnseries.ideals import (annihilator, classify_kind, close_under_inverses,
                              is_semiprime_ideal, is_sigma_compatible_ideal,
                              make_ideal, nil_radical, quotient_ideal, set_sum,
                              weak_annihilator)
-from mnseries.rings import check_automorphism, identity_automorphism, ring_product
+from mnseries.rings import (check_automorphism, identity_automorphism, ring_from_table,
+                            ring_product)
 
 
 def all_subsets(ring):
@@ -100,6 +101,23 @@ def test_each_lattice_is_computed_once_per_ring_and_kind(monkeypatch, tmp_path, 
     assert main([str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv]) == 0
     assert {kind for _, kind in computed} == kinds
     assert len(computed) == len(set(computed))
+
+
+def test_is_SA_annihilates_each_two_sided_ideal_once(monkeypatch):
+    """is_SA and its r(K) -> K table share one r(K) per two-sided ideal K."""
+    from mnseries import properties
+    from oracles import ut2_table
+    ring = ring_from_table(ut2_table(4))
+    annihilated = []
+    for module in (ideals, properties):
+        real = module.annihilator
+        monkeypatch.setattr(module, "annihilator", lambda ring, X, side="right", _real=real:
+                            annihilated.append((frozenset(X), side)) or _real(ring, X, side))
+    first = properties.is_SA(ring).to_json()
+    assert properties.is_SA(ring).to_json() == first
+    assert ideals.ideals_by_right_annihilator(ring)
+    assert sorted(annihilated, key=str) == sorted(
+        ((K.members, "right") for K in ideals.enumerate_ideals(ring, "twosided")), key=str)
 
 
 def test_quotient_examples(z4, u_z4, tz4, u_tz4):

@@ -17,6 +17,14 @@ A third fixture, Z32 over Z, untwisted, with U = (2), is the benchmark
 ladder's Z32 rung. Its `lemma4.3` and `thm4.5` runs (seed 0) must keep the
 bytes that the product-form sums of `TruncatedUniverse.set_sum` produced,
 before the sum identities moved onto subgroup arithmetic.
+
+The ring-axiom report is also pinned where the generator tests do their
+work: on the 256-element Z256 and Z4^4, and on three tables that are not
+rings, which exit 2 naming their first failing axiom and its
+lexicographically first witness: Z4 x Z4 with + relabelled (distributivity
+fails), an F2^3 algebra that is not associative, and a commutative loop of
+order 6 (+ is not associative). These bytes are those of the element-pair
+row tests, before the O(n^3) axioms moved onto additive generators.
 """
 
 from __future__ import annotations
@@ -25,8 +33,14 @@ import json
 
 import pytest
 
-from oracles import ut2_table
+from mnseries.rings import ring_product, ring_zn
+from oracles import f2_algebra_table, loop_table, relabelled_add_table, ut2_table
 from test_report_bytes import run_digest
+
+_Z4 = {"kind": "Zn", "n": 4}
+_SWAP_1_2 = [0, 2, 1, *range(3, 16)]
+_LOOP6 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+          [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
 
 FIXTURES = {
     # (a, b, c) in Z4^3 has id 16a + 4b + c
@@ -55,6 +69,14 @@ FIXTURES = {
         "twist": {"sigma": "identity", "tau": {"kind": "one"}},
         "ideals": {"U": {"kind": "twosided", "gens": [2]}},
     },
+    "z256": {"ring": {"kind": "Zn", "n": 256}},
+    "z4_4": {"ring": {"kind": "product", "factors": [_Z4, {"kind": "product", "factors": [
+        _Z4, {"kind": "product", "factors": [_Z4, _Z4]}]}]}},
+    "relabelled": {"ring": {"kind": "table", **relabelled_add_table(
+        ring_product(ring_zn(4), ring_zn(4)), _SWAP_1_2)}},
+    "f2cubed": {"ring": {"kind": "table", **f2_algebra_table(
+        3, {(1, 1): 4, (1, 2): 2, (2, 1): 0, (2, 2): 3})}},
+    "loop6": {"ring": {"kind": "table", **loop_table(_LOOP6)}},
 }
 
 RUNS = {
@@ -88,6 +110,16 @@ DIGESTS = {
         "01c5df75e9e5006ce8c9c93007f30c6b8e36eb9daec1799b99c1abb300c52448",
     "z32 verify thm4.5":
         "22134d888d9f939f801b2974e1bdd50e475d3521219f2dd2938354a52f47e3e8",
+    "z256 verify ring-axioms":
+        "6fcbff3f7bb979f7938727e35b5f56b9e79e6ecf41958693e58b608fe576699e",
+    "z4_4 verify ring-axioms":
+        "f844bffaec456e64bda1966e57bb8a30f4084e9d9d6e0d410adcf995fcbf20c9",
+    "relabelled verify ring-axioms":
+        "7fb9c6c1ec47cbf2c498c02b7277d3a373635ca7dc0e7d63f89e4985734467db",
+    "f2cubed verify ring-axioms":
+        "c592a549d63b612b549c8cb1c4d350fb4c6e1d0ec5898740ee5f3c987bf053f6",
+    "loop6 verify ring-axioms":
+        "e7eff743bf66083327716b66fb142ebda030a6e89478665d3228fce93c17ff55",
 }
 
 

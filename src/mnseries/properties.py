@@ -320,10 +320,12 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
     """Exhaust all subsets X of R: whenever X is not inside U and (U:X) = U,
     a finite witness Y with (U:Y) = U must exist.
 
-    Subset quotients are bitmask intersections, so the scan covers 2^|R|
-    subsets; minimal witnesses are searched per subset only below the
-    witness cap. Singletons v outside U whose quotient (U:{v}) differs from
-    U are reported as anomalies rather than silently ignored.
+    Subset quotients are bitmask intersections of the singleton quotients
+    (U:{v}), so the scan covers 2^|R| subsets; minimal witnesses are
+    searched per subset only below the witness cap, among those same masks,
+    and the chosen Y alone is checked again with quotient_ideal. Singletons
+    v outside U whose quotient (U:{v}) differs from U are reported as
+    anomalies rather than silently ignored.
     """
     n = ring.size
     total = 1 << n
@@ -340,7 +342,7 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
         for q in quotient_ideal(U, {v}):
             mask |= 1 << q
         single.append(mask)
-    anomalies = [{"element": v, "quotient": sorted(quotient_ideal(U, {v}))}
+    anomalies = [{"element": v, "quotient": [q for q in range(n) if single[v] >> q & 1]}
                  for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
     dp = [full] * total
     qualifying = 0
@@ -358,9 +360,11 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
         qualifying += 1
         if do_witness:
             members = [i for i in range(n) if x_mask >> i & 1]
+            # candidates are read from dp; only the chosen Y is checked
+            # against the table rows, so a wrong dp entry fails the verdict
             minimal = _minimal_subset(
-                members, lambda ys: quotient_ideal(U, ys) == U.members)
-            if minimal is None:
+                members, lambda ys: dp[sum(1 << y for y in ys)] == u_mask)
+            if minimal is None or quotient_ideal(U, minimal) != U.members:
                 failures.append(members)
             else:
                 witnessed += 1

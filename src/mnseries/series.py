@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import (DuplicateKey, MalformedSpec, NotNormalized, PreconditionFail,
                      TraceMismatch, TwistMismatch, ZeroSeries)
 from .groups import IntegersGroup, OrderedGroup
 from .rings import (FiniteRing, Memo, RingAutomorphism, automorphism_power,
-                    check_automorphism, compose_automorphisms,
+                    check_automorphism, compose_automorphisms, greedy_generators,
                     identity_automorphism, unit_inverse, units)
 
 
@@ -559,10 +559,10 @@ class CheckOutcome:
 class TwistConditionReport:
     window: list
     outcomes: dict[str, CheckOutcome] = field(default_factory=dict)
-    # True when the tables prove that every triple of series inside the
-    # window associates (see check_twist_conditions); False when that
-    # argument does not decide it. Not part of the JSON report.
-    assoc_proved: bool = False
+    # (x, y, z, c) when the single-term triple 1X^x, 1X^y, cX^z does not
+    # associate (see check_twist_conditions), None when every triple of
+    # series inside the window does. Not part of the JSON report.
+    assoc_witness: tuple | None = None
 
     def __getitem__(self, name: str) -> CheckOutcome:
         return self.outcomes[name]
@@ -598,20 +598,22 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     directions for eta. None of them is silently preferred; the
     associativity oracle decides which reading the fixture actually needs.
 
-    The same tables also decide associativity on the window (`assoc_proved`).
-    The product is additive in each argument, so every triple of series
-    inside the window associates iff every single-term triple aX^x, bX^y,
-    cX^z does, and both sides of that one carry the left factor a*sigma_x(b):
+    The same scan decides associativity on the window exactly
+    (`assoc_witness`). The product is additive in each argument, so every
+    triple of series inside the window associates iff every single-term
+    triple aX^x, bX^y, cX^z does, and both sides of that one carry the left
+    factor a*sigma_x(b):
         (fg)h: tau(x,y) * sigma_xy(c) * tau(xy,z)
         f(gh): sigma_x(sigma_y(c)) * sigma_x(tau(y,z)) * tau(x,yz).
-    So it associates when
-      1. the standard cocycle holds on the whole window,
-      2. every tau(s, z), s a product of two window exponents, is a unit, and
-      3. sigma_x(sigma_y(c)) * tau(x,y) = tau(x,y) * sigma_xy(c) for x, y in
-         the window and c in R.
-    Given 1 and 2 it associates only then: cancel the unit tau(xy, z). This
-    needs the ring axioms and sigma_x to be a ring automorphism, which every
-    ring and twist constructor checks.
+    For c = one the difference is that of the standard cocycle, so a
+    failing standard cocycle at (x, y, z) is the witness (x, y, z, one).
+    Where the standard cocycle holds, the difference is D(x,y,c)*tau(xy,z)
+    with D(x,y,c) = tau(x,y)*sigma_xy(c) - sigma_x(sigma_y(c))*tau(x,y).
+    D is additive in c, so it suffices that D(x,y,c)*tau(xy,z) = 0 for c
+    among the additive generators of R (at most log2 |R| of them, picked by
+    greedy_generators); with a = b = one that is also necessary. This needs
+    the ring axioms and sigma_x to be a ring automorphism, which every ring
+    and twist constructor checks.
 
     Most twists are decided without the scan. When tau is TauOne (u = 1) or
     TauUnitPower, tau(x, y) = u^B(x, y) with B bilinear and u a central unit
@@ -622,11 +624,11 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
       - conjugation by tau(y, z) is the identity, and sigma_y sigma_z =
         sigma_yz, since SigmaRule.at composes powers of generators that
         SigmaRule's constructor has checked commute;
-    so tau-units, both cocycles and both sigma-eta outcomes hold, and
-    conditions 1-3 give `assoc_proved`. Only `normalized` is evaluated, in
-    O(|window|). Every other twist (TauPatched, or a generator that moves u)
-    runs the tabulated scan, the only source of failing witnesses: a passing
-    report is the one the scan would build, and a failing one is the scan's.
+    so tau-units, both cocycles and both sigma-eta outcomes hold, and D = 0:
+    the window associates. Only `normalized` is evaluated, in O(|window|).
+    Every other twist (TauPatched, or a generator that moves u) runs the
+    tabulated scan, the only source of failing witnesses: a passing report
+    is the one the scan would build, and a failing one is the scan's.
     """
     ring, grp = twist.ring, twist.group
     win = [grp.canon(x) for x in window]
@@ -636,10 +638,10 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
             "tau-units", "normalized", "cocycle-paper", "cocycle-standard",
             "sigma-eta-left", "sigma-eta-right")}
         report.outcomes["normalized"] = CheckOutcome("normalized", *twist.check_normalized(win))
-        report.assoc_proved = True
         return report
     unit_set = units(ring)
     mul = ring.mul_table
+    gens = list(greedy_generators(ring.add_table, {0}, ring.elements()))
     # every group product and tau value the scans read, evaluated once:
     # tau over window x window, tau(xy, z) over sums x window and tau(x, yz)
     # over window x sums, for sums the sorted products of the window
@@ -649,6 +651,14 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
     tau_x_sum = [[twist.tau_at(x, s) for s in sums] for x in win]
     sigma = [twist.sigma_at(x).map for x in win]
     sigma_sum = [twist.sigma_at(s).map for s in sums]
+    # D(x, y, .) depends only on tau(x, y), sigma_xy, sigma_x and sigma_y, and
+    # an additive map only on its generator images: number those images, and
+    # keep the keys where D vanishes on the generators
+    classes: dict = {}
+    sigma_cls = [classes.setdefault(tuple(m[g] for g in gens), len(classes)) for m in sigma]
+    sum_cls = [classes.setdefault(tuple(m[g] for g in gens), len(classes)) for m in sigma_sum]
+    images = list(classes)
+    d_zero = set()
     n = len(win)
 
     def pair_witness(i, j, extra=None):
@@ -661,21 +671,14 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
         return {"x": grp.to_json(win[a]), "y": grp.to_json(win[b]),
                 "z": grp.to_json(win[c]), "lhs": lhs, "rhs": rhs}
 
-    tau_fail = None
-    for a in range(n):
-        for b in range(n):
-            v = tau[a][b]
-            if v not in unit_set:
-                tau_fail = pair_witness(a, b, {"tau": v})
-                break
-        if tau_fail:
-            break
+    tau_fail = next((pair_witness(a, b, {"tau": tau[a][b]}) for a in range(n) for b in range(n)
+                     if tau[a][b] not in unit_set), None)
     report.outcomes["tau-units"] = CheckOutcome("tau-units", tau_fail is None, tau_fail)
 
     norm_ok, norm_witness = twist.check_normalized(win)
     report.outcomes["normalized"] = CheckOutcome("normalized", norm_ok, norm_witness)
 
-    paper = standard = None
+    paper = standard = assoc = None
     for a in range(n):
         sx = sigma[a]
         t_x_sum = tau_x_sum[a]
@@ -683,26 +686,41 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
             txy = tau[a][b]
             sx_txy = sx[txy]
             t_xy_z = tau_sum_z[slot[a][b]]
-            t_y, yz = tau[b], slot[b]
-            for c in range(n):
-                tyz = t_y[c]
-                t_x_yz = t_x_sum[yz[c]]
+            mul_txy = mul[txy]
+            for c, tyz, yzc, t_xy_zc in zip(range(n), tau[b], slot[b], t_xy_z):
+                t_x_yz = t_x_sum[yzc]
                 if paper is None:
-                    lhs = mul[t_xy_z[c]][sx_txy]
+                    lhs = mul[t_xy_zc][sx_txy]
                     rhs = mul[t_x_yz][tyz]
                     if lhs != rhs:
                         paper = triple_witness(a, b, c, lhs, rhs)
                 if standard is None:
-                    lhs = mul[txy][t_xy_z[c]]
+                    lhs = mul_txy[t_xy_zc]
                     rhs = mul[sx[tyz]][t_x_yz]
                     if lhs != rhs:
                         standard = triple_witness(a, b, c, lhs, rhs)
+                        assoc = (win[a], win[b], win[c], ring.one)
+            xy_cls, y_cls = sum_cls[slot[a][b]], sigma_cls[b]
+            key = (txy, xy_cls, sigma_cls[a], y_cls)
+            if standard is None and assoc is None and key not in d_zero:
+                # the standard cocycle holds at every (x, y, z) so far, so
+                # compare the two terms of D(x, y, g), times tau(xy, z), on
+                # the generators g
+                left = [mul_txy[h] for h in images[xy_cls]]
+                right = [mul[sx[h]][txy] for h in images[y_cls]]
+                if left == right:
+                    d_zero.add(key)
+                else:
+                    assoc = next(((win[a], win[b], win[c], g) for c in range(n)
+                                  for g, lg, rg in zip(gens, left, right)
+                                  if mul[lg][t_xy_z[c]] != mul[rg][t_xy_z[c]]), None)
             if paper is not None and standard is not None:
                 break
         if paper is not None and standard is not None:
             break
     report.outcomes["cocycle-paper"] = CheckOutcome("cocycle-paper", paper is None, paper)
     report.outcomes["cocycle-standard"] = CheckOutcome("cocycle-standard", standard is None, standard)
+    report.assoc_witness = assoc
 
     inverse = {u: unit_inverse(ring, u) for row in tau for u in row if u in unit_set}
     conj_l = conj_r = None
@@ -727,12 +745,6 @@ def check_twist_conditions(twist: TwistSystem, window: Iterable) -> TwistConditi
             break
     report.outcomes["sigma-eta-left"] = CheckOutcome("sigma-eta-left", conj_l is None, conj_l)
     report.outcomes["sigma-eta-right"] = CheckOutcome("sigma-eta-right", conj_r is None, conj_r)
-
-    report.assoc_proved = (
-        standard is None
-        and all(t in unit_set for row in tau_sum_z for t in row)
-        and all(mul[sigma[a][sigma[b][r]]][tau[a][b]] == mul[tau[a][b]][sigma_sum[slot[a][b]][r]]
-                for a in range(n) for b in range(n) for r in ring.elements()))
     return report
 
 
@@ -776,14 +788,6 @@ def random_series(twist: TwistSystem, rng, exponents: Sequence,
         terms = {twist.group.canon(x): rng.randrange(1, twist.ring.size) for x in chosen}
         if terms or not nonzero:
             return Series(twist, terms)
-
-
-def random_triples(twist: TwistSystem, rng, exponents: Sequence, count: int,
-                   max_support: int = 3) -> Iterator[tuple]:
-    """`count` triples of random series, drawn one triple at a time as they are
-    consumed, so a check that stops at its first failure draws no more."""
-    for _ in range(count):
-        yield tuple(random_series(twist, rng, exponents, max_support) for _ in range(3))
 
 
 def _window_terms(size: int, width: int, max_support: int | None = None) -> Iterable[list]:

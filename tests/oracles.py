@@ -5,13 +5,16 @@ table rows: the worklist ideal closure (and the ideal lattice built from
 it), the membership-scan quotient and annihilators, the (a, b, c) triple
 scan of the ring axioms, the element-by-element ideal-kind test and the
 additive span of a set, sum by sum. They stay here as oracles, not as
-second paths in `src/`. The table builders make test rings and tables that
-are not rings: UT2(Z_n), a ring with + relabelled, F2^k algebras and loops.
+second paths in `src/`, beside `random_triples`, the seeded triples of
+series the associativity tests draw. The table builders make test rings
+and tables that are not rings: UT2(Z_n), a ring with + relabelled, F2^k
+algebras and loops.
 """
 
 from __future__ import annotations
 
 from mnseries.rings import FiniteRing
+from mnseries.series import TwistSystem, random_series
 
 
 def ut2_table(n: int) -> dict:
@@ -194,3 +197,10 @@ def loop_table(add) -> dict:
     n = len(add)
     return {"label": f"loop of order {n}", "size": n, "add": [list(row) for row in add],
             "mul": [[a * b % n for b in range(n)] for a in range(n)], "one": 1}
+
+
+def random_triples(twist: TwistSystem, rng, exponents, count: int,
+                   max_support: int = 3) -> list[tuple]:
+    """`count` triples of seeded random nonzero series inside the window."""
+    return [tuple(random_series(twist, rng, exponents, max_support) for _ in range(3))
+            for _ in range(count)]

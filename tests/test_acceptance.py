@@ -20,10 +20,10 @@ from mnseries.properties import (is_IN, is_SA, is_left_fusible,
                                  weak_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing, check_ring_axioms
 from mnseries.series import (check_associativity, check_twist_conditions,
-                             exhaustive_series, random_triples, series_make,
-                             series_mul)
+                             exhaustive_series, series_make, series_mul)
 from mnseries.transfer import (TruncatedUniverse, coefficient_extraction,
                                extraction_oracle, sa_transfer_witness)
+from oracles import random_triples
 
 GOOD_FIXTURES = ("z4_example_5_5", "t_z4_example_5_6", "klein_fusible",
                  "gf4_frobenius", "z4_tau_power")

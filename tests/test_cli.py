@@ -357,6 +357,55 @@ def test_main_validate_reports_the_assoc_samples_as_checked(tmp_path, capsys, sa
     assert json.loads(capsys.readouterr().out)["associativity"] == {"ok": True, "checked": checked}
 
 
+def _ut2_noncentral_doc(samples):
+    """UT2(Z2) over Z with sigma the identity and tau = t = [[1, 1], [0, 1]]
+    (id 7, a unit outside the centre) at every (x, y) with x and y odd that
+    the twist window reads, one elsewhere. t^2 = one, so tau is a unit,
+    normalized and a standard cocycle, and the gate passes; but t does not
+    commute with every coefficient, so the series product is not associative."""
+    overrides = [[x, y, 7] for x in range(-6, 7) for y in range(-6, 7)
+                 if x * y % 2 and (-3 <= x <= 3 or -3 <= y <= 3)]
+    return {"label": "ut2_noncentral", "ring": {"kind": "table", **ut2_table(2)},
+            "group": {"group": "Z"},
+            "twist": {"sigma": "identity",
+                      "tau": {"kind": "patched", "base": {"kind": "one"},
+                              "overrides": overrides}},
+            "caps": {"assoc_samples": samples}}
+
+
+def test_main_validate_refutes_a_twist_the_gate_passes_whatever_the_samples_and_seed(
+        tmp_path, capsys):
+    errors = set()
+    for samples in (0, 1, 200):
+        path = tmp_path / f"ut2_{samples}.json"
+        path.write_text(json.dumps(_ut2_noncentral_doc(samples)))
+        for seed in range(3):
+            assert main(["validate", str(path), "--format", "json",
+                         "--seed", str(seed)]) == 2
+            errors.add(capsys.readouterr().err)
+    assert len(errors) == 1
+    err = errors.pop()
+    assert "twist validation failed (sigma-eta-left, sigma-eta-right)" in err
+    witness = json.loads(err.split("associativity witness: ", 1)[1])
+    assert [len(witness[k]) for k in "fgh"] == [1, 1, 1]
+    assert witness["left"] != witness["right"]
+
+
+def test_main_validate_names_a_disagreement_of_the_tables_and_the_oracle(
+        tmp_path, capsys, monkeypatch):
+    """A witness triple the oracle multiplies out associative ends in a
+    named TraceMismatch, not a traceback."""
+    path = tmp_path / "ut2.json"
+    path.write_text(json.dumps(_ut2_noncentral_doc(0)))
+    monkeypatch.setattr(cli, "check_associativity",
+                        lambda twist, triples: series.AssocReport(True, len(list(triples))))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture 'ut2_noncentral': the twist tables find 1X^x, 1X^y, "
+                          "cX^z not associative at (x, y, z, c) = [")
+    assert "but check_associativity multiplies them out equal" in err
+
+
 # Z4 with tau = 3^(x1 y2) and GF4 with sigma Frobenius on both factors, over Z^2_lex
 _LEX_DOCS = [
     {"label": "z4_z2lex_tau", "ring": {"kind": "Zn", "n": 4},

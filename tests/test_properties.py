@@ -178,6 +178,32 @@ def test_sigma_u_zip_scan_tz4_reports_anomalies(tz4, u_tz4):
     assert anomalies[0]["quotient"] == [0, 1, 2, 3, 8, 9, 10, 11]
 
 
+def test_sigma_u_zip_scan_checks_only_each_chosen_witness(monkeypatch, z4, u_z4):
+    """quotient_ideal runs once per element, for the singleton masks, and once
+    per qualifying subset, for the minimal witness the mask search chose; a
+    quotient that disagrees with the masks fails the verdict."""
+    import mnseries.properties as properties
+    calls = []
+
+    def counting(U, V):
+        calls.append(tuple(V))
+        return quotient_ideal(U, V)
+
+    monkeypatch.setattr(properties, "quotient_ideal", counting)
+    rep = sigma_u_zip_scan(z4, u_z4)
+    assert rep.verdict is True
+    assert len(calls) == z4.size + rep.certificate["qualifying"]
+
+    def wrong_after_the_singletons(U, V):
+        calls.append(tuple(V))
+        return quotient_ideal(U, V) if len(calls) <= z4.size else frozenset(z4.elements())
+
+    calls.clear()
+    monkeypatch.setattr(properties, "quotient_ideal", wrong_after_the_singletons)
+    rep = sigma_u_zip_scan(z4, u_z4)
+    assert rep.verdict is False and len(rep.witness) == rep.certificate["qualifying"]
+
+
 def test_sigma_u_zip_scan_cap(tz4, u_tz4):
     with pytest.raises(SizeCapExceeded):
         sigma_u_zip_scan(tz4, u_tz4, subset_cap=1024)

@@ -7,10 +7,10 @@ from mnseries.errors import (DuplicateKey, MalformedSpec, NotNormalized,
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.series import (Series, check_associativity, check_twist_conditions,
                              embed_scalar, exhaustive_series, random_series,
-                             random_triples, series_add, series_from_json,
-                             series_make, series_mul, series_neg,
-                             series_to_json, series_zero, single_term_triples,
+                             series_add, series_from_json, series_make, series_mul,
+                             series_neg, series_to_json, series_zero, single_term_triples,
                              support_stats, twist_from_spec, x_w_pairs)
+from oracles import random_triples
 
 
 def test_series_make_drops_zeros(tw_z4):
@@ -236,21 +236,6 @@ def test_associativity_corrupted_fails(tw_z4_tau_corrupt):
     g = series_from_json(tw_z4_tau_corrupt, w["g"])
     h = series_from_json(tw_z4_tau_corrupt, w["h"])
     assert series_mul(series_mul(f, g), h) != series_mul(f, series_mul(g, h))
-
-
-def test_random_triples_stop_drawing_at_the_first_failure(tw_z4_tau_corrupt):
-    """Triples are drawn as the check consumes them, the same triples an
-    eager list holds, so a failing check leaves the rng where it stopped."""
-    twist, window = tw_z4_tau_corrupt, range(-3, 4)
-    eager = list(random_triples(twist, random.Random(0), window, 1000))
-    rng = random.Random(0)
-    report = check_associativity(twist, random_triples(twist, rng, window, 1000))
-    assert not report.ok and report.checked < 1000
-    assert [report.witness[k] for k in "fgh"] == [
-        series_to_json(s) for s in eager[report.checked - 1]]
-    replay = random.Random(0)
-    list(random_triples(twist, replay, window, report.checked))
-    assert rng.getstate() == replay.getstate()
 
 
 def test_standard_cocycle_pass_implies_associativity(tw_z4, tw_z4_tau, tw_gf4_frob, tw_klein_swap):

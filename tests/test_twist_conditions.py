@@ -5,11 +5,12 @@ onto tables: tau and the group products evaluated at every step through
 `tau_at` and `op`, kept here rather than as a second path in the library.
 The decision from the tau kind (tau one, or a unit power whose unit every
 sigma generator fixes) is checked against that loop and against the
-tabulated scan, which a TauPatched wrapper with no overrides forces.
+tabulated scan, which a TauPatched wrapper with no overrides forces. The
+associativity decision (`assoc_witness`) is checked against
+`check_associativity` over every single-term triple of the window.
 """
 
 import functools
-import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 from mnseries.cli import TWIST_WINDOW, load_fixture, resolve_fixture, shipped_fixtures
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.rings import ring_gf4, ring_product, ring_zn, unit_inverse, units
-from mnseries.series import (AssocReport, TauOne, TauPatched, TwistSystem,
-                             check_associativity, check_twist_conditions, random_triples,
-                             single_term_triples, twist_from_spec)
+from mnseries.series import (TauOne, TauPatched, TwistSystem, check_associativity,
+                             check_twist_conditions, series_make, single_term_triples,
+                             twist_from_spec)
 from test_window import _ut2_conjugation
 
 
@@ -213,7 +214,7 @@ def test_unpatched_twists_match_the_loop_and_the_scan(case):
     decided = check_twist_conditions(twist, window)
     scanned = check_twist_conditions(_tau_over(twist, {}), window)
     assert decided.to_json() == scanned.to_json()
-    assert decided.assoc_proved == scanned.assoc_proved
+    assert decided.assoc_witness == scanned.assoc_witness
 
 
 def _tau_calls(monkeypatch, twist, window):
@@ -232,46 +233,43 @@ def test_a_fixed_unit_power_is_decided_without_the_scan(monkeypatch):
     twist = _base_twist("GF4", True, _FROBENIUS, 1, ((1, 0), (1, 1)))
     window = twist.group.window(-3, 3)
     report, calls = _tau_calls(monkeypatch, twist, window)
-    assert report.gate_ok and report.assoc_proved
+    assert report.gate_ok and report.assoc_witness is None
     assert calls <= 2 * len(window)
 
 
 def test_a_unit_that_sigma_moves_falls_back_to_the_scan(monkeypatch):
     """Frobenius swaps the GF4 units 2 and 3, so tau = 2^(x.y) is scanned, and
-    the scan finds its cocycle witness."""
+    the scan finds its cocycle witness, which is also the associativity
+    witness with c = one."""
     twist = _base_twist("GF4", True, _FROBENIUS, 2, ((1, 0), (0, 1)))
     window = twist.group.window(-3, 3)
     report, calls = _tau_calls(monkeypatch, twist, window)
     assert calls >= len(window) ** 2
-    assert not report["cocycle-standard"].ok and report["cocycle-standard"].witness
-    assert not report.assoc_proved
+    w = report["cocycle-standard"].witness
+    assert not report["cocycle-standard"].ok and w
+    grp = twist.group
+    assert report.assoc_witness == (*(grp.from_json(w[k]) for k in "xyz"), twist.ring.one)
 
 
 # --- the associativity decision against the brute-force oracle ----------------
 
 
 def _check_decision(twist, window):
-    """Compare `assoc_proved` with check_associativity over every single-term
-    triple of the window, and return (decision, exhaustive result).
-
-    A True decision must mean associative, and the report the validator
-    builds for it must equal what the sampler finds. Where the standard
-    cocycle holds and tau is a unit at every (sum, window) pair, the
-    argument decides exactly, so the decision must equal the oracle."""
+    """Compare the associativity decision (`assoc_witness` is None) with
+    check_associativity over every single-term triple of the window, and
+    return (decision, exhaustive result). A witness (x, y, z, c) must name
+    a triple 1X^x, 1X^y, cX^z inside the window that the oracle refutes."""
     report = check_twist_conditions(twist, window)
     exhaustive = check_associativity(twist, single_term_triples(twist, window)).ok
-    if report.assoc_proved:
-        assert exhaustive
-        for seed in range(3):
-            sampled = check_associativity(
-                twist, random_triples(twist, random.Random(seed), window, 20))
-            assert sampled == AssocReport(True, 20)
-    grp, unit_set = twist.group, units(twist.ring)
-    sums = {grp.op(x, y) for x in window for y in window}
-    if report["cocycle-standard"].ok and all(
-            twist.tau_at(s, z) in unit_set for s in sums for z in window):
-        assert report.assoc_proved == exhaustive
-    return report.assoc_proved, exhaustive
+    assert (report.assoc_witness is None) == exhaustive
+    if report.assoc_witness is not None:
+        x, y, z, c = report.assoc_witness
+        assert {x, y, z} <= set(window) and c != 0
+        one = twist.ring.one
+        triple = (series_make(twist, [(x, one)]), series_make(twist, [(y, one)]),
+                  series_make(twist, [(z, c)]))
+        assert not check_associativity(twist, [triple]).ok
+    return report.assoc_witness is None, exhaustive
 
 
 def _tau_over(twist, overrides):
@@ -310,15 +308,16 @@ def test_the_associativity_decision_agrees_with_the_oracle(case):
 @pytest.mark.parametrize("name, expected", [
     ("ut2-conjugation", (True, True)),
     ("ut2-noncentral-tau", (False, False)),
-    ("ut2-zero-tau", (False, True)),
+    ("ut2-zero-tau", (True, True)),
     ("z4-corrupted", (False, False)),
     ("gf4-frobenius-tau", (False, False)),
 ])
 def test_the_associativity_decision_on_named_twists(name, expected):
-    """One twist per outcome: proved; not associative because sigma and tau do
-    not commute (tau(0, 0) = [[1, 1], [0, 1]], a unit outside UT2(Z2)'s centre);
-    not proved though associative (tau(0, 0) = 0 is no unit, and makes every
-    product 0); and two cocycle failures."""
+    """One twist per outcome: associative; not associative, though the
+    standard cocycle holds, because tau(0, 0) = [[1, 1], [0, 1]], a unit
+    outside UT2(Z2)'s centre, does not commute with every coefficient;
+    associative though tau(0, 0) = 0 is no unit (it makes every product 0);
+    and two cocycle failures."""
     ut2 = _ut2_conjugation()
     plain_ut2 = _base_twist("UT2(Z2)", False, None, 5, ((1,),))
     z4 = _base_twist("Z4", False, None, 3, ((1,),))
@@ -330,3 +329,26 @@ def test_the_associativity_decision_on_named_twists(name, expected):
         "gf4-frobenius-tau": (_base_twist("GF4", False, (0, 1, 3, 2), 2, ((1,),)), [0, 1]),
     }[name]
     assert _check_decision(twist, window) == expected
+
+
+@pytest.mark.parametrize("overrides, window, witness", [
+    ({(0, 0): 7}, [0], (0, 0, 0, 1)),
+    ({(0, 0): 1}, [0], (0, 0, 0, 2)),
+    ({(0, 0): 4}, [0], None),
+    ({(1, 1): 7}, [0, 1], (1, 1, 0, 1)),
+])
+def test_a_tau_outside_the_centre_is_decided_on_every_generator(overrides, window, witness):
+    """Over UT2(Z2) (one = 5; additive generators 1, 2, 4, that is e22, e12,
+    e11) with sigma the identity, a tau value t with t^2 = t or one keeps
+    the standard cocycle, so every witness has c other than one. t = [[1, 1],
+    [0, 1]] does not commute with e22; t = e22 commutes with e22 but not
+    with e12; t = e11 does not commute with e12 either, but that difference
+    e12 times tau(0, 0) = e11 is 0, so the twist associates. Over the window
+    {0, 1}, t at (1, 1) is found after three pairs with tau = one and the
+    same sigma maps."""
+    plain_ut2 = _base_twist("UT2(Z2)", False, None, 5, ((1,),))
+    twist = _tau_over(plain_ut2, overrides)
+    report = check_twist_conditions(twist, window)
+    assert report["cocycle-standard"].ok
+    assert report.assoc_witness == witness
+    assert _check_decision(twist, window) == (witness is None, witness is None)

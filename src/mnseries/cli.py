@@ -13,6 +13,7 @@ Exit codes: 0 all applicable checks pass (not-applicable suites warn),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -870,7 +871,10 @@ def _parse_window(text: str) -> list[int]:
     return window
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mn` command line, built once per process: parsing leaves the
+    parser as it was, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="mn", description="Validate and verify finite twisted-series fixtures.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -221,6 +221,19 @@ def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
     return _rows_meet(ring, (ring.mul_table[v] for v in vs), U.members.__contains__)
 
 
+def singleton_quotient_masks(U: IdealSet) -> tuple[int, ...]:
+    """(U:{v}) for every element v as an int bitmask, bit x set iff v*x is
+    in U: row v of the product table, read once per (ring, U) and kept in
+    the ring's memo. (U:Y) for any member set Y is the AND of its members'
+    masks."""
+    ring = U.ring
+    keep = U.members.__contains__
+    positions = range(ring.size)
+    return ring.once(("(U:{v}) masks", U.members), lambda: tuple(
+        sum(map((1).__lshift__, compress(positions, map(keep, row))))
+        for row in ring.mul_table))
+
+
 def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:
     """r_R(X) = {a | xa = 0 for all x in X}, the zeros of row x of the
     product table; side='left' uses ax = 0, the zeros of column x."""

@@ -7,15 +7,17 @@ condition; checkers re-run that evaluation themselves before returning.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .errors import SizeCapExceeded, ZeroElement
+from .errors import SizeCapExceeded, TraceMismatch, ZeroElement
 from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_ideals,
                      ideals_by_right_annihilator, is_sigma_compatible_ideal, is_subgroup_sum,
-                     quotient_ideal, right_annihilators, set_sum, subgroup_sum,
-                     weak_annihilator)
+                     quotient_ideal, right_annihilators, set_sum,
+                     singleton_quotient_masks, subgroup_sum)
 from .rings import FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_to_json
 
@@ -233,13 +235,23 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
 # --- relative-zip witnesses --------------------------------------------------
 
 
-def _minimal_subset(sorted_pool: list[int], accepts) -> tuple[int, ...] | None:
-    """First subset, in ascending size then lexicographic order, that accepts."""
-    for size in range(len(sorted_pool) + 1):
-        for combo in itertools.combinations(sorted_pool, size):
-            if accepts(combo):
+def _minimal_meet(xs: list[int], masks, accepts) -> tuple[int, ...] | None:
+    """First subset Y of the sorted pool xs, in ascending size then
+    lexicographic order, whose members' masks AND to a mask that `accepts`
+    (the empty Y meets to -1, every bit set)."""
+    for size in range(len(xs) + 1):
+        for combo in itertools.combinations(xs, size):
+            meet = -1
+            for y in combo:
+                meet &= masks[y]
+            if accepts(meet):
                 return combo
     return None
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions set in a mask of ring elements, ascending."""
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
 
 
 def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
@@ -252,6 +264,11 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
     with the quotient attached. `sigma_compatible`, when given, is the
     caller's is_sigma_compatible_ideal verdict for U, recorded in the
     certificate as U_sigma_compatible.
+
+    The hypothesis is one `quotient_ideal` scan of X's rows. The minimal Y is
+    searched on the singleton quotient masks (U:{v}), whose AND over Y is
+    (U:Y), and is checked again with `quotient_ideal`; a search that finds
+    no Y, or a Y that check rejects, raises TraceMismatch.
     """
     xs = sorted(x for x in X)
     bounds = {"X": xs, "U": U.sorted_members()}
@@ -266,53 +283,112 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
         return PropertyReport("sigma-U-zip", None, witness={"quotient": sorted(quotient)},
                               bounds=bounds, certificate=context,
                               note="hypothesis_fails: (U:X) != U")
-    minimal = _minimal_subset(xs, lambda ys: quotient_ideal(U, ys) == U.members)
-    assert minimal is not None  # Y = X qualifies, so the search cannot miss
-    assert quotient_ideal(U, minimal) == U.members
+    u_mask = sum(1 << u for u in U.members)
+    minimal = _minimal_meet(xs, singleton_quotient_masks(U), u_mask.__eq__)
+    if minimal is None:
+        raise TraceMismatch(f"(U:X) = U for U = {U.sorted_members()} and X = {xs}, "
+                            "but no subset Y of X has (U:Y) = U on the singleton quotient masks")
+    # Y = X was checked by the hypothesis scan already
+    if len(minimal) < len(xs) and quotient_ideal(U, minimal) != U.members:
+        raise TraceMismatch(f"the singleton quotient masks give (U:Y) = U for "
+                            f"U = {U.sorted_members()}, X = {xs} and Y = {list(minimal)}, "
+                            "but quotient_ideal finds (U:Y) != U")
     cert = {"minimal_witness": list(minimal), "quotient": sorted(quotient)}
     if context:
         cert.update(context)
     return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds)
 
 
+def _row_masks(ring: FiniteRing, xs: list[int], keep) -> dict[int, int]:
+    """x -> the bitmask of the positions a with keep(x*a), for each x in xs:
+    read here from row x of the product table, not from the ideals layer,
+    so the zip searches below stay independent of sigma_u_zip_witness."""
+    positions = range(ring.size)
+    return {x: sum(map((1).__lshift__,
+                      itertools.compress(positions, map(keep, ring.mul_table[x]))))
+            for x in xs}
+
+
 def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
-    """Directly coded right-zip search: minimal Y in X with r(Y) = 0."""
+    """Directly coded right-zip search: minimal Y in X with r(Y) = 0, on the
+    masks of the zeros of each row y (their AND over Y is r(Y))."""
     xs = sorted(x for x in X)
     bounds = {"X": xs}
     if all(x == 0 for x in xs):
         return PropertyReport("right-zip", None, bounds=bounds,
                               note="not_applicable: X is contained in {0}")
-
-    def right_ann(ys):
-        return frozenset(a for a in ring.elements()
-                         if all(ring.mul_table[y][a] == 0 for y in ys))
-
-    if right_ann(xs) != frozenset({0}):
-        return PropertyReport("right-zip", None,
-                              witness={"annihilator": sorted(right_ann(xs))},
+    zeros = _row_masks(ring, xs, (0).__eq__)
+    ann = functools.reduce(operator.and_, zeros.values())
+    if ann != 1:
+        return PropertyReport("right-zip", None, witness={"annihilator": _bits(ann)},
                               bounds=bounds, note="hypothesis_fails: r(X) != 0")
-    minimal = _minimal_subset(xs, lambda ys: right_ann(ys) == frozenset({0}))
-    assert minimal is not None
+    minimal = _minimal_meet(xs, zeros, (1).__eq__)
+    if minimal is None:
+        raise TraceMismatch(f"r(X) = 0 for X = {xs}, but no subset Y of X has r(Y) = 0")
     return PropertyReport("right-zip", True, certificate={"minimal_witness": list(minimal)},
                           bounds=bounds)
 
 
 def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport:
     """Weak-zip search built on the weak annihilator N_R, given the
-    nilpotent elements `nil` of the ring (the first part of nil_radical)."""
+    nilpotent elements `nil` of the ring (the first part of nil_radical):
+    on the masks of the positions of each row y that lie in nil (their AND
+    over Y is N(Y))."""
     xs = sorted(x for x in X)
     bounds = {"X": xs, "nil": sorted(nil)}
     if all(x in nil for x in xs):
         return PropertyReport("weak-zip", None, bounds=bounds,
                               note="not_applicable: X is contained in nil(R)")
-    weak = weak_annihilator(ring, xs, nil)
-    if not weak <= nil:
-        return PropertyReport("weak-zip", None, witness={"weak_annihilator": sorted(weak)},
+    in_nil = _row_masks(ring, xs, nil.__contains__)
+    outside = ((1 << ring.size) - 1) & ~sum(1 << a for a in nil)
+    weak = functools.reduce(operator.and_, in_nil.values())
+    if weak & outside:
+        return PropertyReport("weak-zip", None, witness={"weak_annihilator": _bits(weak)},
                               bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)")
-    minimal = _minimal_subset(xs, lambda ys: weak_annihilator(ring, ys, nil) <= nil)
-    assert minimal is not None
+    minimal = _minimal_meet(xs, in_nil, lambda meet: not meet & outside)
+    if minimal is None:
+        raise TraceMismatch(f"N(X) lies in nil(R) for X = {xs}, "
+                            "but no subset Y of X has N(Y) inside nil(R)")
     return PropertyReport("weak-zip", True, certificate={"minimal_witness": list(minimal)},
                           bounds=bounds)
+
+
+def _qualifying_by_classes(U: IdealSet, single: list[int]) -> int:
+    """The number of subsets X of R not inside U with (U:X) = U, counted over
+    the residue classes v + U, for a right ideal U: (v + u)x = vx + ux with
+    ux in U, so (U:{v}) depends only on v's class. (U:X) is the AND of the
+    masks of the classes C that X meets, (2^|U| - 1)^|C| subsets meet
+    exactly C, and C must hold a class outside U. U's own class meets to
+    R, so this is 2^|U| * the sum of (2^|U| - 1)^|C| over the nonempty
+    sets C of other classes whose masks AND to U. A class whose members'
+    masks differ raises TraceMismatch."""
+    ring = U.ring
+    add = ring.add_table
+    size = len(U.members)
+    u_mask = sum(1 << u for u in U.members)
+    masks = []  # one per class, U's own class first
+    covered = 0
+    for v in range(ring.size):
+        if covered >> v & 1:
+            continue
+        members = [add[v][u] for u in U.members]
+        cls = sum(1 << m for m in members)
+        if cls & covered or cls.bit_count() != size:
+            raise TraceMismatch(f"the cosets of U = {U.sorted_members()} do not partition the ring")
+        covered |= cls
+        if any(single[m] != single[v] for m in members):
+            raise TraceMismatch(f"the singleton quotient masks differ inside the class "
+                                f"{sorted(members)} of U = {U.sorted_members()}")
+        masks.append(single[v])
+    meet = [-1] * (1 << len(masks))
+    by_size = [0] * (len(masks) + 1)
+    for c in range(1, len(meet)):
+        low = c & -c
+        meet[c] = meet[c ^ low] & masks[low.bit_length() - 1]
+        if c != 1 and meet[c] == u_mask:  # c = 1 is U's class alone: X inside U
+            by_size[c.bit_count()] += 1
+    weight = (1 << size) - 1
+    return sum(count * weight ** k for k, count in enumerate(by_size))
 
 
 def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
@@ -323,9 +399,11 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
     Subset quotients are bitmask intersections of the singleton quotients
     (U:{v}), so the scan covers 2^|R| subsets; minimal witnesses are
     searched per subset only below the witness cap, among those same masks,
-    and the chosen Y alone is checked again with quotient_ideal. Singletons
-    v outside U whose quotient (U:{v}) differs from U are reported as
-    anomalies rather than silently ignored.
+    and the chosen Y alone is checked again with quotient_ideal. Above the
+    witness cap the count is all the certificate holds, and for a right
+    ideal U it is counted over the residue classes mod U instead of the
+    subsets. Singletons v outside U whose quotient (U:{v}) differs from U
+    are reported as anomalies rather than silently ignored.
     """
     n = ring.size
     total = 1 << n
@@ -342,37 +420,40 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
         for q in quotient_ideal(U, {v}):
             mask |= 1 << q
         single.append(mask)
-    anomalies = [{"element": v, "quotient": [q for q in range(n) if single[v] >> q & 1]}
+    anomalies = [{"element": v, "quotient": _bits(single[v])}
                  for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
-    dp = [full] * total
     qualifying = 0
     witnessed = 0
     failures = []
     do_witness = total <= DEFAULT_WITNESS_CAP
     examples = []
-    for x_mask in range(1, total):
-        low = x_mask & -x_mask
-        dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
-        if not x_mask & ~u_mask:
-            continue  # X inside U: hypothesis not applicable
-        if dp[x_mask] != u_mask:
-            continue
-        qualifying += 1
-        if do_witness:
-            members = [i for i in range(n) if x_mask >> i & 1]
-            # candidates are read from dp; only the chosen Y is checked
-            # against the table rows, so a wrong dp entry fails the verdict
-            minimal = _minimal_subset(
-                members, lambda ys: dp[sum(1 << y for y in ys)] == u_mask)
-            if minimal is None or quotient_ideal(U, minimal) != U.members:
-                failures.append(members)
+    if not do_witness and U.kind in ("right", "twosided"):
+        # Y = X certifies every qualifying X
+        qualifying = witnessed = _qualifying_by_classes(U, single)
+    else:
+        dp = [full] * total
+        for x_mask in range(1, total):
+            low = x_mask & -x_mask
+            dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
+            if not x_mask & ~u_mask:
+                continue  # X inside U: hypothesis not applicable
+            if dp[x_mask] != u_mask:
+                continue
+            qualifying += 1
+            if do_witness:
+                members = _bits(x_mask)
+                # candidates are read from the masks; only the chosen Y is
+                # checked against the table rows, so a wrong mask fails the verdict
+                minimal = _minimal_meet(members, single, u_mask.__eq__)
+                if minimal is None or quotient_ideal(U, minimal) != U.members:
+                    failures.append(members)
+                else:
+                    witnessed += 1
+                    if len(examples) < 8:
+                        examples.append({"X": members, "Y": list(minimal)})
             else:
+                # a singleton witness, else X itself (dp already certifies it)
                 witnessed += 1
-                if len(examples) < 8:
-                    examples.append({"X": members, "Y": list(minimal)})
-        else:
-            # a singleton witness, else X itself (dp already certifies it)
-            witnessed += 1
     verdict = not failures
     cert = {"subsets": total, "qualifying": qualifying, "witnessed": witnessed,
             "anomalous_singletons": anomalies}

@@ -4,7 +4,9 @@ These are the direct scans the library ran before its kernels moved onto
 table rows: the worklist ideal closure (and the ideal lattice built from
 it), the membership-scan quotient and annihilators, the (a, b, c) triple
 scan of the ring axioms, the element-by-element ideal-kind test and the
-additive span of a set, sum by sum. They stay here as oracles, not as
+additive span of a set, sum by sum, the zip searches that recompute a
+quotient or annihilator for every candidate subset, and the sigma-U-zip
+scan's count over all 2^|R| subsets. They stay here as oracles, not as
 second paths in `src/`, beside `random_triples`, the seeded triples of
 series the associativity tests draw. The table builders make test rings
 and tables that are not rings: UT2(Z_n), a ring with + relabelled, F2^k
@@ -13,6 +15,10 @@ algebras and loops.
 
 from __future__ import annotations
 
+import itertools
+
+from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
+from mnseries.properties import PropertyReport
 from mnseries.rings import FiniteRing
 from mnseries.series import TwistSystem, random_series
 
@@ -99,6 +105,84 @@ def elementwise_annihilator(ring: FiniteRing, X, side: str) -> frozenset[int]:
 def elementwise_weak_annihilator(ring: FiniteRing, X, nil) -> frozenset[int]:
     """N(X) = {a | xa is in nil for every x in X}, one product at a time."""
     return frozenset(a for a in ring.elements() if all(ring.mul_table[x][a] in nil for x in X))
+
+
+def minimal_subset(sorted_pool: list[int], accepts) -> tuple[int, ...] | None:
+    """First subset, in ascending size then lexicographic order, that accepts."""
+    for size in range(len(sorted_pool) + 1):
+        for combo in itertools.combinations(sorted_pool, size):
+            if accepts(combo):
+                return combo
+    return None
+
+
+def subset_sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
+                               sigma_compatible: bool | None = None) -> PropertyReport:
+    """sigma_u_zip_witness with a quotient_ideal scan for every candidate Y."""
+    xs = sorted(X)
+    bounds = {"X": xs, "U": U.sorted_members()}
+    context = None if sigma_compatible is None else {"U_sigma_compatible": sigma_compatible}
+    if all(x in U.members for x in xs):
+        return PropertyReport("sigma-U-zip", None, bounds=bounds, certificate=context,
+                              note="not_applicable: X is contained in U")
+    quotient = quotient_ideal(U, xs)
+    if quotient != U.members:
+        return PropertyReport("sigma-U-zip", None, witness={"quotient": sorted(quotient)},
+                              bounds=bounds, certificate=context,
+                              note="hypothesis_fails: (U:X) != U")
+    minimal = minimal_subset(xs, lambda ys: quotient_ideal(U, ys) == U.members)
+    cert = {"minimal_witness": list(minimal), "quotient": sorted(quotient), **(context or {})}
+    return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds)
+
+
+def subset_right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
+    """right_zip_witness with r(Y) scanned element by element for every Y."""
+    xs = sorted(X)
+    bounds = {"X": xs}
+    if all(x == 0 for x in xs):
+        return PropertyReport("right-zip", None, bounds=bounds,
+                              note="not_applicable: X is contained in {0}")
+    ann = elementwise_annihilator(ring, xs, "right")
+    if ann != {0}:
+        return PropertyReport("right-zip", None, witness={"annihilator": sorted(ann)},
+                              bounds=bounds, note="hypothesis_fails: r(X) != 0")
+    minimal = minimal_subset(xs, lambda ys: elementwise_annihilator(ring, ys, "right") == {0})
+    return PropertyReport("right-zip", True, certificate={"minimal_witness": list(minimal)},
+                          bounds=bounds)
+
+
+def subset_weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport:
+    """weak_zip_witness with weak_annihilator recomputed for every Y."""
+    xs = sorted(X)
+    bounds = {"X": xs, "nil": sorted(nil)}
+    if all(x in nil for x in xs):
+        return PropertyReport("weak-zip", None, bounds=bounds,
+                              note="not_applicable: X is contained in nil(R)")
+    weak = weak_annihilator(ring, xs, nil)
+    if not weak <= nil:
+        return PropertyReport("weak-zip", None, witness={"weak_annihilator": sorted(weak)},
+                              bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)")
+    minimal = minimal_subset(xs, lambda ys: weak_annihilator(ring, ys, nil) <= nil)
+    return PropertyReport("weak-zip", True, certificate={"minimal_witness": list(minimal)},
+                          bounds=bounds)
+
+
+def subset_dp_qualifying(U: IdealSet) -> int:
+    """The subsets X of R not inside U with (U:X) = U, counted one subset at
+    a time: (U:X) is built from (U:X minus its lowest member) and that
+    member's singleton quotient, as bitmasks."""
+    ring = U.ring
+    n = ring.size
+    u_mask = sum(1 << u for u in U.members)
+    single = [sum(1 << q for q in quotient_ideal(U, {v})) for v in range(n)]
+    dp = [(1 << n) - 1] * (1 << n)
+    qualifying = 0
+    for x_mask in range(1, 1 << n):
+        low = x_mask & -x_mask
+        dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
+        if x_mask & ~u_mask and dp[x_mask] == u_mask:
+            qualifying += 1
+    return qualifying
 
 
 def triple_scan_axioms(ring: FiniteRing) -> list[tuple]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -812,3 +813,60 @@ def test_canonical_json_writes_the_bytes_of_json_dumps(value):
             canonical_json(value)
     else:
         assert canonical_json(value) == want
+
+
+_LYING_MASKS = {
+    # every (U:{v}) = U: the search picks Y = [0] for X = [0, 1], which
+    # quotient_ideal rejects
+    "U": ("lambda U: (sum(1 << u for u in U.members),) * U.ring.size",
+             "the singleton quotient masks give (U:Y) = U for U = [0], X = [0, 1] and "
+             "Y = [0], but quotient_ideal finds (U:Y) != U"),
+    # every (U:{v}) = R: no Y meets to U, not even Y = X
+    "full": ("lambda U: ((1 << U.ring.size) - 1,) * U.ring.size",
+             "(U:X) = U for U = [0] and X = [1], but no subset Y of X has (U:Y) = U "
+             "on the singleton quotient masks"),
+}
+
+
+@pytest.mark.parametrize("lie", sorted(_LYING_MASKS))
+def test_lying_singleton_masks_fail_examples_with_a_named_mismatch(monkeypatch, capsys, lie):
+    source, message = _LYING_MASKS[lie]
+    monkeypatch.setattr(properties, "singleton_quotient_masks", eval(source))
+    assert main(["verify", "z4_example_5_5", "--suite", "examples", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    [check] = report["checks"]
+    assert check["note"] == "derivation trace mismatch"
+    assert check["witness"] == message
+
+
+def test_the_zip_witness_recheck_survives_python_O():
+    """The re-checks are raised, not asserted, so `python -O` keeps them: the
+    examples suite still exits 1 with the mismatch, and no traceback."""
+    source, message = _LYING_MASKS["U"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "import mnseries.properties as properties\n"
+              "from mnseries.cli import main\n"
+              f"properties.singleton_quotient_masks = {source}\n"
+              "sys.exit(main(['verify', 'z4_example_5_5', '--suite', 'examples', "
+              "'--format', 'json']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["checks"][0]["witness"] == message
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    cli.build_parser()
+    built = []
+    real = argparse.ArgumentParser
+    monkeypatch.setattr(argparse, "ArgumentParser",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    for _ in range(2):
+        assert main(["validate", "z4_example_5_5"]) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from mnseries.errors import SizeCapExceeded, ZeroElement
-from mnseries.ideals import make_ideal, nil_radical, quotient_ideal
-from mnseries.properties import (fusible_decompositions, is_G_armendariz,
+import mnseries.properties as properties
+from mnseries.errors import SizeCapExceeded, TraceMismatch, ZeroElement
+from mnseries.ideals import make_ideal, nil_radical, quotient_ideal, singleton_quotient_masks
+from mnseries.properties import (_qualifying_by_classes, fusible_decompositions, is_G_armendariz,
                                  is_IN, is_SA, is_left_fusible,
                                  is_right_nonsingular, is_sigma_compatible_ring,
                                  right_zip_witness, sigma_u_zip_scan,
@@ -182,7 +183,6 @@ def test_sigma_u_zip_scan_checks_only_each_chosen_witness(monkeypatch, z4, u_z4)
     """quotient_ideal runs once per element, for the singleton masks, and once
     per qualifying subset, for the minimal witness the mask search chose; a
     quotient that disagrees with the masks fails the verdict."""
-    import mnseries.properties as properties
     calls = []
 
     def counting(U, V):
@@ -207,6 +207,47 @@ def test_sigma_u_zip_scan_checks_only_each_chosen_witness(monkeypatch, z4, u_z4)
 def test_sigma_u_zip_scan_cap(tz4, u_tz4):
     with pytest.raises(SizeCapExceeded):
         sigma_u_zip_scan(tz4, u_tz4, subset_cap=1024)
+
+
+def test_a_class_whose_singleton_masks_differ_raises_rather_than_miscounts(monkeypatch, tz4,
+                                                                         u_tz4):
+    """T(Z4) over U = {(0, m)} is above the witness cap, so its scan counts by
+    classes mod U; a mask that differs from the rest of its class, 5 in the
+    class {4, 5, 6, 7}, is a TraceMismatch naming the class."""
+    single = list(singleton_quotient_masks(u_tz4))
+    assert _qualifying_by_classes(u_tz4, single) == 65_280
+    single[5] ^= 1 << 9
+    with pytest.raises(TraceMismatch, match=r"differ inside the class \[4, 5, 6, 7\]"):
+        _qualifying_by_classes(u_tz4, single)
+
+    def lying(U, V):
+        return frozenset(tz4.elements()) if set(V) == {5} else quotient_ideal(U, V)
+
+    monkeypatch.setattr(properties, "quotient_ideal", lying)
+    with pytest.raises(TraceMismatch, match=r"differ inside the class \[4, 5, 6, 7\]"):
+        sigma_u_zip_scan(tz4, u_tz4)
+
+
+def test_sigma_u_zip_witness_scans_at_most_two_quotients_per_X(monkeypatch, tz4, u_tz4, klein):
+    """One quotient_ideal for the hypothesis (U:X) = U and one for the chosen
+    Y; the minimal-witness search itself runs on the singleton masks."""
+    calls = []
+
+    def counting(U, V):
+        calls.append(tuple(V))
+        return quotient_ideal(U, V)
+
+    monkeypatch.setattr(properties, "quotient_ideal", counting)
+    zero = make_ideal(klein, {0}, "twosided")
+    for ring, U, pool in ((tz4, u_tz4, [frozenset(c) for k in range(4)
+                                        for c in itertools.combinations(tz4.elements(), k)]),
+                          (klein, zero, list(all_subsets(klein)))):
+        for xs in pool:
+            calls.clear()
+            rep = sigma_u_zip_witness(ring, U, xs)
+            assert len(calls) <= 2, (xs, calls)
+            if rep.verdict:
+                assert calls[-1] == tuple(rep.certificate["minimal_witness"])
 
 
 def test_right_zip_matches_sigma_zip_at_zero_ideal(z4, klein, gf4):

@@ -11,9 +11,12 @@ a quotient by an ideal reads only its additive generators. The oracles in
 element, pair or triple at a time. Over generated Zn, products, trivial
 extensions and the noncommutative UT2(Z2) and UT2(Z4), closures, lattices
 (in order), kinds, sums, quotients, generators, annihilators and the IN
-and SA reports must agree. On tables with one entry changed, rings with +
-relabelled, F2^k algebras and loops, so must every (axiom, ok, witness),
-and a witness scan may run only for an axiom that fails.
+and SA reports must agree, and so must the zip searches on singleton
+masks and the per-subset searches they replaced, and the sigma-U-zip
+count over residue classes and the one over all 2^|R| subsets. On tables
+with one entry changed, rings with + relabelled, F2^k algebras and loops,
+so must every (axiom, ok, witness), and a witness scan may run only for an
+axiom that fails.
 """
 
 from __future__ import annotations
@@ -27,15 +30,19 @@ from hypothesis import strategies as st
 
 from mnseries import properties, rings
 from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
-                             ideal_closure, nil_radical, quotient_ideal, set_sum, subgroup_sum,
-                             weak_annihilator)
-from mnseries.properties import is_IN, is_SA
+                             ideal_closure, nil_radical, quotient_ideal, set_sum,
+                             singleton_quotient_masks, subgroup_sum, weak_annihilator)
+from mnseries.properties import (DEFAULT_WITNESS_CAP, _qualifying_by_classes, is_IN, is_SA,
+                                 right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
+                                 weak_zip_witness)
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn)
 from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
                      elementwise_weak_annihilator, f2_algebra_table, loop_table,
-                     membership_quotient, relabelled_add_table, triple_scan_axioms, ut2_table,
-                     worklist_closure, worklist_lattice)
+                     membership_quotient, relabelled_add_table, subset_dp_qualifying,
+                     subset_right_zip_witness, subset_sigma_u_zip_witness,
+                     subset_weak_zip_witness, triple_scan_axioms, ut2_table, worklist_closure,
+                     worklist_lattice)
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,3 +328,57 @@ def _loops(draw):
 @example(_LOOP6)  # commutative, not associative: (2 + 2) + 4 != 2 + (2 + 4)
 def test_axioms_of_a_loop_match_the_triple_scan(add):
     _assert_decided_like_the_triple_scan(_table_ring(loop_table(add)))
+
+
+# --- zip searches on singleton masks ----------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_ring_keys(), st.sampled_from([("ut2xZn", 2, 2), ("T(ut2)", 2)])), st.data())
+def test_zip_mask_searches_match_the_per_subset_searches(key, data):
+    """On drawn subsets X (and X = R) of generated rings, UT2(Z2) x Z2 and
+    T(UT2(Z2)) among them: the sigma-U-zip report for every two-sided ideal
+    U, and the right-zip and weak-zip reports, equal the searches that
+    recompute (U:Y), r(Y) or N(Y) for every candidate Y."""
+    ring = _ring(*key)
+    nil, _ = nil_radical(ring)
+    ideals = enumerate_ideals(ring, "twosided")
+    pools = [frozenset(data.draw(st.lists(st.integers(0, ring.size - 1), min_size=1,
+                                          max_size=6)))
+             for _ in range(3)] + [frozenset(ring.elements())]
+    for xs in pools:
+        for U in ideals:
+            compatible = data.draw(st.sampled_from([None, True, False]))
+            assert sigma_u_zip_witness(ring, U, xs, compatible).to_json() == \
+                subset_sigma_u_zip_witness(ring, U, xs, compatible).to_json(), (key, U, xs)
+        assert right_zip_witness(ring, xs).to_json() == \
+            subset_right_zip_witness(ring, xs).to_json(), (key, xs)
+        assert weak_zip_witness(ring, xs, nil).to_json() == \
+            subset_weak_zip_witness(ring, xs, nil).to_json(), (key, xs)
+
+
+def _small_ring_keys():
+    """Every generated ring of at most 16 elements, UT2(Z2) and UT2(Z2) x Z2
+    (noncommutative) among them."""
+    return ([("Zn", n) for n in range(2, 17)]
+            + [("product", m, n) for m in range(2, 5) for n in range(2, 16 // m + 1)]
+            + [("trivial_extension", n) for n in range(2, 5)]
+            + [("ut2", 2), ("ut2xZn", 2, 2)])
+
+
+def test_class_count_matches_the_subset_count_on_small_rings():
+    """On every two-sided ideal of the rings of at most 16 elements, and
+    every right ideal of the noncommutative ones, the count over residue
+    classes equals the count over all 2^|R| subsets (none for U = R); above
+    the witness cap it is what sigma_u_zip_scan reports."""
+    for key in _small_ring_keys():
+        ring = _ring(*key)
+        kinds = ("twosided", "right") if key[0].startswith("ut2") else ("twosided",)
+        for kind in kinds:
+            for U in enumerate_ideals(ring, kind):
+                expected = subset_dp_qualifying(U)
+                single = list(singleton_quotient_masks(U))
+                assert _qualifying_by_classes(U, single) == expected, (key, U)
+                if 1 << ring.size > DEFAULT_WITNESS_CAP:
+                    cert = sigma_u_zip_scan(ring, U).certificate
+                    assert cert["qualifying"] == cert["witnessed"] == expected, (key, U)

@@ -29,7 +29,8 @@ from .errors import (HypothesisFails, MNSeriesError, ParseError, PreconditionFai
 from .groups import COORD_BOUND, OrderedGroup, group_make
 from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                      ideal_closure, is_semiprime_ideal, is_sigma_compatible_ideal,
-                     make_ideal, nil_radical, quotient_ideal, weak_annihilator)
+                     make_ideal, nil_radical, quotient_ideal, singleton_quotient_masks,
+                     weak_annihilator)
 from .properties import (PropertyReport, check_pair_cap, is_G_armendariz, is_IN, is_SA,
                          is_left_fusible, is_right_nonsingular, is_sigma_compatible_ring,
                          right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
@@ -588,7 +589,8 @@ def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         scan = _zip_scan(fx, U)
         scan.certificate = dict(scan.certificate or {}, ideal=name)
         yield scan
-        quotients = {str(v): sorted(quotient_ideal(U, {v}))
+        single = singleton_quotient_masks(U)
+        quotients = {str(v): [x for x in ring.elements() if single[v] >> x & 1]
                      for v in ring.elements() if v not in U.members}
         yield PropertyReport(f"singleton-quotients-{name}", True,
                              certificate={"U": U.sorted_members(), "quotients": quotients})

@@ -91,9 +91,12 @@ def is_left_fusible(ring: FiniteRing) -> PropertyReport:
         if a not in reachable:
             witness = a
             break
-    if witness is not None:
-        # direct re-verification of the witness
-        assert fusible_decompositions(ring, witness) == []
+    # direct re-verification of the witness
+    splits = [] if witness is None else fusible_decompositions(ring, witness)
+    if splits:
+        raise TraceMismatch(f"set_sum leaves {witness} out of the left zero-divisors plus "
+                            f"the left regular elements, but fusible_decompositions "
+                            f"splits it as {splits[0]}")
     return PropertyReport(
         "left-fusible", witness is None, witness=witness,
         certificate=None if witness is not None else
@@ -170,7 +173,10 @@ def is_SA(ring: FiniteRing) -> PropertyReport:
                 witness = {"I": I.sorted_members(), "J": J.sorted_members(),
                            "r_sum": sorted(target)}
                 break
-            assert rann[K] == target  # certificate re-verifies
+            if rann[K] != target:  # certificate re-verifies
+                raise TraceMismatch(f"K = {K.sorted_members()} is filed under r(I) + r(J) = "
+                                    f"{sorted(target)} for I = {I.sorted_members()} and "
+                                    f"J = {J.sorted_members()}, but r(K) = {sorted(rann[K])}")
             table.append({"I": I.sorted_members(), "J": J.sorted_members(),
                           "K": K.sorted_members()})
         if witness:
@@ -397,7 +403,8 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
     a finite witness Y with (U:Y) = U must exist.
 
     Subset quotients are bitmask intersections of the singleton quotients
-    (U:{v}), so the scan covers 2^|R| subsets; minimal witnesses are
+    (U:{v}), read from the ring's `singleton_quotient_masks`, so the scan
+    covers 2^|R| subsets; minimal witnesses are
     searched per subset only below the witness cap, among those same masks,
     and the chosen Y alone is checked again with quotient_ideal. Above the
     witness cap the count is all the certificate holds, and for a right
@@ -414,12 +421,7 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
     for v in U.members:
         u_mask |= 1 << v
     full = (1 << n) - 1
-    single = []
-    for v in range(n):
-        mask = 0
-        for q in quotient_ideal(U, {v}):
-            mask |= 1 << q
-        single.append(mask)
+    single = singleton_quotient_masks(U)
     anomalies = [{"element": v, "quotient": _bits(single[v])}
                  for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
     qualifying = 0

@@ -10,6 +10,7 @@ rings by construction, so their constructors check nothing.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -46,9 +47,17 @@ class FiniteRing(Memo):
         size = len(add_table)
         if size < 2:
             raise MalformedSpec(f"ring {label!r}: need at least 2 elements, got {size}")
+        elements = frozenset(range(size))
         for name, table in (("add", add_table), ("mul", mul_table)):
             if len(table) != size:
                 raise MalformedSpec(f"ring {label!r}: {name} table has {len(table)} rows, expected {size}")
+            # the whole table at C speed (every entry an int, then an element);
+            # the loop below only names the first bad entry
+            entries = itertools.chain.from_iterable
+            if (all(len(row) == size for row in table)
+                    and set(map(type, entries(table))) == {int}
+                    and elements.issuperset(entries(table))):
+                continue
             for i, row in enumerate(table):
                 if len(row) != size:
                     raise MalformedSpec(f"ring {label!r}: {name} row {i} has {len(row)} entries")

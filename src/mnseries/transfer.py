@@ -6,6 +6,17 @@ evaluation, with an independent brute-force scan as the final oracle. A
 TraceMismatch means a step's claim failed direct evaluation; that aborts
 loudly because it would signal either an implementation bug or a genuine
 gap in the argument, and neither may be papered over.
+
+The universe's quantifiers over series become quotients, (members : X) on
+one side, and each quotient is the kernel of the window product, which is
+additive in the series it quotients: `TruncatedUniverse.quotient` matches
+half-window sums of the single-term products, reduced mod `members`,
+instead of multiplying every universe series. An annihilator reads only
+the single terms whose coefficients are additive generators of its
+coefficient set, and is kept in the universe's memo per (set, side), as is
+the fusible lift's (0 : h) per h. The filter over every series that the
+kernel replaced is the tests' oracle, `universe_quotient_scan` in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Any, Collection, Iterable, Sequence
 
 from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
@@ -25,7 +37,7 @@ from .properties import (PropertyReport, fusible_decompositions,
                          is_G_armendariz, is_left_fusible, is_SA,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
                          zero_divisor_sets)
-from .rings import Memo
+from .rings import DEFAULT_SIZE_CAP, Memo, greedy_generators
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
                      series_add, series_make, series_mul, series_sub,
                      series_to_json, support_stats, term_product)
@@ -49,10 +61,16 @@ def universe_count(size: int, length: int, cap: int = DEFAULT_UNIVERSE_CAP) -> i
 class TruncatedUniverse(Memo):
     """All series with support inside a finite window, as coefficient tuples
     over the sorted window in exhaustive_series order: the decidable stand-in
-    for the full series ring, over which its quantifiers become scans."""
+    for the full series ring, over which its quantifiers become quotients.
+    Its ring has at most DEFAULT_SIZE_CAP elements, as an ideal lattice's
+    has, so the quotient kernel can hold a coefficient in a byte."""
 
     def __init__(self, twist: TwistSystem, window: Iterable,
                  cap: int = DEFAULT_UNIVERSE_CAP):
+        ring = twist.ring
+        if ring.size > DEFAULT_SIZE_CAP:
+            raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, "
+                                  f"cap {DEFAULT_SIZE_CAP}", {"size_cap": DEFAULT_SIZE_CAP})
         grp = twist.group
         win = sorted({grp.canon(x) for x in window})
         if not win:
@@ -92,31 +110,82 @@ class TruncatedUniverse(Memo):
     def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
         return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
 
+    def _cosets(self, members: frozenset[int]) -> tuple[list[int], list[list[int]], bytes]:
+        """(rep, add, neg) for the cosets of `members` in the ring's additive
+        group: rep[r] is the least element of r + members, and add and neg
+        are the group operations on those representatives, neg as a
+        bytes.translate table. Kept per member set; a set that is not an
+        additive subgroup raises ValueError."""
+        def build():
+            ring_add = self.twist.ring.add_table
+            if 0 not in members or any(ring_add[a][b] not in members
+                                       for a in members for b in members):
+                raise ValueError(f"members {sorted(members)} are not an additive subgroup")
+            rep = [min(row[m] for m in members) for row in ring_add]
+            add = [[rep[c] for c in row] for row in ring_add]
+            neg = bytes(rep[a] for a in self.algebra.neg)
+            return rep, add, neg + bytes(256 - len(neg))
+        return self.once(("cosets", members), build)
+
     def quotient(self, factors: Iterable[list[tuple]], members, side: str) -> frozenset[tuple]:
         """The members u such that every coefficient of s*u (side "right") or
-        u*s (side "left") lies in `members`, for every factor s, a list of
-        window terms: the one scan over the universe. Each factor tests only
-        the members that passed the factors before it."""
+        u*s (side "left") lies in `members`, an additive subgroup, for every
+        factor s, a list of window terms.
+
+        The window product is additive in u, so this is the kernel of the
+        map u -> sum over positions j of phi_j(u_j) into the cosets of
+        `members`, where phi_j(b) lists the coefficients of every factor's
+        product with the single term b X^(x_j), each reduced to its coset's
+        representative. The w*|R| values of phi are tabulated, the sums over
+        the first half of the positions are bucketed, and each sum over the
+        second half is matched with the bucket of its negative: |R|^(w/2)
+        vector sums where a filter multiplies every series by every factor.
+        That filter is the tests' oracle, universe_quotient_scan in
+        tests/oracles.py. A `members` that is not an additive subgroup
+        raises ValueError, as the kernel would not be the set asked for.
+        """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        mul, allowed = self.algebra.multiply, frozenset(members).issuperset
-        kept = zip(self.terms, self.members)
-        for s in factors:
-            if side == "right":
-                kept = [(u, m) for u, m in kept if allowed(mul(s, u))]
-            else:
-                kept = [(u, m) for u, m in kept if allowed(mul(u, s))]
-        return frozenset(m for _, m in kept)
+        rep, add, neg = self._cosets(frozenset(members))
+        mul, size = self.algebra.multiply, self.twist.ring.size
+        factors = list(factors)
+        # phi[j][b], as the bytes of its coefficients (ring elements < 256)
+        phi = [[bytes(rep[c] for s in factors
+                      for c in (mul(s, [(j, b)]) if side == "right" else mul([(j, b)], s)))
+                 for b in range(size)] for j in range(len(self.window))]
+
+        def sums(positions):
+            """(index, sum of phi) for every coefficient choice at `positions`,
+            the index counting the choices in universe order."""
+            out = [(0, phi[0][0])]  # phi_j(0) = 0
+            for j in positions:
+                out = [(index * size + b, bytes(map(getitem, map(add.__getitem__, v), step)))
+                       for index, v in out for b, step in enumerate(phi[j])]
+            return out
+
+        w = len(self.window)
+        half, scale = w // 2, size ** (w - w // 2)
+        buckets: dict[bytes, list[int]] = {}
+        for head, v in sums(range(half)):
+            buckets.setdefault(v, []).append(head * scale)
+        # the universe's own member tuples, so a kept quotient shares them
+        return frozenset(self.members[head + tail] for tail, v in sums(range(half, w))
+                         for head in buckets.get(v.translate(neg), ()))
 
     def annihilator(self, coeffs: Iterable[int], side: str) -> frozenset[tuple]:
         """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
-        for every member s with coefficients in `coeffs`; scanned once per
-        (coefficient set, side). The product is bilinear and every such s is
-        a sum of single terms c*X^x with c in `coeffs`, so those alone decide it."""
+        for every member s with coefficients in `coeffs`; one kernel per
+        (coefficient set, side). The product is additive in s and every such
+        s is a sum of single terms c*X^x with c in `coeffs`; a term of c1 + c2
+        is killed when the c1 and c2 terms are, so the terms whose c are
+        greedy additive generators of `coeffs` decide it."""
         coeffs = frozenset(coeffs)
-        return self.once(("annihilator", coeffs, side), lambda: self.quotient(
-            [[(i, c)] for i in range(len(self.window)) for c in sorted(coeffs - {0})],
-            {0}, side))
+
+        def kernel():
+            gens = list(greedy_generators(self.twist.ring.add_table, {0}, sorted(coeffs - {0})))
+            return self.quotient([[(i, c)] for i in range(len(self.window)) for c in gens],
+                                 {0}, side)
+        return self.once(("annihilator", coeffs, side), kernel)
 
     def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
         """{a + b | a in A, b in B}, coefficientwise, for any member sets: the
@@ -252,8 +321,10 @@ def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> Fusibl
     sum_ok = series_add(g, h) == f
     g_annihilated_ok = series_mul(g, embed_scalar(twist, d)).is_zero
     leading_regular_ok = b in zero_divisor_sets(ring).left_regular
-    # the nonzero k with h*k = 0; members[0] is the zero series
-    killers = universe.quotient([universe.member(h)], {0}, "right") - {universe.members[0]}
+    # the nonzero k with h*k = 0, kept per h; members[0] is the zero series
+    h_terms = universe.member(h)
+    killers = universe.once(("(0:h)", tuple(h_terms)), lambda: universe.quotient(
+        [h_terms], {0}, "right")) - {universe.members[0]}
     return FusibleLift(g, h, s0, a, b, d, sum_ok, g_annihilated_ok, leading_regular_ok,
                        not killers, universe.series(min(killers)) if killers else None)
 

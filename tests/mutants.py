@@ -1,0 +1,191 @@
+"""Mutation checks: does each seeded fault make its named tests fail?
+
+A mutant is one exact source replacement in one file under `src/`. For
+each mutant the script copies `src/`, `tests/` and `pyproject.toml` into a
+temporary directory, applies the replacement there (the old text must
+occur exactly once), runs the mutant's tests with `pytest -x -q` in that
+directory, and reports the mutant as killed (the tests fail) or survived
+(they pass). A mutant whose tests cannot run at all is reported as an
+error. The working tree is never changed.
+
+    python3 tests/mutants.py                # every mutant
+    python3 tests/mutants.py NAME [NAME..]  # the named ones
+    python3 tests/mutants.py --list         # names and what they break
+
+Run from anywhere; the paths are taken relative to this file. Exits 0 when
+every mutant that ran was killed, 1 otherwise. A surviving mutant that
+changes behaviour is a missing test. Each run starts a pytest process, so
+the full set takes a while and is kept out of the test suite, which runs
+one cheap mutant only.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    what: str
+    path: str         # relative to src/
+    old: str
+    new: str
+    tests: tuple      # pytest arguments, relative to the repository root
+
+
+_UNIVERSE = "tests/test_universe.py"
+
+MUTANTS = {
+    "kernel-no-coset-reduction": Mutant(
+        "the quotient kernel keeps raw coefficients instead of coset representatives, "
+        "so only exact zeros pass",
+        "mnseries/transfer.py",
+        "rep = [min(row[m] for m in members) for row in ring_add]",
+        "rep = [row[0] for row in ring_add]",
+        (_UNIVERSE, "-k", "quotient_kernel_matches_the_scan_on_every_case")),
+    "kernel-phi-on-the-wrong-side": Mutant(
+        "phi_j(b) multiplies b X^(x_j) on the other side of each factor",
+        "mnseries/transfer.py",
+        'if side == "right" else mul([(j, b)], s)',
+        'if side == "left" else mul([(j, b)], s)',
+        (_UNIVERSE, "-k", "quotient_kernel_matches_the_scan_on_every_case")),
+    "kernel-matches-v-not-minus-v": Mutant(
+        "a second-half sum is matched with the bucket of itself, not of its negative",
+        "mnseries/transfer.py",
+        "buckets.get(v.translate(neg), ())",
+        "buckets.get(v, ())",
+        (_UNIVERSE, "-k", "second_halves_with_their_negatives")),
+    "annihilator-first-generator-only": Mutant(
+        "an annihilator reads only the first greedy generator of its coefficients",
+        "mnseries/transfer.py",
+        "sorted(coeffs - {0})))\n",
+        "sorted(coeffs - {0})))[:1]\n",
+        (_UNIVERSE, "-k", "annihilators_on_generators_match_every_coefficient")),
+    "lift-memo-ignores-h": Mutant(
+        "every lift reads the (0 : h) of the first h it was given",
+        "mnseries/transfer.py",
+        'universe.once(("(0:h)", tuple(h_terms))',
+        'universe.once(("(0:h)",)',
+        (_UNIVERSE, "-k", "lift_decides_regularity_as_the_scan_does")),
+    "left-fusible-recheck-dropped": Mutant(
+        "is_left_fusible reports its witness without splitting it again",
+        "mnseries/properties.py",
+        "    if splits:\n",
+        "    if False:\n",
+        ("tests/test_cli.py", "-k", "lying_kernel_fails_properties")),
+    "sa-recheck-dropped": Mutant(
+        "is_SA files K without comparing r(K) with r(I) + r(J)",
+        "mnseries/properties.py",
+        "if rann[K] != target:",
+        "if False:",
+        ("tests/test_cli.py", "-k", "lying_kernel_fails_properties")),
+    # the earlier table and window fast paths
+    "left-annihilator-reads-rows": Mutant(
+        "l(X) reads the rows x of the product table, not its columns",
+        "mnseries/ideals.py",
+        "rows = (map(itemgetter(x), ring.mul_table) for x in xs)",
+        "rows = (ring.mul_table[x] for x in xs)",
+        ("tests/test_table_kernels.py", "-k", "annihilators_match_the_elementwise_scans")),
+    "singleton-masks-read-columns": Mutant(
+        "the masks of (U:{v}) read column v of the product table, not row v",
+        "mnseries/ideals.py",
+        "for row in ring.mul_table))",
+        "for row in zip(*ring.mul_table)))",
+        ("tests/test_table_kernels.py", "-k", "class_count_matches_the_subset_count")),
+    "subgroup-sum-drops-B-inside-C": Mutant(
+        "is_subgroup_sum(C, A, B) no longer asks that B lie in C",
+        "mnseries/ideals.py",
+        "return A <= C and B <= C and len(C)",
+        "return A <= C and len(C)",
+        (_UNIVERSE, "-k", "subgroup_sum_matches_the_product_form_on_every_ideal")),
+    "subgroup-sum-drops-the-count": Mutant(
+        "is_subgroup_sum(C, A, B) no longer compares |C|*|A n B| with |A|*|B|",
+        "mnseries/ideals.py",
+        "return A <= C and B <= C and len(C) * len(A & B) == len(A) * len(B)",
+        "return A <= C and B <= C",
+        (_UNIVERSE, "-k", "subgroup_sum_matches_the_product_form_on_every_ideal")),
+    "x-w-in-position-order": Mutant(
+        "the X_w pairs are listed in window position order, not ascending in x_i",
+        "mnseries/series.py",
+        "for i in sorted(range(len(win)), key=win.__getitem__):",
+        "for i in range(len(win)):",
+        ("tests/test_window.py", "-k", "unsorted")),
+    "trace-drops-an-x-w-pair": Mutant(
+        "the extraction trace leaves the first pair of each X_w out",
+        "mnseries/transfer.py",
+        "for i, j in alg.xw[k] if i in fa and j in gb]",
+        "for i, j in alg.xw[k][1:] if i in fa and j in gb]",
+        ("tests/test_window.py", "-k", "extraction_over_an_unsorted_window")),
+    "class-weight-zero-for-zero": Mutant(
+        "a class series counts 0 universe series at a 0 coefficient, not 1",
+        "mnseries/series.py",
+        "weight = {0: 1}",
+        "weight = {0: 0}",
+        ("tests/test_class_scan.py", "-k", "partition_the_universe")),
+    "cocycle-reads-a-wrong-tau-row": Mutant(
+        "the cocycle scan reads tau(x, z) where it needs tau(y, z)",
+        "mnseries/series.py",
+        "zip(range(n), tau[b], slot[b], t_xy_z)",
+        "zip(range(n), tau[a], slot[b], t_xy_z)",
+        ("tests/test_twist_conditions.py", "-k", "patched_twists_match_the_loop")),
+}
+
+CHEAP = "kernel-matches-v-not-minus-v"
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Replace the mutant's old text, which must occur exactly once, in its
+    file under the directory `src`."""
+    path = src / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.path}: the old text occurs {count} times, not once: "
+                         f"{mutant.old!r}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run(name: str, timeout: float = 600) -> str:
+    """"killed", "survived" or "error" for the named mutant."""
+    mutant = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="mnseries-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        apply(mutant, copy / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=copy, capture_output=True, text=True, timeout=timeout)
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for name, mutant in MUTANTS.items():
+            print(f"{name}: {mutant.what}")
+        return 0
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; see --list", file=sys.stderr)
+        return 2
+    outcomes = {}
+    for name in argv or MUTANTS:
+        outcomes[name] = run(name)
+        print(f"{outcomes[name]:8}  {name}", flush=True)
+    killed = sum(outcome == "killed" for outcome in outcomes.values())
+    print(f"{killed} of {len(outcomes)} mutants killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

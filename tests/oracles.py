@@ -5,12 +5,13 @@ table rows: the worklist ideal closure (and the ideal lattice built from
 it), the membership-scan quotient and annihilators, the (a, b, c) triple
 scan of the ring axioms, the element-by-element ideal-kind test and the
 additive span of a set, sum by sum, the zip searches that recompute a
-quotient or annihilator for every candidate subset, and the sigma-U-zip
-scan's count over all 2^|R| subsets. They stay here as oracles, not as
-second paths in `src/`, beside `random_triples`, the seeded triples of
-series the associativity tests draw. The table builders make test rings
-and tables that are not rings: UT2(Z_n), a ring with + relabelled, F2^k
-algebras and loops.
+quotient or annihilator for every candidate subset, the sigma-U-zip
+scan's count over all 2^|R| subsets, and the truncated universe's
+quotient as a filter that multiplies every window series by every factor.
+They stay here as oracles, not as second paths in `src/`, beside
+`random_triples`, the seeded triples of series the associativity tests
+draw. The table builders make test rings and tables that are not rings:
+UT2(Z_n), a ring with + relabelled, F2^k algebras and loops.
 """
 
 from __future__ import annotations
@@ -183,6 +184,21 @@ def subset_dp_qualifying(U: IdealSet) -> int:
         if x_mask & ~u_mask and dp[x_mask] == u_mask:
             qualifying += 1
     return qualifying
+
+
+def universe_quotient_scan(universe, factors, members, side: str) -> frozenset[tuple]:
+    """TruncatedUniverse.quotient as a filter over the whole universe: the
+    members u with every coefficient of s*u (side "right") or u*s (side
+    "left") in `members`, for every factor s, each factor multiplying the
+    members that passed the factors before it. `members` may be any set."""
+    mul, allowed = universe.algebra.multiply, frozenset(members).issuperset
+    kept = zip(universe.terms, universe.members)
+    for s in factors:
+        if side == "right":
+            kept = [(u, m) for u, m in kept if allowed(mul(s, u))]
+        else:
+            kept = [(u, m) for u, m in kept if allowed(mul(u, s))]
+    return frozenset(m for _, m in kept)
 
 
 def triple_scan_axioms(ring: FiniteRing) -> list[tuple]:

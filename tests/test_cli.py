@@ -840,24 +840,65 @@ def test_lying_singleton_masks_fail_examples_with_a_named_mismatch(monkeypatch, 
     assert check["witness"] == message
 
 
-def test_the_zip_witness_recheck_survives_python_O():
-    """The re-checks are raised, not asserted, so `python -O` keeps them: the
-    examples suite still exits 1 with the mismatch, and no traceback."""
-    source, message = _LYING_MASKS["U"]
+def _verify_under_O(name: str, source: str, suite: str) -> subprocess.CompletedProcess:
+    """`mn verify z4_example_5_5 --suite <suite> --format json` under
+    `python -O`, with properties.<name> replaced by the expression `source`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\n"
               "import mnseries.properties as properties\n"
               "from mnseries.cli import main\n"
-              f"properties.singleton_quotient_masks = {source}\n"
-              "sys.exit(main(['verify', 'z4_example_5_5', '--suite', 'examples', "
+              f"properties.{name} = {source}\n"
+              f"sys.exit(main(['verify', 'z4_example_5_5', '--suite', '{suite}', "
               "'--format', 'json']))\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
+    return subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_the_zip_witness_recheck_survives_python_O():
+    """The re-checks are raised, not asserted, so `python -O` keeps them: the
+    examples suite still exits 1 with the mismatch, and no traceback."""
+    source, message = _LYING_MASKS["U"]
+    proc = _verify_under_O("singleton_quotient_masks", source, "examples")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["checks"][0]["witness"] == message
+
+
+_LYING_PROPERTY_KERNELS = {
+    # nothing is reachable as a sum, so 1 = 0 + 1 looks unsplittable
+    "set_sum": ("lambda ring, A, B: frozenset()",
+                "set_sum leaves 1 out of the left zero-divisors plus the left regular "
+                "elements, but fusible_decompositions splits it as (0, 1)"),
+    # each ideal filed under another ideal's right annihilator
+    "ideals_by_right_annihilator": (
+        "(lambda real: lambda ring: dict(zip(real(ring), reversed(real(ring).values()))))"
+        "(properties.ideals_by_right_annihilator)",
+        "K = [0, 1, 2, 3] is filed under r(I) + r(J) = [0, 1, 2, 3] for I = [0] and "
+        "J = [0], but r(K) = [0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LYING_PROPERTY_KERNELS))
+def test_a_lying_kernel_fails_properties_with_a_named_mismatch(monkeypatch, capsys, name):
+    """is_left_fusible and is_SA re-check their verdicts by raising, so a
+    wrong kernel ends the properties suite with exit 1 and the mismatch: no
+    AssertionError traceback and no verdict drawn from the wrong set, also
+    under `python -O`."""
+    source, message = _LYING_PROPERTY_KERNELS[name]
+    monkeypatch.setattr(properties, name, eval(source))
+    assert main(["verify", "z4_example_5_5", "--suite", "properties", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    [check] = json.loads(captured.out)["checks"]
+    assert (check["verdict"], check["note"], check["witness"]) == (
+        False, "derivation trace mismatch", message)
+
+    proc = _verify_under_O(name, source, "properties")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["checks"] == [check]
 
 
 def test_the_parser_is_built_once_per_process(monkeypatch, capsys):

@@ -180,9 +180,9 @@ def test_sigma_u_zip_scan_tz4_reports_anomalies(tz4, u_tz4):
 
 
 def test_sigma_u_zip_scan_checks_only_each_chosen_witness(monkeypatch, z4, u_z4):
-    """quotient_ideal runs once per element, for the singleton masks, and once
-    per qualifying subset, for the minimal witness the mask search chose; a
-    quotient that disagrees with the masks fails the verdict."""
+    """The singleton masks come from the ideals layer, so quotient_ideal runs
+    once per qualifying subset, for the minimal witness the mask search
+    chose; a quotient that disagrees with the masks fails the verdict."""
     calls = []
 
     def counting(U, V):
@@ -192,14 +192,14 @@ def test_sigma_u_zip_scan_checks_only_each_chosen_witness(monkeypatch, z4, u_z4)
     monkeypatch.setattr(properties, "quotient_ideal", counting)
     rep = sigma_u_zip_scan(z4, u_z4)
     assert rep.verdict is True
-    assert len(calls) == z4.size + rep.certificate["qualifying"]
+    assert len(calls) == rep.certificate["qualifying"]
 
-    def wrong_after_the_singletons(U, V):
+    def wrong(U, V):
         calls.append(tuple(V))
-        return quotient_ideal(U, V) if len(calls) <= z4.size else frozenset(z4.elements())
+        return frozenset(z4.elements())
 
     calls.clear()
-    monkeypatch.setattr(properties, "quotient_ideal", wrong_after_the_singletons)
+    monkeypatch.setattr(properties, "quotient_ideal", wrong)
     rep = sigma_u_zip_scan(z4, u_z4)
     assert rep.verdict is False and len(rep.witness) == rep.certificate["qualifying"]
 
@@ -220,10 +220,7 @@ def test_a_class_whose_singleton_masks_differ_raises_rather_than_miscounts(monke
     with pytest.raises(TraceMismatch, match=r"differ inside the class \[4, 5, 6, 7\]"):
         _qualifying_by_classes(u_tz4, single)
 
-    def lying(U, V):
-        return frozenset(tz4.elements()) if set(V) == {5} else quotient_ideal(U, V)
-
-    monkeypatch.setattr(properties, "quotient_ideal", lying)
+    monkeypatch.setattr(properties, "singleton_quotient_masks", lambda U: single)
     with pytest.raises(TraceMismatch, match=r"differ inside the class \[4, 5, 6, 7\]"):
         sigma_u_zip_scan(tz4, u_tz4)
 

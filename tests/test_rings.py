@@ -210,3 +210,41 @@ def test_gf4_table_is_a_field(gf4):
     # x * x = x + 1, x * (x+1) = 1
     assert gf4.mul(2, 2) == 3
     assert gf4.mul(2, 3) == 1
+
+
+def _z3_tables():
+    return ([[(a + b) % 3 for b in range(3)] for a in range(3)],
+            [[a * b % 3 for b in range(3)] for a in range(3)])
+
+
+@pytest.mark.parametrize("table, i, j, value, message", [
+    ("add", 1, 2, True, "ring 'z3': add[1][2] = True out of range"),
+    ("mul", 2, 0, 0.0, "ring 'z3': mul[2][0] = 0.0 out of range"),
+    ("add", 0, 1, -1, "ring 'z3': add[0][1] = -1 out of range"),
+    ("mul", 1, 1, 3, "ring 'z3': mul[1][1] = 3 out of range"),
+])
+def test_a_bad_table_entry_is_named(table, i, j, value, message):
+    tables = dict(zip(("add", "mul"), _z3_tables()))
+    tables[table][i][j] = value
+    with pytest.raises(MalformedSpec) as exc:
+        FiniteRing("z3", tables["add"], tables["mul"], 1)
+    assert str(exc.value) == message
+
+
+def test_the_first_bad_entry_in_row_order_is_named():
+    # a bad entry, then a short row, then another bad entry: the first in
+    # the order add rows, then mul rows, each row's entries left to right
+    add, mul = _z3_tables()
+    add[1][2] = 7
+    add[2] = add[2][:2]
+    mul[0][0] = "0"
+    with pytest.raises(MalformedSpec, match=r"^ring 'z3': add\[1\]\[2\] = 7 out of range$"):
+        FiniteRing("z3", add, mul, 1)
+    add[1][2] = 0
+    with pytest.raises(MalformedSpec, match=r"^ring 'z3': add row 2 has 2 entries$"):
+        FiniteRing("z3", add, mul, 1)
+    add[2] = [2, 0, 1]
+    with pytest.raises(MalformedSpec, match=r"^ring 'z3': mul\[0\]\[0\] = '0' out of range$"):
+        FiniteRing("z3", add, mul, 1)
+    mul[0][0] = 0
+    assert FiniteRing("z3", add, mul, 1).size == 3

@@ -9,7 +9,7 @@ from mnseries.errors import (HypothesisFails, NotFusibleRing, NotNormalized,
 from mnseries.groups import IntegersGroup
 from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
-from mnseries.rings import ring_from_table
+from mnseries.rings import ring_from_table, ring_zn
 from mnseries.series import (embed_scalar, exhaustive_series, random_series,
                              series_add, series_make, series_mul, series_to_json,
                              trivial_twist)
@@ -42,6 +42,16 @@ def test_universe_enumeration(tw_z4):
 def test_universe_cap(tw_z4):
     with pytest.raises(SizeCapExceeded):
         TruncatedUniverse(tw_z4, [0, 1, 2], cap=10)
+
+
+def test_universe_ring_size_cap():
+    # the ring of an ideal lattice and of a universe has at most 256 elements
+    universe = TruncatedUniverse(trivial_twist(ring_zn(256)), [0])
+    assert universe.quotient([[(0, 2)]], {0}, "right") == {(0,), (128,)}
+    assert universe.quotient([[(0, 2)]], {0, 128}, "left") == {(0,), (64,), (128,), (192,)}
+    with pytest.raises(SizeCapExceeded, match="ring Z257 has 257 elements, cap 256") as exc:
+        TruncatedUniverse(trivial_twist(ring_zn(257)), [0])
+    assert exc.value.bounds == {"size_cap": 256}
 
 
 # --- fusible decomposition lift ---

@@ -1,13 +1,18 @@
-"""Differential tests for the truncated universe's scans.
+"""Differential tests for the truncated universe's quotients.
 
-The oracle is the Series path the harnesses ran before their scans moved
-onto the window algebra: `series_mul` and `series_add` double loops over
-`exhaustive_series`, kept here rather than as a second path in the library.
-The subgroup test that decides the harnesses' sum identities has the
-product-form `TruncatedUniverse.set_sum` as its oracle.
+The oracles are the Series path the harnesses ran before their scans moved
+onto the window algebra, `series_mul` and `series_add` double loops over
+`exhaustive_series`, and `oracles.universe_quotient_scan`, the filter that
+multiplied every window series by every factor before quotients became
+kernels of the additive window product. Both stay in the tests rather than
+as second paths in the library. The subgroup test that decides the
+harnesses' sum identities has the product-form `TruncatedUniverse.set_sum`
+as its oracle.
 """
 
 import functools
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +22,14 @@ import mnseries.cli as cli
 import mnseries.series as series_module
 from mnseries.errors import HypothesisFails, PreconditionFail, TwistMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
-from mnseries.ideals import enumerate_ideals, is_subgroup_sum, make_ideal
+from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, make_ideal
 from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
                             ring_zn, units)
-from mnseries.series import (exhaustive_series, series_add, series_make, series_mul,
-                             trivial_twist, twist_from_spec)
+from mnseries.series import (exhaustive_series, random_series, series_add, series_make,
+                             series_mul, trivial_twist, twist_from_spec)
 from mnseries.transfer import (TruncatedUniverse, lift_fusible_decomposition,
                                series_zip_witness)
-from oracles import ut2_table
+from oracles import universe_quotient_scan, ut2_table
 
 
 def _cases():
@@ -196,6 +201,140 @@ def test_quotient_by_an_ideal_matches_the_series_loop_on_generated_rings(case, d
         st.lists(st.sampled_from(universe.members), min_size=1, max_size=3)))
 
 
+# --- the quotient kernel against the scan it replaced ---------------------------
+
+
+def _terms(member):
+    return [(i, c) for i, c in enumerate(member) if c]
+
+
+def _check_kernel(universe, factors, member_sets):
+    """universe.quotient equals the scan on both sides, for every member set."""
+    for members in member_sets:
+        for side in ("left", "right"):
+            assert universe.quotient(factors, members, side) == universe_quotient_scan(
+                universe, factors, members, side), (sorted(members), factors, side)
+
+
+def _quotient_member_sets(ring):
+    return [frozenset({0}), *(I.members for I in _nonzero_twosided_ideals(ring))]
+
+
+def _kernel_cases():
+    """CASES, plus rings of characteristic other than 2, where v != -v, and
+    one-position windows."""
+    extra = {
+        "z3-tau": (ring_zn(3), [-1, 0, 1], 2),
+        "z6-tau": (ring_zn(6), [0, 1], 5),
+        "z9-tau": (ring_zn(9), [0, 1], 8),
+        "z5-one-position": (ring_zn(5), [1], 4),
+        "ut2-one-position": (ring_from_table(ut2_table(2)), [0], 5),
+    }
+    cases = dict(CASES)
+    for name, (ring, window, unit) in extra.items():
+        twist = twist_from_spec(ring, IntegersGroup(), {
+            "tau": {"kind": "unit_power", "unit": unit, "exponent_rule": "product"}})
+        cases[name] = TruncatedUniverse(twist, window)
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_the_quotient_kernel_matches_the_scan_on_every_case(name):
+    universe = KERNEL_CASES[name]
+    picks = [_terms(m) for m in universe.members[1::7]]
+    factor_lists = [[], *([p] for p in picks[:6]), picks[:3],
+                    [t for t in picks if len(t) > 1][:2]]
+    assert any(len(t) > 1 for f in factor_lists for t in f) or len(universe.window) == 1
+    for factors in factor_lists:
+        _check_kernel(universe, factors, _quotient_member_sets(universe.twist.ring))
+
+
+def test_the_kernel_matches_second_halves_with_their_negatives():
+    """UT2(Z3) is not Armendariz: (0 : e22 + e12 X) on the left holds a u
+    whose second half, negated, gives a u' outside it. So the kernel must
+    match a second-half sum with the bucket of its negative; its own bucket
+    would give another set. (Over the Z_n, where each kernel is a product of
+    per-position annihilators, both give the same set.)"""
+    ring = ring_from_table(ut2_table(3))  # [[a, b], [0, c]] has id 9a + 3b + c
+    universe = TruncatedUniverse(trivial_twist(ring, IntegersGroup()), [0, 1])
+    factors = [[(0, 1), (1, 3)]]
+    kernel = universe.quotient(factors, {0}, "left")
+    assert kernel == universe_quotient_scan(universe, factors, {0}, "left")
+    assert any((u[0], ring.neg(u[1])) not in kernel for u in kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_universes(), st.data())
+def test_the_quotient_kernel_matches_the_scan_on_generated_rings(case, data):
+    universe, _ = case
+    factors = [_terms(m) for m in data.draw(
+        st.lists(st.sampled_from(universe.members), max_size=3))]
+    _check_kernel(universe, factors, _quotient_member_sets(universe.twist.ring))
+
+
+@pytest.mark.parametrize("ring, window", [
+    (ring_product(ring_zn(2), ring_zn(2)), [0, 1, 2]),
+    (ring_product(ring_zn(2), ring_zn(3)), [0, 1, 2]),
+    (ring_product(ring_zn(3), ring_zn(3)), [-1, 1]),
+    (ring_zn(5), [2]),
+])
+def test_the_lift_decides_regularity_as_the_scan_does(ring, window):
+    """Every h of 60 seeded lifts, most of them several terms long: (0 : h),
+    kept in the universe's memo, is what the scan finds, and the witness of
+    an h that is not left regular is the scan's least nonzero member."""
+    twist = trivial_twist(ring, IntegersGroup())
+    universe = TruncatedUniverse(twist, window)
+    rng = random.Random(7)
+    real, quotients = TruncatedUniverse.quotient, []
+    zero, hs = universe.members[0], set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedUniverse, "quotient",
+                   lambda *args: quotients.append(None) or real(*args))
+        for _ in range(60):
+            lift = lift_fusible_decomposition(
+                random_series(twist, rng, window, len(window)), universe)
+            h = universe.member(lift.h)
+            hs.add(tuple(h))
+            killers = universe_quotient_scan(universe, [h], {0}, "right") - {zero}
+            assert lift.h_regular_ok == (not killers)
+            assert lift.h_regular_witness == (universe.series(min(killers)) if killers else None)
+    assert len(quotients) == len(hs) < 60
+    assert any(len(h) > 1 for h in hs) or len(window) == 1
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_annihilators_on_generators_match_every_coefficient(name):
+    """annihilator(C, side) reads only the greedy additive generators of C;
+    over coefficient sets that are not subgroups it still finds what the
+    scan by every single term c X^x, c in C - {0}, finds."""
+    universe = KERNEL_CASES[name]
+    ring = universe.twist.ring
+    rng = random.Random(3)
+    subsets = [set(c) for k in (1, 2) for c in itertools.combinations(ring.elements(), k)]
+    subsets += [set(rng.sample(ring.elements(), rng.randint(3, ring.size)))
+                for _ in range(12) if ring.size >= 3]
+    assert any(classify_kind(ring, c | {0}) == "subset" for c in subsets)
+    for coeffs in subsets:
+        singles = [[(i, c)] for i in range(len(universe.window)) for c in sorted(coeffs - {0})]
+        for side in ("left", "right"):
+            assert universe.annihilator(coeffs, side) == universe_quotient_scan(
+                universe, singles, {0}, side), (sorted(coeffs), side)
+
+
+def test_a_quotient_by_a_set_that_is_not_a_subgroup_raises():
+    universe = CASES["z4-tau"]
+    factors = [[(0, 1)]]
+    for members in ({1}, {0, 1}, {0, 1, 2}, {0, 3}):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="not an additive subgroup"):
+                universe.quotient(factors, members, side)
+    assert universe.quotient(factors, {0, 2}, "right") == universe_quotient_scan(
+        universe, factors, {0, 2}, "right")
+
+
 # --- the sum identities: subgroup arithmetic against the product form ----------
 
 
@@ -331,9 +470,9 @@ def test_thm54_enumerates_its_window_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_annihilator_scans_once_per_coefficient_set_and_side(monkeypatch):
+def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):
     """lemma4.3 on t_z4_example_5_6 asks for 160 annihilators of 14 distinct
-    (coefficient set, side) keys; each key is one quotient scan over the
+    (coefficient set, side) keys; each key is one quotient kernel over the
     single-term series c*X^x, at most |universe| * w * |C - {0}| multiplies
     (not one per series with coefficients in C), and the shared result is a
     frozenset, which no caller can change."""
@@ -351,17 +490,17 @@ def test_annihilator_scans_once_per_coefficient_set_and_side(monkeypatch):
         return real_quotient(universe, factors, members, side)
 
     real = TruncatedUniverse.annihilator
-    calls, scans = [], []
+    calls, kernels = [], []
 
     def counting(universe, coeffs, side):
-        before, scanned = len(multiplies), len(quotients)
+        before, computed = len(multiplies), len(quotients)
         result = real(universe, coeffs, side)
         assert isinstance(result, frozenset)
         calls.append(None)
-        if len(quotients) > scanned:
-            assert len(quotients) == scanned + 1
+        if len(quotients) > computed:
+            assert len(quotients) == computed + 1
             coeffs = frozenset(coeffs)
-            scans.append((coeffs, side))
+            kernels.append((coeffs, side))
             bound = len(universe) * len(universe.window) * len(coeffs - {0})
             assert len(multiplies) - before <= bound, (sorted(coeffs), side)
         return result
@@ -371,7 +510,7 @@ def test_annihilator_scans_once_per_coefficient_set_and_side(monkeypatch):
     monkeypatch.setattr(TruncatedUniverse, "annihilator", counting)
     assert cli.run_suite(fx, "lemma4.3").status == "pass"
     assert len(calls) == 160
-    assert len(scans) == len(set(scans)) == 14
+    assert len(kernels) == len(set(kernels)) == 14
 
     universe = CASES["z4-tau"]
     assert universe.annihilator([2, 0], "left") is universe.annihilator({0, 2}, "left")

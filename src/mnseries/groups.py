@@ -2,8 +2,8 @@
 
 Elements are plain ints (Z) or k-tuples of ints (Z^k), so Python's own
 `<`, `min` and `sorted` give the group order. Both orders are bi-invariant
-total orders, which is what the leading-term arguments on series supports
-rely on.
+total orders, which is what the leading- and trailing-term arguments on
+series supports rely on.
 """
 
 from __future__ import annotations

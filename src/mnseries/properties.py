@@ -19,7 +19,7 @@ from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_idea
                      quotient_ideal, right_annihilators, set_sum,
                      singleton_quotient_masks, subgroup_sum)
 from .rings import FiniteRing, RingAutomorphism
-from .series import TwistSystem, WindowAlgebra, series_to_json
+from .series import TwistSystem, WindowAlgebra, series_mul, series_to_json
 
 DEFAULT_PAIR_CAP = 1 << 20
 DEFAULT_SUBSET_CAP = 1 << 16
@@ -204,9 +204,11 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
 
     This is an enumerative check of the fragment only, never a proof of the
     unbounded property; the report carries its bounds. Pairs come from the
-    leading-term join (WindowAlgebra.join with U = {0}), so a pair whose
-    leading term is nonzero is decided without its product being built;
-    pairs_checked counts those pruned pairs too.
+    window join (WindowAlgebra.join with U = {0}), so a pair whose leading
+    or trailing term is nonzero is decided without its product being built;
+    pairs_checked counts those pruned pairs too. A witness pair is
+    multiplied again with series_mul before the verdict False is reported:
+    a nonzero product, or a zero a_i b_j, raises TraceMismatch.
     """
     grp = twist.group
     exps = [grp.canon(x) for x in exponents]
@@ -224,10 +226,15 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
                    None)
         if hit is not None:
             i, j, product = hit
-            witness = {"f": series_to_json(alg.series(f)),
-                       "g": series_to_json(alg.series(g)),
-                       "x": grp.to_json(alg.window[i]), "y": grp.to_json(alg.window[j]),
-                       "product": product}
+            fs, gs = alg.series(f), alg.series(g)
+            x, y = alg.window[i], alg.window[j]
+            fg, ab = series_mul(fs, gs), ring.mul(fs.coeff(x), gs.coeff(y))
+            if not fg.is_zero or ab == 0:
+                raise TraceMismatch(f"G-Armendariz witness f = {fs}, g = {gs} at x = "
+                                    f"{grp.to_json(x)}, y = {grp.to_json(y)} does not re-check: "
+                                    f"series_mul gives f*g = {fg} and f(x)g(y) = {ab}")
+            witness = {"f": series_to_json(fs), "g": series_to_json(gs),
+                       "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
             pairs_checked = p * len(universe) + q + 1
             break
     bounds = {"max_support": max_support,

@@ -293,10 +293,6 @@ def series_make(twist: TwistSystem, pairs: Iterable[tuple]) -> Series:
     return Series(twist, terms)
 
 
-def series_zero(twist: TwistSystem) -> Series:
-    return Series(twist, {})
-
-
 def embed_scalar(twist: TwistSystem, r: int) -> Series:
     """r -> r*X^1; the ring embedding, which needs a normalized twist."""
     if not twist.normalized:
@@ -324,19 +320,6 @@ def series_neg(f: Series) -> Series:
 
 def series_sub(f: Series, g: Series) -> Series:
     return series_add(f, series_neg(g))
-
-
-def x_w_pairs(f: Series, g: Series, w) -> list[tuple]:
-    """Pairs (x, y) with x in supp f, y in supp g, xy = w; ascending in x."""
-    tw = _same_twist(f, g)
-    grp = tw.group
-    w = grp.canon(w)
-    out = []
-    for x in f.support():
-        y = grp.op(grp.inverse(x), w)
-        if y in g.terms:
-            out.append((x, y))
-    return out
 
 
 def term_product(tw: TwistSystem, a: int, x, b: int, y) -> int:
@@ -408,7 +391,8 @@ class WindowAlgebra:
         self.neg = [ring.neg(a) for a in ring.elements()]
 
     def universe(self, max_support: int | None = None) -> list[list[tuple]]:
-        """Every series inside the window, in the order of exhaustive_series."""
+        """Every series inside the window, in the lexicographic order of its
+        coefficient tuple over the window positions."""
         return list(_window_terms(self.twist.ring.size, len(self.window), max_support))
 
     def classes(self, members) -> tuple[list[list[tuple]], list[int]]:
@@ -473,32 +457,43 @@ class WindowAlgebra:
         g-minor order.
 
         Over an ordered group the least exponent of fg is x0 y0, for x0 and
-        y0 the least exponents of f and g, and its coefficient is the single
-        term f(x0) sigma_x0(g(y0)) tau(x0, y0). A pair whose leading term
-        lies outside `members` cannot qualify, so the universe is bucketed by
-        leading (position, coefficient) and only pairs from admissible
-        buckets are multiplied.
+        y0 the least exponents of f and g, and only that pair reaches it, so
+        its coefficient is the single term f(x0) sigma_x0(g(y0)) tau(x0, y0).
+        Likewise the greatest exponent x1 y1, for x1 and y1 the greatest
+        exponents, carries the single term f(x1) sigma_x1(g(y1)) tau(x1, y1).
+        A pair with either term outside `members` cannot qualify. So the
+        universe is bucketed by leading (position, coefficient), each f's
+        lead-admissible partners are filtered on their trailing term once per
+        (lead, trail) of f, and only the pairs left are multiplied.
         """
         members = frozenset(members)
         win = self.window
         leads = [min(g, key=lambda t: win[t[0]]) if g else None for g in universe]
+        trails = [max(g, key=lambda t: win[t[0]]) if g else None for g in universe]
+        trail_keys = set(trails) - {None}
         zeros = [q for q, lead in enumerate(leads) if lead is None]
         buckets: dict[tuple, list[int]] = {}
         for q, lead in enumerate(leads):
             if lead is not None:
                 buckets.setdefault(lead, []).append(q)
         everyone = range(len(universe))
+        leading: dict[tuple, list[int]] = {}
         partners: dict[tuple, list[int]] = {}
         for p, f in enumerate(universe):
-            lead = leads[p]
+            lead, trail = leads[p], trails[p]
             if lead is None:
                 candidates = everyone
-            elif lead in partners:
-                candidates = partners[lead]
+            elif (lead, trail) in partners:
+                candidates = partners[lead, trail]
             else:
-                rows = self.term[lead[0]][lead[1]]
-                candidates = partners[lead] = sorted(itertools.chain(
-                    zeros, *(qs for (j, b), qs in buckets.items() if rows[j][b] in members)))
+                if lead not in leading:
+                    rows = self.term[lead[0]][lead[1]]
+                    leading[lead] = sorted(itertools.chain(
+                        zeros, *(qs for (j, b), qs in buckets.items() if rows[j][b] in members)))
+                rows = self.term[trail[0]][trail[1]]
+                admissible = {None, *((j, b) for j, b in trail_keys if rows[j][b] in members)}
+                candidates = partners[lead, trail] = [
+                    q for q in leading[lead] if trails[q] in admissible]
             for q in candidates:
                 fg = self.multiply(f, universe[q])
                 if members.issuperset(fg):
@@ -506,9 +501,6 @@ class WindowAlgebra:
 
     def series(self, terms: list[tuple]) -> Series:
         return Series(self.twist, {self.window[i]: c for i, c in terms})
-
-    def product_series(self, fg: list[int]) -> Series:
-        return Series(self.twist, {z: c for z, c in zip(self.products, fg) if c})
 
 
 @dataclass
@@ -797,18 +789,3 @@ def _window_terms(size: int, width: int, max_support: int | None = None) -> Iter
         terms = [(i, c) for i, c in enumerate(coeffs) if c]
         if max_support is None or len(terms) <= max_support:
             yield terms
-
-
-def exhaustive_series(twist: TwistSystem, exponents: Sequence,
-                      max_support: int | None = None) -> Iterable[Series]:
-    """Every series with support inside the window, in deterministic order."""
-    exps = [twist.group.canon(x) for x in exponents]
-    for terms in _window_terms(twist.ring.size, len(exps), max_support):
-        yield Series(twist, {exps[i]: c for i, c in terms})
-
-
-def single_term_triples(twist: TwistSystem, exponents: Sequence) -> Iterable[tuple]:
-    """All triples of single-term series with nonzero coefficients."""
-    singles = [Series(twist, {twist.group.canon(x): c})
-               for x in exponents for c in range(1, twist.ring.size)]
-    return itertools.product(singles, repeat=3)

@@ -60,7 +60,7 @@ def universe_count(size: int, length: int, cap: int = DEFAULT_UNIVERSE_CAP) -> i
 
 class TruncatedUniverse(Memo):
     """All series with support inside a finite window, as coefficient tuples
-    over the sorted window in exhaustive_series order: the decidable stand-in
+    over the sorted window, in lexicographic tuple order: the decidable stand-in
     for the full series ring, over which its quantifiers become quotients.
     Its ring has at most DEFAULT_SIZE_CAP elements, as an ideal lattice's
     has, so the quotient kernel can hold a coefficient in a byte."""

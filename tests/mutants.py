@@ -86,6 +86,26 @@ MUTANTS = {
         "if rann[K] != target:",
         "if False:",
         ("tests/test_cli.py", "-k", "lying_kernel_fails_properties")),
+    "g-armendariz-recheck-dropped": Mutant(
+        "is_G_armendariz reports its witness pair without multiplying it again",
+        "mnseries/properties.py",
+        "if not fg.is_zero or ab == 0:",
+        "if False:",
+        ("tests/test_window.py", "-k", "rechecks_its_witness")),
+    # the window join's prune
+    "join-trail-reads-the-lead-row": Mutant(
+        "the trailing check reads the table row of f's leading term, not its trailing one",
+        "mnseries/series.py",
+        "rows = self.term[trail[0]][trail[1]]",
+        "rows = self.term[lead[0]][lead[1]]",
+        ("tests/test_window.py", "-k", "join_prunes_no_qualifying_pair")),
+    "join-trail-at-the-least-exponent": Mutant(
+        "the trailing term is taken at the least exponent, so the join prunes by "
+        "leading term alone",
+        "mnseries/series.py",
+        "trails = [max(g, key=",
+        "trails = [min(g, key=",
+        ("tests/test_window.py", "-k", "join_multiplies_only_pairs")),
     # the earlier table and window fast paths
     "left-annihilator-reads-rows": Mutant(
         "l(X) reads the rows x of the product table, not its columns",

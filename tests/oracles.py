@@ -10,8 +10,11 @@ scan's count over all 2^|R| subsets, and the truncated universe's
 quotient as a filter that multiplies every window series by every factor.
 They stay here as oracles, not as second paths in `src/`, beside
 `random_triples`, the seeded triples of series the associativity tests
-draw. The table builders make test rings and tables that are not rings:
-UT2(Z_n), a ring with + relabelled, F2^k algebras and loops.
+draw, and the Series-level helpers the differential tests compare the
+window algebra with: every series of a window, the single-term triples,
+the X_w pairs of a product exponent, the zero series and a window product
+as a Series. The table builders make test rings and tables that are not
+rings: UT2(Z_n), a ring with + relabelled, F2^k algebras and loops.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
 from mnseries.properties import PropertyReport
 from mnseries.rings import FiniteRing
-from mnseries.series import TwistSystem, random_series
+from mnseries.series import Series, TwistSystem, WindowAlgebra, random_series
 
 
 def ut2_table(n: int) -> dict:
@@ -304,3 +307,41 @@ def random_triples(twist: TwistSystem, rng, exponents, count: int,
     """`count` triples of seeded random nonzero series inside the window."""
     return [tuple(random_series(twist, rng, exponents, max_support) for _ in range(3))
             for _ in range(count)]
+
+
+def exhaustive_series(twist: TwistSystem, exponents, max_support: int | None = None):
+    """Every series with support inside the window, in the lexicographic
+    order of its coefficient tuple over the exponents as listed."""
+    exps = [twist.group.canon(x) for x in exponents]
+    for coeffs in itertools.product(range(twist.ring.size), repeat=len(exps)):
+        terms = {x: c for x, c in zip(exps, coeffs) if c}
+        if max_support is None or len(terms) <= max_support:
+            yield Series(twist, terms)
+
+
+def single_term_triples(twist: TwistSystem, exponents):
+    """All triples of single-term series with nonzero coefficients."""
+    singles = [Series(twist, {twist.group.canon(x): c})
+               for x in exponents for c in range(1, twist.ring.size)]
+    return itertools.product(singles, repeat=3)
+
+
+def x_w_pairs(f: Series, g: Series, w) -> list[tuple]:
+    """Pairs (x, y) with x in supp f, y in supp g, xy = w; ascending in x."""
+    grp = f.twist.group
+    w = grp.canon(w)
+    out = []
+    for x in f.support():
+        y = grp.op(grp.inverse(x), w)
+        if y in g.terms:
+            out.append((x, y))
+    return out
+
+
+def series_zero(twist: TwistSystem) -> Series:
+    return Series(twist, {})
+
+
+def product_series(alg: WindowAlgebra, fg: list[int]) -> Series:
+    """A window algebra's product coefficient list as a Series."""
+    return Series(alg.twist, {z: c for z, c in zip(alg.products, fg) if c})

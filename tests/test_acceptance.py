@@ -19,11 +19,11 @@ from mnseries.properties import (is_IN, is_SA, is_left_fusible,
                                  sigma_u_zip_scan, sigma_u_zip_witness,
                                  weak_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing, check_ring_axioms
-from mnseries.series import (check_associativity, check_twist_conditions,
-                             exhaustive_series, series_make, series_mul)
+from mnseries.series import (check_associativity, check_twist_conditions, series_make,
+                             series_mul)
 from mnseries.transfer import (TruncatedUniverse, coefficient_extraction,
                                extraction_oracle, sa_transfer_witness)
-from oracles import random_triples
+from oracles import exhaustive_series, random_triples
 
 GOOD_FIXTURES = ("z4_example_5_5", "t_z4_example_5_6", "klein_fusible",
                  "gf4_frobenius", "z4_tau_power")

@@ -10,14 +10,14 @@ from mnseries.groups import IntegersGroup
 from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import ring_from_table, ring_zn
-from mnseries.series import (embed_scalar, exhaustive_series, random_series,
-                             series_add, series_make, series_mul, series_to_json,
-                             trivial_twist)
+from mnseries.series import (embed_scalar, random_series, series_add, series_make,
+                             series_mul, series_to_json, trivial_twist)
 from mnseries.transfer import (TruncatedUniverse,
                                coefficient_extraction, extraction_oracle,
                                lift_fusible_decomposition,
                                lifted_annihilator_check, sa_transfer_witness,
                                series_zip_witness)
+from oracles import exhaustive_series
 
 
 @pytest.fixture(scope="module")

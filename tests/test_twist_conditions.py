@@ -20,8 +20,8 @@ from mnseries.cli import TWIST_WINDOW, load_fixture, resolve_fixture, shipped_fi
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.rings import ring_gf4, ring_product, ring_zn, unit_inverse, units
 from mnseries.series import (TauOne, TauPatched, TwistSystem, check_associativity,
-                             check_twist_conditions, series_make, single_term_triples,
-                             twist_from_spec)
+                             check_twist_conditions, series_make, twist_from_spec)
+from oracles import single_term_triples
 from test_window import _ut2_conjugation
 
 

@@ -2,7 +2,7 @@
 
 The oracles are the Series path the harnesses ran before their scans moved
 onto the window algebra, `series_mul` and `series_add` double loops over
-`exhaustive_series`, and `oracles.universe_quotient_scan`, the filter that
+`oracles.exhaustive_series`, and `oracles.universe_quotient_scan`, the filter that
 multiplied every window series by every factor before quotients became
 kernels of the additive window product. Both stay in the tests rather than
 as second paths in the library. The subgroup test that decides the
@@ -25,11 +25,11 @@ from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, make_ideal
 from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
                             ring_zn, units)
-from mnseries.series import (exhaustive_series, random_series, series_add, series_make,
-                             series_mul, trivial_twist, twist_from_spec)
+from mnseries.series import (random_series, series_add, series_make, series_mul,
+                             trivial_twist, twist_from_spec)
 from mnseries.transfer import (TruncatedUniverse, lift_fusible_decomposition,
                                series_zip_witness)
-from oracles import universe_quotient_scan, ut2_table
+from oracles import exhaustive_series, universe_quotient_scan, ut2_table
 
 
 def _cases():

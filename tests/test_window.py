@@ -1,4 +1,5 @@
-"""Differential tests for the compiled window algebra and its leading-term join.
+"""Differential tests for the compiled window algebra and its join, which
+prunes pairs by their leading and trailing terms.
 
 The oracle is the Series product: `series_mul` over every pair of a small
 window, and the plain double loops the exhaustive scans ran before they
@@ -20,12 +21,11 @@ from mnseries.ideals import enumerate_ideals
 from mnseries.properties import is_G_armendariz
 from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
                             ring_zn, units)
-from mnseries.series import (WindowAlgebra, exhaustive_series, series_make,
-                             series_mul, series_to_json, term_product,
-                             trivial_twist, twist_from_spec, x_w_pairs)
+from mnseries.series import (WindowAlgebra, series_make, series_mul, series_to_json,
+                             term_product, trivial_twist, twist_from_spec)
 from mnseries.transfer import (_extract, _trace, coefficient_extraction,
                                extraction_oracle)
-from oracles import ut2_table
+from oracles import exhaustive_series, product_series, ut2_table, x_w_pairs
 
 
 def _ut2_conjugation():
@@ -82,24 +82,42 @@ def test_dense_product_matches_series_mul(name):
     assert [alg.series(t) for t in universe] == series
     for p, f in enumerate(universe):
         for q, g in enumerate(universe):
-            assert alg.product_series(alg.multiply(f, g)) == products[p][q]
+            assert product_series(alg, alg.multiply(f, g)) == products[p][q]
+
+
+def _member_sets(ring):
+    """{0} and the members of every left, right and two-sided ideal."""
+    sets = {frozenset({0})}
+    for kind in ("left", "right", "twosided"):
+        sets.update(I.members for I in enumerate_ideals(ring, kind))
+    return sorted(sets, key=sorted)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_join_prunes_no_qualifying_pair(name):
+    """For {0} and every one-sided and two-sided ideal, over the whole
+    universe, the series of at most one or two terms (a single-term series
+    has its leading term as its trailing one) and the series of two or more
+    terms (whose trailing terms need not lead any series), the join yields
+    exactly the pairs whose series_mul product has all its coefficients in
+    the set, each with that product."""
     twist, window = CASES[name]
     alg = WindowAlgebra(twist, window)
-    universe = alg.universe()
-    series, products = _oracle(name)
-    n = len(series)
-    for U in enumerate_ideals(twist.ring, "twosided"):
-        joined = [(p, q) for p, q, _ in alg.join(universe, U.members)]
-        expected = [(p, q) for p in range(n) for q in range(n)
-                    if products[p][q].content() <= U.members]
-        assert joined == expected, U.sorted_members()
+    full = alg.universe()
+    _, products = _oracle(name)
+    universes = [full, alg.universe(1), alg.universe(2), [t for t in full if len(t) > 1]]
+    for universe in universes:
+        index = [full.index(t) for t in universe]
+        for members in _member_sets(twist.ring):
+            joined = [(p, q, product_series(alg, fg))
+                      for p, q, fg in alg.join(universe, members)]
+            expected = [(p, q, products[index[p]][index[q]])
+                        for p in range(len(universe)) for q in range(len(universe))
+                        if products[index[p]][index[q]].content() <= members]
+            assert joined == expected, (len(universe), sorted(members))
 
 
-def test_join_multiplies_only_pairs_with_an_admissible_leading_term(monkeypatch):
+def test_join_multiplies_only_pairs_with_admissible_leading_and_trailing_terms(monkeypatch):
     twist, window = CASES["z4-tau"]
     real = WindowAlgebra.multiply
     calls = []
@@ -111,7 +129,20 @@ def test_join_multiplies_only_pairs_with_an_admissible_leading_term(monkeypatch)
     monkeypatch.setattr(WindowAlgebra, "multiply", counting)
     rep = is_G_armendariz(twist.ring, twist, 3, window)
     assert rep.bounds["pairs_checked"] == 4096
-    assert rep.bounds["zero_products_seen"] <= len(calls) < 4096 // 4
+    assert rep.bounds["zero_products_seen"] == 176
+    assert len(calls) == 208  # 568 when pruned by leading term alone
+
+
+def test_g_armendariz_rechecks_its_witness_with_series_mul(monkeypatch):
+    """A window product that calls a nonzero fg zero yields a witness pair
+    that series_mul refutes: a named TraceMismatch, not the verdict False."""
+    twist, window = CASES["z4-tau"]
+    assert is_G_armendariz(twist.ring, twist, 3, window).verdict is True
+    monkeypatch.setattr(WindowAlgebra, "multiply",
+                        lambda alg, f, g: [0] * len(alg.products))
+    with pytest.raises(TraceMismatch, match="does not re-check") as exc:
+        is_G_armendariz(twist.ring, twist, 3, window)
+    assert "f*g = Series(0)" not in str(exc.value)
 
 
 def test_window_exponents_must_be_distinct(tw_z4_tau):
@@ -417,4 +448,4 @@ def test_dense_product_matches_series_mul_on_generated_rings(case):
     f = [(i, c) for i, c in enumerate(f) if c]
     g = [(i, c) for i, c in enumerate(g) if c]
     expected = series_mul(alg.series(f), alg.series(g))
-    assert alg.product_series(alg.multiply(f, g)) == expected
+    assert product_series(alg, alg.multiply(f, g)) == expected

@@ -490,7 +490,7 @@ def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         raise PreconditionFail("fixture names no ideal 'U'")
     require_zip(U, twist)
 
-    yield _zip_scan(fx, U)
+    yield sigma_u_zip_scan(fx.ring, U)
 
     lo, hi = fx.cap("window")
     try:
@@ -566,15 +566,6 @@ def _lift_scan(alg: WindowAlgebra, terms: list[list[tuple]],
     return len(terms) ** 2, qualifying, None
 
 
-def _zip_scan(fx: Fixture, U: IdealSet) -> PropertyReport:
-    """sigma_u_zip_scan, reported skipped over its subset cap."""
-    try:
-        return sigma_u_zip_scan(fx.ring, U)
-    except SizeCapExceeded as exc:
-        return PropertyReport("sigma-U-zip-scan", None, note=f"skipped: {exc}",
-                              bounds={"U": U.sorted_members(), **exc.bounds})
-
-
 def _zip_status(report: PropertyReport) -> str:
     if report.note:
         return report.note.split(":")[0]
@@ -586,7 +577,7 @@ def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     proper_two = {name: ideal for name, ideal in sorted(fx.ideals.items())
                   if ideal.kind == "twosided" and len(ideal.members) < ring.size}
     for name, U in proper_two.items():
-        scan = _zip_scan(fx, U)
+        scan = sigma_u_zip_scan(ring, U)
         scan.certificate = dict(scan.certificate or {}, ideal=name)
         yield scan
         single = singleton_quotient_masks(U)

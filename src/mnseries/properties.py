@@ -22,7 +22,6 @@ from .rings import FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_mul, series_to_json
 
 DEFAULT_PAIR_CAP = 1 << 20
-DEFAULT_SUBSET_CAP = 1 << 16
 DEFAULT_WITNESS_CAP = 1 << 12
 
 
@@ -91,12 +90,19 @@ def is_left_fusible(ring: FiniteRing) -> PropertyReport:
         if a not in reachable:
             witness = a
             break
-    # direct re-verification of the witness
+    # direct re-verification: the witness has no split, and on a True
+    # verdict every nonzero element has one
     splits = [] if witness is None else fusible_decompositions(ring, witness)
     if splits:
         raise TraceMismatch(f"set_sum leaves {witness} out of the left zero-divisors plus "
                             f"the left regular elements, but fusible_decompositions "
                             f"splits it as {splits[0]}")
+    if witness is None:
+        for a in range(1, ring.size):
+            if not any(ring.sub(a, z) in zd.left_regular for z in zd.left):
+                raise TraceMismatch(f"set_sum reaches {a} as a left zero-divisor plus a left "
+                                    f"regular element, but no left zero-divisor z leaves "
+                                    f"{a} - z left regular")
     return PropertyReport(
         "left-fusible", witness is None, witness=witness,
         certificate=None if witness is not None else
@@ -170,6 +176,12 @@ def is_SA(ring: FiniteRing) -> PropertyReport:
             target = subgroup_sum(ring, rann[I], rann[J])
             K = by_annihilator.get(target)
             if K is None:
+                direct = set_sum(ring, rann[I], rann[J])
+                if direct != target:  # the witness re-verifies
+                    raise TraceMismatch(f"subgroup_sum gives r(I) + r(J) = {sorted(target)} "
+                                        f"for I = {I.sorted_members()} and "
+                                        f"J = {J.sorted_members()}, but set_sum gives "
+                                        f"{sorted(direct)}")
                 witness = {"I": I.sorted_members(), "J": J.sorted_members(),
                            "r_sum": sorted(target)}
                 break
@@ -186,20 +198,20 @@ def is_SA(ring: FiniteRing) -> PropertyReport:
         certificate=None if witness else {"pairs": table})
 
 
-def check_pair_cap(size: int, length: int, pair_cap: int = DEFAULT_PAIR_CAP):
+def check_pair_cap(size: int, length: int):
     """SizeCapExceeded naming the cap unless the size^length series over
-    `length` exponents make at most pair_cap pairs. Every ring has two or
-    more elements, so a window longer than half the cap's bits is over it
-    for any ring, and is refused before its count is formed."""
-    count = size ** length if 2 * length <= pair_cap.bit_length() else None
-    if count is None or count * count > pair_cap:
+    `length` exponents make at most DEFAULT_PAIR_CAP pairs. Every ring has
+    two or more elements, so a window longer than half the cap's bits is
+    over it for any ring, and is refused before its count is formed."""
+    count = size ** length if 2 * length <= DEFAULT_PAIR_CAP.bit_length() else None
+    if count is None or count * count > DEFAULT_PAIR_CAP:
         shown = f"({size}^{length})" if count is None else count
-        raise SizeCapExceeded(f"{shown}^2 series pairs exceed the cap of {pair_cap}",
-                              {"pair_cap": pair_cap})
+        raise SizeCapExceeded(f"{shown}^2 series pairs exceed the cap of {DEFAULT_PAIR_CAP}",
+                              {"pair_cap": DEFAULT_PAIR_CAP})
 
 
 def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
-                    exponents: Sequence, pair_cap: int = DEFAULT_PAIR_CAP) -> PropertyReport:
+                    exponents: Sequence) -> PropertyReport:
     """fg = 0 forces all coefficient products to vanish, on a bounded fragment.
 
     This is an enumerative check of the fragment only, never a proof of the
@@ -212,7 +224,7 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     """
     grp = twist.group
     exps = [grp.canon(x) for x in exponents]
-    check_pair_cap(ring.size, len(exps), pair_cap)
+    check_pair_cap(ring.size, len(exps))
     alg = WindowAlgebra(twist, exps)
     universe = alg.universe(max_support)
     witness = None
@@ -366,81 +378,69 @@ def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport
                           bounds=bounds)
 
 
-def _qualifying_by_classes(U: IdealSet, single: list[int]) -> int:
-    """The number of subsets X of R not inside U with (U:X) = U, counted over
-    the residue classes v + U, for a right ideal U: (v + u)x = vx + ux with
-    ux in U, so (U:{v}) depends only on v's class. (U:X) is the AND of the
-    masks of the classes C that X meets, (2^|U| - 1)^|C| subsets meet
-    exactly C, and C must hold a class outside U. U's own class meets to
-    R, so this is 2^|U| * the sum of (2^|U| - 1)^|C| over the nonempty
-    sets C of other classes whose masks AND to U. A class whose members'
-    masks differ raises TraceMismatch."""
-    ring = U.ring
-    add = ring.add_table
-    size = len(U.members)
+def _meet_counts(masks: Sequence[int]) -> dict[int, int]:
+    """m -> the number of nonempty sets S of positions whose masks AND to
+    exactly m, for every m in the closure L of `masks` under AND (every
+    such AND lies in L). The sets whose AND contains m are the nonempty
+    subsets of the c(m) positions whose mask contains m, 2^c(m) - 1 of
+    them; Moebius inversion over L, from its largest members down,
+    subtracts the exact counts of the strictly larger members that contain
+    m. O(|L| * (len(masks) + |L|)). Every nonempty set has one AND, so the
+    counts must add up to 2^len(masks) - 1, or TraceMismatch."""
+    closure = set(masks)
+    frontier = closure
+    while frontier:
+        frontier = {a & b for a in frontier for b in closure} - closure
+        closure |= frontier
+    exact: dict[int, int] = {}
+    for m in sorted(closure, key=int.bit_count, reverse=True):
+        # exact holds only members with at least m's bits: m's strict supersets
+        above = sum(e for larger, e in exact.items() if larger & m == m)
+        exact[m] = (1 << sum(v & m == m for v in masks)) - 1 - above
+    if sum(exact.values()) != (1 << len(masks)) - 1:
+        raise TraceMismatch(f"the exact meet counts over {len(closure)} closure members add up "
+                            f"to {sum(exact.values())}, not 2^{len(masks)} - 1")
+    return exact
+
+
+def _qualifying_by_meets(U: IdealSet, single: Sequence[int]) -> int:
+    """The number of subsets X of R not inside U whose singleton quotient
+    masks AND to U's mask: those of all elements, less those of U's own."""
     u_mask = sum(1 << u for u in U.members)
-    masks = []  # one per class, U's own class first
-    covered = 0
-    for v in range(ring.size):
-        if covered >> v & 1:
-            continue
-        members = [add[v][u] for u in U.members]
-        cls = sum(1 << m for m in members)
-        if cls & covered or cls.bit_count() != size:
-            raise TraceMismatch(f"the cosets of U = {U.sorted_members()} do not partition the ring")
-        covered |= cls
-        if any(single[m] != single[v] for m in members):
-            raise TraceMismatch(f"the singleton quotient masks differ inside the class "
-                                f"{sorted(members)} of U = {U.sorted_members()}")
-        masks.append(single[v])
-    meet = [-1] * (1 << len(masks))
-    by_size = [0] * (len(masks) + 1)
-    for c in range(1, len(meet)):
-        low = c & -c
-        meet[c] = meet[c ^ low] & masks[low.bit_length() - 1]
-        if c != 1 and meet[c] == u_mask:  # c = 1 is U's class alone: X inside U
-            by_size[c.bit_count()] += 1
-    weight = (1 << size) - 1
-    return sum(count * weight ** k for k, count in enumerate(by_size))
+    inside = [single[u] for u in sorted(U.members)]
+    return _meet_counts(single).get(u_mask, 0) - _meet_counts(inside).get(u_mask, 0)
 
 
-def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
-                     subset_cap: int = DEFAULT_SUBSET_CAP) -> PropertyReport:
+def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet) -> PropertyReport:
     """Exhaust all subsets X of R: whenever X is not inside U and (U:X) = U,
     a finite witness Y with (U:Y) = U must exist.
 
-    Subset quotients are bitmask intersections of the singleton quotients
-    (U:{v}), read from the ring's `singleton_quotient_masks`, so the scan
-    covers 2^|R| subsets; minimal witnesses are
-    searched per subset only below the witness cap, among those same masks,
-    and the chosen Y alone is checked again with quotient_ideal. Above the
-    witness cap the count is all the certificate holds, and for a right
-    ideal U it is counted over the residue classes mod U instead of the
-    subsets. Singletons v outside U whose quotient (U:{v}) differs from U
-    are reported as anomalies rather than silently ignored.
+    (U:X) is the AND of the singleton quotient masks (U:{v}) over X, read
+    from the ring's `singleton_quotient_masks`. Up to the witness cap the
+    2^|R| subsets are walked one at a time, each qualifying X gets its
+    minimal witness searched among those masks, and the chosen Y alone is
+    checked again with quotient_ideal. Above the witness cap Y = X
+    certifies every qualifying X, so the certificate holds their count,
+    taken by Moebius inversion over the meet-closure of the masks: the sets
+    of all elements whose masks AND to U's mask, less those inside U. That
+    costs O(|L| * (|R| + |L|)) for the closure L, for an ideal of any side.
+    Singletons v outside U whose quotient (U:{v}) differs from U are
+    reported as anomalies rather than silently ignored.
     """
     n = ring.size
     total = 1 << n
-    if total > subset_cap:
-        raise SizeCapExceeded(f"2^{n} subsets exceed the cap of {subset_cap}",
-                              {"subset_cap": subset_cap})
-    u_mask = 0
-    for v in U.members:
-        u_mask |= 1 << v
-    full = (1 << n) - 1
+    u_mask = sum(1 << v for v in U.members)
     single = singleton_quotient_masks(U)
     anomalies = [{"element": v, "quotient": _bits(single[v])}
                  for v in range(n) if not (1 << v) & u_mask and single[v] != u_mask]
-    qualifying = 0
-    witnessed = 0
     failures = []
-    do_witness = total <= DEFAULT_WITNESS_CAP
     examples = []
-    if not do_witness and U.kind in ("right", "twosided"):
+    if total > DEFAULT_WITNESS_CAP:
         # Y = X certifies every qualifying X
-        qualifying = witnessed = _qualifying_by_classes(U, single)
+        qualifying = witnessed = _qualifying_by_meets(U, single)
     else:
-        dp = [full] * total
+        qualifying = witnessed = 0
+        dp = [total - 1] * total
         for x_mask in range(1, total):
             low = x_mask & -x_mask
             dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
@@ -449,27 +449,22 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet,
             if dp[x_mask] != u_mask:
                 continue
             qualifying += 1
-            if do_witness:
-                members = _bits(x_mask)
-                # candidates are read from the masks; only the chosen Y is
-                # checked against the table rows, so a wrong mask fails the verdict
-                minimal = _minimal_meet(members, single, u_mask.__eq__)
-                if minimal is None or quotient_ideal(U, minimal) != U.members:
-                    failures.append(members)
-                else:
-                    witnessed += 1
-                    if len(examples) < 8:
-                        examples.append({"X": members, "Y": list(minimal)})
+            members = _bits(x_mask)
+            # candidates are read from the masks; only the chosen Y is
+            # checked against the table rows, so a wrong mask fails the verdict
+            minimal = _minimal_meet(members, single, u_mask.__eq__)
+            if minimal is None or quotient_ideal(U, minimal) != U.members:
+                failures.append(members)
             else:
-                # a singleton witness, else X itself (dp already certifies it)
                 witnessed += 1
-    verdict = not failures
+                if len(examples) < 8:
+                    examples.append({"X": members, "Y": list(minimal)})
     cert = {"subsets": total, "qualifying": qualifying, "witnessed": witnessed,
             "anomalous_singletons": anomalies}
     if examples:
         cert["examples"] = examples
-    if not do_witness:
+    if total > DEFAULT_WITNESS_CAP:
         cert["note"] = "minimal witnesses searched only below the witness cap; Y = X certifies the rest"
-    return PropertyReport("sigma-U-zip-scan", verdict,
+    return PropertyReport("sigma-U-zip-scan", not failures,
                           witness=failures or None, certificate=cert,
                           bounds={"U": U.sorted_members()})

@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import getitem
-from typing import Any, Collection, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                      NotSigmaCompatible, PreconditionFail, RingMismatch,
@@ -45,11 +45,12 @@ from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
 DEFAULT_UNIVERSE_CAP = 4096
 
 
-def universe_count(size: int, length: int, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
+def universe_count(size: int, length: int) -> int:
     """size^length, the number of series over `length` exponents, or
-    SizeCapExceeded naming the cap when that exceeds it. Every ring has two
-    or more elements, so a window longer than the cap's bits is over it for
-    any ring, and is refused before its count is formed."""
+    SizeCapExceeded naming the cap when that exceeds DEFAULT_UNIVERSE_CAP.
+    Every ring has two or more elements, so a window longer than the cap's
+    bits is over it for any ring, and is refused before its count is formed."""
+    cap = DEFAULT_UNIVERSE_CAP
     count = size ** length if length <= cap.bit_length() else None
     if count is None or count > cap:
         shown = f"{size}^{length}" + ("" if count is None else f" = {count}")
@@ -65,8 +66,7 @@ class TruncatedUniverse(Memo):
     Its ring has at most DEFAULT_SIZE_CAP elements, as an ideal lattice's
     has, so the quotient kernel can hold a coefficient in a byte."""
 
-    def __init__(self, twist: TwistSystem, window: Iterable,
-                 cap: int = DEFAULT_UNIVERSE_CAP):
+    def __init__(self, twist: TwistSystem, window: Iterable):
         ring = twist.ring
         if ring.size > DEFAULT_SIZE_CAP:
             raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, "
@@ -77,7 +77,7 @@ class TruncatedUniverse(Memo):
             raise PreconditionFail("universe window must be nonempty")
         self.twist = twist
         self.window = win
-        self.count = universe_count(twist.ring.size, len(win), cap)
+        self.count = universe_count(twist.ring.size, len(win))
         self.algebra = WindowAlgebra(twist, win)
         self.terms = self.algebra.universe()
         self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
@@ -103,9 +103,6 @@ class TruncatedUniverse(Memo):
 
     def all_series(self) -> list[Series]:
         return [self.series(m) for m in self.members]
-
-    def nonzero_series(self) -> list[Series]:
-        return [s for s in self.all_series() if not s.is_zero]
 
     def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
         return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
@@ -186,14 +183,6 @@ class TruncatedUniverse(Memo):
             return self.quotient([[(i, c)] for i in range(len(self.window)) for c in gens],
                                  {0}, side)
         return self.once(("annihilator", coeffs, side), kernel)
-
-    def set_sum(self, A: Collection[tuple], B: Collection[tuple]) -> set[tuple]:
-        """{a + b | a in A, b in B}, coefficientwise, for any member sets: the
-        product form of |A|*|B| tuple sums, the oracle of `is_subgroup_sum`
-        on the universe's annihilators (subgroups, as the window product is
-        bilinear)."""
-        add = self.twist.ring.add_table
-        return {tuple(add[a][b] for a, b in zip(x, y)) for x in A for y in B}
 
     def describe(self) -> dict:
         return {"window": [self.twist.group.to_json(x) for x in self.window],
@@ -494,12 +483,6 @@ class DerivationTrace:
                 "conclusions": [
                     {"u": grp.to_json(u), "v": grp.to_json(v), "product": t}
                     for (u, v), t in sorted(self.conclusions.items(), key=repr)]}
-
-
-def extraction_oracle(f: Series, g: Series, U: IdealSet) -> dict:
-    """Direct scan: every pairwise twisted product and whether it lies in U."""
-    return {(u, v): term_product(f.twist, f.terms[u], u, g.terms[v], v)
-            for u in f.terms for v in g.terms}
 
 
 def coefficient_extraction(f: Series, g: Series, U: IdealSet) -> DerivationTrace:

@@ -80,6 +80,18 @@ MUTANTS = {
         "    if splits:\n",
         "    if False:\n",
         ("tests/test_cli.py", "-k", "lying_kernel_fails_properties")),
+    "left-fusible-true-recheck-dropped": Mutant(
+        "is_left_fusible reports True without splitting every nonzero element",
+        "mnseries/properties.py",
+        "if not any(ring.sub(a, z) in zd.left_regular for z in zd.left):",
+        "if False:",
+        ("tests/test_cli.py", "-k", "lying_kernel_fails_properties")),
+    "sa-witness-recheck-dropped": Mutant(
+        "is_SA reports its witness without forming r(I) + r(J) again with set_sum",
+        "mnseries/properties.py",
+        "if direct != target:",
+        "if False:",
+        ("tests/test_cli.py", "-k", "lying_kernel_fails_properties")),
     "sa-recheck-dropped": Mutant(
         "is_SA files K without comparing r(K) with r(I) + r(J)",
         "mnseries/properties.py",
@@ -118,7 +130,27 @@ MUTANTS = {
         "mnseries/ideals.py",
         "for row in ring.mul_table))",
         "for row in zip(*ring.mul_table)))",
-        ("tests/test_table_kernels.py", "-k", "class_count_matches_the_subset_count")),
+        ("tests/test_table_kernels.py", "-k", "meet_count_matches_the_subset_count_on_small")),
+    # the sigma-U-zip count by Moebius inversion over the meet-closure
+    "meet-count-walks-bottom-up": Mutant(
+        "the closure is walked from its smallest members up, so no larger "
+        "member's exact count is subtracted",
+        "mnseries/properties.py",
+        "sorted(closure, key=int.bit_count, reverse=True)",
+        "sorted(closure, key=int.bit_count)",
+        ("tests/test_table_kernels.py", "-k", "meet_count")),
+    "meet-count-keeps-subsets-of-U": Mutant(
+        "the sets inside U are not subtracted from the count",
+        "mnseries/properties.py",
+        "return _meet_counts(single).get(u_mask, 0) - _meet_counts(inside).get(u_mask, 0)",
+        "return _meet_counts(single).get(u_mask, 0)",
+        ("tests/test_table_kernels.py", "-k", "meet_count_matches_the_subset_count")),
+    "meet-closure-one-round": Mutant(
+        "the closure under AND stops after one round of pairwise meets",
+        "mnseries/properties.py",
+        "    while frontier:\n",
+        "    if frontier:\n",
+        ("tests/test_table_kernels.py", "-k", "meet_counts_match_the_subsets")),
     "subgroup-sum-drops-B-inside-C": Mutant(
         "is_subgroup_sum(C, A, B) no longer asks that B lie in C",
         "mnseries/ideals.py",

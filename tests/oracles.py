@@ -12,9 +12,12 @@ They stay here as oracles, not as second paths in `src/`, beside
 `random_triples`, the seeded triples of series the associativity tests
 draw, and the Series-level helpers the differential tests compare the
 window algebra with: every series of a window, the single-term triples,
-the X_w pairs of a product exponent, the zero series and a window product
-as a Series. The table builders make test rings and tables that are not
-rings: UT2(Z_n), a ring with + relabelled, F2^k algebras and loops.
+the X_w pairs of a product exponent, the zero series, a window product
+as a Series, a truncated universe's nonzero series and the coefficientwise
+sum of two of its member sets, and the pairwise products that the
+extraction trace must conclude. The table builders make test rings and
+tables that are not rings: UT2(Z_n), subalgebras of F2 matrix algebras,
+a ring with + relabelled, F2^k algebras and loops.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
 from mnseries.properties import PropertyReport
 from mnseries.rings import FiniteRing
-from mnseries.series import Series, TwistSystem, WindowAlgebra, random_series
+from mnseries.series import Series, TwistSystem, WindowAlgebra, random_series, term_product
 
 
 def ut2_table(n: int) -> dict:
@@ -294,6 +297,45 @@ def f2_algebra_table(k: int, products: dict, unit: int = 0) -> dict:
             "mul": [[mul(a, b) for b in range(n)] for a in range(n)], "one": 1 << unit}
 
 
+def f2_matrix_algebra_table(k: int, gens, max_size: int = 16) -> dict | None:
+    """The subalgebra of the k x k matrices over F2 generated by the identity
+    and `gens`, each a k*k-bit int (bit k*i + j is entry (i, j)): a ring,
+    commutative or not, or None when it has more than max_size elements.
+    Element ids are the members in ascending bit order, so 0 is the zero
+    matrix; + is xor."""
+    def mul(a, b):
+        out = 0
+        for i in range(k):
+            for j in range(k):
+                entry = sum(a >> (k * i + m) & b >> (k * m + j) & 1 for m in range(k))
+                out |= (entry & 1) << (k * i + j)
+        return out
+
+    def reduce(v, basis):
+        for b in basis:
+            v = min(v, v ^ b)
+        return v
+
+    identity = sum(1 << (k * i + i) for i in range(k))
+    basis: list[int] = []  # descending, with distinct leading bits
+    pending = [identity, *gens]
+    while pending:
+        v = reduce(pending.pop(), basis)
+        if v:
+            if 2 << len(basis) > max_size:
+                return None
+            pending += [mul(v, b) for b in basis + [v]] + [mul(b, v) for b in basis]
+            basis = sorted(basis + [v], reverse=True)
+    order = [0]
+    for b in basis:
+        order = sorted(order + [a ^ b for a in order])
+    index = {a: i for i, a in enumerate(order)}
+    return {"label": f"F2 subalgebra of M{k}", "size": len(order),
+            "add": [[index[a ^ b] for b in order] for a in order],
+            "mul": [[index[mul(a, b)] for b in order] for a in order],
+            "one": index[identity]}
+
+
 def loop_table(add) -> dict:
     """A table whose + is the given one (a loop, say, not associative) and
     whose * is that of Z_n, with one = 1."""
@@ -345,3 +387,23 @@ def series_zero(twist: TwistSystem) -> Series:
 def product_series(alg: WindowAlgebra, fg: list[int]) -> Series:
     """A window algebra's product coefficient list as a Series."""
     return Series(alg.twist, {z: c for z, c in zip(alg.products, fg) if c})
+
+
+def nonzero_series(universe) -> list[Series]:
+    """A truncated universe's nonzero members as Series, in universe order."""
+    return [s for s in universe.all_series() if not s.is_zero]
+
+
+def universe_set_sum(universe, A, B) -> set[tuple]:
+    """{a + b | a in A, b in B} for two sets of a truncated universe's
+    member tuples, coefficientwise: the product form of |A|*|B| tuple sums,
+    the oracle of `is_subgroup_sum` on the universe's annihilators."""
+    add = universe.twist.ring.add_table
+    return {tuple(add[a][b] for a, b in zip(x, y)) for x in A for y in B}
+
+
+def extraction_oracle(f: Series, g: Series) -> dict:
+    """Every pairwise twisted product f(u)*sigma_u(g(v))*tau(u, v), by
+    direct evaluation: the conclusions the extraction trace must reach."""
+    return {(u, v): term_product(f.twist, f.terms[u], u, g.terms[v], v)
+            for u in f.terms for v in g.terms}

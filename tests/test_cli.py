@@ -653,27 +653,42 @@ def test_one_sided_pair_quotient_is_a_false_verdict(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("suite, skipped", [
-    ("examples", ["sigma-U-zip-scan"]),
-    ("thm5.4", ["sigma-U-zip-scan", "extraction-vs-oracle", "series-zip"]),
+    ("examples", []),
+    ("thm5.4", ["extraction-vs-oracle", "series-zip"]),
 ])
 def test_capped_checks_are_skipped_not_fatal(tmp_path, capsys, suite, skipped):
-    # 2^32 subsets exceed the subset cap, and 32^3 window series the universe cap
+    # 32^3 window series exceed the universe cap; the 2^32 subsets of the
+    # zip scan are counted on the meet-closure of the singleton masks
     path = tmp_path / "z32.json"
     path.write_text(json.dumps({"label": "z32", "ring": {"kind": "Zn", "n": 32},
                                 "ideals": {"U": {"gens": [2]}}, **_PLAIN_TWIST}))
     assert main(["verify", str(path), "--suite", suite, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "pass"
+    scan = data["checks"][0]
+    assert (scan["property"], scan["verdict"]) == ("sigma-U-zip-scan", True)
+    # X qualifies iff it holds an odd element: (2^16 - 1) * 2^16 subsets
+    assert scan["certificate"]["qualifying"] == scan["certificate"]["witnessed"] == 4_294_901_760
     nulls = [c for c in data["checks"] if c["verdict"] is None]
     assert [c["property"] for c in nulls] == skipped
     for check in nulls:
         assert check["note"].startswith("skipped: ")
         assert "exceed the cap of" in check["note"]
-    caps = [c["bounds"] for c in nulls]
-    assert caps[0]["subset_cap"] == 65536
-    assert all(b["universe_cap"] == 4096 for b in caps[1:])
+        assert check["bounds"]["universe_cap"] == 4096
     if suite == "examples":
         assert [c["verdict"] for c in data["checks"][1:]] == [True, True]
+
+
+def test_examples_counts_z64_over_the_zero_ideal(tmp_path, capsys):
+    path = tmp_path / "z64.json"
+    path.write_text(json.dumps({"label": "z64", "ring": {"kind": "Zn", "n": 64},
+                                "ideals": {"zero": {"members": [0]}}}))
+    assert main(["verify", str(path), "--suite", "examples", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    scan = json.loads(captured.out)["checks"][0]
+    assert scan["verdict"] is True
+    assert scan["certificate"]["qualifying"] == 2 ** 64 - 2 ** 32
 
 
 @pytest.mark.parametrize("suite, count", [
@@ -867,26 +882,36 @@ def test_the_zip_witness_recheck_survives_python_O():
 
 
 _LYING_PROPERTY_KERNELS = {
+    # case: (the properties function replaced, its replacement, the mismatch)
     # nothing is reachable as a sum, so 1 = 0 + 1 looks unsplittable
-    "set_sum": ("lambda ring, A, B: frozenset()",
+    "set_sum": ("set_sum", "lambda ring, A, B: frozenset()",
                 "set_sum leaves 1 out of the left zero-divisors plus the left regular "
                 "elements, but fusible_decompositions splits it as (0, 1)"),
+    # everything is reachable as a sum, so Z4 looks left fusible, though 2 does not split
+    "set_sum-whole-ring": ("set_sum", "lambda ring, A, B: frozenset(ring.elements())",
+                           "set_sum reaches 2 as a left zero-divisor plus a left regular "
+                           "element, but no left zero-divisor z leaves 2 - z left regular"),
     # each ideal filed under another ideal's right annihilator
     "ideals_by_right_annihilator": (
+        "ideals_by_right_annihilator",
         "(lambda real: lambda ring: dict(zip(real(ring), reversed(real(ring).values()))))"
         "(properties.ideals_by_right_annihilator)",
         "K = [0, 1, 2, 3] is filed under r(I) + r(J) = [0, 1, 2, 3] for I = [0] and "
         "J = [0], but r(K) = [0]"),
+    # a sum no ideal annihilates, so Z4 looks not SA
+    "subgroup_sum": ("subgroup_sum", "lambda ring, A, B: frozenset({0, 1})",
+                     "subgroup_sum gives r(I) + r(J) = [0, 1] for I = [0] and J = [0], "
+                     "but set_sum gives [0, 1, 2, 3]"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LYING_PROPERTY_KERNELS))
-def test_a_lying_kernel_fails_properties_with_a_named_mismatch(monkeypatch, capsys, name):
-    """is_left_fusible and is_SA re-check their verdicts by raising, so a
-    wrong kernel ends the properties suite with exit 1 and the mismatch: no
-    AssertionError traceback and no verdict drawn from the wrong set, also
-    under `python -O`."""
-    source, message = _LYING_PROPERTY_KERNELS[name]
+@pytest.mark.parametrize("case", sorted(_LYING_PROPERTY_KERNELS))
+def test_a_lying_kernel_fails_properties_with_a_named_mismatch(monkeypatch, capsys, case):
+    """is_left_fusible and is_SA re-check both their verdicts and their
+    witnesses by raising, so a wrong kernel ends the properties suite with
+    exit 1 and the mismatch: no AssertionError traceback and no verdict
+    drawn from the wrong set, also under `python -O`."""
+    name, source, message = _LYING_PROPERTY_KERNELS[case]
     monkeypatch.setattr(properties, name, eval(source))
     assert main(["verify", "z4_example_5_5", "--suite", "properties", "--format", "json"]) == 1
     captured = capsys.readouterr()

@@ -15,7 +15,7 @@ before they moved onto subgroup arithmetic.
 
 A third fixture, Z32 over Z, untwisted, with U = (2), is the benchmark
 ladder's Z32 rung. Its `lemma4.3` and `thm4.5` runs (seed 0) must keep the
-bytes that the product-form sums of `TruncatedUniverse.set_sum` produced,
+bytes that the product-form sums of the truncated universe produced,
 before the sum identities moved onto subgroup arithmetic.
 
 The ring-axiom report is also pinned where the generator tests do their

@@ -5,7 +5,7 @@ import pytest
 import mnseries.properties as properties
 from mnseries.errors import SizeCapExceeded, TraceMismatch, ZeroElement
 from mnseries.ideals import make_ideal, nil_radical, quotient_ideal, singleton_quotient_masks
-from mnseries.properties import (_qualifying_by_classes, fusible_decompositions, is_G_armendariz,
+from mnseries.properties import (_meet_counts, fusible_decompositions, is_G_armendariz,
                                  is_IN, is_SA, is_left_fusible,
                                  is_right_nonsingular, is_sigma_compatible_ring,
                                  right_zip_witness, sigma_u_zip_scan,
@@ -134,10 +134,11 @@ def test_g_armendariz_swap_fails(klein, tw_klein_swap):
 
 
 def test_g_armendariz_bounds_cap(tz4):
+    # T(Z4) has 16 elements: 16^3 series over 0..2, 4096^2 pairs over the cap
     from mnseries.series import trivial_twist
     with pytest.raises(SizeCapExceeded) as exc:
-        is_G_armendariz(tz4, trivial_twist(tz4), 3, [0, 1, 2], pair_cap=1000)
-    assert exc.value.bounds == {"pair_cap": 1000}
+        is_G_armendariz(tz4, trivial_twist(tz4), 3, [0, 1, 2])
+    assert exc.value.bounds == {"pair_cap": 1 << 20}
 
 
 def test_sigma_u_zip_witness_z4(z4, u_z4):
@@ -204,24 +205,23 @@ def test_sigma_u_zip_scan_checks_only_each_chosen_witness(monkeypatch, z4, u_z4)
     assert rep.verdict is False and len(rep.witness) == rep.certificate["qualifying"]
 
 
-def test_sigma_u_zip_scan_cap(tz4, u_tz4):
-    with pytest.raises(SizeCapExceeded):
-        sigma_u_zip_scan(tz4, u_tz4, subset_cap=1024)
+def test_meet_counts_that_do_not_add_up_raise_rather_than_miscount(monkeypatch, tz4, u_tz4):
+    """T(Z4) over U = {(0, m)} is above the witness cap, so its scan counts
+    by Moebius inversion over the meet-closure of the singleton masks. A
+    count that does not add up to 2^|R| - 1 over the closure, here with the
+    walk taken from the smallest members up so that nothing is subtracted,
+    is a TraceMismatch, not a qualifying count."""
+    single = singleton_quotient_masks(u_tz4)
+    u_mask = sum(1 << u for u in u_tz4.members)
+    exact = _meet_counts(single)
+    assert sum(exact.values()) == (1 << 16) - 1
+    assert exact[u_mask] - _meet_counts([single[u] for u in u_tz4.members]).get(u_mask, 0) \
+        == sigma_u_zip_scan(tz4, u_tz4).certificate["qualifying"] == 65_280
 
-
-def test_a_class_whose_singleton_masks_differ_raises_rather_than_miscounts(monkeypatch, tz4,
-                                                                         u_tz4):
-    """T(Z4) over U = {(0, m)} is above the witness cap, so its scan counts by
-    classes mod U; a mask that differs from the rest of its class, 5 in the
-    class {4, 5, 6, 7}, is a TraceMismatch naming the class."""
-    single = list(singleton_quotient_masks(u_tz4))
-    assert _qualifying_by_classes(u_tz4, single) == 65_280
-    single[5] ^= 1 << 9
-    with pytest.raises(TraceMismatch, match=r"differ inside the class \[4, 5, 6, 7\]"):
-        _qualifying_by_classes(u_tz4, single)
-
-    monkeypatch.setattr(properties, "singleton_quotient_masks", lambda U: single)
-    with pytest.raises(TraceMismatch, match=r"differ inside the class \[4, 5, 6, 7\]"):
+    real_sorted = sorted
+    monkeypatch.setattr(properties, "sorted", lambda xs, key=None, reverse=False:
+                        real_sorted(xs, key=key, reverse=not reverse), raising=False)
+    with pytest.raises(TraceMismatch, match=r"add up to \d+, not 2\^16 - 1"):
         sigma_u_zip_scan(tz4, u_tz4)
 
 

@@ -13,7 +13,9 @@ extensions and the noncommutative UT2(Z2) and UT2(Z4), closures, lattices
 (in order), kinds, sums, quotients, generators, annihilators and the IN
 and SA reports must agree, and so must the zip searches on singleton
 masks and the per-subset searches they replaced, and the sigma-U-zip
-count over residue classes and the one over all 2^|R| subsets. On tables
+count by Moebius inversion over the meet-closure of the singleton masks
+and the one over all 2^|R| subsets, also on generated subrings of F2
+matrix rings. On tables
 with one entry changed, rings with + relabelled, F2^k algebras and loops,
 so must every (axiom, ok, witness), and a witness scan may run only for an
 axiom that fails.
@@ -25,20 +27,22 @@ import functools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mnseries import properties, rings
 from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                              ideal_closure, nil_radical, quotient_ideal, set_sum,
                              singleton_quotient_masks, subgroup_sum, weak_annihilator)
-from mnseries.properties import (DEFAULT_WITNESS_CAP, _qualifying_by_classes, is_IN, is_SA,
+from mnseries.properties import (DEFAULT_WITNESS_CAP, _meet_counts, _qualifying_by_meets,
+                                 is_IN, is_SA,
                                  right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
                                  weak_zip_witness)
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn)
 from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
-                     elementwise_weak_annihilator, f2_algebra_table, loop_table,
+                     elementwise_weak_annihilator, f2_algebra_table,
+                     f2_matrix_algebra_table, loop_table,
                      membership_quotient, relabelled_add_table, subset_dp_qualifying,
                      subset_right_zip_witness, subset_sigma_u_zip_witness,
                      subset_weak_zip_witness, triple_scan_axioms, ut2_table, worklist_closure,
@@ -366,19 +370,57 @@ def _small_ring_keys():
             + [("ut2", 2), ("ut2xZn", 2, 2)])
 
 
-def test_class_count_matches_the_subset_count_on_small_rings():
+def _assert_meet_count_matches_the_subset_count(ring, kind):
+    for U in enumerate_ideals(ring, kind):
+        expected = subset_dp_qualifying(U)
+        assert _qualifying_by_meets(U, singleton_quotient_masks(U)) == expected, (ring, kind, U)
+        if 1 << ring.size > DEFAULT_WITNESS_CAP:
+            cert = sigma_u_zip_scan(ring, U).certificate
+            assert cert["qualifying"] == cert["witnessed"] == expected, (ring, kind, U)
+
+
+def test_meet_count_matches_the_subset_count_on_small_rings():
     """On every two-sided ideal of the rings of at most 16 elements, and
-    every right ideal of the noncommutative ones, the count over residue
-    classes equals the count over all 2^|R| subsets (none for U = R); above
-    the witness cap it is what sigma_u_zip_scan reports."""
+    every left and right ideal of the noncommutative ones, the Moebius count
+    over the meet-closure of the singleton masks equals the count over all
+    2^|R| subsets (none for U = R); above the witness cap it is what
+    sigma_u_zip_scan reports."""
     for key in _small_ring_keys():
-        ring = _ring(*key)
-        kinds = ("twosided", "right") if key[0].startswith("ut2") else ("twosided",)
+        kinds = ("twosided", "right", "left") if key[0].startswith("ut2") else ("twosided",)
         for kind in kinds:
-            for U in enumerate_ideals(ring, kind):
-                expected = subset_dp_qualifying(U)
-                single = list(singleton_quotient_masks(U))
-                assert _qualifying_by_classes(U, single) == expected, (key, U)
-                if 1 << ring.size > DEFAULT_WITNESS_CAP:
-                    cert = sigma_u_zip_scan(ring, U).certificate
-                    assert cert["qualifying"] == cert["witnessed"] == expected, (key, U)
+            _assert_meet_count_matches_the_subset_count(_ring(*key), kind)
+
+
+@st.composite
+def _f2_matrix_algebras(draw):
+    """A subalgebra of the 2 x 2 or 3 x 3 matrices over F2 of at most 16
+    elements, generated by the identity and up to two drawn matrices."""
+    k = draw(st.sampled_from([2, 3]))
+    table = f2_matrix_algebra_table(k, draw(st.lists(st.integers(0, (1 << k * k) - 1),
+                                                     max_size=2)))
+    assume(table is not None)
+    return ring_from_table(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_f2_matrix_algebras(), st.sampled_from(["left", "right", "twosided"]))
+def test_meet_count_matches_the_subset_count_on_generated_matrix_rings(ring, kind):
+    """The same on generated subrings of F2 matrix rings: M2(F2), UT2(F2)
+    and other noncommutative ones among them."""
+    _assert_meet_count_matches_the_subset_count(ring, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 8) - 1), min_size=1, max_size=10))
+def test_meet_counts_match_the_subsets_on_generated_masks(masks):
+    """On any masks, not only quotient masks, whose closure under AND may
+    take several rounds: every nonempty subset's AND, counted one subset at
+    a time."""
+    expected = {}
+    for x in range(1, 1 << len(masks)):
+        meet = -1
+        for v, mask in enumerate(masks):
+            if x >> v & 1:
+                meet &= mask
+        expected[meet] = expected.get(meet, 0) + 1
+    assert _meet_counts(masks) == expected

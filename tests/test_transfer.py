@@ -13,11 +13,11 @@ from mnseries.rings import ring_from_table, ring_zn
 from mnseries.series import (embed_scalar, random_series, series_add, series_make,
                              series_mul, series_to_json, trivial_twist)
 from mnseries.transfer import (TruncatedUniverse,
-                               coefficient_extraction, extraction_oracle,
+                               coefficient_extraction,
                                lift_fusible_decomposition,
                                lifted_annihilator_check, sa_transfer_witness,
                                series_zip_witness)
-from oracles import exhaustive_series
+from oracles import exhaustive_series, extraction_oracle, nonzero_series
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +34,16 @@ def test_universe_enumeration(tw_z4):
     uni = TruncatedUniverse(tw_z4, [0, 1])
     assert len(uni) == 16
     assert len(uni.all_series()) == 16
-    assert len(uni.nonzero_series()) == 15
+    assert len(nonzero_series(uni)) == 15
     assert len(uni.with_coeffs_in({0, 2})) == 4
     assert uni.has_identity
 
 
 def test_universe_cap(tw_z4):
-    with pytest.raises(SizeCapExceeded):
-        TruncatedUniverse(tw_z4, [0, 1, 2], cap=10)
+    # a 7-exponent Z4 window holds 4^7 = 16384 series, over the cap of 4096
+    with pytest.raises(SizeCapExceeded, match="4\\^7 = 16384 universe series") as exc:
+        TruncatedUniverse(tw_z4, range(7))
+    assert exc.value.bounds == {"universe_cap": 4096}
 
 
 def test_universe_ring_size_cap():
@@ -101,7 +103,7 @@ def test_lift_invariants_on_seeded_samples(tw_klein, tw_gf4_frob):
             assert lift.ok
             assert series_add(lift.g, lift.h) == f
             assert lift.b in regular
-            for k in uni.nonzero_series():
+            for k in nonzero_series(uni):
                 assert not series_mul(lift.h, k).is_zero
 
 
@@ -230,7 +232,7 @@ def test_extraction_matches_oracle_exhaustively(tw_z4, u_z4):
         for g in exhaustive_series(tw_z4, window):
             if series_mul(f, g).content() <= u_z4.members:
                 trace = coefficient_extraction(f, g, u_z4)
-                oracle = extraction_oracle(f, g, u_z4)
+                oracle = extraction_oracle(f, g)
                 assert trace.conclusions == oracle
                 assert all(v in u_z4.members for v in oracle.values())
 

@@ -23,9 +23,9 @@ from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extensio
                             ring_zn, units)
 from mnseries.series import (WindowAlgebra, series_make, series_mul, series_to_json,
                              term_product, trivial_twist, twist_from_spec)
-from mnseries.transfer import (_extract, _trace, coefficient_extraction,
-                               extraction_oracle)
-from oracles import exhaustive_series, product_series, ut2_table, x_w_pairs
+from mnseries.transfer import _extract, _trace, coefficient_extraction
+from oracles import (exhaustive_series, extraction_oracle, product_series, ut2_table,
+                     x_w_pairs)
 
 
 def _ut2_conjugation():
@@ -309,7 +309,7 @@ def _extract_series(f, g, U, fg):
         if remainder != 0:
             fail(f"peeling X_w left a nonzero remainder at w={grp.to_json(w)}")
 
-    oracle = extraction_oracle(f, g, U)
+    oracle = extraction_oracle(f, g)
     if set(oracle) != set(established):
         fail("trace conclusions cover a different pair set than the oracle")
     for key, value in oracle.items():

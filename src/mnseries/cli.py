@@ -39,10 +39,10 @@ from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
                     identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
-from .series import (AssocReport, Series, TwistSystem, WindowAlgebra, check_associativity,
+from .series import (AssocReport, Series, TwistSystem, check_associativity,
                      check_twist_conditions, random_series, series_from_json, series_make,
                      series_mul, series_to_json, twist_from_spec)
-from .transfer import (TruncatedUniverse, _trace, lift_fusible_decomposition,
+from .transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decomposition,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness, universe_count)
 
@@ -52,7 +52,7 @@ DEFAULT_CAPS = {
     "max_support": 3,
     "assoc_samples": 200,
 }
-# fixed limits; the ring, universe, subset and witness caps live where they are enforced
+# fixed limits; the ring, universe, pair and witness caps live where they are enforced
 TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
 TWIST_TRIPLE_CAP = 343 ** 3  # their exponent triples: Z^3_lex's window, not Z^4_lex's
 SAMPLES = 100               # prop3.2's random series
@@ -419,10 +419,15 @@ def _property_suite_status(checks: list[PropertyReport]) -> str:
     return "pass"
 
 
-def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
-    twist = fx.twist
-    if twist is None:
+def _twist(fx: Fixture) -> TwistSystem:
+    """The fixture's twist, or PreconditionFail when it has none."""
+    if fx.twist is None:
         raise PreconditionFail("fixture has no twist")
+    return fx.twist
+
+
+def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
+    twist = _twist(fx)
     require_fusible(twist)
     lo, hi = fx.cap("window")
     universe_count(fx.ring.size, fx.group.window_size(lo, hi))
@@ -443,9 +448,7 @@ def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 
 
 def _suite_lemma43(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
-    if fx.twist is None:
-        raise PreconditionFail("fixture has no twist")
-    universe = TruncatedUniverse(fx.twist, fx.group.window(*UNIVERSE_WINDOW))
+    universe = TruncatedUniverse(_twist(fx), fx.group.window(*UNIVERSE_WINDOW))
     right = enumerate_ideals(fx.ring, "right")
     pairs = [(I, J) for I in right for J in right][:IDEAL_PAIR_LIMIT]
     for I, J in pairs:
@@ -457,9 +460,7 @@ def _suite_lemma43(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 
 
 def _suite_thm45(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
-    if fx.twist is None:
-        raise PreconditionFail("fixture has no twist")
-    twist = fx.twist
+    twist = _twist(fx)
     universe = TruncatedUniverse(twist, fx.group.window(*UNIVERSE_WINDOW))
     win = universe.window
     two = enumerate_ideals(fx.ring, "twosided")
@@ -482,9 +483,7 @@ def _suite_thm45(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 
 
 def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
-    if fx.twist is None:
-        raise PreconditionFail("fixture has no twist")
-    twist = fx.twist
+    twist = _twist(fx)
     U = fx.ideals.get("U")
     if U is None:
         raise PreconditionFail("fixture names no ideal 'U'")
@@ -502,7 +501,7 @@ def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         for prop in ("extraction-vs-oracle", "series-zip"):
             yield PropertyReport(prop, None, bounds=bounds, note=f"skipped: {exc}")
         return
-    pairs, qualifying, mismatch = _extraction_scan(universe, U)
+    pairs, qualifying, mismatch = extraction_scan(universe, U)
     yield PropertyReport(
         "extraction-vs-oracle", mismatch is None, witness=mismatch,
         certificate={"pairs": pairs, "qualifying": qualifying},
@@ -522,48 +521,6 @@ def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
                         series_make(twist, [(exps[1], outside)])])
     for X in configs:
         yield series_zip_witness(X, U, universe)
-
-
-def _extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int, str | None]:
-    """thm5.4's extraction over every pair of universe series: (pairs
-    decided, qualifying pairs, the failing trace's message or None).
-
-    Runs over the class series mod U instead of the series themselves. With
-    require_zip's U (two-sided, sigma_x(U) = U) every membership the join and
-    the trace test, fg in U((G)), each term, remainder and multiple, has the
-    same outcome for every lift of a class pair with the same supports, and
-    the trace's skeleton depends only on the supports. So one trace per
-    class pair decides all its lifts, and the counts are weighted. The table
-    check stands in for the direct term_product a trace makes on each lift
-    it does not run. A failure anywhere reruns the exact scan over every
-    lift pair, which reports the first failing pair and its message.
-    """
-    alg = universe.algebra
-    try:
-        alg.check_tables()
-        classes, weights = alg.classes(U.members)
-        qualifying = 0
-        for p, q, fg in alg.join(classes, U.members):
-            _trace(alg, classes[p], classes[q], U, fg)
-            qualifying += weights[p] * weights[q]
-        return len(universe) ** 2, qualifying, None
-    except TraceMismatch as exc:
-        pairs, qualifying, mismatch = _lift_scan(alg, universe.terms, U)
-        return pairs, qualifying, mismatch or str(exc)
-
-
-def _lift_scan(alg: WindowAlgebra, terms: list[list[tuple]],
-               U: IdealSet) -> tuple[int, int, str | None]:
-    """The extraction trace over every qualifying pair of `terms`, up to the
-    first failing one: (pairs decided, qualifying pairs, its message or None)."""
-    qualifying = 0
-    try:
-        for p, q, fg in alg.join(terms, U.members):
-            qualifying += 1
-            _trace(alg, terms[p], terms[q], U, fg)
-    except TraceMismatch as exc:
-        return p * len(terms) + q + 1, qualifying, str(exc)
-    return len(terms) ** 2, qualifying, None
 
 
 def _zip_status(report: PropertyReport) -> str:
@@ -589,31 +546,26 @@ def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     pool = _subset_pool(ring, seed)
     fam = fx.sigma_family()
     zero_ideal = make_ideal(ring, {0})
-    zero_compatible = is_sigma_compatible_ideal(zero_ideal, fam).ok
+    # (ideal, its sigma-compatibility, the specialized witness, its disagreement key)
+    comparisons = [(zero_ideal, is_sigma_compatible_ideal(zero_ideal, fam).ok,
+                    lambda xs: right_zip_witness(ring, xs), "right_zip")]
     nil, is_ni = nil_radical(ring)
     if is_ni:
         nil_ideal = make_ideal(ring, nil)
-        nil_compatible = is_sigma_compatible_ideal(nil_ideal, fam).ok
+        comparisons.append((nil_ideal, is_sigma_compatible_ideal(nil_ideal, fam).ok,
+                            lambda xs: weak_zip_witness(ring, xs, nil), "weak_zip"))
     disagreement = None
     compared = 0
     for xs in pool:
-        a = sigma_u_zip_witness(ring, zero_ideal, xs, zero_compatible)
-        b = right_zip_witness(ring, xs)
-        compared += 1
-        if _zip_status(a) != _zip_status(b) or \
-                (a.verdict and a.certificate["minimal_witness"] != b.certificate["minimal_witness"]):
-            disagreement = {"X": sorted(xs), "sigma_u_zip": a.to_json(),
-                            "right_zip": b.to_json()}
-            break
-        if is_ni:
-            c = sigma_u_zip_witness(ring, nil_ideal, xs, nil_compatible)
-            d = weak_zip_witness(ring, xs, nil)
+        for ideal, compatible, oracle, key in comparisons:
+            a, b = sigma_u_zip_witness(ring, ideal, xs, compatible), oracle(xs)
             compared += 1
-            if _zip_status(c) != _zip_status(d) or \
-                    (c.verdict and c.certificate["minimal_witness"] != d.certificate["minimal_witness"]):
-                disagreement = {"X": sorted(xs), "sigma_u_zip": c.to_json(),
-                                "weak_zip": d.to_json()}
+            if _zip_status(a) != _zip_status(b) or \
+                    (a.verdict and a.certificate["minimal_witness"] != b.certificate["minimal_witness"]):
+                disagreement = {"X": sorted(xs), "sigma_u_zip": a.to_json(), key: b.to_json()}
                 break
+        if disagreement:
+            break
     yield PropertyReport(
         "zip-specialization-agreement", disagreement is None,
         witness=disagreement, certificate={"comparisons": compared},

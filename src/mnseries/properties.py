@@ -220,7 +220,8 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     or trailing term is nonzero is decided without its product being built;
     pairs_checked counts those pruned pairs too. A witness pair is
     multiplied again with series_mul before the verdict False is reported:
-    a nonzero product, or a zero a_i b_j, raises TraceMismatch.
+    a nonzero product, or a zero a_i b_j, raises TraceMismatch. So does a True
+    verdict whose yielded single-term pairs miscount the twist's zero terms.
     """
     grp = twist.group
     exps = [grp.canon(x) for x in exponents]
@@ -229,11 +230,12 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     universe = alg.universe(max_support)
     witness = None
     pairs_checked = len(universe) ** 2
-    zero_products = 0
+    zero_products = single_terms = 0
     mul = ring.mul_table
     for p, q, _ in alg.join(universe, {0}):
         zero_products += 1
         f, g = universe[p], universe[q]
+        single_terms += len(f) == len(g) == 1
         hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
                    None)
         if hit is not None:
@@ -249,6 +251,15 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
                        "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
             pairs_checked = p * len(universe) + q + 1
             break
+    if witness is None and max_support >= 1:
+        nonzero, vanishing = range(1, ring.size), 0
+        for x, y in itertools.product(exps, repeat=2):
+            sig, t = twist.sigma_at(x).map, twist.tau_at(x, y)
+            vanishing += sum(mul[mul[a][sig[b]]][t] == 0 for a in nonzero for b in nonzero)
+        if single_terms != vanishing:
+            raise TraceMismatch(f"G-Armendariz join yielded {single_terms} single-term pairs "
+                                f"with f*g = 0, but {vanishing} products a*sigma_x(b)*tau(x, y) "
+                                "with a, b nonzero vanish")
     bounds = {"max_support": max_support,
               "exponents": [grp.to_json(x) for x in exps],
               "pairs_checked": pairs_checked, "zero_products_seen": zero_products}

@@ -102,12 +102,6 @@ class FiniteRing(Memo):
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg(b)]
 
-    def sum(self, items: Iterable[int]) -> int:
-        acc = 0
-        for x in items:
-            acc = self.add_table[acc][x]
-        return acc
-
     def pow(self, a: int, n: int) -> int:
         """a^n for n >= 1 (n = 0 would need a unit convention; unused here)."""
         if n < 1:

@@ -17,6 +17,9 @@ coefficient set, and is kept in the universe's memo per (set, side), as is
 the fusible lift's (0 : h) per h. The filter over every series that the
 kernel replaced is the tests' oracle, `universe_quotient_scan` in
 tests/oracles.py.
+
+`extraction_scan` runs thm 5.4's extraction induction over a universe: one
+trace per class-series pair mod U, listing every series only on a failure.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ class TruncatedUniverse(Memo):
         self.window = win
         self.count = universe_count(twist.ring.size, len(win))
         self.algebra = WindowAlgebra(twist, win)
-        self.terms = self.algebra.universe()
         self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
         self._memo: dict = {}
 
@@ -608,6 +610,43 @@ def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
             if established[(i, j)] != value or value not in members:
                 fail(f"oracle disagrees with the trace at {exps((i, j))}")
     return steps, established
+
+
+def extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int, str | None]:
+    """thm5.4's extraction over every pair of universe series: (pairs
+    decided, qualifying pairs, the failing trace's message or None).
+
+    Runs over the class series mod U instead of the series themselves. With
+    require_zip's U (two-sided, sigma_x(U) = U) every membership the join and
+    the trace test, fg in U((G)), each term, remainder and multiple, has the
+    same outcome for every lift of a class pair with the same supports, and
+    the trace's skeleton depends only on the supports. So one trace per
+    class pair decides all its lifts, and the counts are weighted. The table
+    check stands in for the direct term_product a trace makes on each lift
+    it does not run. A failure anywhere reruns the exact scan over every
+    lift pair, enumerated only then, which reports the first failing pair
+    and its message.
+    """
+    alg = universe.algebra
+    try:
+        alg.check_tables()
+        classes, weights = alg.classes(U.members)
+        qualifying = 0
+        for p, q, fg in alg.join(classes, U.members):
+            _trace(alg, classes[p], classes[q], U, fg)
+            qualifying += weights[p] * weights[q]
+        return len(universe) ** 2, qualifying, None
+    except TraceMismatch as exc:
+        first = str(exc)
+    lifts = alg.universe()
+    qualifying = 0
+    try:
+        for p, q, fg in alg.join(lifts, U.members):
+            qualifying += 1
+            _trace(alg, lifts[p], lifts[q], U, fg)
+    except TraceMismatch as exc:
+        return p * len(lifts) + q + 1, qualifying, str(exc)
+    return len(lifts) ** 2, qualifying, first
 
 
 # --- series-level zip witness --------------------------------------------------

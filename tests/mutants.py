@@ -104,6 +104,13 @@ MUTANTS = {
         "if not fg.is_zero or ab == 0:",
         "if False:",
         ("tests/test_window.py", "-k", "rechecks_its_witness")),
+    "g-armendariz-true-recheck-dropped": Mutant(
+        "is_G_armendariz reports True without counting its single-term pairs against "
+        "the vanishing products the twist gives",
+        "mnseries/properties.py",
+        "if single_terms != vanishing:",
+        "if False:",
+        ("tests/test_window.py", "-k", "rechecks_a_true_verdict")),
     # the window join's prune
     "join-trail-reads-the-lead-row": Mutant(
         "the trailing check reads the table row of f's leading term, not its trailing one",
@@ -169,6 +176,13 @@ MUTANTS = {
         "for i in sorted(range(len(win)), key=win.__getitem__):",
         "for i in range(len(win)):",
         ("tests/test_window.py", "-k", "unsorted")),
+    "extraction-scan-skips-the-exact-rerun": Mutant(
+        "a failed table check or class trace is reported as it is, without the exact "
+        "scan over every series pair that names the failing pair",
+        "mnseries/transfer.py",
+        "    lifts = alg.universe()\n",
+        "    return len(universe) ** 2, 0, first\n",
+        ("tests/test_class_scan.py", "-k", "non_representative_lift")),
     "trace-drops-an-x-w-pair": Mutant(
         "the extraction trace leaves the first pair of each X_w out",
         "mnseries/transfer.py",

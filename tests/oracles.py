@@ -198,7 +198,7 @@ def universe_quotient_scan(universe, factors, members, side: str) -> frozenset[t
     "left") in `members`, for every factor s, each factor multiplying the
     members that passed the factors before it. `members` may be any set."""
     mul, allowed = universe.algebra.multiply, frozenset(members).issuperset
-    kept = zip(universe.terms, universe.members)
+    kept = zip(universe.algebra.universe(), universe.members)
     for s in factors:
         if side == "right":
             kept = [(u, m) for u, m in kept if allowed(mul(s, u))]

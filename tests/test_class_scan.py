@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mnseries.cli as cli
-from mnseries.cli import _extraction_scan, load_fixture, resolve_fixture, run_suite
+import mnseries.transfer as transfer
+from mnseries.cli import load_fixture, resolve_fixture, run_suite
 from mnseries.errors import TraceMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.ideals import (enumerate_ideals, is_semiprime_ideal,
@@ -23,7 +24,7 @@ from mnseries.ideals import (enumerate_ideals, is_semiprime_ideal,
 from mnseries.rings import (check_automorphism, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn, units)
 from mnseries.series import WindowAlgebra, trivial_twist, twist_from_spec
-from mnseries.transfer import TruncatedUniverse, _trace
+from mnseries.transfer import TruncatedUniverse, _trace, extraction_scan
 from oracles import ut2_table
 
 
@@ -125,7 +126,8 @@ def _zip_cases(draw):
 @given(_zip_cases())
 def test_class_scan_matches_the_exact_scan_on_generated_rings(case):
     universe, U = case
-    assert _extraction_scan(universe, U) == _lift_scan(universe.algebra, universe.terms, U)
+    assert extraction_scan(universe, U) == _lift_scan(universe.algebra,
+                                                      universe.algebra.universe(), U)
 
 
 def test_class_series_partition_the_universe():
@@ -218,17 +220,22 @@ def test_z16_thm54_traces_each_qualifying_class_pair_once(tmp_path, monkeypatch,
            "caps": {"window": [0, 2]}}
     path = tmp_path / "z16.json"
     path.write_text(json.dumps(doc))
-    real = cli._trace
+    assert cli.main(["verify", str(path), "--suite", "thm5.4", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    check = next(c for c in report["checks"] if c["property"] == "extraction-vs-oracle")
+    assert check["verdict"] is True
+    assert check["certificate"] == {"pairs": 16_777_216, "qualifying": 3_932_160}
+
+    # the series-zip checks trace too, so the scan's traces are counted alone
+    fx = load_fixture(path)
+    universe = TruncatedUniverse(fx.twist, fx.group.window(0, 2))
+    real = transfer._trace
     traces = []
 
     def counting(*args):
         traces.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "_trace", counting)
-    assert cli.main(["verify", str(path), "--suite", "thm5.4", "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    check = next(c for c in report["checks"] if c["property"] == "extraction-vs-oracle")
-    assert check["verdict"] is True
-    assert check["certificate"] == {"pairs": 16_777_216, "qualifying": 3_932_160}
+    monkeypatch.setattr(transfer, "_trace", counting)
+    assert extraction_scan(universe, fx.ideals["U"]) == (16_777_216, 3_932_160, None)
     assert 0 < len(traces) <= 368

@@ -27,7 +27,7 @@ from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extensio
                             ring_zn, units)
 from mnseries.series import (random_series, series_add, series_make, series_mul,
                              trivial_twist, twist_from_spec)
-from mnseries.transfer import (TruncatedUniverse, lift_fusible_decomposition,
+from mnseries.transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decomposition,
                                series_zip_witness)
 from oracles import exhaustive_series, universe_quotient_scan, universe_set_sum, ut2_table
 
@@ -108,7 +108,8 @@ def test_ut2_annihilators_differ_by_side():
 def test_universe_members_follow_exhaustive_series():
     for universe in CASES.values():
         assert universe.all_series() == list(exhaustive_series(universe.twist, universe.window))
-        assert [universe.algebra.series(t) for t in universe.terms] == universe.all_series()
+        assert [universe.algebra.series(t) for t in universe.algebra.universe()] \
+            == universe.all_series()
 
 
 @functools.lru_cache(maxsize=None)
@@ -452,9 +453,8 @@ def test_series_zip_failure_names_the_first_differing_member(tw_klein, klein):
     assert exc.value.witness == [[1, 2]]
 
 
-def test_thm54_enumerates_its_window_once(monkeypatch):
-    # one universe serves the extraction join and the series-zip scans
-    fx = cli.load_fixture(cli.resolve_fixture("z4_tau_power"))
+def _counting_window_terms(monkeypatch) -> list:
+    """The calls made to `_window_terms`, which lists every window series."""
     real = series_module._window_terms
     calls = []
 
@@ -463,9 +463,29 @@ def test_thm54_enumerates_its_window_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series_module, "_window_terms", counting)
+    return calls
+
+
+def test_thm54_enumerates_its_window_once(monkeypatch):
+    # one universe serves the extraction join and the series-zip scans, and
+    # neither lists its series when the class scan passes
+    fx = cli.load_fixture(cli.resolve_fixture("z4_tau_power"))
+    calls = _counting_window_terms(monkeypatch)
     report = cli.run_suite(fx, "thm5.4")
     assert report.status == "pass"
     assert sum(c.prop == "series-zip" for c in report.checks) == 2
+    assert len(calls) == 0
+
+
+def test_a_failed_table_check_enumerates_the_window_once(monkeypatch):
+    # the exact rerun after a failed check lists every series, once
+    fx = cli.load_fixture(cli.resolve_fixture("z4_tau_power"))
+    universe = TruncatedUniverse(fx.twist, fx.group.window(*fx.cap("window")))
+    i = universe.window.index(0)
+    universe.algebra.term[i][3][i][2] = 0  # 3 * sigma_0(2) * tau(0, 0) is 2
+    calls = _counting_window_terms(monkeypatch)
+    _, _, mismatch = extraction_scan(universe, fx.ideals["U"])
+    assert mismatch == "oracle disagrees with the trace at (0, 0)"
     assert len(calls) == 1
 
 

@@ -145,6 +145,20 @@ def test_g_armendariz_rechecks_its_witness_with_series_mul(monkeypatch):
     assert "f*g = Series(0)" not in str(exc.value)
 
 
+def test_g_armendariz_rechecks_a_true_verdict_by_its_single_term_pairs(monkeypatch):
+    """A window product that calls every fg nonzero lets no pair through the
+    join, so no witness is found. The single-term pairs yielded (none) are
+    compared with the a*sigma_x(b)*tau(x, y) that vanish, read from the
+    twist (18 for the Klein swap over 0..2): a named TraceMismatch, not the
+    verdict True."""
+    twist, _ = CASES["klein-swap-unsorted"]
+    assert is_G_armendariz(twist.ring, twist, 2, [0, 1, 2]).verdict is False
+    monkeypatch.setattr(WindowAlgebra, "multiply",
+                        lambda alg, f, g: [1] * len(alg.products))
+    with pytest.raises(TraceMismatch, match="yielded 0 single-term pairs .* but 18 products"):
+        is_G_armendariz(twist.ring, twist, 2, [0, 1, 2])
+
+
 def test_window_exponents_must_be_distinct(tw_z4_tau):
     with pytest.raises(MalformedSpec):
         WindowAlgebra(tw_z4_tau, [0, 1, 0])
@@ -284,7 +298,7 @@ def _extract_series(f, g, U, fg):
     for w in products:
         pairs = x_w_pairs(f, g, w)
         terms = [term_product(twist, f.terms[u], u, g.terms[v], v) for u, v in pairs]
-        remainder = ring.sum(terms)
+        remainder = functools.reduce(ring.add, terms, 0)
         if remainder != fg.coeff(w):
             fail(f"sum over X_w disagrees with the product coefficient at w={grp.to_json(w)}")
         for i, (u_i, v_i) in enumerate(pairs):

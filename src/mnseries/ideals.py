@@ -137,36 +137,35 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]
     """All ideals of the kind, each once, ascending by size then member list;
     computed once per (ring, kind), and a fresh list on every call.
 
-    Complete for finite rings: every ideal is a finite join of singleton
-    closures, and pairwise joins are iterated to a fixpoint. The join of two
-    ideals of a kind is their sum I + J, already an ideal of that kind, so
-    it is a subgroup sum and needs no closure.
+    R has a 1, so aR is row a of the product table and Ra column a, and
+    every right (left) ideal is the sum of its members' principal ideals, a
+    subgroup sum that needs no closure. The two-sided ideals are the right
+    ideals I with R*I inside I, in the same order.
     """
     if ring.size > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
                               {"size_cap": DEFAULT_SIZE_CAP})
-    return list(ring.once(("lattice", kind), lambda: _lattice(ring, kind)))
+    return list(_stored_lattice(ring, kind))
+
+
+def _stored_lattice(ring: FiniteRing, kind: str) -> tuple[IdealSet, ...]:
+    return ring.once(("lattice", kind), lambda: _lattice(ring, kind))
 
 
 def _lattice(ring: FiniteRing, kind: str) -> tuple[IdealSet, ...]:
+    mul = ring.mul_table
+    if kind == "twosided":
+        # products are additive in each argument: generators of R and I decide R*I <= I
+        gens = list(greedy_generators(ring.add_table, {0}, ring.elements()))
+        return tuple(IdealSet(ring, I.members, kind) for I in _stored_lattice(ring, "right")
+                     if all(mul[r][g] in I.members for r in gens for g in I.additive_generators))
+    principals = dict.fromkeys(map(frozenset, {"right": mul, "left": zip(*mul)}[kind]))
+    # after each principal P, seen holds every sum of the principals so far
     seen = {frozenset({0})}
-    frontier = set()
-    for a in ring.elements():
-        frontier.add(ideal_closure(ring, [a], kind).members)
-    seen |= frontier
-    current = set(seen)
-    while True:
-        fresh = set()
-        for i in current:
-            for j in frontier:
-                if not (j <= i):
-                    joined = subgroup_sum(ring, i, j)
-                    if joined not in seen:
-                        fresh.add(joined)
-        if not fresh:
-            break
-        seen |= fresh
-        current = fresh
+    for P in sorted(principals, key=len):
+        if P in seen:
+            continue
+        seen.update([subgroup_sum(ring, I, P) for I in seen if not P <= I])
     out = [IdealSet(ring, ms, kind) for ms in seen]
     out.sort(key=lambda ideal: (len(ideal.members), ideal.sorted_members()))
     return tuple(out)

@@ -125,6 +125,27 @@ MUTANTS = {
         "trails = [max(g, key=",
         "trails = [min(g, key=",
         ("tests/test_window.py", "-k", "join_multiplies_only_pairs")),
+    # the ideal lattices joined from the product table's principal ideals
+    "right-lattice-reads-columns": Mutant(
+        "the principal right ideals are read from the columns of the product table",
+        "mnseries/ideals.py",
+        '{"right": mul, "left": zip(*mul)}',
+        '{"right": zip(*mul), "left": mul}',
+        ("tests/test_table_kernels.py", "-k", "lattices_match_the_worklist_lattice")),
+    "twosided-filter-multiplies-on-the-right": Mutant(
+        "the two-sided filter tests I*R inside I, which every right ideal passes, "
+        "not R*I",
+        "mnseries/ideals.py",
+        "if all(mul[r][g] in I.members",
+        "if all(mul[g][r] in I.members",
+        ("tests/test_table_kernels.py", "-k", "lattices_match_the_worklist_lattice")),
+    "lattice-skips-a-principal-below-a-join": Mutant(
+        "a principal ideal inside some ideal already seen is skipped, though its sums "
+        "with the others may be new",
+        "mnseries/ideals.py",
+        "if P in seen:",
+        "if any(P <= I for I in seen):",
+        ("tests/test_table_kernels.py", "-k", "lattices_match_the_worklist_lattice")),
     # the earlier table and window fast paths
     "left-annihilator-reads-rows": Mutant(
         "l(X) reads the rows x of the product table, not its columns",

@@ -632,10 +632,22 @@ def test_prop32_checks_its_hypotheses_before_building_a_universe(tmp_path, capsy
     assert data["checks"][0]["note"] == "not_applicable: Z32 is not left fusible (witness 2)"
 
 
-def test_one_sided_pair_quotient_is_a_false_verdict(tmp_path, capsys, monkeypatch):
+def _ut2_z2(tmp_path):
     path = tmp_path / "ut2.json"
     # [[a, b], [0, c]] in UT2(Z2) has id 4a + 2b + c
     path.write_text(json.dumps({"label": "ut2", "ring": {"kind": "table", **ut2_table(2)}}))
+    return path
+
+
+def _ideals_checks(path, capsys):
+    assert main(["verify", str(path), "--suite", "ideals", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return {c["property"]: c for c in json.loads(captured.out)["checks"]}
+
+
+def test_one_sided_pair_quotient_is_a_false_verdict(tmp_path, capsys, monkeypatch):
+    path = _ut2_z2(tmp_path)
     assert main(["verify", str(path), "--suite", "ideals"]) == 0
     capsys.readouterr()
     ring = load_fixture(path).ring
@@ -643,13 +655,37 @@ def test_one_sided_pair_quotient_is_a_false_verdict(tmp_path, capsys, monkeypatc
     one_sided = ideal_closure(ring, [1], "right").members
     assert classify_kind(ring, one_sided) == "right"
     monkeypatch.setattr(cli, "quotient_ideal", lambda U, V: one_sided)
-    assert main(["verify", str(path), "--suite", "ideals", "--format", "json"]) == 1
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    checks = {c["property"]: c for c in json.loads(captured.out)["checks"]}
-    pair = checks["right-pair-quotient-twosided"]
+    pair = _ideals_checks(path, capsys)["right-pair-quotient-twosided"]
     assert pair["verdict"] is False
     assert pair["witness"] == {"U": [0], "V": [0]}
+
+
+def test_a_one_sided_ideal_in_the_lattice_fails_closure_idempotent(tmp_path, capsys,
+                                                                   monkeypatch):
+    path = _ut2_z2(tmp_path)
+    real = ideals._lattice
+
+    def lattice(ring, kind):
+        # e22 R = {0, e22} posing as a two-sided ideal
+        extra = (ideals.IdealSet(ring, frozenset({0, 1}), kind),) if kind == "twosided" else ()
+        return real(ring, kind) + extra
+
+    monkeypatch.setattr(ideals, "_lattice", lattice)
+    idem = _ideals_checks(path, capsys)["closure-idempotent"]
+    assert idem["verdict"] is False
+    assert idem["witness"] == [0, 1]
+
+
+def test_a_quotient_missing_a_member_of_U_fails_quotient_contains_U(tmp_path, capsys,
+                                                                  monkeypatch):
+    path = _ut2_z2(tmp_path)
+    real = cli.quotient_ideal
+    monkeypatch.setattr(cli, "quotient_ideal", lambda U, V: real(U, V) - {max(U.members)})
+    contain = _ideals_checks(path, capsys)["quotient-contains-U"]
+    assert contain["verdict"] is False
+    # the witness is the last failing pair: U = V = R, and (R:R) lost 7
+    assert contain["witness"] == {"U": list(range(8)), "V": list(range(8)),
+                                  "quotient": list(range(7))}
 
 
 @pytest.mark.parametrize("suite, skipped", [

@@ -74,12 +74,13 @@ def test_enumerate_ideals_returns_a_fresh_list_of_a_stored_lattice(z4, tz4):
 
 @pytest.mark.parametrize("argv, kinds", [
     (["props", "{ut2_z4}", "--format", "json"], {"right", "twosided"}),
-    (["verify", "{z8_tau}", "--suite", "thm4.5", "--format", "json"], {"twosided"}),
+    (["verify", "{z8_tau}", "--suite", "thm4.5", "--format", "json"], {"right", "twosided"}),
 ])
 def test_each_lattice_is_computed_once_per_ring_and_kind(monkeypatch, tmp_path, argv, kinds):
     """`props` reads the right lattice twice (right nonsingularity, IN) and
-    thm4.5 the two-sided one twice (its SA hypothesis, the K table): each
-    (ring, kind) lattice is still computed once."""
+    thm4.5 the two-sided one twice (its SA hypothesis, the K table), which
+    is filtered from the right one: each (ring, kind) lattice is still
+    computed once."""
     from mnseries.cli import main
     from oracles import ut2_table
     docs = {

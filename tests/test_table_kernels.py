@@ -14,7 +14,8 @@ extensions and the noncommutative UT2(Z2) and UT2(Z4), closures, lattices
 and SA reports must agree, and so must the zip searches on singleton
 masks and the per-subset searches they replaced, and the sigma-U-zip
 count by Moebius inversion over the meet-closure of the singleton masks
-and the one over all 2^|R| subsets, also on generated subrings of F2
+and the one over all 2^|R| subsets; the lattices, the sigma-U-zip counts
+and the generator test of V*U inside U also on generated subrings of F2
 matrix rings. On tables
 with one entry changed, rings with + relabelled, F2^k algebras and loops,
 so must every (axiom, ok, witness), and a witness scan may run only for an
@@ -83,6 +84,17 @@ def _ring_keys(draw, ut2_sizes=(2, 4)):
     return kind, draw(st.sampled_from(ut2_sizes))
 
 
+@st.composite
+def _f2_matrix_algebras(draw):
+    """A subalgebra of the 2 x 2 or 3 x 3 matrices over F2 of at most 16
+    elements, generated by the identity and up to two drawn matrices."""
+    k = draw(st.sampled_from([2, 3]))
+    table = f2_matrix_algebra_table(k, draw(st.lists(st.integers(0, (1 << k * k) - 1),
+                                                     max_size=2)))
+    assume(table is not None)
+    return ring_from_table(table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_ring_keys(), st.data())
 def test_closures_match_the_worklist_closure(key, data):
@@ -94,12 +106,37 @@ def test_closures_match_the_worklist_closure(key, data):
         assert closed.members == worklist_closure(ring, gens, kind), (key, gens, kind)
 
 
-@settings(max_examples=30, deadline=None)
-@given(_ring_keys())
-def test_lattices_match_the_worklist_lattice_in_order(key):
-    ring = _ring(*key)
+def _drawn_rings():
+    """A ring of `_ring_keys` or a generated subring of an F2 matrix ring."""
+    return st.one_of(_ring_keys().map(lambda key: _ring(*key)), _f2_matrix_algebras())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_rings())
+@example(_ring("ut2", 2))
+# F2[x,y]/(x,y)^2: its ideal (x+y) lies inside (x)+(y) without being a sum
+# of the principal ideals joined before it
+@example(ring_from_table(f2_algebra_table(3, {(i, j): 0 for i in (1, 2) for j in (1, 2)})))
+def test_lattices_match_the_worklist_lattice_in_order(ring):
+    """Also on M2(F2)-type rings, where the left, right and two-sided
+    lattices all differ."""
     for kind in ("twosided", "right", "left"):
-        assert [i.members for i in enumerate_ideals(ring, kind)] == _lattice(key, kind)
+        assert [i.members for i in enumerate_ideals(ring, kind)] == worklist_lattice(ring, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_drawn_rings())
+def test_products_of_right_ideals_are_decided_on_their_generators(ring):
+    """V*U lies inside U, which the `ideals` suite tests on the additive
+    generators of V and U, exactly when every product of their members
+    does, for every pair of right ideals."""
+    mul = ring.mul_table
+    right = enumerate_ideals(ring, "right")
+    for U in right:
+        for V in right:
+            assert (all(mul[v][u] in U.members
+                        for v in V.additive_generators for u in U.additive_generators)
+                    == all(mul[v][u] in U.members for v in V.members for u in U.members))
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,17 +426,6 @@ def test_meet_count_matches_the_subset_count_on_small_rings():
         kinds = ("twosided", "right", "left") if key[0].startswith("ut2") else ("twosided",)
         for kind in kinds:
             _assert_meet_count_matches_the_subset_count(_ring(*key), kind)
-
-
-@st.composite
-def _f2_matrix_algebras(draw):
-    """A subalgebra of the 2 x 2 or 3 x 3 matrices over F2 of at most 16
-    elements, generated by the identity and up to two drawn matrices."""
-    k = draw(st.sampled_from([2, 3]))
-    table = f2_matrix_algebra_table(k, draw(st.lists(st.integers(0, (1 << k * k) - 1),
-                                                     max_size=2)))
-    assume(table is not None)
-    return ring_from_table(table)
 
 
 @settings(max_examples=40, deadline=None)

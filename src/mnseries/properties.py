@@ -218,39 +218,64 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     unbounded property; the report carries its bounds. Pairs come from the
     window join (WindowAlgebra.join with U = {0}), so a pair whose leading
     or trailing term is nonzero is decided without its product being built;
-    pairs_checked counts those pruned pairs too. A witness pair is
-    multiplied again with series_mul before the verdict False is reported:
-    a nonzero product, or a zero a_i b_j, raises TraceMismatch. So does a True
-    verdict whose yielded single-term pairs miscount the twist's zero terms.
+    pairs_checked counts those pruned pairs too.
+
+    The join runs over orbit representatives (WindowAlgebra.orbits): f up
+    to multiplying its coefficients on the left by a unit u, g up to
+    multiplying them on the right by a central unit v that every sigma
+    generator fixes. Then (uf)(gv) has the coefficients u (fg)_z v and
+    (u a)(b v) = u (ab) v, so fg = 0 and ab = 0 hold for the whole orbit
+    pair or for none of it, and each representative pair counts
+    |orbit f| * |orbit g| zero products. If a representative pair has a
+    nonzero a_i b_j, the exact join over every pair runs instead, and
+    reports the first witness in f-major order with the pairs checked and
+    zero products seen up to it. A witness pair is multiplied again with
+    series_mul before the verdict False is reported: a nonzero product, or a
+    zero a_i b_j, raises TraceMismatch. So does a True verdict whose
+    single-term zero products, weighted, miscount the twist's zero terms.
     """
     grp = twist.group
     exps = [grp.canon(x) for x in exponents]
     check_pair_cap(ring.size, len(exps))
     alg = WindowAlgebra(twist, exps)
     universe = alg.universe(max_support)
+    mul = ring.mul_table
+
+    def scan(fs, f_sizes, gs, g_sizes):
+        """(weighted zero products, weighted single-term zero products, the
+        first pair with a nonzero a_i b_j as (p, q, i, j, a_i b_j) or None)."""
+        zero = single = 0
+        for p, q, _ in alg.join(fs, {0}, gs):
+            f, g = fs[p], gs[q]
+            weight = f_sizes[p] * g_sizes[q]
+            zero += weight
+            single += weight if len(f) == len(g) == 1 else 0
+            hit = next(((p, q, i, j, mul[a][b]) for i, a in f for j, b in g
+                        if mul[a][b] != 0), None)
+            if hit is not None:
+                return zero, single, hit
+        return zero, single, None
+
+    f_reps, f_sizes = alg.orbits(universe, "left")
+    g_reps, g_sizes = alg.orbits(universe, "right")
+    zero_products, single_terms, hit = scan(f_reps, f_sizes, g_reps, g_sizes)
+    if hit is not None:
+        ones = [1] * len(universe)
+        zero_products, single_terms, hit = scan(universe, ones, universe, ones)
     witness = None
     pairs_checked = len(universe) ** 2
-    zero_products = single_terms = 0
-    mul = ring.mul_table
-    for p, q, _ in alg.join(universe, {0}):
-        zero_products += 1
-        f, g = universe[p], universe[q]
-        single_terms += len(f) == len(g) == 1
-        hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
-                   None)
-        if hit is not None:
-            i, j, product = hit
-            fs, gs = alg.series(f), alg.series(g)
-            x, y = alg.window[i], alg.window[j]
-            fg, ab = series_mul(fs, gs), ring.mul(fs.coeff(x), gs.coeff(y))
-            if not fg.is_zero or ab == 0:
-                raise TraceMismatch(f"G-Armendariz witness f = {fs}, g = {gs} at x = "
-                                    f"{grp.to_json(x)}, y = {grp.to_json(y)} does not re-check: "
-                                    f"series_mul gives f*g = {fg} and f(x)g(y) = {ab}")
-            witness = {"f": series_to_json(fs), "g": series_to_json(gs),
-                       "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
-            pairs_checked = p * len(universe) + q + 1
-            break
+    if hit is not None:
+        p, q, i, j, product = hit
+        fs, gs = alg.series(universe[p]), alg.series(universe[q])
+        x, y = alg.window[i], alg.window[j]
+        fg, ab = series_mul(fs, gs), ring.mul(fs.coeff(x), gs.coeff(y))
+        if not fg.is_zero or ab == 0:
+            raise TraceMismatch(f"G-Armendariz witness f = {fs}, g = {gs} at x = "
+                                f"{grp.to_json(x)}, y = {grp.to_json(y)} does not re-check: "
+                                f"series_mul gives f*g = {fg} and f(x)g(y) = {ab}")
+        witness = {"f": series_to_json(fs), "g": series_to_json(gs),
+                   "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
+        pairs_checked = p * len(universe) + q + 1
     if witness is None and max_support >= 1:
         nonzero, vanishing = range(1, ring.size), 0
         for x, y in itertools.product(exps, repeat=2):

@@ -389,6 +389,8 @@ class WindowAlgebra:
                                for t in taus] for a in ring.elements()])
         self.add = ring.add_table
         self.neg = [ring.neg(a) for a in ring.elements()]
+        # (i, a, j, b) -> term_product(a, x_i, b, x_j), evaluated from the twist
+        self._direct: dict[tuple, int] = {}
 
     def universe(self, max_support: int | None = None) -> list[list[tuple]]:
         """Every series inside the window, in the lexicographic order of its
@@ -417,11 +419,55 @@ class WindowAlgebra:
             weights.append(math.prod(weight[c] for c in coeffs))
         return series, weights
 
+    def orbits(self, series: list[list[tuple]], side: str
+               ) -> tuple[list[list[tuple]], list[int]]:
+        """The orbits of `series` under multiplying every coefficient by one
+        unit: on the left by any unit (side "left"), or on the right by a
+        central unit that every sigma generator fixes (side "right"). One
+        representative per orbit, each the first of its orbit in `series`,
+        in that order, and the orbit sizes.
+
+        Either set of units is a group, so the orbits partition `series`.
+        A unit maps nonzero coefficients to nonzero ones, so an orbit keeps
+        its support, and a universe, with or without its support bound,
+        holds every member of each orbit it meets. For f and g in a window,
+        (uf)(gv) then has the coefficients u (fg)_z v: sigma_x(b v) =
+        sigma_x(b) v, and v commutes with tau(x, y).
+        """
+        ring = self.twist.ring
+        mul = ring.mul_table
+        if side == "left":
+            scale = [mul[u] for u in sorted(units(ring))]
+        elif side == "right":
+            scale = [[row[v] for row in mul] for v in sorted(units(ring))
+                     if all(g.map[v] == v for g in self.twist.sigma.generators)
+                     and all(mul[v][r] == mul[r][v] for r in ring.elements())]
+        else:
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        seen: set[tuple] = set()
+        reps, sizes = [], []
+        for s in series:
+            if tuple(s) in seen:
+                continue
+            orbit = {tuple((i, m[c]) for i, c in s) for m in scale}
+            seen |= orbit
+            reps.append(s)
+            sizes.append(len(orbit))
+        return reps, sizes
+
+    def direct(self, i: int, a: int, j: int, b: int) -> int:
+        """term_product(a, x_i, b, x_j), evaluated from the twist, not from
+        `term`, once per term and then kept."""
+        key = (i, a, j, b)
+        if key not in self._direct:
+            self._direct[key] = term_product(self.twist, a, self.window[i], b, self.window[j])
+        return self._direct[key]
+
     def check_tables(self):
-        """Raise TraceMismatch unless every `term` entry equals a direct
-        term_product and each `xw[k]` holds exactly the position pairs (i, j)
-        with slot[i][j] = k: what a trace reads, checked once for every
-        series the window holds."""
+        """Raise TraceMismatch unless every `term` entry equals its direct
+        evaluation (`direct`) and each `xw[k]` holds exactly the position
+        pairs (i, j) with slot[i][j] = k: what a trace reads, checked once
+        for every series the window holds."""
         twist, win = self.twist, self.window
         grp, elems = twist.group, twist.ring.elements()
         for i, x in enumerate(win):
@@ -429,7 +475,7 @@ class WindowAlgebra:
                 for a in elems:
                     row = self.term[i][a][j]
                     for b in elems:
-                        if row[b] != term_product(twist, a, x, b, y):
+                        if row[b] != self.direct(i, a, j, b):
                             raise TraceMismatch(
                                 f"term table disagrees with term_product at "
                                 f"({grp.to_json(x)}, {grp.to_json(y)}), a={a}, b={b}")
@@ -451,10 +497,12 @@ class WindowAlgebra:
                 acc[k] = add[acc[k]][rows[j][b]]
         return acc
 
-    def join(self, universe: list[list[tuple]], members) -> Iterable[tuple]:
-        """(p, q, fg) for every pair of universe series whose product fg has
-        all its coefficients in `members` (a set holding 0), in f-major,
-        g-minor order.
+    def join(self, universe: list[list[tuple]], members,
+             partners: list[list[tuple]] | None = None) -> Iterable[tuple]:
+        """(p, q, fg) for every pair of f = universe[p] and g = partners[q]
+        (partners defaults to universe) whose product fg has all its
+        coefficients in `members` (a set holding 0), in f-major, g-minor
+        order.
 
         Over an ordered group the least exponent of fg is x0 y0, for x0 and
         y0 the least exponents of f and g, and only that pair reaches it, so
@@ -462,40 +510,48 @@ class WindowAlgebra:
         Likewise the greatest exponent x1 y1, for x1 and y1 the greatest
         exponents, carries the single term f(x1) sigma_x1(g(y1)) tau(x1, y1).
         A pair with either term outside `members` cannot qualify. So the
-        universe is bucketed by leading (position, coefficient), each f's
+        partners are bucketed by leading (position, coefficient), each f's
         lead-admissible partners are filtered on their trailing term once per
         (lead, trail) of f, and only the pairs left are multiplied.
         """
         members = frozenset(members)
         win = self.window
-        leads = [min(g, key=lambda t: win[t[0]]) if g else None for g in universe]
-        trails = [max(g, key=lambda t: win[t[0]]) if g else None for g in universe]
+
+        def ends(series):
+            """The leading and the trailing term of each series, None for 0."""
+            return ([min(s, key=lambda t: win[t[0]]) if s else None for s in series],
+                    [max(s, key=lambda t: win[t[0]]) if s else None for s in series])
+
+        if partners is None:
+            partners = universe
+        leads, trails = ends(partners)
+        f_leads, f_trails = (leads, trails) if partners is universe else ends(universe)
         trail_keys = set(trails) - {None}
         zeros = [q for q, lead in enumerate(leads) if lead is None]
         buckets: dict[tuple, list[int]] = {}
         for q, lead in enumerate(leads):
             if lead is not None:
                 buckets.setdefault(lead, []).append(q)
-        everyone = range(len(universe))
+        everyone = range(len(partners))
         leading: dict[tuple, list[int]] = {}
-        partners: dict[tuple, list[int]] = {}
+        admissible: dict[tuple, list[int]] = {}
         for p, f in enumerate(universe):
-            lead, trail = leads[p], trails[p]
+            lead, trail = f_leads[p], f_trails[p]
             if lead is None:
                 candidates = everyone
-            elif (lead, trail) in partners:
-                candidates = partners[lead, trail]
+            elif (lead, trail) in admissible:
+                candidates = admissible[lead, trail]
             else:
                 if lead not in leading:
                     rows = self.term[lead[0]][lead[1]]
                     leading[lead] = sorted(itertools.chain(
                         zeros, *(qs for (j, b), qs in buckets.items() if rows[j][b] in members)))
                 rows = self.term[trail[0]][trail[1]]
-                admissible = {None, *((j, b) for j, b in trail_keys if rows[j][b] in members)}
-                candidates = partners[lead, trail] = [
-                    q for q in leading[lead] if trails[q] in admissible]
+                kept = {None, *((j, b) for j, b in trail_keys if rows[j][b] in members)}
+                candidates = admissible[lead, trail] = [
+                    q for q in leading[lead] if trails[q] in kept]
             for q in candidates:
-                fg = self.multiply(f, universe[q])
+                fg = self.multiply(f, partners[q])
                 if members.issuperset(fg):
                     yield p, q, fg
 

@@ -20,6 +20,8 @@ tests/oracles.py.
 
 `extraction_scan` runs thm 5.4's extraction induction over a universe: one
 trace per class-series pair mod U, listing every series only on a failure.
+`series_zip_witness` traces one U-coefficient series per support and
+factor. Both rest on the universe's table check, made once per universe.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .properties import (PropertyReport, fusible_decompositions,
 from .rings import DEFAULT_SIZE_CAP, Memo, greedy_generators
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
                      series_add, series_make, series_mul, series_sub,
-                     series_to_json, support_stats, term_product)
+                     series_to_json, support_stats)
 
 DEFAULT_UNIVERSE_CAP = 4096
 
@@ -547,13 +549,14 @@ def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
     x_j) from `alg.term` and checking every claim of every step; a failed
     claim raises TraceMismatch. Returns the steps, as (slot, pairs, (i, j),
     multiplier, induction-hypothesis pairs), and the conclusions {(i, j):
-    term}, each of which is finally compared with a direct term_product
-    evaluation that does not read the algebra's tables.
+    term}, each of which is finally compared with its direct term_product
+    evaluation, `alg.direct`, which reads none of the algebra's tables and
+    is kept per algebra, so a term that many traces conclude, or that
+    `check_tables` has compared, is evaluated once.
     """
-    twist = alg.twist
-    grp, win, products = twist.group, alg.window, alg.products
+    grp, win, products = alg.twist.group, alg.window, alg.products
     members = U.members
-    mul, add, neg, term = twist.ring.mul_table, alg.add, alg.neg, alg.term
+    mul, add, neg, term = alg.twist.ring.mul_table, alg.add, alg.neg, alg.term
     fa, gb = dict(f), dict(g)
     steps: list[tuple] = []
     established: dict = {}
@@ -606,7 +609,7 @@ def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
         fail("trace conclusions cover a different pair set than the oracle")
     for i, a in fa.items():
         for j, b in gb.items():
-            value = term_product(twist, a, win[i], b, win[j])
+            value = alg.direct(i, a, j, b)
             if established[(i, j)] != value or value not in members:
                 fail(f"oracle disagrees with the trace at {exps((i, j))}")
     return steps, established
@@ -625,11 +628,11 @@ def extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int,
     check stands in for the direct term_product a trace makes on each lift
     it does not run. A failure anywhere reruns the exact scan over every
     lift pair, enumerated only then, which reports the first failing pair
-    and its message.
+    and its message. The table check runs once per universe.
     """
     alg = universe.algebra
     try:
-        alg.check_tables()
+        universe.once("check_tables", alg.check_tables)
         classes, weights = alg.classes(U.members)
         qualifying = 0
         for p, q, fg in alg.join(classes, U.members):
@@ -661,10 +664,19 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     the minimal content witness, forms the corresponding finite X0 and
     verifies the quotient by X0, with the extraction trace supplying the
     step-by-step justification and the direct scan acting as oracle.
+
+    The extraction runs for every factor s of X0 and every h in the
+    quotient, which is then the set of U-coefficient series, but traces
+    one h per (factor, support of h): with require_zip's U (two-sided,
+    sigma_x(U) = U) every term s(x) sigma_x(h(y)) tau(x, y), sum, remainder
+    and multiple the trace tests lies in U for any h with U-coefficients,
+    and the trace's skeleton depends only on the supports. The universe's
+    table check stands in for the direct evaluations of the h it does not
+    trace. `extractions` counts every (h, factor) pair. A failure anywhere
+    reruns the extraction for every h, which raises its message.
     """
     twist = universe.twist
     ring = twist.ring
-    grp = twist.group
     if U.ring is not ring:
         raise RingMismatch("ideal must live in the universe's coefficient ring")
     X = list(X)
@@ -704,19 +716,12 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     # does not is the False verdict below, not a failed derivation
     extractions = 0
     if reduced_ok:
-        mul = universe.algebra.multiply
-        for m in sorted(quotient0):
-            h = [(i, c) for i, c in enumerate(m) if c]
-            for s in factors:
-                # require_zip and h in quotient0 are coefficient_extraction's checks
-                _trace(universe.algebra, s, h, U, mul(s, h))
-                extractions += 1
-                # the content conclusion the induction is for: h has U-coefficients
-                for i, c in h:
-                    if c not in U.members:
-                        raise TraceMismatch(
-                            f"extraction finished but h({grp.to_json(universe.window[i])}) "
-                            "is outside U")
+        members = sorted(quotient0)
+        try:
+            _extract_by_support(universe, factors, members, U)
+        except TraceMismatch:
+            _extract_each(universe, factors, members, U)
+        extractions = len(members) * len(factors)
 
     verdict = reduced_ok
     return PropertyReport(
@@ -727,3 +732,37 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
                      "X0": [series_to_json(s) for s in x0],
                      "extractions": extractions},
         bounds=universe.describe())
+
+
+def _extract_each(universe: TruncatedUniverse, factors: list[list[tuple]],
+                  members: list[tuple], U: IdealSet):
+    """series_zip_witness's extraction for every h in `members` and every
+    factor s, in that order: a trace of s*h, then the content conclusion
+    the induction is for, that h has U-coefficients. The first failure
+    raises TraceMismatch."""
+    alg, grp = universe.algebra, universe.twist.group
+    for m in members:
+        h = [(i, c) for i, c in enumerate(m) if c]
+        for s in factors:
+            # require_zip and h in the quotient are coefficient_extraction's checks
+            _trace(alg, s, h, U, alg.multiply(s, h))
+            for i, c in h:
+                if c not in U.members:
+                    raise TraceMismatch(
+                        f"extraction finished but h({grp.to_json(universe.window[i])}) "
+                        "is outside U")
+
+
+def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
+                        members: list[tuple], U: IdealSet):
+    """The same extraction with one h per support: the universe's tables
+    are checked, every h must have U-coefficients, and the first h of each
+    support in `members` is traced with every factor. Raises TraceMismatch
+    on any failure, whose message `_extract_each` then gives."""
+    universe.once("check_tables", universe.algebra.check_tables)
+    first: dict[tuple, tuple] = {}
+    for m in members:
+        if not U.members.issuperset(m):
+            raise TraceMismatch("a quotient member has a coefficient outside U")
+        first.setdefault(tuple(c != 0 for c in m), m)
+    _extract_each(universe, factors, list(first.values()), U)

@@ -122,8 +122,8 @@ MUTANTS = {
         "the trailing term is taken at the least exponent, so the join prunes by "
         "leading term alone",
         "mnseries/series.py",
-        "trails = [max(g, key=",
-        "trails = [min(g, key=",
+        "[max(s, key=",
+        "[min(s, key=",
         ("tests/test_window.py", "-k", "join_multiplies_only_pairs")),
     # the ideal lattices joined from the product table's principal ideals
     "right-lattice-reads-columns": Mutant(
@@ -216,6 +216,39 @@ MUTANTS = {
         "weight = {0: 1}",
         "weight = {0: 0}",
         ("tests/test_class_scan.py", "-k", "partition_the_universe")),
+    # G-Armendariz over unit orbits, series-zip over support classes
+    "orbit-weight-one": Mutant(
+        "every orbit representative counts as one series, not as its orbit",
+        "mnseries/series.py",
+        "sizes.append(len(orbit))",
+        "sizes.append(1)",
+        ("tests/test_window.py", "-k", "joins_orbit_representatives")),
+    "right-orbits-ignore-sigma": Mutant(
+        "a central unit acts on g although a sigma generator moves it",
+        "mnseries/series.py",
+        "if all(g.map[v] == v for g in self.twist.sigma.generators)",
+        "if True",
+        ("tests/test_orbit_scan.py", "-k", "orbits_partition")),
+    "g-armendariz-skips-the-exact-rerun": Mutant(
+        "the first witness among the orbit representatives is reported as it is, "
+        "without the exact join over every pair",
+        "mnseries/properties.py",
+        "        zero_products, single_terms, hit = scan(universe, ones, universe, ones)\n",
+        "        pass\n",
+        ("tests/test_orbit_scan.py", "-k", "ut2_z2_fails")),
+    "series-zip-drops-a-support-class": Mutant(
+        "series-zip traces one support class too few",
+        "mnseries/transfer.py",
+        "_extract_each(universe, factors, list(first.values()), U)",
+        "_extract_each(universe, factors, list(first.values())[:-1], U)",
+        ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
+    "trace-oracle-reads-the-term-table": Mutant(
+        "the extraction trace's oracle reads the algebra's term table, not the direct "
+        "term_product memo",
+        "mnseries/transfer.py",
+        "value = alg.direct(i, a, j, b)",
+        "value = alg.term[i][a][j][b]",
+        ("tests/test_window.py", "-k", "oracle_does_not_read_the_term_table")),
     "cocycle-reads-a-wrong-tau-row": Mutant(
         "the cocycle scan reads tau(x, z) where it needs tau(y, z)",
         "mnseries/series.py",

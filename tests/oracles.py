@@ -7,7 +7,9 @@ scan of the ring axioms, the element-by-element ideal-kind test and the
 additive span of a set, sum by sum, the zip searches that recompute a
 quotient or annihilator for every candidate subset, the sigma-U-zip
 scan's count over all 2^|R| subsets, and the truncated universe's
-quotient as a filter that multiplies every window series by every factor.
+quotient as a filter that multiplies every window series by every factor,
+the G-Armendariz check over the window join of every pair of series, and
+the series-zip witness that traces every quotient member with every factor.
 They stay here as oracles, not as second paths in `src/`, beside
 `random_triples`, the seeded triples of series the associativity tests
 draw, and the Series-level helpers the differential tests compare the
@@ -24,10 +26,14 @@ from __future__ import annotations
 
 import itertools
 
+from mnseries.errors import (HypothesisFails, PreconditionFail, RingMismatch, TraceMismatch,
+                             TwistMismatch)
 from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
-from mnseries.properties import PropertyReport
+from mnseries.properties import PropertyReport, check_pair_cap, sigma_u_zip_witness
 from mnseries.rings import FiniteRing
-from mnseries.series import Series, TwistSystem, WindowAlgebra, random_series, term_product
+from mnseries.series import (Series, TwistSystem, WindowAlgebra, random_series, series_mul,
+                             series_to_json, term_product)
+from mnseries.transfer import _contents, _trace, require_zip
 
 
 def ut2_table(n: int) -> dict:
@@ -407,3 +413,118 @@ def extraction_oracle(f: Series, g: Series) -> dict:
     direct evaluation: the conclusions the extraction trace must reach."""
     return {(u, v): term_product(f.twist, f.terms[u], u, g.terms[v], v)
             for u in f.terms for v in g.terms}
+
+
+def full_join_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
+                           exponents) -> PropertyReport:
+    """The G-Armendariz check over the window join of every pair of
+    universe series, each zero product counted once, with its witness and
+    True-verdict re-checks."""
+    grp = twist.group
+    exps = [grp.canon(x) for x in exponents]
+    check_pair_cap(ring.size, len(exps))
+    alg = WindowAlgebra(twist, exps)
+    universe = alg.universe(max_support)
+    witness = None
+    pairs_checked = len(universe) ** 2
+    zero_products = single_terms = 0
+    mul = ring.mul_table
+    for p, q, _ in alg.join(universe, {0}):
+        zero_products += 1
+        f, g = universe[p], universe[q]
+        single_terms += len(f) == len(g) == 1
+        hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
+                   None)
+        if hit is not None:
+            i, j, product = hit
+            fs, gs = alg.series(f), alg.series(g)
+            x, y = alg.window[i], alg.window[j]
+            fg, ab = series_mul(fs, gs), ring.mul(fs.coeff(x), gs.coeff(y))
+            if not fg.is_zero or ab == 0:
+                raise TraceMismatch(f"G-Armendariz witness f = {fs}, g = {gs} at x = "
+                                    f"{grp.to_json(x)}, y = {grp.to_json(y)} does not re-check: "
+                                    f"series_mul gives f*g = {fg} and f(x)g(y) = {ab}")
+            witness = {"f": series_to_json(fs), "g": series_to_json(gs),
+                       "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
+            pairs_checked = p * len(universe) + q + 1
+            break
+    if witness is None and max_support >= 1:
+        nonzero, vanishing = range(1, ring.size), 0
+        for x, y in itertools.product(exps, repeat=2):
+            sig, t = twist.sigma_at(x).map, twist.tau_at(x, y)
+            vanishing += sum(mul[mul[a][sig[b]]][t] == 0 for a in nonzero for b in nonzero)
+        if single_terms != vanishing:
+            raise TraceMismatch(f"G-Armendariz join yielded {single_terms} single-term pairs "
+                                f"with f*g = 0, but {vanishing} products a*sigma_x(b)*tau(x, y) "
+                                "with a, b nonzero vanish")
+    bounds = {"max_support": max_support,
+              "exponents": [grp.to_json(x) for x in exps],
+              "pairs_checked": pairs_checked, "zero_products_seen": zero_products}
+    return PropertyReport(
+        "G-armendariz", witness is None, witness=witness, bounds=bounds,
+        note="verdict certified for the bounded fragment only")
+
+
+def per_h_series_zip_witness(X, U: IdealSet, universe) -> PropertyReport:
+    """The series-zip witness with one extraction trace for every member h
+    of the reduced quotient and every factor, each followed by the check
+    that h has U-coefficients."""
+    twist = universe.twist
+    ring = twist.ring
+    grp = twist.group
+    if U.ring is not ring:
+        raise RingMismatch("ideal must live in the universe's coefficient ring")
+    X = list(X)
+    if not X:
+        raise PreconditionFail("X must be a nonempty set of series")
+    for s in X:
+        if s.twist is not twist:
+            raise TwistMismatch("members of X must share the universe's twist")
+    require_zip(U, twist)
+    if all(s.content() <= U.members for s in X):
+        raise PreconditionFail("X lies inside the U-coefficient series")
+    if not universe.has_identity:
+        raise PreconditionFail("universe window must contain the group identity")
+    u_series = set(universe.with_coeffs_in(U.members))
+    q = universe.quotient([universe.member(s) for s in X], U.members, "right")
+    if q != u_series:
+        raise HypothesisFails(
+            "(U((G)):X) differs from the U-coefficient series in the universe",
+            witness=series_to_json(universe.series(min(q ^ u_series))))
+
+    c_x = sorted(_contents(X))
+    base_ok = sigma_u_zip_witness(ring, U, c_x, True)
+    if base_ok.verdict is not True:
+        return PropertyReport("series-zip", False,
+                              witness={"base": base_ok.to_json()},
+                              bounds=universe.describe())
+    c_x0 = base_ok.certificate["minimal_witness"]
+    x0 = [s for s in X if any(c in c_x0 for c in s.content())]
+
+    factors = [universe.member(s) for s in x0]
+    quotient0 = universe.quotient(factors, U.members, "right")
+    reduced_ok = quotient0 == u_series
+
+    extractions = 0
+    if reduced_ok:
+        mul = universe.algebra.multiply
+        for m in sorted(quotient0):
+            h = [(i, c) for i, c in enumerate(m) if c]
+            for s in factors:
+                _trace(universe.algebra, s, h, U, mul(s, h))
+                extractions += 1
+                for i, c in h:
+                    if c not in U.members:
+                        raise TraceMismatch(
+                            f"extraction finished but h({grp.to_json(universe.window[i])}) "
+                            "is outside U")
+
+    verdict = reduced_ok
+    return PropertyReport(
+        "series-zip", verdict,
+        witness=None if verdict else {"quotient0_size": len(quotient0),
+                                      "expected_size": len(u_series)},
+        certificate={"C_X": c_x, "C_X0": list(c_x0),
+                     "X0": [series_to_json(s) for s in x0],
+                     "extractions": extractions},
+        bounds=universe.describe())

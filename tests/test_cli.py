@@ -683,9 +683,8 @@ def test_a_quotient_missing_a_member_of_U_fails_quotient_contains_U(tmp_path, ca
     monkeypatch.setattr(cli, "quotient_ideal", lambda U, V: real(U, V) - {max(U.members)})
     contain = _ideals_checks(path, capsys)["quotient-contains-U"]
     assert contain["verdict"] is False
-    # the witness is the last failing pair: U = V = R, and (R:R) lost 7
-    assert contain["witness"] == {"U": list(range(8)), "V": list(range(8)),
-                                  "quotient": list(range(7))}
+    # the witness is the first failing pair: U = V = {0}, and ({0}:{0}) = R lost 0
+    assert contain["witness"] == {"U": [0], "V": [0], "quotient": list(range(1, 8))}
 
 
 @pytest.mark.parametrize("suite, skipped", [

@@ -117,8 +117,7 @@ def test_join_prunes_no_qualifying_pair(name):
             assert joined == expected, (len(universe), sorted(members))
 
 
-def test_join_multiplies_only_pairs_with_admissible_leading_and_trailing_terms(monkeypatch):
-    twist, window = CASES["z4-tau"]
+def _counting_multiplies(monkeypatch) -> list:
     real = WindowAlgebra.multiply
     calls = []
 
@@ -127,10 +126,33 @@ def test_join_multiplies_only_pairs_with_admissible_leading_and_trailing_terms(m
         return real(alg, f, g)
 
     monkeypatch.setattr(WindowAlgebra, "multiply", counting)
+    return calls
+
+
+def test_join_multiplies_only_pairs_with_admissible_leading_and_trailing_terms(monkeypatch):
+    twist, window = CASES["z4-tau"]
+    alg = WindowAlgebra(twist, window)
+    universe = alg.universe()
+    calls = _counting_multiplies(monkeypatch)
+    assert sum(1 for _ in alg.join(universe, {0})) == 176
+    assert len(calls) == 208  # 568 when pruned by leading term alone
+
+
+def test_g_armendariz_joins_orbit_representatives(monkeypatch):
+    """Z4 has the units 1 and 3, all central and fixed by the identity
+    sigma: 36 of the 64 series represent their orbits on either side, and
+    the join over them multiplies 135 pairs where the full join multiplies
+    208, with the same weighted count of zero products."""
+    twist, window = CASES["z4-tau"]
+    alg = WindowAlgebra(twist, window)
+    for side in ("left", "right"):
+        reps, sizes = alg.orbits(alg.universe(), side)
+        assert (len(reps), sum(sizes)) == (36, 64)
+    calls = _counting_multiplies(monkeypatch)
     rep = is_G_armendariz(twist.ring, twist, 3, window)
     assert rep.bounds["pairs_checked"] == 4096
     assert rep.bounds["zero_products_seen"] == 176
-    assert len(calls) == 208  # 568 when pruned by leading term alone
+    assert len(calls) == 135
 
 
 def test_g_armendariz_rechecks_its_witness_with_series_mul(monkeypatch):

@@ -42,7 +42,7 @@ from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
 from .series import (AssocReport, Series, TwistSystem, check_associativity,
                      check_twist_conditions, random_series, series_from_json, series_make,
                      series_mul, series_to_json, twist_from_spec)
-from .transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decomposition,
+from .transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decompositions,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness, universe_count)
 
@@ -291,10 +291,7 @@ def _subset_pool(ring: FiniteRing, seed: int):
     otherwise all singletons plus AGREEMENT_SAMPLES seeded draws of size <= 4."""
     n = ring.size
     if (1 << n) <= 4096:
-        out = []
-        for mask in range(1, 1 << n):
-            out.append(frozenset(i for i in range(n) if mask >> i & 1))
-        return out
+        return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
     rng = random.Random(seed)
     pool = [frozenset({a}) for a in range(n)]
     while len(pool) < n + AGREEMENT_SAMPLES:
@@ -434,12 +431,9 @@ def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     exps = fx.group.window(lo, hi)
     universe = TruncatedUniverse(twist, exps)
     rng = random.Random(seed)
-    failures = []
-    for _ in range(SAMPLES):
-        f = random_series(twist, rng, exps, fx.cap("max_support"))
-        lift = lift_fusible_decomposition(f, universe)
-        if not lift.ok:
-            failures.append({"f": series_to_json(f), "lift": lift.to_json()})
+    fs = [random_series(twist, rng, exps, fx.cap("max_support")) for _ in range(SAMPLES)]
+    failures = [{"f": series_to_json(f), "lift": lift.to_json()}
+                for f, lift in zip(fs, lift_fusible_decompositions(fs, universe)) if not lift.ok]
     yield PropertyReport(
         "fusible-lift", not failures, witness=failures or None,
         certificate={"samples": SAMPLES},

@@ -113,10 +113,7 @@ class TauPatched(TauRule):
         self.overrides = dict(overrides)
 
     def at(self, x, y):
-        key = (x, y)
-        if key in self.overrides:
-            return self.overrides[key]
-        return self.base.at(x, y)
+        return self.overrides[x, y] if (x, y) in self.overrides else self.base.at(x, y)
 
 
 class TwistSystem(Memo):
@@ -223,11 +220,8 @@ def twist_from_spec(ring: FiniteRing, group: OrderedGroup, spec: dict | None) ->
                     and 0 <= t[2] < ring.size for t in triples):
                 raise MalformedSpec("patched tau needs a 'base' and 'overrides' of "
                                     f"[x, y, element id] triples: {tspec!r}")
-            base = build_tau(tspec["base"])
-            overrides = {}
-            for x, y, v in triples:
-                overrides[(group.canon(x), group.canon(y))] = v
-            return TauPatched(base, overrides)
+            return TauPatched(build_tau(tspec["base"]),
+                              {(group.canon(x), group.canon(y)): v for x, y, v in triples})
         raise MalformedSpec(f"unknown tau kind {kind!r}")
 
     tau = build_tau(spec.get("tau", {"kind": "one"}))

@@ -13,10 +13,10 @@ additive in the series it quotients: `TruncatedUniverse.quotient` matches
 half-window sums of the single-term products, reduced mod `members`,
 instead of multiplying every universe series. An annihilator reads only
 the single terms whose coefficients are additive generators of its
-coefficient set, and is kept in the universe's memo per (set, side), as is
-the fusible lift's (0 : h) per h. The filter over every series that the
-kernel replaced is the tests' oracle, `universe_quotient_scan` in
-tests/oracles.py.
+coefficient set, and is kept in the universe's memo per (set, side). The
+filter over every series that the kernel replaced is the tests' oracle,
+`universe_quotient_scan` in tests/oracles.py. The fusible lift's (0 : h)
+is no kernel but one `killers` join per batch of h.
 
 `extraction_scan` runs thm 5.4's extraction induction over a universe: one
 trace per class-series pair mod U, listing every series only on a failure.
@@ -108,8 +108,10 @@ class TruncatedUniverse(Memo):
     def all_series(self) -> list[Series]:
         return [self.series(m) for m in self.members]
 
-    def with_coeffs_in(self, coeffs: Iterable[int]) -> list[tuple]:
-        return list(itertools.product(sorted({0, *coeffs}), repeat=len(self.window)))
+    def with_coeffs_in(self, coeffs: Iterable[int]) -> frozenset[tuple]:
+        values = sorted({0, *coeffs})
+        return self.once(("with_coeffs_in", *values), lambda: frozenset(
+            itertools.product(values, repeat=len(self.window))))
 
     def _cosets(self, members: frozenset[int]) -> tuple[list[int], list[list[int]], bytes]:
         """(rep, add, neg) for the cosets of `members` in the ring's additive
@@ -187,6 +189,18 @@ class TruncatedUniverse(Memo):
             return self.quotient([[(i, c)] for i in range(len(self.window)) for c in gens],
                                  {0}, side)
         return self.once(("annihilator", coeffs, side), kernel)
+
+    def killers(self, hs: Sequence[list[tuple]]) -> list[list[tuple]]:
+        """For each h, a list of window terms, the nonzero members k with
+        h*k = 0, in universe order: one join of the distinct h with the
+        universe's terms, which it keeps. An h whose leading coefficient b is
+        left regular leaves the lead-term prune only k = 0: b sigma(c) tau != 0."""
+        distinct = list(dict.fromkeys(map(tuple, hs)))
+        found: dict[tuple, list[tuple]] = {h: [] for h in distinct}
+        for p, q, _ in self.algebra.join(distinct, {0}, self.once("terms", self.algebra.universe)):
+            if q:  # members[0] is the zero series
+                found[distinct[p]].append(self.members[q])
+        return [found[tuple(h)] for h in hs]
 
     def describe(self) -> dict:
         return {"window": [self.twist.group.to_json(x) for x in self.window],
@@ -291,35 +305,39 @@ class FusibleLift:
 
 
 def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> FusibleLift:
-    """Split a nonzero series at its minimal exponent, base-ring style.
+    """The lift of one series: `lift_fusible_decompositions` of [f]."""
+    return lift_fusible_decompositions([f], universe)[0]
+
+
+def lift_fusible_decompositions(fs: Iterable[Series],
+                                universe: TruncatedUniverse) -> list[FusibleLift]:
+    """Split each nonzero series at its minimal exponent, base-ring style.
 
     The minimal coefficient f(s0) = a + b with a a left zero-divisor and b
-    left regular; g carries a at s0 and h the rest. The certificate then
+    left regular; g carries a at s0 and h the rest. Each certificate then
     shows g * embed(d) = 0 for a recorded d with a*d = 0, and that no
-    nonzero k in the universe has h*k = 0.
+    nonzero k in the universe has h*k = 0, the least such k being the
+    witness. One `killers` join decides that for every h of the batch.
     """
-    twist = f.twist
-    ring = twist.ring
-    if f.is_zero:
-        raise ZeroSeries("cannot decompose the zero series")
-    require_fusible(twist)
-
-    stats = support_stats(f)
-    s0 = stats.minimal
-    a, b = fusible_decompositions(ring, stats.leading)[0]
-    d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)
-    g = series_make(twist, [(s0, a)])
-    h = series_sub(f, g)
-
-    sum_ok = series_add(g, h) == f
-    g_annihilated_ok = series_mul(g, embed_scalar(twist, d)).is_zero
-    leading_regular_ok = b in zero_divisor_sets(ring).left_regular
-    # the nonzero k with h*k = 0, kept per h; members[0] is the zero series
-    h_terms = universe.member(h)
-    killers = universe.once(("(0:h)", tuple(h_terms)), lambda: universe.quotient(
-        [h_terms], {0}, "right")) - {universe.members[0]}
-    return FusibleLift(g, h, s0, a, b, d, sum_ok, g_annihilated_ok, leading_regular_ok,
-                       not killers, universe.series(min(killers)) if killers else None)
+    lifts, hs = [], []
+    for f in fs:
+        twist, ring = f.twist, f.twist.ring
+        if f.is_zero:
+            raise ZeroSeries("cannot decompose the zero series")
+        require_fusible(twist)
+        s0 = support_stats(f).minimal
+        a, b = fusible_decompositions(ring, f.terms[s0])[0]
+        d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)
+        g = series_make(twist, [(s0, a)])
+        h = series_sub(f, g)
+        lifts.append(FusibleLift(g, h, s0, a, b, d, series_add(g, h) == f,
+                                 series_mul(g, embed_scalar(twist, d)).is_zero,
+                                 b in zero_divisor_sets(ring).left_regular, True))
+        hs.append(universe.member(h))
+    for lift, killers in zip(lifts, universe.killers(hs)):
+        if killers:
+            lift.h_regular_ok, lift.h_regular_witness = False, universe.series(killers[0])
+    return lifts
 
 
 # --- annihilator lifting (IN side) -------------------------------------------
@@ -341,32 +359,27 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     if I.ring is not ring or J.ring is not ring:
         raise RingMismatch("ideals must live in the universe's coefficient ring")
     require_sigma_compatible(twist)
-    meet = I.members & J.members
     witnesses = {}
-
-    both = set(universe.with_coeffs_in(I.members)) & set(universe.with_coeffs_in(J.members))
-    meet_series = set(universe.with_coeffs_in(meet))
-    id1 = both == meet_series
+    sets = (I.members & J.members, I.members, J.members)
+    # identities (1) and (3) read no side: decided once per (I, J)
+    stray, base_holds, univ_holds = universe.once(("side-free", *sets), lambda: (
+        (universe.with_coeffs_in(I.members) & universe.with_coeffs_in(J.members))
+        ^ universe.with_coeffs_in(I.members & J.members),
+        is_subgroup_sum(*(annihilator(ring, m, "left") for m in sets)),
+        is_subgroup_sum(*(universe.annihilator(m, "left") for m in sets))))
+    id1 = not stray
     if not id1:
-        sample = min(both ^ meet_series)
-        witnesses["membership-intersection"] = series_to_json(universe.series(sample))
+        witnesses["membership-intersection"] = series_to_json(universe.series(min(stray)))
 
     id2 = True
     for name, ideal in (("I", I), ("J", J)):
-        base_side = annihilator(ring, ideal.members, side)
-        expected = set(universe.with_coeffs_in(base_side))
+        expected = universe.with_coeffs_in(annihilator(ring, ideal.members, side))
         actual = universe.annihilator(ideal.members, side)
         if actual != expected:
             id2 = False
             sample = min(actual ^ expected)
             witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
 
-    base_holds = is_subgroup_sum(annihilator(ring, meet, "left"),
-                                 annihilator(ring, I.members, "left"),
-                                 annihilator(ring, J.members, "left"))
-    univ_holds = is_subgroup_sum(universe.annihilator(meet, "left"),
-                                 universe.annihilator(I.members, "left"),
-                                 universe.annihilator(J.members, "left"))
     id3 = base_holds == univ_holds
     if not id3:
         witnesses["sum-identity-agreement"] = {"base": base_holds, "universe": univ_holds}
@@ -388,10 +401,7 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
 
 
 def _contents(series_list: Iterable[Series]) -> set[int]:
-    out: set[int] = set()
-    for s in series_list:
-        out |= s.content()
-    return out
+    return set().union(*(s.content() for s in series_list))
 
 
 def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
@@ -636,7 +646,8 @@ def extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int,
         classes, weights = alg.classes(U.members)
         qualifying = 0
         for p, q, fg in alg.join(classes, U.members):
-            _trace(alg, classes[p], classes[q], U, fg)
+            if classes[p] and classes[q]:  # a zero factor leaves no X_w pair to trace
+                _trace(alg, classes[p], classes[q], U, fg)
             qualifying += weights[p] * weights[q]
         return len(universe) ** 2, qualifying, None
     except TraceMismatch as exc:
@@ -764,5 +775,6 @@ def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
     for m in members:
         if not U.members.issuperset(m):
             raise TraceMismatch("a quotient member has a coefficient outside U")
-        first.setdefault(tuple(c != 0 for c in m), m)
+        if any(m):  # the zero h leaves no X_w pair to trace
+            first.setdefault(tuple(c != 0 for c in m), m)
     _extract_each(universe, factors, list(first.values()), U)

@@ -68,11 +68,25 @@ MUTANTS = {
         "sorted(coeffs - {0})))\n",
         "sorted(coeffs - {0})))[:1]\n",
         (_UNIVERSE, "-k", "annihilators_on_generators_match_every_coefficient")),
-    "lift-memo-ignores-h": Mutant(
-        "every lift reads the (0 : h) of the first h it was given",
+    "killers-filed-under-the-wrong-h": Mutant(
+        "every killer the batch join finds is filed under the batch's first h",
         "mnseries/transfer.py",
-        'universe.once(("(0:h)", tuple(h_terms))',
-        'universe.once(("(0:h)",)',
+        "found[distinct[p]].append(self.members[q])",
+        "found[distinct[0]].append(self.members[q])",
+        (_UNIVERSE, "-k", "batch_killers_match_the_scan")),
+    "killers-join-k-times-h": Mutant(
+        "the batch join keeps the k with k*h = 0, not h*k = 0",
+        "mnseries/transfer.py",
+        'for p, q, _ in self.algebra.join(distinct, {0}, '
+        'self.once("terms", self.algebra.universe)):',
+        'for q, p, _ in self.algebra.join(self.once("terms", self.algebra.universe), '
+        '{0}, distinct):',
+        (_UNIVERSE, "-k", "batch_killers_match_the_scan")),
+    "killers-keep-the-zero-series": Mutant(
+        "the zero series is left among each h's killers",
+        "mnseries/transfer.py",
+        "            if q:  # members[0] is the zero series\n",
+        "            if True:\n",
         (_UNIVERSE, "-k", "lift_decides_regularity_as_the_scan_does")),
     "left-fusible-recheck-dropped": Mutant(
         "is_left_fusible reports its witness without splitting it again",

@@ -20,7 +20,7 @@ from mnseries.cli import load_fixture, resolve_fixture, run_suite
 from mnseries.errors import TraceMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.ideals import (enumerate_ideals, is_semiprime_ideal,
-                             is_sigma_compatible_ideal)
+                             is_sigma_compatible_ideal, make_ideal)
 from mnseries.rings import (check_automorphism, ring_from_table, ring_product,
                             ring_trivial_extension, ring_zn, units)
 from mnseries.series import WindowAlgebra, trivial_twist, twist_from_spec
@@ -239,3 +239,28 @@ def test_z16_thm54_traces_each_qualifying_class_pair_once(tmp_path, monkeypatch,
     monkeypatch.setattr(transfer, "_trace", counting)
     assert extraction_scan(universe, fx.ideals["U"]) == (16_777_216, 3_932_160, None)
     assert 0 < len(traces) <= 368
+
+
+def test_the_class_scan_traces_no_pair_with_a_zero_factor(monkeypatch):
+    """Over Z2 x Z2 (reduced, so U = {0} is semiprime) every universe series
+    is a class series, and the zero one qualifies with all 64. Its traces
+    have no X_w pair and conclude nothing, so the scan leaves them out and
+    still counts them: the result is the exact scan's, one trace per
+    qualifying pair of nonzero series."""
+    ring, _ = _ring("product", 2, 2)
+    twist = trivial_twist(ring, IntegersGroup())
+    U = make_ideal(ring, {0})
+    universe = TruncatedUniverse(twist, [0, 1, 2])
+    terms = universe.algebra.universe()
+    exact = _lift_scan(universe.algebra, terms, U)
+    assert exact[2] is None
+    real, traced = transfer._trace, []
+
+    def recording(alg, f, g, U, fg):
+        traced.append((f, g))
+        return real(alg, f, g, U, fg)
+
+    monkeypatch.setattr(transfer, "_trace", recording)
+    assert extraction_scan(universe, U) == exact
+    assert all(f and g for f, g in traced)
+    assert len(traced) == exact[1] - (2 * len(terms) - 1)

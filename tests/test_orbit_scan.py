@@ -205,7 +205,8 @@ def _z8_zip():
 
 def test_series_zip_traces_each_support_once_per_factor(monkeypatch):
     """The 16 U-coefficient series over two positions have 4 supports: one
-    trace each with the factor, while `extractions` counts all 16."""
+    trace with the factor for each nonzero support (the zero h leaves no X_w
+    pair to trace), while `extractions` counts all 16."""
     X, U, universe = _z8_zip()
     real = transfer._trace
     traced = []
@@ -218,7 +219,7 @@ def test_series_zip_traces_each_support_once_per_factor(monkeypatch):
     rep = series_zip_witness(X, U, universe)
     assert rep.verdict is True
     assert rep.certificate["extractions"] == 16
-    assert sorted(traced) == [(), (0,), (0, 1), (1,)]
+    assert sorted(traced) == [(0,), (0, 1), (1,)]
     fresh = TruncatedUniverse(universe.twist, universe.window)
     assert rep.to_json() == per_h_series_zip_witness(X, U, fresh).to_json()
 

@@ -23,12 +23,13 @@ import mnseries.series as series_module
 from mnseries.errors import HypothesisFails, PreconditionFail, TwistMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, make_ideal
+from mnseries.properties import zero_divisor_sets
 from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
                             ring_zn, units)
 from mnseries.series import (random_series, series_add, series_make, series_mul,
                              trivial_twist, twist_from_spec)
 from mnseries.transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decomposition,
-                               series_zip_witness)
+                               lift_fusible_decompositions, series_zip_witness)
 from oracles import exhaustive_series, universe_quotient_scan, universe_set_sum, ut2_table
 
 
@@ -77,7 +78,7 @@ def _loop_scans(universe, members):
 
 def _check_scans(universe, members):
     targets, annihilators, sums = _loop_scans(universe, members)
-    assert universe.with_coeffs_in(members) == targets
+    assert sorted(universe.with_coeffs_in(members)) == targets
     for side in ("left", "right"):
         ann = universe.annihilator(members, side)
         assert ann == annihilators[side], side
@@ -284,27 +285,65 @@ def test_the_quotient_kernel_matches_the_scan_on_generated_rings(case, data):
     (ring_zn(5), [2]),
 ])
 def test_the_lift_decides_regularity_as_the_scan_does(ring, window):
-    """Every h of 60 seeded lifts, most of them several terms long: (0 : h),
-    kept in the universe's memo, is what the scan finds, and the witness of
+    """60 seeded series, most of their h several terms long, lifted as one
+    batch: one join and no quotient kernel decide (0 : h) for every h, with
+    one multiply per distinct h (its leading coefficient is left regular,
+    so only the zero series passes the join's lead-term prune). Each lift is
+    the one-element batch's, and it is what the scan finds: the witness of
     an h that is not left regular is the scan's least nonzero member."""
     twist = trivial_twist(ring, IntegersGroup())
     universe = TruncatedUniverse(twist, window)
     rng = random.Random(7)
-    real, quotients = TruncatedUniverse.quotient, []
-    zero, hs = universe.members[0], set()
+    fs = [random_series(twist, rng, window, len(window)) for _ in range(60)]
+    calls = {"quotient": [], "join": [], "multiply": []}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TruncatedUniverse, "quotient",
-                   lambda *args: quotients.append(None) or real(*args))
-        for _ in range(60):
-            lift = lift_fusible_decomposition(
-                random_series(twist, rng, window, len(window)), universe)
-            h = universe.member(lift.h)
-            hs.add(tuple(h))
-            killers = universe_quotient_scan(universe, [h], {0}, "right") - {zero}
-            assert lift.h_regular_ok == (not killers)
-            assert lift.h_regular_witness == (universe.series(min(killers)) if killers else None)
-    assert len(quotients) == len(hs) < 60
+        for owner, name in ((TruncatedUniverse, "quotient"),
+                            (series_module.WindowAlgebra, "join"),
+                            (series_module.WindowAlgebra, "multiply")):
+            real = getattr(owner, name)
+            mp.setattr(owner, name, lambda *args, real=real, name=name:
+                       calls[name].append(None) or real(*args))
+        lifts = lift_fusible_decompositions(fs, universe)
+    zero, hs = universe.members[0], set()
+    for f, lift in zip(fs, lifts):
+        assert lift_fusible_decomposition(f, universe) == lift
+        h = universe.member(lift.h)
+        hs.add(tuple(h))
+        killers = universe_quotient_scan(universe, [h], {0}, "right") - {zero}
+        assert lift.h_regular_ok == (not killers)
+        assert lift.h_regular_witness == (universe.series(min(killers)) if killers else None)
+    assert (len(calls["join"]), len(calls["quotient"])) == (1, 0)
+    assert len(calls["multiply"]) == len(hs) < 60
     assert any(len(h) > 1 for h in hs) or len(window) == 1
+
+
+SIDED_CASES = {"klein-swap", "ut2-z2", "ut2-z2-conjugation"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batch_killers_match_the_scan_for_every_h(name):
+    """`killers` for every member h at once, in a shuffled order with
+    repeats, against the scan of (0 : h) one h at a time: the same nonzero
+    members, the least of them first. h = 0 and the h whose leading
+    coefficient is a zero-divisor have killers; on the sigma-twisted and
+    the noncommutative cases h*k = 0 and k*h = 0 differ."""
+    universe = CASES[name]
+    zero = universe.members[0]
+    hs = [_terms(m) for m in universe.members]
+    random.Random(11).shuffle(hs)
+    hs += hs[:5]
+    batch = universe.killers(hs)
+    assert len(batch) == len(hs)
+    for h, killers in zip(hs, batch):
+        scan = universe_quotient_scan(universe, [h], {0}, "right") - {zero}
+        assert killers == sorted(scan), h
+    assert any(batch) and not all(batch)
+    # h with a zero-divisor leading coefficient among those with killers
+    zd = zero_divisor_sets(universe.twist.ring).left
+    assert any(k and h and min(h, key=lambda t: universe.window[t[0]])[1] in zd
+               for h, k in zip(hs, batch))
+    left = [universe_quotient_scan(universe, [h], {0}, "left") - {zero} for h in hs]
+    assert any(set(k) != u for k, u in zip(batch, left)) == (name in SIDED_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -490,7 +529,7 @@ def test_a_failed_table_check_enumerates_the_window_once(monkeypatch):
 
 
 def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):
-    """lemma4.3 on t_z4_example_5_6 asks for 160 annihilators of 14 distinct
+    """lemma4.3 on t_z4_example_5_6 asks for 112 annihilators of 14 distinct
     (coefficient set, side) keys; each key is one quotient kernel over the
     single-term series c*X^x, at most |universe| * w * |C - {0}| multiplies
     (not one per series with coefficients in C), and the shared result is a
@@ -528,9 +567,10 @@ def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):
     monkeypatch.setattr(TruncatedUniverse, "quotient", counting_quotient)
     monkeypatch.setattr(TruncatedUniverse, "annihilator", counting)
     assert cli.run_suite(fx, "lemma4.3").status == "pass"
-    assert len(calls) == 160
+    assert len(calls) == 112
     assert len(kernels) == len(set(kernels)) == 14
 
     universe = CASES["z4-tau"]
     assert universe.annihilator([2, 0], "left") is universe.annihilator({0, 2}, "left")
     assert universe.annihilator({0, 2}, "left") is not universe.annihilator({0, 2}, "right")
+    assert universe.with_coeffs_in([2]) is universe.with_coeffs_in({0, 2})

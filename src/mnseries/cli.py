@@ -2,9 +2,11 @@
 
 Fixtures are single JSON documents naming a ring, an optional ordered group
 and twist, named ideals and series, the suites the fixture claims to
-satisfy, and caps on three search limits. A fixture's twist is validated on
+satisfy, and caps on two search limits. A fixture's twist is validated on
 load (cocycle conditions plus associativity, decided exactly from their
-tables) before any suite touches it.
+tables) before any suite touches it. `--seed` draws only the subset pools
+of `ideals` and `examples` on rings of more than 12 elements; every other
+check scans what it decides.
 
 Exit codes: 0 all applicable checks pass (not-applicable suites warn),
 1 a check failed, 2 the fixture or the command line is invalid.
@@ -16,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -40,9 +43,9 @@ from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
 # wraps a function imported into this module, and it names this one
 from .series import (AssocReport, Series, TwistSystem, check_associativity,
-                     check_twist_conditions, random_series, series_from_json, series_make,
+                     check_twist_conditions, series_from_json, series_make,
                      series_mul, series_to_json, twist_from_spec)
-from .transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decompositions,
+from .transfer import (TruncatedUniverse, extraction_scan, lift_universe,
                        lifted_annihilator_check, require_fusible, require_zip,
                        sa_transfer_witness, series_zip_witness, universe_count)
 
@@ -50,15 +53,13 @@ from .transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decompos
 DEFAULT_CAPS = {
     "window": [0, 2],
     "max_support": 3,
-    "assoc_samples": 200,
 }
 # fixed limits; the ring, universe, pair and witness caps live where they are enforced
 TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
 TWIST_TRIPLE_CAP = 343 ** 3  # their exponent triples: Z^3_lex's window, not Z^4_lex's
-SAMPLES = 100               # prop3.2's random series
 UNIVERSE_WINDOW = (0, 1)    # lemma4.3's and thm4.5's universe
 IDEAL_PAIR_LIMIT = 16       # lemma4.3's ideal pairs, thm4.5's configurations (plus one)
-AGREEMENT_SAMPLES = 50      # seeded subsets when 2^|R| is too many to scan
+SEEDED_SUBSETS = 50         # drawn with --seed when 2^|R| is too many subsets to scan
 
 SUITE_NAMES = ("ring-axioms", "ideals", "properties", "prop3.2",
                "lemma4.3", "thm4.5", "thm5.4", "examples")
@@ -117,19 +118,19 @@ def _window_problem(lo: int, hi: int) -> str | None:
     return None
 
 
-def _validate_twist(label: str, twist: TwistSystem, samples: int):
+def _validate_twist(label: str, twist: TwistSystem):
     """Cocycle conditions on TWIST_WINDOW plus associativity of series inside it;
     a window with more than TWIST_TRIPLE_CAP exponent triples is refused before it is built.
 
     `check_twist_conditions` decides tau one, and a unit power whose unit
     every sigma generator fixes, from the tau kind in O(|window|); any other
     twist has its exponent triples scanned, which decides associativity on
-    the window exactly. A twist that associates reports `samples` checked
-    triples, none of them multiplied out. One that does not names a
-    single-term triple 1X^x, 1X^y, cX^z (`assoc_witness`), which is
-    multiplied out through `check_associativity` for the error's witness;
-    if that oracle finds the triple associative, the tables are wrong and
-    TraceMismatch is raised.
+    the window exactly. A twist that associates reports as checked the
+    exponent triples that decision covers, none of them multiplied out. One
+    that does not names a single-term triple 1X^x, 1X^y, cX^z
+    (`assoc_witness`), which is multiplied out through `check_associativity`
+    for the error's witness; if that oracle finds the triple associative,
+    the tables are wrong and TraceMismatch is raised.
     """
     triples = twist.group.window_size(*TWIST_WINDOW) ** 3
     if triples > TWIST_TRIPLE_CAP:
@@ -156,7 +157,7 @@ def _validate_twist(label: str, twist: TwistSystem, samples: int):
         if assoc_witness is not None:
             msg += f"; associativity witness: {json.dumps(assoc_witness, sort_keys=True)}"
         raise ValidationError(msg)
-    return cond, AssocReport(True, max(samples, 0))
+    return cond, AssocReport(True, triples)
 
 
 def _checked_caps(label: str, caps: dict) -> dict:
@@ -221,7 +222,7 @@ def load_fixture(path: str | Path, validate: bool = True) -> Fixture:
         except MNSeriesError as exc:
             raise ValidationError(f"fixture {label!r}: bad twist: {exc}") from exc
         if validate:
-            validation = _validate_twist(label, twist, caps["assoc_samples"])
+            validation = _validate_twist(label, twist)
 
     ideals = {}
     for name, spec in section("ideals", dict).items():
@@ -288,13 +289,13 @@ def _suite_ring_axioms(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 
 def _subset_pool(ring: FiniteRing, seed: int):
     """Deterministic nonempty subsets: exhaustive when 2^|R| is small,
-    otherwise all singletons plus AGREEMENT_SAMPLES seeded draws of size <= 4."""
+    otherwise all singletons plus SEEDED_SUBSETS seeded draws of size <= 4."""
     n = ring.size
     if (1 << n) <= 4096:
         return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
     rng = random.Random(seed)
     pool = [frozenset({a}) for a in range(n)]
-    while len(pool) < n + AGREEMENT_SAMPLES:
+    while len(pool) < n + SEEDED_SUBSETS:
         size = rng.randint(2, 4)
         pool.append(frozenset(rng.sample(range(n), size)))
     return pool
@@ -428,15 +429,12 @@ def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     require_fusible(twist)
     lo, hi = fx.cap("window")
     universe_count(fx.ring.size, fx.group.window_size(lo, hi))
-    exps = fx.group.window(lo, hi)
-    universe = TruncatedUniverse(twist, exps)
-    rng = random.Random(seed)
-    fs = [random_series(twist, rng, exps, fx.cap("max_support")) for _ in range(SAMPLES)]
-    failures = [{"f": series_to_json(f), "lift": lift.to_json()}
-                for f, lift in zip(fs, lift_fusible_decompositions(fs, universe)) if not lift.ok]
+    universe = TruncatedUniverse(twist, fx.group.window(lo, hi))
+    count, failed = lift_universe(universe, fx.cap("max_support"))
+    failures = [{"f": series_to_json(f), "lift": lift.to_json()} for f, lift in failed]
     yield PropertyReport(
         "fusible-lift", not failures, witness=failures or None,
-        certificate={"samples": SAMPLES},
+        certificate={"series": count},
         bounds={"window": fx.cap("window"), "max_support": fx.cap("max_support"),
                 "universe": universe.describe()})
 
@@ -624,7 +622,7 @@ def run_suite(fixture: Fixture, suite: str, seed: int = 0,
         fixture = replace(fixture, caps=_checked_caps(fixture.label,
                                                       {**fixture.caps, **overrides}))
     params = {"window": fixture.cap("window"), "max_support": fixture.cap("max_support"),
-              "samples": SAMPLES, "universe_window": list(UNIVERSE_WINDOW)}
+              "universe_window": list(UNIVERSE_WINDOW)}
     start = time.perf_counter()
     try:
         checks = _timed(_SUITES[suite](fixture, seed), start)
@@ -849,7 +847,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one `mn` command and return its exit code. A reader that closes
+    the pipe early (`mn ... | head`) ends the run with 1 and no traceback:
+    stdout is pointed at os.devnull, so the flush at exit writes nothing."""
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
     try:
         if args.command == "report":
             try:

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .errors import (DuplicateKey, MalformedSpec, NotNormalized, PreconditionFail,
-                     TraceMismatch, TwistMismatch, ZeroSeries)
+from .errors import DuplicateKey, MalformedSpec, NotNormalized, TraceMismatch, TwistMismatch
 from .groups import IntegersGroup, OrderedGroup
 from .rings import (FiniteRing, Memo, RingAutomorphism, automorphism_power,
                     check_automorphism, compose_automorphisms, greedy_generators,
@@ -308,14 +307,6 @@ def series_add(f: Series, g: Series) -> Series:
     return Series(tw, terms)
 
 
-def series_neg(f: Series) -> Series:
-    return Series(f.twist, {x: f.twist.ring.neg(c) for x, c in f.terms.items()})
-
-
-def series_sub(f: Series, g: Series) -> Series:
-    return series_add(f, series_neg(g))
-
-
 def term_product(tw: TwistSystem, a: int, x, b: int, y) -> int:
     """The coefficient contribution a * sigma_x(b) * tau(x, y)."""
     ring = tw.ring
@@ -551,22 +542,6 @@ class WindowAlgebra:
 
     def series(self, terms: list[tuple]) -> Series:
         return Series(self.twist, {self.window[i]: c for i, c in terms})
-
-
-@dataclass
-class SupportStats:
-    support: list
-    minimal: Any
-    leading: int
-    content: frozenset[int]
-
-
-def support_stats(f: Series) -> SupportStats:
-    """Sorted support, its minimal exponent, the leading coefficient, content."""
-    if f.is_zero:
-        raise ZeroSeries("the zero series has no minimal support element")
-    supp = f.support()
-    return SupportStats(supp, supp[0], f.terms[supp[0]], f.content())
 
 
 def series_to_json(f: Series) -> list:
@@ -815,21 +790,6 @@ def check_associativity(twist: TwistSystem, triples: Iterable[tuple]) -> AssocRe
                 "f": series_to_json(f), "g": series_to_json(g), "h": series_to_json(h),
                 "left": series_to_json(left), "right": series_to_json(right)})
     return AssocReport(True, checked)
-
-
-def random_series(twist: TwistSystem, rng, exponents: Sequence,
-                  max_support: int = 3, nonzero: bool = True) -> Series:
-    """A seeded random series with support inside the exponent window."""
-    exps = list(exponents)
-    if min(max_support, len(exps)) < (1 if nonzero else 0):
-        raise PreconditionFail(f"max_support {max_support} over {len(exps)} exponents "
-                               f"leaves no {'nonzero ' if nonzero else ''}series to draw")
-    while True:
-        size = rng.randint(0, min(max_support, len(exps)))
-        chosen = rng.sample(exps, size)
-        terms = {twist.group.canon(x): rng.randrange(1, twist.ring.size) for x in chosen}
-        if terms or not nonzero:
-            return Series(twist, terms)
 
 
 def _window_terms(size: int, width: int, max_support: int | None = None) -> Iterable[list]:

@@ -15,8 +15,9 @@ instead of multiplying every universe series. An annihilator reads only
 the single terms whose coefficients are additive generators of its
 coefficient set, and is kept in the universe's memo per (set, side). The
 filter over every series that the kernel replaced is the tests' oracle,
-`universe_quotient_scan` in tests/oracles.py. The fusible lift's (0 : h)
-is no kernel but one `killers` join per batch of h.
+`universe_quotient_scan` in tests/oracles.py. `lift_universe` lifts every
+universe member for prop 3.2 and decides each (0 : h) by one `killers` join
+for all of them, not by a kernel.
 
 `extraction_scan` runs thm 5.4's extraction induction over a universe: one
 trace per class-series pair mod U, listing every series only on a failure.
@@ -34,7 +35,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                      NotSigmaCompatible, PreconditionFail, RingMismatch,
-                     SizeCapExceeded, TraceMismatch, TwistMismatch, ZeroSeries)
+                     SizeCapExceeded, TraceMismatch, TwistMismatch)
 from .ideals import (IdealSet, annihilator, ideal_closure, ideals_by_right_annihilator,
                      is_semiprime_ideal, is_sigma_compatible_ideal, is_subgroup_sum,
                      subgroup_sum)
@@ -43,9 +44,8 @@ from .properties import (PropertyReport, fusible_decompositions,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
                          zero_divisor_sets)
 from .rings import DEFAULT_SIZE_CAP, Memo, greedy_generators
-from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar,
-                     series_add, series_make, series_mul, series_sub,
-                     series_to_json, support_stats)
+from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar, series_make,
+                     series_mul, series_to_json)
 
 DEFAULT_UNIVERSE_CAP = 4096
 
@@ -304,40 +304,60 @@ class FusibleLift:
         return out
 
 
-def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> FusibleLift:
-    """The lift of one series: `lift_fusible_decompositions` of [f]."""
-    return lift_fusible_decompositions([f], universe)[0]
+def lift_universe(universe: TruncatedUniverse,
+                  max_support: int) -> tuple[int, list[tuple[Series, FusibleLift]]]:
+    """Lift every nonzero member with at most `max_support` terms: (the
+    number lifted, the failing (f, lift) pairs in universe order).
 
-
-def lift_fusible_decompositions(fs: Iterable[Series],
-                                universe: TruncatedUniverse) -> list[FusibleLift]:
-    """Split each nonzero series at its minimal exponent, base-ring style.
-
-    The minimal coefficient f(s0) = a + b with a a left zero-divisor and b
-    left regular; g carries a at s0 and h the rest. Each certificate then
-    shows g * embed(d) = 0 for a recorded d with a*d = 0, and that no
-    nonzero k in the universe has h*k = 0, the least such k being the
-    witness. One `killers` join decides that for every h of the batch.
+    The window is sorted, so a member's first nonzero position is s0. Its
+    coefficient c there splits as c = a + b with a a left zero-divisor and
+    b left regular; g is a X^s0 and h the member with b at s0. The split,
+    the d with a*d = 0, sum_ok (a + b = c, so f = g + h) and
+    leading_regular_ok are decided once per c, g_annihilated_ok (g *
+    embed(d) = 0, by series_mul) once per (s0, a, d), and h_regular_ok,
+    that no nonzero k in the universe has h*k = 0, by one `killers` join of
+    the distinct h. Only a failing lift is built as Series; its witness is
+    the least killer. The tests' oracle lifts one Series at a time:
+    `lift_fusible_decompositions` in tests/oracles.py.
     """
-    lifts, hs = [], []
-    for f in fs:
-        twist, ring = f.twist, f.twist.ring
-        if f.is_zero:
-            raise ZeroSeries("cannot decompose the zero series")
-        require_fusible(twist)
-        s0 = support_stats(f).minimal
-        a, b = fusible_decompositions(ring, f.terms[s0])[0]
-        d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)
-        g = series_make(twist, [(s0, a)])
-        h = series_sub(f, g)
-        lifts.append(FusibleLift(g, h, s0, a, b, d, series_add(g, h) == f,
-                                 series_mul(g, embed_scalar(twist, d)).is_zero,
-                                 b in zero_divisor_sets(ring).left_regular, True))
-        hs.append(universe.member(h))
-    for lift, killers in zip(lifts, universe.killers(hs)):
-        if killers:
-            lift.h_regular_ok, lift.h_regular_witness = False, universe.series(killers[0])
-    return lifts
+    twist, win = universe.twist, universe.window
+    ring = twist.ring
+    require_fusible(twist)
+    regular = zero_divisor_sets(ring).left_regular
+
+    @functools.cache
+    def annihilated(s0, a, d):
+        return series_mul(series_make(twist, [(win[s0], a)]), embed_scalar(twist, d)).is_zero
+
+    splits: dict[int, tuple] = {}  # c -> (a, b, d, sum_ok, leading_ok)
+    lifted, hs = [], []
+    for m in universe.members:
+        support = [i for i, c in enumerate(m) if c]
+        if support and len(support) <= max_support:
+            s0 = support[0]
+            c = m[s0]
+            parts = splits.get(c)
+            if parts is None:
+                a, b = fusible_decompositions(ring, c)[0]
+                d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)
+                parts = splits[c] = a, b, d, ring.add(a, b) == c, b in regular
+            h = list(m)
+            h[s0] = parts[1]
+            lifted.append((m, s0, parts))
+            hs.append([(j, v) for j, v in enumerate(h) if v])
+    if not lifted:
+        raise PreconditionFail(f"max_support {max_support} over {len(win)} exponents "
+                               "leaves no nonzero series to lift")
+    failures = []
+    for (m, s0, (a, b, d, sum_ok, leading_ok)), h, killers in zip(lifted, hs,
+                                                                  universe.killers(hs)):
+        g_ok = annihilated(s0, a, d)
+        if not (sum_ok and g_ok and leading_ok and not killers):
+            lift = FusibleLift(series_make(twist, [(win[s0], a)]), universe.algebra.series(h),
+                               win[s0], a, b, d, sum_ok, g_ok, leading_ok, not killers,
+                               universe.series(killers[0]) if killers else None)
+            failures.append((universe.series(m), lift))
+    return len(lifted), failures
 
 
 # --- annihilator lifting (IN side) -------------------------------------------

@@ -88,6 +88,32 @@ MUTANTS = {
         "            if q:  # members[0] is the zero series\n",
         "            if True:\n",
         (_UNIVERSE, "-k", "lift_decides_regularity_as_the_scan_does")),
+    "lift-s0-at-the-last-term": Mutant(
+        "prop3.2's universe lift splits a member at its last nonzero position, not its first",
+        "mnseries/transfer.py",
+        "            s0 = support[0]\n",
+        "            s0 = support[-1]\n",
+        (_UNIVERSE, "-k", "universe_lift_matches_the_series_oracle_on_every_case")),
+    "lift-split-cached-per-position": Mutant(
+        "the (a, b, d) split is kept per leading position, not per leading coefficient",
+        "mnseries/transfer.py",
+        "            parts = splits.get(c)\n"
+        "            if parts is None:\n"
+        "                a, b = fusible_decompositions(ring, c)[0]\n"
+        "                d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)\n"
+        "                parts = splits[c] = ",
+        "            parts = splits.get(s0)\n"
+        "            if parts is None:\n"
+        "                a, b = fusible_decompositions(ring, c)[0]\n"
+        "                d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)\n"
+        "                parts = splits[s0] = ",
+        (_UNIVERSE, "-k", "universe_lift_matches_the_series_oracle_on_every_case")),
+    "lift-max-support-off-by-one": Mutant(
+        "the universe lift leaves out the members with exactly max_support terms",
+        "mnseries/transfer.py",
+        "if support and len(support) <= max_support:",
+        "if support and len(support) < max_support:",
+        ("tests/test_cli.py", "-k", "prop32_lifts_every_nonzero_series")),
     "left-fusible-recheck-dropped": Mutant(
         "is_left_fusible reports its witness without splitting it again",
         "mnseries/properties.py",

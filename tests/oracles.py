@@ -8,16 +8,17 @@ additive span of a set, sum by sum, the zip searches that recompute a
 quotient or annihilator for every candidate subset, the sigma-U-zip
 scan's count over all 2^|R| subsets, and the truncated universe's
 quotient as a filter that multiplies every window series by every factor,
-the G-Armendariz check over the window join of every pair of series, and
-the series-zip witness that traces every quotient member with every factor.
+the G-Armendariz check over the window join of every pair of series, the
+series-zip witness that traces every quotient member with every factor,
+and prop 3.2's fusible lift of one Series at a time by Series arithmetic.
 They stay here as oracles, not as second paths in `src/`, beside
-`random_triples`, the seeded triples of series the associativity tests
-draw, and the Series-level helpers the differential tests compare the
-window algebra with: every series of a window, the single-term triples,
-the X_w pairs of a product exponent, the zero series, a window product
-as a Series, a truncated universe's nonzero series and the coefficientwise
-sum of two of its member sets, and the pairwise products that the
-extraction trace must conclude. The table builders make test rings and
+`random_series` and `random_triples`, the seeded series the tests draw,
+and the Series-level helpers the differential tests compare the window
+algebra with: every series of a window, the single-term triples, the X_w
+pairs of a product exponent, the zero series, negation and subtraction,
+support statistics, a window product as a Series, a truncated universe's
+nonzero series and the coefficientwise sum of two of its member sets, and
+the pairwise products that the extraction trace must conclude. The table builders make test rings and
 tables that are not rings: UT2(Z_n), subalgebras of F2 matrix algebras,
 a ring with + relabelled, F2^k algebras and loops.
 """
@@ -25,15 +26,19 @@ a ring with + relabelled, F2^k algebras and loops.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Any
 
 from mnseries.errors import (HypothesisFails, PreconditionFail, RingMismatch, TraceMismatch,
-                             TwistMismatch)
+                             TwistMismatch, ZeroSeries)
 from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
-from mnseries.properties import PropertyReport, check_pair_cap, sigma_u_zip_witness
+from mnseries.properties import (PropertyReport, check_pair_cap, fusible_decompositions,
+                                 sigma_u_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing
-from mnseries.series import (Series, TwistSystem, WindowAlgebra, random_series, series_mul,
-                             series_to_json, term_product)
-from mnseries.transfer import _contents, _trace, require_zip
+from mnseries.series import (Series, TwistSystem, WindowAlgebra, embed_scalar, series_add,
+                             series_make, series_mul, series_to_json, term_product)
+from mnseries.transfer import (FusibleLift, TruncatedUniverse, _contents, _trace,
+                               require_fusible, require_zip)
 
 
 def ut2_table(n: int) -> dict:
@@ -350,6 +355,21 @@ def loop_table(add) -> dict:
             "mul": [[a * b % n for b in range(n)] for a in range(n)], "one": 1}
 
 
+def random_series(twist: TwistSystem, rng, exponents, max_support: int = 3,
+                  nonzero: bool = True) -> Series:
+    """A seeded random series with support inside the exponent window."""
+    exps = list(exponents)
+    if min(max_support, len(exps)) < (1 if nonzero else 0):
+        raise PreconditionFail(f"max_support {max_support} over {len(exps)} exponents "
+                               f"leaves no {'nonzero ' if nonzero else ''}series to draw")
+    while True:
+        size = rng.randint(0, min(max_support, len(exps)))
+        chosen = rng.sample(exps, size)
+        terms = {twist.group.canon(x): rng.randrange(1, twist.ring.size) for x in chosen}
+        if terms or not nonzero:
+            return Series(twist, terms)
+
+
 def random_triples(twist: TwistSystem, rng, exponents, count: int,
                    max_support: int = 3) -> list[tuple]:
     """`count` triples of seeded random nonzero series inside the window."""
@@ -388,6 +408,63 @@ def x_w_pairs(f: Series, g: Series, w) -> list[tuple]:
 
 def series_zero(twist: TwistSystem) -> Series:
     return Series(twist, {})
+
+
+def series_neg(f: Series) -> Series:
+    return Series(f.twist, {x: f.twist.ring.neg(c) for x, c in f.terms.items()})
+
+
+def series_sub(f: Series, g: Series) -> Series:
+    return series_add(f, series_neg(g))
+
+
+@dataclass
+class SupportStats:
+    support: list
+    minimal: Any
+    leading: int
+    content: frozenset[int]
+
+
+def support_stats(f: Series) -> SupportStats:
+    """Sorted support, its minimal exponent, the leading coefficient, content."""
+    if f.is_zero:
+        raise ZeroSeries("the zero series has no minimal support element")
+    supp = f.support()
+    return SupportStats(supp, supp[0], f.terms[supp[0]], f.content())
+
+
+def lift_fusible_decomposition(f: Series, universe: TruncatedUniverse) -> FusibleLift:
+    """The lift of one series: `lift_fusible_decompositions` of [f]."""
+    return lift_fusible_decompositions([f], universe)[0]
+
+
+def lift_fusible_decompositions(fs, universe: TruncatedUniverse) -> list[FusibleLift]:
+    """The Series-arithmetic lift of each nonzero series, the oracle of
+    `transfer.lift_universe`: split f at its minimal exponent s0, f(s0) =
+    a + b with a a left zero-divisor and b left regular; g carries a at s0
+    and h = f - g. The certificate shows g + h = f, g * embed(d) = 0 for a
+    recorded d with a*d = 0, and that no nonzero k in the universe has
+    h*k = 0, the least such k being the witness, from one `killers` join."""
+    lifts, hs = [], []
+    for f in fs:
+        twist, ring = f.twist, f.twist.ring
+        if f.is_zero:
+            raise ZeroSeries("cannot decompose the zero series")
+        require_fusible(twist)
+        s0 = support_stats(f).minimal
+        a, b = fusible_decompositions(ring, f.terms[s0])[0]
+        d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)
+        g = series_make(twist, [(s0, a)])
+        h = series_sub(f, g)
+        lifts.append(FusibleLift(g, h, s0, a, b, d, series_add(g, h) == f,
+                                 series_mul(g, embed_scalar(twist, d)).is_zero,
+                                 b in zero_divisor_sets(ring).left_regular, True))
+        hs.append(universe.member(h))
+    for lift, killers in zip(lifts, universe.killers(hs)):
+        if killers:
+            lift.h_regular_ok, lift.h_regular_witness = False, universe.series(killers[0])
+    return lifts
 
 
 def product_series(alg: WindowAlgebra, fg: list[int]) -> Series:

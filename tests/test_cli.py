@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -295,11 +296,17 @@ def test_main_verify_rejects_a_bad_window(capsys, window, fragment):
 
 
 def test_main_verify_seed_changes_samples(capsys):
-    assert main(["verify", "klein_fusible", "--suite", "prop3.2",
-                 "--seed", "3", "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["seed"] == 3
-    assert data["status"] == "pass"
+    """prop3.2 lifts every series of its window, so the seed changes only
+    the report's "seed"."""
+    reports = []
+    for seed in range(4):
+        assert main(["verify", "klein_fusible", "--suite", "prop3.2",
+                     "--seed", str(seed), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data.pop("seed") == seed
+        reports.append(data)
+    assert reports[0]["status"] == "pass"
+    assert all(data == reports[0] for data in reports)
 
 
 def test_main_verify_max_support_zero_reaches_params(capsys):
@@ -316,9 +323,9 @@ def test_main_verify_rejects_a_negative_max_support(capsys):
 
 
 def test_prop32_with_max_support_zero_ends_in_a_named_precondition():
-    """prop3.2 samples nonzero series, and max_support 0 leaves none: a
+    """prop3.2 lifts nonzero series, and max_support 0 leaves none: a
     PreconditionFail that names it, which fails the suite klein_fusible
-    claims. A subprocess with a timeout turns a redraw loop into a failure."""
+    claims. A subprocess with a timeout turns an endless loop into a failure."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -328,7 +335,52 @@ def test_prop32_with_max_support_zero_ends_in_a_named_precondition():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert ("claimed applicable but precondition failed: max_support 0 over 3 exponents "
-            "leaves no nonzero series to draw") in proc.stdout
+            "leaves no nonzero series to lift") in proc.stdout
+
+
+_Z2 = {"kind": "Zn", "n": 2}
+
+
+# two benchmark ladder rungs: Z2^3 over Z untwisted (window 0..2), and GF4
+# over Z^2_lex with Frobenius for both generators (window 0..1 in each
+# coordinate, four exponents)
+_LADDER_PROP32 = {
+    "z2cubed": {"ring": {"kind": "product", "factors": [
+                    _Z2, {"kind": "product", "factors": [_Z2, _Z2]}]},
+                "group": {"group": "Z"}, "twist": {"sigma": "identity", "tau": {"kind": "one"}}},
+    "gf4_z2lex": {"ring": {"kind": "table", "path": str(cli.fixture_dir() / "gf4_ring.json")},
+                  "group": {"group": "Z^k_lex", "k": 2},
+                  "twist": {"sigma": {"generators": [[0, 1, 3, 2], [0, 1, 3, 2]]},
+                            "tau": {"kind": "one"}},
+                  "caps": {"window": [0, 1]}},
+}
+
+
+@pytest.mark.parametrize("name, overrides, width, expected", [
+    ("klein_fusible", {}, 3, 63),
+    ("gf4_frobenius", {}, 3, 63),
+    ("z2cubed", {}, 3, 511),
+    ("gf4_z2lex", {}, 4, 174),
+    ("klein_fusible", {"window": [0, 0]}, 1, 3),
+    ("klein_fusible", {"max_support": 2}, 3, 36),
+])
+def test_prop32_lifts_every_nonzero_series_of_its_window(tmp_path, name, overrides, width,
+                                                         expected):
+    """The certificate counts the nonzero series of the window with at most
+    max_support terms: sum over k of C(width, k) (|R| - 1)^k."""
+    if name in _LADDER_PROP32:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"label": name, **_LADDER_PROP32[name]}))
+    else:
+        path = resolve_fixture(name)
+    fx = load_fixture(path)
+    report = cli.run_suite(fx, "prop3.2", overrides=overrides)
+    size, max_support = fx.ring.size, report.params["max_support"]
+    count = sum(math.comb(width, k) * (size - 1) ** k
+                for k in range(1, min(width, max_support) + 1))
+    assert [(c.prop, c.verdict, c.certificate) for c in report.checks] == [
+        ("fusible-lift", True, {"series": count})]
+    assert count == expected
 
 
 def test_main_validate_checks_the_twist_once(monkeypatch, capsys):
@@ -345,20 +397,22 @@ def test_main_validate_checks_the_twist_once(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert calls == ["z4_tau_power"]
     assert payload["twist"]["gate_ok"] is True
-    assert payload["associativity"] == {"ok": True, "checked": 1000}
+    # the exponent triples of the window -3..3 that the decision covers
+    assert payload["associativity"] == {"ok": True, "checked": 343}
 
 
-@pytest.mark.parametrize("samples, checked", [(-1, 0), (0, 0), (3, 3)])
-def test_main_validate_reports_the_assoc_samples_as_checked(tmp_path, capsys, samples, checked):
+def test_main_validate_refuses_the_removed_assoc_samples_cap(tmp_path, capsys):
     doc = json.loads(resolve_fixture("z4_tau_power").read_text())
-    doc["caps"]["assoc_samples"] = samples
+    doc["caps"] = {"assoc_samples": 1000}
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
-    assert main(["validate", str(path), "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["associativity"] == {"ok": True, "checked": checked}
+    assert main(["validate", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fixture 'z4_tau_power': unknown cap 'assoc_samples'\n"
 
 
-def _ut2_noncentral_doc(samples):
+def _ut2_noncentral_doc():
     """UT2(Z2) over Z with sigma the identity and tau = t = [[1, 1], [0, 1]]
     (id 7, a unit outside the centre) at every (x, y) with x and y odd that
     the twist window reads, one elsewhere. t^2 = one, so tau is a unit,
@@ -370,20 +424,17 @@ def _ut2_noncentral_doc(samples):
             "group": {"group": "Z"},
             "twist": {"sigma": "identity",
                       "tau": {"kind": "patched", "base": {"kind": "one"},
-                              "overrides": overrides}},
-            "caps": {"assoc_samples": samples}}
+                              "overrides": overrides}}}
 
 
 def test_main_validate_refutes_a_twist_the_gate_passes_whatever_the_samples_and_seed(
         tmp_path, capsys):
     errors = set()
-    for samples in (0, 1, 200):
-        path = tmp_path / f"ut2_{samples}.json"
-        path.write_text(json.dumps(_ut2_noncentral_doc(samples)))
-        for seed in range(3):
-            assert main(["validate", str(path), "--format", "json",
-                         "--seed", str(seed)]) == 2
-            errors.add(capsys.readouterr().err)
+    path = tmp_path / "ut2.json"
+    path.write_text(json.dumps(_ut2_noncentral_doc()))
+    for seed in range(3):
+        assert main(["validate", str(path), "--format", "json", "--seed", str(seed)]) == 2
+        errors.add(capsys.readouterr().err)
     assert len(errors) == 1
     err = errors.pop()
     assert "twist validation failed (sigma-eta-left, sigma-eta-right)" in err
@@ -397,7 +448,7 @@ def test_main_validate_names_a_disagreement_of_the_tables_and_the_oracle(
     """A witness triple the oracle multiplies out associative ends in a
     named TraceMismatch, not a traceback."""
     path = tmp_path / "ut2.json"
-    path.write_text(json.dumps(_ut2_noncentral_doc(0)))
+    path.write_text(json.dumps(_ut2_noncentral_doc()))
     monkeypatch.setattr(cli, "check_associativity",
                         lambda twist, triples: series.AssocReport(True, len(list(triples))))
     assert main(["validate", str(path)]) == 1
@@ -573,8 +624,7 @@ _MUTATED_DOCS = [
                "tau": {"kind": "patched",
                        "base": {"kind": "unit_power", "unit": 7, "exponent_rule": [[1]]},
                        "overrides": [[[1], [1], 7]]}},
-     "series": {"f": [[[0], 1], [[1], 7]]},
-     "caps": {"assoc_samples": 5}},
+     "series": {"f": [[[0], 1], [[1], 7]]}},
     {"label": "z4lex",
      "ring": {"kind": "Zn", "n": 4},
      "group": {"group": "Z^k_lex", "k": 2},

@@ -6,11 +6,10 @@ from mnseries.errors import (DuplicateKey, MalformedSpec, NotNormalized,
                              PreconditionFail, TwistMismatch, ZeroSeries)
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.series import (Series, check_associativity, check_twist_conditions,
-                             embed_scalar, random_series, series_add, series_from_json,
-                             series_make, series_mul, series_neg, series_to_json,
-                             support_stats, twist_from_spec)
-from oracles import (exhaustive_series, random_triples, series_zero, single_term_triples,
-                     x_w_pairs)
+                             embed_scalar, series_add, series_from_json, series_make,
+                             series_mul, series_to_json, twist_from_spec)
+from oracles import (exhaustive_series, random_series, random_triples, series_neg,
+                     series_zero, single_term_triples, support_stats, x_w_pairs)
 
 
 def test_series_make_drops_zeros(tw_z4):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import mnseries.transfer as transfer
+import oracles
 from mnseries.errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                              NotSigmaCompatible, PreconditionFail, SizeCapExceeded,
                              ZeroSeries)
@@ -10,14 +11,13 @@ from mnseries.groups import IntegersGroup
 from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import ring_from_table, ring_zn
-from mnseries.series import (embed_scalar, random_series, series_add, series_make,
-                             series_mul, series_to_json, trivial_twist)
-from mnseries.transfer import (TruncatedUniverse,
-                               coefficient_extraction,
-                               lift_fusible_decomposition,
+from mnseries.series import (embed_scalar, series_add, series_make, series_mul,
+                             series_to_json, trivial_twist)
+from mnseries.transfer import (TruncatedUniverse, coefficient_extraction, lift_universe,
                                lifted_annihilator_check, sa_transfer_witness,
                                series_zip_witness)
-from oracles import exhaustive_series, extraction_oracle, nonzero_series
+from oracles import (exhaustive_series, extraction_oracle, lift_fusible_decomposition,
+                     nonzero_series, random_series)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,8 @@ def test_lift_domain_case(tw_gf4_frob):
 def test_lift_rejects_non_fusible_ring(tw_z4, uni_z4):
     with pytest.raises(NotFusibleRing):
         lift_fusible_decomposition(series_make(tw_z4, [(0, 1)]), uni_z4)
+    with pytest.raises(NotFusibleRing):
+        lift_universe(uni_z4, 2)
 
 
 def test_lift_rejects_zero_series(tw_klein, uni_klein):
@@ -111,8 +113,9 @@ def test_lift_reports_the_first_series_killing_h(monkeypatch, tw_klein):
     """With a decomposition that puts the whole leading coefficient into b,
     h = f = (1,0) + (1,0)X keeps its zero-divisor leading coefficient; the
     lift names the first nonzero universe series k with h*k = 0, as a
-    series_mul loop finds it."""
-    monkeypatch.setattr(transfer, "fusible_decompositions", lambda ring, a: [(0, a)])
+    series_mul loop finds it, and the universe lift fails the same way."""
+    for module in (transfer, oracles):
+        monkeypatch.setattr(module, "fusible_decompositions", lambda ring, a: [(0, a)])
     window = [0, 1, 2]
     uni = TruncatedUniverse(tw_klein, window)
     f = series_make(tw_klein, [(0, 2), (1, 2)])
@@ -124,6 +127,7 @@ def test_lift_reports_the_first_series_killing_h(monkeypatch, tw_klein):
     assert lift.h_regular_ok is False and not lift.ok
     assert lift.h_regular_witness == expected
     assert lift.to_json()["h_regular_witness"] == series_to_json(expected)
+    assert (f, lift) in lift_universe(uni, 3)[1]
 
 
 # --- annihilator lifting ---
@@ -401,7 +405,7 @@ def test_sa_transfer_failed_hypothesis_raises_on_every_call(tw_klein_swap, tw_z4
         (PreconditionFail, "G-Armendariz", lambda: sa_transfer_witness([], [], swap_uni)),
         (NotSigmaCompatible, "not sigma-compatible",
          lambda: lifted_annihilator_check(klein_right[0], klein_right[-1], "left", swap_uni)),
-        (NotFusibleRing, "not left fusible", lambda: lift_fusible_decomposition(one, z4_uni)),
+        (NotFusibleRing, "not left fusible", lambda: lift_universe(z4_uni, 2)),
         (PreconditionFail, "not semiprime",
          lambda: series_zip_witness([one], zero_ideal_z4, z4_uni)),
     ]

@@ -20,17 +20,21 @@ from hypothesis import strategies as st
 
 import mnseries.cli as cli
 import mnseries.series as series_module
+import mnseries.transfer as transfer
+import oracles
 from mnseries.errors import HypothesisFails, PreconditionFail, TwistMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, make_ideal
 from mnseries.properties import zero_divisor_sets
-from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
+from mnseries.rings import (ring_from_table, ring_gf4, ring_product, ring_trivial_extension,
                             ring_zn, units)
-from mnseries.series import (random_series, series_add, series_make, series_mul,
-                             trivial_twist, twist_from_spec)
-from mnseries.transfer import (TruncatedUniverse, extraction_scan, lift_fusible_decomposition,
-                               lift_fusible_decompositions, series_zip_witness)
-from oracles import exhaustive_series, universe_quotient_scan, universe_set_sum, ut2_table
+from mnseries.series import (series_add, series_make, series_mul, trivial_twist,
+                             twist_from_spec)
+from mnseries.transfer import (TruncatedUniverse, extraction_scan, lift_universe,
+                               series_zip_witness)
+from oracles import (exhaustive_series, lift_fusible_decomposition,
+                     lift_fusible_decompositions, nonzero_series, universe_quotient_scan,
+                     universe_set_sum, ut2_table)
 
 
 def _cases():
@@ -285,16 +289,15 @@ def test_the_quotient_kernel_matches_the_scan_on_generated_rings(case, data):
     (ring_zn(5), [2]),
 ])
 def test_the_lift_decides_regularity_as_the_scan_does(ring, window):
-    """60 seeded series, most of their h several terms long, lifted as one
-    batch: one join and no quotient kernel decide (0 : h) for every h, with
+    """Every nonzero member lifted at once, most of their h several terms
+    long: one join and no quotient kernel decide (0 : h) for every h, with
     one multiply per distinct h (its leading coefficient is left regular,
-    so only the zero series passes the join's lead-term prune). Each lift is
-    the one-element batch's, and it is what the scan finds: the witness of
-    an h that is not left regular is the scan's least nonzero member."""
+    so only the zero series passes the join's lead-term prune). The lifts
+    are the oracle's, every one of them holds, and each oracle lift is what
+    the scan finds: an h that is not left regular would have the scan's
+    least nonzero member as its witness."""
     twist = trivial_twist(ring, IntegersGroup())
     universe = TruncatedUniverse(twist, window)
-    rng = random.Random(7)
-    fs = [random_series(twist, rng, window, len(window)) for _ in range(60)]
     calls = {"quotient": [], "join": [], "multiply": []}
     with pytest.MonkeyPatch.context() as mp:
         for owner, name in ((TruncatedUniverse, "quotient"),
@@ -303,9 +306,11 @@ def test_the_lift_decides_regularity_as_the_scan_does(ring, window):
             real = getattr(owner, name)
             mp.setattr(owner, name, lambda *args, real=real, name=name:
                        calls[name].append(None) or real(*args))
-        lifts = lift_fusible_decompositions(fs, universe)
+        count, failed = lift_universe(universe, len(window))
+    assert (count, failed) == (len(universe) - 1, [])
+    fs = nonzero_series(universe)
     zero, hs = universe.members[0], set()
-    for f, lift in zip(fs, lifts):
+    for f, lift in zip(fs, lift_fusible_decompositions(fs, universe)):
         assert lift_fusible_decomposition(f, universe) == lift
         h = universe.member(lift.h)
         hs.add(tuple(h))
@@ -313,8 +318,78 @@ def test_the_lift_decides_regularity_as_the_scan_does(ring, window):
         assert lift.h_regular_ok == (not killers)
         assert lift.h_regular_witness == (universe.series(min(killers)) if killers else None)
     assert (len(calls["join"]), len(calls["quotient"])) == (1, 0)
-    assert len(calls["multiply"]) == len(hs) < 60
+    assert len(calls["multiply"]) == len(hs) <= count
     assert any(len(h) > 1 for h in hs) or len(window) == 1
+
+
+def _lift_cases():
+    klein, gf4 = ring_product(ring_zn(2), ring_zn(2)), ring_gf4()
+    frobenius = twist_from_spec(gf4, IntegersGroup(), {"sigma": {"generator": [0, 1, 3, 2]}})
+    return {"klein": TruncatedUniverse(trivial_twist(klein, IntegersGroup()), [0, 1, 2]),
+            "gf4-frobenius": TruncatedUniverse(frobenius, [0, 1, 2]),
+            **{name: CASES[name] for name in ("klein-swap", "z4-tau", "ut2-z2", "z4-z2lex-tau")}}
+
+
+# the Klein swap, Z4 with tau = 3^(xy) and UT2(Z2) fail the lift's hypotheses
+# (the swap is not sigma-compatible, the others are not left fusible), so
+# they are lifted with the hypotheses skipped and a chosen split
+LIFT_CASES = _lift_cases()
+
+
+def _both_lifts(universe, max_support, split=None):
+    """(lift_universe's result, the oracle's), or the PreconditionFail each
+    raises; `split` maps each nonzero c to its a, replacing the library's
+    decomposition and the hypothesis checks in both."""
+    def run(lift):
+        with pytest.MonkeyPatch.context() as mp:
+            if split is not None:
+                for module in (transfer, oracles):
+                    mp.setattr(module, "require_fusible", lambda twist: None)
+                    mp.setattr(module, "fusible_decompositions",
+                               lambda ring, c: [(split[c], ring.sub(c, split[c]))])
+            try:
+                return lift()
+            except PreconditionFail as exc:
+                return type(exc), str(exc)
+
+    def oracle():
+        # the series of the window with 1..max_support terms, in universe order
+        fs = [f for f in exhaustive_series(universe.twist, universe.window, max_support)
+              if not f.is_zero]
+        lifts = lift_fusible_decompositions(fs, universe)
+        return len(fs), [(f, lift) for f, lift in zip(fs, lifts) if not lift.ok]
+
+    return run(lambda: lift_universe(universe, max_support)), run(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+def test_the_universe_lift_matches_the_series_oracle_on_every_case(name):
+    """Every member, at every max_support up to the window width, with the
+    library's split and with a split that puts the greatest left
+    zero-divisor into a: the same count, failing lifts and witnesses."""
+    universe = LIFT_CASES[name]
+    ring = universe.twist.ring
+    greatest = max(zero_divisor_sets(ring).left)
+    fails = 0
+    for max_support in range(1, len(universe.window) + 1):
+        for split in (None, {c: greatest for c in range(1, ring.size)}):
+            new, old = _both_lifts(universe, max_support, split)
+            assert new == old, (max_support, split)
+            fails += split is not None and len(new[1]) > 0
+    assert fails or name in ("klein", "gf4-frobenius")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LIFT_CASES)), st.data())
+def test_the_universe_lift_matches_the_series_oracle_on_drawn_splits(name, data):
+    universe = LIFT_CASES[name]
+    ring = universe.twist.ring
+    max_support = data.draw(st.integers(1, len(universe.window)))
+    zd = sorted(zero_divisor_sets(ring).left)
+    split = data.draw(st.none() | st.fixed_dictionaries(
+        {c: st.sampled_from(zd) for c in range(1, ring.size)}))
+    new, old = _both_lifts(universe, max_support, split)
+    assert new == old
 
 
 SIDED_CASES = {"klein-swap", "ut2-z2", "ut2-z2-conjugation"}

@@ -46,10 +46,6 @@ class TwistMismatch(MNSeriesError):
     """Series operands belong to different twist systems."""
 
 
-class ZeroSeries(MNSeriesError):
-    """Minimal support element requested of the zero series."""
-
-
 class PreconditionFail(MNSeriesError):
     """A harness precondition does not hold for the given inputs."""
 

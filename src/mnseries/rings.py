@@ -381,11 +381,21 @@ def ring_zn(n: int) -> FiniteRing:
     return FiniteRing(f"Z{n}", add, mul, one=1)
 
 
+def _check_cap(size, what: str):
+    """MalformedSpec unless `size`, the element count a spec asks for, is an
+    integer of at most DEFAULT_SIZE_CAP."""
+    if type(size) is not int:
+        raise MalformedSpec(f"{what} size must be an integer, got {size!r}")
+    if size > DEFAULT_SIZE_CAP:
+        raise MalformedSpec(f"{what} would have {size} elements, cap is {DEFAULT_SIZE_CAP}")
+
+
 def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> FiniteRing:
     """Build a ring from a table object or a JSON file holding one.
 
     Expected object: {label, size, add, mul, one[, names]}; zero is index 0
-    by convention.
+    by convention. Its `size` is checked against DEFAULT_SIZE_CAP before
+    the ring is built, whether the object came inline or from a file.
     """
     if isinstance(data, (str, Path)):
         path = Path(data)
@@ -400,6 +410,7 @@ def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> Fi
     missing = {"label", "size", "add", "mul", "one"} - set(data)
     if missing:
         raise MalformedSpec(f"ring table missing keys: {sorted(missing)}")
+    _check_cap(data["size"], "table ring")
     ring = FiniteRing(data["label"], data["add"], data["mul"], data["one"],
                       names=data.get("names"))
     if ring.size != data["size"]:
@@ -453,31 +464,22 @@ def ring_make(spec: dict, base_dir: Path | None = None) -> FiniteRing:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise MalformedSpec(f"ring spec must be an object with a 'kind': {spec!r}")
 
-    def check_cap(size, what):
-        if type(size) is not int:
-            raise MalformedSpec(f"{what} size must be an integer, got {size!r}")
-        if size > DEFAULT_SIZE_CAP:
-            raise MalformedSpec(f"{what} would have {size} elements, cap is {DEFAULT_SIZE_CAP}")
-
     kind = spec["kind"]
     if kind == "Zn":
-        check_cap(spec.get("n", 0), "Zn ring")
+        _check_cap(spec.get("n", 0), "Zn ring")
         return ring_zn(spec.get("n", 0))
     if kind == "table":
-        data = spec["path"] if "path" in spec else spec
-        if isinstance(data, dict):
-            check_cap(data.get("size", 0), "table ring")
-        return ring_from_table(data, base_dir=base_dir)
+        return ring_from_table(spec["path"] if "path" in spec else spec, base_dir=base_dir)
     if kind == "product":
         factors = spec.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             raise MalformedSpec("product spec needs exactly 2 factors")
         r1 = ring_make(factors[0], base_dir)
         r2 = ring_make(factors[1], base_dir)
-        check_cap(r1.size * r2.size, "product ring")
+        _check_cap(r1.size * r2.size, "product ring")
         return ring_product(r1, r2)
     if kind == "trivial_extension":
         base = ring_make(spec.get("base"), base_dir)
-        check_cap(base.size * base.size, "trivial extension")
+        _check_cap(base.size * base.size, "trivial extension")
         return ring_trivial_extension(base)
     raise MalformedSpec(f"unknown ring kind {kind!r}")

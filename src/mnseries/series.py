@@ -374,8 +374,6 @@ class WindowAlgebra:
                                for t in taus] for a in ring.elements()])
         self.add = ring.add_table
         self.neg = [ring.neg(a) for a in ring.elements()]
-        # (i, a, j, b) -> term_product(a, x_i, b, x_j), evaluated from the twist
-        self._direct: dict[tuple, int] = {}
 
     def universe(self, max_support: int | None = None) -> list[list[tuple]]:
         """Every series inside the window, in the lexicographic order of its
@@ -440,19 +438,13 @@ class WindowAlgebra:
             sizes.append(len(orbit))
         return reps, sizes
 
-    def direct(self, i: int, a: int, j: int, b: int) -> int:
-        """term_product(a, x_i, b, x_j), evaluated from the twist, not from
-        `term`, once per term and then kept."""
-        key = (i, a, j, b)
-        if key not in self._direct:
-            self._direct[key] = term_product(self.twist, a, self.window[i], b, self.window[j])
-        return self._direct[key]
-
     def check_tables(self):
-        """Raise TraceMismatch unless every `term` entry equals its direct
-        evaluation (`direct`) and each `xw[k]` holds exactly the position
-        pairs (i, j) with slot[i][j] = k: what a trace reads, checked once
-        for every series the window holds."""
+        """Raise TraceMismatch unless every `term` entry equals term_product,
+        evaluated from the twist, and each `xw[k]` holds exactly the position
+        pairs (i, j) with slot[i][j] = k. These are the tables a trace reads,
+        so this one check vouches for every term of every series the window
+        holds; a trace over checked tables compares none of its conclusions
+        again."""
         twist, win = self.twist, self.window
         grp, elems = twist.group, twist.ring.elements()
         for i, x in enumerate(win):
@@ -460,7 +452,7 @@ class WindowAlgebra:
                 for a in elems:
                     row = self.term[i][a][j]
                     for b in elems:
-                        if row[b] != self.direct(i, a, j, b):
+                        if row[b] != term_product(twist, a, x, b, y):
                             raise TraceMismatch(
                                 f"term table disagrees with term_product at "
                                 f"({grp.to_json(x)}, {grp.to_json(y)}), a={a}, b={b}")

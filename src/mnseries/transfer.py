@@ -20,9 +20,11 @@ universe member for prop 3.2 and decides each (0 : h) by one `killers` join
 for all of them, not by a kernel.
 
 `extraction_scan` runs thm 5.4's extraction induction over a universe: one
-trace per class-series pair mod U, listing every series only on a failure.
-`series_zip_witness` traces one U-coefficient series per support and
-factor. Both rest on the universe's table check, made once per universe.
+trace per class-series pair mod U, listing every series only when a class
+trace fails. `series_zip_witness` traces one U-coefficient series per
+support and factor. Both rest on the universe's table check, the one oracle
+for the tables every trace reads: it runs once per universe, before any
+trace, and a failed check raises TraceMismatch out of the scan.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .properties import (PropertyReport, fusible_decompositions,
                          zero_divisor_sets)
 from .rings import DEFAULT_SIZE_CAP, Memo, greedy_generators
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar, series_make,
-                     series_mul, series_to_json)
+                     series_mul, series_to_json, term_product)
 
 DEFAULT_UNIVERSE_CAP = 4096
 
@@ -93,6 +95,13 @@ class TruncatedUniverse(Memo):
     @property
     def has_identity(self) -> bool:
         return self.twist.group.identity in self.window
+
+    def checked_algebra(self) -> WindowAlgebra:
+        """The window algebra, once its tables have passed
+        `WindowAlgebra.check_tables`, which runs once per universe. A failed
+        check stores nothing and raises its TraceMismatch on every call."""
+        self.once("check_tables", self.algebra.check_tables)
+        return self.algebra
 
     def series(self, member: tuple) -> Series:
         return Series(self.twist, {x: c for x, c in zip(self.window, member) if c})
@@ -549,7 +558,10 @@ def _extract(f: Series, g: Series, U: IdealSet, fg: Series) -> DerivationTrace:
     """The derivation of coefficient_extraction, for a caller that has already
     checked its preconditions and computed fg (by any product), which every
     step is checked against: `_trace` over a window algebra compiled on the
-    supports of f and g, in the order their terms are listed."""
+    supports of f and g, in the order their terms are listed. That algebra's
+    tables are not checked, so each conclusion is then compared with its
+    term_product, evaluated from the twist: |f|*|g| evaluations, where the
+    table check would make one per entry of the tables."""
     window = list(dict.fromkeys(itertools.chain(f.terms, g.terms)))
     alg = WindowAlgebra(f.twist, window)
     if not fg.terms.keys() <= set(alg.products):
@@ -558,6 +570,10 @@ def _extract(f: Series, g: Series, U: IdealSet, fg: Series) -> DerivationTrace:
     steps, established = _trace(alg, [(position[x], a) for x, a in f.terms.items()],
                                 [(position[y], b) for y, b in g.terms.items()],
                                 U, [fg.coeff(z) for z in alg.products])
+    for x, a in f.terms.items():
+        for y, b in g.terms.items():
+            if established.get((position[x], position[y])) != term_product(f.twist, a, x, b, y):
+                raise TraceMismatch(f"oracle disagrees with the trace at {(x, y)}")
 
     def exps(key):
         return window[key[0]], window[key[1]]
@@ -579,10 +595,12 @@ def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
     x_j) from `alg.term` and checking every claim of every step; a failed
     claim raises TraceMismatch. Returns the steps, as (slot, pairs, (i, j),
     multiplier, induction-hypothesis pairs), and the conclusions {(i, j):
-    term}, each of which is finally compared with its direct term_product
-    evaluation, `alg.direct`, which reads none of the algebra's tables and
-    is kept per algebra, so a term that many traces conclude, or that
-    `check_tables` has compared, is evaluated once.
+    term}, each already tested for membership in U by its step.
+
+    The trace trusts `alg.term` and `alg.xw`: over tables that passed
+    `check_tables`, every conclusion is a checked entry of `term` and the
+    X_w lists cover f x g, so no conclusion is compared again. A caller
+    whose tables are unchecked compares them itself, as `_extract` does.
     """
     grp, win, products = alg.twist.group, alg.window, alg.products
     members = U.members
@@ -633,15 +651,6 @@ def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
             remainder = add[remainder][neg[terms[n]]]
         if remainder != 0:
             fail(f"peeling X_w left a nonzero remainder at w={grp.to_json(w)}")
-
-    # the oracle: every pair of supports evaluated directly
-    if len(established) != len(fa) * len(gb):
-        fail("trace conclusions cover a different pair set than the oracle")
-    for i, a in fa.items():
-        for j, b in gb.items():
-            value = alg.direct(i, a, j, b)
-            if established[(i, j)] != value or value not in members:
-                fail(f"oracle disagrees with the trace at {exps((i, j))}")
     return steps, established
 
 
@@ -654,17 +663,18 @@ def extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int,
     the trace test, fg in U((G)), each term, remainder and multiple, has the
     same outcome for every lift of a class pair with the same supports, and
     the trace's skeleton depends only on the supports. So one trace per
-    class pair decides all its lifts, and the counts are weighted. The table
-    check stands in for the direct term_product a trace makes on each lift
-    it does not run. A failure anywhere reruns the exact scan over every
-    lift pair, enumerated only then, which reports the first failing pair
-    and its message. The table check runs once per universe.
+    class pair decides all its lifts, and the counts are weighted.
+
+    The universe's table check runs first, once per universe, and vouches
+    for every term of every lift, traced or not; a failed check raises its
+    TraceMismatch. A class trace that fails on checked tables reruns the
+    exact scan over every lift pair, enumerated only then, which reports the
+    first failing pair and its message.
     """
-    alg = universe.algebra
+    alg = universe.checked_algebra()
+    classes, weights = alg.classes(U.members)
+    qualifying = 0
     try:
-        universe.once("check_tables", alg.check_tables)
-        classes, weights = alg.classes(U.members)
-        qualifying = 0
         for p, q, fg in alg.join(classes, U.members):
             if classes[p] and classes[q]:  # a zero factor leaves no X_w pair to trace
                 _trace(alg, classes[p], classes[q], U, fg)
@@ -694,7 +704,8 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     U-coefficient series, reduces to the base hypothesis (U:C_X) = U, finds
     the minimal content witness, forms the corresponding finite X0 and
     verifies the quotient by X0, with the extraction trace supplying the
-    step-by-step justification and the direct scan acting as oracle.
+    step-by-step justification and the universe's table check as the
+    oracle for every term the trace reads.
 
     The extraction runs for every factor s of X0 and every h in the
     quotient, which is then the set of U-coefficient series, but traces
@@ -702,9 +713,11 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     sigma_x(U) = U) every term s(x) sigma_x(h(y)) tau(x, y), sum, remainder
     and multiple the trace tests lies in U for any h with U-coefficients,
     and the trace's skeleton depends only on the supports. The universe's
-    table check stands in for the direct evaluations of the h it does not
-    trace. `extractions` counts every (h, factor) pair. A failure anywhere
-    reruns the extraction for every h, which raises its message.
+    table check runs before the first trace and vouches for the terms of
+    the h it does not trace; a failed check raises its TraceMismatch. On
+    checked tables the first failing h is the first of its support, so a
+    failed trace raises the message the per-h extraction would.
+    `extractions` counts every (h, factor) pair.
     """
     twist = universe.twist
     ring = twist.ring
@@ -748,10 +761,7 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     extractions = 0
     if reduced_ok:
         members = sorted(quotient0)
-        try:
-            _extract_by_support(universe, factors, members, U)
-        except TraceMismatch:
-            _extract_each(universe, factors, members, U)
+        _extract_by_support(universe, factors, members, U)
         extractions = len(members) * len(factors)
 
     verdict = reduced_ok
@@ -765,14 +775,18 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         bounds=universe.describe())
 
 
-def _extract_each(universe: TruncatedUniverse, factors: list[list[tuple]],
-                  members: list[tuple], U: IdealSet):
-    """series_zip_witness's extraction for every h in `members` and every
-    factor s, in that order: a trace of s*h, then the content conclusion
-    the induction is for, that h has U-coefficients. The first failure
-    raises TraceMismatch."""
-    alg, grp = universe.algebra, universe.twist.group
+def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
+                        members: list[tuple], U: IdealSet):
+    """series_zip_witness's extraction over checked tables, for the first h
+    of each support in `members` and every factor s, in that order: a trace
+    of s*h, then the content conclusion the induction is for, that h has
+    U-coefficients. The first failure raises TraceMismatch."""
+    alg, grp = universe.checked_algebra(), universe.twist.group
+    first: dict[tuple, tuple] = {}
     for m in members:
+        if any(m):  # the zero h leaves no X_w pair to trace
+            first.setdefault(tuple(c != 0 for c in m), m)
+    for m in first.values():
         h = [(i, c) for i, c in enumerate(m) if c]
         for s in factors:
             # require_zip and h in the quotient are coefficient_extraction's checks
@@ -782,19 +796,3 @@ def _extract_each(universe: TruncatedUniverse, factors: list[list[tuple]],
                     raise TraceMismatch(
                         f"extraction finished but h({grp.to_json(universe.window[i])}) "
                         "is outside U")
-
-
-def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
-                        members: list[tuple], U: IdealSet):
-    """The same extraction with one h per support: the universe's tables
-    are checked, every h must have U-coefficients, and the first h of each
-    support in `members` is traced with every factor. Raises TraceMismatch
-    on any failure, whose message `_extract_each` then gives."""
-    universe.once("check_tables", universe.algebra.check_tables)
-    first: dict[tuple, tuple] = {}
-    for m in members:
-        if not U.members.issuperset(m):
-            raise TraceMismatch("a quotient member has a coefficient outside U")
-        if any(m):  # the zero h leaves no X_w pair to trace
-            first.setdefault(tuple(c != 0 for c in m), m)
-    _extract_each(universe, factors, list(first.values()), U)

@@ -238,12 +238,18 @@ MUTANTS = {
         "for i in range(len(win)):",
         ("tests/test_window.py", "-k", "unsorted")),
     "extraction-scan-skips-the-exact-rerun": Mutant(
-        "a failed table check or class trace is reported as it is, without the exact "
-        "scan over every series pair that names the failing pair",
+        "a class trace that fails on checked tables is reported as it is, without the "
+        "exact scan over every series pair that names the failing pair",
         "mnseries/transfer.py",
         "    lifts = alg.universe()\n",
         "    return len(universe) ** 2, 0, first\n",
-        ("tests/test_class_scan.py", "-k", "non_representative_lift")),
+        ("tests/test_class_scan.py", "-k", "reruns_the_exact_scan")),
+    "extraction-scan-skips-the-table-check": Mutant(
+        "the extraction scan traces the class series over tables it has not checked",
+        "mnseries/transfer.py",
+        "    alg = universe.checked_algebra()\n",
+        "    alg = universe.algebra\n",
+        (_UNIVERSE, "-k", "failed_table_check_raises_before")),
     "trace-drops-an-x-w-pair": Mutant(
         "the extraction trace leaves the first pair of each X_w out",
         "mnseries/transfer.py",
@@ -279,16 +285,22 @@ MUTANTS = {
     "series-zip-drops-a-support-class": Mutant(
         "series-zip traces one support class too few",
         "mnseries/transfer.py",
-        "_extract_each(universe, factors, list(first.values()), U)",
-        "_extract_each(universe, factors, list(first.values())[:-1], U)",
+        "    for m in first.values():\n",
+        "    for m in list(first.values())[:-1]:\n",
         ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
-    "trace-oracle-reads-the-term-table": Mutant(
-        "the extraction trace's oracle reads the algebra's term table, not the direct "
-        "term_product memo",
+    "series-zip-skips-the-table-check": Mutant(
+        "series-zip traces one h per support over tables it has not checked",
         "mnseries/transfer.py",
-        "value = alg.direct(i, a, j, b)",
-        "value = alg.term[i][a][j][b]",
-        ("tests/test_window.py", "-k", "oracle_does_not_read_the_term_table")),
+        "alg, grp = universe.checked_algebra(), universe.twist.group",
+        "alg, grp = universe.algebra, universe.twist.group",
+        ("tests/test_orbit_scan.py", "-k", "no_trace_reads_fails_series_zip")),
+    "extract-oracle-reads-the-term-table": Mutant(
+        "coefficient_extraction compares each conclusion with its own unchecked term "
+        "table, not with term_product",
+        "mnseries/transfer.py",
+        "!= term_product(f.twist, a, x, b, y):",
+        "!= alg.term[position[x]][a][position[y]][b]:",
+        ("tests/test_window.py", "-k", "wrong_term_in_its_own_algebra")),
     "cocycle-reads-a-wrong-tau-row": Mutant(
         "the cocycle scan reads tau(x, z) where it needs tau(y, z)",
         "mnseries/series.py",

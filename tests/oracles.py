@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from mnseries.errors import (HypothesisFails, PreconditionFail, RingMismatch, TraceMismatch,
-                             TwistMismatch, ZeroSeries)
+                             TwistMismatch, ZeroElement)
 from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
 from mnseries.properties import (PropertyReport, check_pair_cap, fusible_decompositions,
                                  sigma_u_zip_witness, zero_divisor_sets)
@@ -429,7 +429,7 @@ class SupportStats:
 def support_stats(f: Series) -> SupportStats:
     """Sorted support, its minimal exponent, the leading coefficient, content."""
     if f.is_zero:
-        raise ZeroSeries("the zero series has no minimal support element")
+        raise PreconditionFail("the zero series has no minimal support element")
     supp = f.support()
     return SupportStats(supp, supp[0], f.terms[supp[0]], f.content())
 
@@ -450,7 +450,7 @@ def lift_fusible_decompositions(fs, universe: TruncatedUniverse) -> list[Fusible
     for f in fs:
         twist, ring = f.twist, f.twist.ring
         if f.is_zero:
-            raise ZeroSeries("cannot decompose the zero series")
+            raise ZeroElement("cannot decompose the zero series")
         require_fusible(twist)
         s0 = support_stats(f).minimal
         a, b = fusible_decompositions(ring, f.terms[s0])[0]
@@ -545,7 +545,8 @@ def full_join_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: in
 def per_h_series_zip_witness(X, U: IdealSet, universe) -> PropertyReport:
     """The series-zip witness with one extraction trace for every member h
     of the reduced quotient and every factor, each followed by the check
-    that h has U-coefficients."""
+    that h has U-coefficients. `_trace` trusts the tables it reads, so the
+    algebra's `check_tables` runs before the first trace."""
     twist = universe.twist
     ring = twist.ring
     grp = twist.group
@@ -584,6 +585,7 @@ def per_h_series_zip_witness(X, U: IdealSet, universe) -> PropertyReport:
 
     extractions = 0
     if reduced_ok:
+        universe.algebra.check_tables()
         mul = universe.algebra.multiply
         for m in sorted(quotient0):
             h = [(i, c) for i, c in enumerate(m) if c]

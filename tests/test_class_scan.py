@@ -28,7 +28,7 @@ from mnseries.transfer import TruncatedUniverse, _trace, extraction_scan
 from oracles import ut2_table
 
 
-def _lift_scan(alg, terms, U):
+def _lift_scan(alg, terms, U, trace=_trace):
     """The exact scan: (pairs decided, qualifying pairs, the failing trace's
     message or None), stopping at the first failing pair."""
     pairs = len(terms) ** 2
@@ -37,7 +37,7 @@ def _lift_scan(alg, terms, U):
     try:
         for p, q, fg in alg.join(terms, U.members):
             qualifying += 1
-            _trace(alg, terms[p], terms[q], U, fg)
+            trace(alg, terms[p], terms[q], U, fg)
     except TraceMismatch as exc:
         pairs = p * len(terms) + q + 1
         mismatch = str(exc)
@@ -169,7 +169,8 @@ def test_check_tables_catches_a_wrong_term_and_a_wrong_x_w(tw_z4_tau):
 
 def _thm54_with_a_corrupted_algebra(monkeypatch, edit):
     """thm5.4 on z4_tau_power (Z4, U = {0, 2}) with `edit` applied to every
-    window algebra; its extraction-vs-oracle check."""
+    window algebra. A failed table check raises out of the extraction scan,
+    so the report holds the suite's one `derivation trace mismatch` check."""
     fx = load_fixture(resolve_fixture("z4_tau_power"))
     real = WindowAlgebra.__init__
 
@@ -179,12 +180,16 @@ def _thm54_with_a_corrupted_algebra(monkeypatch, edit):
 
     monkeypatch.setattr(WindowAlgebra, "__init__", corrupted)
     report = run_suite(fx, "thm5.4")
-    return next(c for c in report.checks if c.prop == "extraction-vs-oracle")
+    assert report.status == "fail"
+    [check] = report.checks
+    assert (check.prop, check.verdict, check.note) == ("thm5.4", False,
+                                                       "derivation trace mismatch")
+    return check
 
 
 def test_a_wrong_term_only_a_non_representative_lift_reads_is_caught(monkeypatch):
     """The coset {1, 3} is represented by 1, so no class trace reads a term
-    with a = 3; the table check catches it and the exact scan reports it."""
+    with a = 3; the table check, run before any trace, catches it."""
     def edit(alg):
         classes, _ = alg.classes({0, 2})
         assert all(c != 3 for s in classes for _, c in s)
@@ -193,18 +198,44 @@ def test_a_wrong_term_only_a_non_representative_lift_reads_is_caught(monkeypatch
         alg.term[i][3][i][2] = 0          # still inside U
 
     check = _thm54_with_a_corrupted_algebra(monkeypatch, edit)
-    assert check.verdict is False
-    assert check.witness == "oracle disagrees with the trace at (0, 0)"
+    assert check.witness == "term table disagrees with term_product at (0, 0), a=3, b=2"
 
 
 def test_a_dropped_x_w_pair_is_caught(monkeypatch):
+    dropped = []
+
     def edit(alg):
         k = max(range(len(alg.xw)), key=lambda k: len(alg.xw[k]))
         alg.xw[k].pop()
+        dropped.append(alg.products[k])
 
     check = _thm54_with_a_corrupted_algebra(monkeypatch, edit)
-    assert check.verdict is False
-    assert check.witness.startswith("sum over X_w disagrees with the product coefficient")
+    assert check.witness == f"X_w pairs disagree with the product slots at w={dropped[0]}"
+
+
+def test_a_class_trace_failing_on_checked_tables_reruns_the_exact_scan(monkeypatch):
+    """A trace that rejects one qualifying pair of class series, on tables
+    that pass the check, makes the scan rerun every lift pair: it reports
+    that pair's position, the qualifying pairs up to it and the message,
+    as the exact scan does."""
+    fx = load_fixture(resolve_fixture("z4_tau_power"))
+    U = fx.ideals["U"]
+    universe = TruncatedUniverse(fx.twist, fx.group.window(*fx.cap("window")))
+    alg = universe.algebra
+    classes, _ = alg.classes(U.members)
+    rejected = [(classes[p], classes[q]) for p, q, _ in alg.join(classes, U.members)
+                if classes[p] and classes[q]][-1]
+    real = transfer._trace
+
+    def rejecting(alg, f, g, U, fg):
+        if (f, g) == rejected:
+            raise TraceMismatch("rejected")
+        return real(alg, f, g, U, fg)
+
+    expected = _lift_scan(alg, alg.universe(), U, rejecting)
+    assert expected[2] == "rejected" and expected[0] < len(universe) ** 2
+    monkeypatch.setattr(transfer, "_trace", rejecting)
+    assert extraction_scan(universe, U) == expected
 
 
 # --- the work, not the time ------------------------------------------------------

@@ -412,6 +412,26 @@ def test_main_validate_refuses_the_removed_assoc_samples_cap(tmp_path, capsys):
     assert captured.err == "error: fixture 'z4_tau_power': unknown cap 'assoc_samples'\n"
 
 
+def test_main_validate_caps_a_table_ring_read_from_a_path(tmp_path, capsys):
+    """A 257-element table exits 2 naming the size cap, whether the fixture
+    gives it inline or names the file that holds it."""
+    n = 257
+    table = {"label": "Z257", "size": n, "one": 1,
+             "add": [[(a + b) % n for b in range(n)] for a in range(n)],
+             "mul": [[a * b % n for b in range(n)] for a in range(n)]}
+    (tmp_path / "z257.json").write_text(json.dumps(table))
+    doc = json.loads(resolve_fixture("z4_example_5_5").read_text())
+    del doc["ideals"], doc["series"]
+    for ring in ({"kind": "table", "path": "z257.json"}, {"kind": "table", **table}):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({**doc, "ring": ring}))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fixture 'z4_example_5_5': bad ring: table ring "
+                                "would have 257 elements, cap is 256\n")
+
+
 def _ut2_noncentral_doc():
     """UT2(Z2) over Z with sigma the identity and tau = t = [[1, 1], [0, 1]]
     (id 7, a unit outside the centre) at every (x, y) with x and y odd that

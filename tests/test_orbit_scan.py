@@ -224,10 +224,18 @@ def test_series_zip_traces_each_support_once_per_factor(monkeypatch):
     assert rep.to_json() == per_h_series_zip_witness(X, U, fresh).to_json()
 
 
-def test_a_corrupted_table_falls_back_to_the_per_h_extraction():
+def test_a_corrupted_table_fails_series_zip_before_any_trace(monkeypatch):
     """A wrong term 1 * sigma_0(6) * tau(0, 0) that stays inside U is read by
-    the trace of 6 X^0 alone, which no class trace runs. The table check
-    fails, every h is traced, and the message is the per-h extraction's."""
+    the trace of 6 X^0 alone, which no support-class trace runs. The table
+    check fails before the first trace and its message is raised, by the
+    scan and by the per-h oracle alike; nothing is retried."""
+    real, traced = transfer._trace, []
+
+    def recording(*args):
+        traced.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transfer, "_trace", recording)
     messages = []
     for scan in (series_zip_witness, per_h_series_zip_witness):
         X, U, universe = _z8_zip()
@@ -237,4 +245,26 @@ def test_a_corrupted_table_falls_back_to_the_per_h_extraction():
         with pytest.raises(TraceMismatch) as exc:
             scan(X, U, universe)
         messages.append(str(exc.value))
-    assert messages[0] == messages[1] == "oracle disagrees with the trace at (0, 0)"
+    assert messages[0] == messages[1] == ("term table disagrees with term_product "
+                                          "at (0, 0), a=1, b=6")
+    assert traced == []
+
+
+@pytest.mark.parametrize("name", ["gf4_frobenius", "z4_example_5_5"])
+def test_a_wrong_term_no_trace_reads_fails_series_zip(name):
+    """A wrong term 2 * sigma_0(0) * tau(0, 0) over the fixture's caps
+    window: a = 2 with b = 0, which no extraction trace reads, as a trace
+    reads only nonzero coefficients of h. series-zip raises the table
+    check's message for it rather than reporting a verdict."""
+    fx = load_fixture(resolve_fixture(name))
+    U = fx.ideals["U"]
+    universe = TruncatedUniverse(fx.twist, fx.group.window(*fx.cap("window")))
+    alg = universe.algebra
+    assert alg.window[0] == 0 and alg.term[0][2][0][0] == 0
+    alg.term[0][2][0][0] = 1
+    outside = next(a for a in fx.ring.elements() if a not in U.members
+                   and quotient_ideal(U, {a}) == U.members)
+    X = [series_make(fx.twist, [(0, outside)])]
+    with pytest.raises(TraceMismatch, match=r"^term table disagrees with term_product "
+                                            r"at \(0, 0\), a=2, b=0$"):
+        series_zip_witness(X, U, universe)

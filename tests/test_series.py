@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mnseries.errors import (DuplicateKey, MalformedSpec, NotNormalized,
-                             PreconditionFail, TwistMismatch, ZeroSeries)
+                             PreconditionFail, TwistMismatch)
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.series import (Series, check_associativity, check_twist_conditions,
                              embed_scalar, series_add, series_from_json, series_make,
@@ -99,7 +99,7 @@ def test_support_stats(tw_z4):
     assert stats.content == {2, 3}
     r = embed_scalar(tw_z4, 3)
     assert support_stats(r).minimal == 0 and support_stats(r).content == {3}
-    with pytest.raises(ZeroSeries):
+    with pytest.raises(PreconditionFail, match="no minimal support element"):
         support_stats(series_zero(tw_z4))
 
 

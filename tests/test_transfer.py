@@ -6,7 +6,7 @@ import mnseries.transfer as transfer
 import oracles
 from mnseries.errors import (HypothesisFails, NotFusibleRing, NotNormalized,
                              NotSigmaCompatible, PreconditionFail, SizeCapExceeded,
-                             ZeroSeries)
+                             ZeroElement)
 from mnseries.groups import IntegersGroup
 from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
@@ -90,7 +90,7 @@ def test_lift_rejects_non_fusible_ring(tw_z4, uni_z4):
 
 
 def test_lift_rejects_zero_series(tw_klein, uni_klein):
-    with pytest.raises(ZeroSeries):
+    with pytest.raises(ZeroElement, match="cannot decompose the zero series"):
         lift_fusible_decomposition(series_make(tw_klein, []), uni_klein)
 
 

@@ -22,7 +22,7 @@ import mnseries.cli as cli
 import mnseries.series as series_module
 import mnseries.transfer as transfer
 import oracles
-from mnseries.errors import HypothesisFails, PreconditionFail, TwistMismatch
+from mnseries.errors import HypothesisFails, PreconditionFail, TraceMismatch, TwistMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, make_ideal
 from mnseries.properties import zero_divisor_sets
@@ -591,16 +591,17 @@ def test_thm54_enumerates_its_window_once(monkeypatch):
     assert len(calls) == 0
 
 
-def test_a_failed_table_check_enumerates_the_window_once(monkeypatch):
-    # the exact rerun after a failed check lists every series, once
+def test_a_failed_table_check_raises_before_the_window_is_enumerated(monkeypatch):
+    # a failed table check raises out of the scan, which then lists no series
     fx = cli.load_fixture(cli.resolve_fixture("z4_tau_power"))
     universe = TruncatedUniverse(fx.twist, fx.group.window(*fx.cap("window")))
     i = universe.window.index(0)
     universe.algebra.term[i][3][i][2] = 0  # 3 * sigma_0(2) * tau(0, 0) is 2
     calls = _counting_window_terms(monkeypatch)
-    _, _, mismatch = extraction_scan(universe, fx.ideals["U"])
-    assert mismatch == "oracle disagrees with the trace at (0, 0)"
-    assert len(calls) == 1
+    with pytest.raises(TraceMismatch, match=r"^term table disagrees with term_product "
+                                            r"at \(0, 0\), a=3, b=2$"):
+        extraction_scan(universe, fx.ideals["U"])
+    assert len(calls) == 0
 
 
 def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mnseries.cli import load_fixture, resolve_fixture, run_suite
 from mnseries.errors import MalformedSpec, TraceMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
-from mnseries.ideals import enumerate_ideals
+from mnseries.ideals import enumerate_ideals, make_ideal
 from mnseries.properties import is_G_armendariz
 from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extension,
                             ring_zn, units)
@@ -278,9 +278,10 @@ def test_thm54_mismatch_counts_the_pair_that_stops_the_scan(monkeypatch):
 
 
 def test_thm54_oracle_does_not_read_the_term_table(monkeypatch):
-    """A wrong table term that stays inside U passes every step of the trace,
-    because the kernel's product and the trace read the same table; the
-    direct term_product oracle still catches it."""
+    """A wrong table term that stays inside U would pass every step of the
+    trace, because the kernel's product and the trace read the same table;
+    the table check compares it with term_product before any trace, and
+    thm5.4 fails with its message."""
     fx = load_fixture(resolve_fixture("z4_tau_power"))
     real = WindowAlgebra.__init__
 
@@ -292,9 +293,10 @@ def test_thm54_oracle_does_not_read_the_term_table(monkeypatch):
 
     monkeypatch.setattr(WindowAlgebra, "__init__", corrupted)
     report = run_suite(fx, "thm5.4")
-    check = next(c for c in report.checks if c.prop == "extraction-vs-oracle")
-    assert check.verdict is False
-    assert check.witness == "oracle disagrees with the trace at (0, 0)"
+    assert report.status == "fail"
+    [check] = report.checks
+    assert (check.verdict, check.note) == (False, "derivation trace mismatch")
+    assert check.witness == "term table disagrees with term_product at (0, 0), a=2, b=1"
 
 
 # --- the extraction trace against the Series derivation it replaced ------------
@@ -421,6 +423,29 @@ def test_coefficient_extraction_over_an_unsorted_window(tw_z4_tau, u_z4):
                 order = list(dict.fromkeys([*f.terms, *g.terms]))
                 unsorted += order != sorted(order)
     assert unsorted > 100
+
+
+def test_coefficient_extraction_catches_a_wrong_term_in_its_own_algebra(monkeypatch):
+    """coefficient_extraction compiles an algebra whose tables are never
+    checked. Two wrong terms of one X_w that keep its sum and stay inside U
+    pass every step of the trace; comparing each conclusion with
+    term_product catches them."""
+    twist = trivial_twist(ring_zn(4))
+    U = make_ideal(twist.ring, {0, 2})
+    f = series_make(twist, [(0, 2), (1, 2)])
+    g = series_make(twist, [(0, 1), (1, 1)])
+    assert series_mul(f, g).sorted_terms() == [(0, 2), (2, 2)]
+    coefficient_extraction(f, g, U)
+    real = WindowAlgebra.__init__
+
+    def corrupted(alg, twist, window):
+        real(alg, twist, window)
+        assert alg.term[0][2][1][1] == alg.term[1][2][0][1] == 2
+        alg.term[0][2][1][1] = alg.term[1][2][0][1] = 0  # X_1 still sums to 0
+
+    monkeypatch.setattr(WindowAlgebra, "__init__", corrupted)
+    with pytest.raises(TraceMismatch, match=r"^oracle disagrees with the trace at \(0, 1\)$"):
+        coefficient_extraction(f, g, U)
 
 
 def test_extraction_core_rejects_a_wrong_product(tw_z4_tau, u_z4):

@@ -763,6 +763,8 @@ def canonical_json(value, newline: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
+        if set(map(type, value)) == {int}:  # exact ints: no bools or int subclasses
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
         return ("[" + inner + ("," + inner).join([canonical_json(v, inner) for v in value])
                 + newline + "]")
     if kind is dict:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, filterfalse
-from operator import itemgetter, not_
+from itertools import compress, count, filterfalse
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import RingMismatch, SizeCapExceeded
@@ -19,6 +19,7 @@ from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism, greedy_gener
                     grow_subgroup)
 
 KINDS = ("subset", "left", "right", "twosided")
+_ZERO = frozenset({0})
 
 
 @dataclass(frozen=True)
@@ -186,64 +187,66 @@ def ideals_by_right_annihilator(ring: FiniteRing) -> dict[frozenset[int], IdealS
         r: K for K, r in reversed(right_annihilators(ring).items())})
 
 
-def _member_set(ring: FiniteRing, xs) -> frozenset[int]:
+def _members(ring: FiniteRing, xs) -> Iterable[int]:
     if isinstance(xs, IdealSet):
         if xs.ring is not ring:
             raise RingMismatch(f"expected a subset of {ring.label}, got one of {xs.ring.label}")
         return xs.members
-    return frozenset(xs)
+    return xs
 
 
-def _rows_meet(ring: FiniteRing, rows, keep) -> frozenset[int]:
-    """The positions a at which keep(row[a]) holds for every row: the
-    positions of each row that pass, intersected. Every caller's rows keep
-    position 0 (x*0 = 0*x = 0, and 0 is kept), so the scan stops at {0}."""
-    out = set(ring.elements())
-    for row in rows:
-        out.intersection_update(compress(ring.elements(), map(keep, row)))
-        if len(out) == 1:
+def _row_mask(row, keep: frozenset[int]) -> int:
+    """The bitmask of the positions a with row[a] in keep."""
+    return sum(map((1).__lshift__, compress(count(), map(keep.__contains__, row))))
+
+
+def _meet(ring: FiniteRing, kernel: str, keep: frozenset[int], side: str, xs) -> frozenset[int]:
+    """The positions a with x*a in keep (a*x for side "left") for every x
+    in xs: the AND of their row masks, stopping once at most bit 0 is left.
+    A row's mask is built when first read and kept in the ring's memo under
+    (kernel, keep, side), so no two kernels share one; so is each meet's
+    frozenset, and equal results are one object."""
+    masks = ring.once((kernel, keep, side), dict)
+    meet = (1 << ring.size) - 1
+    for x in xs:
+        if x not in masks:
+            row = ring.mul_table[x] if side == "right" else map(itemgetter(x), ring.mul_table)
+            masks[x] = _row_mask(row, keep)
+        meet &= masks[x]
+        if meet <= 1:
             break
-    return frozenset(out)
+    return ring.once(("meet", meet), lambda: frozenset(
+        a for a in range(meet.bit_length()) if meet >> a & 1))
 
 
 def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
-    """(U:V) = {x | v*x in U for every v in V}: for each v, the positions of
-    row v of the product table that land in U, intersected; two-sided when
-    U and V are right ideals (the `ideals` suite checks it). For ideals U
-    and V only V's additive generators are read: U is a subgroup and the
-    product is additive in v, so (U:V) = (U:gens(V)). Any other V is read
-    in full."""
+    """(U:V) = {x | v*x in U for every v in V}, the AND over v in V of the
+    masks of row v's positions that land in U; two-sided when U and V are
+    right ideals (the `ideals` suite checks it). For ideals U and V only V's
+    additive generators are read: U is a subgroup and the product is
+    additive in v, so (U:V) = (U:gens(V)). Any other V is read in full."""
     ring = U.ring
-    vs = _member_set(ring, V)
+    vs = _members(ring, V)
     if isinstance(V, IdealSet) and U.kind != "subset":
         vs = V.additive_generators
-    return _rows_meet(ring, (ring.mul_table[v] for v in vs), U.members.__contains__)
+    return _meet(ring, "(U:V)", U.members, "right", vs)
 
 
 def singleton_quotient_masks(U: IdealSet) -> tuple[int, ...]:
     """(U:{v}) for every element v as an int bitmask, bit x set iff v*x is
     in U: row v of the product table, read once per (ring, U) and kept in
-    the ring's memo. (U:Y) for any member set Y is the AND of its members'
-    masks."""
-    ring = U.ring
-    keep = U.members.__contains__
-    positions = range(ring.size)
-    return ring.once(("(U:{v}) masks", U.members), lambda: tuple(
-        sum(map((1).__lshift__, compress(positions, map(keep, row))))
-        for row in ring.mul_table))
+    the ring's memo apart from quotient_ideal's masks, which check it. (U:Y)
+    for any member set Y is the AND of its members' masks."""
+    return U.ring.once(("(U:{v}) masks", U.members), lambda: tuple(
+        _row_mask(row, U.members) for row in U.ring.mul_table))
 
 
 def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:
-    """r_R(X) = {a | xa = 0 for all x in X}, the zeros of row x of the
-    product table; side='left' uses ax = 0, the zeros of column x."""
-    xs = _member_set(ring, X)
-    if side == "right":
-        rows = (ring.mul_table[x] for x in xs)
-    elif side == "left":
-        rows = (map(itemgetter(x), ring.mul_table) for x in xs)
-    else:
+    """r_R(X) = {a | xa = 0 for all x in X}, the AND of the masks of the
+    zeros of each row x; side='left' uses ax = 0, the zeros of column x."""
+    if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-    return _rows_meet(ring, rows, not_)
+    return _meet(ring, "r(X)", _ZERO, side, _members(ring, X))
 
 
 def set_sum(ring: FiniteRing, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
@@ -291,9 +294,9 @@ def nil_radical(ring: FiniteRing) -> tuple[frozenset[int], bool]:
 
 def weak_annihilator(ring: FiniteRing, X, nil: frozenset[int]) -> frozenset[int]:
     """N_R(X) = {a | xa is nilpotent for every x in X}, given the nilpotent
-    elements `nil` of the ring (the first part of nil_radical)."""
-    return _rows_meet(ring, (ring.mul_table[x] for x in _member_set(ring, X)),
-                      nil.__contains__)
+    elements `nil` of the ring (the first part of nil_radical): the AND of
+    the masks of the positions of each row x that lie in nil."""
+    return _meet(ring, "N(X)", frozenset(nil), "right", _members(ring, X))
 
 
 def close_under_inverses(sigma_family: Iterable[RingAutomorphism]) -> list[RingAutomorphism]:

@@ -360,14 +360,15 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
     return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds)
 
 
-def _row_masks(ring: FiniteRing, xs: list[int], keep) -> dict[int, int]:
-    """x -> the bitmask of the positions a with keep(x*a), for each x in xs:
-    read here from row x of the product table, not from the ideals layer,
-    so the zip searches below stay independent of sigma_u_zip_witness."""
+def _row_masks(ring: FiniteRing, keep: frozenset[int]) -> tuple[int, ...]:
+    """x -> the bitmask of the positions a with x*a in keep, for every x:
+    read here from row x of the product table, once per (ring, keep) and
+    under its own memo key, not from the ideals layer, so the zip searches
+    below stay independent of sigma_u_zip_witness."""
     positions = range(ring.size)
-    return {x: sum(map((1).__lshift__,
-                      itertools.compress(positions, map(keep, ring.mul_table[x]))))
-            for x in xs}
+    return ring.once(("zip row masks", keep), lambda: tuple(
+        sum(map((1).__lshift__, itertools.compress(positions, map(keep.__contains__, row))))
+        for row in ring.mul_table))
 
 
 def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
@@ -378,8 +379,8 @@ def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
     if all(x == 0 for x in xs):
         return PropertyReport("right-zip", None, bounds=bounds,
                               note="not_applicable: X is contained in {0}")
-    zeros = _row_masks(ring, xs, (0).__eq__)
-    ann = functools.reduce(operator.and_, zeros.values())
+    zeros = _row_masks(ring, frozenset({0}))
+    ann = functools.reduce(operator.and_, map(zeros.__getitem__, xs))
     if ann != 1:
         return PropertyReport("right-zip", None, witness={"annihilator": _bits(ann)},
                               bounds=bounds, note="hypothesis_fails: r(X) != 0")
@@ -400,9 +401,9 @@ def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport
     if all(x in nil for x in xs):
         return PropertyReport("weak-zip", None, bounds=bounds,
                               note="not_applicable: X is contained in nil(R)")
-    in_nil = _row_masks(ring, xs, nil.__contains__)
+    in_nil = _row_masks(ring, frozenset(nil))
     outside = ((1 << ring.size) - 1) & ~sum(1 << a for a in nil)
-    weak = functools.reduce(operator.and_, in_nil.values())
+    weak = functools.reduce(operator.and_, map(in_nil.__getitem__, xs))
     if weak & outside:
         return PropertyReport("weak-zip", None, witness={"weak_annihilator": _bits(weak)},
                               bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)")

@@ -190,14 +190,41 @@ MUTANTS = {
     "left-annihilator-reads-rows": Mutant(
         "l(X) reads the rows x of the product table, not its columns",
         "mnseries/ideals.py",
-        "rows = (map(itemgetter(x), ring.mul_table) for x in xs)",
-        "rows = (ring.mul_table[x] for x in xs)",
+        'if side == "right" else map(itemgetter(x), ring.mul_table)',
+        'if side == "right" else ring.mul_table[x]',
         ("tests/test_table_kernels.py", "-k", "annihilators_match_the_elementwise_scans")),
+    # the row masks of the ideals layer and of the zip searches, in the ring's memo
+    "mask-memo-key-without-side": Mutant(
+        "the row masks are filed without their side, so l(X) reads the masks of r(X)",
+        "mnseries/ideals.py",
+        "masks = ring.once((kernel, keep, side), dict)",
+        "masks = ring.once((kernel, keep), dict)",
+        ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
+    "mask-memo-key-without-kept-set": Mutant(
+        "the row masks are filed without their kept set, so (U:X) reads the masks of "
+        "another U",
+        "mnseries/ideals.py",
+        "masks = ring.once((kernel, keep, side), dict)",
+        "masks = ring.once((kernel, side), dict)",
+        ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
+    "meet-set-drops-the-top-bit": Mutant(
+        "a meet's element set leaves out its highest element",
+        "mnseries/ideals.py",
+        "a for a in range(meet.bit_length()) if meet >> a & 1))",
+        "a for a in range(meet.bit_length() - 1) if meet >> a & 1))",
+        ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
+    "zip-row-masks-key-without-keep": Mutant(
+        "the zip searches file their row masks without the kept set, so weak-zip reads "
+        "the masks of right-zip",
+        "mnseries/properties.py",
+        'ring.once(("zip row masks", keep), lambda',
+        'ring.once(("zip row masks",), lambda',
+        ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
     "singleton-masks-read-columns": Mutant(
         "the masks of (U:{v}) read column v of the product table, not row v",
         "mnseries/ideals.py",
-        "for row in ring.mul_table))",
-        "for row in zip(*ring.mul_table)))",
+        "for row in U.ring.mul_table))",
+        "for row in zip(*U.ring.mul_table)))",
         ("tests/test_table_kernels.py", "-k", "meet_count_matches_the_subset_count_on_small")),
     # the sigma-U-zip count by Moebius inversion over the meet-closure
     "meet-count-walks-bottom-up": Mutant(
@@ -307,6 +334,12 @@ MUTANTS = {
         "zip(range(n), tau[b], slot[b], t_xy_z)",
         "zip(range(n), tau[a], slot[b], t_xy_z)",
         ("tests/test_twist_conditions.py", "-k", "patched_twists_match_the_loop")),
+    "canonical-int-lists-take-bools": Mutant(
+        "a list of ints and bools takes the one-join path, which writes True, not true",
+        "mnseries/cli.py",
+        "if set(map(type, value)) == {int}:",
+        "if all(isinstance(v, int) for v in value):",
+        ("tests/test_cli.py", "-k", "canonical_json_writes_the_bytes")),
 }
 
 CHEAP = "kernel-matches-v-not-minus-v"

@@ -9,12 +9,13 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mnseries.cli as cli
 import mnseries.ideals as ideals
 import mnseries.properties as properties
+import mnseries.rings as rings
 import mnseries.series as series
 import mnseries.transfer as transfer
 from mnseries.cli import (SUITE_NAMES, canonical_json, emit_report, load_fixture, main,
@@ -925,6 +926,13 @@ def _json_values(children):
 
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(_JSON_SCALARS, _json_values, max_leaves=30))
+# a list of exact ints takes one join; a bool or an int subclass among
+# its members sends it down the general path
+@example([1, True, _Int(2), []])
+@example([True, False])
+@example((4, -5, 10 ** 30))
+@example({"a": [2, 1], "b": [1, _Int(3)]})
+@example([[1, 2], [_Int(7)], [0, None]])
 def test_canonical_json_writes_the_bytes_of_json_dumps(value):
     try:
         want = json.dumps(value, indent=2, sort_keys=True)
@@ -958,6 +966,40 @@ def test_lying_singleton_masks_fail_examples_with_a_named_mismatch(monkeypatch, 
     [check] = report["checks"]
     assert check["note"] == "derivation trace mismatch"
     assert check["witness"] == message
+
+
+_LYING_MEMOS = {
+    # the quotient masks of the ideals layer set every bit: (U:X) = R for every X
+    "ideals": ("(U:V)", lambda ring: dict.fromkeys(ring.elements(), (1 << ring.size) - 1)),
+    # the masks of the zip searches set every bit: r(X) = R for every X
+    "properties": ("zip row masks", lambda ring: ((1 << ring.size) - 1,) * ring.size),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(_LYING_MEMOS))
+def test_a_lying_mask_memo_fails_zip_specialization_agreement(monkeypatch, capsys, layer):
+    """sigma_u_zip_witness reads its quotients from the ideals layer's memo
+    and right_zip_witness reads the masks that properties keeps under its
+    own key, so either memo lying alone makes the two disagree: on Z4,
+    X = [1] has (0:X) = r(X) = 0."""
+    tag, lie = _LYING_MEMOS[layer]
+    real = rings.Memo.once
+
+    def once(self, key, compute):
+        return real(self, key, (lambda: lie(self)) if key[:1] == (tag,) else compute)
+
+    monkeypatch.setattr(rings.Memo, "once", once)
+    assert main(["verify", "z4_example_5_5", "--suite", "examples", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    checks = {c["property"]: c for c in json.loads(captured.out)["checks"]}
+    agreement = checks["zip-specialization-agreement"]
+    assert agreement["verdict"] is False
+    witness = agreement["witness"]
+    assert witness["X"] == [1]
+    notes = {"ideals": ("hypothesis_fails: (U:X) != U", None),
+             "properties": (None, "hypothesis_fails: r(X) != 0")}[layer]
+    assert (witness["sigma_u_zip"].get("note"), witness["right_zip"].get("note")) == notes
 
 
 def _verify_under_O(name: str, source: str, suite: str) -> subprocess.CompletedProcess:

@@ -16,7 +16,10 @@ masks and the per-subset searches they replaced, and the sigma-U-zip
 count by Moebius inversion over the meet-closure of the singleton masks
 and the one over all 2^|R| subsets; the lattices, the sigma-U-zip counts
 and the generator test of V*U inside U also on generated subrings of F2
-matrix rings. On tables
+matrix rings. The quotient, annihilator and zip kernels also run
+interleaved on one fresh ring object each of UT2(Z2), UT2(Z4), M2(F2)
+and Z12, so a row mask kept in the ring's memo under one key is never
+read under another. On tables
 with one entry changed, rings with + relabelled, F2^k algebras and loops,
 so must every (axiom, ok, witness), and a witness scan may run only for an
 axiom that fails.
@@ -25,6 +28,7 @@ axiom that fails.
 from __future__ import annotations
 
 import functools
+import random
 from unittest import mock
 
 import pytest
@@ -220,6 +224,48 @@ def test_annihilators_match_the_elementwise_scans(key, data):
             assert annihilator(ring, subset, side) == elementwise_annihilator(ring, subset, side)
         assert weak_annihilator(ring, subset, nil) == elementwise_weak_annihilator(ring, subset,
                                                                                    nil)
+
+
+# a new ring object per call, so each test starts from an empty memo
+_FRESH_RINGS = {
+    "UT2(Z2)": lambda: ring_from_table(ut2_table(2)),
+    "UT2(Z4)": lambda: ring_from_table(ut2_table(4)),
+    # the matrix units e12 and e21 generate all of M2(F2)
+    "M2(F2)": lambda: ring_from_table(f2_matrix_algebra_table(2, [2, 4])),
+    "Z12": lambda: ring_zn(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRESH_RINGS))
+def test_interleaved_kernels_keep_their_own_masks(name):
+    """The quotient, annihilator and weak-annihilator kernels keep their
+    row masks in the one ring's memo, as do the right- and weak-zip
+    searches. Run interleaved on one ring object over the same subsets
+    (quotients by several U, both annihilators, the weak annihilator and
+    both zip searches), each result must equal its element-at-a-time
+    oracle: a mask filed under one U, side or kept set and read under
+    another differs on some subset of these noncommutative rings and Z12."""
+    ring = _FRESH_RINGS[name]()
+    nil, _ = nil_radical(ring)
+    us = [IdealSet(ring, frozenset({0}), "twosided"), IdealSet(ring, nil, "subset"),
+          *enumerate_ideals(ring, "right"), *enumerate_ideals(ring, "left")]
+    rng = random.Random(name)
+    pools = [[v] for v in ring.elements()] + [
+        rng.sample(range(ring.size), rng.randint(2, 5)) for _ in range(24)]
+    for xs in pools:
+        for U in rng.sample(us, 4):
+            assert quotient_ideal(U, xs) == membership_quotient(ring, U.members, xs), (U, xs)
+        for side in rng.sample(["right", "left"], 2):
+            assert annihilator(ring, xs, side) == elementwise_annihilator(ring, xs, side), \
+                (side, xs)
+        assert weak_annihilator(ring, xs, nil) == elementwise_weak_annihilator(ring, xs, nil), xs
+        assert right_zip_witness(ring, xs).to_json() == \
+            subset_right_zip_witness(ring, xs).to_json(), xs
+        assert weak_zip_witness(ring, xs, nil).to_json() == \
+            subset_weak_zip_witness(ring, xs, nil).to_json(), xs
+    for U in us:  # by an ideal V, only V's generators are read
+        for V in enumerate_ideals(ring, "right"):
+            assert quotient_ideal(U, V) == membership_quotient(ring, U.members, V.members)
 
 
 def _axioms(ring):

@@ -37,7 +37,8 @@ from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
 from .properties import (PropertyReport, check_pair_cap, is_G_armendariz, is_IN, is_SA,
                          is_left_fusible, is_right_nonsingular, is_sigma_compatible_ring,
                          right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
-                         weak_zip_witness, zero_divisor_sets)
+                         weak_zip_witness, zero_divisor_sets, _right_zip, _sigma_u_zip,
+                         _weak_zip)
 from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
                     identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
@@ -515,12 +516,6 @@ def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         yield series_zip_witness(X, U, universe)
 
 
-def _zip_status(report: PropertyReport) -> str:
-    if report.note:
-        return report.note.split(":")[0]
-    return "ok" if report.verdict else "fail"
-
-
 def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     ring = fx.ring
     proper_two = {name: ideal for name, ideal in sorted(fx.ideals.items())
@@ -538,23 +533,29 @@ def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     pool = _subset_pool(ring, seed)
     fam = fx.sigma_family()
     zero_ideal = make_ideal(ring, {0})
-    # (ideal, its sigma-compatibility, the specialized witness, its disagreement key)
+    # (ideal, its sigma-compatibility, the specialized search's core and
+    # report, its disagreement key); each X is decided by the cores, and the
+    # two reports are built for the first X on which they disagree
     comparisons = [(zero_ideal, is_sigma_compatible_ideal(zero_ideal, fam).ok,
+                    lambda xs: _right_zip(ring, xs),
                     lambda xs: right_zip_witness(ring, xs), "right_zip")]
     nil, is_ni = nil_radical(ring)
     if is_ni:
         nil_ideal = make_ideal(ring, nil)
         comparisons.append((nil_ideal, is_sigma_compatible_ideal(nil_ideal, fam).ok,
+                            lambda xs: _weak_zip(ring, xs, nil),
                             lambda xs: weak_zip_witness(ring, xs, nil), "weak_zip"))
     disagreement = None
     compared = 0
-    for xs in pool:
-        for ideal, compatible, oracle, key in comparisons:
-            a, b = sigma_u_zip_witness(ring, ideal, xs, compatible), oracle(xs)
+    for subset in pool:
+        xs = sorted(subset)
+        for ideal, compatible, core, oracle, key in comparisons:
             compared += 1
-            if _zip_status(a) != _zip_status(b) or \
-                    (a.verdict and a.certificate["minimal_witness"] != b.certificate["minimal_witness"]):
-                disagreement = {"X": sorted(xs), "sigma_u_zip": a.to_json(), key: b.to_json()}
+            if _sigma_u_zip(ideal, xs) != core(xs):
+                disagreement = {"X": xs,
+                                "sigma_u_zip": sigma_u_zip_witness(ring, ideal, xs,
+                                                                   compatible).to_json(),
+                                key: oracle(xs).to_json()}
                 break
         if disagreement:
             break
@@ -709,6 +710,7 @@ def _render_text(data: dict) -> str:
 _quote = json.encoder.encode_basestring_ascii
 _SCALAR_JSON = {None: "null", True: "true", False: "false"}
 _JSON_TYPES = frozenset((str, int, float, list, tuple, dict, bool, type(None)))
+_CONTAINERS = (list, tuple, dict)
 
 
 def _json_type(value) -> type:
@@ -750,8 +752,15 @@ def canonical_json(value, newline: str = "\n") -> str:
     nesting level that yields every separator on its own; dispatching on the
     exact type and joining each container's members once is about twice as
     fast on large reports. `newline` is the line break plus the indent of
-    the enclosing level.
+    the enclosing level. Each list of scalars is written once per call at
+    each indent it appears at (the SA table repeats one member list per
+    ideal): keyed by its id, which is safe because `value` holds every
+    list, and none changes, while the call runs.
     """
+    return _json_text(value, newline, {})
+
+
+def _json_text(value, newline: str, lists: dict) -> str:
     kind = type(value)
     if kind not in _JSON_TYPES:
         kind = _json_type(value)
@@ -763,15 +772,23 @@ def canonical_json(value, newline: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:  # exact ints: no bools or int subclasses
-            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-        return ("[" + inner + ("," + inner).join([canonical_json(v, inner) for v in value])
-                + newline + "]")
+        key = (id(value), newline)
+        text = lists.get(key)
+        if text is None:
+            kinds = set(map(type, value))
+            if kinds == {int}:  # exact ints: no bools or int subclasses
+                items = map(int.__repr__, value)
+            else:
+                items = [_json_text(v, inner, lists) for v in value]
+            text = "[" + inner + ("," + inner).join(items) + newline + "]"
+            if kinds.isdisjoint(_CONTAINERS):  # a list of containers can hold most of the report
+                lists[key] = text
+        return text
     if kind is dict:
         if not value:
             return "{}"
         return ("{" + inner + ("," + inner).join([
-            _key_json(k) + ": " + canonical_json(v, inner) for k, v in sorted(value.items())])
+            _key_json(k) + ": " + _json_text(v, inner, lists) for k, v in sorted(value.items())])
             + newline + "}")
     if kind is float:
         return _float_json(value)

@@ -23,6 +23,7 @@ from .series import TwistSystem, WindowAlgebra, series_mul, series_to_json
 
 DEFAULT_PAIR_CAP = 1 << 20
 DEFAULT_WITNESS_CAP = 1 << 12
+_ZERO = frozenset({0})
 
 
 @dataclass
@@ -166,31 +167,37 @@ def is_IN(ring: FiniteRing) -> PropertyReport:
 
 
 def is_SA(ring: FiniteRing) -> PropertyReport:
-    """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals."""
+    """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals.
+    The sum is symmetric, so each one is formed, and its K looked up and
+    checked, once per unordered pair of annihilators; the table shares one
+    sorted member list per ideal."""
     rann = right_annihilators(ring)
     by_annihilator = ideals_by_right_annihilator(ring)
+    listed = {K: K.sorted_members() for K in rann}
+    solved: dict[frozenset, IdealSet] = {}
     witness = None
     table = []
-    for I in rann:
-        for J in rann:
-            target = subgroup_sum(ring, rann[I], rann[J])
-            K = by_annihilator.get(target)
+    for I, rI in rann.items():
+        for J, rJ in rann.items():
+            pair = frozenset((rI, rJ))
+            K = solved.get(pair)
             if K is None:
-                direct = set_sum(ring, rann[I], rann[J])
-                if direct != target:  # the witness re-verifies
-                    raise TraceMismatch(f"subgroup_sum gives r(I) + r(J) = {sorted(target)} "
-                                        f"for I = {I.sorted_members()} and "
-                                        f"J = {J.sorted_members()}, but set_sum gives "
-                                        f"{sorted(direct)}")
-                witness = {"I": I.sorted_members(), "J": J.sorted_members(),
-                           "r_sum": sorted(target)}
-                break
-            if rann[K] != target:  # certificate re-verifies
-                raise TraceMismatch(f"K = {K.sorted_members()} is filed under r(I) + r(J) = "
-                                    f"{sorted(target)} for I = {I.sorted_members()} and "
-                                    f"J = {J.sorted_members()}, but r(K) = {sorted(rann[K])}")
-            table.append({"I": I.sorted_members(), "J": J.sorted_members(),
-                          "K": K.sorted_members()})
+                target = subgroup_sum(ring, rI, rJ)
+                K = by_annihilator.get(target)
+                if K is None:
+                    direct = set_sum(ring, rI, rJ)
+                    if direct != target:  # the witness re-verifies
+                        raise TraceMismatch(f"subgroup_sum gives r(I) + r(J) = {sorted(target)} "
+                                            f"for I = {listed[I]} and J = {listed[J]}, "
+                                            f"but set_sum gives {sorted(direct)}")
+                    witness = {"I": listed[I], "J": listed[J], "r_sum": sorted(target)}
+                    break
+                if rann[K] != target:  # certificate re-verifies
+                    raise TraceMismatch(f"K = {K.sorted_members()} is filed under r(I) + r(J) = "
+                                        f"{sorted(target)} for I = {listed[I]} and "
+                                        f"J = {listed[J]}, but r(K) = {sorted(rann[K])}")
+                solved[pair] = K
+            table.append({"I": listed[I], "J": listed[J], "K": listed[K]})
         if witness:
             break
     return PropertyReport(
@@ -315,6 +322,29 @@ def _bits(mask: int) -> list[int]:
     return [a for a in range(mask.bit_length()) if mask >> a & 1]
 
 
+def _sigma_u_zip(U: IdealSet, xs: list[int]) -> tuple[str, tuple[int, ...] | None]:
+    """sigma_u_zip_witness's decision for a sorted X: ("not_applicable",
+    None), ("hypothesis_fails", None) or ("ok", the minimal Y). U's mask and
+    the singleton quotient masks are read from the ring's memo, once per
+    (ring, U)."""
+    if U.members.issuperset(xs):
+        return "not_applicable", None
+    if quotient_ideal(U, xs) != U.members:
+        return "hypothesis_fails", None
+    u_mask, single = U.ring.once(("sigma-U-zip masks", U.members), lambda: (
+        sum(1 << u for u in U.members), singleton_quotient_masks(U)))
+    minimal = _minimal_meet(xs, single, u_mask.__eq__)
+    if minimal is None:
+        raise TraceMismatch(f"(U:X) = U for U = {U.sorted_members()} and X = {xs}, "
+                            "but no subset Y of X has (U:Y) = U on the singleton quotient masks")
+    # Y = X was checked by the hypothesis scan already
+    if len(minimal) < len(xs) and quotient_ideal(U, minimal) != U.members:
+        raise TraceMismatch(f"the singleton quotient masks give (U:Y) = U for "
+                            f"U = {U.sorted_members()}, X = {xs} and Y = {list(minimal)}, "
+                            "but quotient_ideal finds (U:Y) != U")
+    return "ok", minimal
+
+
 def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
                         sigma_compatible: bool | None = None) -> PropertyReport:
     """Minimal finite Y inside X with (U:Y) = U, given (U:X) = U.
@@ -326,37 +356,25 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
     caller's is_sigma_compatible_ideal verdict for U, recorded in the
     certificate as U_sigma_compatible.
 
-    The hypothesis is one `quotient_ideal` scan of X's rows. The minimal Y is
-    searched on the singleton quotient masks (U:{v}), whose AND over Y is
-    (U:Y), and is checked again with `quotient_ideal`; a search that finds
-    no Y, or a Y that check rejects, raises TraceMismatch.
+    The decision is `_sigma_u_zip`: the hypothesis is one `quotient_ideal`
+    scan of X's rows. The minimal Y is searched on the singleton quotient
+    masks (U:{v}), whose AND over Y is (U:Y), and is checked again with
+    `quotient_ideal`; a search that finds no Y, or a Y that check rejects,
+    raises TraceMismatch.
     """
-    xs = sorted(x for x in X)
+    xs = sorted(X)
+    status, minimal = _sigma_u_zip(U, xs)
     bounds = {"X": xs, "U": U.sorted_members()}
-    context = None
-    if sigma_compatible is not None:
-        context = {"U_sigma_compatible": sigma_compatible}
-    if all(x in U.members for x in xs):
+    context = None if sigma_compatible is None else {"U_sigma_compatible": sigma_compatible}
+    if status == "not_applicable":
         return PropertyReport("sigma-U-zip", None, bounds=bounds, certificate=context,
                               note="not_applicable: X is contained in U")
-    quotient = quotient_ideal(U, xs)
-    if quotient != U.members:
-        return PropertyReport("sigma-U-zip", None, witness={"quotient": sorted(quotient)},
+    if status == "hypothesis_fails":
+        return PropertyReport("sigma-U-zip", None,
+                              witness={"quotient": sorted(quotient_ideal(U, xs))},
                               bounds=bounds, certificate=context,
                               note="hypothesis_fails: (U:X) != U")
-    u_mask = sum(1 << u for u in U.members)
-    minimal = _minimal_meet(xs, singleton_quotient_masks(U), u_mask.__eq__)
-    if minimal is None:
-        raise TraceMismatch(f"(U:X) = U for U = {U.sorted_members()} and X = {xs}, "
-                            "but no subset Y of X has (U:Y) = U on the singleton quotient masks")
-    # Y = X was checked by the hypothesis scan already
-    if len(minimal) < len(xs) and quotient_ideal(U, minimal) != U.members:
-        raise TraceMismatch(f"the singleton quotient masks give (U:Y) = U for "
-                            f"U = {U.sorted_members()}, X = {xs} and Y = {list(minimal)}, "
-                            "but quotient_ideal finds (U:Y) != U")
-    cert = {"minimal_witness": list(minimal), "quotient": sorted(quotient)}
-    if context:
-        cert.update(context)
+    cert = {"minimal_witness": list(minimal), "quotient": U.sorted_members(), **(context or {})}
     return PropertyReport("sigma-U-zip", True, certificate=cert, bounds=bounds)
 
 
@@ -371,46 +389,71 @@ def _row_masks(ring: FiniteRing, keep: frozenset[int]) -> tuple[int, ...]:
         for row in ring.mul_table))
 
 
-def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
-    """Directly coded right-zip search: minimal Y in X with r(Y) = 0, on the
-    masks of the zeros of each row y (their AND over Y is r(Y))."""
-    xs = sorted(x for x in X)
-    bounds = {"X": xs}
-    if all(x == 0 for x in xs):
-        return PropertyReport("right-zip", None, bounds=bounds,
-                              note="not_applicable: X is contained in {0}")
-    zeros = _row_masks(ring, frozenset({0}))
-    ann = functools.reduce(operator.and_, map(zeros.__getitem__, xs))
-    if ann != 1:
-        return PropertyReport("right-zip", None, witness={"annihilator": _bits(ann)},
-                              bounds=bounds, note="hypothesis_fails: r(X) != 0")
+def _right_zip(ring: FiniteRing, xs: list[int]) -> tuple[str, tuple[int, ...] | None]:
+    """right_zip_witness's decision for a sorted X, as `_sigma_u_zip`'s."""
+    if not any(xs):
+        return "not_applicable", None
+    zeros = _row_masks(ring, _ZERO)
+    if functools.reduce(operator.and_, map(zeros.__getitem__, xs)) != 1:
+        return "hypothesis_fails", None
     minimal = _minimal_meet(xs, zeros, (1).__eq__)
     if minimal is None:
         raise TraceMismatch(f"r(X) = 0 for X = {xs}, but no subset Y of X has r(Y) = 0")
+    return "ok", minimal
+
+
+def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
+    """Directly coded right-zip search: minimal Y in X with r(Y) = 0, on the
+    masks of the zeros of each row y (their AND over Y is r(Y)); decided by
+    `_right_zip`."""
+    xs = sorted(X)
+    status, minimal = _right_zip(ring, xs)
+    bounds = {"X": xs}
+    if status == "not_applicable":
+        return PropertyReport("right-zip", None, bounds=bounds,
+                              note="not_applicable: X is contained in {0}")
+    if status == "hypothesis_fails":
+        zeros = _row_masks(ring, _ZERO)
+        ann = functools.reduce(operator.and_, map(zeros.__getitem__, xs))
+        return PropertyReport("right-zip", None, witness={"annihilator": _bits(ann)},
+                              bounds=bounds, note="hypothesis_fails: r(X) != 0")
     return PropertyReport("right-zip", True, certificate={"minimal_witness": list(minimal)},
                           bounds=bounds)
+
+
+def _weak_zip(ring: FiniteRing, xs: list[int],
+              nil: frozenset[int]) -> tuple[str, tuple[int, ...] | None]:
+    """weak_zip_witness's decision for a sorted X, as `_sigma_u_zip`'s; nil's
+    row masks and the mask of what lies outside nil are read once per (ring, nil)."""
+    if nil.issuperset(xs):
+        return "not_applicable", None
+    in_nil, outside = ring.once(("weak-zip masks", nil), lambda: (
+        _row_masks(ring, nil), ((1 << ring.size) - 1) & ~sum(1 << a for a in nil)))
+    if functools.reduce(operator.and_, map(in_nil.__getitem__, xs)) & outside:
+        return "hypothesis_fails", None
+    minimal = _minimal_meet(xs, in_nil, lambda meet: not meet & outside)
+    if minimal is None:
+        raise TraceMismatch(f"N(X) lies in nil(R) for X = {xs}, "
+                            "but no subset Y of X has N(Y) inside nil(R)")
+    return "ok", minimal
 
 
 def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport:
     """Weak-zip search built on the weak annihilator N_R, given the
     nilpotent elements `nil` of the ring (the first part of nil_radical):
     on the masks of the positions of each row y that lie in nil (their AND
-    over Y is N(Y))."""
-    xs = sorted(x for x in X)
+    over Y is N(Y)); decided by `_weak_zip`."""
+    nil = frozenset(nil)
+    xs = sorted(X)
+    status, minimal = _weak_zip(ring, xs, nil)
     bounds = {"X": xs, "nil": sorted(nil)}
-    if all(x in nil for x in xs):
+    if status == "not_applicable":
         return PropertyReport("weak-zip", None, bounds=bounds,
                               note="not_applicable: X is contained in nil(R)")
-    in_nil = _row_masks(ring, frozenset(nil))
-    outside = ((1 << ring.size) - 1) & ~sum(1 << a for a in nil)
-    weak = functools.reduce(operator.and_, map(in_nil.__getitem__, xs))
-    if weak & outside:
+    if status == "hypothesis_fails":
+        weak = functools.reduce(operator.and_, map(_row_masks(ring, nil).__getitem__, xs))
         return PropertyReport("weak-zip", None, witness={"weak_annihilator": _bits(weak)},
                               bounds=bounds, note="hypothesis_fails: N(X) not inside nil(R)")
-    minimal = _minimal_meet(xs, in_nil, lambda meet: not meet & outside)
-    if minimal is None:
-        raise TraceMismatch(f"N(X) lies in nil(R) for X = {xs}, "
-                            "but no subset Y of X has N(Y) inside nil(R)")
     return PropertyReport("weak-zip", True, certificate={"minimal_witness": list(minimal)},
                           bounds=bounds)
 

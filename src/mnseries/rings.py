@@ -419,33 +419,39 @@ def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> Fi
     return _validated(ring)
 
 
-def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul, one: tuple) -> FiniteRing:
+def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul_row, one: tuple) -> FiniteRing:
     """The ring on the pairs (a, b), a in r1 and b in r2, pair (a, b) with id
-    a*|r2| + b: added componentwise, and (a, b)(c, d) = mul(a, b, c, d)."""
+    a*|r2| + b: added componentwise, and mul_row(a, b) lists the ids of
+    (a, b)(c, d) in id order. Tables are built a row at a time."""
     n2 = r2.size
     pairs = [(a, b) for a in range(r1.size) for b in range(n2)]
-
-    def enc(pair):
-        return pair[0] * n2 + pair[1]
-
     add1, add2 = r1.add_table, r2.add_table
-    return FiniteRing(label, [[add1[a][c] * n2 + add2[b][d] for c, d in pairs] for a, b in pairs],
-                      [[enc(mul(a, b, c, d)) for c, d in pairs] for a, b in pairs],
-                      one=enc(one), names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
+    return FiniteRing(label, [_pair_row(add1[a], add2[b], n2) for a, b in pairs],
+                      [mul_row(a, b) for a, b in pairs], one=one[0] * n2 + one[1],
+                      names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
+
+
+def _pair_row(first, second, n2: int) -> list[int]:
+    """The ids of the pairs (first[c], second[d]), c-major."""
+    return [h + l for h in [v * n2 for v in first] for l in second]
 
 
 def ring_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Direct product; pair (a, b) gets id a*|r2| + b."""
-    mul1, mul2 = r1.mul_table, r2.mul_table
+    mul1, mul2, n2 = r1.mul_table, r2.mul_table, r2.size
     return _pair_ring(f"{r1.label}x{r2.label}", r1, r2,
-                      lambda a, b, c, d: (mul1[a][c], mul2[b][d]), (r1.one, r2.one))
+                      lambda a, b: _pair_row(mul1[a], mul2[b], n2), (r1.one, r2.one))
 
 
 def ring_trivial_extension(base: FiniteRing) -> FiniteRing:
     """Pairs (a, b) over the base with (a,b)(c,d) = (ac, ad + bc)."""
-    add, mul = base.add_table, base.mul_table
-    return _pair_ring(f"T({base.label},{base.label})", base, base,
-                      lambda a, b, c, d: (mul[a][c], add[mul[a][d]][mul[b][c]]), (base.one, 0))
+    add, mul, n = base.add_table, base.mul_table, base.size
+
+    def row(a, b):
+        ma, mb = mul[a], mul[b]
+        return [ma[c] * n + add[ma[d]][mb[c]] for c in range(n) for d in range(n)]
+
+    return _pair_ring(f"T({base.label},{base.label})", base, base, row, (base.one, 0))
 
 
 def ring_gf4() -> FiniteRing:

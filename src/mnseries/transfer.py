@@ -24,7 +24,8 @@ trace per class-series pair mod U, listing every series only when a class
 trace fails. `series_zip_witness` traces one U-coefficient series per
 support and factor. Both rest on the universe's table check, the one oracle
 for the tables every trace reads: it runs once per universe, before any
-trace, and a failed check raises TraceMismatch out of the scan.
+trace (in `series_zip_witness`, before its quotients), and a failed check
+raises TraceMismatch out of the scan.
 """
 
 from __future__ import annotations
@@ -713,8 +714,9 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     sigma_x(U) = U) every term s(x) sigma_x(h(y)) tau(x, y), sum, remainder
     and multiple the trace tests lies in U for any h with U-coefficients,
     and the trace's skeleton depends only on the supports. The universe's
-    table check runs before the first trace and vouches for the terms of
-    the h it does not trace; a failed check raises its TraceMismatch. On
+    table check runs before the first quotient and vouches for the terms
+    the quotients read and for those of the h it does not trace; a failed
+    check raises its TraceMismatch. On
     checked tables the first failing h is the first of its support, so a
     failed trace raises the message the per-h extraction would.
     `extractions` counts every (h, factor) pair.
@@ -734,6 +736,9 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:
         raise PreconditionFail("universe window must contain the group identity")
+    # the table check vouches for every term the quotients below and the
+    # extraction read, so it runs before the first of them
+    universe.checked_algebra()
     u_series = set(universe.with_coeffs_in(U.members))
     q = universe.quotient([universe.member(s) for s in X], U.members, "right")
     if q != u_series:
@@ -777,11 +782,11 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
 
 def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
                         members: list[tuple], U: IdealSet):
-    """series_zip_witness's extraction over checked tables, for the first h
-    of each support in `members` and every factor s, in that order: a trace
-    of s*h, then the content conclusion the induction is for, that h has
-    U-coefficients. The first failure raises TraceMismatch."""
-    alg, grp = universe.checked_algebra(), universe.twist.group
+    """series_zip_witness's extraction over the tables it has checked, for
+    the first h of each support in `members` and every factor s, in that
+    order: a trace of s*h, then the content conclusion the induction is for,
+    that h has U-coefficients. The first failure raises TraceMismatch."""
+    alg, grp = universe.algebra, universe.twist.group
     first: dict[tuple, tuple] = {}
     for m in members:
         if any(m):  # the zero h leaves no X_w pair to trace

@@ -316,11 +316,13 @@ MUTANTS = {
         "    for m in list(first.values())[:-1]:\n",
         ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
     "series-zip-skips-the-table-check": Mutant(
-        "series-zip traces one h per support over tables it has not checked",
+        "series-zip takes quotients and traces one h per support over tables it has "
+        "not checked",
         "mnseries/transfer.py",
-        "alg, grp = universe.checked_algebra(), universe.twist.group",
-        "alg, grp = universe.algebra, universe.twist.group",
-        ("tests/test_orbit_scan.py", "-k", "no_trace_reads_fails_series_zip")),
+        "    universe.checked_algebra()\n    u_series = ",
+        "    u_series = ",
+        ("tests/test_orbit_scan.py", "-k",
+         "no_trace_reads_fails_series_zip or quotient_reads_fails_series_zip")),
     "extract-oracle-reads-the-term-table": Mutant(
         "coefficient_extraction compares each conclusion with its own unchecked term "
         "table, not with term_product",
@@ -337,9 +339,36 @@ MUTANTS = {
     "canonical-int-lists-take-bools": Mutant(
         "a list of ints and bools takes the one-join path, which writes True, not true",
         "mnseries/cli.py",
-        "if set(map(type, value)) == {int}:",
+        "if kinds == {int}:",
         "if all(isinstance(v, int) for v in value):",
         ("tests/test_cli.py", "-k", "canonical_json_writes_the_bytes")),
+    "canonical-json-memo-keyed-on-id-alone": Mutant(
+        "a list object is written once per call, at the indent of its first "
+        "appearance, wherever else it appears",
+        "mnseries/cli.py",
+        "key = (id(value), newline)",
+        "key = id(value)",
+        ("tests/test_cli.py", "-k", "canonical_json_writes_the_bytes")),
+    "sa-sum-memo-keyed-on-one-annihilator": Mutant(
+        "is_SA files r(I) + r(J) under r(I) alone, so a pair reads another pair's sum",
+        "mnseries/properties.py",
+        "pair = frozenset((rI, rJ))",
+        "pair = rI",
+        ("tests/test_table_kernels.py", "-k", "sa_table_matches_the_per_pair_sums")),
+    "zip-agreement-compares-statuses-only": Mutant(
+        "the zip agreement loop compares the cores' statuses but not their minimal "
+        "witnesses",
+        "mnseries/cli.py",
+        "if _sigma_u_zip(ideal, xs) != core(xs):",
+        "if _sigma_u_zip(ideal, xs)[0] != core(xs)[0]:",
+        ("tests/test_cli.py", "-k", "lazy_zip_core_fails_zip_specialization_agreement")),
+    "trivial-extension-row-reads-b-times-d": Mutant(
+        "the trivial extension's product reads b*d where (a, b)(c, d) = (ac, ad + bc) "
+        "needs b*c",
+        "mnseries/rings.py",
+        "add[ma[d]][mb[c]]",
+        "add[ma[d]][mb[d]]",
+        ("tests/test_rings.py", "-k", "pair_rings_match_the_per_entry_build")),
 }
 
 CHEAP = "kernel-matches-v-not-minus-v"

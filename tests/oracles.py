@@ -20,7 +20,10 @@ support statistics, a window product as a Series, a truncated universe's
 nonzero series and the coefficientwise sum of two of its member sets, and
 the pairwise products that the extraction trace must conclude. The table builders make test rings and
 tables that are not rings: UT2(Z_n), subalgebras of F2 matrix algebras,
-a ring with + relabelled, F2^k algebras and loops.
+a ring with + relabelled, F2^k algebras and loops. The product and the
+trivial extension are also built here one entry at a time, as the library
+built them before it built a row at a time, and the SA table is also
+formed here with a set sum of elementwise annihilators for every pair.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Any
 
 from mnseries.errors import (HypothesisFails, PreconditionFail, RingMismatch, TraceMismatch,
                              TwistMismatch, ZeroElement)
-from mnseries.ideals import IdealSet, quotient_ideal, weak_annihilator
+from mnseries.ideals import (IdealSet, enumerate_ideals, quotient_ideal, set_sum,
+                             weak_annihilator)
 from mnseries.properties import (PropertyReport, check_pair_cap, fusible_decompositions,
                                  sigma_u_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing
@@ -52,6 +56,52 @@ def ut2_table(n: int) -> dict:
            for (a, b, c) in elems]
     return {"label": f"UT2(Z{n})", "size": len(elems), "add": add, "mul": mul,
             "one": index[(1, 0, 1)]}
+
+
+def per_entry_pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul, one: tuple) -> FiniteRing:
+    """The ring on the pairs (a, b), pair (a, b) with id a*|r2| + b, built
+    one entry at a time: (a, b)(c, d) = mul(a, b, c, d) as a pair."""
+    n2 = r2.size
+    pairs = [(a, b) for a in range(r1.size) for b in range(n2)]
+
+    def enc(pair):
+        return pair[0] * n2 + pair[1]
+
+    add1, add2 = r1.add_table, r2.add_table
+    return FiniteRing(label, [[add1[a][c] * n2 + add2[b][d] for c, d in pairs] for a, b in pairs],
+                      [[enc(mul(a, b, c, d)) for c, d in pairs] for a, b in pairs],
+                      one=enc(one), names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
+
+
+def per_entry_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
+    mul1, mul2 = r1.mul_table, r2.mul_table
+    return per_entry_pair_ring(f"{r1.label}x{r2.label}", r1, r2,
+                               lambda a, b, c, d: (mul1[a][c], mul2[b][d]), (r1.one, r2.one))
+
+
+def per_entry_trivial_extension(base: FiniteRing) -> FiniteRing:
+    add, mul = base.add_table, base.mul_table
+    return per_entry_pair_ring(f"T({base.label},{base.label})", base, base,
+                               lambda a, b, c, d: (mul[a][c], add[mul[a][d]][mul[b][c]]),
+                               (base.one, 0))
+
+
+def pairwise_sa_table(ring: FiniteRing) -> list[dict] | None:
+    """is_SA's certificate table, or None where SA fails: for every ordered
+    pair of two-sided ideals, r(I) + r(J) as a set sum of elementwise
+    annihilators, and the first K in lattice order with that r(K)."""
+    two = enumerate_ideals(ring, "twosided")
+    rann = [elementwise_annihilator(ring, K.members, "right") for K in two]
+    table = []
+    for I, rI in zip(two, rann):
+        for J, rJ in zip(two, rann):
+            target = set_sum(ring, rI, rJ)
+            if target not in rann:
+                return None
+            K = two[rann.index(target)]
+            table.append({"I": I.sorted_members(), "J": J.sorted_members(),
+                          "K": K.sorted_members()})
+    return table
 
 
 def worklist_closure(ring: FiniteRing, gens, kind: str = "twosided") -> frozenset[int]:

@@ -907,6 +907,9 @@ class _Dict(dict):
     pass
 
 
+_SHARED_INTS = [3, 1, 2]
+_SHARED_MIXED = ["x", None, True, 1.5, _Int(4)]
+
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
                  | st.text().map(_Str) | st.integers().map(_Int) | st.floats().map(_Float))
 _JSON_KEYS = st.text() | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
@@ -933,6 +936,10 @@ def _json_values(children):
 @example((4, -5, 10 ** 30))
 @example({"a": [2, 1], "b": [1, _Int(3)]})
 @example([[1, 2], [_Int(7)], [0, None]])
+# one list of ints and one of non-ints, each at three depths: a list is
+# written once per indent it appears at
+@example([_SHARED_INTS, [_SHARED_INTS], {"a": _SHARED_INTS}])
+@example({"a": _SHARED_MIXED, "b": [_SHARED_MIXED, [_SHARED_MIXED]], "c": _SHARED_MIXED})
 def test_canonical_json_writes_the_bytes_of_json_dumps(value):
     try:
         want = json.dumps(value, indent=2, sort_keys=True)
@@ -1000,6 +1007,32 @@ def test_a_lying_mask_memo_fails_zip_specialization_agreement(monkeypatch, capsy
     notes = {"ideals": ("hypothesis_fails: (U:X) != U", None),
              "properties": (None, "hypothesis_fails: r(X) != 0")}[layer]
     assert (witness["sigma_u_zip"].get("note"), witness["right_zip"].get("note")) == notes
+
+
+def test_a_lazy_zip_core_fails_zip_specialization_agreement(monkeypatch, capsys):
+    """The agreement loop compares the cores' minimal witnesses as well as
+    their statuses: a right-zip core that certifies every X by Y = X agrees
+    on every status but not on X = [0, 1], whose minimal Y is [1]. The two
+    reports are built for that X only."""
+    real = properties._right_zip
+
+    def lazy(ring, xs):
+        status, minimal = real(ring, xs)
+        return status, (tuple(xs) if status == "ok" else minimal)
+
+    for module in (cli, properties):
+        monkeypatch.setattr(module, "_right_zip", lazy)
+    built = []
+    for name in ("sigma_u_zip_witness", "right_zip_witness"):
+        monkeypatch.setattr(cli, name, lambda *args, _real=getattr(cli, name), _name=name:
+                            built.append(_name) or _real(*args))
+    assert main(["verify", "z4_example_5_5", "--suite", "examples", "--format", "json"]) == 1
+    checks = {c["property"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    witness = checks["zip-specialization-agreement"]["witness"]
+    assert witness["X"] == [0, 1]
+    assert witness["sigma_u_zip"]["certificate"]["minimal_witness"] == [1]
+    assert witness["right_zip"]["certificate"]["minimal_witness"] == [0, 1]
+    assert built == ["sigma_u_zip_witness", "right_zip_witness"]
 
 
 def _verify_under_O(name: str, source: str, suite: str) -> subprocess.CompletedProcess:

@@ -268,3 +268,19 @@ def test_a_wrong_term_no_trace_reads_fails_series_zip(name):
     with pytest.raises(TraceMismatch, match=r"^term table disagrees with term_product "
                                             r"at \(0, 0\), a=2, b=0$"):
         series_zip_witness(X, U, universe)
+
+
+def test_a_wrong_term_the_quotient_reads_fails_series_zip_with_the_table_check():
+    """A wrong term 1 * sigma_0(1) * tau(0, 0) = 2 (it is 1) on z4_example_5_5
+    over 0..2 moves the universe quotient by X = {1 X^0} off the
+    U-coefficient series. The table check runs before that quotient, so
+    series-zip raises its message, not HypothesisFails."""
+    fx = load_fixture(resolve_fixture("z4_example_5_5"))
+    U = fx.ideals["U"]
+    universe = TruncatedUniverse(fx.twist, fx.group.window(0, 2))
+    alg = universe.algebra
+    assert alg.window == [0, 1, 2] and alg.term[0][1][0][1] == 1
+    alg.term[0][1][0][1] = 2
+    with pytest.raises(TraceMismatch, match=r"^term table disagrees with term_product "
+                                            r"at \(0, 0\), a=1, b=1$"):
+        series_zip_witness([series_make(fx.twist, [(0, 1)])], U, universe)

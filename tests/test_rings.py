@@ -6,7 +6,8 @@ from mnseries.errors import AxiomViolation, MalformedSpec, NotAutomorphism, Ring
 from mnseries.rings import (FiniteRing, automorphism_power, check_automorphism,
                             check_ring_axioms, compose_automorphisms,
                             identity_automorphism, ring_from_table, ring_make,
-                            ring_zn, units)
+                            ring_product, ring_trivial_extension, ring_zn, units)
+from oracles import per_entry_product, per_entry_trivial_extension, ut2_table
 
 
 def test_zn4_basic(z4):
@@ -203,6 +204,30 @@ def test_product_encoding_is_row_major(klein):
     assert klein.names[2] == "(1,0)"
     assert klein.mul(2, 3) == 2
     assert klein.one == 3
+
+
+_PAIR_RINGS = {
+    # (the row-at-a-time build, the per-entry build)
+    "Z4^3": lambda product, extension: product(ring_zn(4), product(ring_zn(4), ring_zn(4))),
+    "T(Z8)": lambda product, extension: extension(ring_zn(8)),
+    "Z2xUT2(Z2)": lambda product, extension: product(ring_zn(2),
+                                                     ring_from_table(ut2_table(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_RINGS))
+def test_pair_rings_match_the_per_entry_build(name):
+    """Products and trivial extensions built a row at a time have the
+    tables, names, label and one of the per-entry build: on a nested
+    product, a trivial extension of a ring with zero divisors, and a
+    product with a noncommutative factor."""
+    build = _PAIR_RINGS[name]
+    fast = build(ring_product, ring_trivial_extension)
+    slow = build(per_entry_product, per_entry_trivial_extension)
+    assert (fast.label, fast.size, fast.one, fast.names) == \
+        (slow.label, slow.size, slow.one, slow.names)
+    assert fast.add_table == slow.add_table
+    assert fast.mul_table == slow.mul_table
 
 
 def test_gf4_table_is_a_field(gf4):

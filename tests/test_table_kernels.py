@@ -11,8 +11,9 @@ a quotient by an ideal reads only its additive generators. The oracles in
 element, pair or triple at a time. Over generated Zn, products, trivial
 extensions and the noncommutative UT2(Z2) and UT2(Z4), closures, lattices
 (in order), kinds, sums, quotients, generators, annihilators and the IN
-and SA reports must agree, and so must the zip searches on singleton
-masks and the per-subset searches they replaced, and the sigma-U-zip
+and SA reports must agree (the SA table also with one formed pair by
+pair), and so must the zip searches on singleton masks, their cores, and
+the per-subset searches they replaced, and the sigma-U-zip
 count by Moebius inversion over the meet-closure of the singleton masks
 and the one over all 2^|R| subsets; the lattices, the sigma-U-zip counts
 and the generator test of V*U inside U also on generated subrings of F2
@@ -40,7 +41,7 @@ from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ide
                              ideal_closure, nil_radical, quotient_ideal, set_sum,
                              singleton_quotient_masks, subgroup_sum, weak_annihilator)
 from mnseries.properties import (DEFAULT_WITNESS_CAP, _meet_counts, _qualifying_by_meets,
-                                 is_IN, is_SA,
+                                 _right_zip, _sigma_u_zip, _weak_zip, is_IN, is_SA,
                                  right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
                                  weak_zip_witness)
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
@@ -48,7 +49,8 @@ from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring
 from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
                      elementwise_weak_annihilator, f2_algebra_table,
                      f2_matrix_algebra_table, loop_table,
-                     membership_quotient, relabelled_add_table, subset_dp_qualifying,
+                     membership_quotient, pairwise_sa_table, relabelled_add_table,
+                     subset_dp_qualifying,
                      subset_right_zip_witness, subset_sigma_u_zip_witness,
                      subset_weak_zip_witness, triple_scan_axioms, ut2_table, worklist_closure,
                      worklist_lattice)
@@ -442,6 +444,58 @@ def test_zip_mask_searches_match_the_per_subset_searches(key, data):
             subset_right_zip_witness(ring, xs).to_json(), (key, xs)
         assert weak_zip_witness(ring, xs, nil).to_json() == \
             subset_weak_zip_witness(ring, xs, nil).to_json(), (key, xs)
+
+
+def _zip_outcome(report) -> tuple:
+    """A zip report's (status, minimal Y), as its search's core gives them."""
+    if report.note:
+        return report.note.split(":")[0], None
+    return "ok", tuple(report.certificate["minimal_witness"])
+
+
+_EXHAUSTED_RINGS = {
+    "UT2(Z2)": lambda: _ring("ut2", 2),
+    "Z2^3": lambda: ring_product(ring_zn(2), ring_product(ring_zn(2), ring_zn(2))),
+    "Z8": lambda: ring_zn(8),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_EXHAUSTED_RINGS))
+def test_zip_cores_decide_every_subset_as_their_reports(key):
+    """On every nonempty subset X of UT2(Z2), Z2^3 and Z8, each public zip
+    search (sigma-U-zip for every two-sided ideal U, right-zip and weak-zip)
+    reports its core's (status, minimal Y), and its report equals the
+    search that recomputes (U:Y), r(Y) or N(Y) for every candidate Y."""
+    ring = _EXHAUSTED_RINGS[key]()
+    nil, _ = nil_radical(ring)
+    ideals = enumerate_ideals(ring, "twosided")
+    for x_mask in range(1, 1 << ring.size):
+        xs = [x for x in ring.elements() if x_mask >> x & 1]
+        for U in ideals:
+            report = sigma_u_zip_witness(ring, U, xs, True)
+            assert _zip_outcome(report) == _sigma_u_zip(U, xs), (key, U, xs)
+            assert report.to_json() == \
+                subset_sigma_u_zip_witness(ring, U, xs, True).to_json(), (key, U, xs)
+        report = right_zip_witness(ring, xs)
+        assert _zip_outcome(report) == _right_zip(ring, xs), (key, xs)
+        assert report.to_json() == subset_right_zip_witness(ring, xs).to_json(), (key, xs)
+        report = weak_zip_witness(ring, xs, nil)
+        assert _zip_outcome(report) == _weak_zip(ring, xs, nil), (key, xs)
+        assert report.to_json() == subset_weak_zip_witness(ring, xs, nil).to_json(), (key, xs)
+
+
+def test_sa_table_matches_the_per_pair_sums():
+    """On every generated ring of at most 16 elements, is_SA's table (or its
+    failure) is the one formed with a set sum of elementwise annihilators
+    for every ordered pair: a sum kept for one pair and read for another
+    files some pair under the wrong K."""
+    for key in _small_ring_keys():
+        ring = _ring(*key)
+        report = is_SA(ring)
+        table = pairwise_sa_table(ring)
+        assert report.verdict is (table is not None), key
+        if table is not None:
+            assert report.certificate == {"pairs": table}, key
 
 
 def _small_ring_keys():

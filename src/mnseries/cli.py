@@ -868,13 +868,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one `mn` command and return its exit code. A reader that closes
     the pipe early (`mn ... | head`) ends the run with 1 and no traceback:
-    stdout is pointed at os.devnull, so the flush at exit writes nothing."""
+    stdout is pointed at os.devnull, so the flush at exit writes nothing.
+    An interrupt (Ctrl-C) ends it with 130 and one stderr line naming it."""
     try:
         code = _run(build_parser().parse_args(argv))
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        print(f"interrupted: mn {' '.join(sys.argv[1:] if argv is None else argv)}",
+              file=sys.stderr)
+        return 130
     return code
 
 

@@ -295,18 +295,6 @@ def embed_scalar(twist: TwistSystem, r: int) -> Series:
     return Series(twist, {twist.group.identity: r})
 
 
-def series_add(f: Series, g: Series) -> Series:
-    tw = _same_twist(f, g)
-    terms = dict(f.terms)
-    for x, c in g.terms.items():
-        s = tw.ring.add(terms.get(x, 0), c)
-        if s == 0:
-            terms.pop(x, None)
-        else:
-            terms[x] = s
-    return Series(tw, terms)
-
-
 def term_product(tw: TwistSystem, a: int, x, b: int, y) -> int:
     """The coefficient contribution a * sigma_x(b) * tau(x, y)."""
     ring = tw.ring
@@ -378,7 +366,7 @@ class WindowAlgebra:
     def universe(self, max_support: int | None = None) -> list[list[tuple]]:
         """Every series inside the window, in the lexicographic order of its
         coefficient tuple over the window positions."""
-        return list(_window_terms(self.twist.ring.size, len(self.window), max_support))
+        return list(_window_terms(self.twist.ring.elements(), len(self.window), max_support))
 
     def classes(self, members) -> tuple[list[list[tuple]], list[int]]:
         """The class series modulo `members`, an additive subgroup holding 0,
@@ -396,11 +384,8 @@ class WindowAlgebra:
             nonzero = {self.add[r][u] for u in members} - {0}
             if nonzero:
                 weight[min(nonzero)] = len(nonzero)
-        series, weights = [], []
-        for coeffs in itertools.product(sorted(weight), repeat=len(self.window)):
-            series.append([(i, c) for i, c in enumerate(coeffs) if c])
-            weights.append(math.prod(weight[c] for c in coeffs))
-        return series, weights
+        series = list(_window_terms(sorted(weight), len(self.window)))
+        return series, [math.prod(weight[c] for _, c in terms) for terms in series]
 
     def orbits(self, series: list[list[tuple]], side: str
                ) -> tuple[list[list[tuple]], list[int]]:
@@ -784,10 +769,12 @@ def check_associativity(twist: TwistSystem, triples: Iterable[tuple]) -> AssocRe
     return AssocReport(True, checked)
 
 
-def _window_terms(size: int, width: int, max_support: int | None = None) -> Iterable[list]:
+def _window_terms(values: Sequence[int], width: int,
+                  max_support: int | None = None) -> Iterable[list]:
     """The nonzero (position, coefficient) pairs of every series over `width`
-    window positions, in coefficient-tuple order."""
-    for coeffs in itertools.product(range(size), repeat=width):
+    window positions with each coefficient in `values`, ascending and holding
+    0, in coefficient-tuple order."""
+    for coeffs in itertools.product(values, repeat=width):
         terms = [(i, c) for i, c in enumerate(coeffs) if c]
         if max_support is None or len(terms) <= max_support:
             yield terms

@@ -8,16 +8,16 @@ loudly because it would signal either an implementation bug or a genuine
 gap in the argument, and neither may be papered over.
 
 The universe's quantifiers over series become quotients, (members : X) on
-one side, and each quotient is the kernel of the window product, which is
-additive in the series it quotients: `TruncatedUniverse.quotient` matches
-half-window sums of the single-term products, reduced mod `members`,
-instead of multiplying every universe series. An annihilator reads only
-the single terms whose coefficients are additive generators of its
-coefficient set, and is kept in the universe's memo per (set, side). The
-filter over every series that the kernel replaced is the tests' oracle,
-`universe_quotient_scan` in tests/oracles.py. `lift_universe` lifts every
-universe member for prop 3.2 and decides each (0 : h) by one `killers` join
-for all of them, not by a kernel.
+one side, each a frozenset of member indices, and each quotient is the
+kernel of the window product, which is additive in the series it quotients:
+`TruncatedUniverse.quotient` matches half-window sums of the single-term
+products, reduced mod `members`, instead of multiplying every universe
+series. An annihilator reads only the single terms whose coefficients are
+additive generators of its coefficient set, and is kept in the universe's
+memo per (set, side). The filter over every series that the kernel replaced
+is the tests' oracle, `universe_quotient_scan` in tests/oracles.py.
+`lift_universe` lifts every universe member for prop 3.2 and decides each
+(0 : h) by one `killers` join for all of them, not by a kernel.
 
 `extraction_scan` runs thm 5.4's extraction induction over a universe: one
 trace per class-series pair mod U, listing every series only when a class
@@ -68,11 +68,13 @@ def universe_count(size: int, length: int) -> int:
 
 
 class TruncatedUniverse(Memo):
-    """All series with support inside a finite window, as coefficient tuples
-    over the sorted window, in lexicographic tuple order: the decidable stand-in
-    for the full series ring, over which its quantifiers become quotients.
-    Its ring has at most DEFAULT_SIZE_CAP elements, as an ideal lattice's
-    has, so the quotient kernel can hold a coefficient in a byte."""
+    """All series with support inside a finite window: the decidable stand-in
+    for the full series ring, over which its quantifiers become quotients. A
+    member is its index, whose base-|R| digits are its coefficients over the
+    sorted window, the first position most significant, so index order is
+    coefficient-tuple order. Its ring has at most DEFAULT_SIZE_CAP elements,
+    as an ideal lattice's has, so the quotient kernel can hold a coefficient
+    in a byte."""
 
     def __init__(self, twist: TwistSystem, window: Iterable):
         ring = twist.ring
@@ -87,7 +89,6 @@ class TruncatedUniverse(Memo):
         self.window = win
         self.count = universe_count(twist.ring.size, len(win))
         self.algebra = WindowAlgebra(twist, win)
-        self.members = list(itertools.product(range(twist.ring.size), repeat=len(win)))
         self._memo: dict = {}
 
     def __len__(self) -> int:
@@ -104,10 +105,19 @@ class TruncatedUniverse(Memo):
         self.once("check_tables", self.algebra.check_tables)
         return self.algebra
 
-    def series(self, member: tuple) -> Series:
-        return Series(self.twist, {x: c for x, c in zip(self.window, member) if c})
+    def terms_at(self, i: int) -> list[tuple]:
+        """The window terms of member i, from its base-|R| digits."""
+        size, w = self.twist.ring.size, len(self.window)
+        return [(j, c) for j in range(w) if (c := i // size ** (w - 1 - j) % size)]
 
-    def member(self, s: Series) -> list[tuple]:
+    def terms(self) -> list[list[tuple]]:
+        """Every member's window terms, in universe order, listed once."""
+        return self.once("terms", self.algebra.universe)
+
+    def series(self, i: int) -> Series:
+        return self.algebra.series(self.terms_at(i))
+
+    def terms_of(self, s: Series) -> list[tuple]:
         if s.twist is not self.twist:
             raise TwistMismatch("series must share the universe's twist")
         position = {x: i for i, x in enumerate(self.window)}
@@ -116,12 +126,14 @@ class TruncatedUniverse(Memo):
         return sorted((position[x], c) for x, c in s.terms.items())
 
     def all_series(self) -> list[Series]:
-        return [self.series(m) for m in self.members]
+        return [self.series(i) for i in range(self.count)]
 
-    def with_coeffs_in(self, coeffs: Iterable[int]) -> frozenset[tuple]:
-        values = sorted({0, *coeffs})
-        return self.once(("with_coeffs_in", *values), lambda: frozenset(
-            itertools.product(values, repeat=len(self.window))))
+    def with_coeffs_in(self, coeffs: Iterable[int]) -> frozenset[int]:
+        """The members whose coefficients all lie in `coeffs` or are 0: one
+        base-|R| digit from the values per window position."""
+        values, size = sorted({0, *coeffs}), self.twist.ring.size
+        return self.once(("with_coeffs_in", *values), lambda: frozenset(functools.reduce(
+            lambda found, _: [i * size + c for i in found for c in values], self.window, [0])))
 
     def _cosets(self, members: frozenset[int]) -> tuple[list[int], list[list[int]], bytes]:
         """(rep, add, neg) for the cosets of `members` in the ring's additive
@@ -140,7 +152,7 @@ class TruncatedUniverse(Memo):
             return rep, add, neg + bytes(256 - len(neg))
         return self.once(("cosets", members), build)
 
-    def quotient(self, factors: Iterable[list[tuple]], members, side: str) -> frozenset[tuple]:
+    def quotient(self, factors: Iterable[list[tuple]], members, side: str) -> frozenset[int]:
         """The members u such that every coefficient of s*u (side "right") or
         u*s (side "left") lies in `members`, an additive subgroup, for every
         factor s, a list of window terms.
@@ -181,11 +193,10 @@ class TruncatedUniverse(Memo):
         buckets: dict[bytes, list[int]] = {}
         for head, v in sums(range(half)):
             buckets.setdefault(v, []).append(head * scale)
-        # the universe's own member tuples, so a kept quotient shares them
-        return frozenset(self.members[head + tail] for tail, v in sums(range(half, w))
+        return frozenset(head + tail for tail, v in sums(range(half, w))
                          for head in buckets.get(v.translate(neg), ()))
 
-    def annihilator(self, coeffs: Iterable[int], side: str) -> frozenset[tuple]:
+    def annihilator(self, coeffs: Iterable[int], side: str) -> frozenset[int]:
         """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
         for every member s with coefficients in `coeffs`; one kernel per
         (coefficient set, side). The product is additive in s and every such
@@ -200,16 +211,16 @@ class TruncatedUniverse(Memo):
                                  {0}, side)
         return self.once(("annihilator", coeffs, side), kernel)
 
-    def killers(self, hs: Sequence[list[tuple]]) -> list[list[tuple]]:
-        """For each h, a list of window terms, the nonzero members k with
-        h*k = 0, in universe order: one join of the distinct h with the
-        universe's terms, which it keeps. An h whose leading coefficient b is
-        left regular leaves the lead-term prune only k = 0: b sigma(c) tau != 0."""
+    def killers(self, hs: Sequence[list[tuple]]) -> list[list[int]]:
+        """For each h, given as window terms, the nonzero members k with
+        h*k = 0, ascending: one join of the distinct h with `terms`. An h
+        whose leading coefficient b is left regular leaves the lead-term
+        prune only k = 0: b sigma(c) tau != 0."""
         distinct = list(dict.fromkeys(map(tuple, hs)))
-        found: dict[tuple, list[tuple]] = {h: [] for h in distinct}
-        for p, q, _ in self.algebra.join(distinct, {0}, self.once("terms", self.algebra.universe)):
-            if q:  # members[0] is the zero series
-                found[distinct[p]].append(self.members[q])
+        found: dict[tuple, list[int]] = {h: [] for h in distinct}
+        for p, q, _ in self.algebra.join(distinct, {0}, self.terms()):
+            if q:  # member 0 is the zero series
+                found[distinct[p]].append(q)
         return [found[tuple(h)] for h in hs]
 
     def describe(self) -> dict:
@@ -319,7 +330,7 @@ def lift_universe(universe: TruncatedUniverse,
     """Lift every nonzero member with at most `max_support` terms: (the
     number lifted, the failing (f, lift) pairs in universe order).
 
-    The window is sorted, so a member's first nonzero position is s0. Its
+    The window is sorted, so a member's first term is at s0. Its
     coefficient c there splits as c = a + b with a a left zero-divisor and
     b left regular; g is a X^s0 and h the member with b at s0. The split,
     the d with a*d = 0, sum_ok (a + b = c, so f = g + h) and
@@ -341,20 +352,17 @@ def lift_universe(universe: TruncatedUniverse,
 
     splits: dict[int, tuple] = {}  # c -> (a, b, d, sum_ok, leading_ok)
     lifted, hs = [], []
-    for m in universe.members:
-        support = [i for i, c in enumerate(m) if c]
-        if support and len(support) <= max_support:
-            s0 = support[0]
-            c = m[s0]
+    for m, terms in enumerate(universe.terms()):
+        if terms and len(terms) <= max_support:
+            s0, c = terms[0]
             parts = splits.get(c)
             if parts is None:
                 a, b = fusible_decompositions(ring, c)[0]
                 d = next(r for r in range(1, ring.size) if ring.mul_table[a][r] == 0)
                 parts = splits[c] = a, b, d, ring.add(a, b) == c, b in regular
-            h = list(m)
-            h[s0] = parts[1]
+            b = parts[1]
             lifted.append((m, s0, parts))
-            hs.append([(j, v) for j, v in enumerate(h) if v])
+            hs.append([(s0, b), *terms[1:]] if b else terms[1:])
     if not lifted:
         raise PreconditionFail(f"max_support {max_support} over {len(win)} exponents "
                                "leaves no nonzero series to lift")
@@ -443,8 +451,8 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     the first enumerated base ideal whose right annihilator is r(I0) + r(J0),
     looked up in the ring's table that is_SA reads; the universe-level identity
     compares the right annihilators of the coefficientwise series sets. The
-    reverse direction recovers the base ideal from the universe-level series
-    set by taking contents again.
+    reverse direction recovers the base ideal from the contents of the
+    K-coefficient series, which are K's members.
     """
     twist = universe.twist
     ring = twist.ring
@@ -473,7 +481,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     r_K = universe.annihilator(K.members, "right")
     universe_ok = is_subgroup_sum(r_K, r_I, r_J)
 
-    K0 = ideal_closure(ring, set().union(*universe.with_coeffs_in(K.members)), "right")
+    K0 = ideal_closure(ring, K.members, "right")
     reverse_ok = annihilator(ring, K0.members) == target
 
     verdict = universe_ok and reverse_ok
@@ -683,7 +691,7 @@ def extraction_scan(universe: TruncatedUniverse, U: IdealSet) -> tuple[int, int,
         return len(universe) ** 2, qualifying, None
     except TraceMismatch as exc:
         first = str(exc)
-    lifts = alg.universe()
+    lifts = universe.terms()
     qualifying = 0
     try:
         for p, q, fg in alg.join(lifts, U.members):
@@ -739,8 +747,8 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     # the table check vouches for every term the quotients below and the
     # extraction read, so it runs before the first of them
     universe.checked_algebra()
-    u_series = set(universe.with_coeffs_in(U.members))
-    q = universe.quotient([universe.member(s) for s in X], U.members, "right")
+    u_series = universe.with_coeffs_in(U.members)
+    q = universe.quotient([universe.terms_of(s) for s in X], U.members, "right")
     if q != u_series:
         raise HypothesisFails(
             "(U((G)):X) differs from the U-coefficient series in the universe",
@@ -757,7 +765,7 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     c_x0 = base_ok.certificate["minimal_witness"]
     x0 = [s for s in X if any(c in c_x0 for c in s.content())]
 
-    factors = [universe.member(s) for s in x0]
+    factors = [universe.terms_of(s) for s in x0]
     quotient0 = universe.quotient(factors, U.members, "right")
     reduced_ok = quotient0 == u_series
 
@@ -781,18 +789,18 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
 
 
 def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
-                        members: list[tuple], U: IdealSet):
+                        members: list[int], U: IdealSet):
     """series_zip_witness's extraction over the tables it has checked, for
     the first h of each support in `members` and every factor s, in that
     order: a trace of s*h, then the content conclusion the induction is for,
     that h has U-coefficients. The first failure raises TraceMismatch."""
     alg, grp = universe.algebra, universe.twist.group
-    first: dict[tuple, tuple] = {}
+    first: dict[tuple, list[tuple]] = {}
     for m in members:
-        if any(m):  # the zero h leaves no X_w pair to trace
-            first.setdefault(tuple(c != 0 for c in m), m)
-    for m in first.values():
-        h = [(i, c) for i, c in enumerate(m) if c]
+        h = universe.terms_at(m)
+        if h:  # the zero h leaves no X_w pair to trace
+            first.setdefault(tuple(i for i, _ in h), h)
+    for h in first.values():
         for s in factors:
             # require_zip and h in the quotient are coefficient_extraction's checks
             _trace(alg, s, h, U, alg.multiply(s, h))

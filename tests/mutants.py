@@ -43,6 +43,19 @@ class Mutant:
 _UNIVERSE = "tests/test_universe.py"
 
 MUTANTS = {
+    # a member is its index in universe order
+    "digits-least-significant-first": Mutant(
+        "a member's index is decoded with its first window position least significant",
+        "mnseries/transfer.py",
+        "i // size ** (w - 1 - j) % size",
+        "i // size ** j % size",
+        (_UNIVERSE, "-k", "members_decode_to_their_listed_terms")),
+    "with-coeffs-in-without-zero": Mutant(
+        "with_coeffs_in leaves 0 out of the coefficients it allows",
+        "mnseries/transfer.py",
+        "values, size = sorted({0, *coeffs}),",
+        "values, size = sorted(set(coeffs)),",
+        (_UNIVERSE, "-k", "members_decode_to_their_listed_terms")),
     "kernel-no-coset-reduction": Mutant(
         "the quotient kernel keeps raw coefficients instead of coset representatives, "
         "so only exact zeros pass",
@@ -71,28 +84,33 @@ MUTANTS = {
     "killers-filed-under-the-wrong-h": Mutant(
         "every killer the batch join finds is filed under the batch's first h",
         "mnseries/transfer.py",
-        "found[distinct[p]].append(self.members[q])",
-        "found[distinct[0]].append(self.members[q])",
+        "found[distinct[p]].append(q)",
+        "found[distinct[0]].append(q)",
         (_UNIVERSE, "-k", "batch_killers_match_the_scan")),
     "killers-join-k-times-h": Mutant(
         "the batch join keeps the k with k*h = 0, not h*k = 0",
         "mnseries/transfer.py",
-        'for p, q, _ in self.algebra.join(distinct, {0}, '
-        'self.once("terms", self.algebra.universe)):',
-        'for q, p, _ in self.algebra.join(self.once("terms", self.algebra.universe), '
-        '{0}, distinct):',
+        "for p, q, _ in self.algebra.join(distinct, {0}, self.terms()):",
+        "for q, p, _ in self.algebra.join(self.terms(), {0}, distinct):",
         (_UNIVERSE, "-k", "batch_killers_match_the_scan")),
     "killers-keep-the-zero-series": Mutant(
         "the zero series is left among each h's killers",
         "mnseries/transfer.py",
-        "            if q:  # members[0] is the zero series\n",
+        "            if q:  # member 0 is the zero series\n",
         "            if True:\n",
         (_UNIVERSE, "-k", "lift_decides_regularity_as_the_scan_does")),
     "lift-s0-at-the-last-term": Mutant(
         "prop3.2's universe lift splits a member at its last nonzero position, not its first",
         "mnseries/transfer.py",
-        "            s0 = support[0]\n",
-        "            s0 = support[-1]\n",
+        "            s0, c = terms[0]\n",
+        "            s0, c = terms[-1]\n",
+        (_UNIVERSE, "-k", "universe_lift_matches_the_series_oracle_on_every_case")),
+    "lift-h-keeps-c-at-s0": Mutant(
+        "prop3.2's universe lift tests the member itself for regularity: its h keeps "
+        "the coefficient c at s0, not the regular part b",
+        "mnseries/transfer.py",
+        "hs.append([(s0, b), *terms[1:]] if b else terms[1:])",
+        "hs.append(terms)",
         (_UNIVERSE, "-k", "universe_lift_matches_the_series_oracle_on_every_case")),
     "lift-split-cached-per-position": Mutant(
         "the (a, b, d) split is kept per leading position, not per leading coefficient",
@@ -111,8 +129,8 @@ MUTANTS = {
     "lift-max-support-off-by-one": Mutant(
         "the universe lift leaves out the members with exactly max_support terms",
         "mnseries/transfer.py",
-        "if support and len(support) <= max_support:",
-        "if support and len(support) < max_support:",
+        "if terms and len(terms) <= max_support:",
+        "if terms and len(terms) < max_support:",
         ("tests/test_cli.py", "-k", "prop32_lifts_every_nonzero_series")),
     "left-fusible-recheck-dropped": Mutant(
         "is_left_fusible reports its witness without splitting it again",
@@ -268,7 +286,7 @@ MUTANTS = {
         "a class trace that fails on checked tables is reported as it is, without the "
         "exact scan over every series pair that names the failing pair",
         "mnseries/transfer.py",
-        "    lifts = alg.universe()\n",
+        "    lifts = universe.terms()\n",
         "    return len(universe) ** 2, 0, first\n",
         ("tests/test_class_scan.py", "-k", "reruns_the_exact_scan")),
     "extraction-scan-skips-the-table-check": Mutant(
@@ -283,11 +301,11 @@ MUTANTS = {
         "for i, j in alg.xw[k] if i in fa and j in gb]",
         "for i, j in alg.xw[k][1:] if i in fa and j in gb]",
         ("tests/test_window.py", "-k", "extraction_over_an_unsorted_window")),
-    "class-weight-zero-for-zero": Mutant(
-        "a class series counts 0 universe series at a 0 coefficient, not 1",
+    "class-weight-summed": Mutant(
+        "a class series counts the sum of its terms' coset sizes, not their product",
         "mnseries/series.py",
-        "weight = {0: 1}",
-        "weight = {0: 0}",
+        "math.prod(weight[c] for _, c in terms)",
+        "sum(weight[c] for _, c in terms)",
         ("tests/test_class_scan.py", "-k", "partition_the_universe")),
     # G-Armendariz over unit orbits, series-zip over support classes
     "orbit-weight-one": Mutant(
@@ -312,8 +330,8 @@ MUTANTS = {
     "series-zip-drops-a-support-class": Mutant(
         "series-zip traces one support class too few",
         "mnseries/transfer.py",
-        "    for m in first.values():\n",
-        "    for m in list(first.values())[:-1]:\n",
+        "    for h in first.values():\n",
+        "    for h in list(first.values())[:-1]:\n",
         ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
     "series-zip-skips-the-table-check": Mutant(
         "series-zip takes quotients and traces one h per support over tables it has "

@@ -15,9 +15,10 @@ They stay here as oracles, not as second paths in `src/`, beside
 `random_series` and `random_triples`, the seeded series the tests draw,
 and the Series-level helpers the differential tests compare the window
 algebra with: every series of a window, the single-term triples, the X_w
-pairs of a product exponent, the zero series, negation and subtraction,
-support statistics, a window product as a Series, a truncated universe's
-nonzero series and the coefficientwise sum of two of its member sets, and
+pairs of a product exponent, the zero series, addition, negation and
+subtraction, support statistics, a window product as a Series, a truncated
+universe's nonzero series and the coefficientwise sum of two of its member
+sets, and
 the pairwise products that the extraction trace must conclude. The table builders make test rings and
 tables that are not rings: UT2(Z_n), subalgebras of F2 matrix algebras,
 a ring with + relabelled, F2^k algebras and loops. The product and the
@@ -39,7 +40,7 @@ from mnseries.ideals import (IdealSet, enumerate_ideals, quotient_ideal, set_sum
 from mnseries.properties import (PropertyReport, check_pair_cap, fusible_decompositions,
                                  sigma_u_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing
-from mnseries.series import (Series, TwistSystem, WindowAlgebra, embed_scalar, series_add,
+from mnseries.series import (Series, TwistSystem, WindowAlgebra, _same_twist, embed_scalar,
                              series_make, series_mul, series_to_json, term_product)
 from mnseries.transfer import (FusibleLift, TruncatedUniverse, _contents, _trace,
                                require_fusible, require_zip)
@@ -253,19 +254,20 @@ def subset_dp_qualifying(U: IdealSet) -> int:
     return qualifying
 
 
-def universe_quotient_scan(universe, factors, members, side: str) -> frozenset[tuple]:
+def universe_quotient_scan(universe, factors, members, side: str) -> frozenset[int]:
     """TruncatedUniverse.quotient as a filter over the whole universe: the
-    members u with every coefficient of s*u (side "right") or u*s (side
+    members u, as their positions in the window algebra's list of every
+    series, with every coefficient of s*u (side "right") or u*s (side
     "left") in `members`, for every factor s, each factor multiplying the
     members that passed the factors before it. `members` may be any set."""
     mul, allowed = universe.algebra.multiply, frozenset(members).issuperset
-    kept = zip(universe.algebra.universe(), universe.members)
+    kept = list(enumerate(universe.algebra.universe()))
     for s in factors:
         if side == "right":
-            kept = [(u, m) for u, m in kept if allowed(mul(s, u))]
+            kept = [(m, u) for m, u in kept if allowed(mul(s, u))]
         else:
-            kept = [(u, m) for u, m in kept if allowed(mul(u, s))]
-    return frozenset(m for _, m in kept)
+            kept = [(m, u) for m, u in kept if allowed(mul(u, s))]
+    return frozenset(m for m, _ in kept)
 
 
 def triple_scan_axioms(ring: FiniteRing) -> list[tuple]:
@@ -460,6 +462,18 @@ def series_zero(twist: TwistSystem) -> Series:
     return Series(twist, {})
 
 
+def series_add(f: Series, g: Series) -> Series:
+    tw = _same_twist(f, g)
+    terms = dict(f.terms)
+    for x, c in g.terms.items():
+        s = tw.ring.add(terms.get(x, 0), c)
+        if s == 0:
+            terms.pop(x, None)
+        else:
+            terms[x] = s
+    return Series(tw, terms)
+
+
 def series_neg(f: Series) -> Series:
     return Series(f.twist, {x: f.twist.ring.neg(c) for x, c in f.terms.items()})
 
@@ -510,7 +524,7 @@ def lift_fusible_decompositions(fs, universe: TruncatedUniverse) -> list[Fusible
         lifts.append(FusibleLift(g, h, s0, a, b, d, series_add(g, h) == f,
                                  series_mul(g, embed_scalar(twist, d)).is_zero,
                                  b in zero_divisor_sets(ring).left_regular, True))
-        hs.append(universe.member(h))
+        hs.append(universe.terms_of(h))
     for lift, killers in zip(lifts, universe.killers(hs)):
         if killers:
             lift.h_regular_ok, lift.h_regular_witness = False, universe.series(killers[0])
@@ -527,12 +541,23 @@ def nonzero_series(universe) -> list[Series]:
     return [s for s in universe.all_series() if not s.is_zero]
 
 
-def universe_set_sum(universe, A, B) -> set[tuple]:
+def universe_set_sum(universe, A, B) -> set[int]:
     """{a + b | a in A, b in B} for two sets of a truncated universe's
-    member tuples, coefficientwise: the product form of |A|*|B| tuple sums,
-    the oracle of `is_subgroup_sum` on the universe's annihilators."""
+    members, coefficientwise: the product form of |A|*|B| sums of window
+    terms, read from the window algebra's list of every series, whose
+    positions are the members. The oracle of `is_subgroup_sum` on the
+    universe's annihilators."""
     add = universe.twist.ring.add_table
-    return {tuple(add[a][b] for a, b in zip(x, y)) for x in A for y in B}
+    terms = universe.algebra.universe()
+    position = {tuple(t): m for m, t in enumerate(terms)}
+
+    def plus(x, y):
+        total = dict(terms[x])
+        for j, c in terms[y]:
+            total[j] = add[total.get(j, 0)][c]
+        return position[tuple((j, c) for j, c in sorted(total.items()) if c)]
+
+    return {plus(x, y) for x in A for y in B}
 
 
 def extraction_oracle(f: Series, g: Series) -> dict:
@@ -613,8 +638,8 @@ def per_h_series_zip_witness(X, U: IdealSet, universe) -> PropertyReport:
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:
         raise PreconditionFail("universe window must contain the group identity")
-    u_series = set(universe.with_coeffs_in(U.members))
-    q = universe.quotient([universe.member(s) for s in X], U.members, "right")
+    u_series = universe.with_coeffs_in(U.members)
+    q = universe.quotient([universe.terms_of(s) for s in X], U.members, "right")
     if q != u_series:
         raise HypothesisFails(
             "(U((G)):X) differs from the U-coefficient series in the universe",
@@ -629,7 +654,7 @@ def per_h_series_zip_witness(X, U: IdealSet, universe) -> PropertyReport:
     c_x0 = base_ok.certificate["minimal_witness"]
     x0 = [s for s in X if any(c in c_x0 for c in s.content())]
 
-    factors = [universe.member(s) for s in x0]
+    factors = [universe.terms_of(s) for s in x0]
     quotient0 = universe.quotient(factors, U.members, "right")
     reduced_ok = quotient0 == u_series
 
@@ -638,7 +663,7 @@ def per_h_series_zip_witness(X, U: IdealSet, universe) -> PropertyReport:
         universe.algebra.check_tables()
         mul = universe.algebra.multiply
         for m in sorted(quotient0):
-            h = [(i, c) for i, c in enumerate(m) if c]
+            h = universe.terms_at(m)
             for s in factors:
                 _trace(universe.algebra, s, h, U, mul(s, h))
                 extractions += 1

@@ -1116,3 +1116,21 @@ def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
         assert main(["validate", "z4_example_5_5"]) == 0
     assert built == []
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_an_interrupt_ends_with_130_and_one_line(monkeypatch, capsys):
+    """Ctrl-C during thm5.4's extraction scan, raised in process: exit 130,
+    the shell's code for SIGINT, one stderr line naming the command line,
+    no traceback and no report."""
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "extraction_scan", interrupted)
+    try:
+        code = main(["verify", "z4_tau_power", "--suite", "thm5.4"])
+    except KeyboardInterrupt:  # not pytest's own: it would end the session
+        pytest.fail("the interrupt escaped cli.main")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "interrupted: mn verify z4_tau_power --suite thm5.4\n")

@@ -6,9 +6,9 @@ from mnseries.errors import (DuplicateKey, MalformedSpec, NotNormalized,
                              PreconditionFail, TwistMismatch)
 from mnseries.groups import IntegersGroup, LexProductGroup
 from mnseries.series import (Series, check_associativity, check_twist_conditions,
-                             embed_scalar, series_add, series_from_json, series_make,
-                             series_mul, series_to_json, twist_from_spec)
-from oracles import (exhaustive_series, random_series, random_triples, series_neg,
+                             embed_scalar, series_from_json, series_make, series_mul,
+                             series_to_json, twist_from_spec)
+from oracles import (exhaustive_series, random_series, random_triples, series_add, series_neg,
                      series_zero, single_term_triples, support_stats, x_w_pairs)
 
 

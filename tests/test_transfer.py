@@ -11,13 +11,12 @@ from mnseries.groups import IntegersGroup
 from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import ring_from_table, ring_zn
-from mnseries.series import (embed_scalar, series_add, series_make, series_mul,
-                             series_to_json, trivial_twist)
+from mnseries.series import embed_scalar, series_make, series_mul, series_to_json, trivial_twist
 from mnseries.transfer import (TruncatedUniverse, coefficient_extraction, lift_universe,
                                lifted_annihilator_check, sa_transfer_witness,
                                series_zip_witness)
 from oracles import (exhaustive_series, extraction_oracle, lift_fusible_decomposition,
-                     nonzero_series, random_series)
+                     nonzero_series, random_series, series_add)
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +46,11 @@ def test_universe_cap(tw_z4):
 
 
 def test_universe_ring_size_cap():
-    # the ring of an ideal lattice and of a universe has at most 256 elements
+    # the ring of an ideal lattice and of a universe has at most 256 elements;
+    # over one position a member's index is its coefficient
     universe = TruncatedUniverse(trivial_twist(ring_zn(256)), [0])
-    assert universe.quotient([[(0, 2)]], {0}, "right") == {(0,), (128,)}
-    assert universe.quotient([[(0, 2)]], {0, 128}, "left") == {(0,), (64,), (128,), (192,)}
+    assert universe.quotient([[(0, 2)]], {0}, "right") == {0, 128}
+    assert universe.quotient([[(0, 2)]], {0, 128}, "left") == {0, 64, 128, 192}
     with pytest.raises(SizeCapExceeded, match="ring Z257 has 257 elements, cap 256") as exc:
         TruncatedUniverse(trivial_twist(ring_zn(257)), [0])
     assert exc.value.bounds == {"size_cap": 256}

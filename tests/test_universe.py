@@ -28,13 +28,12 @@ from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, ma
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import (ring_from_table, ring_gf4, ring_product, ring_trivial_extension,
                             ring_zn, units)
-from mnseries.series import (series_add, series_make, series_mul, trivial_twist,
-                             twist_from_spec)
+from mnseries.series import series_make, series_mul, trivial_twist, twist_from_spec
 from mnseries.transfer import (TruncatedUniverse, extraction_scan, lift_universe,
                                series_zip_witness)
 from oracles import (exhaustive_series, lift_fusible_decomposition,
-                     lift_fusible_decompositions, nonzero_series, universe_quotient_scan,
-                     universe_set_sum, ut2_table)
+                     lift_fusible_decompositions, nonzero_series, series_add,
+                     universe_quotient_scan, universe_set_sum, ut2_table)
 
 
 def _cases():
@@ -62,22 +61,22 @@ def _cases():
 CASES = _cases()
 
 
-def _key(universe, s):
-    return tuple(s.coeff(x) for x in universe.window)
-
-
 def _loop_scans(universe, members):
     """The old Series path: the members-coefficient series, their left and
-    right annihilators, and each annihilator plus the members series."""
+    right annihilators, and each annihilator plus the members series, each
+    series named by its position in `exhaustive_series`, which lists the
+    universe in its order."""
     series = list(exhaustive_series(universe.twist, universe.window))
-    targets = [s for s in series if s.content() <= members]
-    left = [u for u in series if all(series_mul(u, w).is_zero for w in targets)]
-    right = [u for u in series if all(series_mul(w, u).is_zero for w in targets)]
-    sums = {side: {_key(universe, series_add(x, y)) for x in ann for y in targets}
+    position = {tuple(s.sorted_terms()): m for m, s in enumerate(series)}
+    targets = [m for m, s in enumerate(series) if s.content() <= members]
+    left = {m for m, u in enumerate(series)
+            if all(series_mul(u, series[w]).is_zero for w in targets)}
+    right = {m for m, u in enumerate(series)
+             if all(series_mul(series[w], u).is_zero for w in targets)}
+    sums = {side: {position[tuple(series_add(series[x], series[y]).sorted_terms())]
+                   for x in ann for y in targets}
             for side, ann in (("left", left), ("right", right))}
-    return ([_key(universe, s) for s in targets],
-            {"left": {_key(universe, u) for u in left},
-             "right": {_key(universe, u) for u in right}}, sums)
+    return targets, {"left": left, "right": right}, sums
 
 
 def _check_scans(universe, members):
@@ -113,8 +112,7 @@ def test_ut2_annihilators_differ_by_side():
 def test_universe_members_follow_exhaustive_series():
     for universe in CASES.values():
         assert universe.all_series() == list(exhaustive_series(universe.twist, universe.window))
-        assert [universe.algebra.series(t) for t in universe.algebra.universe()] \
-            == universe.all_series()
+        assert [universe.algebra.series(t) for t in universe.terms()] == universe.all_series()
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,6 +156,22 @@ def _twisted_universes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_twisted_universes())
+def test_members_decode_to_their_listed_terms(case):
+    """Member i is the i-th series of `terms`: `terms_at` decodes every
+    index to its entry, a series of it encodes back to the same terms, and
+    with_coeffs_in(C) holds the members whose nonzero coefficients lie in
+    C, with 0 counted in C whether C holds it or not."""
+    universe, coeffs = case
+    terms = universe.terms()
+    assert len(terms) == len(universe)
+    assert [universe.terms_at(m) for m in range(len(universe))] == terms
+    assert all(universe.terms_of(universe.series(m)) == t for m, t in enumerate(terms))
+    assert universe.with_coeffs_in(coeffs) == {
+        m for m, t in enumerate(terms) if all(c in coeffs for _, c in t)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_universes())
 def test_scans_match_the_series_loops_on_generated_rings(case):
     universe, members = case
     _check_scans(universe, members)
@@ -170,19 +184,19 @@ def _nonzero_twosided_ideals(ring):
 
 
 def _check_quotient(universe, U, factors):
-    """(U : X) on both sides, for X the series of the member tuples
-    `factors`, is the set a series_mul loop over exhaustive_series finds:
-    the u with every coefficient of s*u (or u*s) in U. Returns whether the
-    two sides differ."""
+    """(U : X) on both sides, for X the series of the members `factors`,
+    is the set a series_mul loop over exhaustive_series finds: the u with
+    every coefficient of s*u (or u*s) in U. Returns whether the two sides
+    differ."""
     X = [universe.series(m) for m in factors]
     series = list(exhaustive_series(universe.twist, universe.window))
     expected = {
-        "right": {_key(universe, u) for u in series
+        "right": {m for m, u in enumerate(series)
                   if all(series_mul(s, u).content() <= U.members for s in X)},
-        "left": {_key(universe, u) for u in series
+        "left": {m for m, u in enumerate(series)
                  if all(series_mul(u, s).content() <= U.members for s in X)}}
     for side in ("left", "right"):
-        found = universe.quotient([universe.member(s) for s in X], U.members, side)
+        found = universe.quotient([universe.terms_of(s) for s in X], U.members, side)
         assert found == expected[side], side
     return expected["left"] != expected["right"]
 
@@ -191,7 +205,7 @@ def test_quotient_by_every_ideal_matches_the_series_loop():
     differ = 0
     for name in sorted(CASES):
         universe = CASES[name]
-        picks = universe.members[1::9]
+        picks = list(range(1, len(universe), 9))
         for U in _nonzero_twosided_ideals(universe.twist.ring):
             for factors in [[m] for m in picks] + [picks[:3]]:
                 differ += _check_quotient(universe, U, factors)
@@ -205,14 +219,10 @@ def test_quotient_by_an_ideal_matches_the_series_loop_on_generated_rings(case, d
     universe, _ = case
     U = data.draw(st.sampled_from(_nonzero_twosided_ideals(universe.twist.ring)))
     _check_quotient(universe, U, data.draw(
-        st.lists(st.sampled_from(universe.members), min_size=1, max_size=3)))
+        st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=3)))
 
 
 # --- the quotient kernel against the scan it replaced ---------------------------
-
-
-def _terms(member):
-    return [(i, c) for i, c in enumerate(member) if c]
 
 
 def _check_kernel(universe, factors, member_sets):
@@ -251,7 +261,7 @@ KERNEL_CASES = _kernel_cases()
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_the_quotient_kernel_matches_the_scan_on_every_case(name):
     universe = KERNEL_CASES[name]
-    picks = [_terms(m) for m in universe.members[1::7]]
+    picks = [universe.terms_at(m) for m in range(1, len(universe), 7)]
     factor_lists = [[], *([p] for p in picks[:6]), picks[:3],
                     [t for t in picks if len(t) > 1][:2]]
     assert any(len(t) > 1 for f in factor_lists for t in f) or len(universe.window) == 1
@@ -270,15 +280,16 @@ def test_the_kernel_matches_second_halves_with_their_negatives():
     factors = [[(0, 1), (1, 3)]]
     kernel = universe.quotient(factors, {0}, "left")
     assert kernel == universe_quotient_scan(universe, factors, {0}, "left")
-    assert any((u[0], ring.neg(u[1])) not in kernel for u in kernel)
+    halves = [divmod(u, ring.size) for u in kernel]  # (u_0, u_1)
+    assert any(head * ring.size + ring.neg(tail) not in kernel for head, tail in halves)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_twisted_universes(), st.data())
 def test_the_quotient_kernel_matches_the_scan_on_generated_rings(case, data):
     universe, _ = case
-    factors = [_terms(m) for m in data.draw(
-        st.lists(st.sampled_from(universe.members), max_size=3))]
+    factors = [universe.terms_at(m) for m in data.draw(
+        st.lists(st.integers(0, len(universe) - 1), max_size=3))]
     _check_kernel(universe, factors, _quotient_member_sets(universe.twist.ring))
 
 
@@ -309,12 +320,12 @@ def test_the_lift_decides_regularity_as_the_scan_does(ring, window):
         count, failed = lift_universe(universe, len(window))
     assert (count, failed) == (len(universe) - 1, [])
     fs = nonzero_series(universe)
-    zero, hs = universe.members[0], set()
+    hs = set()
     for f, lift in zip(fs, lift_fusible_decompositions(fs, universe)):
         assert lift_fusible_decomposition(f, universe) == lift
-        h = universe.member(lift.h)
+        h = universe.terms_of(lift.h)
         hs.add(tuple(h))
-        killers = universe_quotient_scan(universe, [h], {0}, "right") - {zero}
+        killers = universe_quotient_scan(universe, [h], {0}, "right") - {0}
         assert lift.h_regular_ok == (not killers)
         assert lift.h_regular_witness == (universe.series(min(killers)) if killers else None)
     assert (len(calls["join"]), len(calls["quotient"])) == (1, 0)
@@ -403,21 +414,20 @@ def test_batch_killers_match_the_scan_for_every_h(name):
     coefficient is a zero-divisor have killers; on the sigma-twisted and
     the noncommutative cases h*k = 0 and k*h = 0 differ."""
     universe = CASES[name]
-    zero = universe.members[0]
-    hs = [_terms(m) for m in universe.members]
+    hs = [universe.terms_at(m) for m in range(len(universe))]
     random.Random(11).shuffle(hs)
     hs += hs[:5]
     batch = universe.killers(hs)
     assert len(batch) == len(hs)
     for h, killers in zip(hs, batch):
-        scan = universe_quotient_scan(universe, [h], {0}, "right") - {zero}
+        scan = universe_quotient_scan(universe, [h], {0}, "right") - {0}
         assert killers == sorted(scan), h
     assert any(batch) and not all(batch)
     # h with a zero-divisor leading coefficient among those with killers
     zd = zero_divisor_sets(universe.twist.ring).left
     assert any(k and h and min(h, key=lambda t: universe.window[t[0]])[1] in zd
                for h, k in zip(hs, batch))
-    left = [universe_quotient_scan(universe, [h], {0}, "left") - {zero} for h in hs]
+    left = [universe_quotient_scan(universe, [h], {0}, "left") - {0} for h in hs]
     assert any(set(k) != u for k, u in zip(batch, left)) == (name in SIDED_CASES)
 
 
@@ -568,13 +578,15 @@ def test_series_zip_failure_names_the_first_differing_member(tw_klein, klein):
 
 
 def _counting_window_terms(monkeypatch) -> list:
-    """The calls made to `_window_terms`, which lists every window series."""
+    """The coefficient values of each call made to `_window_terms`, which
+    lists every window series with its coefficients among them: every ring
+    element for the universe, the class representatives for a class scan."""
     real = series_module._window_terms
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(values, *args):
+        calls.append(list(values))
+        return real(values, *args)
 
     monkeypatch.setattr(series_module, "_window_terms", counting)
     return calls
@@ -582,13 +594,14 @@ def _counting_window_terms(monkeypatch) -> list:
 
 def test_thm54_enumerates_its_window_once(monkeypatch):
     # one universe serves the extraction join and the series-zip scans, and
-    # neither lists its series when the class scan passes
+    # neither lists its series when the class scan passes: the one listing
+    # is of the class series, over fewer values than the ring has
     fx = cli.load_fixture(cli.resolve_fixture("z4_tau_power"))
     calls = _counting_window_terms(monkeypatch)
     report = cli.run_suite(fx, "thm5.4")
     assert report.status == "pass"
     assert sum(c.prop == "series-zip" for c in report.checks) == 2
-    assert len(calls) == 0
+    assert len(calls) == 1 and len(calls[0]) < fx.ring.size
 
 
 def test_a_failed_table_check_raises_before_the_window_is_enumerated(monkeypatch):

@@ -37,8 +37,8 @@ from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
 from .properties import (PropertyReport, check_pair_cap, is_G_armendariz, is_IN, is_SA,
                          is_left_fusible, is_right_nonsingular, is_sigma_compatible_ring,
                          right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
-                         weak_zip_witness, zero_divisor_sets, _right_zip, _sigma_u_zip,
-                         _weak_zip)
+                         weak_zip_witness, zero_divisor_sets, _right_zip, _right_zip_pool,
+                         _sigma_u_zip, _sigma_u_zip_pool, _weak_zip, _weak_zip_pool)
 from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
                     identity_automorphism, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
@@ -60,6 +60,7 @@ TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
 TWIST_TRIPLE_CAP = 343 ** 3  # their exponent triples: Z^3_lex's window, not Z^4_lex's
 UNIVERSE_WINDOW = (0, 1)    # lemma4.3's and thm4.5's universe
 IDEAL_PAIR_LIMIT = 16       # lemma4.3's ideal pairs, thm4.5's configurations (plus one)
+EXHAUSTIVE_SUBSETS = 1 << 12  # every subset is scanned while 2^|R| is at most this
 SEEDED_SUBSETS = 50         # drawn with --seed when 2^|R| is too many subsets to scan
 
 SUITE_NAMES = ("ring-axioms", "ideals", "properties", "prop3.2",
@@ -292,7 +293,7 @@ def _subset_pool(ring: FiniteRing, seed: int):
     """Deterministic nonempty subsets: exhaustive when 2^|R| is small,
     otherwise all singletons plus SEEDED_SUBSETS seeded draws of size <= 4."""
     n = ring.size
-    if (1 << n) <= 4096:
+    if (1 << n) <= EXHAUSTIVE_SUBSETS:
         return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
     rng = random.Random(seed)
     pool = [frozenset({a}) for a in range(n)]
@@ -530,39 +531,49 @@ def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         yield PropertyReport(f"singleton-quotients-{name}", True,
                              certificate={"U": U.sorted_members(), "quotients": quotients})
 
-    pool = _subset_pool(ring, seed)
     fam = fx.sigma_family()
     zero_ideal = make_ideal(ring, {0})
-    # (ideal, its sigma-compatibility, the specialized search's core and
-    # report, its disagreement key); each X is decided by the cores, and the
-    # two reports are built for the first X on which they disagree
+    # (ideal, its sigma-compatibility, the specialized search's core, its
+    # decisions over every subset, its report, its disagreement key); each X
+    # is decided by the cores, and the two reports are built for the first
+    # X on which they disagree
     comparisons = [(zero_ideal, is_sigma_compatible_ideal(zero_ideal, fam).ok,
-                    lambda xs: _right_zip(ring, xs),
+                    lambda xs: _right_zip(ring, xs), lambda: _right_zip_pool(ring),
                     lambda xs: right_zip_witness(ring, xs), "right_zip")]
     nil, is_ni = nil_radical(ring)
     if is_ni:
         nil_ideal = make_ideal(ring, nil)
         comparisons.append((nil_ideal, is_sigma_compatible_ideal(nil_ideal, fam).ok,
-                            lambda xs: _weak_zip(ring, xs, nil),
+                            lambda xs: _weak_zip(ring, xs, nil), lambda: _weak_zip_pool(ring, nil),
                             lambda xs: weak_zip_witness(ring, xs, nil), "weak_zip"))
     disagreement = None
-    compared = 0
-    for subset in pool:
-        xs = sorted(subset)
-        for ideal, compatible, core, oracle, key in comparisons:
-            compared += 1
-            if _sigma_u_zip(ideal, xs) != core(xs):
-                disagreement = {"X": xs,
-                                "sigma_u_zip": sigma_u_zip_witness(ring, ideal, xs,
-                                                                   compatible).to_json(),
-                                key: oracle(xs).to_json()}
+    # an exhaustive pool is decided whole by one subset DP per core; if the
+    # decisions differ, or a core has none for some X, the loop below runs
+    # and finds the first X, its reports and any mismatch as it always has
+    if (1 << ring.size) <= EXHAUSTIVE_SUBSETS and all(
+            (decisions := _sigma_u_zip_pool(ideal)) is not None and decisions == pool_core()
+            for ideal, _, _, pool_core, _, _ in comparisons):
+        subsets = (1 << ring.size) - 1
+        compared = subsets * len(comparisons)
+    else:
+        pool = _subset_pool(ring, seed)
+        subsets, compared = len(pool), 0
+        for subset in pool:
+            xs = sorted(subset)
+            for ideal, compatible, core, _, oracle, key in comparisons:
+                compared += 1
+                if _sigma_u_zip(ideal, xs) != core(xs):
+                    disagreement = {"X": xs,
+                                    "sigma_u_zip": sigma_u_zip_witness(ring, ideal, xs,
+                                                                       compatible).to_json(),
+                                    key: oracle(xs).to_json()}
+                    break
+            if disagreement:
                 break
-        if disagreement:
-            break
     yield PropertyReport(
         "zip-specialization-agreement", disagreement is None,
         witness=disagreement, certificate={"comparisons": compared},
-        bounds={"subsets": len(pool), "NI": is_ni})
+        bounds={"subsets": subsets, "NI": is_ni})
 
 
 _SUITES = {

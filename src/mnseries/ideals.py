@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, filterfalse
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable
 
@@ -195,28 +195,54 @@ def _members(ring: FiniteRing, xs) -> Iterable[int]:
     return xs
 
 
-def _row_mask(row, keep: frozenset[int]) -> int:
-    """The bitmask of the positions a with row[a] in keep."""
-    return sum(map((1).__lshift__, compress(count(), map(keep.__contains__, row))))
+def keep_table(ring: FiniteRing, keep: frozenset[int]) -> bytes:
+    """The bytes.translate table of a kept set: the digit 1 for each id in
+    `keep`, 0 for every other byte. A ring has at most DEFAULT_SIZE_CAP
+    elements, as an ideal lattice's has, so every id, and every row of its
+    product table, fits in bytes; a larger ring raises SizeCapExceeded."""
+    if ring.size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
+                              {"size_cap": DEFAULT_SIZE_CAP})
+    table = bytearray(b"0" * 256)
+    for a in keep:
+        table[a] = ord("1")
+    return bytes(table)
+
+
+def row_mask(row, table: bytes) -> int:
+    """The bitmask of the positions a with row[a] kept by `table` (see
+    keep_table): the row's ids as bytes, last position first, translated to
+    the binary digits of the mask."""
+    return int(bytes(row)[::-1].translate(table), 2)
 
 
 def _meet(ring: FiniteRing, kernel: str, keep: frozenset[int], side: str, xs) -> frozenset[int]:
     """The positions a with x*a in keep (a*x for side "left") for every x
     in xs: the AND of their row masks, stopping once at most bit 0 is left.
     A row's mask is built when first read and kept in the ring's memo under
-    (kernel, keep, side), so no two kernels share one; so is each meet's
-    frozenset, and equal results are one object."""
+    (kernel, keep, side), so no two kernels share one; each meet's
+    frozenset is kept in one memo of the ring, so equal results are one
+    object."""
     masks = ring.once((kernel, keep, side), dict)
     meet = (1 << ring.size) - 1
     for x in xs:
-        if x not in masks:
-            row = ring.mul_table[x] if side == "right" else map(itemgetter(x), ring.mul_table)
-            masks[x] = _row_mask(row, keep)
-        meet &= masks[x]
+        mask = masks.get(x)
+        if mask is None:
+            mask = masks[x] = _build_mask(ring, kernel, keep, side, x)
+        meet &= mask
         if meet <= 1:
             break
-    return ring.once(("meet", meet), lambda: frozenset(
-        a for a in range(meet.bit_length()) if meet >> a & 1))
+    sets = ring.once("meets", dict)
+    found = sets.get(meet)
+    if found is None:
+        found = sets[meet] = frozenset(a for a in range(meet.bit_length()) if meet >> a & 1)
+    return found
+
+
+def _build_mask(ring: FiniteRing, kernel: str, keep: frozenset[int], side: str, x: int) -> int:
+    """Row x's mask (column x's for side "left"), on the kernel's own table."""
+    row = ring.mul_table[x] if side == "right" else map(itemgetter(x), ring.mul_table)
+    return row_mask(row, ring.once(("keep table", kernel, keep), lambda: keep_table(ring, keep)))
 
 
 def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
@@ -232,13 +258,27 @@ def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
     return _meet(ring, "(U:V)", U.members, "right", vs)
 
 
+def quotient_masks(U: IdealSet) -> list[int]:
+    """(U:{v}) for every element v as an int bitmask, from quotient_ideal's
+    own memo of row masks (built where missing), so the ANDs of a search
+    over them are the quotients quotient_ideal returns."""
+    ring = U.ring
+    masks = ring.once(("(U:V)", U.members, "right"), dict)
+    for v in ring.elements():
+        if v not in masks:
+            masks[v] = _build_mask(ring, "(U:V)", U.members, "right", v)
+    return [masks[v] for v in ring.elements()]
+
+
 def singleton_quotient_masks(U: IdealSet) -> tuple[int, ...]:
     """(U:{v}) for every element v as an int bitmask, bit x set iff v*x is
     in U: row v of the product table, read once per (ring, U) and kept in
     the ring's memo apart from quotient_ideal's masks, which check it. (U:Y)
     for any member set Y is the AND of its members' masks."""
-    return U.ring.once(("(U:{v}) masks", U.members), lambda: tuple(
-        _row_mask(row, U.members) for row in U.ring.mul_table))
+    def build():
+        table = keep_table(U.ring, U.members)
+        return tuple(row_mask(row, table) for row in U.ring.mul_table)
+    return U.ring.once(("(U:{v}) masks", U.members), build)
 
 
 def annihilator(ring: FiniteRing, X, side: str = "right") -> frozenset[int]:

@@ -16,8 +16,8 @@ from typing import Any, Iterable, Sequence
 from .errors import SizeCapExceeded, TraceMismatch, ZeroElement
 from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_ideals,
                      ideals_by_right_annihilator, is_sigma_compatible_ideal, is_subgroup_sum,
-                     quotient_ideal, right_annihilators, set_sum,
-                     singleton_quotient_masks, subgroup_sum)
+                     keep_table, quotient_ideal, quotient_masks, right_annihilators, row_mask,
+                     set_sum, singleton_quotient_masks, subgroup_sum)
 from .rings import FiniteRing, RingAutomorphism
 from .series import TwistSystem, WindowAlgebra, series_mul, series_to_json
 
@@ -317,6 +317,63 @@ def _minimal_meet(xs: list[int], masks, accepts) -> tuple[int, ...] | None:
     return None
 
 
+def _subset_meets(masks: Sequence[int]) -> list[int]:
+    """The AND of the masks of every subset X of their positions, indexed
+    by X's bitmask (-1 for the empty X). The list doubles with each
+    position i: the new half is the old one with i added."""
+    meets = [-1]
+    for mask in masks:
+        meets += [m & mask for m in meets]
+    return meets
+
+
+def _minimal_subsets(meets: list[int], accepts) -> list[int | None]:
+    """For every subset X, indexed by its bitmask, the first subset Y of X
+    in ascending size then lexicographic order whose meet `accepts`, as a
+    bitmask, or None: `_minimal_meet(_bits(X), masks, accepts)` for every X
+    at once, in O(n * 2^n) for n positions.
+
+    A set's rank orders sets by size, then by the least member at which
+    they differ: adding position i adds 2^n (one member more) less
+    2^(n-1-i) (a smaller i sorts first). best[X] starts as X's own rank if
+    its meet accepts and becomes the least over X's accepting subsets one
+    position at a time, best[X] = min(best[X], best[X without i]) for every
+    X holding i. The top position is taken as the upper half of the list
+    against the lower; evens then odds rotate the next position to the top,
+    and n rotations restore the order."""
+    n = len(meets).bit_length() - 1
+    rank = [0]
+    for i in range(n):
+        step = (1 << n) - (1 << (n - 1 - i))
+        rank += [r + step for r in rank]
+    none = (n + 1) << n  # above every rank
+    best = [r if accepts(m) else none for r, m in zip(rank, meets)]
+    half = len(best) >> 1
+    for _ in range(n):
+        low = best[:half]
+        best = low + [a if a < b else b for a, b in zip(best[half:], low)]
+        best = best[::2] + best[1::2]
+    subset = dict(zip(rank, range(len(rank))))
+    return [subset.get(r) for r in best]
+
+
+# a pool decision: one of these, or the minimal Y as a bitmask
+NOT_APPLICABLE, HYPOTHESIS_FAILS = -2, -1
+
+
+def _pool_decisions(outside: int, hypothesis: list[int], meets: list[int],
+                    accepts) -> list[int] | None:
+    """A zip core's decision for every nonempty subset X of the ring, in
+    mask order, from subset meets: NOT_APPLICABLE for X with no element in
+    `outside`, HYPOTHESIS_FAILS when X's `hypothesis` meet is not accepted,
+    else X's minimal Y over `meets`. None if some such X has no Y, where
+    the core's per-X search raises."""
+    best = _minimal_subsets(meets, accepts)
+    decisions = [NOT_APPLICABLE if not x & outside else best[x] if accepts(h)
+                 else HYPOTHESIS_FAILS for x, h in enumerate(hypothesis)][1:]
+    return None if None in decisions else decisions
+
+
 def _bits(mask: int) -> list[int]:
     """The positions set in a mask of ring elements, ascending."""
     return [a for a in range(mask.bit_length()) if mask >> a & 1]
@@ -331,8 +388,7 @@ def _sigma_u_zip(U: IdealSet, xs: list[int]) -> tuple[str, tuple[int, ...] | Non
         return "not_applicable", None
     if quotient_ideal(U, xs) != U.members:
         return "hypothesis_fails", None
-    u_mask, single = U.ring.once(("sigma-U-zip masks", U.members), lambda: (
-        sum(1 << u for u in U.members), singleton_quotient_masks(U)))
+    u_mask, single = _sigma_u_masks(U)
     minimal = _minimal_meet(xs, single, u_mask.__eq__)
     if minimal is None:
         raise TraceMismatch(f"(U:X) = U for U = {U.sorted_members()} and X = {xs}, "
@@ -343,6 +399,37 @@ def _sigma_u_zip(U: IdealSet, xs: list[int]) -> tuple[str, tuple[int, ...] | Non
                             f"U = {U.sorted_members()}, X = {xs} and Y = {list(minimal)}, "
                             "but quotient_ideal finds (U:Y) != U")
     return "ok", minimal
+
+
+def _sigma_u_masks(U: IdealSet) -> tuple[int, tuple[int, ...]]:
+    """U's mask and the singleton quotient masks, once per (ring, U)."""
+    return U.ring.once(("sigma-U-zip masks", U.members), lambda: (
+        sum(1 << u for u in U.members), singleton_quotient_masks(U)))
+
+
+def _sigma_u_zip_pool(U: IdealSet) -> list[int] | None:
+    """`_sigma_u_zip`'s decision for every nonempty subset X of the ring, in
+    mask order, as a pool decision; None where `_sigma_u_zip` would raise
+    for some X, so the caller runs it. The hypothesis meets are ANDs of
+    quotient_ideal's own row masks, and the minimal Y are searched on the
+    singleton quotient masks; each distinct Y other than its X is checked
+    again, once, with quotient_ideal."""
+    ring = U.ring
+    quotients = quotient_masks(U)
+    # quotient_ideal stops once at most bit 0 is left: its meets are these
+    # ANDs only while every mask keeps bit 0, as x*0 = 0 in U makes it
+    if not all(m & 1 for m in quotients):
+        return None
+    u_mask, single = _sigma_u_masks(U)
+    outside = ((1 << ring.size) - 1) & ~u_mask
+    decisions = _pool_decisions(outside, _subset_meets(quotients), _subset_meets(single),
+                                u_mask.__eq__)
+    if decisions is None:
+        return None
+    chosen = {y for x, y in enumerate(decisions, 1) if y >= 0 and y != x}
+    if any(quotient_ideal(U, _bits(y)) != U.members for y in chosen):
+        return None
+    return decisions
 
 
 def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
@@ -380,13 +467,13 @@ def sigma_u_zip_witness(ring: FiniteRing, U: IdealSet, X,
 
 def _row_masks(ring: FiniteRing, keep: frozenset[int]) -> tuple[int, ...]:
     """x -> the bitmask of the positions a with x*a in keep, for every x:
-    read here from row x of the product table, once per (ring, keep) and
-    under its own memo key, not from the ideals layer, so the zip searches
-    below stay independent of sigma_u_zip_witness."""
-    positions = range(ring.size)
-    return ring.once(("zip row masks", keep), lambda: tuple(
-        sum(map((1).__lshift__, itertools.compress(positions, map(keep.__contains__, row))))
-        for row in ring.mul_table))
+    read here from row x of the product table with `row_mask`, once per
+    (ring, keep) and under its own memo key, not from the ideals layer's
+    memo, so the zip searches below stay independent of sigma_u_zip_witness."""
+    def build():
+        table = keep_table(ring, keep)
+        return tuple(row_mask(row, table) for row in ring.mul_table)
+    return ring.once(("zip row masks", keep), build)
 
 
 def _right_zip(ring: FiniteRing, xs: list[int]) -> tuple[str, tuple[int, ...] | None]:
@@ -400,6 +487,13 @@ def _right_zip(ring: FiniteRing, xs: list[int]) -> tuple[str, tuple[int, ...] | 
     if minimal is None:
         raise TraceMismatch(f"r(X) = 0 for X = {xs}, but no subset Y of X has r(Y) = 0")
     return "ok", minimal
+
+
+def _right_zip_pool(ring: FiniteRing) -> list[int] | None:
+    """`_right_zip`'s decision for every nonempty subset X of the ring, in
+    mask order, as a pool decision; None where `_right_zip` would raise."""
+    meets = _subset_meets(_row_masks(ring, _ZERO))
+    return _pool_decisions(((1 << ring.size) - 1) & ~1, meets, meets, (1).__eq__)
 
 
 def right_zip_witness(ring: FiniteRing, X) -> PropertyReport:
@@ -427,8 +521,7 @@ def _weak_zip(ring: FiniteRing, xs: list[int],
     row masks and the mask of what lies outside nil are read once per (ring, nil)."""
     if nil.issuperset(xs):
         return "not_applicable", None
-    in_nil, outside = ring.once(("weak-zip masks", nil), lambda: (
-        _row_masks(ring, nil), ((1 << ring.size) - 1) & ~sum(1 << a for a in nil)))
+    in_nil, outside = _weak_zip_masks(ring, nil)
     if functools.reduce(operator.and_, map(in_nil.__getitem__, xs)) & outside:
         return "hypothesis_fails", None
     minimal = _minimal_meet(xs, in_nil, lambda meet: not meet & outside)
@@ -436,6 +529,20 @@ def _weak_zip(ring: FiniteRing, xs: list[int],
         raise TraceMismatch(f"N(X) lies in nil(R) for X = {xs}, "
                             "but no subset Y of X has N(Y) inside nil(R)")
     return "ok", minimal
+
+
+def _weak_zip_masks(ring: FiniteRing, nil: frozenset[int]) -> tuple[tuple[int, ...], int]:
+    """nil's row masks and the mask of what lies outside nil, once per (ring, nil)."""
+    return ring.once(("weak-zip masks", nil), lambda: (
+        _row_masks(ring, nil), ((1 << ring.size) - 1) & ~sum(1 << a for a in nil)))
+
+
+def _weak_zip_pool(ring: FiniteRing, nil: frozenset[int]) -> list[int] | None:
+    """`_weak_zip`'s decision for every nonempty subset X of the ring, in
+    mask order, as a pool decision; None where `_weak_zip` would raise."""
+    in_nil, outside = _weak_zip_masks(ring, nil)
+    meets = _subset_meets(in_nil)
+    return _pool_decisions(outside, meets, meets, lambda meet: not meet & outside)
 
 
 def weak_zip_witness(ring: FiniteRing, X, nil: frozenset[int]) -> PropertyReport:
@@ -496,10 +603,10 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet) -> PropertyReport:
     a finite witness Y with (U:Y) = U must exist.
 
     (U:X) is the AND of the singleton quotient masks (U:{v}) over X, read
-    from the ring's `singleton_quotient_masks`. Up to the witness cap the
-    2^|R| subsets are walked one at a time, each qualifying X gets its
-    minimal witness searched among those masks, and the chosen Y alone is
-    checked again with quotient_ideal. Above the witness cap Y = X
+    from the ring's `singleton_quotient_masks`. Up to the witness cap one
+    subset DP over those masks (`_subset_meets`, `_minimal_subsets`) gives
+    every X its meet and its minimal witness, and each qualifying X's Y
+    alone is checked again with quotient_ideal. Above the witness cap Y = X
     certifies every qualifying X, so the certificate holds their count,
     taken by Moebius inversion over the meet-closure of the masks: the sets
     of all elements whose masks AND to U's mask, less those inside U. That
@@ -520,25 +627,23 @@ def sigma_u_zip_scan(ring: FiniteRing, U: IdealSet) -> PropertyReport:
         qualifying = witnessed = _qualifying_by_meets(U, single)
     else:
         qualifying = witnessed = 0
-        dp = [total - 1] * total
+        meets = _subset_meets(single)
+        best = _minimal_subsets(meets, u_mask.__eq__)
+        outside = (total - 1) & ~u_mask
         for x_mask in range(1, total):
-            low = x_mask & -x_mask
-            dp[x_mask] = dp[x_mask ^ low] & single[low.bit_length() - 1]
-            if not x_mask & ~u_mask:
-                continue  # X inside U: hypothesis not applicable
-            if dp[x_mask] != u_mask:
+            # X inside U (hypothesis not applicable), or (U:X) != U
+            if not x_mask & outside or meets[x_mask] != u_mask:
                 continue
             qualifying += 1
-            members = _bits(x_mask)
             # candidates are read from the masks; only the chosen Y is
             # checked against the table rows, so a wrong mask fails the verdict
-            minimal = _minimal_meet(members, single, u_mask.__eq__)
-            if minimal is None or quotient_ideal(U, minimal) != U.members:
-                failures.append(members)
+            minimal = best[x_mask]
+            if minimal is None or quotient_ideal(U, _bits(minimal)) != U.members:
+                failures.append(_bits(x_mask))
             else:
                 witnessed += 1
                 if len(examples) < 8:
-                    examples.append({"X": members, "Y": list(minimal)})
+                    examples.append({"X": _bits(x_mask), "Y": _bits(minimal)})
     cert = {"subsets": total, "qualifying": qualifying, "witnessed": witnessed,
             "anomalous_singletons": anomalies}
     if examples:

@@ -773,9 +773,8 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     # does not is the False verdict below, not a failed derivation
     extractions = 0
     if reduced_ok:
-        members = sorted(quotient0)
-        _extract_by_support(universe, factors, members, U)
-        extractions = len(members) * len(factors)
+        _extract_by_support(universe, factors, U)
+        extractions = len(quotient0) * len(factors)
 
     verdict = reduced_ok
     return PropertyReport(
@@ -788,19 +787,26 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         bounds=universe.describe())
 
 
-def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]],
-                        members: list[int], U: IdealSet):
-    """series_zip_witness's extraction over the tables it has checked, for
-    the first h of each support in `members` and every factor s, in that
-    order: a trace of s*h, then the content conclusion the induction is for,
-    that h has U-coefficients. The first failure raises TraceMismatch."""
+def _extract_by_support(universe: TruncatedUniverse, factors: list[list[tuple]], U: IdealSet):
+    """series_zip_witness's extraction over the tables it has checked, once
+    its quotient is the U-coefficient series: for the first h of each
+    support in universe order and every factor s, in that order, a trace of
+    s*h, then the content conclusion the induction is for, that h has
+    U-coefficients. The first failure raises TraceMismatch.
+
+    The first member of a support holds U's least nonzero element at each
+    of its positions, so it is built without a member being decoded. The
+    first members of two supports compare as their supports do, read as
+    binary numbers with the first window position most significant, so
+    the supports are walked in that order. U = {0} leaves only the zero h,
+    which has no X_w pair to trace."""
     alg, grp = universe.algebra, universe.twist.group
-    first: dict[tuple, list[tuple]] = {}
-    for m in members:
-        h = universe.terms_at(m)
-        if h:  # the zero h leaves no X_w pair to trace
-            first.setdefault(tuple(i for i, _ in h), h)
-    for h in first.values():
+    w = len(universe.window)
+    least = min(U.members - {0}, default=None)
+    if least is None:
+        return
+    for support in range(1, 1 << w):
+        h = [(j, least) for j in range(w) if support >> (w - 1 - j) & 1]
         for s in factors:
             # require_zip and h in the quotient are coefficient_extraction's checks
             _trace(alg, s, h, U, alg.multiply(s, h))

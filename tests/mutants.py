@@ -228,22 +228,50 @@ MUTANTS = {
     "meet-set-drops-the-top-bit": Mutant(
         "a meet's element set leaves out its highest element",
         "mnseries/ideals.py",
-        "a for a in range(meet.bit_length()) if meet >> a & 1))",
-        "a for a in range(meet.bit_length() - 1) if meet >> a & 1))",
+        "frozenset(a for a in range(meet.bit_length()) if meet >> a & 1)",
+        "frozenset(a for a in range(meet.bit_length() - 1) if meet >> a & 1)",
         ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
     "zip-row-masks-key-without-keep": Mutant(
         "the zip searches file their row masks without the kept set, so weak-zip reads "
         "the masks of right-zip",
         "mnseries/properties.py",
-        'ring.once(("zip row masks", keep), lambda',
-        'ring.once(("zip row masks",), lambda',
+        'ring.once(("zip row masks", keep), build)',
+        'ring.once(("zip row masks",), build)',
         ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
+    "row-mask-without-reversal": Mutant(
+        "a row's bytes are translated first position first, so bit a of its mask "
+        "reads the entry at the mirrored position",
+        "mnseries/ideals.py",
+        "int(bytes(row)[::-1].translate(table), 2)",
+        "int(bytes(row).translate(table), 2)",
+        ("tests/test_table_kernels.py", "-k", "translated_row_masks_match")),
     "singleton-masks-read-columns": Mutant(
         "the masks of (U:{v}) read column v of the product table, not row v",
         "mnseries/ideals.py",
-        "for row in U.ring.mul_table))",
-        "for row in zip(*U.ring.mul_table)))",
+        "for row in U.ring.mul_table)",
+        "for row in zip(*U.ring.mul_table))",
         ("tests/test_table_kernels.py", "-k", "meet_count_matches_the_subset_count_on_small")),
+    # the subset DP that decides a whole pool of zip subsets
+    "subset-dp-ranks-by-mask-value": Mutant(
+        "the subset DP ranks sets by their mask value, not by size then lexicographic "
+        "order, so {1, 2} (6) comes before {0, 3} (9)",
+        "mnseries/properties.py",
+        "step = (1 << n) - (1 << (n - 1 - i))",
+        "step = 1 << i",
+        ("tests/test_table_kernels.py", "-k", "minimal_subsets_match")),
+    "subset-dp-skips-its-own-accept": Mutant(
+        "the subset DP never takes X itself when its meet accepts, only what its "
+        "proper subsets give",
+        "mnseries/properties.py",
+        "best = [r if accepts(m) else none for r, m in zip(rank, meets)]",
+        "best = [none] * len(rank)",
+        ("tests/test_table_kernels.py", "-k", "minimal_subsets_match")),
+    "subset-dp-takes-the-max": Mutant(
+        "the subset DP keeps the greatest rank over X's subsets, not the least",
+        "mnseries/properties.py",
+        "[a if a < b else b for a, b in zip(best[half:], low)]",
+        "[a if a > b else b for a, b in zip(best[half:], low)]",
+        ("tests/test_table_kernels.py", "-k", "minimal_subsets_match")),
     # the sigma-U-zip count by Moebius inversion over the meet-closure
     "meet-count-walks-bottom-up": Mutant(
         "the closure is walked from its smallest members up, so no larger "
@@ -330,8 +358,15 @@ MUTANTS = {
     "series-zip-drops-a-support-class": Mutant(
         "series-zip traces one support class too few",
         "mnseries/transfer.py",
-        "    for h in first.values():\n",
-        "    for h in list(first.values())[:-1]:\n",
+        "for support in range(1, 1 << w):",
+        "for support in range(1, (1 << w) - 1):",
+        ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
+    "series-zip-h-at-the-greatest-of-U": Mutant(
+        "the h traced for a support holds U's greatest element at each position, "
+        "not its least, so it is not the support's first member",
+        "mnseries/transfer.py",
+        "least = min(U.members - {0}, default=None)",
+        "least = max(U.members - {0}, default=None)",
         ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
     "series-zip-skips-the-table-check": Mutant(
         "series-zip takes quotients and traces one h per support over tables it has "

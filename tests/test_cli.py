@@ -1010,18 +1010,27 @@ def test_a_lying_mask_memo_fails_zip_specialization_agreement(monkeypatch, capsy
 
 
 def test_a_lazy_zip_core_fails_zip_specialization_agreement(monkeypatch, capsys):
-    """The agreement loop compares the cores' minimal witnesses as well as
-    their statuses: a right-zip core that certifies every X by Y = X agrees
-    on every status but not on X = [0, 1], whose minimal Y is [1]. The two
-    reports are built for that X only."""
-    real = properties._right_zip
+    """The agreement compares the cores' minimal witnesses as well as
+    their statuses, on Z4's exhaustive pool and in the per-X loop alike: a
+    right-zip core that certifies every X by Y = X agrees on every status
+    but not on X = [0, 1], whose minimal Y is [1]. The pool decisions
+    differ, so the per-X loop runs, finds that X and builds the two reports
+    for it only."""
+    real, real_pool = properties._right_zip, properties._right_zip_pool
 
     def lazy(ring, xs):
         status, minimal = real(ring, xs)
         return status, (tuple(xs) if status == "ok" else minimal)
 
+    pools = []
+
+    def lazy_pool(ring):
+        pools.append(ring.size)
+        return [x if y >= 0 else y for x, y in enumerate(real_pool(ring), 1)]
+
     for module in (cli, properties):
         monkeypatch.setattr(module, "_right_zip", lazy)
+        monkeypatch.setattr(module, "_right_zip_pool", lazy_pool)
     built = []
     for name in ("sigma_u_zip_witness", "right_zip_witness"):
         monkeypatch.setattr(cli, name, lambda *args, _real=getattr(cli, name), _name=name:
@@ -1029,6 +1038,7 @@ def test_a_lazy_zip_core_fails_zip_specialization_agreement(monkeypatch, capsys)
     assert main(["verify", "z4_example_5_5", "--suite", "examples", "--format", "json"]) == 1
     checks = {c["property"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     witness = checks["zip-specialization-agreement"]["witness"]
+    assert pools == [4]
     assert witness["X"] == [0, 1]
     assert witness["sigma_u_zip"]["certificate"]["minimal_witness"] == [1]
     assert witness["right_zip"]["certificate"]["minimal_witness"] == [0, 1]

@@ -206,20 +206,27 @@ def _z8_zip():
 def test_series_zip_traces_each_support_once_per_factor(monkeypatch):
     """The 16 U-coefficient series over two positions have 4 supports: one
     trace with the factor for each nonzero support (the zero h leaves no X_w
-    pair to trace), while `extractions` counts all 16."""
+    pair to trace), while `extractions` counts all 16. The h traced for a
+    support is its first member in universe order, the supports taken in
+    the order of those members: U's least nonzero element, 2, at each
+    position of the support."""
     X, U, universe = _z8_zip()
     real = transfer._trace
     traced = []
 
     def recording(alg, f, g, U, fg):
-        traced.append(tuple(i for i, _ in g))
+        traced.append(g)
         return real(alg, f, g, U, fg)
 
     monkeypatch.setattr(transfer, "_trace", recording)
     rep = series_zip_witness(X, U, universe)
     assert rep.verdict is True
     assert rep.certificate["extractions"] == 16
-    assert sorted(traced) == [(0,), (0, 1), (1,)]
+    first = {}
+    for m in sorted(universe.with_coeffs_in(U.members)):
+        if h := universe.terms_at(m):
+            first.setdefault(tuple(i for i, _ in h), h)
+    assert traced == list(first.values()) == [[(1, 2)], [(0, 2)], [(0, 2), (1, 2)]]
     fresh = TruncatedUniverse(universe.twist, universe.window)
     assert rep.to_json() == per_h_series_zip_witness(X, U, fresh).to_json()
 

@@ -15,15 +15,18 @@ and SA reports must agree (the SA table also with one formed pair by
 pair), and so must the zip searches on singleton masks, their cores, and
 the per-subset searches they replaced, and the sigma-U-zip
 count by Moebius inversion over the meet-closure of the singleton masks
-and the one over all 2^|R| subsets; the lattices, the sigma-U-zip counts
-and the generator test of V*U inside U also on generated subrings of F2
-matrix rings. The quotient, annihilator and zip kernels also run
-interleaved on one fresh ring object each of UT2(Z2), UT2(Z4), M2(F2)
-and Z12, so a row mask kept in the ring's memo under one key is never
-read under another. On tables
-with one entry changed, rings with + relabelled, F2^k algebras and loops,
-so must every (axiom, ok, witness), and a witness scan may run only for an
-axiom that fails.
+and the one over all 2^|R| subsets. Each core's subset DP must decide
+every subset of a small ring as the core does, and on random masks and
+predicates pick the subsets the per-subset search picks. The lattices,
+the sigma-U-zip counts and the generator test of V*U inside U are also
+checked on generated subrings of F2 matrix rings. The quotient,
+annihilator and zip kernels also run interleaved on one fresh ring
+object each of UT2(Z2), UT2(Z4), M2(F2) and Z12, so a row mask kept in
+the ring's memo under one key is never read under another. The row
+masks, built from the bytes of a row, must set the bits the rows do on
+rings whose ids fill a byte. On tables with one entry changed, rings
+with + relabelled, F2^k algebras and loops, so must every (axiom, ok,
+witness), and a witness scan may run only for an axiom that fails.
 """
 
 from __future__ import annotations
@@ -37,11 +40,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mnseries import properties, rings
+from mnseries.errors import SizeCapExceeded
 from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
-                             ideal_closure, nil_radical, quotient_ideal, set_sum,
-                             singleton_quotient_masks, subgroup_sum, weak_annihilator)
-from mnseries.properties import (DEFAULT_WITNESS_CAP, _meet_counts, _qualifying_by_meets,
-                                 _right_zip, _sigma_u_zip, _weak_zip, is_IN, is_SA,
+                             ideal_closure, keep_table, nil_radical, quotient_ideal,
+                             quotient_masks, row_mask, set_sum, singleton_quotient_masks,
+                             subgroup_sum, weak_annihilator)
+from mnseries.properties import (DEFAULT_WITNESS_CAP, HYPOTHESIS_FAILS, NOT_APPLICABLE,
+                                 _meet_counts, _minimal_subsets, _qualifying_by_meets,
+                                 _right_zip, _right_zip_pool, _sigma_u_zip, _sigma_u_zip_pool,
+                                 _subset_meets, _weak_zip, _weak_zip_pool, is_IN, is_SA,
                                  right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
                                  weak_zip_witness)
 from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
@@ -49,7 +56,8 @@ from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring
 from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
                      elementwise_weak_annihilator, f2_algebra_table,
                      f2_matrix_algebra_table, loop_table,
-                     membership_quotient, pairwise_sa_table, relabelled_add_table,
+                     membership_quotient, minimal_subset, pairwise_sa_table,
+                     relabelled_add_table,
                      subset_dp_qualifying,
                      subset_right_zip_witness, subset_sigma_u_zip_witness,
                      subset_weak_zip_witness, triple_scan_axioms, ut2_table, worklist_closure,
@@ -460,28 +468,130 @@ _EXHAUSTED_RINGS = {
 }
 
 
+def _pool_decision(outcome: tuple) -> int:
+    """A core's (status, minimal Y) as the pool decision of its subset DP."""
+    status, minimal = outcome
+    if status == "ok":
+        return sum(1 << y for y in minimal)
+    return {"not_applicable": NOT_APPLICABLE, "hypothesis_fails": HYPOTHESIS_FAILS}[status]
+
+
 @pytest.mark.parametrize("key", sorted(_EXHAUSTED_RINGS))
 def test_zip_cores_decide_every_subset_as_their_reports(key):
     """On every nonempty subset X of UT2(Z2), Z2^3 and Z8, each public zip
     search (sigma-U-zip for every two-sided ideal U, right-zip and weak-zip)
     reports its core's (status, minimal Y), and its report equals the
-    search that recomputes (U:Y), r(Y) or N(Y) for every candidate Y."""
+    search that recomputes (U:Y), r(Y) or N(Y) for every candidate Y. Each
+    core's subset DP decides every X as the core does, and sigma_u_zip_scan
+    counts and exemplifies the qualifying X as the core decides them."""
     ring = _EXHAUSTED_RINGS[key]()
     nil, _ = nil_radical(ring)
     ideals = enumerate_ideals(ring, "twosided")
+    pools = {U: _sigma_u_zip_pool(U) for U in ideals}
+    right_pool, weak_pool = _right_zip_pool(ring), _weak_zip_pool(ring, nil)
+    qualifying = {U: [] for U in ideals}
     for x_mask in range(1, 1 << ring.size):
         xs = [x for x in ring.elements() if x_mask >> x & 1]
         for U in ideals:
             report = sigma_u_zip_witness(ring, U, xs, True)
-            assert _zip_outcome(report) == _sigma_u_zip(U, xs), (key, U, xs)
+            outcome = _sigma_u_zip(U, xs)
+            assert _zip_outcome(report) == outcome, (key, U, xs)
             assert report.to_json() == \
                 subset_sigma_u_zip_witness(ring, U, xs, True).to_json(), (key, U, xs)
+            assert pools[U][x_mask - 1] == _pool_decision(outcome), (key, U, xs)
+            if outcome[0] == "ok":
+                qualifying[U].append({"X": xs, "Y": list(outcome[1])})
         report = right_zip_witness(ring, xs)
-        assert _zip_outcome(report) == _right_zip(ring, xs), (key, xs)
+        outcome = _right_zip(ring, xs)
+        assert _zip_outcome(report) == outcome, (key, xs)
         assert report.to_json() == subset_right_zip_witness(ring, xs).to_json(), (key, xs)
+        assert right_pool[x_mask - 1] == _pool_decision(outcome), (key, xs)
         report = weak_zip_witness(ring, xs, nil)
-        assert _zip_outcome(report) == _weak_zip(ring, xs, nil), (key, xs)
+        outcome = _weak_zip(ring, xs, nil)
+        assert _zip_outcome(report) == outcome, (key, xs)
         assert report.to_json() == subset_weak_zip_witness(ring, xs, nil).to_json(), (key, xs)
+        assert weak_pool[x_mask - 1] == _pool_decision(outcome), (key, xs)
+    for U in ideals:
+        cert = sigma_u_zip_scan(ring, U).certificate
+        assert cert["qualifying"] == cert["witnessed"] == len(qualifying[U]), (key, U)
+        assert cert.get("examples", []) == qualifying[U][:8], (key, U)
+
+
+_MASKS = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << 8) - 1), min_size=n, max_size=n))
+
+
+def _accepting(kind: str, value: int):
+    """A predicate on meets: equal to value, or clear of value's bits (the
+    empty Y's meet -1 is clear of 0's, so then every Y accepts)."""
+    return value.__eq__ if kind == "equals" else lambda meet: not meet & value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MASKS, st.sampled_from(["equals", "clear of"]), st.integers(0, (1 << 8) - 1), st.data())
+@example([3, 5, 10, 12], "equals", 0, None)  # {0, 3} before {1, 2}, though 9 > 6
+@example([7, 1, 2], "clear of", 0, None)     # the empty Y accepts
+@example([0b110, 0b011], "clear of", 0b101, None)  # only X = {0, 1} accepts
+def test_minimal_subsets_match_the_per_subset_search(masks, kind, value, data):
+    """The subset DP's meet and minimal Y of a subset X equal the AND of
+    X's masks and the first subset, in size then lexicographic order, that
+    the per-subset search accepts: on every X of up to 6 positions, and on
+    drawn X and the whole pool of up to 12."""
+    accepts = _accepting(kind, value)
+    n = len(masks)
+    meets = _subset_meets(masks)
+    best = _minimal_subsets(meets, accepts)
+    assert len(meets) == len(best) == 1 << n
+    if n <= 6 or data is None:
+        xs = range(1 << n)
+    else:
+        xs = [*data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)), (1 << n) - 1]
+    for x in xs:
+        pool = [v for v in range(n) if x >> v & 1]
+        assert meets[x] == functools.reduce(int.__and__, (masks[v] for v in pool), -1), (x, pool)
+        minimal = minimal_subset(pool, lambda ys: accepts(
+            functools.reduce(int.__and__, (masks[y] for y in ys), -1)))
+        assert best[x] == (None if minimal is None else sum(1 << y for y in minimal)), (x, pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=256),
+       st.frozensets(st.integers(0, 255)))
+def test_translated_row_masks_match_the_bits_of_the_row(row, keep):
+    """row_mask sets bit a iff row[a] is kept, for ids up to 255 at every
+    position up to 255."""
+    assert row_mask(row, keep_table(_ring("Zn", 256), keep)) == \
+        sum(1 << a for a, v in enumerate(row) if v in keep)
+
+
+def test_row_masks_on_256_elements_match_the_elementwise_scans():
+    """On Z256 and Z2^8, whose ids fill a byte: both annihilators, the weak
+    annihilator and quotients through the ideals layer's row masks, the
+    singleton quotient masks, and the zip searches' own row masks, against
+    their element-at-a-time oracles; a larger ring has no byte-sized ids and
+    raises SizeCapExceeded."""
+    z2 = ring_zn(2)
+    for ring in (ring_zn(256), functools.reduce(ring_product, [z2] * 8)):
+        nil, _ = nil_radical(ring)
+        rng = random.Random(ring.label)
+        us = [IdealSet(ring, frozenset({0}), "twosided"), *rng.sample(
+            enumerate_ideals(ring, "twosided"), 3)]
+        for xs in [[v] for v in (1, 2, 128, 255)] + [rng.sample(range(256), 3) for _ in range(8)]:
+            for side in ("left", "right"):
+                assert annihilator(ring, xs, side) == elementwise_annihilator(ring, xs, side)
+            assert weak_annihilator(ring, xs, nil) == \
+                elementwise_weak_annihilator(ring, xs, nil)
+            for U in us:
+                assert quotient_ideal(U, xs) == membership_quotient(ring, U.members, xs)
+        for keep in (frozenset({0}), nil, *(U.members for U in us)):
+            assert properties._row_masks(ring, keep) == tuple(
+                sum(1 << a for a in membership_quotient(ring, keep, [v])) for v in range(256))
+        for U in us:
+            assert list(singleton_quotient_masks(U)) == quotient_masks(U) == [
+                sum(1 << a for a in membership_quotient(ring, U.members, [v]))
+                for v in range(256)]
+    with pytest.raises(SizeCapExceeded, match="ring Z257 has 257 elements, cap 256"):
+        annihilator(ring_zn(257), [1])
 
 
 def test_sa_table_matches_the_per_pair_sums():

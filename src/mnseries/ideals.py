@@ -14,9 +14,9 @@ from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import RingMismatch, SizeCapExceeded
-from .rings import (DEFAULT_SIZE_CAP, FiniteRing, RingAutomorphism, greedy_generators,
-                    grow_subgroup)
+from .errors import RingMismatch
+from .rings import (FiniteRing, RingAutomorphism, greedy_generators, grow_subgroup,
+                    require_byte_ids)
 
 KINDS = ("subset", "left", "right", "twosided")
 _ZERO = frozenset({0})
@@ -143,9 +143,7 @@ def enumerate_ideals(ring: FiniteRing, kind: str = "twosided") -> list[IdealSet]
     subgroup sum that needs no closure. The two-sided ideals are the right
     ideals I with R*I inside I, in the same order.
     """
-    if ring.size > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
-                              {"size_cap": DEFAULT_SIZE_CAP})
+    require_byte_ids(ring)
     return list(_stored_lattice(ring, kind))
 
 
@@ -200,49 +198,44 @@ def keep_table(ring: FiniteRing, keep: frozenset[int]) -> bytes:
     `keep`, 0 for every other byte. A ring has at most DEFAULT_SIZE_CAP
     elements, as an ideal lattice's has, so every id, and every row of its
     product table, fits in bytes; a larger ring raises SizeCapExceeded."""
-    if ring.size > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
-                              {"size_cap": DEFAULT_SIZE_CAP})
+    require_byte_ids(ring)
     table = bytearray(b"0" * 256)
     for a in keep:
         table[a] = ord("1")
     return bytes(table)
 
 
-def row_mask(row, table: bytes) -> int:
-    """The bitmask of the positions a with row[a] kept by `table` (see
-    keep_table): the row's ids as bytes, last position first, translated to
-    the binary digits of the mask."""
-    return int(bytes(row)[::-1].translate(table), 2)
+def row_mask(reversed_row: bytes, table: bytes) -> int:
+    """The bitmask of the positions a whose entry is kept by `table` (see
+    keep_table), from the row's bytes last position first, read as binary."""
+    return int(reversed_row.translate(table), 2)
+
+
+def _mask_handle(ring: FiniteRing, kernel: str, keep: frozenset[int], side: str) -> tuple:
+    """(masks built so far, keep's table, the reversed byte rows of the side,
+    the ring's one dict of meet sets) in one lookup; the masks are filed under
+    (kernel, keep, side), so no two kernels share one."""
+    return ring.once((kernel, keep, side), lambda: (
+        {}, keep_table(ring, keep), ring.byte_rows().reversed(side), ring.once("meets", dict)))
 
 
 def _meet(ring: FiniteRing, kernel: str, keep: frozenset[int], side: str, xs) -> frozenset[int]:
     """The positions a with x*a in keep (a*x for side "left") for every x
     in xs: the AND of their row masks, stopping once at most bit 0 is left.
-    A row's mask is built when first read and kept in the ring's memo under
-    (kernel, keep, side), so no two kernels share one; each meet's
-    frozenset is kept in one memo of the ring, so equal results are one
-    object."""
-    masks = ring.once((kernel, keep, side), dict)
+    A row's mask is built when first read and kept in the handle's dict."""
+    masks, table, rows, sets = _mask_handle(ring, kernel, keep, side)
     meet = (1 << ring.size) - 1
     for x in xs:
         mask = masks.get(x)
         if mask is None:
-            mask = masks[x] = _build_mask(ring, kernel, keep, side, x)
+            mask = masks[x] = row_mask(rows[x], table)
         meet &= mask
         if meet <= 1:
             break
-    sets = ring.once("meets", dict)
     found = sets.get(meet)
     if found is None:
         found = sets[meet] = frozenset(a for a in range(meet.bit_length()) if meet >> a & 1)
     return found
-
-
-def _build_mask(ring: FiniteRing, kernel: str, keep: frozenset[int], side: str, x: int) -> int:
-    """Row x's mask (column x's for side "left"), on the kernel's own table."""
-    row = ring.mul_table[x] if side == "right" else map(itemgetter(x), ring.mul_table)
-    return row_mask(row, ring.once(("keep table", kernel, keep), lambda: keep_table(ring, keep)))
 
 
 def quotient_ideal(U: IdealSet, V) -> frozenset[int]:
@@ -262,12 +255,11 @@ def quotient_masks(U: IdealSet) -> list[int]:
     """(U:{v}) for every element v as an int bitmask, from quotient_ideal's
     own memo of row masks (built where missing), so the ANDs of a search
     over them are the quotients quotient_ideal returns."""
-    ring = U.ring
-    masks = ring.once(("(U:V)", U.members, "right"), dict)
-    for v in ring.elements():
+    masks, table, rows, _ = _mask_handle(U.ring, "(U:V)", U.members, "right")
+    for v, row in enumerate(rows):
         if v not in masks:
-            masks[v] = _build_mask(ring, "(U:V)", U.members, "right", v)
-    return [masks[v] for v in ring.elements()]
+            masks[v] = row_mask(row, table)
+    return [masks[v] for v in U.ring.elements()]
 
 
 def singleton_quotient_masks(U: IdealSet) -> tuple[int, ...]:
@@ -277,7 +269,7 @@ def singleton_quotient_masks(U: IdealSet) -> tuple[int, ...]:
     for any member set Y is the AND of its members' masks."""
     def build():
         table = keep_table(U.ring, U.members)
-        return tuple(row_mask(row, table) for row in U.ring.mul_table)
+        return tuple(row_mask(row, table) for row in U.ring.byte_rows().reversed("right"))
     return U.ring.once(("(U:{v}) masks", U.members), build)
 
 
@@ -357,12 +349,19 @@ class SigmaCompatResult:
 
 
 def is_sigma_compatible_ideal(U: IdealSet, sigma_family: Iterable[RingAutomorphism]) -> SigmaCompatResult:
-    """ab in U <-> a*sigma(b) in U for every generator and inverse."""
+    """ab in U <-> a*sigma(b) in U for every generator and inverse: byte row a
+    against row a permuted by sigma, both through U's keep table; b is
+    scanned only in the first row that differs, for the first witness."""
     ring = U.ring
-    mul = ring.mul_table
+    mul, rows = ring.mul_table, ring.byte_rows()
+    keep = keep_table(ring, U.members)
+    kept = [row.translate(keep) for row in rows.mul]
+    tabs = [tab.translate(keep) for tab in rows.mul_tab]
     for idx, s in enumerate(close_under_inverses(sigma_family)):
-        for a in ring.elements():
-            for b in ring.elements():
-                if (mul[a][b] in U.members) != (mul[a][s.map[b]] in U.members):
-                    return SigmaCompatResult(False, (a, b, idx))
+        moved = bytes(s.map)
+        for a, (row, tab) in enumerate(zip(kept, tabs)):
+            if moved.translate(tab) != row:
+                b = next(b for b in ring.elements()
+                         if (mul[a][b] in U.members) != (mul[a][s.map[b]] in U.members))
+                return SigmaCompatResult(False, (a, b, idx))
     return SigmaCompatResult(True)

@@ -57,14 +57,13 @@ class ZeroDivisorSets:
 
 def zero_divisor_sets(ring: FiniteRing) -> ZeroDivisorSets:
     """Left/right zero-divisors and their complements; 0 always divides.
-    Scanned once per ring, like its units."""
+    a divides on the left iff byte row a holds a 0 after position 0, on
+    the right iff its byte column does. Scanned once per ring, like its units."""
     def scan():
-        elems = ring.elements()
-        left = frozenset(a for a in elems
-                         if any(r != 0 and ring.mul_table[a][r] == 0 for r in elems))
-        right = frozenset(a for a in elems
-                          if any(r != 0 and ring.mul_table[r][a] == 0 for r in elems))
-        all_set = frozenset(elems)
+        rows = ring.byte_rows()
+        left = frozenset(a for a, row in enumerate(rows.mul) if row.find(0, 1) >= 0)
+        right = frozenset(a for a, col in enumerate(rows.mul_t) if col.find(0, 1) >= 0)
+        all_set = frozenset(ring.elements())
         return ZeroDivisorSets(left, all_set - left, right, all_set - right)
     return ring.once("zero divisors", scan)
 
@@ -472,7 +471,7 @@ def _row_masks(ring: FiniteRing, keep: frozenset[int]) -> tuple[int, ...]:
     memo, so the zip searches below stay independent of sigma_u_zip_witness."""
     def build():
         table = keep_table(ring, keep)
-        return tuple(row_mask(row, table) for row in ring.mul_table)
+        return tuple(row_mask(row, table) for row in ring.byte_rows().reversed("right"))
     return ring.once(("zip row masks", keep), build)
 
 

@@ -14,11 +14,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AxiomViolation, MalformedSpec, NotAutomorphism, RingMismatch
+from .errors import AxiomViolation, MalformedSpec, NotAutomorphism, RingMismatch, SizeCapExceeded
 
 DEFAULT_SIZE_CAP = 256
 
@@ -114,8 +113,49 @@ class FiniteRing(Memo):
     def describe(self, a: int) -> str:
         return self.names[a]
 
+    def byte_rows(self) -> ByteRows:
+        """The tables as rows of bytes, built once per ring (see ByteRows)."""
+        return self.once("byte rows", lambda: ByteRows(self))
+
     def describe_set(self, xs: Iterable[int]) -> str:
         return "{" + ", ".join(self.names[x] for x in sorted(xs)) + "}"
+
+
+def require_byte_ids(ring: FiniteRing) -> None:
+    """SizeCapExceeded unless every id of the ring fits in a byte."""
+    if ring.size > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, cap {DEFAULT_SIZE_CAP}",
+                              {"size_cap": DEFAULT_SIZE_CAP})
+
+
+class ByteRows(Memo):
+    """The add, product and transposed product tables as rows of bytes, each
+    also padded to a 256-byte translate table (`add_tab`, ...), so one C call
+    decides a row: `add[b].translate(mul_tab[a])` is a(b + c) over c. It sits
+    beside the tuple tables, which index faster; see require_byte_ids."""
+
+    def __init__(self, ring: FiniteRing):
+        require_byte_ids(ring)
+        pad = bytes(256 - ring.size)
+        self.add = [bytes(row) for row in ring.add_table]
+        self.mul = [bytes(row) for row in ring.mul_table]
+        self.mul_t = [bytes(col) for col in zip(*ring.mul_table)]
+        self.add_tab, self.mul_tab, self.mul_t_tab = (
+            [row + pad for row in rows] for rows in (self.add, self.mul, self.mul_t))
+        self._memo: dict = {}
+
+    def reversed(self, side: str) -> list[bytes]:
+        """Product rows (side "right") or columns, last position first."""
+        return self.once(("reversed", side), lambda: [
+            row[::-1] for row in (self.mul if side == "right" else self.mul_t)])
+
+
+def positions(row: bytes, value: int) -> Iterator[int]:
+    """The positions of `value` in a byte row, ascending, one find each."""
+    i = row.find(value)
+    while i >= 0:
+        yield i
+        i = row.find(value, i + 1)
 
 
 @dataclass
@@ -185,9 +225,10 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
       additive in each argument, so g^3 lookups decide it.
 
     Where a precondition fails, the axiom falls back to fixing (a, b) and
-    comparing one row over every c: a table row against a row gathered
-    through `itemgetter` (right distributivity fixes (a, c) and runs over b
-    on the transposed product table). Each test is an exact "iff", and only
+    comparing one row over every c (right distributivity fixes (a, c) and
+    runs over b on the transposed product table). Every row comparison is
+    of the ring's byte rows (`ByteRows`), each side one or two
+    bytes.translate calls. Each test is an exact "iff", and only
     an axiom that fails is scanned element by element, so its witness is
     the lexicographically first failing element, pair or triple. Scanned
     once per ring, like its units: a table ring's load and the ring-axioms
@@ -196,15 +237,17 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
     return ring.once("axioms", lambda: _axiom_report(ring))
 
 
-def _group_generators(add, ga) -> list[int] | None:
+def _group_generators(ring: FiniteRing, rows: ByteRows) -> list[int] | None:
     """Additive generators of R if + is associative, else None, for a table
     that is commutative, has 0 as identity and has permutation rows. Each
-    candidate is tested before the group grows by it, so the coset loop
-    only runs inside the abelian group of elements that pass."""
-    ids = range(len(add))
+    candidate g is tested before the group grows by it, one byte row per x:
+    (x + g) + y against x + (g + y) over y. So the coset loop only runs
+    inside the abelian group of elements that pass."""
+    add = ring.add_table
     gens = []
-    for g in greedy_generators(add, {0}, ids):
-        if any(add[add[x][g]] != ga[g](add[x]) for x in ids):
+    for g in greedy_generators(add, {0}, range(ring.size)):
+        if any(rows.add[add[x][g]] != rows.add[g].translate(tab)
+               for x, tab in enumerate(rows.add_tab)):
             return None
         gens.append(g)
     return gens
@@ -212,28 +255,29 @@ def _group_generators(add, ga) -> list[int] | None:
 
 def _axiom_report(ring: FiniteRing) -> AxiomReport:
     add, mul = ring.add_table, ring.mul_table
+    rows = ring.byte_rows()
+    A, M, MT = rows.add, rows.mul, rows.mul_t
+    At, Mt, MTt = rows.add_tab, rows.mul_tab, rows.mul_t_tab
     ids = tuple(range(ring.size))
     add_t = tuple(zip(*add))
-    mul_t = tuple(zip(*mul))  # mul_t[c][b] = mul[b][c]
-    ga = [itemgetter(*row) for row in add]
-    gm = [itemgetter(*row) for row in mul]
-    gt = [itemgetter(*col) for col in mul_t]
 
     commutative = add == add_t
     identity = add[0] == ids == add_t[0]
     # a commutative loop: + commutative, 0 its identity, every row a permutation
     loop = commutative and identity and all(len(set(row)) == ring.size for row in add)
-    gens = _group_generators(add, ga) if loop else None  # None unless (R, +) is an abelian group
+    gens = _group_generators(ring, rows) if loop else None  # None unless (R, +) is an abelian group
     add_assoc = (gens is not None if loop
-                 else all(add[add[a][b]] == ga[b](add[a]) for a in ids for b in ids))
+                 else all(A[add[a][b]] == A[b].translate(At[a]) for a in ids for b in ids))
     span = ids if gens is None else gens
-    left = all(ga[b](mul[a]) == gm[a](add[mul[a][b]]) for a in ids for b in span)
-    right = all(ga[a](mul_t[c]) == gt[c](add[mul[a][c]]) for a in span for c in ids)
+    # a(b + c) against ab + ac over c, and (a + b)c against ac + bc over b
+    left = all(A[b].translate(Mt[a]) == M[a].translate(At[mul[a][b]]) for a in ids for b in span)
+    right = all(A[a].translate(MTt[c]) == MT[c].translate(At[mul[a][c]])
+                for a in span for c in ids)
     if gens is not None and left and right:
         mul_assoc = all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
                         for a in gens for b in gens for c in gens)
     else:
-        mul_assoc = all(mul[mul[a][b]] == gm[b](mul[a]) for a in ids for b in ids)
+        mul_assoc = all(M[mul[a][b]] == M[b].translate(Mt[a]) for a in ids for b in ids)
     results = []
 
     def first_fail(axiom, holds, scan):
@@ -247,12 +291,12 @@ def _axiom_report(ring: FiniteRing) -> AxiomReport:
                 if add[add[a][b]][c] != add[a][add[b][c]]))
     first_fail("add-identity", identity,
                ((a,) for a in ids if add[0][a] != a or add[a][0] != a))
-    first_fail("add-inverse", all(0 in row for row in add),
+    first_fail("add-inverse", all(0 in row for row in A),
                ((a,) for a in ids if 0 not in add[a]))
     first_fail("mul-associative", mul_assoc,
                ((a, b, c) for a in ids for b in ids for c in ids
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]]))
-    first_fail("mul-identity", mul[ring.one] == ids == mul_t[ring.one],
+    first_fail("mul-identity", M[ring.one] == bytes(ids) == MT[ring.one],
                ((a,) for a in ids if mul[ring.one][a] != a or mul[a][ring.one] != a))
     first_fail("left-distributive", left,
                ((a, b, c) for a in ids for b in ids for c in ids
@@ -266,16 +310,18 @@ def _axiom_report(ring: FiniteRing) -> AxiomReport:
 
 
 def units(ring: FiniteRing) -> frozenset[int]:
-    """Two-sided invertible elements: {u | exists v with uv = vu = 1}."""
+    """Two-sided invertible elements: {u | exists v with uv = vu = 1}, each
+    v with uv = 1 found in byte row u and its vu read."""
     mul, one = ring.mul_table, ring.one
     return ring.once("units", lambda: frozenset(
-        u for u in ring.elements()
-        if any(mul[u][v] == one and mul[v][u] == one for v in ring.elements())))
+        u for u, row in enumerate(ring.byte_rows().mul)
+        if any(mul[v][u] == one for v in positions(row, one))))
 
 
 def unit_inverse(ring: FiniteRing, u: int) -> int:
-    for v in ring.elements():
-        if ring.mul_table[u][v] == ring.one and ring.mul_table[v][u] == ring.one:
+    mul, one = ring.mul_table, ring.one
+    for v in positions(ring.byte_rows().mul[u], one):
+        if mul[v][u] == one:
             return v
     raise ValueError(f"{ring.describe(u)} is not a unit of {ring.label}")
 
@@ -373,12 +419,13 @@ def _validated(ring: FiniteRing) -> FiniteRing:
 
 
 def ring_zn(n: int) -> FiniteRing:
-    """Z_n, the integers modulo n (n >= 2)."""
+    """Z_n, the integers modulo n (n >= 2): row i of + is a slice of the
+    ids repeated n times, and row i of * every i-th id of it."""
     if n < 2:
         raise MalformedSpec(f"Zn requires n >= 2, got {n}")
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-    return FiniteRing(f"Z{n}", add, mul, one=1)
+    cycle = tuple(range(n)) * n  # cycle[k] = k mod n for k < n^2
+    return FiniteRing(f"Z{n}", [cycle[i:i + n] for i in range(n)],
+                      [(0,) * n, *(cycle[:i * n:i] for i in range(1, n))], one=1)
 
 
 def _check_cap(size, what: str):
@@ -419,39 +466,65 @@ def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> Fi
     return _validated(ring)
 
 
-def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul_row, one: tuple) -> FiniteRing:
+def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul_row, one: tuple,
+               shifts: list[bytes] | None) -> FiniteRing:
     """The ring on the pairs (a, b), a in r1 and b in r2, pair (a, b) with id
     a*|r2| + b: added componentwise, and mul_row(a, b) lists the ids of
     (a, b)(c, d) in id order. Tables are built a row at a time."""
     n2 = r2.size
     pairs = [(a, b) for a in range(r1.size) for b in range(n2)]
     add1, add2 = r1.add_table, r2.add_table
-    return FiniteRing(label, [_pair_row(add1[a], add2[b], n2) for a, b in pairs],
+    return FiniteRing(label, [_pair_row(add1[a], add2[b], n2, shifts) for a, b in pairs],
                       [mul_row(a, b) for a, b in pairs], one=one[0] * n2 + one[1],
                       names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
 
 
-def _pair_row(first, second, n2: int) -> list[int]:
-    """The ids of the pairs (first[c], second[d]), c-major."""
-    return [h + l for h in [v * n2 for v in first] for l in second]
+def _shifts(n1: int, n2: int) -> list[bytes] | None:
+    """shifts[h], a translate table from l to h*n2 + l, the id of the pair
+    (h, l), for h < n1; None when the pair ids do not fit in a byte."""
+    if n1 * n2 > DEFAULT_SIZE_CAP:
+        return None
+    pad = bytes(256 - n2)
+    return [bytes(range(h, h + n2)) + pad for h in range(0, n1 * n2, n2)]
+
+
+def _pair_row(first, second, n2: int, shifts: list[bytes] | None) -> Sequence[int]:
+    """The ids of the pairs (first[c], second[d]), c-major: `second` shifted
+    by first[c] for each c, or one entry at a time without shift tables."""
+    if shifts is None:
+        return [h + l for h in [v * n2 for v in first] for l in second]
+    return tuple(b"".join(map(bytes(second).translate, map(shifts.__getitem__, first))))
 
 
 def ring_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
     """Direct product; pair (a, b) gets id a*|r2| + b."""
     mul1, mul2, n2 = r1.mul_table, r2.mul_table, r2.size
+    shifts = _shifts(r1.size, n2)
     return _pair_ring(f"{r1.label}x{r2.label}", r1, r2,
-                      lambda a, b: _pair_row(mul1[a], mul2[b], n2), (r1.one, r2.one))
+                      lambda a, b: _pair_row(mul1[a], mul2[b], n2, shifts),
+                      (r1.one, r2.one), shifts)
 
 
 def ring_trivial_extension(base: FiniteRing) -> FiniteRing:
-    """Pairs (a, b) over the base with (a,b)(c,d) = (ac, ad + bc)."""
+    """Pairs (a, b) over the base with (a,b)(c,d) = (ac, ad + bc). With shift
+    tables, the block of row (a, b) at c is ad over d translated by
+    sums[ac][bc], which maps e to the id of the pair (ac, e + bc)."""
     add, mul, n = base.add_table, base.mul_table, base.size
+    shifts = _shifts(n, n)
+    if shifts is None:
+        def row(a, b):
+            ma, mb = mul[a], mul[b]
+            return [ma[c] * n + add[ma[d]][mb[c]] for c in range(n) for d in range(n)]
+    else:
+        pad = bytes(256 - n)
+        sums = [[(bytes(col) + pad).translate(shift) for col in zip(*add)] for shift in shifts]
+        rows = [bytes(r) for r in mul]
 
-    def row(a, b):
-        ma, mb = mul[a], mul[b]
-        return [ma[c] * n + add[ma[d]][mb[c]] for c in range(n) for d in range(n)]
+        def row(a, b):
+            return tuple(b"".join([rows[a].translate(sums[x][y])
+                                   for x, y in zip(mul[a], mul[b])]))
 
-    return _pair_ring(f"T({base.label},{base.label})", base, base, row, (base.one, 0))
+    return _pair_ring(f"T({base.label},{base.label})", base, base, row, (base.one, 0), shifts)
 
 
 def ring_gf4() -> FiniteRing:

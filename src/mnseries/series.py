@@ -344,6 +344,7 @@ class WindowAlgebra:
             raise MalformedSpec(f"window exponents must be distinct: {window!r}")
         self.twist = twist
         self.window = win
+        self.ascending = win == sorted(win)
         # slot[i][j]: the index of x_i x_j in `products`
         self.products, self.slot = _product_slots(grp, win)
         # xw[k]: the position pairs (i, j) with x_i x_j = products[k],
@@ -429,13 +430,21 @@ class WindowAlgebra:
         pairs (i, j) with slot[i][j] = k. These are the tables a trace reads,
         so this one check vouches for every term of every series the window
         holds; a trace over checked tables compares none of its conclusions
-        again."""
+        again. Row term[i][a][j] is compared, as a list, with sigma_x's map
+        translated through byte row a, then column tau(x, y); only a row that
+        differs is scanned against term_product, to name its first wrong b."""
         twist, win = self.twist, self.window
         grp, elems = twist.group, twist.ring.elements()
+        rows = twist.ring.byte_rows()
         for i, x in enumerate(win):
+            moved = bytes(twist.sigma_at(x).map)
+            scaled = [moved.translate(tab) for tab in rows.mul_tab]  # a sigma_x(b) over b
             for j, y in enumerate(win):
+                tau = rows.mul_t_tab[twist.tau_at(x, y)]
                 for a in elems:
                     row = self.term[i][a][j]
+                    if row == list(scaled[a].translate(tau)):
+                        continue
                     for b in elems:
                         if row[b] != term_product(twist, a, x, b, y):
                             raise TraceMismatch(
@@ -480,7 +489,11 @@ class WindowAlgebra:
         win = self.window
 
         def ends(series):
-            """The leading and the trailing term of each series, None for 0."""
+            """The leading and the trailing term of each series, None for 0: the
+            first and last listed when the window is ascending, as a universe's is."""
+            if self.ascending:
+                return ([s[0] if s else None for s in series],
+                        [s[-1] if s else None for s in series])
             return ([min(s, key=lambda t: win[t[0]]) if s else None for s in series],
                     [max(s, key=lambda t: win[t[0]]) if s else None for s in series])
 

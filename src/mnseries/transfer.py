@@ -46,7 +46,7 @@ from .properties import (PropertyReport, fusible_decompositions,
                          is_G_armendariz, is_left_fusible, is_SA,
                          is_sigma_compatible_ring, sigma_u_zip_witness,
                          zero_divisor_sets)
-from .rings import DEFAULT_SIZE_CAP, Memo, greedy_generators
+from .rings import Memo, greedy_generators, require_byte_ids
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar, series_make,
                      series_mul, series_to_json, term_product)
 
@@ -77,10 +77,7 @@ class TruncatedUniverse(Memo):
     in a byte."""
 
     def __init__(self, twist: TwistSystem, window: Iterable):
-        ring = twist.ring
-        if ring.size > DEFAULT_SIZE_CAP:
-            raise SizeCapExceeded(f"ring {ring.label} has {ring.size} elements, "
-                                  f"cap {DEFAULT_SIZE_CAP}", {"size_cap": DEFAULT_SIZE_CAP})
+        require_byte_ids(twist.ring)
         grp = twist.group
         win = sorted({grp.canon(x) for x in window})
         if not win:
@@ -172,7 +169,7 @@ class TruncatedUniverse(Memo):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
         rep, add, neg = self._cosets(frozenset(members))
-        mul, size = self.algebra.multiply, self.twist.ring.size
+        mul, size = self.checked_algebra().multiply, self.twist.ring.size
         factors = list(factors)
         # phi[j][b], as the bytes of its coefficients (ring elements < 256)
         phi = [[bytes(rep[c] for s in factors
@@ -218,7 +215,7 @@ class TruncatedUniverse(Memo):
         prune only k = 0: b sigma(c) tau != 0."""
         distinct = list(dict.fromkeys(map(tuple, hs)))
         found: dict[tuple, list[int]] = {h: [] for h in distinct}
-        for p, q, _ in self.algebra.join(distinct, {0}, self.terms()):
+        for p, q, _ in self.checked_algebra().join(distinct, {0}, self.terms()):
             if q:  # member 0 is the zero series
                 found[distinct[p]].append(q)
         return [found[tuple(h)] for h in hs]
@@ -722,7 +719,7 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
     sigma_x(U) = U) every term s(x) sigma_x(h(y)) tau(x, y), sum, remainder
     and multiple the trace tests lies in U for any h with U-coefficients,
     and the trace's skeleton depends only on the supports. The universe's
-    table check runs before the first quotient and vouches for the terms
+    table check, which its quotient kernel runs first, vouches for the terms
     the quotients read and for those of the h it does not trace; a failed
     check raises its TraceMismatch. On
     checked tables the first failing h is the first of its support, so a
@@ -744,9 +741,6 @@ def series_zip_witness(X: Sequence[Series], U: IdealSet,
         raise PreconditionFail("X lies inside the U-coefficient series")
     if not universe.has_identity:
         raise PreconditionFail("universe window must contain the group identity")
-    # the table check vouches for every term the quotients below and the
-    # extraction read, so it runs before the first of them
-    universe.checked_algebra()
     u_series = universe.with_coeffs_in(U.members)
     q = universe.quotient([universe.terms_of(s) for s in X], U.members, "right")
     if q != u_series:

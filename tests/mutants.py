@@ -90,8 +90,8 @@ MUTANTS = {
     "killers-join-k-times-h": Mutant(
         "the batch join keeps the k with k*h = 0, not h*k = 0",
         "mnseries/transfer.py",
-        "for p, q, _ in self.algebra.join(distinct, {0}, self.terms()):",
-        "for q, p, _ in self.algebra.join(self.terms(), {0}, distinct):",
+        "for p, q, _ in self.checked_algebra().join(distinct, {0}, self.terms()):",
+        "for q, p, _ in self.checked_algebra().join(self.terms(), {0}, distinct):",
         (_UNIVERSE, "-k", "batch_killers_match_the_scan")),
     "killers-keep-the-zero-series": Mutant(
         "the zero series is left among each h's killers",
@@ -180,9 +180,16 @@ MUTANTS = {
         "the trailing term is taken at the least exponent, so the join prunes by "
         "leading term alone",
         "mnseries/series.py",
-        "[max(s, key=",
-        "[min(s, key=",
+        "[s[-1] if s else None",
+        "[s[0] if s else None",
         ("tests/test_window.py", "-k", "join_multiplies_only_pairs")),
+    "join-ends-of-an-unsorted-window-by-position": Mutant(
+        "the join takes each series' first and last listed terms as its ends on an "
+        "unsorted window too, where the least exponent need not come first",
+        "mnseries/series.py",
+        "            if self.ascending:\n",
+        "            if True:\n",
+        ("tests/test_window.py", "-k", "join_prunes_no_qualifying_pair")),
     # the ideal lattices joined from the product table's principal ideals
     "right-lattice-reads-columns": Mutant(
         "the principal right ideals are read from the columns of the product table",
@@ -207,23 +214,23 @@ MUTANTS = {
     # the earlier table and window fast paths
     "left-annihilator-reads-rows": Mutant(
         "l(X) reads the rows x of the product table, not its columns",
-        "mnseries/ideals.py",
-        'if side == "right" else map(itemgetter(x), ring.mul_table)',
-        'if side == "right" else ring.mul_table[x]',
+        "mnseries/rings.py",
+        '(self.mul if side == "right" else self.mul_t)',
+        '(self.mul if side == "right" else self.mul)',
         ("tests/test_table_kernels.py", "-k", "annihilators_match_the_elementwise_scans")),
     # the row masks of the ideals layer and of the zip searches, in the ring's memo
     "mask-memo-key-without-side": Mutant(
         "the row masks are filed without their side, so l(X) reads the masks of r(X)",
         "mnseries/ideals.py",
-        "masks = ring.once((kernel, keep, side), dict)",
-        "masks = ring.once((kernel, keep), dict)",
+        "return ring.once((kernel, keep, side), lambda: (",
+        "return ring.once((kernel, keep), lambda: (",
         ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
     "mask-memo-key-without-kept-set": Mutant(
         "the row masks are filed without their kept set, so (U:X) reads the masks of "
         "another U",
         "mnseries/ideals.py",
-        "masks = ring.once((kernel, keep, side), dict)",
-        "masks = ring.once((kernel, side), dict)",
+        "return ring.once((kernel, keep, side), lambda: (",
+        "return ring.once((kernel, side), lambda: (",
         ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
     "meet-set-drops-the-top-bit": Mutant(
         "a meet's element set leaves out its highest element",
@@ -241,15 +248,22 @@ MUTANTS = {
     "row-mask-without-reversal": Mutant(
         "a row's bytes are translated first position first, so bit a of its mask "
         "reads the entry at the mirrored position",
-        "mnseries/ideals.py",
-        "int(bytes(row)[::-1].translate(table), 2)",
-        "int(bytes(row).translate(table), 2)",
-        ("tests/test_table_kernels.py", "-k", "translated_row_masks_match")),
+        "mnseries/rings.py",
+        "row[::-1] for row in (self.mul",
+        "row for row in (self.mul",
+        ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
+    "reversed-rows-memo-key-without-side": Mutant(
+        "the byte rows' reversed rows are filed without their side, so the masks of "
+        "l(X) read the reversed rows of r(X)",
+        "mnseries/rings.py",
+        'self.once(("reversed", side), lambda: [',
+        'self.once("reversed", lambda: [',
+        ("tests/test_table_kernels.py", "-k", "interleaved_kernels_keep_their_own_masks")),
     "singleton-masks-read-columns": Mutant(
         "the masks of (U:{v}) read column v of the product table, not row v",
         "mnseries/ideals.py",
-        "for row in U.ring.mul_table)",
-        "for row in zip(*U.ring.mul_table))",
+        'for row in U.ring.byte_rows().reversed("right"))',
+        'for row in U.ring.byte_rows().reversed("left"))',
         ("tests/test_table_kernels.py", "-k", "meet_count_matches_the_subset_count_on_small")),
     # the subset DP that decides a whole pool of zip subsets
     "subset-dp-ranks-by-mask-value": Mutant(
@@ -368,14 +382,6 @@ MUTANTS = {
         "least = min(U.members - {0}, default=None)",
         "least = max(U.members - {0}, default=None)",
         ("tests/test_orbit_scan.py", "-k", "traces_each_support_once")),
-    "series-zip-skips-the-table-check": Mutant(
-        "series-zip takes quotients and traces one h per support over tables it has "
-        "not checked",
-        "mnseries/transfer.py",
-        "    universe.checked_algebra()\n    u_series = ",
-        "    u_series = ",
-        ("tests/test_orbit_scan.py", "-k",
-         "no_trace_reads_fails_series_zip or quotient_reads_fails_series_zip")),
     "extract-oracle-reads-the-term-table": Mutant(
         "coefficient_extraction compares each conclusion with its own unchecked term "
         "table, not with term_product",
@@ -417,11 +423,73 @@ MUTANTS = {
         ("tests/test_cli.py", "-k", "lazy_zip_core_fails_zip_specialization_agreement")),
     "trivial-extension-row-reads-b-times-d": Mutant(
         "the trivial extension's product reads b*d where (a, b)(c, d) = (ac, ad + bc) "
-        "needs b*c",
+        "needs b*c, in the build one entry at a time",
         "mnseries/rings.py",
         "add[ma[d]][mb[c]]",
         "add[ma[d]][mb[d]]",
+        ("tests/test_rings.py", "-k", "pair_rings_match_the_per_entry_build and Z17")),
+    # the scans on a ring's byte rows
+    "trivial-extension-sums-swapped": Mutant(
+        "the trivial extension's byte block at c takes its first component from b*c "
+        "and adds a*c, the two products swapped",
+        "mnseries/rings.py",
+        "for x, y in zip(mul[a], mul[b])",
+        "for x, y in zip(mul[b], mul[a])",
         ("tests/test_rings.py", "-k", "pair_rings_match_the_per_entry_build")),
+    "pair-shift-table-off-by-one": Mutant(
+        "each shift table maps l to h*n2 + l + 1, one past the id of the pair (h, l)",
+        "mnseries/rings.py",
+        "for h in range(0, n1 * n2, n2)]",
+        "for h in range(1, n1 * n2 + 1, n2)]",
+        ("tests/test_rings.py", "-k", "pair_rings_match_the_per_entry_build")),
+    "left-distributive-row-from-the-wrong-side": Mutant(
+        "the left-distributivity row test reads a(b + c) from column a, as (b + c)a",
+        "mnseries/rings.py",
+        "left = all(A[b].translate(Mt[a])",
+        "left = all(A[b].translate(MTt[a])",
+        ("tests/test_table_kernels.py", "-k", "decided_by_the_row_tests_alone")),
+    "zero-divisor-find-from-position-0": Mutant(
+        "a left zero-divisor is found by any 0 in its byte row, a*0 = 0 included, so "
+        "every element divides zero",
+        "mnseries/properties.py",
+        "for a, row in enumerate(rows.mul) if row.find(0, 1) >= 0)",
+        "for a, row in enumerate(rows.mul) if row.find(0) >= 0)",
+        ("tests/test_table_kernels.py", "-k", "units_and_zero_divisors_match")),
+    "sigma-compat-skips-the-witness-rescan": Mutant(
+        "sigma-compatibility reports the first row that differs with b = 0, without "
+        "scanning that row for the first failing b",
+        "mnseries/ideals.py",
+        "                b = next(b for b in ring.elements()\n"
+        "                         if (mul[a][b] in U.members) != (mul[a][s.map[b]] in U.members))\n",
+        "                b = 0\n",
+        ("tests/test_table_kernels.py", "-k", "sigma_compatibility_matches")),
+    "units-group-closure-reads-one-row": Mutant(
+        "the units-group check tests the products of the first unit only",
+        "mnseries/cli.py",
+        "closed = all(us.issuperset(map(mul[a].__getitem__, us)) for a in us)",
+        "closed = all(us.issuperset(map(mul[a].__getitem__, us)) for a in sorted(us)[:1])",
+        ("tests/test_table_kernels.py", "-k", "units_group_check_matches_on_every_set")),
+    "table-check-passes-every-row": Mutant(
+        "the table check takes every term row as equal to its translated row, so no "
+        "entry is compared",
+        "mnseries/series.py",
+        "if row == list(scaled[a].translate(tau)):",
+        "if True:",
+        (_UNIVERSE, "-k", "table_check_matches_the_per_entry_check")),
+    "universe-quotient-skips-the-table-check": Mutant(
+        "the universe's quotient kernel, which lemma4.3, thm4.5 and series-zip take "
+        "quotients and annihilators with, multiplies through tables it has not checked",
+        "mnseries/transfer.py",
+        "mul, size = self.checked_algebra().multiply,",
+        "mul, size = self.algebra.multiply,",
+        (_UNIVERSE, "tests/test_orbit_scan.py", "-k",
+         "wrong_term_fails_the_lifted_annihilator_check or quotient_reads_fails_series_zip")),
+    "killers-skip-the-table-check": Mutant(
+        "the killers join reads tables it has not checked",
+        "mnseries/transfer.py",
+        "self.checked_algebra().join(distinct, {0}, self.terms())",
+        "self.algebra.join(distinct, {0}, self.terms())",
+        (_UNIVERSE, "-k", "wrong_term_fails_the_killers_join")),
 }
 
 CHEAP = "kernel-matches-v-not-minus-v"

@@ -25,6 +25,9 @@ a ring with + relabelled, F2^k algebras and loops. The product and the
 trivial extension are also built here one entry at a time, as the library
 built them before it built a row at a time, and the SA table is also
 formed here with a set sum of elementwise annihilators for every pair.
+So are the scans that now run on a ring's byte rows: Z_n, the units and
+the units-group check, the zero-divisor sets, sigma-compatibility and a
+window algebra's table check, each one entry at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from typing import Any
 
 from mnseries.errors import (HypothesisFails, PreconditionFail, RingMismatch, TraceMismatch,
                              TwistMismatch, ZeroElement)
-from mnseries.ideals import (IdealSet, enumerate_ideals, quotient_ideal, set_sum,
+from mnseries.ideals import (IdealSet, SigmaCompatResult, close_under_inverses,
+                             enumerate_ideals, quotient_ideal, set_sum,
                              weak_annihilator)
-from mnseries.properties import (PropertyReport, check_pair_cap, fusible_decompositions,
+from mnseries.properties import (PropertyReport, ZeroDivisorSets, check_pair_cap,
+                                 fusible_decompositions,
                                  sigma_u_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing
 from mnseries.series import (Series, TwistSystem, WindowAlgebra, _same_twist, embed_scalar,
@@ -85,6 +90,76 @@ def per_entry_trivial_extension(base: FiniteRing) -> FiniteRing:
     return per_entry_pair_ring(f"T({base.label},{base.label})", base, base,
                                lambda a, b, c, d: (mul[a][c], add[mul[a][d]][mul[b][c]]),
                                (base.one, 0))
+
+
+def per_entry_zn(n: int) -> FiniteRing:
+    """Z_n with every sum and product reduced mod n on its own."""
+    return FiniteRing(f"Z{n}", [[(i + j) % n for j in range(n)] for i in range(n)],
+                      [[(i * j) % n for j in range(n)] for i in range(n)], one=1)
+
+
+def per_entry_units(ring: FiniteRing) -> frozenset[int]:
+    """{u | uv = vu = 1 for some v}, every pair (u, v) tested."""
+    mul, one = ring.mul_table, ring.one
+    return frozenset(u for u in ring.elements()
+                     if any(mul[u][v] == one and mul[v][u] == one for v in ring.elements()))
+
+
+def per_entry_unit_inverse(ring: FiniteRing, u: int) -> int | None:
+    """The least v with uv = vu = 1, or None."""
+    mul, one = ring.mul_table, ring.one
+    return next((v for v in ring.elements() if mul[u][v] == one and mul[v][u] == one), None)
+
+
+def per_entry_units_group(ring: FiniteRing, us) -> bool:
+    """The `ring-axioms` suite's units-group verdict for the set `us`: it
+    holds 1, every product of two members and, for each member, a member
+    inverse to it on both sides."""
+    mul, one = ring.mul_table, ring.one
+    closed = all(mul[a][b] in us for a in us for b in us)
+    inverses = all(any(mul[a][b] == one and mul[b][a] == one for b in us) for a in us)
+    return one in us and closed and inverses
+
+
+def per_entry_zero_divisor_sets(ring: FiniteRing) -> ZeroDivisorSets:
+    """a is a left (right) zero-divisor iff ar = 0 (ra = 0) for some r != 0."""
+    elems, mul = ring.elements(), ring.mul_table
+    left = frozenset(a for a in elems if any(r != 0 and mul[a][r] == 0 for r in elems))
+    right = frozenset(a for a in elems if any(r != 0 and mul[r][a] == 0 for r in elems))
+    all_set = frozenset(elems)
+    return ZeroDivisorSets(left, all_set - left, right, all_set - right)
+
+
+def per_entry_sigma_compatible(U: IdealSet, sigma_family) -> SigmaCompatResult:
+    """ab in U <-> a*sigma(b) in U, every (sigma, a, b) tested in order."""
+    ring, mul = U.ring, U.ring.mul_table
+    for idx, s in enumerate(close_under_inverses(sigma_family)):
+        for a in ring.elements():
+            for b in ring.elements():
+                if (mul[a][b] in U.members) != (mul[a][s.map[b]] in U.members):
+                    return SigmaCompatResult(False, (a, b, idx))
+    return SigmaCompatResult(True)
+
+
+def per_entry_check_tables(alg: WindowAlgebra) -> None:
+    """WindowAlgebra.check_tables with every `term` entry compared with
+    term_product on its own, in (x, y, a, b) order."""
+    twist, win = alg.twist, alg.window
+    grp, elems = twist.group, twist.ring.elements()
+    for i, x in enumerate(win):
+        for j, y in enumerate(win):
+            for a in elems:
+                for b in elems:
+                    if alg.term[i][a][j][b] != term_product(twist, a, x, b, y):
+                        raise TraceMismatch(
+                            f"term table disagrees with term_product at "
+                            f"({grp.to_json(x)}, {grp.to_json(y)}), a={a}, b={b}")
+    positions = range(len(win))
+    for k, pairs in enumerate(alg.xw):
+        if sorted(pairs) != [(i, j) for i in positions for j in positions
+                             if alg.slot[i][j] == k]:
+            raise TraceMismatch(f"X_w pairs disagree with the product slots at "
+                                f"w={grp.to_json(alg.products[k])}")
 
 
 def pairwise_sa_table(ring: FiniteRing) -> list[dict] | None:

@@ -976,10 +976,12 @@ def test_lying_singleton_masks_fail_examples_with_a_named_mismatch(monkeypatch, 
 
 
 _LYING_MEMOS = {
-    # the quotient masks of the ideals layer set every bit: (U:X) = R for every X
-    "ideals": ("(U:V)", lambda ring: dict.fromkeys(ring.elements(), (1 << ring.size) - 1)),
+    # the quotient masks in the ideals layer's handle set every bit: (U:X) = R
+    # for every X; the handle's other parts are the real ones
+    "ideals": ("(U:V)", lambda ring, handle: (
+        dict.fromkeys(ring.elements(), (1 << ring.size) - 1), *handle()[1:])),
     # the masks of the zip searches set every bit: r(X) = R for every X
-    "properties": ("zip row masks", lambda ring: ((1 << ring.size) - 1,) * ring.size),
+    "properties": ("zip row masks", lambda ring, build: ((1 << ring.size) - 1,) * ring.size),
 }
 
 
@@ -993,7 +995,7 @@ def test_a_lying_mask_memo_fails_zip_specialization_agreement(monkeypatch, capsy
     real = rings.Memo.once
 
     def once(self, key, compute):
-        return real(self, key, (lambda: lie(self)) if key[:1] == (tag,) else compute)
+        return real(self, key, (lambda: lie(self, compute)) if key[:1] == (tag,) else compute)
 
     monkeypatch.setattr(rings.Memo, "once", once)
     assert main(["verify", "z4_example_5_5", "--suite", "examples", "--format", "json"]) == 1

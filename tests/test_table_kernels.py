@@ -27,11 +27,19 @@ masks, built from the bytes of a row, must set the bits the rows do on
 rings whose ids fill a byte. On tables with one entry changed, rings
 with + relabelled, F2^k algebras and loops, so must every (axiom, ok,
 witness), and a witness scan may run only for an axiom that fails.
+
+The scans on a ring's byte rows (Z_n, units and unit inverses, the
+units-group check, the zero-divisor sets, sigma-compatibility, and
+products and trivial extensions built a row at a time) must give what
+their per-entry oracles give, witnesses included, on the rings above, on
+random tables that are not rings, on loops, and under random permutations
+that break sigma-compatibility.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from unittest import mock
 
@@ -39,10 +47,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mnseries import properties, rings
+from mnseries import cli, properties, rings
 from mnseries.errors import SizeCapExceeded
 from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
-                             ideal_closure, keep_table, nil_radical, quotient_ideal,
+                             ideal_closure, is_sigma_compatible_ideal, keep_table,
+                             nil_radical, quotient_ideal,
                              quotient_masks, row_mask, set_sum, singleton_quotient_masks,
                              subgroup_sum, weak_annihilator)
 from mnseries.properties import (DEFAULT_WITNESS_CAP, HYPOTHESIS_FAILS, NOT_APPLICABLE,
@@ -50,13 +59,16 @@ from mnseries.properties import (DEFAULT_WITNESS_CAP, HYPOTHESIS_FAILS, NOT_APPL
                                  _right_zip, _right_zip_pool, _sigma_u_zip, _sigma_u_zip_pool,
                                  _subset_meets, _weak_zip, _weak_zip_pool, is_IN, is_SA,
                                  right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
-                                 weak_zip_witness)
-from mnseries.rings import (FiniteRing, check_ring_axioms, ring_from_table, ring_product,
-                            ring_trivial_extension, ring_zn)
+                                 weak_zip_witness, zero_divisor_sets)
+from mnseries.rings import (FiniteRing, RingAutomorphism, check_ring_axioms, ring_from_table,
+                            ring_product, ring_trivial_extension, ring_zn, unit_inverse, units)
 from oracles import (additive_span, elementwise_annihilator, elementwise_kind,
                      elementwise_weak_annihilator, f2_algebra_table,
                      f2_matrix_algebra_table, loop_table,
                      membership_quotient, minimal_subset, pairwise_sa_table,
+                     per_entry_product, per_entry_sigma_compatible,
+                     per_entry_trivial_extension, per_entry_unit_inverse, per_entry_units,
+                     per_entry_units_group, per_entry_zero_divisor_sets, per_entry_zn,
                      relabelled_add_table,
                      subset_dp_qualifying,
                      subset_right_zip_witness, subset_sigma_u_zip_witness,
@@ -558,9 +570,9 @@ def test_minimal_subsets_match_the_per_subset_search(masks, kind, value, data):
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=256),
        st.frozensets(st.integers(0, 255)))
 def test_translated_row_masks_match_the_bits_of_the_row(row, keep):
-    """row_mask sets bit a iff row[a] is kept, for ids up to 255 at every
-    position up to 255."""
-    assert row_mask(row, keep_table(_ring("Zn", 256), keep)) == \
+    """row_mask, given a row's bytes last position first, sets bit a iff
+    row[a] is kept, for ids up to 255 at every position up to 255."""
+    assert row_mask(bytes(row)[::-1], keep_table(_ring("Zn", 256), keep)) == \
         sum(1 << a for a, v in enumerate(row) if v in keep)
 
 
@@ -660,3 +672,123 @@ def test_meet_counts_match_the_subsets_on_generated_masks(masks):
                 meet &= mask
         expected[meet] = expected.get(meet, 0) + 1
     assert _meet_counts(masks) == expected
+
+
+# --- scans on byte rows ------------------------------------------------------------
+
+
+@st.composite
+def _random_tables(draw, max_size=6):
+    """A ring object on any add and mul tables of 2..max_size elements: no
+    axiom need hold."""
+    n = draw(st.integers(2, max_size))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    return FiniteRing(f"random {n}", draw(table), draw(table), draw(st.integers(0, n - 1)))
+
+
+def _scanned_rings():
+    """Rings of at most 16 elements, UT2(Z2) and UT2(Z4), random tables and
+    loops."""
+    return st.one_of(_ring_keys().map(lambda key: _ring(*key)), _random_tables(),
+                     _loops().map(lambda add: _table_ring(loop_table(add))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scanned_rings())
+@example(_table_ring(loop_table(_LOOP6)))
+def test_units_and_zero_divisors_match_the_per_entry_scans(ring):
+    assert units(ring) == per_entry_units(ring)
+    for u in ring.elements():
+        inverse = per_entry_unit_inverse(ring, u)
+        if inverse is None:
+            with pytest.raises(ValueError, match="is not a unit"):
+                unit_inverse(ring, u)
+        else:
+            assert unit_inverse(ring, u) == inverse
+    assert zero_divisor_sets(ring) == per_entry_zero_divisor_sets(ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scanned_rings(), st.data())
+def test_units_group_check_matches_the_per_entry_check(ring, data):
+    """The ring-axioms suite's units-group verdict on the true units, and on
+    any set of elements passed off as the units, is the per-entry one."""
+    us = frozenset(data.draw(st.one_of(st.just(per_entry_units(ring)), st.frozensets(
+        st.integers(0, ring.size - 1)))))
+    fx = cli.Fixture(ring.label, ring)
+    with mock.patch.object(cli, "units", lambda _: us):
+        report = list(cli._suite_ring_axioms(fx, 0))[1]
+    assert report.prop == "units-group"
+    assert report.verdict == per_entry_units_group(ring, us), sorted(us)
+
+
+@pytest.mark.parametrize("n", [8, 12, 15])
+def test_units_group_check_matches_on_every_set_of_units_holding_one(n):
+    """Every set of units of Z_n holding 1, passed off as the units: in these
+    rings each unit's inverse is often itself, so many such sets fail only
+    closure, and some only at a product of two units other than 1."""
+    ring = ring_zn(n)
+    fx = cli.Fixture(ring.label, ring)
+    others = sorted(per_entry_units(ring) - {1})
+    for k in range(len(others) + 1):
+        for chosen in itertools.combinations(others, k):
+            us = frozenset({1, *chosen})
+            with mock.patch.object(cli, "units", lambda _: us):
+                report = list(cli._suite_ring_axioms(fx, 0))[1]
+            assert report.verdict == per_entry_units_group(ring, us), sorted(us)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scanned_rings(), st.data())
+def test_sigma_compatibility_matches_the_per_entry_scan(ring, data):
+    """On any kept set U and any permutations (the identity keeps every U
+    compatible; most others break it), the same verdict and the same first
+    (a, b, sigma) witness."""
+    U = IdealSet(ring, data.draw(st.frozensets(st.integers(0, ring.size - 1))), "subset")
+    perms = data.draw(st.lists(st.permutations(range(ring.size)), min_size=1, max_size=2))
+    family = [RingAutomorphism(ring, p) for p in perms]
+    assert is_sigma_compatible_ideal(U, family) == per_entry_sigma_compatible(U, family)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 300))
+@example(256)
+@example(257)
+def test_zn_matches_the_per_entry_build(n):
+    fast, slow = ring_zn(n), per_entry_zn(n)
+    assert (fast.label, fast.one) == (slow.label, slow.one)
+    assert fast.add_table == slow.add_table
+    assert fast.mul_table == slow.mul_table
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_tables(max_size=5), _random_tables(max_size=5))
+def test_pair_rings_of_random_tables_match_the_per_entry_build(r1, r2):
+    """Products and trivial extensions of tables that need not be rings,
+    + noncommutative among them."""
+    for fast, slow in ((ring_product(r1, r2), per_entry_product(r1, r2)),
+                       (ring_trivial_extension(r1), per_entry_trivial_extension(r1))):
+        assert fast.add_table == slow.add_table
+        assert fast.mul_table == slow.mul_table
+
+
+def test_byte_rows_hold_the_tables_and_refuse_z257():
+    """The view's rows are the tables' rows, its columns the product's
+    columns, each padded to 256 bytes as a translate table and reversed per
+    side; Z257 builds, but its ids do not fit in a byte, so it has no view."""
+    ring = ring_from_table(ut2_table(2))
+    rows = ring.byte_rows()
+    assert rows is ring.byte_rows()
+    assert rows.add == [bytes(row) for row in ring.add_table]
+    assert rows.mul == [bytes(row) for row in ring.mul_table]
+    assert rows.mul_t == [bytes(col) for col in zip(*ring.mul_table)]
+    for plain, padded in ((rows.add, rows.add_tab), (rows.mul, rows.mul_tab),
+                          (rows.mul_t, rows.mul_t_tab)):
+        assert padded == [row + bytes(256 - ring.size) for row in plain]
+    assert rows.reversed("right") == [row[::-1] for row in rows.mul]
+    assert rows.reversed("left") == [col[::-1] for col in rows.mul_t]
+    z257 = ring_zn(257)
+    assert z257.mul_table[256][256] == 1 and z257.add_table[256][1] == 0
+    with pytest.raises(SizeCapExceeded, match="ring Z257 has 257 elements, cap 256"):
+        z257.byte_rows()

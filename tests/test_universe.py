@@ -28,7 +28,8 @@ from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, ma
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import (ring_from_table, ring_gf4, ring_product, ring_trivial_extension,
                             ring_zn, units)
-from mnseries.series import series_make, series_mul, trivial_twist, twist_from_spec
+from mnseries.series import (WindowAlgebra, series_make, series_mul, trivial_twist,
+                             twist_from_spec)
 from mnseries.transfer import (TruncatedUniverse, extraction_scan, lift_universe,
                                series_zip_witness)
 from oracles import (exhaustive_series, lift_fusible_decomposition,
@@ -615,6 +616,58 @@ def test_a_failed_table_check_raises_before_the_window_is_enumerated(monkeypatch
                                             r"at \(0, 0\), a=3, b=2$"):
         extraction_scan(universe, fx.ideals["U"])
     assert len(calls) == 0
+
+
+def _z4_example_with_a_wrong_term():
+    """z4_example_5_5 over 0..1 with 2 * sigma_0(2) * tau(0, 0) set to 2 (it is 0)."""
+    fx = cli.load_fixture(cli.resolve_fixture("z4_example_5_5"))
+    universe = TruncatedUniverse(fx.twist, fx.group.window(0, 1))
+    assert universe.window == [0, 1] and universe.algebra.term[0][2][0][2] == 0
+    universe.algebra.term[0][2][0][2] = 2
+    return fx, universe
+
+
+_WRONG_TERM = r"^term table disagrees with term_product at \(0, 0\), a=2, b=2$"
+
+
+def test_a_wrong_term_fails_the_lifted_annihilator_check_with_the_table_check():
+    """The universe's quotient kernel, which lemma4.3's and thm4.5's
+    annihilators run on, checks the window tables first, so the lifted
+    annihilator check raises the table check's message rather than a False
+    verdict with annihilator-lift witnesses."""
+    fx, universe = _z4_example_with_a_wrong_term()
+    U = fx.ideals["U"]
+    with pytest.raises(TraceMismatch, match=_WRONG_TERM):
+        transfer.lifted_annihilator_check(U, U, "left", universe)
+
+
+def test_a_wrong_term_fails_the_killers_join_with_the_table_check():
+    """prop3.2's killers join reads the same tables, through the same check."""
+    _, universe = _z4_example_with_a_wrong_term()
+    with pytest.raises(TraceMismatch, match=_WRONG_TERM):
+        universe.killers([[(0, 2)]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.data())
+def test_the_table_check_matches_the_per_entry_check_on_a_changed_entry(name, data):
+    """One term entry set to any value, out of range ones too: the row
+    check passes or raises exactly as the check of every entry does, with
+    the same message."""
+    universe = CASES[name]
+    alg = WindowAlgebra(universe.twist, universe.window)
+    w, n = len(alg.window), universe.twist.ring.size
+    i, j = (data.draw(st.integers(0, w - 1)) for _ in range(2))
+    a, b = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    alg.term[i][a][j][b] = data.draw(st.integers(-1, n + 300))
+    outcomes = []
+    for check in (alg.check_tables, lambda: oracles.per_entry_check_tables(alg)):
+        try:
+            check()
+            outcomes.append(None)
+        except TraceMismatch as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):

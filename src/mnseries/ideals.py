@@ -351,7 +351,8 @@ class SigmaCompatResult:
 def is_sigma_compatible_ideal(U: IdealSet, sigma_family: Iterable[RingAutomorphism]) -> SigmaCompatResult:
     """ab in U <-> a*sigma(b) in U for every generator and inverse: byte row a
     against row a permuted by sigma, both through U's keep table; b is
-    scanned only in the first row that differs, for the first witness."""
+    scanned only in the first row that differs, for the first witness.
+    SizeCapExceeded above DEFAULT_SIZE_CAP elements."""
     ring = U.ring
     mul, rows = ring.mul_table, ring.byte_rows()
     keep = keep_table(ring, U.members)

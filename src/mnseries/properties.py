@@ -58,7 +58,8 @@ class ZeroDivisorSets:
 def zero_divisor_sets(ring: FiniteRing) -> ZeroDivisorSets:
     """Left/right zero-divisors and their complements; 0 always divides.
     a divides on the left iff byte row a holds a 0 after position 0, on
-    the right iff its byte column does. Scanned once per ring, like its units."""
+    the right iff its byte column does. Scanned once per ring, like its units;
+    SizeCapExceeded above DEFAULT_SIZE_CAP elements."""
     def scan():
         rows = ring.byte_rows()
         left = frozenset(a for a, row in enumerate(rows.mul) if row.find(0, 1) >= 0)

@@ -232,7 +232,8 @@ def check_ring_axioms(ring: FiniteRing) -> AxiomReport:
     an axiom that fails is scanned element by element, so its witness is
     the lexicographically first failing element, pair or triple. Scanned
     once per ring, like its units: a table ring's load and the ring-axioms
-    suite share one report.
+    suite share one report. A ring of more than DEFAULT_SIZE_CAP elements
+    has no byte rows and raises SizeCapExceeded.
     """
     return ring.once("axioms", lambda: _axiom_report(ring))
 
@@ -311,7 +312,8 @@ def _axiom_report(ring: FiniteRing) -> AxiomReport:
 
 def units(ring: FiniteRing) -> frozenset[int]:
     """Two-sided invertible elements: {u | exists v with uv = vu = 1}, each
-    v with uv = 1 found in byte row u and its vu read."""
+    v with uv = 1 found in byte row u and its vu read. SizeCapExceeded
+    above DEFAULT_SIZE_CAP elements, as for every byte-row scan."""
     mul, one = ring.mul_table, ring.one
     return ring.once("units", lambda: frozenset(
         u for u, row in enumerate(ring.byte_rows().mul)
@@ -319,6 +321,8 @@ def units(ring: FiniteRing) -> frozenset[int]:
 
 
 def unit_inverse(ring: FiniteRing, u: int) -> int:
+    """The two-sided inverse of u, found in byte row u as in `units`;
+    SizeCapExceeded above DEFAULT_SIZE_CAP elements."""
     mul, one = ring.mul_table, ring.one
     for v in positions(ring.byte_rows().mul[u], one):
         if mul[v][u] == one:
@@ -467,62 +471,59 @@ def ring_from_table(data: dict | str | Path, base_dir: Path | None = None) -> Fi
 
 
 def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul_row, one: tuple,
-               shifts: list[bytes] | None) -> FiniteRing:
+               shifts: list[bytes]) -> FiniteRing:
     """The ring on the pairs (a, b), a in r1 and b in r2, pair (a, b) with id
     a*|r2| + b: added componentwise, and mul_row(a, b) lists the ids of
     (a, b)(c, d) in id order. Tables are built a row at a time."""
     n2 = r2.size
     pairs = [(a, b) for a in range(r1.size) for b in range(n2)]
     add1, add2 = r1.add_table, r2.add_table
-    return FiniteRing(label, [_pair_row(add1[a], add2[b], n2, shifts) for a, b in pairs],
+    return FiniteRing(label, [_pair_row(add1[a], add2[b], shifts) for a, b in pairs],
                       [mul_row(a, b) for a, b in pairs], one=one[0] * n2 + one[1],
                       names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
 
 
-def _shifts(n1: int, n2: int) -> list[bytes] | None:
+def _shifts(n1: int, n2: int) -> list[bytes]:
     """shifts[h], a translate table from l to h*n2 + l, the id of the pair
-    (h, l), for h < n1; None when the pair ids do not fit in a byte."""
+    (h, l), for h < n1. SizeCapExceeded when the pair ids do not fit in a
+    byte, more than DEFAULT_SIZE_CAP of them."""
     if n1 * n2 > DEFAULT_SIZE_CAP:
-        return None
+        raise SizeCapExceeded(f"{n1}x{n2} pair ring would have {n1 * n2} elements, "
+                              f"cap {DEFAULT_SIZE_CAP}", {"size_cap": DEFAULT_SIZE_CAP})
     pad = bytes(256 - n2)
     return [bytes(range(h, h + n2)) + pad for h in range(0, n1 * n2, n2)]
 
 
-def _pair_row(first, second, n2: int, shifts: list[bytes] | None) -> Sequence[int]:
+def _pair_row(first, second, shifts: list[bytes]) -> tuple[int, ...]:
     """The ids of the pairs (first[c], second[d]), c-major: `second` shifted
-    by first[c] for each c, or one entry at a time without shift tables."""
-    if shifts is None:
-        return [h + l for h in [v * n2 for v in first] for l in second]
+    by first[c] for each c."""
     return tuple(b"".join(map(bytes(second).translate, map(shifts.__getitem__, first))))
 
 
 def ring_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
-    """Direct product; pair (a, b) gets id a*|r2| + b."""
-    mul1, mul2, n2 = r1.mul_table, r2.mul_table, r2.size
-    shifts = _shifts(r1.size, n2)
+    """Direct product; pair (a, b) gets id a*|r2| + b. At most
+    DEFAULT_SIZE_CAP pairs, or SizeCapExceeded (see _shifts)."""
+    mul1, mul2 = r1.mul_table, r2.mul_table
+    shifts = _shifts(r1.size, r2.size)
     return _pair_ring(f"{r1.label}x{r2.label}", r1, r2,
-                      lambda a, b: _pair_row(mul1[a], mul2[b], n2, shifts),
+                      lambda a, b: _pair_row(mul1[a], mul2[b], shifts),
                       (r1.one, r2.one), shifts)
 
 
 def ring_trivial_extension(base: FiniteRing) -> FiniteRing:
-    """Pairs (a, b) over the base with (a,b)(c,d) = (ac, ad + bc). With shift
-    tables, the block of row (a, b) at c is ad over d translated by
-    sums[ac][bc], which maps e to the id of the pair (ac, e + bc)."""
+    """Pairs (a, b) over the base with (a,b)(c,d) = (ac, ad + bc), at most
+    DEFAULT_SIZE_CAP of them. The block of row (a, b) at c is ad over d
+    translated by sums[ac][bc], which maps e to the id of the pair
+    (ac, e + bc)."""
     add, mul, n = base.add_table, base.mul_table, base.size
     shifts = _shifts(n, n)
-    if shifts is None:
-        def row(a, b):
-            ma, mb = mul[a], mul[b]
-            return [ma[c] * n + add[ma[d]][mb[c]] for c in range(n) for d in range(n)]
-    else:
-        pad = bytes(256 - n)
-        sums = [[(bytes(col) + pad).translate(shift) for col in zip(*add)] for shift in shifts]
-        rows = [bytes(r) for r in mul]
+    pad = bytes(256 - n)
+    sums = [[(bytes(col) + pad).translate(shift) for col in zip(*add)] for shift in shifts]
+    rows = [bytes(r) for r in mul]
 
-        def row(a, b):
-            return tuple(b"".join([rows[a].translate(sums[x][y])
-                                   for x, y in zip(mul[a], mul[b])]))
+    def row(a, b):
+        return tuple(b"".join([rows[a].translate(sums[x][y])
+                               for x, y in zip(mul[a], mul[b])]))
 
     return _pair_ring(f"T({base.label},{base.label})", base, base, row, (base.one, 0), shifts)
 

@@ -421,13 +421,6 @@ MUTANTS = {
         "if _sigma_u_zip(ideal, xs) != core(xs):",
         "if _sigma_u_zip(ideal, xs)[0] != core(xs)[0]:",
         ("tests/test_cli.py", "-k", "lazy_zip_core_fails_zip_specialization_agreement")),
-    "trivial-extension-row-reads-b-times-d": Mutant(
-        "the trivial extension's product reads b*d where (a, b)(c, d) = (ac, ad + bc) "
-        "needs b*c, in the build one entry at a time",
-        "mnseries/rings.py",
-        "add[ma[d]][mb[c]]",
-        "add[ma[d]][mb[d]]",
-        ("tests/test_rings.py", "-k", "pair_rings_match_the_per_entry_build and Z17")),
     # the scans on a ring's byte rows
     "trivial-extension-sums-swapped": Mutant(
         "the trivial extension's byte block at c takes its first component from b*c "

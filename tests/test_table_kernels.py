@@ -792,3 +792,21 @@ def test_byte_rows_hold_the_tables_and_refuse_z257():
     assert z257.mul_table[256][256] == 1 and z257.add_table[256][1] == 0
     with pytest.raises(SizeCapExceeded, match="ring Z257 has 257 elements, cap 256"):
         z257.byte_rows()
+
+
+def test_the_byte_row_scans_and_pair_builds_refuse_more_than_256_ids():
+    """Every scan on byte rows needs a ring of at most DEFAULT_SIZE_CAP
+    elements: on Z257 the axiom check, units, unit inverses, zero divisors
+    and sigma-compatibility raise SizeCapExceeded, and so do a product and
+    a trivial extension with more than 256 pair ids."""
+    z257 = ring_zn(257)
+    scans = [check_ring_axioms, units, lambda r: unit_inverse(r, 1), zero_divisor_sets,
+             lambda r: is_sigma_compatible_ideal(IdealSet(r, frozenset({0}), "twosided"),
+                                                 [RingAutomorphism(r, range(r.size))])]
+    for scan in scans:
+        with pytest.raises(SizeCapExceeded, match="cap 256"):
+            scan(z257)
+    with pytest.raises(SizeCapExceeded, match="17x17 pair ring would have 289 elements"):
+        ring_trivial_extension(ring_zn(17))
+    with pytest.raises(SizeCapExceeded, match="2x129 pair ring would have 258 elements"):
+        ring_product(ring_zn(2), ring_zn(129))

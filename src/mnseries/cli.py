@@ -721,7 +721,6 @@ def _render_text(data: dict) -> str:
 _quote = json.encoder.encode_basestring_ascii
 _SCALAR_JSON = {None: "null", True: "true", False: "false"}
 _JSON_TYPES = frozenset((str, int, float, list, tuple, dict, bool, type(None)))
-_CONTAINERS = (list, tuple, dict)
 
 
 def _json_type(value) -> type:
@@ -763,15 +762,8 @@ def canonical_json(value, newline: str = "\n") -> str:
     nesting level that yields every separator on its own; dispatching on the
     exact type and joining each container's members once is about twice as
     fast on large reports. `newline` is the line break plus the indent of
-    the enclosing level. Each list of scalars is written once per call at
-    each indent it appears at (the SA table repeats one member list per
-    ideal): keyed by its id, which is safe because `value` holds every
-    list, and none changes, while the call runs.
+    the enclosing level.
     """
-    return _json_text(value, newline, {})
-
-
-def _json_text(value, newline: str, lists: dict) -> str:
     kind = type(value)
     if kind not in _JSON_TYPES:
         kind = _json_type(value)
@@ -783,23 +775,16 @@ def _json_text(value, newline: str, lists: dict) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        key = (id(value), newline)
-        text = lists.get(key)
-        if text is None:
-            kinds = set(map(type, value))
-            if kinds == {int}:  # exact ints: no bools or int subclasses
-                items = map(int.__repr__, value)
-            else:
-                items = [_json_text(v, inner, lists) for v in value]
-            text = "[" + inner + ("," + inner).join(items) + newline + "]"
-            if kinds.isdisjoint(_CONTAINERS):  # a list of containers can hold most of the report
-                lists[key] = text
-        return text
+        if set(map(type, value)) == {int}:  # exact ints: no bools or int subclasses
+            items = map(int.__repr__, value)
+        else:
+            items = [canonical_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
         return ("{" + inner + ("," + inner).join([
-            _key_json(k) + ": " + _json_text(v, inner, lists) for k, v in sorted(value.items())])
+            _key_json(k) + ": " + canonical_json(v, inner) for k, v in sorted(value.items())])
             + newline + "}")
     if kind is float:
         return _float_json(value)

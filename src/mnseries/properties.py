@@ -169,40 +169,44 @@ def is_IN(ring: FiniteRing) -> PropertyReport:
 def is_SA(ring: FiniteRing) -> PropertyReport:
     """r(I) + r(J) = r(K) solvable in K for every pair of two-sided ideals.
     The sum is symmetric, so each one is formed, and its K looked up and
-    checked, once per unordered pair of annihilators; the table shares one
-    sorted member list per ideal."""
+    checked, once per unordered pair of annihilators. The certificate lists
+    each ideal once, in lattice order, and K[i][j] is the index of the K
+    filed for (ideals[i], ideals[j])."""
     rann = right_annihilators(ring)
     by_annihilator = ideals_by_right_annihilator(ring)
-    listed = {K: K.sorted_members() for K in rann}
-    solved: dict[frozenset, IdealSet] = {}
+    index = {K: k for k, K in enumerate(rann)}
+    listed = [K.sorted_members() for K in rann]
+    solved: dict[frozenset, int] = {}
     witness = None
     table = []
-    for I, rI in rann.items():
-        for J, rJ in rann.items():
+    for i, rI in enumerate(rann.values()):
+        row = []
+        for j, rJ in enumerate(rann.values()):
             pair = frozenset((rI, rJ))
-            K = solved.get(pair)
-            if K is None:
+            k = solved.get(pair)
+            if k is None:
                 target = subgroup_sum(ring, rI, rJ)
                 K = by_annihilator.get(target)
                 if K is None:
                     direct = set_sum(ring, rI, rJ)
                     if direct != target:  # the witness re-verifies
                         raise TraceMismatch(f"subgroup_sum gives r(I) + r(J) = {sorted(target)} "
-                                            f"for I = {listed[I]} and J = {listed[J]}, "
+                                            f"for I = {listed[i]} and J = {listed[j]}, "
                                             f"but set_sum gives {sorted(direct)}")
-                    witness = {"I": listed[I], "J": listed[J], "r_sum": sorted(target)}
+                    witness = {"I": listed[i], "J": listed[j], "r_sum": sorted(target)}
                     break
                 if rann[K] != target:  # certificate re-verifies
                     raise TraceMismatch(f"K = {K.sorted_members()} is filed under r(I) + r(J) = "
-                                        f"{sorted(target)} for I = {listed[I]} and "
-                                        f"J = {listed[J]}, but r(K) = {sorted(rann[K])}")
-                solved[pair] = K
-            table.append({"I": listed[I], "J": listed[J], "K": listed[K]})
+                                        f"{sorted(target)} for I = {listed[i]} and "
+                                        f"J = {listed[j]}, but r(K) = {sorted(rann[K])}")
+                solved[pair] = k = index[K]
+            row.append(k)
         if witness:
             break
+        table.append(row)
     return PropertyReport(
         "SA", witness is None, witness=witness,
-        certificate=None if witness else {"pairs": table})
+        certificate=None if witness else {"ideals": listed, "K": table})
 
 
 def check_pair_cap(size: int, length: int):

@@ -41,6 +41,7 @@ class Mutant:
 
 
 _UNIVERSE = "tests/test_universe.py"
+_SA_TABLE = "tests/test_table_kernels.py"
 
 MUTANTS = {
     # a member is its index in universe order
@@ -398,15 +399,8 @@ MUTANTS = {
     "canonical-int-lists-take-bools": Mutant(
         "a list of ints and bools takes the one-join path, which writes True, not true",
         "mnseries/cli.py",
-        "if kinds == {int}:",
+        "if set(map(type, value)) == {int}:",
         "if all(isinstance(v, int) for v in value):",
-        ("tests/test_cli.py", "-k", "canonical_json_writes_the_bytes")),
-    "canonical-json-memo-keyed-on-id-alone": Mutant(
-        "a list object is written once per call, at the indent of its first "
-        "appearance, wherever else it appears",
-        "mnseries/cli.py",
-        "key = (id(value), newline)",
-        "key = id(value)",
         ("tests/test_cli.py", "-k", "canonical_json_writes_the_bytes")),
     "sa-sum-memo-keyed-on-one-annihilator": Mutant(
         "is_SA files r(I) + r(J) under r(I) alone, so a pair reads another pair's sum",
@@ -414,6 +408,36 @@ MUTANTS = {
         "pair = frozenset((rI, rJ))",
         "pair = rI",
         ("tests/test_table_kernels.py", "-k", "sa_table_matches_the_per_pair_sums")),
+    "sa-k-index-off-by-one": Mutant(
+        "is_SA writes each K as the index after the ideal it found",
+        "mnseries/properties.py",
+        "solved[pair] = k = index[K]",
+        "solved[pair] = k = index[K] + 1",
+        (_SA_TABLE, "-k", "sa_index_table_decodes_to_every_pair")),
+    "sa-ideals-out-of-k-order": Mutant(
+        "is_SA lists its ideals sorted by member list, not in the lattice order K indexes",
+        "mnseries/properties.py",
+        "listed = [K.sorted_members() for K in rann]",
+        "listed = sorted(K.sorted_members() for K in rann)",
+        (_SA_TABLE, "-k", "sa_index_table_decodes_to_every_pair")),
+    "k-table-last-k-wins": Mutant(
+        "the r(K) -> K table files the last two-sided ideal with each r(K), not the first",
+        "mnseries/ideals.py",
+        "r: K for K, r in reversed(right_annihilators(ring).items())})",
+        "r: K for K, r in right_annihilators(ring).items()})",
+        (_SA_TABLE, "-k", "sa_index_table_decodes_to_every_pair")),
+    "sa-row-closed-per-pair": Mutant(
+        "is_SA adds the row under construction to its table once per pair, not once per I",
+        "mnseries/properties.py",
+        """            row.append(k)
+        if witness:
+            break
+        table.append(row)""",
+        """            row.append(k)
+            table.append(row)
+        if witness:
+            break""",
+        (_SA_TABLE, "-k", "sa_index_table_decodes_to_every_pair")),
     "zip-agreement-compares-statuses-only": Mutant(
         "the zip agreement loop compares the cores' statuses but not their minimal "
         "witnesses",

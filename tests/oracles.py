@@ -162,22 +162,23 @@ def per_entry_check_tables(alg: WindowAlgebra) -> None:
                                 f"w={grp.to_json(alg.products[k])}")
 
 
-def pairwise_sa_table(ring: FiniteRing) -> list[dict] | None:
-    """is_SA's certificate table, or None where SA fails: for every ordered
-    pair of two-sided ideals, r(I) + r(J) as a set sum of elementwise
-    annihilators, and the first K in lattice order with that r(K)."""
+def pairwise_sa_table(ring: FiniteRing) -> dict | None:
+    """is_SA's certificate, or None where SA fails: the two-sided ideals in
+    lattice order, and for every ordered pair (i, j) of them the index of
+    the first K in that order whose r(K) is r(I) + r(J), formed as a set
+    sum of elementwise annihilators."""
     two = enumerate_ideals(ring, "twosided")
     rann = [elementwise_annihilator(ring, K.members, "right") for K in two]
     table = []
-    for I, rI in zip(two, rann):
-        for J, rJ in zip(two, rann):
+    for rI in rann:
+        row = []
+        for rJ in rann:
             target = set_sum(ring, rI, rJ)
             if target not in rann:
                 return None
-            K = two[rann.index(target)]
-            table.append({"I": I.sorted_members(), "J": J.sorted_members(),
-                          "K": K.sorted_members()})
-    return table
+            row.append(rann.index(target))
+        table.append(row)
+    return {"ideals": [K.sorted_members() for K in two], "K": table}
 
 
 def worklist_closure(ring: FiniteRing, gens, kind: str = "twosided") -> frozenset[int]:

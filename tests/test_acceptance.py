@@ -238,10 +238,11 @@ def _reverify(fx, check):
             assert annihilator(ring, {x}) in essential
     elif check.prop == "SA" and check.verdict:
         from mnseries.ideals import annihilator, set_sum
-        for entry in check.certificate["pairs"]:
-            assert set_sum(ring, annihilator(ring, entry["I"]),
-                           annihilator(ring, entry["J"])) \
-                == annihilator(ring, entry["K"])
+        ideals = check.certificate["ideals"]
+        for I, row in zip(ideals, check.certificate["K"], strict=True):
+            for J, k in zip(ideals, row, strict=True):
+                assert set_sum(ring, annihilator(ring, I), annihilator(ring, J)) \
+                    == annihilator(ring, ideals[k])
     elif check.prop.startswith("semiprime-") and not check.verdict:
         ideal = fx.ideals[check.prop.removeprefix("semiprime-")]
         a, n = check.witness

@@ -38,6 +38,13 @@ The pins that changed were re-recorded once, when prop3.2 stopped drawing series
 each `verify` report lost the `"samples": 100` line of its params, and a
 validated twist reports as `checked` the exponent triples its decision
 covers, not a sample count. No other byte changed.
+
+The three `props` pins and the Z32 `thm4.5` pin were re-recorded once
+more, when SA's certificate became an index table over the two-sided
+ideals (`ideals` and `K`, replacing one {I, J, K} entry per pair) and
+sa-transfer's certificate lost its `K0` field. With those fields removed
+the reports are the earlier ones, and the table read pair by pair gives
+the earlier entries.
 """
 
 from __future__ import annotations
@@ -132,21 +139,21 @@ DIGESTS = {
     "z4cubed verify ideals":
         "93ae2e04f1f7f6d1c16db444e6048a2b9b637491bbf0bf46373be5efea807e2c",
     "z4cubed props":
-        "12cdcd5ce8329eb1019e6412961a9737684741ba4fd06fc424e273d57423c81d",
+        "8f2f22d0a2280d675fdff3f259321cfab7de52d91cedb288caa051d7908bb2b3",
     "ut2_z4 verify ring-axioms":
         "d80077588a2b3c610544ee123aeb1d6862606f382e1bb6201b5aef02e86d38e3",
     "ut2_z4 verify ideals":
         "91eb8477b0018e5e749907874cb345498938927552ab488a9ab0c63313e3dcf6",
     "ut2_z4 props":
-        "74665321e97232d62d2223d97ad89e407816f70eef68fd72a23725f24c452355",
+        "97f92c43fc76b00ff65e7c34b4f4d2681ebe6f52557bffbc9ae138a72ee009de",
     "t_z8 verify ideals":
         "e41d473bab4816162b1e0d825eb77449bd5316476b5bcdf1c9efa84f792d0002",
     "t_z8 props":
-        "b5a4fa36614a32a9357b013e0548bfc8e7458547326b52bc1e48836a72c41fdc",
+        "6e7ba22cdc899108634c1cef9e33fde6670510ccf5bca52dbe0083ad04d30f26",
     "z32 verify lemma4.3":
         "c6a0140c4189312808623bf667c39ab5626b87cdc9cf7f0889cd40d876a1f80d",
     "z32 verify thm4.5":
-        "ac69ed2f40ef4efa70f81a91064301cbc723c189d800a7d9f4369d9382fdab75",
+        "1522d337cff42b76f22582ec7b2796c1d5d511ce90b3a618cbabdd771617da15",
     "z256 verify ring-axioms":
         "2b88d2437a9cfb6b3ed9890af804c8f45940a57e4da6188826d1ebd338dc647c",
     "z4_4 verify ring-axioms":

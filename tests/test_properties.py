@@ -101,10 +101,11 @@ def test_in_and_sa_verdicts(z4, klein, gf4, tz4):
 def test_sa_certificate_reverifies(z4):
     from mnseries.ideals import annihilator, set_sum
     rep = is_SA(z4)
-    for entry in rep.certificate["pairs"]:
-        left = set_sum(z4, annihilator(z4, entry["I"]),
-                       annihilator(z4, entry["J"]))
-        assert left == annihilator(z4, entry["K"])
+    ideals = rep.certificate["ideals"]
+    for I, row in zip(ideals, rep.certificate["K"], strict=True):
+        for J, k in zip(ideals, row, strict=True):
+            left = set_sum(z4, annihilator(z4, I), annihilator(z4, J))
+            assert left == annihilator(z4, ideals[k])
 
 
 def test_sa_deterministic(z4, tz4):

@@ -50,7 +50,8 @@ from hypothesis import strategies as st
 from mnseries import cli, properties, rings
 from mnseries.errors import SizeCapExceeded
 from mnseries.ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
-                             ideal_closure, is_sigma_compatible_ideal, keep_table,
+                             ideal_closure, ideals_by_right_annihilator,
+                             is_sigma_compatible_ideal, keep_table,
                              nil_radical, quotient_ideal,
                              quotient_masks, row_mask, set_sum, singleton_quotient_masks,
                              subgroup_sum, weak_annihilator)
@@ -617,7 +618,46 @@ def test_sa_table_matches_the_per_pair_sums():
         table = pairwise_sa_table(ring)
         assert report.verdict is (table is not None), key
         if table is not None:
-            assert report.certificate == {"pairs": table}, key
+            assert report.certificate == table, key
+
+
+
+def test_the_sa_index_table_decodes_to_every_pair():
+    """On every generated ring of at most 16 elements that is SA, is_SA's K
+    is a symmetric |L| x |L| table of indices into its ideals, and read
+    i-major it gives, for every ordered pair (I, J) of two-sided ideals in
+    lattice order, the first K in that order with r(K) = r(I) + r(J)."""
+    for key in _small_ring_keys():
+        ring = _ring(*key)
+        report = is_SA(ring)
+        if not report.verdict:
+            continue
+        ideals, table = report.certificate["ideals"], report.certificate["K"]
+        two = enumerate_ideals(ring, "twosided")
+        assert ideals == [K.sorted_members() for K in two], key
+        assert len(table) == len(ideals) and all(len(row) == len(ideals) for row in table), key
+        assert all(0 <= k < len(ideals) for row in table for k in row), key
+        assert table == [list(column) for column in zip(*table)], key
+        rann = [elementwise_annihilator(ring, K.members, "right") for K in two]
+        pairs = [{"I": I.sorted_members(), "J": J.sorted_members(),
+                  "K": next(K.sorted_members() for K, rK in zip(two, rann)
+                            if rK == set_sum(ring, rI, rJ))}
+                 for I, rI in zip(two, rann) for J, rJ in zip(two, rann)]
+        decoded = [{"I": ideals[i], "J": ideals[j], "K": ideals[k]}
+                   for i, row in enumerate(table) for j, k in enumerate(row)]
+        assert decoded == pairs, key
+
+
+def test_each_filed_k_is_its_own_right_closure_with_its_key_as_r():
+    """The r(K) -> K table that is_SA and the SA transfer read holds only
+    two-sided ideals, each under its own right annihilator: so the right
+    ideal generated by K is K, and r(K) is the key, on every generated ring
+    of at most 16 elements."""
+    for key in _small_ring_keys():
+        ring = _ring(*key)
+        for r, K in ideals_by_right_annihilator(ring).items():
+            assert worklist_closure(ring, K.members, "right") == K.members, (key, K)
+            assert elementwise_annihilator(ring, K.members, "right") == r, (key, K)
 
 
 def _small_ring_keys():

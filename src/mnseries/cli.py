@@ -34,11 +34,12 @@ from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                      ideal_closure, is_semiprime_ideal, is_sigma_compatible_ideal,
                      make_ideal, nil_radical, quotient_ideal, singleton_quotient_masks,
                      weak_annihilator)
-from .properties import (PropertyReport, check_pair_cap, is_G_armendariz, is_IN, is_SA,
-                         is_left_fusible, is_right_nonsingular, is_sigma_compatible_ring,
-                         right_zip_witness, sigma_u_zip_scan, sigma_u_zip_witness,
-                         weak_zip_witness, zero_divisor_sets, _right_zip, _right_zip_pool,
-                         _sigma_u_zip, _sigma_u_zip_pool, _weak_zip, _weak_zip_pool)
+from .properties import (DEFAULT_WITNESS_CAP, PropertyReport, check_pair_cap, is_G_armendariz,
+                         is_IN, is_SA, is_left_fusible, is_right_nonsingular,
+                         is_sigma_compatible_ring, right_zip_witness, sigma_u_zip_scan,
+                         sigma_u_zip_witness, weak_zip_witness, zero_divisor_sets, _right_zip,
+                         _right_zip_pool, _sigma_u_zip, _sigma_u_zip_pool, _weak_zip,
+                         _weak_zip_pool)
 from .rings import (FiniteRing, check_automorphism, check_ring_axioms,
                     identity_automorphism, positions, ring_make, units)
 # series_mul is not called here: perfbench/selfcheck.py checks that its tracer
@@ -60,7 +61,6 @@ TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
 TWIST_TRIPLE_CAP = 343 ** 3  # their exponent triples: Z^3_lex's window, not Z^4_lex's
 UNIVERSE_WINDOW = (0, 1)    # lemma4.3's and thm4.5's universe
 IDEAL_PAIR_LIMIT = 16       # lemma4.3's ideal pairs, thm4.5's configurations (plus one)
-EXHAUSTIVE_SUBSETS = 1 << 12  # every subset is scanned while 2^|R| is at most this
 SEEDED_SUBSETS = 50         # drawn with --seed when 2^|R| is too many subsets to scan
 
 SUITE_NAMES = ("ring-axioms", "ideals", "properties", "prop3.2",
@@ -293,7 +293,7 @@ def _subset_pool(ring: FiniteRing, seed: int):
     """Deterministic nonempty subsets: exhaustive when 2^|R| is small,
     otherwise all singletons plus SEEDED_SUBSETS seeded draws of size <= 4."""
     n = ring.size
-    if (1 << n) <= EXHAUSTIVE_SUBSETS:
+    if (1 << n) <= DEFAULT_WITNESS_CAP:
         return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
     rng = random.Random(seed)
     pool = [frozenset({a}) for a in range(n)]
@@ -402,8 +402,8 @@ def _suite_properties(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         lo, hi = fx.cap("window")
         try:
             check_pair_cap(ring.size, fx.group.window_size(lo, hi))
-            garm = is_G_armendariz(ring, fx.twist, fx.cap("max_support"),
-                                   fx.group.window(lo, hi))
+            universe = TruncatedUniverse(fx.twist, fx.group.window(lo, hi))
+            garm = is_G_armendariz(universe, fx.cap("max_support"))
         except SizeCapExceeded as exc:
             garm = PropertyReport("G-armendariz", None, note=f"skipped: {exc}",
                                   bounds=exc.bounds)
@@ -550,7 +550,7 @@ def _suite_examples(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     # an exhaustive pool is decided whole by one subset DP per core; if the
     # decisions differ, or a core has none for some X, the loop below runs
     # and finds the first X, its reports and any mismatch as it always has
-    if (1 << ring.size) <= EXHAUSTIVE_SUBSETS and all(
+    if (1 << ring.size) <= DEFAULT_WITNESS_CAP and all(
             (decisions := _sigma_u_zip_pool(ideal)) is not None and decisions == pool_core()
             for ideal, _, _, pool_core, _, _ in comparisons):
         subsets = (1 << ring.size) - 1

@@ -11,7 +11,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import SizeCapExceeded, TraceMismatch, ZeroElement
 from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_ideals,
@@ -19,10 +19,13 @@ from .ideals import (IdealSet, annihilator, close_under_inverses, enumerate_idea
                      keep_table, quotient_ideal, quotient_masks, right_annihilators, row_mask,
                      set_sum, singleton_quotient_masks, subgroup_sum)
 from .rings import FiniteRing, RingAutomorphism
-from .series import TwistSystem, WindowAlgebra, series_mul, series_to_json
+from .series import series_mul, series_to_json
+
+if TYPE_CHECKING:
+    from .transfer import TruncatedUniverse
 
 DEFAULT_PAIR_CAP = 1 << 20
-DEFAULT_WITNESS_CAP = 1 << 12
+DEFAULT_WITNESS_CAP = 1 << 12  # subsets of R decided one by one while 2^|R| is at most this
 _ZERO = frozenset({0})
 
 
@@ -221,15 +224,16 @@ def check_pair_cap(size: int, length: int):
                               {"pair_cap": DEFAULT_PAIR_CAP})
 
 
-def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
-                    exponents: Sequence) -> PropertyReport:
-    """fg = 0 forces all coefficient products to vanish, on a bounded fragment.
+def is_G_armendariz(universe: TruncatedUniverse, max_support: int) -> PropertyReport:
+    """fg = 0 forces all coefficient products to vanish, on a bounded fragment:
+    every pair of the universe's members with at most `max_support` terms.
 
     This is an enumerative check of the fragment only, never a proof of the
     unbounded property; the report carries its bounds. Pairs come from the
-    window join (WindowAlgebra.join with U = {0}), so a pair whose leading
-    or trailing term is nonzero is decided without its product being built;
-    pairs_checked counts those pruned pairs too.
+    window join (WindowAlgebra.join with U = {0}) over the universe's
+    checked tables, so a pair whose leading or trailing term is nonzero is
+    decided without its product being built; pairs_checked counts those
+    pruned pairs too.
 
     The join runs over orbit representatives (WindowAlgebra.orbits): f up
     to multiplying its coefficients on the left by a unit u, g up to
@@ -245,11 +249,11 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
     zero a_i b_j, raises TraceMismatch. So does a True verdict whose
     single-term zero products, weighted, miscount the twist's zero terms.
     """
-    grp = twist.group
-    exps = [grp.canon(x) for x in exponents]
+    twist, exps = universe.twist, universe.window
+    ring, grp = twist.ring, twist.group
     check_pair_cap(ring.size, len(exps))
-    alg = WindowAlgebra(twist, exps)
-    universe = alg.universe(max_support)
+    alg = universe.checked_algebra()
+    fragment = [terms for terms in universe.terms() if len(terms) <= max_support]
     mul = ring.mul_table
 
     def scan(fs, f_sizes, gs, g_sizes):
@@ -267,17 +271,17 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
                 return zero, single, hit
         return zero, single, None
 
-    f_reps, f_sizes = alg.orbits(universe, "left")
-    g_reps, g_sizes = alg.orbits(universe, "right")
+    f_reps, f_sizes = alg.orbits(fragment, "left")
+    g_reps, g_sizes = alg.orbits(fragment, "right")
     zero_products, single_terms, hit = scan(f_reps, f_sizes, g_reps, g_sizes)
     if hit is not None:
-        ones = [1] * len(universe)
-        zero_products, single_terms, hit = scan(universe, ones, universe, ones)
+        ones = [1] * len(fragment)
+        zero_products, single_terms, hit = scan(fragment, ones, fragment, ones)
     witness = None
-    pairs_checked = len(universe) ** 2
+    pairs_checked = len(fragment) ** 2
     if hit is not None:
         p, q, i, j, product = hit
-        fs, gs = alg.series(universe[p]), alg.series(universe[q])
+        fs, gs = alg.series(fragment[p]), alg.series(fragment[q])
         x, y = alg.window[i], alg.window[j]
         fg, ab = series_mul(fs, gs), ring.mul(fs.coeff(x), gs.coeff(y))
         if not fg.is_zero or ab == 0:
@@ -286,7 +290,7 @@ def is_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
                                 f"series_mul gives f*g = {fg} and f(x)g(y) = {ab}")
         witness = {"f": series_to_json(fs), "g": series_to_json(gs),
                    "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
-        pairs_checked = p * len(universe) + q + 1
+        pairs_checked = p * len(fragment) + q + 1
     if witness is None and max_support >= 1:
         nonzero, vanishing = range(1, ring.size), 0
         for x, y in itertools.product(exps, repeat=2):

@@ -329,6 +329,8 @@ def _product_slots(grp: OrderedGroup, win: list) -> tuple[list, list[list[int]]]
 
 class WindowAlgebra:
     """The twisted product on series supported inside one window, as tables.
+    The window's exponents are strictly ascending, so position order is
+    exponent order; any other window raises MalformedSpec.
 
     Compiling evaluates every group product, sigma map and tau value of the
     window once. A series is then its list of nonzero (position, coefficient)
@@ -340,17 +342,15 @@ class WindowAlgebra:
     def __init__(self, twist: TwistSystem, window: Sequence):
         grp, ring = twist.group, twist.ring
         win = [grp.canon(x) for x in window]
-        if len(set(win)) != len(win):
-            raise MalformedSpec(f"window exponents must be distinct: {window!r}")
+        if any(x >= y for x, y in zip(win, win[1:])):
+            raise MalformedSpec(f"window exponents must be strictly ascending: {window!r}")
         self.twist = twist
         self.window = win
-        self.ascending = win == sorted(win)
         # slot[i][j]: the index of x_i x_j in `products`
         self.products, self.slot = _product_slots(grp, win)
-        # xw[k]: the position pairs (i, j) with x_i x_j = products[k],
-        # ascending in x_i whatever the window order
+        # xw[k]: the position pairs (i, j) with x_i x_j = products[k], ascending in x_i
         self.xw = [[] for _ in self.products]
-        for i in sorted(range(len(win)), key=win.__getitem__):
+        for i in range(len(win)):
             for j, k in enumerate(self.slot[i]):
                 self.xw[k].append((i, j))
         # term[i][a][j][b] = a * sigma_{x_i}(b) * tau(x_i, x_j)
@@ -364,10 +364,10 @@ class WindowAlgebra:
         self.add = ring.add_table
         self.neg = [ring.neg(a) for a in ring.elements()]
 
-    def universe(self, max_support: int | None = None) -> list[list[tuple]]:
+    def universe(self) -> list[list[tuple]]:
         """Every series inside the window, in the lexicographic order of its
         coefficient tuple over the window positions."""
-        return list(_window_terms(self.twist.ring.elements(), len(self.window), max_support))
+        return list(_window_terms(self.twist.ring.elements(), len(self.window)))
 
     def classes(self, members) -> tuple[list[list[tuple]], list[int]]:
         """The class series modulo `members`, an additive subgroup holding 0,
@@ -486,16 +486,12 @@ class WindowAlgebra:
         (lead, trail) of f, and only the pairs left are multiplied.
         """
         members = frozenset(members)
-        win = self.window
 
         def ends(series):
             """The leading and the trailing term of each series, None for 0: the
-            first and last listed when the window is ascending, as a universe's is."""
-            if self.ascending:
-                return ([s[0] if s else None for s in series],
-                        [s[-1] if s else None for s in series])
-            return ([min(s, key=lambda t: win[t[0]]) if s else None for s in series],
-                    [max(s, key=lambda t: win[t[0]]) if s else None for s in series])
+            first and last listed, as the window is ascending."""
+            return ([s[0] if s else None for s in series],
+                    [s[-1] if s else None for s in series])
 
         if partners is None:
             partners = universe
@@ -782,12 +778,9 @@ def check_associativity(twist: TwistSystem, triples: Iterable[tuple]) -> AssocRe
     return AssocReport(True, checked)
 
 
-def _window_terms(values: Sequence[int], width: int,
-                  max_support: int | None = None) -> Iterable[list]:
+def _window_terms(values: Sequence[int], width: int) -> Iterable[list]:
     """The nonzero (position, coefficient) pairs of every series over `width`
     window positions with each coefficient in `values`, ascending and holding
     0, in coefficient-tuple order."""
     for coeffs in itertools.product(values, repeat=width):
-        terms = [(i, c) for i, c in enumerate(coeffs) if c]
-        if max_support is None or len(terms) <= max_support:
-            yield terms
+        yield [(i, c) for i, c in enumerate(coeffs) if c]

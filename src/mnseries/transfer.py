@@ -48,7 +48,7 @@ from .properties import (PropertyReport, fusible_decompositions,
                          zero_divisor_sets)
 from .rings import Memo, greedy_generators, require_byte_ids
 from .series import (Series, TwistSystem, WindowAlgebra, embed_scalar, series_make,
-                     series_mul, series_to_json, term_product)
+                     series_mul, series_to_json)
 
 DEFAULT_UNIVERSE_CAP = 4096
 
@@ -272,15 +272,15 @@ def require_zip(U: IdealSet, twist: TwistSystem):
 
 
 @_checked_once
-def require_sa(twist: TwistSystem, window: Sequence):
+def require_sa(twist: TwistSystem, universe: TruncatedUniverse):
     """Thm 4.5: a normalized twist over an SA base ring that passes the
-    G-Armendariz check bounded by the window."""
+    G-Armendariz check on every pair of the universe's members."""
     if not twist.normalized:
         raise NotNormalized("twist is not normalized")
     sa = is_SA(twist.ring)
     if not sa.verdict:
         raise PreconditionFail(f"base ring is not SA: {sa.witness}")
-    garm = is_G_armendariz(twist.ring, twist, max_support=len(window), exponents=window)
+    garm = is_G_armendariz(universe, len(universe.window))
     if not garm.verdict:
         raise PreconditionFail(f"base ring fails the bounded G-Armendariz check: {garm.witness}")
 
@@ -456,7 +456,7 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     for s in itertools.chain(I_gens, J_gens):
         if s.twist is not twist:
             raise TwistMismatch("generator series must share the universe's twist")
-    require_sa(twist, tuple(universe.window))
+    require_sa(twist, universe)
     k_by_annihilator = ideals_by_right_annihilator(ring)
 
     I0 = ideal_closure(ring, _contents(I_gens), "right")
@@ -559,22 +559,16 @@ def _extract(f: Series, g: Series, U: IdealSet, fg: Series) -> DerivationTrace:
     """The derivation of coefficient_extraction, for a caller that has already
     checked its preconditions and computed fg (by any product), which every
     step is checked against: `_trace` over a window algebra compiled on the
-    supports of f and g, in the order their terms are listed. That algebra's
-    tables are not checked, so each conclusion is then compared with its
-    term_product, evaluated from the twist: |f|*|g| evaluations, where the
-    table check would make one per entry of the tables."""
-    window = list(dict.fromkeys(itertools.chain(f.terms, g.terms)))
+    sorted union of the supports of f and g, whose tables are checked first."""
+    window = sorted({*f.terms, *g.terms})
     alg = WindowAlgebra(f.twist, window)
+    alg.check_tables()
     if not fg.terms.keys() <= set(alg.products):
         raise TraceMismatch("the product has a term at an exponent that no pair of supports reaches")
     position = {x: i for i, x in enumerate(window)}
     steps, established = _trace(alg, [(position[x], a) for x, a in f.terms.items()],
                                 [(position[y], b) for y, b in g.terms.items()],
                                 U, [fg.coeff(z) for z in alg.products])
-    for x, a in f.terms.items():
-        for y, b in g.terms.items():
-            if established.get((position[x], position[y])) != term_product(f.twist, a, x, b, y):
-                raise TraceMismatch(f"oracle disagrees with the trace at {(x, y)}")
 
     def exps(key):
         return window[key[0]], window[key[1]]
@@ -600,8 +594,7 @@ def _trace(alg: WindowAlgebra, f: list[tuple], g: list[tuple], U: IdealSet,
 
     The trace trusts `alg.term` and `alg.xw`: over tables that passed
     `check_tables`, every conclusion is a checked entry of `term` and the
-    X_w lists cover f x g, so no conclusion is compared again. A caller
-    whose tables are unchecked compares them itself, as `_extract` does.
+    X_w lists cover f x g, so no conclusion is compared again.
     """
     grp, win, products = alg.twist.group, alg.window, alg.products
     members = U.members

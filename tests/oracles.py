@@ -643,23 +643,24 @@ def extraction_oracle(f: Series, g: Series) -> dict:
             for u in f.terms for v in g.terms}
 
 
-def full_join_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: int,
-                           exponents) -> PropertyReport:
+def full_join_G_armendariz(universe, max_support: int) -> PropertyReport:
     """The G-Armendariz check over the window join of every pair of
-    universe series, each zero product counted once, with its witness and
-    True-verdict re-checks."""
-    grp = twist.group
-    exps = [grp.canon(x) for x in exponents]
+    universe series with at most `max_support` terms, each zero product
+    counted once, with its witness and True-verdict re-checks. It compiles
+    and lists its own window algebra, reading only the universe's twist and
+    window."""
+    twist, exps = universe.twist, universe.window
+    ring, grp = twist.ring, twist.group
     check_pair_cap(ring.size, len(exps))
     alg = WindowAlgebra(twist, exps)
-    universe = alg.universe(max_support)
+    fragment = [terms for terms in alg.universe() if len(terms) <= max_support]
     witness = None
-    pairs_checked = len(universe) ** 2
+    pairs_checked = len(fragment) ** 2
     zero_products = single_terms = 0
     mul = ring.mul_table
-    for p, q, _ in alg.join(universe, {0}):
+    for p, q, _ in alg.join(fragment, {0}):
         zero_products += 1
-        f, g = universe[p], universe[q]
+        f, g = fragment[p], fragment[q]
         single_terms += len(f) == len(g) == 1
         hit = next(((i, j, mul[a][b]) for i, a in f for j, b in g if mul[a][b] != 0),
                    None)
@@ -674,7 +675,7 @@ def full_join_G_armendariz(ring: FiniteRing, twist: TwistSystem, max_support: in
                                     f"series_mul gives f*g = {fg} and f(x)g(y) = {ab}")
             witness = {"f": series_to_json(fs), "g": series_to_json(gs),
                        "x": grp.to_json(x), "y": grp.to_json(y), "product": product}
-            pairs_checked = p * len(universe) + q + 1
+            pairs_checked = p * len(fragment) + q + 1
             break
     if witness is None and max_support >= 1:
         nonzero, vanishing = range(1, ring.size), 0

@@ -71,9 +71,9 @@ def _twisted_rings(draw):
 
 @st.composite
 def _twists(draw, limit=256):
-    """A twist of a drawn ring over Z or Z^2_lex, and a window of at most
-    `limit` series, as wide as that allows more often than not, that holds
-    the identity."""
+    """A twist of a drawn ring over Z or Z^2_lex, and an ascending window of
+    at most `limit` series, as wide as that allows more often than not, that
+    holds the identity."""
     ring, perm = draw(_twisted_rings())
     fixed = [v for v in sorted(units(ring)) if perm[v] == v and all(
         ring.mul(v, r) == ring.mul(r, v) for r in ring.elements())]
@@ -86,7 +86,7 @@ def _twists(draw, limit=256):
         group, k, identity = LexProductGroup(2), 2, (0, 0)
         rule = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
         others = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]
-    window = draw(st.permutations([identity, *draw(st.permutations(others))[:width - 1]]))
+    window = sorted([identity, *draw(st.permutations(others))[:width - 1]])
     twist = twist_from_spec(ring, group, {
         "sigma": {"generators": [perm] * k},
         "tau": {"kind": "unit_power", "unit": unit, "exponent_rule": rule}})
@@ -134,17 +134,17 @@ def test_g_armendariz_matches_the_full_join(twist_window, data):
     support = len(window)
     if data is not None:
         support = data.draw(st.sampled_from(range(support, -1, -1)))
-    args = (twist.ring, twist, support, window)
+    args = (TruncatedUniverse(twist, window), support)
     assert _outcome(is_G_armendariz, *args) == _outcome(full_join_G_armendariz, *args)
 
 
 def test_ut2_z2_fails_g_armendariz_with_the_full_join_witness():
     """Its two units make orbits of two on the f side, so the witness comes
     from the exact rerun."""
-    twist = trivial_twist(ring_from_table(ut2_table(2)))
-    rep = is_G_armendariz(twist.ring, twist, 2, [0, 1])
+    universe = TruncatedUniverse(trivial_twist(ring_from_table(ut2_table(2))), [0, 1])
+    rep = is_G_armendariz(universe, 2)
     assert rep.verdict is False
-    assert rep.to_json() == full_join_G_armendariz(twist.ring, twist, 2, [0, 1]).to_json()
+    assert rep.to_json() == full_join_G_armendariz(universe, 2).to_json()
 
 
 @pytest.mark.parametrize("ring, witness", [
@@ -157,10 +157,10 @@ def test_64_element_rings_fail_with_the_full_join_witness(monkeypatch, ring, wit
     4,096 series each, and the same first witness, pairs checked and zero
     products as the full join."""
     monkeypatch.setattr(properties, "DEFAULT_PAIR_CAP", 1 << 24)
-    twist = trivial_twist(ring)
-    rep = is_G_armendariz(ring, twist, 2, [0, 1])
+    universe = TruncatedUniverse(trivial_twist(ring), [0, 1])
+    rep = is_G_armendariz(universe, 2)
     assert rep.witness == witness
-    assert rep.to_json() == full_join_G_armendariz(ring, twist, 2, [0, 1]).to_json()
+    assert rep.to_json() == full_join_G_armendariz(universe, 2).to_json()
 
 
 # --- series-zip over support classes --------------------------------------------------

@@ -12,6 +12,7 @@ from mnseries.properties import (_meet_counts, fusible_decompositions, is_G_arme
                                  sigma_u_zip_witness, weak_zip_witness,
                                  zero_divisor_sets)
 from mnseries.rings import identity_automorphism, ring_zn, units
+from mnseries.transfer import TruncatedUniverse
 
 
 def all_subsets(ring, nonempty=False):
@@ -117,7 +118,7 @@ def test_sa_deterministic(z4, tz4):
 
 def test_g_armendariz_z2(z2):
     from mnseries.series import trivial_twist
-    rep = is_G_armendariz(z2, trivial_twist(z2), 2, [0, 1, 2])
+    rep = is_G_armendariz(TruncatedUniverse(trivial_twist(z2), [0, 1, 2]), 2)
     assert rep.verdict is True
     assert rep.bounds["max_support"] == 2
     assert "fragment" in rep.note
@@ -125,7 +126,7 @@ def test_g_armendariz_z2(z2):
 
 def test_g_armendariz_swap_fails(klein, tw_klein_swap):
     from mnseries.series import series_from_json, series_mul
-    rep = is_G_armendariz(klein, tw_klein_swap, 2, [0, 1, 2])
+    rep = is_G_armendariz(TruncatedUniverse(tw_klein_swap, [0, 1, 2]), 2)
     assert rep.verdict is False
     w = rep.witness
     f = series_from_json(tw_klein_swap, w["f"])
@@ -138,7 +139,7 @@ def test_g_armendariz_bounds_cap(tz4):
     # T(Z4) has 16 elements: 16^3 series over 0..2, 4096^2 pairs over the cap
     from mnseries.series import trivial_twist
     with pytest.raises(SizeCapExceeded) as exc:
-        is_G_armendariz(tz4, trivial_twist(tz4), 3, [0, 1, 2])
+        is_G_armendariz(TruncatedUniverse(trivial_twist(tz4), [0, 1, 2]), 3)
     assert exc.value.bounds == {"pair_cap": 1 << 20}
 
 

@@ -11,7 +11,8 @@ from mnseries.groups import IntegersGroup
 from mnseries.ideals import annihilator, enumerate_ideals, make_ideal
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import ring_from_table, ring_zn
-from mnseries.series import embed_scalar, series_make, series_mul, series_to_json, trivial_twist
+from mnseries.series import (WindowAlgebra, embed_scalar, series_make, series_mul, series_to_json,
+                             trivial_twist)
 from mnseries.transfer import (TruncatedUniverse, coefficient_extraction, lift_universe,
                                lifted_annihilator_check, sa_transfer_witness,
                                series_zip_witness)
@@ -371,11 +372,22 @@ def _suite_calls(monkeypatch, fixture, suite, names):
 
 
 def test_thm45_run_checks_SA_and_G_armendariz_once(monkeypatch):
+    """One SA check and one G-Armendariz check per run, and one window
+    algebra: G-Armendariz runs on the universe the suite built."""
+    real = WindowAlgebra.__init__
+    compiled = []
+
+    def counting(alg, twist, window):
+        compiled.append(list(window))
+        real(alg, twist, window)
+
+    monkeypatch.setattr(WindowAlgebra, "__init__", counting)
     rep, calls = _suite_calls(monkeypatch, "klein_fusible", "thm4.5",
                               ["is_SA", "is_G_armendariz"])
     assert rep.status == "pass"
     assert sum(c.prop == "sa-transfer" for c in rep.checks) == 17
     assert calls == {"is_SA": 1, "is_G_armendariz": 1}
+    assert compiled == [[0, 1]]
 
 
 @pytest.mark.parametrize("fixture, suite, counted", [

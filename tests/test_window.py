@@ -23,7 +23,7 @@ from mnseries.rings import (ring_from_table, ring_product, ring_trivial_extensio
                             ring_zn, units)
 from mnseries.series import (WindowAlgebra, series_make, series_mul, series_to_json,
                              term_product, trivial_twist, twist_from_spec)
-from mnseries.transfer import _extract, _trace, coefficient_extraction
+from mnseries.transfer import TruncatedUniverse, _extract, _trace, coefficient_extraction
 from oracles import (exhaustive_series, extraction_oracle, product_series, ut2_table,
                      x_w_pairs)
 
@@ -50,14 +50,16 @@ def _cases():
     klein_swap = twist_from_spec(klein, IntegersGroup(), {
         "sigma": {"generator": [0, 2, 1, 3]}, "tau": {"kind": "one"}})
     ut2 = ring_from_table(ut2_table(2))
+    # every window ascends, as WindowAlgebra requires; the "-unsorted" names
+    # are kept as test ids from when these windows were listed out of order
     return {
         "z4-tau": (z4_tau, [0, 1, 2]),
-        "z4-tau-unsorted": (z4_tau, [1, -1, 0]),
+        "z4-tau-unsorted": (z4_tau, [-1, 0, 1]),
         "gf4-frobenius": (gf4, [-1, 0, 1]),
-        "z4-z2lex-tau": (z4_lex_tau, [(1, 0), (0, 1), (0, 0)]),
-        "klein-swap-unsorted": (klein_swap, [2, 0, 1]),
+        "z4-z2lex-tau": (z4_lex_tau, [(0, 0), (0, 1), (1, 0)]),
+        "klein-swap-unsorted": (klein_swap, [0, 1, 2]),
         "ut2-z2": (trivial_twist(ut2), [0, 1]),
-        "ut2-z2-unsorted": (trivial_twist(ut2), [1, 0]),
+        "ut2-z2-unsorted": (trivial_twist(ut2), [0, 1]),
         "ut2-z2-conjugation": (_ut2_conjugation(), [0, 1]),
     }
 
@@ -105,7 +107,8 @@ def test_join_prunes_no_qualifying_pair(name):
     alg = WindowAlgebra(twist, window)
     full = alg.universe()
     _, products = _oracle(name)
-    universes = [full, alg.universe(1), alg.universe(2), [t for t in full if len(t) > 1]]
+    universes = [full, [t for t in full if len(t) <= 1], [t for t in full if len(t) <= 2],
+                 [t for t in full if len(t) > 1]]
     for universe in universes:
         index = [full.index(t) for t in universe]
         for members in _member_sets(twist.ring):
@@ -149,7 +152,7 @@ def test_g_armendariz_joins_orbit_representatives(monkeypatch):
         reps, sizes = alg.orbits(alg.universe(), side)
         assert (len(reps), sum(sizes)) == (36, 64)
     calls = _counting_multiplies(monkeypatch)
-    rep = is_G_armendariz(twist.ring, twist, 3, window)
+    rep = is_G_armendariz(TruncatedUniverse(twist, window), 3)
     assert rep.bounds["pairs_checked"] == 4096
     assert rep.bounds["zero_products_seen"] == 176
     assert len(calls) == 135
@@ -159,11 +162,11 @@ def test_g_armendariz_rechecks_its_witness_with_series_mul(monkeypatch):
     """A window product that calls a nonzero fg zero yields a witness pair
     that series_mul refutes: a named TraceMismatch, not the verdict False."""
     twist, window = CASES["z4-tau"]
-    assert is_G_armendariz(twist.ring, twist, 3, window).verdict is True
+    assert is_G_armendariz(TruncatedUniverse(twist, window), 3).verdict is True
     monkeypatch.setattr(WindowAlgebra, "multiply",
                         lambda alg, f, g: [0] * len(alg.products))
     with pytest.raises(TraceMismatch, match="does not re-check") as exc:
-        is_G_armendariz(twist.ring, twist, 3, window)
+        is_G_armendariz(TruncatedUniverse(twist, window), 3)
     assert "f*g = Series(0)" not in str(exc.value)
 
 
@@ -173,17 +176,20 @@ def test_g_armendariz_rechecks_a_true_verdict_by_its_single_term_pairs(monkeypat
     compared with the a*sigma_x(b)*tau(x, y) that vanish, read from the
     twist (18 for the Klein swap over 0..2): a named TraceMismatch, not the
     verdict True."""
-    twist, _ = CASES["klein-swap-unsorted"]
-    assert is_G_armendariz(twist.ring, twist, 2, [0, 1, 2]).verdict is False
+    twist, window = CASES["klein-swap-unsorted"]
+    assert is_G_armendariz(TruncatedUniverse(twist, window), 2).verdict is False
     monkeypatch.setattr(WindowAlgebra, "multiply",
                         lambda alg, f, g: [1] * len(alg.products))
     with pytest.raises(TraceMismatch, match="yielded 0 single-term pairs .* but 18 products"):
-        is_G_armendariz(twist.ring, twist, 2, [0, 1, 2])
+        is_G_armendariz(TruncatedUniverse(twist, window), 2)
 
 
 def test_window_exponents_must_be_distinct(tw_z4_tau):
-    with pytest.raises(MalformedSpec):
-        WindowAlgebra(tw_z4_tau, [0, 1, 0])
+    """A window must ascend strictly: a repeated exponent, adjacent or not,
+    and a descending pair are refused."""
+    for window in ([0, 1, 0], [1, 0], [0, 1, 1]):
+        with pytest.raises(MalformedSpec, match="strictly ascending"):
+            WindowAlgebra(tw_z4_tau, window)
 
 
 # --- the scans against the plain double loops they replaced -------------------
@@ -210,7 +216,7 @@ def _g_armendariz_loop(ring, twist, max_support, exponents):
 
 
 def test_g_armendariz_klein_swap_stops_where_the_loop_does(klein, tw_klein_swap):
-    rep = is_G_armendariz(klein, tw_klein_swap, 2, [0, 1, 2])
+    rep = is_G_armendariz(TruncatedUniverse(tw_klein_swap, [0, 1, 2]), 2)
     witness, checked, zero = _g_armendariz_loop(klein, tw_klein_swap, 2, [0, 1, 2])
     assert rep.verdict is False
     assert rep.witness == witness
@@ -224,7 +230,7 @@ def test_g_armendariz_matches_loop(name, max_support):
     twist, window = CASES[name]
     ring = twist.ring
     support = len(window) if max_support is None else max_support
-    rep = is_G_armendariz(ring, twist, support, window)
+    rep = is_G_armendariz(TruncatedUniverse(twist, window), support)
     witness, checked, zero = _g_armendariz_loop(ring, twist, support, window)
     assert rep.verdict is (witness is None)
     assert rep.witness == witness
@@ -297,6 +303,28 @@ def test_thm54_oracle_does_not_read_the_term_table(monkeypatch):
     [check] = report.checks
     assert (check.verdict, check.note) == (False, "derivation trace mismatch")
     assert check.witness == "term table disagrees with term_product at (0, 0), a=2, b=1"
+
+
+def test_properties_g_armendariz_reads_checked_tables(monkeypatch):
+    """A wrong table term that stays nonzero leaves the G-Armendariz verdict,
+    its counts and its single-term re-check as they were on z4_tau_power,
+    so only the table check, which the scan's universe runs before its
+    join, catches it: the properties suite fails with its message."""
+    fx = load_fixture(resolve_fixture("z4_tau_power"))
+    real = WindowAlgebra.__init__
+
+    def corrupted(alg, twist, window):
+        real(alg, twist, window)
+        i = alg.window.index(0)
+        assert alg.term[i][1][i][1] == 1  # 1 * sigma_0(1) * tau(0, 0)
+        alg.term[i][1][i][1] = 2
+
+    monkeypatch.setattr(WindowAlgebra, "__init__", corrupted)
+    report = run_suite(fx, "properties")
+    assert report.status == "fail"
+    [check] = report.checks
+    assert (check.verdict, check.note) == (False, "derivation trace mismatch")
+    assert check.witness == "term table disagrees with term_product at (0, 0), a=1, b=1"
 
 
 # --- the extraction trace against the Series derivation it replaced ------------
@@ -411,8 +439,9 @@ def test_trace_matches_the_series_derivation(name):
 
 
 def test_coefficient_extraction_over_an_unsorted_window(tw_z4_tau, u_z4):
-    """Series listed in an unsorted window order compile an unsorted
-    algebra inside coefficient_extraction; its trace is the Series one."""
+    """Series whose terms are listed out of exponent order compile the
+    ascending window of their supports inside coefficient_extraction; its
+    trace is the Series one."""
     unsorted = 0
     for f in exhaustive_series(tw_z4_tau, [1, -1, 0]):
         for g in exhaustive_series(tw_z4_tau, [1, -1, 0]):
@@ -426,10 +455,10 @@ def test_coefficient_extraction_over_an_unsorted_window(tw_z4_tau, u_z4):
 
 
 def test_coefficient_extraction_catches_a_wrong_term_in_its_own_algebra(monkeypatch):
-    """coefficient_extraction compiles an algebra whose tables are never
-    checked. Two wrong terms of one X_w that keep its sum and stay inside U
-    pass every step of the trace; comparing each conclusion with
-    term_product catches them."""
+    """coefficient_extraction compiles its own algebra and checks its tables
+    before the trace. Two wrong terms of one X_w that keep its sum and stay
+    inside U would pass every step of the trace; the table check names the
+    first of them."""
     twist = trivial_twist(ring_zn(4))
     U = make_ideal(twist.ring, {0, 2})
     f = series_make(twist, [(0, 2), (1, 2)])
@@ -444,7 +473,8 @@ def test_coefficient_extraction_catches_a_wrong_term_in_its_own_algebra(monkeypa
         alg.term[0][2][1][1] = alg.term[1][2][0][1] = 0  # X_1 still sums to 0
 
     monkeypatch.setattr(WindowAlgebra, "__init__", corrupted)
-    with pytest.raises(TraceMismatch, match=r"^oracle disagrees with the trace at \(0, 1\)$"):
+    with pytest.raises(TraceMismatch, match=r"^term table disagrees with term_product at "
+                                            r"\(0, 1\), a=2, b=1$"):
         coefficient_extraction(f, g, U)
 
 
@@ -473,7 +503,7 @@ def _ring(kind, *params):
 @st.composite
 def _twisted_pairs(draw):
     """A commutative ring of at most 16 elements, a twist over Z or Z^2_lex,
-    a window of distinct exponents in any order, and two series inside it."""
+    an ascending window, and two series inside it."""
     kind = draw(st.sampled_from(["Zn", "product", "trivial_extension"]))
     if kind == "Zn":
         ring = _ring(kind, draw(st.integers(2, 16)))
@@ -484,12 +514,12 @@ def _twisted_pairs(draw):
         ring = _ring(kind, draw(st.integers(2, 4)))
     if draw(st.booleans()):
         group = IntegersGroup()
-        window = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+        window = sorted(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)))
         rule = "product"
     else:
         group = LexProductGroup(2)
-        window = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-                               min_size=1, max_size=3, unique=True))
+        window = sorted(draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                                      min_size=1, max_size=3, unique=True)))
         rule = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
     unit = draw(st.sampled_from(sorted(units(ring))))
     twist = twist_from_spec(ring, group, {

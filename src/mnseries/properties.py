@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -235,25 +236,27 @@ def is_G_armendariz(universe: TruncatedUniverse, max_support: int) -> PropertyRe
     decided without its product being built; pairs_checked counts those
     pruned pairs too.
 
-    The join runs over orbit representatives (WindowAlgebra.orbits): f up
-    to multiplying its coefficients on the left by a unit u, g up to
+    The join runs over orbit representatives (WindowAlgebra.representatives):
+    f up to multiplying its coefficients on the left by a unit u, g up to
     multiplying them on the right by a central unit v that every sigma
-    generator fixes. Then (uf)(gv) has the coefficients u (fg)_z v and
+    generator fixes. Then (uf)(gv) has the coefficients u (fg)_z v, as
+    sigma_x(b v) = sigma_x(b) v and v commutes with tau(x, y), and
     (u a)(b v) = u (ab) v, so fg = 0 and ab = 0 hold for the whole orbit
-    pair or for none of it, and each representative pair counts
-    |orbit f| * |orbit g| zero products. If a representative pair has a
-    nonzero a_i b_j, the exact join over every pair runs instead, and
-    reports the first witness in f-major order with the pairs checked and
-    zero products seen up to it. A witness pair is multiplied again with
-    series_mul before the verdict False is reported: a nonzero product, or a
-    zero a_i b_j, raises TraceMismatch. So does a True verdict whose
-    single-term zero products, weighted, miscount the twist's zero terms.
+    pair or for none of it, and a representative pair counts
+    |orbit f| * |orbit g| zero products; each side's sizes must sum to the
+    fragment's size, or TraceMismatch is raised. If a representative pair
+    has a nonzero a_i b_j, the exact join over every pair of
+    `universe.terms()` runs instead, and reports the first witness in
+    f-major order with the pairs checked and zero products seen up to it. A
+    witness pair is multiplied again with series_mul before the verdict
+    False is reported: a nonzero product, or a zero a_i b_j, raises
+    TraceMismatch. So does a True verdict whose single-term zero products,
+    weighted, miscount the twist's zero terms.
     """
     twist, exps = universe.twist, universe.window
     ring, grp = twist.ring, twist.group
     check_pair_cap(ring.size, len(exps))
     alg = universe.checked_algebra()
-    fragment = [terms for terms in universe.terms() if len(terms) <= max_support]
     mul = ring.mul_table
 
     def scan(fs, f_sizes, gs, g_sizes):
@@ -271,14 +274,19 @@ def is_G_armendariz(universe: TruncatedUniverse, max_support: int) -> PropertyRe
                 return zero, single, hit
         return zero, single, None
 
-    f_reps, f_sizes = alg.orbits(fragment, "left")
-    g_reps, g_sizes = alg.orbits(fragment, "right")
-    zero_products, single_terms, hit = scan(f_reps, f_sizes, g_reps, g_sizes)
+    count = sum(math.comb(len(exps), s) * (ring.size - 1) ** s for s in range(max_support + 1))
+    orbits = {side: alg.representatives(side, max_support) for side in ("left", "right")}
+    for side, (_, sizes) in orbits.items():
+        if sum(sizes) != count:
+            raise TraceMismatch(f"G-Armendariz {side} orbit sizes sum to {sum(sizes)}, but "
+                                f"{count} series have at most {max_support} terms")
+    zero_products, single_terms, hit = scan(*orbits["left"], *orbits["right"])
     if hit is not None:
+        fragment = [terms for terms in universe.terms() if len(terms) <= max_support]
         ones = [1] * len(fragment)
         zero_products, single_terms, hit = scan(fragment, ones, fragment, ones)
     witness = None
-    pairs_checked = len(fragment) ** 2
+    pairs_checked = count * count
     if hit is not None:
         p, q, i, j, product = hit
         fs, gs = alg.series(fragment[p]), alg.series(fragment[q])

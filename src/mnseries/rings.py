@@ -101,15 +101,6 @@ class FiniteRing(Memo):
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg(b)]
 
-    def pow(self, a: int, n: int) -> int:
-        """a^n for n >= 1 (n = 0 would need a unit convention; unused here)."""
-        if n < 1:
-            raise ValueError("pow defined for n >= 1")
-        acc = a
-        for _ in range(n - 1):
-            acc = self.mul_table[acc][a]
-        return acc
-
     def describe(self, a: int) -> str:
         return self.names[a]
 

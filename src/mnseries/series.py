@@ -388,40 +388,44 @@ class WindowAlgebra:
         series = list(_window_terms(sorted(weight), len(self.window)))
         return series, [math.prod(weight[c] for _, c in terms) for terms in series]
 
-    def orbits(self, series: list[list[tuple]], side: str
-               ) -> tuple[list[list[tuple]], list[int]]:
-        """The orbits of `series` under multiplying every coefficient by one
-        unit: on the left by any unit (side "left"), or on the right by a
-        central unit that every sigma generator fixes (side "right"). One
-        representative per orbit, each the first of its orbit in `series`,
-        in that order, and the orbit sizes.
+    def representatives(self, side: str, max_support: int
+                        ) -> tuple[list[list[tuple]], list[int]]:
+        """One series per orbit of the window series with at most
+        `max_support` terms, the first of its orbit in universe order, in
+        that order, and the orbit sizes. The group H of units multiplies
+        every coefficient on the left by a unit (side "left"), or on the
+        right by a central unit that every sigma generator fixes (side
+        "right"); a unit keeps supports.
 
-        Either set of units is a group, so the orbits partition `series`.
-        A unit maps nonzero coefficients to nonzero ones, so an orbit keeps
-        its support, and a universe, with or without its support bound,
-        holds every member of each orbit it meets. For f and g in a window,
-        (uf)(gv) then has the coefficients u (fg)_z v: sigma_x(b v) =
-        sigma_x(b) v, and v commutes with tau(x, y).
+        A tuple is first in its orbit iff each coefficient is least in its
+        orbit under the maps that fix the ones before it (McKay 1998). So a
+        depth-first walk carries that stabilizer (Seress 2003): it takes 0,
+        then, below the support bound, each c that no map lowers, keeping
+        the maps that fix c. An orbit has |H| / |stabilizer| members.
         """
-        ring = self.twist.ring
-        mul = ring.mul_table
+        ring, rows = self.twist.ring, self.twist.ring.byte_rows()
         if side == "left":
-            scale = [mul[u] for u in sorted(units(ring))]
+            scale = [rows.mul[u] for u in sorted(units(ring))]
         elif side == "right":
-            scale = [[row[v] for row in mul] for v in sorted(units(ring))
-                     if all(g.map[v] == v for g in self.twist.sigma.generators)
-                     and all(mul[v][r] == mul[r][v] for r in ring.elements())]
+            scale = [rows.mul_t[v] for v in sorted(units(ring)) if rows.mul[v] == rows.mul_t[v]
+                     and all(g.map[v] == v for g in self.twist.sigma.generators)]
         else:
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        seen: set[tuple] = set()
         reps, sizes = [], []
-        for s in series:
-            if tuple(s) in seen:
-                continue
-            orbit = {tuple((i, m[c]) for i, c in s) for m in scale}
-            seen |= orbit
-            reps.append(s)
-            sizes.append(len(orbit))
+
+        def walk(i, terms, stab):
+            if i == len(self.window):
+                reps.append(terms)
+                sizes.append(len(scale) // len(stab))
+                return
+            walk(i + 1, terms, stab)
+            if len(terms) >= max_support:
+                return
+            for c, images in enumerate(zip(*stab)):  # c's orbit under stab
+                if c and min(images) == c:
+                    walk(i + 1, [*terms, (i, c)], [m for m in stab if m[c] == c])
+
+        walk(0, [], scale)
         return reps, sizes
 
     def check_tables(self):

@@ -108,7 +108,8 @@ class TruncatedUniverse(Memo):
         return [(j, c) for j in range(w) if (c := i // size ** (w - 1 - j) % size)]
 
     def terms(self) -> list[list[tuple]]:
-        """Every member's window terms, in universe order, listed once."""
+        """Every member's window terms, in universe order, listed once; read by
+        `killers`, `lift_universe` and the extraction and G-Armendariz reruns."""
         return self.once("terms", self.algebra.universe)
 
     def series(self, i: int) -> Series:
@@ -514,10 +515,6 @@ class DerivationTrace:
     U: IdealSet
     steps: list[TraceStep]
     conclusions: dict
-
-    @property
-    def all_in_ideal(self) -> bool:
-        return all(t in self.U.members for t in self.conclusions.values())
 
     def to_json(self) -> dict:
         grp = self.f.twist.group

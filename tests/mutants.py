@@ -360,14 +360,44 @@ MUTANTS = {
     "orbit-weight-one": Mutant(
         "every orbit representative counts as one series, not as its orbit",
         "mnseries/series.py",
-        "sizes.append(len(orbit))",
+        "sizes.append(len(scale) // len(stab))",
         "sizes.append(1)",
         ("tests/test_window.py", "-k", "joins_orbit_representatives")),
+    "orbit-size-inverted": Mutant(
+        "an orbit's size is taken as |Stab| / |H|, not |H| / |Stab|",
+        "mnseries/series.py",
+        "len(scale) // len(stab)",
+        "len(stab) // len(scale)",
+        ("tests/test_orbit_scan.py", "-k", "representatives_match_the_orbit_oracle")),
+    "stabilizer-not-narrowed": Mutant(
+        "the walk carries every map past a position, not those that fix its coefficient",
+        "mnseries/series.py",
+        "[m for m in stab if m[c] == c]",
+        "stab",
+        ("tests/test_orbit_scan.py", "-k", "representatives_match_the_orbit_oracle")),
+    "support-cut-before-the-zero": Mutant(
+        "the support bound ends the walk before a position's zero coefficient is taken, "
+        "so a full support drops its trailing zeros",
+        "mnseries/series.py",
+        "            walk(i + 1, terms, stab)\n"
+        "            if len(terms) >= max_support:\n"
+        "                return\n",
+        "            if len(terms) >= max_support:\n"
+        "                return\n"
+        "            walk(i + 1, terms, stab)\n",
+        ("tests/test_orbit_scan.py", "-k", "representatives_match_the_orbit_oracle")),
+    "orbit-sizes-unchecked": Mutant(
+        "G-Armendariz trusts the orbit sizes without comparing their sum with the "
+        "number of series in the fragment",
+        "mnseries/properties.py",
+        "        if sum(sizes) != count:\n",
+        "        if False:\n",
+        ("tests/test_window.py", "-k", "orbit_sizes_that_miscount")),
     "right-orbits-ignore-sigma": Mutant(
         "a central unit acts on g although a sigma generator moves it",
         "mnseries/series.py",
-        "if all(g.map[v] == v for g in self.twist.sigma.generators)",
-        "if True",
+        "and all(g.map[v] == v for g in self.twist.sigma.generators)]",
+        "]",
         ("tests/test_orbit_scan.py", "-k", "orbits_partition")),
     "g-armendariz-skips-the-exact-rerun": Mutant(
         "the first witness among the orbit representatives is reported as it is, "

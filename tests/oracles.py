@@ -8,7 +8,8 @@ additive span of a set, sum by sum, the zip searches that recompute a
 quotient or annihilator for every candidate subset, the sigma-U-zip
 scan's count over all 2^|R| subsets, and the truncated universe's
 quotient as a filter that multiplies every window series by every factor,
-the G-Armendariz check over the window join of every pair of series, the
+the G-Armendariz check over the window join of every pair of series and
+the unit orbits of a listed set of series, kept with a seen-set, the
 series-zip witness that traces every quotient member with every factor,
 and prop 3.2's fusible lift of one Series at a time by Series arithmetic.
 They stay here as oracles, not as second paths in `src/`, beside
@@ -44,7 +45,7 @@ from mnseries.ideals import (IdealSet, SigmaCompatResult, close_under_inverses,
 from mnseries.properties import (PropertyReport, ZeroDivisorSets, check_pair_cap,
                                  fusible_decompositions,
                                  sigma_u_zip_witness, zero_divisor_sets)
-from mnseries.rings import FiniteRing
+from mnseries.rings import FiniteRing, units
 from mnseries.series import (Series, TwistSystem, WindowAlgebra, _same_twist, embed_scalar,
                              series_make, series_mul, series_to_json, term_product)
 from mnseries.transfer import (FusibleLift, TruncatedUniverse, _contents, _trace,
@@ -62,6 +63,15 @@ def ut2_table(n: int) -> dict:
            for (a, b, c) in elems]
     return {"label": f"UT2(Z{n})", "size": len(elems), "add": add, "mul": mul,
             "one": index[(1, 0, 1)]}
+
+
+def ring_pow(ring: FiniteRing, a: int, n: int) -> int:
+    """a^n for n >= 1, one product at a time: what a semiprime witness
+    (a, n) claims lands in its ideal."""
+    acc = a
+    for _ in range(n - 1):
+        acc = ring.mul_table[acc][a]
+    return acc
 
 
 def per_entry_pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul, one: tuple) -> FiniteRing:
@@ -641,6 +651,43 @@ def extraction_oracle(f: Series, g: Series) -> dict:
     direct evaluation: the conclusions the extraction trace must reach."""
     return {(u, v): term_product(f.twist, f.terms[u], u, g.terms[v], v)
             for u in f.terms for v in g.terms}
+
+
+def orbits(alg: WindowAlgebra, series: list[list[tuple]], side: str
+           ) -> tuple[list[list[tuple]], list[int]]:
+    """The orbits of `series` under multiplying every coefficient by one
+    unit: on the left by any unit (side "left"), or on the right by a
+    central unit that every sigma generator fixes (side "right"). One
+    representative per orbit, each the first of its orbit in `series`,
+    in that order, and the orbit sizes.
+
+    Either set of units is a group, so the orbits partition `series`.
+    A unit maps nonzero coefficients to nonzero ones, so an orbit keeps
+    its support, and a universe, with or without its support bound,
+    holds every member of each orbit it meets. For f and g in a window,
+    (uf)(gv) then has the coefficients u (fg)_z v: sigma_x(b v) =
+    sigma_x(b) v, and v commutes with tau(x, y).
+    """
+    ring = alg.twist.ring
+    mul = ring.mul_table
+    if side == "left":
+        scale = [mul[u] for u in sorted(units(ring))]
+    elif side == "right":
+        scale = [[row[v] for row in mul] for v in sorted(units(ring))
+                 if all(g.map[v] == v for g in alg.twist.sigma.generators)
+                 and all(mul[v][r] == mul[r][v] for r in ring.elements())]
+    else:
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    seen: set[tuple] = set()
+    reps, sizes = [], []
+    for s in series:
+        if tuple(s) in seen:
+            continue
+        orbit = {tuple((i, m[c]) for i, c in s) for m in scale}
+        seen |= orbit
+        reps.append(s)
+        sizes.append(len(orbit))
+    return reps, sizes
 
 
 def full_join_G_armendariz(universe, max_support: int) -> PropertyReport:

@@ -11,6 +11,7 @@ from mnseries.ideals import (annihilator, classify_kind, close_under_inverses,
                              weak_annihilator)
 from mnseries.rings import (check_automorphism, identity_automorphism, ring_from_table,
                             ring_product)
+from oracles import ring_pow
 
 
 def all_subsets(ring):
@@ -191,7 +192,7 @@ def test_semiprime_examples(z4, u_z4, zero_ideal_z4, u_tz4):
 def test_semiprime_witness_reverifies(zero_ideal_z4, z4):
     a, n = is_semiprime_ideal(zero_ideal_z4).witness
     assert a not in zero_ideal_z4.members
-    assert z4.pow(a, n) in zero_ideal_z4.members
+    assert ring_pow(z4, a, n) in zero_ideal_z4.members
 
 
 def test_nil_radical_examples(z4, klein, gf4, tz4):

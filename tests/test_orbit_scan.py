@@ -2,9 +2,10 @@
 support classes, against the exact scans they replaced.
 
 The oracles are in tests/oracles.py: `full_join_G_armendariz`, the window
-join over every pair of universe series, and `per_h_series_zip_witness`,
-one extraction trace for every member h of the reduced quotient and every
-factor. The reports must be equal, witnesses and counts included, and a
+join over every pair of universe series, `orbits`, the orbit scan over the
+listed universe with a seen-set that the stabilizer walk replaced, and
+`per_h_series_zip_witness`, one extraction trace for every member h of the
+reduced quotient and every factor. The reports must be equal, witnesses and counts included, and a
 failure must raise the same error with the same message. Rings are drawn
 from Z_n, products with their swap, trivial extensions, UT2(Z_n) and
 subalgebras of F2 matrix algebras, each with an automorphism or with the
@@ -28,7 +29,7 @@ from mnseries.rings import (ring_from_table, ring_trivial_extension, ring_zn, un
                             units)
 from mnseries.series import WindowAlgebra, series_make, trivial_twist, twist_from_spec
 from mnseries.transfer import TruncatedUniverse, series_zip_witness
-from oracles import full_join_G_armendariz, per_h_series_zip_witness, ut2_table
+from oracles import full_join_G_armendariz, orbits, per_h_series_zip_witness, ut2_table
 from test_class_scan import _ring
 from test_table_kernels import _f2_matrix_algebras
 
@@ -115,12 +116,32 @@ def test_orbits_partition_the_universe_under_the_units_that_act():
             (trivial_twist(ut2), "right", 64, [1] * 64)]:
         alg = WindowAlgebra(twist, [0, 1])
         universe = alg.universe()
-        found, found_sizes = alg.orbits(universe, side)
+        found, found_sizes = alg.representatives(side, 2)
         assert len(found) == reps and sum(found_sizes) == len(universe), (twist, side)
         assert sizes is None or found_sizes == sizes
         assert found == [s for s in universe if s in found]
     with pytest.raises(ValueError):
-        alg.orbits(universe, "both")
+        alg.representatives("both", 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_twists())
+@example(twist_window=(_gf4_frobenius(), [-1, 0, 1]))
+@example(twist_window=(trivial_twist(ring_from_table(ut2_table(2))), [0, 1]))
+def test_representatives_match_the_orbit_oracle(twist_window):
+    """The walk over the stabilizer chain lists the same representatives, in
+    the same order and with the same orbit sizes, as the seen-set scan over
+    the listed series, on both sides and at every support bound from 0 to
+    the window width. GF4's Frobenius moves its units, so only 1 acts on
+    the right; UT2(Z2) has 40 left representatives over two positions."""
+    twist, window = twist_window
+    alg = WindowAlgebra(twist, window)
+    universe = alg.universe()
+    for max_support in range(len(window) + 1):
+        fragment = [s for s in universe if len(s) <= max_support]
+        for side in ("left", "right"):
+            assert alg.representatives(side, max_support) == orbits(alg, fragment, side), (
+                side, max_support)
 
 
 @settings(max_examples=100, deadline=None)

@@ -234,6 +234,17 @@ def test_kinds_and_quotients_match_the_elementwise_scans(key, data):
         assert classify_kind(ring, q) == elementwise_kind(ring, q)
 
 
+def test_ut2_annihilators_match_the_elementwise_scans():
+    """UT2(Z2) is noncommutative, so l(X) and r(X) read different sides of
+    its table: every X of at most two elements, on both sides."""
+    ring = _ring("ut2", 2)
+    for k in range(3):
+        for subset in itertools.combinations(ring.elements(), k):
+            for side in ("left", "right"):
+                assert annihilator(ring, frozenset(subset), side) == \
+                    elementwise_annihilator(ring, subset, side)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_ring_keys(), st.data())
 def test_annihilators_match_the_elementwise_scans(key, data):

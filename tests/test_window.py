@@ -149,13 +149,71 @@ def test_g_armendariz_joins_orbit_representatives(monkeypatch):
     twist, window = CASES["z4-tau"]
     alg = WindowAlgebra(twist, window)
     for side in ("left", "right"):
-        reps, sizes = alg.orbits(alg.universe(), side)
+        reps, sizes = alg.representatives(side, 3)
         assert (len(reps), sum(sizes)) == (36, 64)
     calls = _counting_multiplies(monkeypatch)
     rep = is_G_armendariz(TruncatedUniverse(twist, window), 3)
     assert rep.bounds["pairs_checked"] == 4096
     assert rep.bounds["zero_products_seen"] == 176
     assert len(calls) == 135
+
+
+def _listing_calls(monkeypatch, raises: bool) -> list:
+    """Record each call of WindowAlgebra.universe; a call raises if `raises`."""
+    real, calls = WindowAlgebra.universe, []
+
+    def listing(alg):
+        calls.append(alg)
+        if raises:
+            raise AssertionError("the window's members were listed")
+        return real(alg)
+
+    monkeypatch.setattr(WindowAlgebra, "universe", listing)
+    return calls
+
+
+def test_a_true_g_armendariz_verdict_lists_no_window_member(monkeypatch):
+    """The representatives are walked, not filtered from a member list, so
+    a True verdict, alone or inside thm4.5, gives the same report with the
+    window's listing disabled. Z64 over 0..2 walks 9,556 representatives a
+    side, standing for its 262,144 series."""
+    twist, window = CASES["z4-tau"]
+    fx = load_fixture(resolve_fixture("klein_fusible"))
+    expected = (is_G_armendariz(TruncatedUniverse(twist, window), 3).to_json(),
+                run_suite(fx, "thm4.5").to_json())
+    _listing_calls(monkeypatch, raises=True)
+    assert is_G_armendariz(TruncatedUniverse(twist, window), 3).to_json() == expected[0]
+    assert run_suite(fx, "thm4.5").to_json() == expected[1]
+    alg = WindowAlgebra(trivial_twist(ring_zn(64)), [0, 1, 2])
+    for side in ("left", "right"):
+        reps, sizes = alg.representatives(side, 3)
+        assert (len(reps), sum(sizes)) == (9556, 64 ** 3)
+
+
+def test_a_false_g_armendariz_verdict_lists_the_window_once(monkeypatch):
+    """UT2(Z2) over 0..1 fails, and the exact rerun lists the members once."""
+    calls = _listing_calls(monkeypatch, raises=False)
+    universe = TruncatedUniverse(trivial_twist(ring_from_table(ut2_table(2))), [0, 1])
+    assert is_G_armendariz(universe, 2).verdict is False
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_orbit_sizes_that_miscount_the_fragment_fail_g_armendariz(monkeypatch, side):
+    """A walk that loses a representative on either side leaves sizes that
+    sum to fewer than the 64 series of Z4 over 0..2: a named TraceMismatch,
+    not a verdict."""
+    real = WindowAlgebra.representatives
+
+    def losing(alg, which, max_support):
+        reps, sizes = real(alg, which, max_support)
+        return (reps[:-1], sizes[:-1]) if which == side else (reps, sizes)
+
+    monkeypatch.setattr(WindowAlgebra, "representatives", losing)
+    twist, window = CASES["z4-tau"]
+    with pytest.raises(TraceMismatch, match=f"^G-Armendariz {side} orbit sizes sum to 63, "
+                                            "but 64 series have at most 3 terms$"):
+        is_G_armendariz(TruncatedUniverse(twist, window), 3)
 
 
 def test_g_armendariz_rechecks_its_witness_with_series_mul(monkeypatch):

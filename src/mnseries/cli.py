@@ -34,7 +34,7 @@ from .ideals import (IdealSet, annihilator, classify_kind, enumerate_ideals,
                      ideal_closure, is_semiprime_ideal, is_sigma_compatible_ideal,
                      make_ideal, nil_radical, quotient_ideal, singleton_quotient_masks,
                      weak_annihilator)
-from .properties import (DEFAULT_WITNESS_CAP, PropertyReport, check_pair_cap, is_G_armendariz,
+from .properties import (DEFAULT_WITNESS_CAP, PropertyReport, is_G_armendariz,
                          is_IN, is_SA, is_left_fusible, is_right_nonsingular,
                          is_sigma_compatible_ring, right_zip_witness, sigma_u_zip_scan,
                          sigma_u_zip_witness, weak_zip_witness, zero_divisor_sets, _right_zip,
@@ -56,7 +56,7 @@ DEFAULT_CAPS = {
     "window": [0, 2],
     "max_support": 3,
 }
-# fixed limits; the ring, universe, pair and witness caps live where they are enforced
+# fixed limits; the ring, universe and witness caps live where they are enforced
 TWIST_WINDOW = (-3, 3)      # cocycle conditions at load
 TWIST_TRIPLE_CAP = 343 ** 3  # their exponent triples: Z^3_lex's window, not Z^4_lex's
 UNIVERSE_WINDOW = (0, 1)    # lemma4.3's and thm4.5's universe
@@ -399,11 +399,8 @@ def _suite_properties(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
         sc = is_sigma_compatible_ideal(ideal, fam)
         yield PropertyReport(f"sigma-compatible-{name}", sc.ok, witness=sc.witness)
     if fx.twist is not None:
-        lo, hi = fx.cap("window")
         try:
-            check_pair_cap(ring.size, fx.group.window_size(lo, hi))
-            universe = TruncatedUniverse(fx.twist, fx.group.window(lo, hi))
-            garm = is_G_armendariz(universe, fx.cap("max_support"))
+            garm = is_G_armendariz(_window_universe(fx, fx.twist), fx.cap("max_support"))
         except SizeCapExceeded as exc:
             garm = PropertyReport("G-armendariz", None, note=f"skipped: {exc}",
                                   bounds=exc.bounds)
@@ -426,12 +423,19 @@ def _twist(fx: Fixture) -> TwistSystem:
     return fx.twist
 
 
+def _window_universe(fx: Fixture, twist: TwistSystem) -> TruncatedUniverse:
+    """The truncated universe over the fixture's window, or SizeCapExceeded
+    from `universe_count`. The window is counted before it is listed, so a
+    wide Z^k_lex window is refused without building its exponents."""
+    lo, hi = fx.cap("window")
+    universe_count(fx.ring.size, fx.group.window_size(lo, hi))
+    return TruncatedUniverse(twist, fx.group.window(lo, hi))
+
+
 def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     twist = _twist(fx)
     require_fusible(twist)
-    lo, hi = fx.cap("window")
-    universe_count(fx.ring.size, fx.group.window_size(lo, hi))
-    universe = TruncatedUniverse(twist, fx.group.window(lo, hi))
+    universe = _window_universe(fx, twist)
     count, failed = lift_universe(universe, fx.cap("max_support"))
     failures = [{"f": series_to_json(f), "lift": lift.to_json()} for f, lift in failed]
     yield PropertyReport(
@@ -485,16 +489,14 @@ def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 
     yield sigma_u_zip_scan(fx.ring, U)
 
-    lo, hi = fx.cap("window")
     try:
-        universe_count(fx.ring.size, fx.group.window_size(lo, hi))
-        exps = fx.group.window(lo, hi)
-        universe = TruncatedUniverse(twist, exps)
+        universe = _window_universe(fx, twist)
     except SizeCapExceeded as exc:
         bounds = {"window": fx.cap("window"), **exc.bounds}
         for prop in ("extraction-vs-oracle", "series-zip"):
             yield PropertyReport(prop, None, bounds=bounds, note=f"skipped: {exc}")
         return
+    exps = universe.window
     pairs, qualifying, mismatch = extraction_scan(universe, U)
     yield PropertyReport(
         "extraction-vs-oracle", mismatch is None, witness=mismatch,

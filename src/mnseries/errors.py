@@ -31,7 +31,7 @@ class RingMismatch(MNSeriesError):
 
 class SizeCapExceeded(MNSeriesError):
     """An exhaustive scan was requested beyond the configured cap; `bounds`
-    names the cap, e.g. {"pair_cap": 1048576}."""
+    names the cap, e.g. {"universe_cap": 4096}."""
 
     def __init__(self, message, bounds):
         super().__init__(message)

@@ -388,14 +388,25 @@ class WindowAlgebra:
         series = list(_window_terms(sorted(weight), len(self.window)))
         return series, [math.prod(weight[c] for _, c in terms) for terms in series]
 
+    def unit_maps(self, side: str) -> list:
+        """The unit group H that `representatives` walks, as the byte rows
+        of its maps in unit order: every unit multiplying on the left (side
+        "left"), or every central unit that every sigma generator fixes,
+        multiplying on the right (side "right")."""
+        ring, rows = self.twist.ring, self.twist.ring.byte_rows()
+        if side == "left":
+            return [rows.mul[u] for u in sorted(units(ring))]
+        if side == "right":
+            return [rows.mul_t[v] for v in sorted(units(ring)) if rows.mul[v] == rows.mul_t[v]
+                    and all(g.map[v] == v for g in self.twist.sigma.generators)]
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+
     def representatives(self, side: str, max_support: int
                         ) -> tuple[list[list[tuple]], list[int]]:
         """One series per orbit of the window series with at most
         `max_support` terms, the first of its orbit in universe order, in
-        that order, and the orbit sizes. The group H of units multiplies
-        every coefficient on the left by a unit (side "left"), or on the
-        right by a central unit that every sigma generator fixes (side
-        "right"); a unit keeps supports.
+        that order, and the orbit sizes, under the maps `unit_maps(side)`;
+        a unit keeps supports.
 
         A tuple is first in its orbit iff each coefficient is least in its
         orbit under the maps that fix the ones before it (McKay 1998). So a
@@ -403,14 +414,7 @@ class WindowAlgebra:
         then, below the support bound, each c that no map lowers, keeping
         the maps that fix c. An orbit has |H| / |stabilizer| members.
         """
-        ring, rows = self.twist.ring, self.twist.ring.byte_rows()
-        if side == "left":
-            scale = [rows.mul[u] for u in sorted(units(ring))]
-        elif side == "right":
-            scale = [rows.mul_t[v] for v in sorted(units(ring)) if rows.mul[v] == rows.mul_t[v]
-                     and all(g.map[v] == v for g in self.twist.sigma.generators)]
-        else:
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        scale = self.unit_maps(side)
         reps, sizes = [], []
 
         def walk(i, terms, stab):

@@ -399,6 +399,13 @@ MUTANTS = {
         "and all(g.map[v] == v for g in self.twist.sigma.generators)]",
         "]",
         ("tests/test_orbit_scan.py", "-k", "orbits_partition")),
+    "right-side-reuses-a-different-walk": Mutant(
+        "G-Armendariz reuses the left walk for the right side although fewer units "
+        "act there",
+        "mnseries/properties.py",
+        'if alg.unit_maps("right") == alg.unit_maps("left")',
+        'if len(alg.unit_maps("right")) <= len(alg.unit_maps("left"))',
+        ("tests/test_orbit_scan.py", "-k", "walks_once_when_both_sides_act_alike")),
     "g-armendariz-skips-the-exact-rerun": Mutant(
         "the first witness among the orbit representatives is reported as it is, "
         "without the exact join over every pair",
@@ -542,6 +549,20 @@ MUTANTS = {
         "self.checked_algebra().join(distinct, {0}, self.terms())",
         "self.algebra.join(distinct, {0}, self.terms())",
         (_UNIVERSE, "-k", "wrong_term_fails_the_killers_join")),
+    # the window is counted before it is listed. Run only with the named
+    # test, whose stub fails the listing: unstubbed, this mutant lists the
+    # 10^10 exponents of a Z^2_lex window
+    "window-listed-before-counted": Mutant(
+        "a suite's universe lists its window's exponents before counting them",
+        "mnseries/cli.py",
+        """    universe_count(fx.ring.size, fx.group.window_size(lo, hi))
+    return TruncatedUniverse(twist, fx.group.window(lo, hi))
+""",
+        """    universe = TruncatedUniverse(twist, fx.group.window(lo, hi))
+    universe_count(fx.ring.size, fx.group.window_size(lo, hi))
+    return universe
+""",
+        ("tests/test_cli.py", "-k", "counted_before_it_is_listed")),
 }
 
 CHEAP = "kernel-matches-v-not-minus-v"

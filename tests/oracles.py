@@ -42,8 +42,7 @@ from mnseries.errors import (HypothesisFails, PreconditionFail, RingMismatch, Tr
 from mnseries.ideals import (IdealSet, SigmaCompatResult, close_under_inverses,
                              enumerate_ideals, quotient_ideal, set_sum,
                              weak_annihilator)
-from mnseries.properties import (PropertyReport, ZeroDivisorSets, check_pair_cap,
-                                 fusible_decompositions,
+from mnseries.properties import (PropertyReport, ZeroDivisorSets, fusible_decompositions,
                                  sigma_u_zip_witness, zero_divisor_sets)
 from mnseries.rings import FiniteRing, units
 from mnseries.series import (Series, TwistSystem, WindowAlgebra, _same_twist, embed_scalar,
@@ -698,7 +697,6 @@ def full_join_G_armendariz(universe, max_support: int) -> PropertyReport:
     window."""
     twist, exps = universe.twist, universe.window
     ring, grp = twist.ring, twist.group
-    check_pair_cap(ring.size, len(exps))
     alg = WindowAlgebra(twist, exps)
     fragment = [terms for terms in alg.universe() if len(terms) <= max_support]
     witness = None

@@ -811,17 +811,16 @@ def test_over_cap_universes_skip_the_suite(tmp_path, capsys, suite, count):
         "note": f"skipped: {count} universe series exceed the cap of 4096"}]
 
 
-def test_over_cap_pair_scan_skips_thm45(tmp_path, capsys):
-    # Z64's 0..1 universe fits (4096 series), but thm4.5's bounded G-Armendariz
-    # hypothesis would scan 4096^2 series pairs, beyond the pair cap
+def test_z64_thm45_runs_at_the_universe_cap(tmp_path, capsys):
+    # Z64's 0..1 universe is at the cap (4096 series), so thm4.5's bounded
+    # G-Armendariz hypothesis runs over it and every configuration transfers
     path = tmp_path / "z64.json"
     path.write_text(json.dumps({"label": "z64", "ring": {"kind": "Zn", "n": 64}, **_PLAIN_TWIST}))
     assert main(["verify", str(path), "--suite", "thm4.5", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "pass"
-    assert data["checks"] == [{
-        "property": "thm4.5", "verdict": None, "bounds": {"pair_cap": 1048576},
-        "note": "skipped: 4096^2 series pairs exceed the cap of 1048576"}]
+    assert [(c["property"], c["verdict"]) for c in data["checks"]] == [
+        *[("sa-transfer", True)] * 17, ("config-coverage", None)]
 
 
 @pytest.mark.parametrize("hi", [100, 10000])
@@ -835,12 +834,11 @@ def test_a_wide_window_skips_the_checks_it_feeds(capsys, suite, hi):
     assert "Traceback" not in captured.err
     data = json.loads(captured.out)
     assert data["status"] == "pass"
+    note = f"skipped: 4^{hi + 1} universe series exceed the cap of 4096"
     if suite == "properties":
-        expected = {"G-armendariz": ({"pair_cap": 1048576}, f"skipped: (4^{hi + 1})^2 "
-                                     "series pairs exceed the cap of 1048576")}
+        expected = {"G-armendariz": ({"universe_cap": 4096}, note)}
     else:
-        skip = ({"universe_cap": 4096, "window": [0, hi]},
-                f"skipped: 4^{hi + 1} universe series exceed the cap of 4096")
+        skip = ({"universe_cap": 4096, "window": [0, hi]}, note)
         expected = {"extraction-vs-oracle": skip, "series-zip": skip}
     assert {c["property"]: (c["bounds"], c["note"])
             for c in data["checks"] if c["verdict"] is None} == expected
@@ -854,13 +852,43 @@ def test_a_wide_window_skips_prop32():
     assert report.checks[0].note == "skipped: 4^10001 universe series exceed the cap of 4096"
 
 
-def test_the_G_armendariz_skip_names_its_cap():
-    # T(Z4) has 16 elements: 16^3 series over the window 0..2, 4096^2 pairs
+@pytest.mark.parametrize("suite, skipped", [
+    ("properties", ["G-armendariz"]), ("prop3.2", ["prop3.2"]),
+    ("thm5.4", ["extraction-vs-oracle", "series-zip"])])
+def test_a_wide_lex_window_is_counted_before_it_is_listed(tmp_path, monkeypatch, suite, skipped):
+    # Z2, untwisted over Z^2_lex with U = {0}, meets the hypotheses of prop3.2
+    # and thm5.4; its window 0..100000 holds 10^10 exponents, so a suite that
+    # asked for them before counting them would never end
+    path = tmp_path / "z2_lex.json"
+    path.write_text(json.dumps({"label": "z2_lex", "ring": {"kind": "Zn", "n": 2},
+                                "group": {"group": "Z^k_lex", "k": 2},
+                                "twist": {"sigma": "identity", "tau": {"kind": "one"}},
+                                "ideals": {"U": {"kind": "twosided", "members": [0]}}}))
+    fx = load_fixture(str(path))
+    listing = fx.group.window
+
+    def guarded(lo, hi):
+        if (lo, hi) == (0, 100000):
+            pytest.fail("the 0..100000 window was listed before it was counted")
+        return listing(lo, hi)
+
+    monkeypatch.setattr(fx.group, "window", guarded)
+    report = run_suite(fx, suite, overrides={"window": [0, 100000]})
+    assert report.status == "pass"
+    nulls = [c for c in report.checks if c.verdict is None]
+    assert [c.prop for c in nulls] == skipped
+    for check in nulls:
+        assert check.bounds["universe_cap"] == 4096
+        assert check.note == "skipped: 2^10000200001 universe series exceed the cap of 4096"
+
+
+def test_t_z4_properties_decides_G_armendariz_at_the_universe_cap():
+    # T(Z4) has 16 elements: 16^3 = 4096 series over the window 0..2, at the cap
     fx = load_fixture(resolve_fixture("t_z4_example_5_6"))
     check = run_suite(fx, "properties").checks[-1]
-    assert (check.prop, check.verdict, check.bounds) == (
-        "G-armendariz", None, {"pair_cap": 1048576})
-    assert check.note == "skipped: 4096^2 series pairs exceed the cap of 1048576"
+    assert (check.prop, check.verdict) == ("G-armendariz", False)
+    assert check.witness == {"f": [[1, 1], [2, 8]], "g": [[1, 1], [2, 8]],
+                             "x": 1, "y": 2, "product": 2}
 
 
 def test_examples_derives_the_zip_context_once(monkeypatch):

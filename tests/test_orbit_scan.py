@@ -17,7 +17,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import mnseries.properties as properties
 import mnseries.transfer as transfer
 from mnseries.cli import load_fixture, resolve_fixture
 from mnseries.errors import MNSeriesError, TraceMismatch
@@ -173,15 +172,42 @@ def test_ut2_z2_fails_g_armendariz_with_the_full_join_witness():
      {"f": [[0, 1], [1, 16]], "g": [[0, 2], [1, 32]], "x": 0, "y": 1, "product": 4}),
     (ring_from_table(ut2_table(4)),
      {"f": [[0, 4], [1, 16]], "g": [[0, 4], [1, 3]], "x": 0, "y": 1, "product": 12})])
-def test_64_element_rings_fail_with_the_full_join_witness(monkeypatch, ring, witness):
-    """T(Z8) and UT2(Z4), untwisted over 0..1, with the pair cap lifted:
-    4,096 series each, and the same first witness, pairs checked and zero
+def test_64_element_rings_fail_with_the_full_join_witness(ring, witness):
+    """T(Z8) and UT2(Z4), untwisted over 0..1: 4,096 series each, at the
+    universe cap, and the same first witness, pairs checked and zero
     products as the full join."""
-    monkeypatch.setattr(properties, "DEFAULT_PAIR_CAP", 1 << 24)
     universe = TruncatedUniverse(trivial_twist(ring), [0, 1])
     rep = is_G_armendariz(universe, 2)
     assert rep.witness == witness
     assert rep.to_json() == full_join_G_armendariz(universe, 2).to_json()
+
+
+def _walks(monkeypatch, universe, max_support):
+    """The sides `WindowAlgebra.representatives` walks in one
+    is_G_armendariz call."""
+    sides = []
+    real = WindowAlgebra.representatives
+
+    def counting(self, side, max_support):
+        sides.append(side)
+        return real(self, side, max_support)
+
+    monkeypatch.setattr(WindowAlgebra, "representatives", counting)
+    rep = is_G_armendariz(universe, max_support)
+    assert rep.to_json() == full_join_G_armendariz(universe, max_support).to_json()
+    return sides
+
+
+def test_g_armendariz_walks_once_when_both_sides_act_alike(monkeypatch):
+    """Every unit of Z8 is central, and the identity sigma fixes it, so the
+    right side acts by the left side's maps and reuses its walk. GF4's
+    Frobenius moves its units x and x + 1, so only 1 acts on the right and
+    the right side is walked on its own."""
+    z8 = TruncatedUniverse(trivial_twist(ring_zn(8)), [0, 1, 2])
+    assert z8.algebra.unit_maps("right") == z8.algebra.unit_maps("left")
+    assert _walks(monkeypatch, z8, 3) == ["left"]
+    frobenius = TruncatedUniverse(_gf4_frobenius(), [-1, 0, 1])
+    assert _walks(monkeypatch, frobenius, 3) == ["left", "right"]
 
 
 # --- series-zip over support classes --------------------------------------------------

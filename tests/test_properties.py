@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import mnseries.properties as properties
-from mnseries.errors import SizeCapExceeded, TraceMismatch, ZeroElement
+from mnseries.errors import TraceMismatch, ZeroElement
 from mnseries.ideals import make_ideal, nil_radical, quotient_ideal, singleton_quotient_masks
 from mnseries.properties import (_meet_counts, fusible_decompositions, is_G_armendariz,
                                  is_IN, is_SA, is_left_fusible,
@@ -13,6 +13,7 @@ from mnseries.properties import (_meet_counts, fusible_decompositions, is_G_arme
                                  zero_divisor_sets)
 from mnseries.rings import identity_automorphism, ring_zn, units
 from mnseries.transfer import TruncatedUniverse
+from oracles import full_join_G_armendariz
 
 
 def all_subsets(ring, nonempty=False):
@@ -135,12 +136,18 @@ def test_g_armendariz_swap_fails(klein, tw_klein_swap):
     assert klein.mul(f.terms[w["x"]], g.terms[w["y"]]) != 0
 
 
-def test_g_armendariz_bounds_cap(tz4):
-    # T(Z4) has 16 elements: 16^3 series over 0..2, 4096^2 pairs over the cap
-    from mnseries.series import trivial_twist
-    with pytest.raises(SizeCapExceeded) as exc:
-        is_G_armendariz(TruncatedUniverse(trivial_twist(tz4), [0, 1, 2]), 3)
-    assert exc.value.bounds == {"pair_cap": 1 << 20}
+def test_g_armendariz_t_z4_fails_at_the_universe_cap(tz4):
+    # T(Z4) has 16 elements: 16^3 = 4096 series over 0..2, at the universe cap
+    from mnseries.series import series_from_json, series_mul, trivial_twist
+    universe = TruncatedUniverse(trivial_twist(tz4), [0, 1, 2])
+    rep = is_G_armendariz(universe, 3)
+    assert rep.verdict is False
+    w = rep.witness
+    f = series_from_json(universe.twist, w["f"])
+    g = series_from_json(universe.twist, w["g"])
+    assert series_mul(f, g).is_zero
+    assert tz4.mul(f.terms[w["x"]], g.terms[w["y"]]) == w["product"] != 0
+    assert rep.to_json() == full_join_G_armendariz(universe, 3).to_json()
 
 
 def test_sigma_u_zip_witness_z4(z4, u_z4):

@@ -7,6 +7,8 @@ suite, `mn verify <fx> --suite <s> --format json` at seed 0, through
 re-records the file and says why:
 
     PYTHONPATH=src python tests/test_report_bytes.py --record
+
+which prints the name of each run whose digest changed, or "no change".
 """
 
 from __future__ import annotations
@@ -46,16 +48,21 @@ def current_digests() -> dict[str, str]:
     return {name: run_digest(argv) for name, argv in shipped_runs().items()}
 
 
+def differing(recorded: dict[str, str], current: dict[str, str]) -> list[str]:
+    """The sorted names of the runs whose digest is not the recorded one,
+    a run present on one side only included."""
+    return sorted(name for name in recorded.keys() | current.keys()
+                  if recorded.get(name) != current.get(name))
+
+
 def test_shipped_reports_match_recorded_digests():
-    recorded = json.loads(DIGESTS.read_text())
-    current = current_digests()
-    differing = sorted(name for name in recorded.keys() | current.keys()
-                       if recorded.get(name) != current.get(name))
-    assert not differing, f"report bytes changed for: {', '.join(differing)}"
+    changed = differing(json.loads(DIGESTS.read_text()), current_digests())
+    assert not changed, f"report bytes changed for: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    DIGESTS.write_text(json.dumps(current_digests(), indent=2, sort_keys=True) + "\n")
-    print(f"recorded {DIGESTS}")
+    recorded, current = json.loads(DIGESTS.read_text()), current_digests()
+    DIGESTS.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+    print("\n".join(differing(recorded, current)) or "no change")

@@ -201,8 +201,9 @@ def test_a_false_g_armendariz_verdict_lists_the_window_once(monkeypatch):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_orbit_sizes_that_miscount_the_fragment_fail_g_armendariz(monkeypatch, side):
     """A walk that loses a representative on either side leaves sizes that
-    sum to fewer than the 64 series of Z4 over 0..2: a named TraceMismatch,
-    not a verdict."""
+    sum to fewer than the 64 series of GF4 over -1..1: a named TraceMismatch,
+    not a verdict. Frobenius moves GF4's units, so each side is walked on
+    its own; the last left orbit has 3 series, the last right one 1."""
     real = WindowAlgebra.representatives
 
     def losing(alg, which, max_support):
@@ -210,8 +211,9 @@ def test_orbit_sizes_that_miscount_the_fragment_fail_g_armendariz(monkeypatch, s
         return (reps[:-1], sizes[:-1]) if which == side else (reps, sizes)
 
     monkeypatch.setattr(WindowAlgebra, "representatives", losing)
-    twist, window = CASES["z4-tau"]
-    with pytest.raises(TraceMismatch, match=f"^G-Armendariz {side} orbit sizes sum to 63, "
+    twist, window = CASES["gf4-frobenius"]
+    total = {"left": 61, "right": 63}[side]
+    with pytest.raises(TraceMismatch, match=f"^G-Armendariz {side} orbit sizes sum to {total}, "
                                             "but 64 series have at most 3 terms$"):
         is_G_armendariz(TruncatedUniverse(twist, window), 3)
 

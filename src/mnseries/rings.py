@@ -65,8 +65,21 @@ class FiniteRing(Memo):
                         raise MalformedSpec(f"ring {label!r}: {name}[{i}][{j}] = {v!r} out of range")
         if type(one) is not int or not 0 <= one < size:
             raise MalformedSpec(f"ring {label!r}: one = {one} out of range")
+        self._store(label, add_table, mul_table, one, names)
+
+    @classmethod
+    def _built(cls, label: str, add_table, mul_table, one: int,
+               names: Sequence[str] | None = None) -> FiniteRing:
+        """A ring whose tables a builder made from in-range ints by
+        construction (`ring_zn`, `_pair_ring`), without the entry check that
+        every table passed to the constructor gets."""
+        ring = cls.__new__(cls)
+        ring._store(label, add_table, mul_table, one, names)
+        return ring
+
+    def _store(self, label, add_table, mul_table, one, names):
         self.label = label
-        self.size = size
+        self.size = size = len(add_table)
         self.add_table = tuple(tuple(row) for row in add_table)
         self.mul_table = tuple(tuple(row) for row in mul_table)
         self.zero = 0
@@ -419,8 +432,8 @@ def ring_zn(n: int) -> FiniteRing:
     if n < 2:
         raise MalformedSpec(f"Zn requires n >= 2, got {n}")
     cycle = tuple(range(n)) * n  # cycle[k] = k mod n for k < n^2
-    return FiniteRing(f"Z{n}", [cycle[i:i + n] for i in range(n)],
-                      [(0,) * n, *(cycle[:i * n:i] for i in range(1, n))], one=1)
+    return FiniteRing._built(f"Z{n}", [cycle[i:i + n] for i in range(n)],
+                             [(0,) * n, *(cycle[:i * n:i] for i in range(1, n))], one=1)
 
 
 def _check_cap(size, what: str):
@@ -469,9 +482,9 @@ def _pair_ring(label: str, r1: FiniteRing, r2: FiniteRing, mul_row, one: tuple,
     n2 = r2.size
     pairs = [(a, b) for a in range(r1.size) for b in range(n2)]
     add1, add2 = r1.add_table, r2.add_table
-    return FiniteRing(label, [_pair_row(add1[a], add2[b], shifts) for a, b in pairs],
-                      [mul_row(a, b) for a, b in pairs], one=one[0] * n2 + one[1],
-                      names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
+    return FiniteRing._built(label, [_pair_row(add1[a], add2[b], shifts) for a, b in pairs],
+                             [mul_row(a, b) for a, b in pairs], one=one[0] * n2 + one[1],
+                             names=[f"({r1.names[a]},{r2.names[b]})" for a, b in pairs])
 
 
 def _shifts(n1: int, n2: int) -> list[bytes]:

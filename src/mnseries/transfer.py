@@ -12,10 +12,13 @@ one side, each a frozenset of member indices, and each quotient is the
 kernel of the window product, which is additive in the series it quotients:
 `TruncatedUniverse.quotient` matches half-window sums of the single-term
 products, reduced mod `members`, instead of multiplying every universe
-series. An annihilator reads only the single terms whose coefficients are
-additive generators of its coefficient set, and is kept in the universe's
-memo per (set, side). The filter over every series that the kernel replaced
-is the tests' oracle, `universe_quotient_scan` in tests/oracles.py.
+series. An annihilator needs no such kernel: it is killed by the single
+terms whose coefficients are additive generators of its coefficient set,
+and a single term times a series puts each coefficient in its own slot, so
+the annihilator is a box of per-position coefficient sets read from the
+term table. It is kept in the universe's memo per (set, side). The filter
+over every series that both replaced is the tests' oracle,
+`universe_quotient_scan` in tests/oracles.py.
 `lift_universe` lifts every universe member for prop 3.2 and decides each
 (0 : h) by one `killers` join for all of them, not by a kernel.
 
@@ -126,12 +129,18 @@ class TruncatedUniverse(Memo):
     def all_series(self) -> list[Series]:
         return [self.series(i) for i in range(self.count)]
 
+    def _box(self, digits: Sequence[Sequence[int]]) -> frozenset[int]:
+        """The members whose coefficient at each window position j lies in
+        digits[j]: one base-|R| digit from digits[j] per position."""
+        size = self.twist.ring.size
+        return frozenset(functools.reduce(
+            lambda found, values: [i * size + c for i in found for c in values], digits, [0]))
+
     def with_coeffs_in(self, coeffs: Iterable[int]) -> frozenset[int]:
-        """The members whose coefficients all lie in `coeffs` or are 0: one
-        base-|R| digit from the values per window position."""
-        values, size = sorted({0, *coeffs}), self.twist.ring.size
-        return self.once(("with_coeffs_in", *values), lambda: frozenset(functools.reduce(
-            lambda found, _: [i * size + c for i in found for c in values], self.window, [0])))
+        """The members whose coefficients all lie in `coeffs` or are 0."""
+        values = sorted({0, *coeffs})
+        return self.once(("with_coeffs_in", *values),
+                         lambda: self._box([values] * len(self.window)))
 
     def _cosets(self, members: frozenset[int]) -> tuple[list[int], list[list[int]], bytes]:
         """(rep, add, neg) for the cosets of `members` in the ring's additive
@@ -198,15 +207,34 @@ class TruncatedUniverse(Memo):
         """The members u with u*s = 0 (side "left") or s*u = 0 (side "right")
         for every member s with coefficients in `coeffs`; one kernel per
         (coefficient set, side). The product is additive in s and every such
-        s is a sum of single terms c*X^x with c in `coeffs`; a term of c1 + c2
-        is killed when the c1 and c2 terms are, so the terms whose c are
-        greedy additive generators of `coeffs` decide it."""
+        s is a sum of single terms c*X^(x_i) with c in `coeffs`; a term of
+        c1 + c2 is killed when the c1 and c2 terms are, so the terms whose c
+        are greedy additive generators of `coeffs` decide it.
+
+        For a fixed i, cancellation in the group sends the window's w
+        exponents x to w distinct products x_i x (and x x_i), so each
+        coefficient of c X^(x_i) * u is the one table entry
+        term[i][c][j][u_j], and of u * c X^(x_i) the entry term[j][u_j][i][c].
+        The kernel is therefore the box A_0 x ... x A_(w-1), A_j the b that
+        every generator term sends to 0 at position j."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
         coeffs = frozenset(coeffs)
 
         def kernel():
             gens = list(greedy_generators(self.twist.ring.add_table, {0}, sorted(coeffs - {0})))
-            return self.quotient([[(i, c)] for i in range(len(self.window)) for c in gens],
-                                 {0}, side)
+            term, size = self.checked_algebra().term, self.twist.ring.size
+            positions = range(len(self.window))
+            singles = [(i, c) for i in positions for c in gens]
+
+            def killed_at(j):
+                """A_j: the b that every generator term sends to 0 at position j."""
+                if side == "right":  # term[i][c][j][b]: column b of the rows term[i][c][j]
+                    columns = zip(range(size), *(term[i][c][j] for i, c in singles))
+                    return [b for b, *column in columns if not any(column)]
+                return [b for b, row in enumerate(term[j])  # term[j][b][i][c]
+                        if not any([row[i][c] for i, c in singles])]
+            return self._box([killed_at(j) for j in positions])
         return self.once(("annihilator", coeffs, side), kernel)
 
     def killers(self, hs: Sequence[list[tuple]]) -> list[list[int]]:

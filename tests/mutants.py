@@ -54,8 +54,8 @@ MUTANTS = {
     "with-coeffs-in-without-zero": Mutant(
         "with_coeffs_in leaves 0 out of the coefficients it allows",
         "mnseries/transfer.py",
-        "values, size = sorted({0, *coeffs}),",
-        "values, size = sorted(set(coeffs)),",
+        "values = sorted({0, *coeffs})",
+        "values = sorted(set(coeffs))",
         (_UNIVERSE, "-k", "members_decode_to_their_listed_terms")),
     "kernel-no-coset-reduction": Mutant(
         "the quotient kernel keeps raw coefficients instead of coset representatives, "
@@ -82,6 +82,34 @@ MUTANTS = {
         "sorted(coeffs - {0})))\n",
         "sorted(coeffs - {0})))[:1]\n",
         (_UNIVERSE, "-k", "annihilators_on_generators_match_every_coefficient")),
+    "annihilator-left-reads-the-right-table": Mutant(
+        "a left annihilator reads c X^(x_i) * b X^(x_j), the right side's entry, "
+        "instead of b X^(x_j) * c X^(x_i)",
+        "mnseries/transfer.py",
+        'if side == "right":  # term[i][c][j][b]',
+        'if True:  # term[i][c][j][b]',
+        (_UNIVERSE, "-k", "ut2_annihilators_differ_by_side or "
+         "annihilators_on_generators_match_every_coefficient")),
+    "annihilator-box-reads-one-position": Mutant(
+        "an annihilator's box reads the generator terms at the first window "
+        "position only",
+        "mnseries/transfer.py",
+        "singles = [(i, c) for i in positions for c in gens]",
+        "singles = [(i, c) for i in positions[:1] for c in gens]",
+        (_UNIVERSE, "-k", "annihilators_on_generators_match_every_coefficient")),
+    "annihilator-box-reads-the-first-generator": Mutant(
+        "an annihilator's box reads the terms of the first greedy generator only",
+        "mnseries/transfer.py",
+        "singles = [(i, c) for i in positions for c in gens]",
+        "singles = [(i, c) for i in positions for c in gens[:1]]",
+        (_UNIVERSE, "-k", "annihilators_on_generators_match_every_coefficient")),
+    "annihilator-skips-the-table-check": Mutant(
+        "the annihilator box, which lemma4.3 and thm4.5 decide the lifts with, "
+        "reads term tables it has not checked",
+        "mnseries/transfer.py",
+        "term, size = self.checked_algebra().term,",
+        "term, size = self.algebra.term,",
+        (_UNIVERSE, "-k", "wrong_term_fails_the_lifted_annihilator_check")),
     "killers-filed-under-the-wrong-h": Mutant(
         "every killer the batch join finds is filed under the batch's first h",
         "mnseries/transfer.py",
@@ -231,6 +259,14 @@ MUTANTS = {
         '(self.mul if side == "right" else self.mul_t)',
         '(self.mul if side == "right" else self.mul)',
         ("tests/test_table_kernels.py", "-k", "annihilators_match_the_elementwise_scans")),
+    # the builders' path past the entry check
+    "loaded-table-skips-the-entry-check": Mutant(
+        "a ring table read from a document is built through the builders' path, "
+        "which skips the entry check",
+        "mnseries/rings.py",
+        'ring = FiniteRing(data["label"],',
+        'ring = FiniteRing._built(data["label"],',
+        ("tests/test_rings.py", "-k", "loaded_table_keeps_the_entry_check")),
     # the row masks of the ideals layer and of the zip searches, in the ring's memo
     "mask-memo-key-without-side": Mutant(
         "the row masks are filed without their side, so l(X) reads the masks of r(X)",
@@ -536,13 +572,12 @@ MUTANTS = {
         "if True:",
         (_UNIVERSE, "-k", "table_check_matches_the_per_entry_check")),
     "universe-quotient-skips-the-table-check": Mutant(
-        "the universe's quotient kernel, which lemma4.3, thm4.5 and series-zip take "
-        "quotients and annihilators with, multiplies through tables it has not checked",
+        "the universe's quotient kernel, which series-zip takes its quotients "
+        "with, multiplies through tables it has not checked",
         "mnseries/transfer.py",
         "mul, size = self.checked_algebra().multiply,",
         "mul, size = self.algebra.multiply,",
-        (_UNIVERSE, "tests/test_orbit_scan.py", "-k",
-         "wrong_term_fails_the_lifted_annihilator_check or quotient_reads_fails_series_zip")),
+        ("tests/test_orbit_scan.py", "-k", "quotient_reads_fails_series_zip")),
     "killers-skip-the-table-check": Mutant(
         "the killers join reads tables it has not checked",
         "mnseries/transfer.py",

@@ -185,19 +185,23 @@ def test_kernel_reports_keep_their_bytes(tmp_path, name):
 
 
 def test_a_reader_that_closes_the_pipe_early_leaves_no_traceback(tmp_path):
-    """`mn props z4cubed --format json | head -1`: the report (about 480 kB)
-    outgrows the pipe, so the write after the reader has gone fails; the
-    run ends with exit code 1 and nothing but the empty stderr."""
+    """`mn props z4cubed --format json | head -1` after `head` has exited:
+    the child's stdout is a pipe whose read end is already closed, so its
+    first write of the report (24,778 bytes) fails whatever the pipe's
+    buffer holds; the run ends with exit code 1 and no traceback."""
     path = tmp_path / "z4cubed.json"
     path.write_text(json.dumps({"label": "z4cubed", **FIXTURES["z4cubed"]}))
     src = os.path.dirname(os.path.dirname(mnseries.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "mnseries.cli", "props", str(path),
-                             "--format", "json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mnseries.cli", "props", str(path),
+                               "--format", "json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
     assert "Traceback" not in err and "BrokenPipeError" not in err, err

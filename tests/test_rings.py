@@ -230,6 +230,25 @@ def test_pair_rings_match_the_per_entry_build(name):
     assert fast.mul_table == slow.mul_table
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ring_zn(2), lambda: ring_zn(7), lambda: ring_zn(64),
+    lambda: ring_product(ring_zn(2), ring_from_table(ut2_table(2))),
+    lambda: ring_product(ring_zn(4), ring_product(ring_zn(4), ring_zn(4))),
+    lambda: ring_trivial_extension(ring_zn(8)),
+], ids=["Z2", "Z7", "Z64", "Z2xUT2(Z2)", "Z4^3", "T(Z8)"])
+def test_built_rings_equal_their_tables_through_the_checked_constructor(build):
+    """ring_zn, products and trivial extensions skip the constructor's
+    entry check; their tables pass it, and give the same ring field by
+    field."""
+    built = build()
+    checked = FiniteRing(built.label, [list(row) for row in built.add_table],
+                         [list(row) for row in built.mul_table], built.one, list(built.names))
+    assert vars(built).keys() == vars(checked).keys()
+    for name, value in vars(checked).items():
+        assert getattr(built, name) == value, name
+    assert {type(v) for row in built.add_table + built.mul_table for v in row} == {int}
+
+
 def test_gf4_table_is_a_field(gf4):
     assert units(gf4) == set(gf4.elements()) - {0}
     # x * x = x + 1, x * (x+1) = 1
@@ -253,6 +272,20 @@ def test_a_bad_table_entry_is_named(table, i, j, value, message):
     tables[table][i][j] = value
     with pytest.raises(MalformedSpec) as exc:
         FiniteRing("z3", tables["add"], tables["mul"], 1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("table, i, j, value, message", [
+    ("add", 1, 2, True, "ring 'z3': add[1][2] = True out of range"),
+    ("mul", 1, 1, 3, "ring 'z3': mul[1][1] = 3 out of range"),
+])
+def test_a_loaded_table_keeps_the_entry_check(table, i, j, value, message):
+    """Only the builders skip the entry check: a table read from a document
+    still has its first bad entry named."""
+    tables = dict(zip(("add", "mul"), _z3_tables()))
+    tables[table][i][j] = value
+    with pytest.raises(MalformedSpec) as exc:
+        ring_from_table({"label": "z3", "size": 3, "one": 1, **tables})
     assert str(exc.value) == message
 
 

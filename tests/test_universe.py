@@ -451,6 +451,18 @@ def test_annihilators_on_generators_match_every_coefficient(name):
                 universe, singles, {0}, side), (sorted(coeffs), side)
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_each_slot_row_and_column_holds_w_distinct_slots(name):
+    """The fact the annihilator's box rests on: x -> x_i x and x -> x x_i
+    send the window's w exponents to w distinct products, so one single
+    term times a series puts each of its coefficients in its own slot."""
+    universe = KERNEL_CASES[name]
+    slot, w = universe.algebra.slot, len(universe.window)
+    for i in range(w):
+        assert len(set(slot[i])) == w, (i, slot[i])
+        assert len({row[i] for row in slot}) == w, (i, [row[i] for row in slot])
+
+
 def test_a_quotient_by_a_set_that_is_not_a_subgroup_raises():
     universe = CASES["z4-tau"]
     factors = [[(0, 1)]]
@@ -672,37 +684,35 @@ def test_the_table_check_matches_the_per_entry_check_on_a_changed_entry(name, da
 
 def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):
     """lemma4.3 on t_z4_example_5_6 asks for 112 annihilators of 14 distinct
-    (coefficient set, side) keys; each key is one quotient kernel over the
-    single-term series c*X^x, at most |universe| * w * |C - {0}| multiplies
-    (not one per series with coefficients in C), and the shared result is a
+    (coefficient set, side) keys; each key is one box kernel, computed the
+    first time its memo key is asked for, which reads the term table alone:
+    no window product and no quotient kernel. The shared result is a
     frozenset, which no caller can change."""
     fx = cli.load_fixture(cli.resolve_fixture("t_z4_example_5_6"))
-    multiplies, quotients = [], []
+    products = []
     real_multiply = series_module.WindowAlgebra.multiply
     real_quotient = TruncatedUniverse.quotient
 
     def counting_multiply(alg, f, g):
-        multiplies.append(None)
+        products.append("multiply")
         return real_multiply(alg, f, g)
 
     def counting_quotient(universe, factors, members, side):
-        quotients.append(None)
+        products.append("quotient")
         return real_quotient(universe, factors, members, side)
 
     real = TruncatedUniverse.annihilator
     calls, kernels = [], []
 
     def counting(universe, coeffs, side):
-        before, computed = len(multiplies), len(quotients)
+        key = ("annihilator", frozenset(coeffs), side)
+        if key not in universe._memo:
+            kernels.append(key[1:])
+        before = len(products)
         result = real(universe, coeffs, side)
         assert isinstance(result, frozenset)
+        assert len(products) == before, products[before:]
         calls.append(None)
-        if len(quotients) > computed:
-            assert len(quotients) == computed + 1
-            coeffs = frozenset(coeffs)
-            kernels.append((coeffs, side))
-            bound = len(universe) * len(universe.window) * len(coeffs - {0})
-            assert len(multiplies) - before <= bound, (sorted(coeffs), side)
         return result
 
     monkeypatch.setattr(series_module.WindowAlgebra, "multiply", counting_multiply)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -448,8 +449,7 @@ def _suite_prop32(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
 def _suite_lemma43(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     universe = TruncatedUniverse(_twist(fx), fx.group.window(*UNIVERSE_WINDOW))
     right = enumerate_ideals(fx.ring, "right")
-    pairs = [(I, J) for I in right for J in right][:IDEAL_PAIR_LIMIT]
-    for I, J in pairs:
+    for I, J in itertools.islice(itertools.product(right, repeat=2), IDEAL_PAIR_LIMIT):
         for side in ("left", "right"):
             yield lifted_annihilator_check(I, J, side, universe)
     if len(right) ** 2 > IDEAL_PAIR_LIMIT:
@@ -462,22 +462,26 @@ def _suite_thm45(fx: Fixture, seed: int) -> Iterator[PropertyReport]:
     universe = TruncatedUniverse(twist, fx.group.window(*UNIVERSE_WINDOW))
     win = universe.window
     two = enumerate_ideals(fx.ring, "twosided")
-    configs = [("empty", [], [])]
-    for I in two:
-        for J in two:
-            gens_i = [series_make(twist, [(win[k % len(win)], c)])
-                      for k, c in enumerate(sorted(I.members - {0}))]
-            gens_j = [series_make(twist, [(win[(k + 1) % len(win)], c)])
-                      for k, c in enumerate(sorted(J.members - {0}))]
-            configs.append((f"{I.sorted_members()}x{J.sorted_members()}", gens_i, gens_j))
-    limit = IDEAL_PAIR_LIMIT + 1
-    for name, gi, gj in configs[:limit]:
+
+    @functools.cache
+    def gens(k: int, shift: int) -> list[Series]:
+        """The generator series of two[k]: its n-th nonzero member at window
+        position n + shift, cyclically; built once per (ideal, shift)."""
+        return [series_make(twist, [(win[(n + shift) % len(win)], c)])
+                for n, c in enumerate(sorted(two[k].members - {0}))]
+
+    pairs = itertools.islice(itertools.product(range(len(two)), repeat=2), IDEAL_PAIR_LIMIT)
+    configs = itertools.chain([("empty", [], [])], (
+        (f"{two[i].sorted_members()}x{two[j].sorted_members()}", gens(i, 0), gens(j, 1))
+        for i, j in pairs))
+    for name, gi, gj in configs:
         rep = sa_transfer_witness(gi, gj, universe)
         rep.certificate = dict(rep.certificate or {}, config=name)
         yield rep
-    if len(configs) > limit:
+    limit, count = IDEAL_PAIR_LIMIT + 1, 1 + len(two) ** 2
+    if count > limit:
         yield PropertyReport("config-coverage", None,
-                             note=f"skipped: only first {limit} of {len(configs)} configurations run")
+                             note=f"skipped: only first {limit} of {count} configurations run")
 
 
 def _suite_thm54(fx: Fixture, seed: int) -> Iterator[PropertyReport]:

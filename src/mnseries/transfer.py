@@ -16,7 +16,9 @@ series. An annihilator needs no such kernel: it is killed by the single
 terms whose coefficients are additive generators of its coefficient set,
 and a single term times a series puts each coefficient in its own slot, so
 the annihilator is a box of per-position coefficient sets read from the
-term table. It is kept in the universe's memo per (set, side). The filter
+term table. It is kept in the universe's memo per (set, side), as are
+lemma 4.3's `annihilator_lift` record per (ideal, side) and thm 4.5's
+`content_ideal` record per content set, which every check reads. The filter
 over every series that both replaced is the tests' oracle,
 `universe_quotient_scan` in tests/oracles.py.
 `lift_universe` lifts every universe member for prop 3.2 and decides each
@@ -407,6 +409,22 @@ def lift_universe(universe: TruncatedUniverse,
 # --- annihilator lifting (IN side) -------------------------------------------
 
 
+def annihilator_lift(universe: TruncatedUniverse, members: frozenset[int],
+                     side: str) -> tuple[frozenset[int], frozenset[int], frozenset[int], int | None]:
+    """Lemma 4.3's record of one coefficient set on one side, which no ideal
+    pair changes, kept in the universe's memo per (members, side): (base,
+    box, lifted, first difference), the base annihilator of the set, its
+    coefficient box (the members with coefficients in it), the universe
+    annihilator of the set's coefficient series, and the least member where
+    the two boxes differ, or None when the annihilator lifts coefficientwise."""
+    def build():
+        base = annihilator(universe.twist.ring, members, side)
+        box = universe.with_coeffs_in(base)
+        lifted = universe.annihilator(members, side)
+        return base, box, lifted, min(lifted ^ box, default=None)
+    return universe.once(("annihilator lift", members, side), build)
+
+
 def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
                              universe: TruncatedUniverse) -> PropertyReport:
     """Check the three coefficientwise annihilator identities on the universe.
@@ -417,6 +435,9 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
         (and likewise for J);
     (3) the base-ring sum identity l(I n J) = l(I) + l(J) and its
         universe-level counterpart agree for this pair.
+
+    Identity (2) reads the `annihilator_lift` of I and J on the side, and
+    (3) the left ones of I n J, I and J, so each is derived once per universe.
     """
     twist = universe.twist
     ring = twist.ring
@@ -425,23 +446,24 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
     require_sigma_compatible(twist)
     witnesses = {}
     sets = (I.members & J.members, I.members, J.members)
+
+    def side_free():
+        lifts = [annihilator_lift(universe, m, "left") for m in sets]
+        return ((universe.with_coeffs_in(I.members) & universe.with_coeffs_in(J.members))
+                ^ universe.with_coeffs_in(sets[0]),
+                is_subgroup_sum(*(base for base, _, _, _ in lifts)),
+                is_subgroup_sum(*(lifted for _, _, lifted, _ in lifts)))
     # identities (1) and (3) read no side: decided once per (I, J)
-    stray, base_holds, univ_holds = universe.once(("side-free", *sets), lambda: (
-        (universe.with_coeffs_in(I.members) & universe.with_coeffs_in(J.members))
-        ^ universe.with_coeffs_in(I.members & J.members),
-        is_subgroup_sum(*(annihilator(ring, m, "left") for m in sets)),
-        is_subgroup_sum(*(universe.annihilator(m, "left") for m in sets))))
+    stray, base_holds, univ_holds = universe.once(("side-free", *sets), side_free)
     id1 = not stray
     if not id1:
         witnesses["membership-intersection"] = series_to_json(universe.series(min(stray)))
 
     id2 = True
     for name, ideal in (("I", I), ("J", J)):
-        expected = universe.with_coeffs_in(annihilator(ring, ideal.members, side))
-        actual = universe.annihilator(ideal.members, side)
-        if actual != expected:
+        *_, sample = annihilator_lift(universe, ideal.members, side)
+        if sample is not None:
             id2 = False
-            sample = min(actual ^ expected)
             witnesses[f"annihilator-lift-{name}"] = series_to_json(universe.series(sample))
 
     id3 = base_holds == univ_holds
@@ -464,8 +486,21 @@ def lifted_annihilator_check(I: IdealSet, J: IdealSet, side: str,
 # --- SA transfer (content-ideal construction) ---------------------------------
 
 
-def _contents(series_list: Iterable[Series]) -> set[int]:
-    return set().union(*(s.content() for s in series_list))
+def _contents(series_list: Iterable[Series]) -> frozenset[int]:
+    return frozenset().union(*(s.content() for s in series_list))
+
+
+def content_ideal(universe: TruncatedUniverse,
+                  contents: frozenset[int]) -> tuple[IdealSet, frozenset[int], frozenset[int]]:
+    """Thm 4.5's record of one content set C, which no configuration
+    changes, kept in the universe's memo per set: (I0, r(I0), the universe
+    r(I0)), I0 the right ideal C generates, r(I0) its base right annihilator
+    and the universe r(I0) the right annihilator of the I0-coefficient series."""
+    def build():
+        ideal = ideal_closure(universe.twist.ring, contents, "right")
+        return (ideal, annihilator(universe.twist.ring, ideal.members),
+                universe.annihilator(ideal.members, "right"))
+    return universe.once(("content ideal", contents), build)
 
 
 def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
@@ -478,7 +513,8 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     looked up in the ring's table that is_SA reads, which files each
     two-sided K under r(K), so r(K) = r(I0) + r(J0) holds by construction;
     the universe-level identity compares the right annihilators of the
-    coefficientwise series sets.
+    coefficientwise series sets. I0, J0 and their annihilators are read
+    from the `content_ideal` of each content set, derived once per universe.
     """
     twist = universe.twist
     ring = twist.ring
@@ -488,10 +524,8 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
     require_sa(twist, universe)
     k_by_annihilator = ideals_by_right_annihilator(ring)
 
-    I0 = ideal_closure(ring, _contents(I_gens), "right")
-    J0 = ideal_closure(ring, _contents(J_gens), "right")
-    rI0 = annihilator(ring, I0.members)
-    rJ0 = annihilator(ring, J0.members)
+    I0, rI0, r_I = content_ideal(universe, _contents(I_gens))
+    J0, rJ0, r_J = content_ideal(universe, _contents(J_gens))
     target = subgroup_sum(ring, rI0, rJ0)
     K = k_by_annihilator.get(target)
     if K is None:
@@ -502,8 +536,6 @@ def sa_transfer_witness(I_gens: Sequence[Series], J_gens: Sequence[Series],
             note="no-K: annihilator sum matches no ideal, contradicting the SA precondition",
             bounds=universe.describe())
 
-    r_I = universe.annihilator(I0.members, "right")
-    r_J = universe.annihilator(J0.members, "right")
     r_K = universe.annihilator(K.members, "right")
     universe_ok = is_subgroup_sum(r_K, r_I, r_J)
     return PropertyReport(

@@ -110,6 +110,33 @@ MUTANTS = {
         "term, size = self.checked_algebra().term,",
         "term, size = self.algebra.term,",
         (_UNIVERSE, "-k", "wrong_term_fails_the_lifted_annihilator_check")),
+    # lemma4.3 and thm4.5 read one record per (ideal, side) and per content set
+    "lift-record-key-drops-the-side": Mutant(
+        "a lemma 4.3 record is kept per coefficient set alone, so the side asked "
+        "second reads the first side's record",
+        "mnseries/transfer.py",
+        'universe.once(("annihilator lift", members, side), build)',
+        'universe.once(("annihilator lift", members), build)',
+        (_UNIVERSE, "-k", "annihilator_lift_records")),
+    "lift-record-boxes-the-other-side": Mutant(
+        "a lemma 4.3 record compares the universe annihilator with the box of "
+        "the other side's base annihilator",
+        "mnseries/transfer.py",
+        "base = annihilator(universe.twist.ring, members, side)",
+        'base = annihilator(universe.twist.ring, members, "left" if side == "right" else "right")',
+        ("tests/test_kernel_bytes.py", "-k", "ut2_z2")),
+    "sa-transfer-reads-j0-under-i0-contents": Mutant(
+        "sa_transfer_witness reads J0's record under I's content set",
+        "mnseries/transfer.py",
+        "J0, rJ0, r_J = content_ideal(universe, _contents(J_gens))",
+        "J0, rJ0, r_J = content_ideal(universe, _contents(I_gens))",
+        ("tests/test_kernel_bytes.py", "-k", "z32 and thm4")),
+    "thm45-j-generators-at-shift-0": Mutant(
+        "thm4.5 places J's generator series from window position 0, as I's, not 1",
+        "mnseries/cli.py",
+        "gens(i, 0), gens(j, 1))",
+        "gens(i, 0), gens(j, 0))",
+        ("tests/test_transfer.py", "-k", "builds_each_generator_series_once_per_shift")),
     "killers-filed-under-the-wrong-h": Mutant(
         "every killer the batch join finds is filed under the batch's first h",
         "mnseries/transfer.py",

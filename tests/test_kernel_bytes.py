@@ -18,6 +18,11 @@ ladder's Z32 rung. Its `lemma4.3` and `thm4.5` runs (seed 0) must keep the
 bytes that the product-form sums of the truncated universe produced,
 before the sum identities moved onto subgroup arithmetic.
 
+The noncommutative UT2(Z2), untwisted over Z, has ideals whose left and
+right annihilators differ. Its `lemma4.3` run (seed 0) must keep the bytes
+it had when every check derived each ideal's annihilators itself, before
+they were read from one record per (ideal, side).
+
 The ring-axiom report is also pinned where the generator tests do their
 work: on the 256-element Z256 and Z4^4, and on three tables that are not
 rings, which exit 2 naming their first failing axiom and its
@@ -101,6 +106,12 @@ FIXTURES = {
         "twist": {"sigma": "identity", "tau": {"kind": "one"}},
         "ideals": {"U": {"kind": "twosided", "gens": [2]}},
     },
+    # UT2(Z2), where left and right annihilators differ, untwisted over Z
+    "ut2_z2": {
+        "ring": {"kind": "table", **ut2_table(2)},
+        "group": {"group": "Z"},
+        "twist": {"sigma": "identity", "tau": {"kind": "one"}},
+    },
     "z256": {"ring": {"kind": "Zn", "n": 256}},
     "z4_4": {"ring": {"kind": "product", "factors": [_Z4, {"kind": "product", "factors": [
         _Z4, {"kind": "product", "factors": [_Z4, _Z4]}]}]}},
@@ -154,6 +165,8 @@ DIGESTS = {
         "c6a0140c4189312808623bf667c39ab5626b87cdc9cf7f0889cd40d876a1f80d",
     "z32 verify thm4.5":
         "1522d337cff42b76f22582ec7b2796c1d5d511ce90b3a618cbabdd771617da15",
+    "ut2_z2 verify lemma4.3":
+        "e85f54a241ece4f37a86cb8d916e30e2a0944d7e13445a577c2d5f952c8de260",
     "z256 verify ring-axioms":
         "2b88d2437a9cfb6b3ed9890af804c8f45940a57e4da6188826d1ebd338dc647c",
     "z4_4 verify ring-axioms":

@@ -1,3 +1,6 @@
+import collections
+import itertools
+import json
 import random
 
 import pytest
@@ -402,6 +405,58 @@ def test_a_suite_run_checks_its_hypotheses_once_per_universe(monkeypatch, fixtur
     rep, calls = _suite_calls(monkeypatch, fixture, suite, counted)
     assert rep.status == "pass"
     assert calls == counted
+
+
+def test_lemma43_run_builds_each_annihilator_record_once(monkeypatch):
+    """lemma4.3 derives a base annihilator once per (ideal members, side)
+    record: those of I and J on both sides for every pair (I, J) it runs,
+    and the left ones of I n J that the side-free identities read."""
+    from mnseries.cli import IDEAL_PAIR_LIMIT, load_fixture, resolve_fixture
+    built = []
+
+    def counting(ring, X, side="right", _real=transfer.annihilator):
+        built.append((frozenset(X), side))
+        return _real(ring, X, side)
+
+    monkeypatch.setattr(transfer, "annihilator", counting)
+    rep, _ = _suite_calls(monkeypatch, "t_z4_example_5_6", "lemma4.3", [])
+    assert rep.status == "pass"
+    right = enumerate_ideals(load_fixture(resolve_fixture("t_z4_example_5_6")).ring, "right")
+    pairs = list(itertools.product(right, repeat=2))[:IDEAL_PAIR_LIMIT]
+    expected = {(M.members, side) for pair in pairs for M in pair
+                for side in ("left", "right")}
+    expected |= {(I.members & J.members, "left") for I, J in pairs}
+    assert len(built) == len(set(built))
+    assert set(built) == expected
+
+
+def test_thm45_run_builds_each_generator_series_once_per_shift(monkeypatch, tmp_path):
+    """thm4.5 on Z16 over the window 0..1 builds the generator series of
+    the ideals its first IDEAL_PAIR_LIMIT pairs name, once per shift: I's n-th
+    nonzero member at position n, J's at position n + 1, cyclically. That
+    is 37 series_make calls; none are made for the 9 pairs past the limit."""
+    import mnseries.cli as cli
+    path = tmp_path / "z16.json"
+    path.write_text(json.dumps({"label": "z16", "ring": {"kind": "Zn", "n": 16},
+                                "group": {"group": "Z"},
+                                "twist": {"sigma": "identity", "tau": {"kind": "one"}}}))
+    made = []
+
+    def counting(twist, terms, _real=cli.series_make):
+        made.append(tuple(terms))
+        return _real(twist, terms)
+
+    monkeypatch.setattr(cli, "series_make", counting)
+    fx = cli.load_fixture(path)
+    rep = cli.run_suite(fx, "thm4.5")
+    assert rep.status == "pass"
+    two = enumerate_ideals(fx.ring, "twosided")
+    pairs = list(itertools.product(range(len(two)), repeat=2))[:cli.IDEAL_PAIR_LIMIT]
+    used = {(i, 0) for i, _ in pairs} | {(j, 1) for _, j in pairs}
+    expected = [(((n + shift) % 2, c),) for k, shift in used
+                for n, c in enumerate(sorted(two[k].members - {0}))]
+    assert len(made) == 37
+    assert collections.Counter(made) == collections.Counter(expected)
 
 
 def test_sa_transfer_failed_hypothesis_raises_on_every_call(tw_klein_swap, tw_z4,

@@ -24,7 +24,8 @@ import mnseries.transfer as transfer
 import oracles
 from mnseries.errors import HypothesisFails, PreconditionFail, TraceMismatch, TwistMismatch
 from mnseries.groups import IntegersGroup, LexProductGroup
-from mnseries.ideals import classify_kind, enumerate_ideals, is_subgroup_sum, make_ideal
+from mnseries.ideals import (annihilator, classify_kind, enumerate_ideals, ideal_closure,
+                            is_subgroup_sum, make_ideal)
 from mnseries.properties import zero_divisor_sets
 from mnseries.rings import (ring_from_table, ring_gf4, ring_product, ring_trivial_extension,
                             ring_zn, units)
@@ -108,6 +109,41 @@ def test_ut2_annihilators_differ_by_side():
     universe = CASES["ut2-z2"]
     assert any(universe.annihilator(M, "left") != universe.annihilator(M, "right")
                for M in _ideal_member_sets("ut2-z2"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_annihilator_lift_records_hold_their_definitions(name):
+    """Each lemma 4.3 record holds, for its coefficient set and side, the
+    base annihilator on that side, its coefficient box, the universe
+    annihilator on that side and the least member where the two differ;
+    asked again, the universe hands back the same record."""
+    universe = CASES[name]
+    ring = universe.twist.ring
+    for members in _ideal_member_sets(name):
+        for side in ("left", "right"):
+            lift = transfer.annihilator_lift(universe, members, side)
+            base = annihilator(ring, members, side)
+            box, lifted = universe.with_coeffs_in(base), universe.annihilator(members, side)
+            assert lift == (base, box, lifted, min(lifted ^ box, default=None)), (members, side)
+            assert transfer.annihilator_lift(universe, members, side) is lift
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_content_ideal_records_hold_their_definitions(name):
+    """Each thm 4.5 record holds, for its content set C, I0 = the right ideal
+    C generates, its base right annihilator and the universe's right
+    annihilator of the I0-coefficient series."""
+    universe = CASES[name]
+    ring = universe.twist.ring
+    for members in [frozenset(), *_ideal_member_sets(name)]:
+        contents = members - {0}
+        record = transfer.content_ideal(universe, contents)
+        ideal, base, lifted = record
+        expected = ideal_closure(ring, contents, "right")
+        assert (ideal.members, ideal.kind) == (expected.members, expected.kind)
+        assert base == annihilator(ring, ideal.members, "right")
+        assert lifted == universe.annihilator(ideal.members, "right")
+        assert transfer.content_ideal(universe, contents) is record
 
 
 def test_universe_members_follow_exhaustive_series():
@@ -683,11 +719,11 @@ def test_the_table_check_matches_the_per_entry_check_on_a_changed_entry(name, da
 
 
 def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):
-    """lemma4.3 on t_z4_example_5_6 asks for 112 annihilators of 14 distinct
-    (coefficient set, side) keys; each key is one box kernel, computed the
-    first time its memo key is asked for, which reads the term table alone:
-    no window product and no quotient kernel. The shared result is a
-    frozenset, which no caller can change."""
+    """lemma4.3 on t_z4_example_5_6 asks for one annihilator per lemma 4.3
+    record, 14 in all, of 14 distinct (coefficient set, side) keys; each key
+    is one box kernel, computed the first time its memo key is asked for,
+    which reads the term table alone: no window product and no quotient
+    kernel. The shared result is a frozenset, which no caller can change."""
     fx = cli.load_fixture(cli.resolve_fixture("t_z4_example_5_6"))
     products = []
     real_multiply = series_module.WindowAlgebra.multiply
@@ -719,7 +755,7 @@ def test_annihilator_kernel_runs_once_per_coefficient_set_and_side(monkeypatch):
     monkeypatch.setattr(TruncatedUniverse, "quotient", counting_quotient)
     monkeypatch.setattr(TruncatedUniverse, "annihilator", counting)
     assert cli.run_suite(fx, "lemma4.3").status == "pass"
-    assert len(calls) == 112
+    assert len(calls) == 14
     assert len(kernels) == len(set(kernels)) == 14
 
     universe = CASES["z4-tau"]
